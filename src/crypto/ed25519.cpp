@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "crypto/ed25519_fe.hpp"
 #include "crypto/ed25519_ge.hpp"
 #include "crypto/ed25519_sc.hpp"
 #include "crypto/sha512.hpp"
@@ -10,7 +9,6 @@
 namespace ritm::crypto {
 
 namespace {
-using detail::Ge;
 using detail::Scalar;
 
 Scalar clamp(const std::uint8_t* h) noexcept {
@@ -32,8 +30,7 @@ Scalar hash_to_scalar(std::initializer_list<ByteSpan> parts) noexcept {
 PublicKey derive_public_key(const Seed& seed) noexcept {
   const Sha512Digest h = Sha512::hash(ByteSpan(seed.data(), seed.size()));
   const Scalar a = clamp(h.data());
-  const Ge A = detail::ge_scalarmult(detail::ge_base(), a);
-  return detail::ge_to_bytes(A);
+  return detail::ge_to_bytes(detail::ge_scalarmult_base(a));
 }
 
 KeyPair keypair_from_seed(const Seed& seed) noexcept {
@@ -51,8 +48,7 @@ Signature sign(ByteSpan message, const Seed& seed,
 
   const ByteSpan prefix(h.data() + 32, 32);
   const Scalar r = hash_to_scalar({prefix, message});
-  const Ge R = detail::ge_scalarmult(detail::ge_base(), r);
-  const auto r_enc = detail::ge_to_bytes(R);
+  const auto r_enc = detail::ge_to_bytes(detail::ge_scalarmult_base(r));
 
   const Scalar k = hash_to_scalar({ByteSpan(r_enc.data(), r_enc.size()),
                                    ByteSpan(pub.data(), pub.size()), message});
@@ -66,27 +62,23 @@ Signature sign(ByteSpan message, const Seed& seed,
 
 bool verify(ByteSpan message, const Signature& sig,
             const PublicKey& public_key) noexcept {
-  std::array<std::uint8_t, 32> r_enc;
   Scalar s;
-  std::memcpy(r_enc.data(), sig.data(), 32);
   std::memcpy(s.data(), sig.data() + 32, 32);
-
   if (!detail::sc_is_canonical(s)) return false;
 
   const auto A = detail::ge_from_bytes(public_key);
   if (!A) return false;
-  const auto R = detail::ge_from_bytes(r_enc);
-  if (!R) return false;
 
+  const ByteSpan r_enc(sig.data(), 32);
   const Scalar k = hash_to_scalar(
-      {ByteSpan(r_enc.data(), r_enc.size()),
-       ByteSpan(public_key.data(), public_key.size()), message});
+      {r_enc, ByteSpan(public_key.data(), public_key.size()), message});
 
-  // Check s*B == R + k*A  (equivalently s*B - k*A == R).
-  const Ge sB = detail::ge_scalarmult(detail::ge_base(), s);
-  const Ge kA = detail::ge_scalarmult(*A, k);
-  const Ge rhs = detail::ge_add(*R, kA);
-  return detail::ge_equal(sB, rhs);
+  // RFC 8032 §5.1.7 without the cofactor: accept iff s*B - k*A encodes to
+  // exactly the R bytes. This also rejects an R that is not a canonical
+  // encoding of a curve point, since s*B - k*A always encodes canonically.
+  const auto r_check = detail::ge_to_bytes(
+      detail::ge_double_scalarmult_vartime(k, detail::ge_neg(*A), s));
+  return std::memcmp(r_check.data(), r_enc.data(), 32) == 0;
 }
 
 }  // namespace ritm::crypto

@@ -39,8 +39,10 @@ Signature sign(ByteSpan message, const Seed& seed) noexcept;
 Signature sign(ByteSpan message, const Seed& seed,
                const PublicKey& public_key) noexcept;
 
-/// Verifies; returns false for malformed points, non-canonical S, or any
-/// mismatch. Never throws.
+/// Verifies with RFC 8032's cofactorless equation: true iff S < L, the key
+/// is the canonical encoding of a curve point A, and s*B - k*A encodes to
+/// exactly the signature's R bytes (k = SHA-512(R || A || M) mod L).
+/// Variable time; it only handles public data. Never throws.
 bool verify(ByteSpan message, const Signature& sig,
             const PublicKey& public_key) noexcept;
 

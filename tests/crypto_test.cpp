@@ -1,10 +1,16 @@
 // Crypto substrate tests: FIPS 180-4 vectors for SHA-256/512, RFC 8032
-// vectors for Ed25519, structural properties of hash chains, and randomized
-// robustness checks (bit-flip rejection).
+// vectors for Ed25519, the field/group/scalar layers against the reference
+// implementation in ed25519_oracle.hpp (generic exponentiation ladder,
+// fixed-window scalar multiplication, long division mod L), a differential
+// test of verify() against the oracle's equation check, structural
+// properties of hash chains, and randomized robustness checks (bit-flip
+// rejection).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <iterator>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
@@ -17,6 +23,7 @@
 #include "crypto/sha256.hpp"
 #include "crypto/sha256_engine.hpp"
 #include "crypto/sha512.hpp"
+#include "ed25519_oracle.hpp"
 
 namespace ritm::crypto {
 namespace {
@@ -293,12 +300,32 @@ TEST(Sha512, MillionAs) {
 
 // ------------------------------------------------------------ field/group
 
+namespace oracle = ritm::crypto::oracle;
+using detail::Fe;
+using detail::Ge;
+using Bytes32 = std::array<std::uint8_t, 32>;
+
+Bytes32 bytes32(const Bytes& b) {
+  Bytes32 out{};
+  std::copy(b.begin(), b.end(), out.begin());
+  return out;
+}
+
+Fe random_fe(Rng& rng) {
+  Bytes raw = rng.bytes(32);
+  raw[31] &= 0x7F;
+  return detail::fe_from_bytes(raw.data());
+}
+
+// The same value with every limb carried below 2^51 + 2^13.
+Fe tight(const Fe& a) { return detail::fe_sub(a, detail::fe_zero()); }
+
 TEST(Fe25519, RoundTripBytes) {
   Rng rng(11);
   for (int i = 0; i < 50; ++i) {
     Bytes raw = rng.bytes(32);
     raw[31] &= 0x7F;  // stay below 2^255
-    detail::Fe fe = detail::fe_from_bytes(raw.data());
+    Fe fe = detail::fe_from_bytes(raw.data());
     std::uint8_t out[32];
     detail::fe_to_bytes(out, fe);
     // Round-trips exactly unless the value was >= p (probability ~2^-250).
@@ -309,10 +336,7 @@ TEST(Fe25519, RoundTripBytes) {
 TEST(Fe25519, MulCommutesAndDistributes) {
   Rng rng(13);
   for (int i = 0; i < 50; ++i) {
-    const Bytes ab = rng.bytes(32), bb = rng.bytes(32), cb = rng.bytes(32);
-    const auto a = detail::fe_from_bytes(ab.data());
-    const auto b = detail::fe_from_bytes(bb.data());
-    const auto c = detail::fe_from_bytes(cb.data());
+    const Fe a = random_fe(rng), b = random_fe(rng), c = random_fe(rng);
     EXPECT_TRUE(detail::fe_equal(detail::fe_mul(a, b), detail::fe_mul(b, a)));
     EXPECT_TRUE(detail::fe_equal(
         detail::fe_mul(a, detail::fe_add(b, c)),
@@ -320,21 +344,114 @@ TEST(Fe25519, MulCommutesAndDistributes) {
   }
 }
 
+TEST(Fe25519, SquareMatchesMul) {
+  Rng rng(14);
+  for (int i = 0; i < 200; ++i) {
+    const Fe a = random_fe(rng);
+    EXPECT_TRUE(detail::fe_equal(detail::fe_sq(a), detail::fe_mul(a, a)));
+  }
+}
+
+TEST(Fe25519, LooseLimbsMultiplyLikeTheirCarriedValue) {
+  // fe_mul and fe_sq accept limbs up to 2^54 (two carry-free sums deep);
+  // they must give the product of the value, not of a wrapped one.
+  Rng rng(15);
+  const std::uint64_t top = (std::uint64_t(1) << 54) - 1;
+  std::vector<Fe> loose = {Fe{{top, top, top, top, top}}};
+  for (int i = 0; i < 100; ++i) {
+    const Fe s1 = detail::fe_add(random_fe(rng), random_fe(rng));
+    const Fe s2 = detail::fe_add(random_fe(rng), random_fe(rng));
+    loose.push_back(detail::fe_add(s1, s2));
+  }
+  for (std::size_t i = 0; i < loose.size(); ++i) {
+    const Fe& a = loose[i];
+    const Fe& b = loose[(i + 1) % loose.size()];
+    EXPECT_TRUE(detail::fe_equal(detail::fe_mul(a, b),
+                                 detail::fe_mul(tight(a), tight(b))));
+    EXPECT_TRUE(detail::fe_equal(detail::fe_sq(a), detail::fe_sq(tight(a))));
+  }
+}
+
+TEST(Fe25519, SubAcceptsASumAsSubtrahend) {
+  // fe_sub(a, b) adds 4p, so b may be the carry-free sum of two tight
+  // elements; (a - b) + b must give a back.
+  Rng rng(16);
+  for (int i = 0; i < 100; ++i) {
+    const Fe a = random_fe(rng);
+    const Fe b = detail::fe_add(detail::fe_mul(random_fe(rng), random_fe(rng)),
+                                detail::fe_mul(random_fe(rng), random_fe(rng)));
+    EXPECT_TRUE(
+        detail::fe_equal(detail::fe_add(detail::fe_sub(a, b), tight(b)), a));
+  }
+}
+
 TEST(Fe25519, InvertIsInverse) {
   Rng rng(17);
   for (int i = 0; i < 20; ++i) {
-    const Bytes ab = rng.bytes(32);
-    const auto a = detail::fe_from_bytes(ab.data());
+    const Fe a = random_fe(rng);
     if (detail::fe_is_zero(a)) continue;
     const auto inv = detail::fe_invert(a);
     EXPECT_TRUE(detail::fe_equal(detail::fe_mul(a, inv), detail::fe_one()));
   }
 }
 
-TEST(Fe25519, SqrtM1Squared) {
+TEST(Fe25519, AdditionChainsMatchGenericLadder) {
+  // fe_invert (p - 2) and fe_pow22523 ((p - 5) / 8) against plain
+  // square-and-multiply on the same exponents.
+  Rng rng(18);
+  std::vector<Fe> inputs = {detail::fe_zero(), detail::fe_one(),
+                            detail::fe_neg(detail::fe_one())};
+  for (int i = 0; i < 30; ++i) inputs.push_back(random_fe(rng));
+  for (const Fe& a : inputs) {
+    EXPECT_TRUE(detail::fe_equal(detail::fe_invert(a),
+                                 oracle::fe_pow(a, oracle::p_minus(2))));
+    EXPECT_TRUE(detail::fe_equal(detail::fe_pow22523(a),
+                                 oracle::fe_pow(a, oracle::exp_p58())));
+  }
+}
+
+TEST(Fe25519, CurveConstantsMatchTheirDefinitions) {
   const auto& i = detail::fe_sqrtm1();
   EXPECT_TRUE(
       detail::fe_equal(detail::fe_sq(i), detail::fe_neg(detail::fe_one())));
+  EXPECT_TRUE(detail::fe_equal(
+      i, oracle::fe_pow(oracle::from_u64(2), oracle::exp_p14())));
+  EXPECT_TRUE(detail::fe_equal(detail::fe_d(), oracle::curve_d()));
+  EXPECT_TRUE(detail::fe_equal(
+      detail::fe_2d(), detail::fe_add(oracle::curve_d(), oracle::curve_d())));
+}
+
+// The group law through the formulas the scalar multiplication uses.
+Ge add(const Ge& p, const Ge& q) {
+  return detail::ge_to_extended(detail::ge_add(p, detail::ge_to_cached(q)));
+}
+Ge sub(const Ge& p, const Ge& q) {
+  return detail::ge_to_extended(detail::ge_sub(p, detail::ge_to_cached(q)));
+}
+Ge dbl(const Ge& p) {
+  return detail::ge_to_extended(detail::ge_dbl(detail::ge_to_projective(p)));
+}
+detail::GeAffine to_affine(const Ge& p) {
+  const Fe zinv = detail::fe_invert(p.z);
+  const Fe x = detail::fe_mul(p.x, zinv), y = detail::fe_mul(p.y, zinv);
+  const Fe xy2d = detail::fe_mul(detail::fe_mul(x, y), detail::fe_2d());
+  return detail::GeAffine{detail::fe_add(y, x), detail::fe_sub(y, x), xy2d};
+}
+bool same(const Ge& p, const Ge& q) {
+  return detail::ge_to_bytes(p) == detail::ge_to_bytes(q);
+}
+Bytes32 scalar_of(std::uint64_t n) {
+  Bytes32 s{};
+  for (std::size_t i = 0; i < 8; ++i) s[i] = std::uint8_t(n >> (8 * i));
+  return s;
+}
+Bytes32 random_scalar(Rng& rng) {
+  Bytes32 s = bytes32(rng.bytes(32));
+  s[31] &= 0x7F;  // the scalar multiplications take s < 2^255
+  return s;
+}
+Ge random_point(Rng& rng) {
+  return detail::ge_scalarmult_base(random_scalar(rng));
 }
 
 TEST(Ge25519, BasePointOnCurve) {
@@ -351,81 +468,260 @@ TEST(Ge25519, BasePointOnCurve) {
 }
 
 TEST(Ge25519, AddMatchesDouble) {
-  const auto& b = detail::ge_base();
-  EXPECT_TRUE(detail::ge_equal(detail::ge_add(b, b), detail::ge_double(b)));
+  Rng rng(19);
+  std::vector<Ge> points = {detail::ge_base(), detail::ge_identity()};
+  for (int i = 0; i < 10; ++i) points.push_back(random_point(rng));
+  for (const Ge& p : points) EXPECT_TRUE(same(add(p, p), dbl(p)));
 }
 
 TEST(Ge25519, IdentityIsNeutral) {
-  const auto& b = detail::ge_base();
-  EXPECT_TRUE(detail::ge_equal(detail::ge_add(b, detail::ge_identity()), b));
+  Rng rng(20);
+  const Ge id = detail::ge_identity();
+  for (const Ge& p : {detail::ge_base(), random_point(rng)}) {
+    EXPECT_TRUE(same(add(p, id), p));
+    EXPECT_TRUE(same(add(id, p), p));
+    EXPECT_TRUE(same(sub(p, id), p));
+  }
+  EXPECT_TRUE(same(dbl(id), id));
 }
 
 TEST(Ge25519, NegCancels) {
-  const auto& b = detail::ge_base();
-  EXPECT_TRUE(detail::ge_equal(detail::ge_add(b, detail::ge_neg(b)),
-                               detail::ge_identity()));
+  Rng rng(21);
+  for (const Ge& p : {detail::ge_base(), random_point(rng)}) {
+    EXPECT_TRUE(same(add(p, detail::ge_neg(p)), detail::ge_identity()));
+    EXPECT_TRUE(same(sub(p, p), detail::ge_identity()));
+    EXPECT_TRUE(same(sub(detail::ge_identity(), p), detail::ge_neg(p)));
+  }
 }
 
-TEST(Ge25519, ScalarMultSmall) {
-  const auto& b = detail::ge_base();
-  detail::Scalar three{};
-  three[0] = 3;
-  const auto via_scalar = detail::ge_scalarmult(b, three);
-  const auto via_adds = detail::ge_add(detail::ge_add(b, b), b);
-  EXPECT_TRUE(detail::ge_equal(via_scalar, via_adds));
+TEST(Ge25519, AffineAddendMatchesCached) {
+  Rng rng(22);
+  for (int i = 0; i < 10; ++i) {
+    const Ge p = random_point(rng), q = random_point(rng);
+    EXPECT_TRUE(same(detail::ge_to_extended(detail::ge_madd(p, to_affine(q))),
+                     add(p, q)));
+    EXPECT_TRUE(same(detail::ge_to_extended(detail::ge_msub(p, to_affine(q))),
+                     sub(p, q)));
+  }
+}
+
+TEST(Ge25519, ScalarMultMatchesRepeatedAdds) {
+  Rng rng(23);
+  const Ge& b = detail::ge_base();
+  const Ge p = random_point(rng);
+  Ge nb = detail::ge_identity(), np = detail::ge_identity();
+  for (std::uint64_t n = 0; n <= 300; ++n) {
+    // n*B through the base table, n*P through the per-call table, and the
+    // interleaved n*P + n*B.
+    EXPECT_TRUE(same(detail::ge_scalarmult_base(scalar_of(n)), nb)) << n;
+    EXPECT_TRUE(same(detail::ge_double_scalarmult_vartime(scalar_of(n), p,
+                                                          scalar_of(0)),
+                     np))
+        << n;
+    EXPECT_TRUE(same(detail::ge_double_scalarmult_vartime(scalar_of(n), p,
+                                                          scalar_of(n)),
+                     add(np, nb)))
+        << n;
+    nb = add(nb, b);
+    np = add(np, p);
+  }
+}
+
+TEST(Ge25519, ScalarMultMatchesFixedWindowOracle) {
+  Rng rng(24);
+  std::vector<Bytes32> scalars = {scalar_of(0), scalar_of(1),
+                                  oracle::group_order()};
+  scalars.back()[0] -= 1;  // L - 1
+  Bytes32 max{};
+  max.fill(0xFF);
+  max[31] = 0x7F;  // 2^255 - 1, the largest input the wNAF recoding takes
+  scalars.push_back(max);
+  for (int i = 0; i < 40; ++i) scalars.push_back(random_scalar(rng));
+  for (const auto& s : scalars) {
+    const auto expect = oracle::encode(oracle::scalarmult(oracle::base(), s));
+    EXPECT_EQ(detail::ge_to_bytes(detail::ge_scalarmult_base(s)), expect);
+    const Bytes32 k = random_scalar(rng);
+    const Ge p = random_point(rng);
+    const auto op = *oracle::decode(detail::ge_to_bytes(p));
+    const Ge got = detail::ge_double_scalarmult_vartime(k, p, s);
+    const auto want = oracle::add(oracle::scalarmult(op, k),
+                                  oracle::scalarmult(oracle::base(), s));
+    EXPECT_EQ(detail::ge_to_bytes(got), oracle::encode(want));
+  }
 }
 
 TEST(Ge25519, CompressDecompressRoundTrip) {
-  Rng rng(23);
-  auto p = detail::ge_base();
+  Rng rng(25);
+  std::vector<Ge> points = {detail::ge_identity()};
+  Ge p = detail::ge_base();
   for (int i = 0; i < 20; ++i) {
-    p = detail::ge_double(p);
-    const auto enc = detail::ge_to_bytes(p);
-    const auto q = detail::ge_from_bytes(enc);
-    ASSERT_TRUE(q.has_value());
-    EXPECT_TRUE(detail::ge_equal(p, *q));
+    p = dbl(p);
+    points.push_back(p);
+    points.push_back(random_point(rng));
   }
+  for (const Ge& q : points) {
+    const auto enc = detail::ge_to_bytes(q);
+    const auto back = detail::ge_from_bytes(enc);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(detail::ge_to_bytes(*back), enc);
+    // Same affine point, checked projectively.
+    EXPECT_TRUE(oracle::equal(oracle::Point{back->x, back->y, back->z, back->t},
+                              oracle::Point{q.x, q.y, q.z, q.t}));
+  }
+}
+
+// The eight points of order dividing 8, canonically encoded.
+std::vector<Bytes32> small_order_encodings() {
+  std::vector<Bytes32> out;
+  for (const char* hex :
+       {"0100000000000000000000000000000000000000000000000000000000000000",
+        "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000080",
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa"}) {
+    out.push_back(bytes32(from_hex(hex)));
+  }
+  return out;
+}
+
+TEST(Ge25519, SmallOrderPointsDecodeAndVanishTimesEight) {
+  for (const auto& enc : small_order_encodings()) {
+    const auto p = detail::ge_from_bytes(enc);
+    ASSERT_TRUE(p.has_value()) << hex_of(enc);
+    EXPECT_EQ(detail::ge_to_bytes(*p), enc);
+    EXPECT_TRUE(same(dbl(dbl(dbl(*p))), detail::ge_identity())) << hex_of(enc);
+  }
+}
+
+// The 38 encodings with y >= p: y = p + i for i < 19, either sign bit.
+std::vector<Bytes32> non_canonical_encodings() {
+  std::vector<Bytes32> out;
+  for (int i = 0; i < 19; ++i) {
+    for (const std::uint8_t sign : {0x00, 0x80}) {
+      Bytes32 e;
+      e.fill(0xFF);
+      e[0] = static_cast<std::uint8_t>(0xED + i);
+      e[31] = static_cast<std::uint8_t>(0x7F | sign);
+      out.push_back(e);
+    }
+  }
+  return out;
+}
+
+TEST(Ge25519, NonCanonicalYIsRejected) {
+  // RFC 8032 §5.1.3 step 1: decoding fails if y >= p. 23 of the 38 would
+  // otherwise alias a valid point (their reduced value y - p decodes).
+  int aliases = 0;
+  for (const auto& enc : non_canonical_encodings()) {
+    EXPECT_FALSE(detail::ge_from_bytes(enc).has_value()) << hex_of(enc);
+    EXPECT_FALSE(oracle::decode(enc).has_value()) << hex_of(enc);
+    Bytes32 reduced{};
+    reduced[0] = static_cast<std::uint8_t>(enc[0] - 0xED);
+    reduced[31] = enc[31] & 0x80;
+    if (detail::ge_from_bytes(reduced).has_value()) ++aliases;
+  }
+  EXPECT_EQ(aliases, 23);
 }
 
 // ------------------------------------------------------------- scalars
 
+Bytes32 low32(const std::array<std::uint8_t, 64>& x) {
+  Bytes32 out;
+  std::copy(x.begin(), x.begin() + 32, out.begin());
+  return out;
+}
+
+std::array<std::uint8_t, 64> wide(const Bytes32& x) {
+  std::array<std::uint8_t, 64> out{};
+  std::copy(x.begin(), x.end(), out.begin());
+  return out;
+}
+
 TEST(Sc25519, ReduceSmallIdentity) {
-  detail::Scalar s{};
+  std::array<std::uint8_t, 64> s{};
   s[0] = 42;
-  EXPECT_EQ(detail::sc_reduce32(s), s);
+  EXPECT_EQ(detail::sc_reduce64(s), low32(s));
 }
 
 TEST(Sc25519, LReducesToZero) {
-  // L itself must reduce to zero.
-  std::array<std::uint8_t, 64> l{};
-  const Bytes l_bytes = from_hex(
-      "edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010");
-  std::copy(l_bytes.begin(), l_bytes.end(), l.begin());
-  const auto r = detail::sc_reduce64(l);
+  const auto r = detail::sc_reduce64(wide(oracle::group_order()));
   for (auto b : r) EXPECT_EQ(b, 0);
 }
 
+TEST(Sc25519, BarrettMatchesLongDivision) {
+  // Edge cases: 0, L - 1, L, 2L, 2^512 - 1, and values just around
+  // multiples of L and powers of two.
+  const Bytes32& l = oracle::group_order();
+  std::vector<std::array<std::uint8_t, 64>> inputs;
+  inputs.push_back({});                      // 0
+  inputs.push_back(wide(l));                 // L
+  inputs.back()[0] -= 1;                     // L - 1
+  inputs.push_back(wide(l));                 // L
+  {
+    std::array<std::uint8_t, 64> two_l{};  // 2L = L << 1
+    unsigned carry = 0;
+    for (std::size_t i = 0; i < 32; ++i) {
+      const unsigned v = unsigned(l[i]) * 2 + carry;
+      two_l[i] = static_cast<std::uint8_t>(v);
+      carry = v >> 8;
+    }
+    two_l[32] = static_cast<std::uint8_t>(carry);
+    inputs.push_back(two_l);
+  }
+  std::array<std::uint8_t, 64> all_ones;
+  all_ones.fill(0xFF);
+  inputs.push_back(all_ones);  // 2^512 - 1
+  for (int bit = 0; bit < 512; bit += 13) {
+    std::array<std::uint8_t, 64> pow2{};
+    pow2[static_cast<std::size_t>(bit / 8)] = std::uint8_t(1u << (bit % 8));
+    inputs.push_back(pow2);
+  }
+  Rng rng(27);
+  for (int i = 0; i < 2000; ++i) {
+    std::array<std::uint8_t, 64> x;
+    const Bytes r = rng.bytes(64);
+    std::copy(r.begin(), r.end(), x.begin());
+    // Vary the magnitude so short inputs (and their top words) are covered.
+    const std::size_t len = 1 + rng.uniform(64);
+    std::fill(x.begin() + static_cast<std::ptrdiff_t>(len), x.end(), 0);
+    inputs.push_back(x);
+  }
+  for (const auto& x : inputs) {
+    EXPECT_EQ(hex_of(detail::sc_reduce64(x)), hex_of(oracle::reduce64(x)))
+        << hex_of(x);
+  }
+}
+
 TEST(Sc25519, MulAddMatchesManualSmall) {
-  detail::Scalar a{}, b{}, c{};
-  a[0] = 7;
-  b[0] = 9;
-  c[0] = 5;
-  const auto r = detail::sc_muladd(a, b, c);
-  EXPECT_EQ(r[0], 68);
-  for (std::size_t i = 1; i < r.size(); ++i) EXPECT_EQ(r[i], 0);
+  const auto r = detail::sc_muladd(scalar_of(7), scalar_of(9), scalar_of(5));
+  EXPECT_EQ(r, scalar_of(68));
+}
+
+TEST(Sc25519, MulAddMatchesLongDivision) {
+  Rng rng(29);
+  Bytes32 ones;
+  ones.fill(0xFF);
+  std::vector<Bytes32> values = {scalar_of(0), scalar_of(1), ones,
+                                 oracle::group_order()};
+  for (int i = 0; i < 200; ++i) values.push_back(bytes32(rng.bytes(32)));
+  for (std::size_t i = 0; i + 2 < values.size(); ++i) {
+    const Bytes32 &a = values[i], &b = values[i + 1], &c = values[i + 2];
+    EXPECT_EQ(detail::sc_muladd(a, b, c), oracle::muladd(a, b, c));
+  }
+  EXPECT_EQ(detail::sc_muladd(ones, ones, ones),
+            oracle::muladd(ones, ones, ones));
 }
 
 TEST(Sc25519, CanonicalBoundary) {
-  const Bytes l_bytes = from_hex(
-      "edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010");
-  detail::Scalar l{};
-  std::copy(l_bytes.begin(), l_bytes.end(), l.begin());
+  const Bytes32& l = oracle::group_order();
   EXPECT_FALSE(detail::sc_is_canonical(l));
-  detail::Scalar l_minus_1 = l;
+  Bytes32 l_minus_1 = l;
   l_minus_1[0] -= 1;
   EXPECT_TRUE(detail::sc_is_canonical(l_minus_1));
-  detail::Scalar zero{};
-  EXPECT_TRUE(detail::sc_is_canonical(zero));
+  EXPECT_TRUE(detail::sc_is_canonical(scalar_of(0)));
 }
 
 // ------------------------------------------------------------- Ed25519
@@ -548,6 +844,182 @@ TEST(Ed25519, NonCanonicalSRejected) {
   pub[0] = 1;
   const Bytes msg = ritm::bytes_of("x");
   EXPECT_FALSE(verify(span_of(msg), sig, pub));
+}
+
+Bytes32 random_reduced_scalar(Rng& rng) {
+  std::array<std::uint8_t, 64> x;
+  const Bytes r = rng.bytes(64);
+  std::copy(r.begin(), r.end(), x.begin());
+  return detail::sc_reduce64(x);
+}
+
+Signature make_sig(const Bytes32& r, const Bytes32& s) {
+  Signature sig;
+  std::copy(r.begin(), r.end(), sig.begin());
+  std::copy(s.begin(), s.end(), sig.begin() + 32);
+  return sig;
+}
+
+Bytes32 s_half(const Signature& sig) {
+  Bytes32 s;
+  std::copy(sig.begin() + 32, sig.end(), s.begin());
+  return s;
+}
+
+KeyPair random_keypair(Rng& rng) {
+  return keypair_from_seed(bytes32(rng.bytes(32)));
+}
+
+TEST(Ed25519, NonCanonicalKeyAndRRejected) {
+  // With A the identity, s*B == R + k*A holds for R = r*B, S = r on every
+  // message. The canonical identity key 0100..00 is a (weak) valid RFC 8032
+  // key, so both implementations accept it; its alias eeff..ff7f
+  // (y = p + 1) and the other 37 encodings with y >= p must not decode,
+  // whether they arrive as the key or as R.
+  Rng rng(43);
+  const Bytes msg = ritm::bytes_of("any message at all");
+  const Bytes32 r = random_reduced_scalar(rng);
+  const Signature forged =
+      make_sig(detail::ge_to_bytes(detail::ge_scalarmult_base(r)), r);
+  const PublicKey identity = small_order_encodings()[0];
+  EXPECT_TRUE(verify(span_of(msg), forged, identity));
+  EXPECT_TRUE(oracle::verify(span_of(msg), forged, identity));
+
+  const auto kp = random_keypair(rng);
+  const Signature valid = sign(span_of(msg), kp.seed, kp.public_key);
+  for (const auto& enc : non_canonical_encodings()) {
+    for (const Signature& sig : {forged, valid}) {
+      EXPECT_FALSE(verify(span_of(msg), sig, enc)) << hex_of(enc);
+      EXPECT_FALSE(oracle::verify(span_of(msg), sig, enc)) << hex_of(enc);
+    }
+    for (const auto& [sig, key] :
+         {std::pair{make_sig(enc, s_half(valid)), kp.public_key},
+          std::pair{make_sig(enc, r), identity},
+          std::pair{make_sig(enc, scalar_of(0)), identity}}) {
+      EXPECT_FALSE(verify(span_of(msg), sig, key)) << hex_of(enc);
+      EXPECT_FALSE(oracle::verify(span_of(msg), sig, key)) << hex_of(enc);
+    }
+  }
+}
+
+// verify() against the oracle, case by case.
+struct Differential {
+  int cases = 0;
+  int accepted = 0;
+
+  void check(const Bytes& msg, const Signature& sig, const PublicKey& key) {
+    const bool want = oracle::verify(span_of(msg), sig, key);
+    EXPECT_EQ(verify(span_of(msg), sig, key), want)
+        << "key " << hex_of(key) << " sig " << hex_of(sig) << " msg "
+        << to_hex(span_of(msg));
+    ++cases;
+    accepted += want ? 1 : 0;
+  }
+};
+
+template <typename Buf>
+Buf flip_bit(Buf b, Rng& rng) {
+  const std::size_t bit = rng.uniform(b.size() * 8);
+  b[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  return b;
+}
+
+TEST(Ed25519Differential, MatchesOracleOnSeededCases) {
+  Rng rng(20261017);
+  Differential diff;
+  std::vector<KeyPair> keys;
+  for (int i = 0; i < 8; ++i) keys.push_back(random_keypair(rng));
+  const auto random_msg = [&] { return rng.bytes(rng.uniform(160)); };
+
+  // Valid signatures, and single bit flips in message, signature and key.
+  for (int i = 0; i < 120; ++i) {
+    const auto& kp = keys[static_cast<std::size_t>(i) % keys.size()];
+    const Bytes msg = random_msg();
+    const Signature sig = sign(span_of(msg), kp.seed, kp.public_key);
+    diff.check(msg, sig, kp.public_key);
+    if (!msg.empty()) diff.check(flip_bit(msg, rng), sig, kp.public_key);
+    diff.check(msg, flip_bit(sig, rng), kp.public_key);
+    diff.check(msg, flip_bit(sig, rng), kp.public_key);
+    diff.check(msg, sig, flip_bit(kp.public_key, rng));
+  }
+
+  // Random 64-byte signatures: raw (S is mostly >= L), and with S below
+  // 2^252 so the whole equation runs.
+  for (int i = 0; i < 100; ++i) {
+    const auto& kp = keys[static_cast<std::size_t>(i) % keys.size()];
+    Signature sig;
+    const Bytes raw = rng.bytes(64);
+    std::copy(raw.begin(), raw.end(), sig.begin());
+    diff.check(random_msg(), sig, kp.public_key);
+    sig[63] &= 0x0F;
+    diff.check(random_msg(), sig, kp.public_key);
+  }
+
+  // S in {0, L - 1, L, 2^256 - 1} behind a valid R, and the malleated
+  // S + L of a valid signature (same point, non-canonical scalar).
+  Bytes32 l_minus_1 = oracle::group_order(), ones;
+  l_minus_1[0] -= 1;
+  ones.fill(0xFF);
+  for (int i = 0; i < 10; ++i) {
+    const auto& kp = keys[static_cast<std::size_t>(i) % keys.size()];
+    const Bytes msg = random_msg();
+    const Signature sig = sign(span_of(msg), kp.seed, kp.public_key);
+    Bytes32 r;
+    std::copy(sig.begin(), sig.begin() + 32, r.begin());
+    Bytes32 s_plus_l = s_half(sig);
+    unsigned carry = 0;
+    for (std::size_t j = 0; j < 32; ++j) {
+      const unsigned v = s_plus_l[j] + oracle::group_order()[j] + carry;
+      s_plus_l[j] = static_cast<std::uint8_t>(v);
+      carry = v >> 8;
+    }
+    for (const Bytes32& s :
+         {scalar_of(0), l_minus_1, oracle::group_order(), ones, s_plus_l}) {
+      diff.check(msg, make_sig(r, s), kp.public_key);
+    }
+  }
+
+  // R = identity, under ordinary and small-order keys.
+  const auto small = small_order_encodings();
+  for (int i = 0; i < 24; ++i) {
+    const PublicKey key = i % 2 == 0
+                              ? keys[static_cast<std::size_t>(i) % keys.size()]
+                                    .public_key
+                              : small[static_cast<std::size_t>(i / 2) % 8];
+    const Bytes32 s = i % 3 == 0 ? scalar_of(0) : random_reduced_scalar(rng);
+    diff.check(random_msg(), make_sig(small[0], s), key);
+  }
+
+  // The eight small-order keys: R = r*B and S = r verify exactly when
+  // k*A vanishes, which depends on k mod the key's order.
+  for (const auto& key : small) {
+    for (int j = 0; j < 16; ++j) {
+      const Bytes32 r = random_reduced_scalar(rng);
+      const auto r_enc = detail::ge_to_bytes(detail::ge_scalarmult_base(r));
+      diff.check(random_msg(), make_sig(r_enc, r), key);
+    }
+  }
+
+  // Random 32-byte keys: about half are not curve points.
+  for (int i = 0; i < 50; ++i) {
+    const auto& kp = keys[static_cast<std::size_t>(i) % keys.size()];
+    const Bytes msg = random_msg();
+    diff.check(msg, sign(span_of(msg), kp.seed, kp.public_key),
+               bytes32(rng.bytes(32)));
+  }
+
+  // The encodings with y >= p, as the key and as R.
+  for (const auto& enc : non_canonical_encodings()) {
+    const auto& kp = keys[0];
+    const Bytes msg = random_msg();
+    const Signature sig = sign(span_of(msg), kp.seed, kp.public_key);
+    diff.check(msg, sig, enc);
+    diff.check(msg, make_sig(enc, s_half(sig)), kp.public_key);
+  }
+
+  EXPECT_GE(diff.cases, 1000);
+  EXPECT_GE(diff.accepted, 150);  // both verdicts well represented
+  EXPECT_LE(diff.accepted, diff.cases - 500);
 }
 
 // ------------------------------------------------------------ hash chain
