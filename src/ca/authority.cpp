@@ -61,9 +61,9 @@ void CertificationAuthority::resign(UnixSeconds now) {
 dict::RevocationIssuance CertificationAuthority::revoke(
     std::vector<cert::SerialNumber> serials, UnixSeconds now) {
   dict::RevocationIssuance msg;
-  const auto added = dict_.insert(serials);
+  auto added = dict_.insert(serials);
   msg.serials.reserve(added.size());
-  for (const auto& e : added) msg.serials.push_back(e.serial);
+  for (auto& e : added) msg.serials.push_back(std::move(e.serial));
   resign(now);  // new signed root committing to a fresh chain (Eq. (1))
   msg.signed_root = root_;
   return msg;

@@ -1,6 +1,5 @@
 #include "common/bytes.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace ritm {
@@ -54,15 +53,6 @@ Bytes concat(std::initializer_list<ByteSpan> parts) {
 
 void append(Bytes& dst, ByteSpan src) {
   dst.insert(dst.end(), src.begin(), src.end());
-}
-
-int compare(ByteSpan a, ByteSpan b) {
-  const std::size_t n = std::min(a.size(), b.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
-  }
-  if (a.size() == b.size()) return 0;
-  return a.size() < b.size() ? -1 : 1;
 }
 
 Bytes bytes_of(std::string_view s) {

@@ -9,6 +9,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -38,8 +39,21 @@ inline Bytes to_bytes(const std::array<std::uint8_t, N>& a) {
   return Bytes(a.begin(), a.end());
 }
 
-/// Lexicographic comparison of byte strings (shorter prefix sorts first).
-int compare(ByteSpan a, ByteSpan b);
+/// Lexicographic comparison of byte strings (shorter prefix sorts first):
+/// -1, 0 or 1. A memcmp over the common prefix, then the lengths; inline
+/// because dictionary search, batch sorting and proof verification all sit
+/// on it.
+inline int compare(ByteSpan a, ByteSpan b) noexcept {
+  const std::size_t n = a.size() < b.size() ? a.size() : b.size();
+  // An empty span may carry a null pointer, which memcmp must not see.
+  if (n != 0) {
+    if (const int c = std::memcmp(a.data(), b.data(), n); c != 0) {
+      return c < 0 ? -1 : 1;
+    }
+  }
+  if (a.size() == b.size()) return 0;
+  return a.size() < b.size() ? -1 : 1;
+}
 
 /// Bytes of an ASCII string (no terminator).
 Bytes bytes_of(std::string_view s);

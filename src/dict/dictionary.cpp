@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
-#include <unordered_set>
 #include <stdexcept>
 
 namespace ritm::dict {
 
 namespace {
-
-int cmp_span(ByteSpan a, ByteSpan b) { return ritm::compare(a, b); }
 
 void validate_serials(const std::vector<cert::SerialNumber>& serials) {
   for (const auto& s : serials) {
@@ -27,6 +24,30 @@ LogRecord make_record(const cert::SerialNumber& s) {
   return rec;
 }
 
+/// The first 8 serial bytes as a big-endian integer, zero-padded. Integer
+/// order agrees with ritm::compare wherever two prefixes differ, so only
+/// equal prefixes need the bytes.
+std::uint64_t prefix_of(ByteSpan serial) noexcept {
+  std::uint64_t v = 0;
+  const std::size_t m = std::min<std::size_t>(serial.size(), 8);
+  for (std::size_t i = 0; i < m; ++i) {
+    v |= std::uint64_t{serial[i]} << (56 - 8 * i);
+  }
+  return v;
+}
+
+/// One batch serial in sort order. After the dedup pass, `at` is its
+/// insertion position in the pre-batch sorted index.
+struct BatchKey {
+  std::uint64_t prefix;
+  std::uint32_t pos;  // position in the batch
+  std::uint32_t at;
+};
+
+// How far ahead the log gathers in sorted order prefetch: far enough to hide
+// a cache miss behind the per-entry work, near enough to stay in L1.
+constexpr std::size_t kPrefetchAhead = 8;
+
 }  // namespace
 
 const crypto::Digest20& Dictionary::root() const {
@@ -35,27 +56,40 @@ const crypto::Digest20& Dictionary::root() const {
   return node(level_count_ - 1, 0);
 }
 
-std::size_t Dictionary::lower_bound(ByteSpan serial) const {
+std::size_t Dictionary::lower_bound(ByteSpan serial, std::size_t lo,
+                                    std::size_t hi) const {
   const std::uint32_t* first = sorted_.begin();
   const std::uint32_t* it = std::lower_bound(
-      first, sorted_.end(), serial,
-      [&](std::uint32_t idx, ByteSpan key) {
-        return cmp_span(serial_at(idx), key) < 0;
+      first + lo, first + hi, serial, [&](std::uint32_t idx, ByteSpan key) {
+        return compare(serial_at(idx), key) < 0;
       });
   return static_cast<std::size_t>(it - first);
 }
 
+std::size_t Dictionary::gallop(ByteSpan serial, std::size_t from,
+                              std::size_t stride) const {
+  // Probe `stride` positions on, doubling the stride until an entry >=
+  // serial bounds the answer, then binary-search the last gap.
+  const std::size_t n = sorted_.size();
+  std::size_t lo = from;
+  std::size_t hi = from + stride - 1;
+  while (hi < n && compare(serial_at(sorted_[hi]), serial) < 0) {
+    lo = hi + 1;
+    stride *= 2;
+    hi = lo + stride - 1;
+  }
+  return lower_bound(serial, lo, std::min(hi, n));
+}
+
 bool Dictionary::contains(const cert::SerialNumber& serial) const {
-  const ByteSpan key(serial.value);
-  const std::size_t pos = lower_bound(key);
-  return pos < sorted_.size() && cmp_span(serial_at(sorted_[pos]), key) == 0;
+  return number_of(serial).has_value();
 }
 
 std::optional<std::uint64_t> Dictionary::number_of(
     const cert::SerialNumber& serial) const {
   const ByteSpan key(serial.value);
-  const std::size_t pos = lower_bound(key);
-  if (pos < sorted_.size() && cmp_span(serial_at(sorted_[pos]), key) == 0) {
+  const std::size_t pos = lower_bound(key, 0, sorted_.size());
+  if (pos < sorted_.size() && compare(serial_at(sorted_[pos]), key) == 0) {
     return sorted_[pos] + 1;  // numbering == log position + 1
   }
   return std::nullopt;
@@ -64,83 +98,95 @@ std::optional<std::uint64_t> Dictionary::number_of(
 std::vector<Entry> Dictionary::insert(
     const std::vector<cert::SerialNumber>& serials) {
   // Validate everything before mutating anything, so a bad serial anywhere
-  // in the batch leaves the dictionary untouched. mut() is deferred to the
-  // first actual append: an all-duplicates batch never detaches a shared
-  // (frozen or mapped) arena.
+  // in the batch leaves the dictionary untouched.
   validate_serials(serials);
-
   std::vector<Entry> added;
+  if (serials.empty()) return added;
 
-  // Small batches: in-place sorted insertion, O(batch * n) moves.
-  // Large batches (Heartbleed-scale): append everything, then one re-sort.
-  // Both paths skip serials already present — in the dictionary or earlier
-  // in the same batch — so numbering is identical regardless of which path
-  // a batch takes.
-  constexpr std::size_t kBatchThreshold = 64;
+  const auto serial_of = [&](const BatchKey& key) {
+    return ByteSpan(serials[key.pos].value);
+  };
 
-  if (serials.size() <= kBatchThreshold) {
-    for (const auto& s : serials) {
-      const std::size_t pos = lower_bound(ByteSpan(s.value));
-      if (pos < sorted_.size() &&
-          cmp_span(serial_at(sorted_[pos]), ByteSpan(s.value)) == 0) {
-        continue;  // already revoked (or duplicated in batch); idempotent
-      }
-      const std::uint64_t number = log_.size() + 1;
-      log_.mut().push_back(make_record(s));
-      auto& sorted = sorted_.mut();
-      sorted.insert(sorted.begin() + static_cast<std::ptrdiff_t>(pos),
-                    static_cast<std::uint32_t>(number - 1));
-      mark_dirty(pos);
-      added.push_back(Entry{s, number});
-    }
-  } else {
-    const std::size_t old_size = log_.size();
-    std::unordered_set<std::string> batch_seen;
-    batch_seen.reserve(serials.size());
-    for (const auto& s : serials) {
-      std::string key(s.value.begin(), s.value.end());
-      if (!batch_seen.insert(std::move(key)).second) continue;
-      if (contains(s)) continue;  // lookups see only pre-batch entries
-      const std::uint64_t number = log_.size() + 1;
-      log_.mut().push_back(make_record(s));
-      added.push_back(Entry{s, number});
-    }
-    if (!added.empty()) {
-      // Merge the pre-sorted index with the (sorted) batch in O(n + k)
-      // instead of re-sorting all n + k positions: sort only the k new
-      // log indices, then merge from the back so existing positions shift
-      // right at most once and the prefix below the first new leaf is
-      // never touched.
-      const std::size_t k = log_.size() - old_size;
-      std::vector<std::uint32_t> fresh(k);
-      for (std::size_t j = 0; j < k; ++j) {
-        fresh[j] = static_cast<std::uint32_t>(old_size + j);
-      }
-      std::sort(fresh.begin(), fresh.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return cmp_span(serial_at(a), serial_at(b)) < 0;
-                });
-      auto& sorted = sorted_.mut();
-      sorted.resize(old_size + k);
-      std::size_t i = old_size;      // unmerged tail of the old index
-      std::size_t j = k;             // unmerged tail of the batch
-      std::size_t w = old_size + k;  // write cursor
-      std::size_t first_new = 0;     // lowest position that received a new leaf
-      while (j > 0) {
-        if (i > 0 &&
-            cmp_span(serial_at(sorted[i - 1]), serial_at(fresh[j - 1])) > 0) {
-          sorted[--w] = sorted[--i];
-        } else {
-          first_new = --w;
-          sorted[w] = fresh[--j];
-        }
-      }
-      // Positions below first_new kept their leaves; everything from it
-      // onward shifted or is new.
-      mark_dirty(first_new);
-    }
+  // Sort the batch once by (serial, batch position); the prefix settles
+  // nearly every comparison without touching the serial bytes.
+  std::vector<BatchKey> keys(serials.size());
+  for (std::size_t i = 0; i < serials.size(); ++i) {
+    keys[i] = BatchKey{prefix_of(ByteSpan(serials[i].value)),
+                       static_cast<std::uint32_t>(i), 0};
   }
-  if (!added.empty()) ++epoch_;
+  std::sort(keys.begin(), keys.end(),
+            [&](const BatchKey& a, const BatchKey& b) {
+              if (a.prefix != b.prefix) return a.prefix < b.prefix;
+              if (const int c = compare(serial_of(a), serial_of(b)); c != 0) {
+                return c < 0;
+              }
+              return a.pos < b.pos;
+            });
+
+  // Keep the first occurrence of each serial that is not yet revoked. Batch
+  // and index are both sorted, so the index search only moves forward.
+  // Survivors are compacted to the front of `keys`: step i writes slot
+  // m <= i, so keys[i - 1] still names the previous serial at step i.
+  // Once the cursor passes the last entry, the rest of the batch sorts
+  // above the whole index and needs no search.
+  const std::size_t n = sorted_.size();
+  std::size_t m = 0;
+  std::size_t cursor = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const BatchKey key = keys[i];
+    if (i > 0 && key.prefix == keys[i - 1].prefix &&
+        compare(serial_of(keys[i - 1]), serial_of(key)) == 0) {
+      continue;  // a repeat within the batch: the earlier position won
+    }
+    if (cursor < n) {
+      // Stride: the mean gap between the remaining keys over the rest of
+      // the index.
+      const ByteSpan serial = serial_of(key);
+      cursor = gallop(serial, cursor,
+                      std::max<std::size_t>(
+                          1, (n - cursor) / (keys.size() - i)));
+      if (cursor < n && compare(serial_at(sorted_[cursor]), serial) == 0) {
+        continue;  // already revoked
+      }
+    }
+    keys[m++] = BatchKey{key.prefix, key.pos,
+                         static_cast<std::uint32_t>(cursor)};
+  }
+  // Nothing new: no arena detaches (a frozen or mapped copy stays shared)
+  // and the epoch stays.
+  if (m == 0) return added;
+
+  // Number the survivors in batch order: log_index maps a batch position
+  // to the survivor's log index, or to kSkipped for a dropped serial.
+  constexpr std::uint32_t kSkipped = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> log_index(serials.size(), kSkipped);
+  for (std::size_t j = 0; j < m; ++j) log_index[keys[j].pos] = 0;  // kept
+  added.reserve(m);
+  for (std::size_t i = 0; i < serials.size(); ++i) {
+    if (log_index[i] == kSkipped) continue;
+    const std::size_t idx = n + added.size();
+    log_index[i] = static_cast<std::uint32_t>(idx);
+    added.push_back(Entry{serials[i], idx + 1});
+  }
+
+  auto& log = log_.mut();
+  for (const Entry& e : added) log.push_back(make_record(e.serial));
+
+  // Splice the survivors into the index from the back: survivor j lands at
+  // at_j + j, and each old block moves once, by the number of survivors
+  // below it. Positions below the first insertion point never move.
+  auto& sorted = sorted_.mut();
+  sorted.resize(n + m);
+  std::uint32_t* s = sorted.data();
+  std::size_t end = n;  // old positions [0, end) are still in place
+  for (std::size_t j = m; j-- > 0;) {
+    const std::size_t at = keys[j].at;
+    std::memmove(s + at + j + 1, s + at, (end - at) * sizeof(std::uint32_t));
+    s[at + j] = log_index[keys[j].pos];
+    end = at;
+  }
+  mark_dirty(keys[0].at);
+  ++epoch_;
   return added;
 }
 
@@ -212,6 +258,9 @@ void Dictionary::hash_leaves(crypto::Digest20* arena, std::size_t lo,
   for (std::size_t base = lo; base < n; base += kChunk) {
     const std::size_t m = std::min(kChunk, n - base);
     for (std::size_t j = 0; j < m; ++j) {
+      if (base + j + kPrefetchAhead < n) {
+        __builtin_prefetch(&log_[sorted_[base + j + kPrefetchAhead]]);
+      }
       const std::uint32_t idx = sorted_[base + j];
       spans[j] = ByteSpan(
           enc[j], encode_leaf_preimage(serial_at(idx), idx + 1, enc[j]));
@@ -323,8 +372,8 @@ Proof Dictionary::prove(const cert::SerialNumber& serial) const {
     return proof;
   }
   const ByteSpan key(serial.value);
-  const std::size_t pos = lower_bound(key);
-  if (pos < sorted_.size() && cmp_span(serial_at(sorted_[pos]), key) == 0) {
+  const std::size_t pos = lower_bound(key, 0, sorted_.size());
+  if (pos < sorted_.size() && compare(serial_at(sorted_[pos]), key) == 0) {
     proof.type = Proof::Type::presence;
     proof.leaf = make_leaf_proof(pos);
     return proof;
@@ -377,36 +426,38 @@ void Dictionary::restore_from(ByteReader& r) {
   const auto epoch = r.try_u64();
   const auto n64 = r.try_u64();
   if (!epoch || !n64) throw bad("truncated header");
-  // Each entry costs at least 2 bytes (len + serial) plus 4 index bytes, so
-  // the remaining input bounds n — rejects forged counts before allocating.
-  if (*n64 > r.remaining() / 2) throw bad("entry count exceeds input");
+  // Each entry costs at least 6 bytes (length byte, one serial byte, 4
+  // index bytes), so the remaining input bounds n — rejects forged counts
+  // before allocating.
+  if (*n64 > r.remaining() / 6) throw bad("entry count exceeds input");
   const std::size_t n = static_cast<std::size_t>(*n64);
 
-  std::vector<LogRecord> log;
-  log.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto serial = r.try_var8();
+  std::vector<LogRecord> log(n);
+  for (LogRecord& rec : log) {
+    const auto len = r.try_u8();
+    const auto serial = len ? r.peek(*len) : std::nullopt;
     if (!serial || serial->empty() || serial->size() > cert::kMaxSerialBytes) {
       throw bad("bad serial");
     }
-    LogRecord rec;
     rec.len = static_cast<std::uint8_t>(serial->size());
     std::memcpy(rec.bytes, serial->data(), serial->size());
-    log.push_back(rec);
+    r.skip(serial->size());
   }
-  std::vector<std::uint32_t> sorted;
-  sorted.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto idx = r.try_u32();
-    if (!idx || *idx >= n) throw bad("bad sorted index");
-    // Strictly increasing serials also rule out duplicate indices: a
-    // repeated index would repeat its serial and fail the comparison.
-    if (i > 0 &&
-        cmp_span(ByteSpan(log[sorted.back()].bytes, log[sorted.back()].len),
-                 ByteSpan(log[*idx].bytes, log[*idx].len)) >= 0) {
+  std::vector<std::uint32_t> sorted(n);
+  for (std::uint32_t& idx : sorted) {
+    const auto v = r.try_u32();
+    if (!v || *v >= n) throw bad("bad sorted index");
+    idx = *v;
+  }
+  // Strictly increasing serials also rule out duplicate indices: a repeated
+  // index would repeat its serial and fail the comparison.
+  for (std::size_t i = 1; i < n; ++i) {
+    if (i + kPrefetchAhead < n) {
+      __builtin_prefetch(&log[sorted[i + kPrefetchAhead]]);
+    }
+    if (compare(log[sorted[i - 1]].serial(), log[sorted[i]].serial()) >= 0) {
       throw bad("sorted index out of order");
     }
-    sorted.push_back(*idx);
   }
   const auto root_bytes = r.try_raw(20);
   if (!root_bytes) throw bad("truncated root");

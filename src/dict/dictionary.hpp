@@ -6,7 +6,10 @@
 // use the same class; `update` implements the RA-side acceptance rule.
 //
 // Representation: an append-only log in revocation-number order plus a
-// sorted-by-serial index. The Merkle tree lives in one flat contiguous
+// sorted-by-serial index. Every insert, one serial or a Heartbleed-sized
+// batch, takes the same path: sort the batch, search the index forward for
+// serials already present, and splice the new ones into the index with block
+// moves (see insert()). The Merkle tree lives in one flat contiguous
 // digest arena with per-level offsets (leaf capacity rounded to a power of
 // two, so offsets stay stable as the dictionary grows) and is rebuilt lazily
 // and *incrementally*: mutations record the lowest dirtied sorted position,
@@ -42,6 +45,8 @@ namespace ritm::dict {
 struct LogRecord {
   std::uint8_t len = 0;
   std::uint8_t bytes[23] = {};
+
+  ByteSpan serial() const noexcept { return ByteSpan(bytes, len); }
 };
 static_assert(sizeof(LogRecord) == 24, "snapshot sections assume 24B records");
 static_assert(cert::kMaxSerialBytes <= sizeof(LogRecord::bytes),
@@ -90,11 +95,21 @@ class Dictionary {
   std::optional<std::uint64_t> number_of(const cert::SerialNumber& serial) const;
 
   /// CA-side insert (Fig. 2): appends each new serial with the next
-  /// consecutive number. Serials already present — in the dictionary or
-  /// earlier in the same batch — are skipped, so numbering is idempotent
-  /// regardless of batch size. Returns the entries actually appended, in
-  /// numbering order. Throws (before any mutation) if a serial has an
-  /// invalid length.
+  /// consecutive number, in batch order. Serials already present — in the
+  /// dictionary or earlier in the same batch — are skipped (the first
+  /// occurrence wins), so numbering is idempotent regardless of batch size.
+  /// Returns the entries actually appended, in numbering order. Throws
+  /// (before any mutation) if a serial has an invalid length. A batch that
+  /// adds nothing mutates nothing: no shared arena detaches and the epoch
+  /// stays.
+  ///
+  /// One path for every batch size. For k serials into n entries it costs a
+  /// batch sort in O(k log k) (on an 8-byte big-endian serial prefix, with
+  /// the full bytes as tiebreak), a forward galloping search of the index
+  /// in O(k log(n/k)) comparisons, and word moves for the index positions at
+  /// or above the first insertion point; it allocates nothing per serial
+  /// beyond the returned entries. Rebuild cost is unchanged: leaves below
+  /// the first insertion point stay clean.
   std::vector<Entry> insert(const std::vector<cert::SerialNumber>& serials);
 
   /// RA-side update (Fig. 2): replays `serials` and accepts iff the rebuilt
@@ -120,11 +135,12 @@ class Dictionary {
   void snapshot_into(ByteWriter& w) const;
 
   /// Restores a dictionary serialized by snapshot_into(). No per-entry
-  /// re-hash: the log and sorted index load in O(n), the sorted order is
-  /// validated with byte comparisons, and the Merkle root is recomputed
-  /// once and checked against the snapshot's recorded root. Throws
-  /// std::runtime_error on malformed input or a root mismatch, leaving the
-  /// dictionary untouched.
+  /// re-hash: the log and sorted index load in O(n) (serials are read in
+  /// place), the entry count is bounded by the input length before anything
+  /// is allocated, the sorted order is validated with byte comparisons, and
+  /// the Merkle root is recomputed once and checked against the snapshot's
+  /// recorded root. Throws std::runtime_error on malformed input or a root
+  /// mismatch, leaving the dictionary untouched.
   void restore_from(ByteReader& r);
 
   /// The raw arena sections for a v2 (mmap-able) snapshot. Forces a rebuild
@@ -193,8 +209,7 @@ class Dictionary {
 
   /// Serial bytes of log entry `idx` (the entry's number is idx + 1).
   ByteSpan serial_at(std::size_t idx) const noexcept {
-    const LogRecord& r = log_[idx];
-    return ByteSpan(r.bytes, r.len);
+    return log_[idx].serial();
   }
   /// Materializes log entry `idx` as an owning Entry (allocates).
   Entry entry_at(std::size_t idx) const {
@@ -202,8 +217,17 @@ class Dictionary {
     return Entry{cert::SerialNumber{Bytes(r.bytes, r.bytes + r.len)}, idx + 1};
   }
 
-  /// Position in sorted_ of first entry with serial >= s.
-  std::size_t lower_bound(ByteSpan serial) const;
+  /// Position in sorted_ of the first entry with serial >= `serial`,
+  /// binary-searching [lo, hi); the caller knows the answer lies there.
+  std::size_t lower_bound(ByteSpan serial, std::size_t lo,
+                          std::size_t hi) const;
+  /// The same position, galloping forward from `from` (every entry below it
+  /// is smaller) with probes `stride`, 2 * `stride`, 4 * `stride`, ...
+  /// positions apart, then binary-searching the last gap: about
+  /// log2(d / stride) + log2(stride) comparisons for an answer d positions
+  /// on.
+  std::size_t gallop(ByteSpan serial, std::size_t from,
+                     std::size_t stride) const;
   LeafProof make_leaf_proof(std::size_t sorted_pos) const;
 
   CowArena<LogRecord> log_;            // numbering order, append-only

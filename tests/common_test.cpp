@@ -35,6 +35,24 @@ TEST(Bytes, CompareIsLexicographic) {
   EXPECT_GT(compare(ByteSpan(b), ByteSpan(a)), 0);
   EXPECT_EQ(compare(ByteSpan(a), ByteSpan(a)), 0);
   EXPECT_LT(compare(ByteSpan(prefix), ByteSpan(a)), 0);
+  EXPECT_GT(compare(ByteSpan(a), ByteSpan(prefix)), 0);
+
+  // Empty spans (null data) sort first and equal each other.
+  EXPECT_EQ(compare(ByteSpan{}, ByteSpan{}), 0);
+  EXPECT_LT(compare(ByteSpan{}, ByteSpan(prefix)), 0);
+  EXPECT_GT(compare(ByteSpan(prefix), ByteSpan{}), 0);
+
+  // Bytes compare unsigned, and a trailing 0x00 still makes a longer string.
+  const Bytes low = {0x00};
+  const Bytes high = {0xFF};
+  const Bytes low_padded = {0x00, 0x00};
+  EXPECT_LT(compare(ByteSpan(low), ByteSpan(high)), 0);
+  EXPECT_GT(compare(ByteSpan(high), ByteSpan(low_padded)), 0);
+  EXPECT_LT(compare(ByteSpan(low), ByteSpan(low_padded)), 0);
+  const Bytes ff_tail = {0x01, 0x02, 0xFF};
+  const Bytes zero_tail = {0x01, 0x02, 0x00, 0xFF};
+  EXPECT_GT(compare(ByteSpan(ff_tail), ByteSpan(zero_tail)), 0);
+  EXPECT_LT(compare(ByteSpan(zero_tail), ByteSpan(ff_tail)), 0);
 }
 
 TEST(Bytes, Concat) {

@@ -84,6 +84,19 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Sha256, EmptyUpdateWithPartialBlockIsNoOp) {
+  // A default ByteSpan carries a null pointer; with bytes already buffered,
+  // update() must not hand it to memcpy (undefined even for zero bytes).
+  const Bytes msg = Rng(8).bytes(20);
+  Sha256 streamed;
+  streamed.update(ByteSpan(msg.data(), 10));
+  streamed.update(ByteSpan{});
+  streamed.update(ByteSpan(msg.data() + 10, 10));
+  Sha256 whole;
+  whole.update(span_of(msg));
+  EXPECT_EQ(streamed.finish(), whole.finish());
+}
+
 TEST(Sha256, Hash20IsTruncation) {
   const Bytes msg = ritm::bytes_of("ritm");
   const auto full = Sha256::hash(span_of(msg));

@@ -3,7 +3,10 @@
 // append-only/consistency invariants from DESIGN.md §5.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 #include "crypto/sha256_engine.hpp"
@@ -387,11 +390,11 @@ TEST(Update, RejectedUpdateLeavesRootByteIdentical) {
 
   crypto::Digest20 bogus = before;
   bogus[0] ^= 0x80;
-  // Small-batch path rollback.
+  // Rollback of a small batch.
   EXPECT_FALSE(ra_dict.update(serial_range(500, 5), bogus, before_n + 5));
   EXPECT_EQ(ra_dict.size(), before_n);
   EXPECT_EQ(ra_dict.root(), before);
-  // Large-batch path rollback.
+  // Rollback of a larger one.
   EXPECT_FALSE(ra_dict.update(serial_range(500, 100), bogus, before_n + 100));
   EXPECT_EQ(ra_dict.size(), before_n);
   EXPECT_EQ(ra_dict.root(), before);
@@ -402,16 +405,16 @@ TEST(Update, RejectedUpdateLeavesRootByteIdentical) {
 
 TEST(Insert, DuplicateSerialsNumberIdenticallyAcrossBatchPaths) {
   // A batch with repeated serials must produce the same numbering (first
-  // occurrence wins) whether it takes the small-batch (<=64) in-place path
-  // or the large-batch append-and-resort path.
+  // occurrence wins) whatever its size: a 42-serial batch with two repeats
+  // and an 80-serial batch that doubles every serial.
   std::vector<SerialNumber> uniques;
   for (std::uint64_t i = 0; i < 40; ++i) uniques.push_back(sn(1000 + 7 * i));
 
-  std::vector<SerialNumber> small_batch = uniques;  // 42 items: small path
+  std::vector<SerialNumber> small_batch = uniques;  // 42 items
   small_batch.push_back(uniques[5]);
   small_batch.push_back(uniques[7]);
 
-  std::vector<SerialNumber> large_batch;  // 80 items: large path
+  std::vector<SerialNumber> large_batch;  // 80 items
   for (const auto& s : uniques) {
     large_batch.push_back(s);
     large_batch.push_back(s);
@@ -436,9 +439,9 @@ TEST(Insert, DuplicateSerialsNumberIdenticallyAcrossBatchPaths) {
 }
 
 TEST(Insert, LargeBatchMergeMatchesElementWiseInsertion) {
-  // The large-batch path merges the pre-sorted index with the sorted batch
-  // in O(n + k); it must land on exactly the state element-wise insertion
-  // produces, for batches that interleave, prepend, and append.
+  // One batch spliced into the sorted index must land on exactly the state
+  // element-wise insertion produces, for batches that interleave, prepend,
+  // and append.
   std::vector<SerialNumber> base;
   for (std::uint64_t i = 0; i < 300; ++i) base.push_back(sn(1000 + 10 * i));
 
@@ -451,9 +454,9 @@ TEST(Insert, LargeBatchMergeMatchesElementWiseInsertion) {
   merged.insert(base);
   reference.insert(base);
   (void)merged.root();
-  const auto added = merged.insert(batch);  // 140 items: large-batch merge
+  const auto added = merged.insert(batch);  // 140 items in one batch
   ASSERT_EQ(added.size(), 140u);
-  for (const auto& s : batch) reference.insert({s});  // small path, one by one
+  for (const auto& s : batch) reference.insert({s});  // one by one
 
   EXPECT_EQ(merged.size(), reference.size());
   EXPECT_EQ(merged.root(), reference.root());
@@ -466,9 +469,9 @@ TEST(Insert, LargeBatchMergeMatchesElementWiseInsertion) {
 }
 
 TEST(Insert, LargeBatchAppendKeepsPrefixUntouched) {
-  // An all-past-the-maximum large batch must dirty only the suffix: the
-  // merge never moves positions below the first new leaf, so the rebuild
-  // stays O(batch + log n) even through the large-batch path.
+  // An all-past-the-maximum batch must dirty only the suffix: the splice
+  // never moves positions below the first new leaf, so the rebuild stays
+  // O(batch + log n) for a 100-serial batch too.
   Dictionary d;
   std::vector<SerialNumber> base;
   for (std::uint64_t i = 0; i < 3000; ++i) base.push_back(sn(2 * i + 1));
@@ -477,7 +480,7 @@ TEST(Insert, LargeBatchAppendKeepsPrefixUntouched) {
 
   std::vector<SerialNumber> delta;
   for (std::uint64_t i = 0; i < 100; ++i) delta.push_back(sn(100000 + i));
-  d.insert(delta);  // > 64: large-batch merge path
+  d.insert(delta);
   (void)d.root();
   const std::uint64_t incremental = d.last_rebuild_hash_count();
   EXPECT_LE(incremental, 100 + 2 * 100 + 24);  // leaves + spine, not O(n)
@@ -526,6 +529,134 @@ TEST(Insert, InvalidSerialAnywhereInBatchLeavesDictionaryUntouched) {
   EXPECT_THROW(d.insert(bad), std::invalid_argument);
   EXPECT_EQ(d.size(), 10u);
   EXPECT_EQ(d.root(), before);
+}
+
+/// 1-20 byte serials drawn so that many share their first 8 bytes (the
+/// insert sort's integer prefix) and differ only after it or in length, with
+/// 0x00 and 0xFF bytes throughout: short serials and their zero-extended
+/// twins share a prefix, and a leading 0xFF catches a signed prefix order.
+SerialNumber prefix_heavy_serial(Rng& rng) {
+  static constexpr std::uint8_t kHead[] = {0x00, 0x01, 0x80, 0xFF};
+  static constexpr std::uint8_t kStem[] = {0x00, 0xFF};
+  static constexpr std::uint8_t kTail[] = {0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF};
+  Bytes b(1 + rng.uniform(cert::kMaxSerialBytes));
+  b[0] = kHead[rng.uniform(std::size(kHead))];
+  for (std::size_t i = 1; i < b.size(); ++i) {
+    b[i] = i < 9 ? kStem[rng.uniform(std::size(kStem))]
+                 : kTail[rng.uniform(std::size(kTail))];
+  }
+  return SerialNumber{std::move(b)};
+}
+
+TEST(Insert, RandomBatchesMatchOrderedModel) {
+  // Batches of 0-300 serials (a quarter up to 300, the rest up to 32) mixing
+  // fresh serials, serials revoked earlier, and repeats within the batch,
+  // checked against a std::map model after every batch: the entries added,
+  // every batch serial's number, the sorted index, and the root against a
+  // full rebuild.
+  Rng rng(15015);
+  Dictionary d;
+  std::map<SerialNumber, std::uint64_t> model;  // serial -> number
+  std::vector<SerialNumber> model_log;          // numbering order
+  for (int round = 0; round < 500; ++round) {
+    const std::uint64_t size =
+        rng.uniform(4) == 0 ? rng.uniform(301) : rng.uniform(33);
+    std::vector<SerialNumber> batch;
+    for (std::uint64_t i = 0; i < size; ++i) {
+      const std::uint64_t pick = rng.uniform(6);
+      if (pick == 0 && !model_log.empty()) {
+        batch.push_back(model_log[rng.uniform(model_log.size())]);
+      } else if (pick == 1 && !batch.empty()) {
+        batch.push_back(batch[rng.uniform(batch.size())]);
+      } else {
+        batch.push_back(prefix_heavy_serial(rng));
+      }
+    }
+
+    std::vector<Entry> expected;
+    for (const auto& s : batch) {
+      if (model.count(s) != 0) continue;
+      model.emplace(s, model_log.size() + 1);
+      model_log.push_back(s);
+      expected.push_back(Entry{s, model_log.size()});
+    }
+    const std::uint64_t before = d.size();
+    ASSERT_EQ(d.insert(batch), expected) << "round " << round;
+    ASSERT_EQ(d.size(), model_log.size());
+    ASSERT_EQ(d.entries_from(before + 1), expected);
+    for (const auto& s : batch) ASSERT_EQ(d.number_of(s), model.at(s));
+
+    // The sorted index names every serial in the model's order.
+    const DictSections sec = d.snapshot_sections();
+    const auto* log = reinterpret_cast<const LogRecord*>(sec.log.data());
+    const auto* sorted =
+        reinterpret_cast<const std::uint32_t*>(sec.sorted.data());
+    std::size_t pos = 0;
+    for (const auto& [serial, number] : model) {
+      ASSERT_EQ(sorted[pos] + 1, number) << "round " << round;
+      ASSERT_EQ(compare(log[sorted[pos]].serial(), ByteSpan(serial.value)), 0);
+      ++pos;
+    }
+
+    Dictionary full = d;
+    full.invalidate_tree();
+    ASSERT_EQ(full.root(), d.root()) << "round " << round;
+  }
+  std::vector<Entry> all;
+  for (std::size_t i = 0; i < model_log.size(); ++i) {
+    all.push_back(Entry{model_log[i], i + 1});
+  }
+  EXPECT_EQ(d.entries_from(1), all);
+}
+
+TEST(Insert, AllDuplicateBatchesLeaveFrozenArenasShared) {
+  // A batch that adds nothing must not detach an arena a frozen copy (or a
+  // mapped snapshot) shares, and must not advance the epoch.
+  Dictionary d;
+  d.insert(serial_range(1, 500));
+  (void)d.root();               // build the tree before freezing
+  const Dictionary frozen = d;  // O(1): shares all three arenas
+  const DictSections shared = frozen.snapshot_sections();
+  for (const std::uint64_t k : {1u, 200u}) {
+    std::vector<SerialNumber> dups;
+    for (std::uint64_t i = 0; i < k; ++i) {
+      dups.push_back(sn(1 + (7 * i) % 500));
+      dups.push_back(sn(1 + (7 * i) % 500));  // repeated within the batch
+    }
+    EXPECT_TRUE(d.insert(dups).empty()) << k;
+    EXPECT_EQ(d.epoch(), frozen.epoch()) << k;
+    const DictSections after = d.snapshot_sections();
+    EXPECT_EQ(after.log.data(), shared.log.data()) << k;
+    EXPECT_EQ(after.sorted.data(), shared.sorted.data()) << k;
+    EXPECT_EQ(after.tree.data(), shared.tree.data()) << k;
+  }
+}
+
+TEST(Restore, ForgedEntryCountIsRejectedBeforeAllocating) {
+  // Every entry costs at least 6 input bytes, so a count above a sixth of
+  // the remaining input is refused outright rather than reserved for.
+  Dictionary d;
+  d.insert(serial_range(1, 50));
+  ByteWriter w;
+  d.snapshot_into(w);
+  Bytes image(w.bytes());
+  constexpr std::size_t kCountOffset = 1 + 8;  // version, epoch
+  constexpr std::size_t kHeader = kCountOffset + 8;
+  const std::uint64_t forged = (image.size() - kHeader) / 3;
+  for (std::size_t i = 0; i < 8; ++i) {
+    image[kCountOffset + i] = static_cast<std::uint8_t>(forged >> (56 - 8 * i));
+  }
+  Dictionary victim;
+  ByteReader r{ByteSpan(image)};
+  try {
+    victim.restore_from(r);
+    FAIL() << "forged entry count accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("entry count exceeds input"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(victim.size(), 0u);
 }
 
 TEST(Dictionary, AppendBatchesRehashOnlyTheSpine) {
