@@ -23,7 +23,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "ca/authority.hpp"
@@ -37,7 +36,6 @@
 #include "dict/dictionary.hpp"
 #include "dict/sharded.hpp"
 #include "persist/shard_checkpoint.hpp"
-#include "persist/snapshot.hpp"
 #include "ra/agent.hpp"
 #include "ra/service.hpp"
 #include "ra/updater.hpp"
@@ -524,7 +522,7 @@ int main() {
   }
   double recovery_replay_ms = 0, recovery_recover_ms = 0;
   double recovery_speedup = 0;
-  double recovery_v1_restore_ms = 0, recovery_v2_restore_ms = 0;
+  double recovery_coldstart_restore_ms = 0, recovery_v2_restore_ms = 0;
   double recovery_mmap_speedup = 0;
   std::uint64_t recovery_periods = 0;
   double checkpoint_stall_us = 0, checkpoint_max_stall_us = 0;
@@ -607,26 +605,27 @@ int main() {
                 equal ? "identical" : "DIVERGED!");
     if (!equal) return 1;
 
-    // v1 vs v2 restore on identical state, no WAL tail: the v1 path
-    // deserializes and re-hashes every entry, the v2 path mmaps the file
-    // and adopts the arenas in place.
-    const std::string dir_v1 = "persist-bench-v1";
+    // Restore only, identical state, no WAL tail: the snapshot restart
+    // mmaps the file and adopts the arenas in place; the reference is the
+    // streaming restore that ships beside it — the CDN cold-start install
+    // (decode the object, then bootstrap_replica deserializes and
+    // re-hashes every entry).
     const std::string dir_v2 = "persist-bench-v2";
-    std::filesystem::remove_all(dir_v1);
     std::filesystem::remove_all(dir_v2);
-    {
-      ByteWriter w;
-      cold_store.snapshot_into(w);
-      persist::SnapshotFile::write(dir_v1, 1, ByteSpan(w.bytes()));
-    }
     cold_store.persist_to(dir_v2);
+    const Bytes cold_start =
+        rca.cold_start_object(recovery_periods - 1, now_s).encode();
     bool restore_equal = false;
     {
-      ra::DictionaryStore v1_store;
-      v1_store.register_ca(rca.id(), rca.public_key(), kDelta);
+      ra::DictionaryStore cs_store;
+      cs_store.register_ca(rca.id(), rca.public_key(), kDelta);
       start = std::chrono::steady_clock::now();
-      const auto v1_report = v1_store.recover_from(dir_v1);
-      recovery_v1_restore_ms =
+      const auto obj = ca::ColdStartObject::decode(ByteSpan(cold_start));
+      const bool installed =
+          obj && cs_store.bootstrap_replica(
+                     rca.id(), ByteSpan(obj->dict_snapshot), obj->signed_root,
+                     obj->freshness, now_s) == ra::ApplyResult::ok;
+      recovery_coldstart_restore_ms =
           ms_of(std::chrono::steady_clock::now() - start);
       ra::DictionaryStore v2_store;
       v2_store.register_ca(rca.id(), rca.public_key(), kDelta);
@@ -634,18 +633,18 @@ int main() {
       const auto v2_report = v2_store.recover_from(dir_v2);
       recovery_v2_restore_ms =
           ms_of(std::chrono::steady_clock::now() - start);
-      recovery_mmap_speedup = recovery_v1_restore_ms / recovery_v2_restore_ms;
-      restore_equal = v1_report.ok && v2_report.ok &&
+      recovery_mmap_speedup =
+          recovery_coldstart_restore_ms / recovery_v2_restore_ms;
+      restore_equal = installed && v2_report.ok &&
                       v2_store.have_n(rca.id()) == kRecEntries &&
-                      v1_store.root_of(rca.id())->encode() ==
+                      cs_store.root_of(rca.id())->encode() ==
                           v2_store.root_of(rca.id())->encode();
     }
-    std::printf("restore only: v1 streaming %.1f ms -> v2 mmap %.1f ms "
-                "(%.1fx); states %s\n",
-                recovery_v1_restore_ms, recovery_v2_restore_ms,
+    std::printf("restore only: cold-start install %.1f ms -> snapshot mmap "
+                "%.1f ms (%.1fx); states %s\n",
+                recovery_coldstart_restore_ms, recovery_v2_restore_ms,
                 recovery_mmap_speedup,
                 restore_equal ? "identical" : "DIVERGED!");
-    std::filesystem::remove_all(dir_v1);
     std::filesystem::remove_all(dir_v2);
     if (!restore_equal) return 1;
 
@@ -1031,17 +1030,19 @@ int main() {
   // Gossip set reconciliation (PR 8): 100 RAs in the anti-entropy
   // maintenance posture — every pool holds the full signed-root history
   // except a staggered recent tail and a couple of scattered holes — run to
-  // convergence twice over the identical contact schedule: once with the
-  // digest/pull path (reconcile_over), once with the full-list exchange
-  // (exchange_over). Both paths give a contacted pair the pairwise union,
-  // so they converge in the same number of rounds; the bytes they move to
-  // get there is the comparison.
+  // convergence with the digest/pull path (reconcile_over). The reference
+  // is what a full-list exchange of every contact would have moved: before
+  // each contact, the caller's whole root list out and the peer's whole
+  // list back (plus an empty evidence count), each in one frame. A
+  // full-list exchange also leaves a contacted pair with the pairwise
+  // union, so the counterfactual follows the same schedule and converges
+  // in the same number of rounds.
   constexpr int kMeshRas = 100;
   constexpr std::size_t kMeshRoots = 256;
   constexpr std::size_t kMeshTail = 48;
   double mesh_bytes_ratio = 0;
   unsigned long long mesh_rounds = 0, mesh_digest_bytes = 0,
-                     mesh_full_bytes = 0, mesh_digest_saved = 0;
+                     mesh_full_bytes = 0;
   {
     ca::CertificationAuthority::Config gcfg;
     gcfg.id = "CA-G";
@@ -1059,78 +1060,65 @@ int main() {
     cert::TrustStore keys;
     keys.add(gossip_ca.id(), gossip_ca.public_key());
     ra::DictionaryStore mesh_store;
-
-    const auto run = [&](bool digest_path) {
-      std::vector<std::unique_ptr<ra::GossipPool>> pools;
-      std::vector<std::unique_ptr<ra::RaService>> services;
-      std::vector<std::unique_ptr<svc::InProcessTransport>> rpcs;
-      Rng rng(4242);  // identical seeding + schedule for both paths
+    std::vector<std::unique_ptr<ra::GossipPool>> pools;
+    std::vector<std::unique_ptr<ra::RaService>> services;
+    std::vector<std::unique_ptr<svc::InProcessTransport>> rpcs;
+    Rng rng(4242);
+    for (int r = 0; r < kMeshRas; ++r) {
+      pools.push_back(std::make_unique<ra::GossipPool>(&keys));
+      services.push_back(
+          std::make_unique<ra::RaService>(&mesh_store, pools.back().get()));
+      rpcs.push_back(
+          std::make_unique<svc::InProcessTransport>(services.back().get()));
+      const std::size_t cursor =
+          kMeshRoots - kMeshTail + rng.uniform(kMeshTail + 1);
+      const std::size_t hole1 = rng.uniform(kMeshRoots);
+      const std::size_t hole2 = rng.uniform(kMeshRoots);
+      for (std::size_t i = 0; i < cursor; ++i) {
+        if (i == hole1 || i == hole2) continue;
+        pools[r]->observe(history[i]);
+      }
+    }
+    for (int round = 0; round < 32; ++round) {
+      ++mesh_rounds;
       for (int r = 0; r < kMeshRas; ++r) {
-        pools.push_back(std::make_unique<ra::GossipPool>(&keys));
-        services.push_back(
-            std::make_unique<ra::RaService>(&mesh_store, pools.back().get()));
-        rpcs.push_back(
-            std::make_unique<svc::InProcessTransport>(services.back().get()));
-        const std::size_t cursor =
-            kMeshRoots - kMeshTail + rng.uniform(kMeshTail + 1);
-        const std::size_t hole1 = rng.uniform(kMeshRoots);
-        const std::size_t hole2 = rng.uniform(kMeshRoots);
-        for (std::size_t i = 0; i < cursor; ++i) {
-          if (i == hole1 || i == hole2) continue;
-          pools[r]->observe(history[i]);
-        }
+        int peer;
+        do {
+          peer = int(rng.uniform(kMeshRas));
+        } while (peer == r);
+        mesh_full_bytes +=
+            2 * svc::kFrameOverheadBytes +
+            ra::encode_gossip_roots(pools[r]->roots()).size() +
+            ra::encode_gossip_roots(pools[peer]->roots()).size() + 4;
+        (void)pools[r]->reconcile_over(*rpcs[peer]);
       }
-      unsigned long long rounds = 0;
-      for (int round = 0; round < 32; ++round) {
-        ++rounds;
-        for (int r = 0; r < kMeshRas; ++r) {
-          int peer;
-          do {
-            peer = int(rng.uniform(kMeshRas));
-          } while (peer == r);
-          if (digest_path) {
-            (void)pools[r]->reconcile_over(*rpcs[peer]);
-          } else {
-            (void)pools[r]->exchange_over(*rpcs[peer]);
-          }
-        }
-        bool converged = true;
-        for (int r = 0; r < kMeshRas && converged; ++r) {
-          converged = pools[r]->size() == kMeshRoots;
-        }
-        if (converged) break;
+      bool converged = true;
+      for (int r = 0; r < kMeshRas && converged; ++r) {
+        converged = pools[r]->size() == kMeshRoots;
       }
-      unsigned long long bytes = 0, saved = 0;
-      for (int r = 0; r < kMeshRas; ++r) {
-        bytes +=
-            pools[r]->stats().bytes_sent + pools[r]->stats().bytes_received;
-        saved += pools[r]->stats().bytes_saved;
-      }
-      return std::tuple(rounds, bytes, saved);
-    };
-
-    const auto [digest_rounds, digest_bytes, digest_saved] = run(true);
-    const auto [full_rounds, full_bytes, full_saved] = run(false);
-    (void)full_saved;
-    mesh_rounds = digest_rounds;
-    mesh_digest_bytes = digest_bytes;
-    mesh_full_bytes = full_bytes;
-    mesh_digest_saved = digest_saved;
-    mesh_bytes_ratio = full_bytes > 0 ? double(digest_bytes) / full_bytes : 0;
+      if (converged) break;
+    }
+    for (int r = 0; r < kMeshRas; ++r) {
+      mesh_digest_bytes +=
+          pools[r]->stats().bytes_sent + pools[r]->stats().bytes_received;
+    }
+    mesh_bytes_ratio = mesh_full_bytes > 0
+                           ? double(mesh_digest_bytes) / mesh_full_bytes
+                           : 0;
 
     Table tg({"gossip to convergence (" + std::to_string(kMeshRas) + " RAs, " +
                   std::to_string(kMeshRoots) + " roots)",
               "rounds", "bytes moved"});
     tg.add_row({"digest + pull (gossip_digest/gossip_pull)",
-                std::to_string(digest_rounds),
-                Table::num(double(digest_bytes) / 1024.0, 1) + " KiB"});
-    tg.add_row({"full list (gossip_roots)", std::to_string(full_rounds),
-                Table::num(double(full_bytes) / 1024.0, 1) + " KiB"});
+                std::to_string(mesh_rounds),
+                Table::num(double(mesh_digest_bytes) / 1024.0, 1) + " KiB"});
+    tg.add_row({"full list of every contact (counterfactual)",
+                std::to_string(mesh_rounds),
+                Table::num(double(mesh_full_bytes) / 1024.0, 1) + " KiB"});
     std::printf("\n== gossip set reconciliation at mesh scale ==\n%s",
                 tg.render().c_str());
-    std::printf("digest path moved %.3fx the full-list bytes "
-                "(estimated %.1f KiB saved)\n",
-                mesh_bytes_ratio, double(digest_saved) / 1024.0);
+    std::printf("digest path moved %.3fx the full-list bytes\n",
+                mesh_bytes_ratio);
   }
 
   // Internet-scale scenario: the heartbleed preset (flash crowd at period
@@ -1224,7 +1212,7 @@ int main() {
                  "    \"full_replay_ms\": %.1f,\n"
                  "    \"snapshot_wal_ms\": %.1f,\n"
                  "    \"speedup\": %.2f,\n"
-                 "    \"v1_restore_ms\": %.1f,\n"
+                 "    \"coldstart_restore_ms\": %.1f,\n"
                  "    \"v2_restore_ms\": %.1f,\n"
                  "    \"mmap_speedup\": %.2f\n"
                  "  },\n"
@@ -1269,7 +1257,6 @@ int main() {
                  "    \"rounds_to_convergence\": %llu,\n"
                  "    \"digest_bytes\": %llu,\n"
                  "    \"full_list_bytes\": %llu,\n"
-                 "    \"bytes_saved_estimate\": %llu,\n"
                  "    \"bytes_ratio\": %.4f\n"
                  "  },\n",
                  non_tls_rate, handshake_rate, validation_rate,
@@ -1289,7 +1276,7 @@ int main() {
                  (unsigned long long)recovery_periods,
                  (unsigned long long)kRecTailPeriods, recovery_replay_ms,
                  recovery_recover_ms, recovery_speedup,
-                 recovery_v1_restore_ms, recovery_v2_restore_ms,
+                 recovery_coldstart_restore_ms, recovery_v2_restore_ms,
                  recovery_mmap_speedup,
                  (unsigned long long)checkpoint_cycles, checkpoint_stall_us,
                  checkpoint_max_stall_us,
@@ -1304,7 +1291,7 @@ int main() {
                  res_baseline_rps, res_quota_rps, res_noquota_rps,
                  res_refused, res_goodput_ratio, kMeshRas, kMeshRoots,
                  mesh_rounds, mesh_digest_bytes, mesh_full_bytes,
-                 mesh_digest_saved, mesh_bytes_ratio);
+                 mesh_bytes_ratio);
     std::fprintf(f,
                  "  \"scenario\": {\n"
                  "    \"preset\": \"%s\",\n"
@@ -1353,8 +1340,8 @@ int main() {
                 "feed replay (acceptance floor: 10x)\n", recovery_speedup);
   }
   if (recovery_mmap_speedup < 3.0) {
-    std::printf("WARNING: format-v2 mmap restore only %.1fx faster than the "
-                "v1 streaming restore (acceptance floor: 3x)\n",
+    std::printf("WARNING: snapshot mmap restore only %.1fx faster than the "
+                "cold-start install (acceptance floor: 3x)\n",
                 recovery_mmap_speedup);
   }
   if (checkpoint_stall_us > 5000.0) {

@@ -141,16 +141,17 @@ int main() {
               client.connection_count());
 
   // A peer RA cross-checks our signed root through the same wire surface
-  // (Method::gossip_roots): consistent replicas exchange roots and find no
-  // conflict; a split view would surface as non-repudiable evidence.
-  std::printf("\n== RA <-> RA gossip root exchange over the envelope ==\n");
+  // (Method::gossip_digest + gossip_pull): consistent replicas reconcile
+  // and find no conflict; a split view would surface as non-repudiable
+  // evidence.
+  std::printf("\n== RA <-> RA gossip reconciliation over the envelope ==\n");
   ra::GossipPool ours(&roots), peers(&roots);
   ours.observe(*store.root_of(ca.id()));
   peers.observe(*store.root_of(ca.id()));
   ra::RaService peer_service(&store, &peers);
   svc::InProcessTransport peer_rpc(&peer_service);
-  const auto conflicts = ours.exchange_over(peer_rpc);
-  std::printf("exchanged %zu observation(s): %s\n", ours.size(),
+  const auto conflicts = ours.reconcile_over(peer_rpc);
+  std::printf("reconciled %zu observation(s): %s\n", ours.size(),
               conflicts && conflicts->empty()
                   ? "views consistent"
                   : "SPLIT VIEW / transport failure");

@@ -7,24 +7,6 @@
 
 namespace ritm::ca {
 
-Bytes encode_sync_request(const dict::SyncRequest& req, UnixSeconds now) {
-  Bytes body;
-  ByteWriter w(body);
-  w.u64(static_cast<std::uint64_t>(now));
-  append(body, ByteSpan(req.encode()));
-  return body;
-}
-
-std::optional<DecodedSyncRequest> decode_sync_request(ByteSpan body) {
-  ByteReader r(body);
-  const auto now_bits = r.try_u64();
-  if (!now_bits) return std::nullopt;
-  auto req = dict::SyncRequest::decode(body.subspan(8));
-  if (!req) return std::nullopt;
-  return DecodedSyncRequest{static_cast<UnixSeconds>(*now_bits),
-                            std::move(*req)};
-}
-
 Bytes encode_delta_request(const dict::SyncRequest& req, UnixSeconds now,
                            std::uint64_t cursor_period) {
   Bytes body;
@@ -53,52 +35,29 @@ void SyncService::add(const CertificationAuthority* ca) {
 
 svc::ServeResult SyncService::handle(const svc::Request& req) {
   svc::ServeResult out;
-  // feed_delta without a period source answers unknown_method — the exact
-  // response a pre-delta server gives — so clients need only one fallback.
-  const bool delta =
-      req.method == svc::Method::feed_delta && periods_ != nullptr;
-  if (req.method != svc::Method::feed_sync && !delta) {
+  if (req.method != svc::Method::feed_delta) {
     out.response = svc::reject(req, svc::Status::unknown_method);
     return out;
   }
-  UnixSeconds now = 0;
-  dict::SyncRequest sync_req;
-  if (delta) {
-    auto decoded = decode_delta_request(ByteSpan(req.body));
-    if (!decoded) {
-      out.response = svc::reject(req, svc::Status::malformed);
-      return out;
-    }
-    now = decoded->now;
-    sync_req = std::move(decoded->request);
-  } else {
-    auto decoded = decode_sync_request(ByteSpan(req.body));
-    if (!decoded) {
-      out.response = svc::reject(req, svc::Status::malformed);
-      return out;
-    }
-    now = decoded->now;
-    sync_req = std::move(decoded->request);
+  const auto decoded = decode_delta_request(ByteSpan(req.body));
+  if (!decoded) {
+    out.response = svc::reject(req, svc::Status::malformed);
+    return out;
   }
-  const auto it = cas_.find(sync_req.ca);
+  const auto it = cas_.find(decoded->request.ca);
   if (it == cas_.end()) {
     out.response = svc::reject(req, svc::Status::unknown_ca);
     return out;
   }
   const CertificationAuthority& ca = *it->second;
   dict::SyncResponse resp;
-  resp.ca = sync_req.ca;
-  resp.entries = ca.dictionary().entries_from(sync_req.have_n + 1);
+  resp.ca = decoded->request.ca;
+  resp.entries = ca.dictionary().entries_from(decoded->request.have_n + 1);
   resp.signed_root = ca.signed_root();
-  resp.freshness = ca.freshness_at(now);
+  resp.freshness = ca.freshness_at(decoded->now);
   out.response.request_id = req.request_id;
-  if (delta) {
-    // Everything published below next_period() is subsumed by the full
-    // dictionary state this response carries — the RA's cursor may resume
-    // there (same contract as the cold-start object's upto_period).
-    ByteWriter w(out.response.body);
-    w.u64(periods_->next_period());
-  }
+  ByteWriter w(out.response.body);
+  w.u64(periods_ != nullptr ? periods_->next_period() : 0);
   resp.encode_into(out.response.body);
   return out;
 }

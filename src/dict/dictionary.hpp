@@ -52,11 +52,11 @@ static_assert(sizeof(LogRecord) == 24, "snapshot sections assume 24B records");
 static_assert(cert::kMaxSerialBytes <= sizeof(LogRecord::bytes),
               "serials must fit a LogRecord");
 
-/// The raw arena sections of one dictionary — what snapshot format v2
-/// persists verbatim and what an mmap restore adopts in place. Spans use the
+/// The raw arena sections of one dictionary — what a snapshot file persists
+/// verbatim and what an mmap restore adopts in place. Spans use the
 /// dictionary's in-memory (host-endian) layout; the snapshot container
-/// carries an endianness tag so a foreign-endian file falls back to the
-/// streaming path instead of being misread.
+/// carries an endianness tag so a foreign-endian file is rejected instead
+/// of being misread.
 struct DictSections {
   std::uint64_t epoch = 0;
   std::uint64_t n = 0;
@@ -128,8 +128,8 @@ class Dictionary {
 
   /// Serializes the dictionary (versioned, length-prefixed: epoch, the
   /// entry log, the sorted index, and the current root) into `w` — the
-  /// v1 streaming snapshot payload of the persistence layer
-  /// (src/persist/). The encoding streams straight out of the flat arenas;
+  /// CDN cold-start payload (ca::ColdStartObject) and the WAL bootstrap
+  /// record. The encoding streams straight out of the flat arenas;
   /// it rebuilds lazily first so the recorded root always matches the
   /// recorded contents.
   void snapshot_into(ByteWriter& w) const;
@@ -143,19 +143,19 @@ class Dictionary {
   /// mismatch, leaving the dictionary untouched.
   void restore_from(ByteReader& r);
 
-  /// The raw arena sections for a v2 (mmap-able) snapshot. Forces a rebuild
+  /// The raw arena sections for an mmap-able snapshot. Forces a rebuild
   /// first so the tree section and recorded root match the contents; the
   /// spans alias this dictionary's arenas and stay valid until the next
   /// mutation (freeze — copy — first when persisting off-thread).
   DictSections snapshot_sections() const;
 
-  /// Adopts v2 snapshot sections in place: validates record lengths, index
+  /// Adopts snapshot sections in place: validates record lengths, index
   /// bounds, section sizes, and that the recorded root equals the tree
   /// arena's top node, then aliases the spans directly (holding `keepalive`
   /// — typically the mapped snapshot file — until the first mutation
   /// detaches). No hashing, no copy. Unlike restore_from, the sorted
   /// *order* is not re-verified here — section CRCs guard integrity, and
-  /// untrusted wire payloads (bootstrap/sync) always take the v1 path.
+  /// untrusted wire payloads (cold start) always take restore_from.
   /// Throws std::runtime_error on malformed sections, leaving this
   /// dictionary untouched.
   void restore_sections(const DictSections& s,

@@ -1,9 +1,7 @@
 #include "dict/sharded.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
-#include <string>
 
 namespace ritm::dict {
 
@@ -123,54 +121,6 @@ std::size_t ShardedDictionary::rebuild_dirty(ThreadPool* pool) {
                       [&dirty](std::size_t i) { (void)dirty[i]->root(); });
   }
   return dirty.size();
-}
-
-// Snapshot wire format v1: u8 version, u64 bucket_width, u64 epoch,
-// u32 shard_count, then per shard (ascending index): u64 shard index +
-// nested Dictionary snapshot.
-constexpr std::uint8_t kShardedSnapshotVersion = 1;
-
-void ShardedDictionary::snapshot_into(ByteWriter& w) const {
-  w.u8(kShardedSnapshotVersion);
-  w.u64(static_cast<std::uint64_t>(bucket_width_));
-  w.u64(epoch_);
-  w.u32(static_cast<std::uint32_t>(shards_.size()));
-  for (const auto& [key, shard] : shards_) {
-    w.u64(key);
-    shard.snapshot_into(w);
-  }
-}
-
-void ShardedDictionary::restore_from(ByteReader& r) {
-  const auto bad = [](const char* what) -> std::runtime_error {
-    return std::runtime_error(
-        std::string("ShardedDictionary::restore_from: ") + what);
-  };
-  if (r.try_u8().value_or(0xFF) != kShardedSnapshotVersion) {
-    throw bad("unsupported snapshot version");
-  }
-  const auto width = r.try_u64();
-  const auto epoch = r.try_u64();
-  const auto count = r.try_u32();
-  if (!width || !epoch || !count) throw bad("truncated header");
-  if (*width == 0 ||
-      *width > std::uint64_t(std::numeric_limits<UnixSeconds>::max())) {
-    throw bad("bad bucket width");
-  }
-
-  std::map<std::uint64_t, Dictionary> shards;
-  std::uint64_t prev_key = 0;
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    const auto key = r.try_u64();
-    if (!key) throw bad("truncated shard key");
-    if (i > 0 && *key <= prev_key) throw bad("shard keys out of order");
-    prev_key = *key;
-    shards[*key].restore_from(r);  // validates the shard's recorded root
-  }
-
-  bucket_width_ = static_cast<UnixSeconds>(*width);
-  epoch_ = *epoch;
-  shards_ = std::move(shards);
 }
 
 void ShardedDictionary::install(UnixSeconds bucket_width, std::uint64_t epoch,

@@ -79,18 +79,6 @@ class ShardedDictionary {
   /// determinism test compares across serial and parallel rebuilds.
   std::vector<std::pair<std::uint64_t, crypto::Digest20>> shard_roots() const;
 
-  /// Serializes the whole sharded dictionary (bucket width, epoch, and every
-  /// shard's Dictionary snapshot keyed by shard index) into `w` — the
-  /// persistence payload for a CA-side sharded deployment, covering state
-  /// after prunes as well as inserts.
-  void snapshot_into(ByteWriter& w) const;
-
-  /// Restores a snapshot_into() encoding, replacing all shards and adopting
-  /// the recorded bucket width. Each shard's root is recomputed once and
-  /// checked (Dictionary::restore_from); throws std::runtime_error on
-  /// malformed input, leaving this instance untouched.
-  void restore_from(ByteReader& r);
-
   /// Live shards keyed by shard index — the read-only view incremental
   /// checkpointing walks (persist::ShardCheckpointer compares each shard
   /// Dictionary's epoch() against what is on disk and rewrites only the

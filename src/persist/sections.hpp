@@ -1,12 +1,11 @@
-// Section container: the fixed-layout, mmap-ready payload of snapshot
-// format v2 (and of per-shard checkpoint files).
+// Section container: the fixed-layout, mmap-ready payload of every
+// snapshot file (and of per-shard checkpoint files).
 //
 // A container is a section directory followed by 64-byte-aligned sections,
 // each CRC-guarded independently so a reader can validate without copying:
 //
 //   u32 endian_tag     host-native byte order; a foreign-endian file fails
-//                      the tag check and the caller falls back to the v1
-//                      streaming path instead of misreading raw arenas
+//                      the tag check instead of misreading raw arenas
 //   u32 section_count  big-endian
 //   u32 dir_crc        big-endian CRC32 over the directory entry bytes
 //   u32 reserved       zero

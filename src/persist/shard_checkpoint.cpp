@@ -9,14 +9,12 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "common/crc32.hpp"
 #include "common/io.hpp"
 #include "persist/snapshot.hpp"
 
@@ -29,6 +27,9 @@ constexpr std::uint8_t kShardMagic[8] = {'R', 'I', 'T', 'M',
 constexpr std::uint32_t kShardVersion = 1;
 constexpr std::size_t kShardHeaderSize = 64;  // 28 bytes used, 64-aligned
 constexpr std::uint8_t kManifestVersion = 1;
+
+// The manifest snapshot's one section.
+constexpr std::uint32_t kTagManifest = 1;
 
 // Section tags inside one shard file's container.
 constexpr std::uint32_t kTagMeta = 1;
@@ -176,71 +177,40 @@ std::optional<Manifest> parse_manifest(ByteSpan payload) {
   return m;
 }
 
-/// Reads one specific manifest file by seq (v1 SnapshotFile layout), fully
-/// validated. Used by retention to learn what the *previous* manifest still
-/// references; load_newest only surfaces the newest.
-std::optional<Manifest> read_manifest(const std::string& dir,
-                                      std::uint64_t seq) {
-  char name[40];
-  std::snprintf(name, sizeof(name), "snap-%016" PRIx64 ".snap", seq);
-  const auto file = MappedFile::map(dir + "/" + name);
-  if (!file) return std::nullopt;
-  const ByteSpan data = file->span();
-  constexpr std::uint8_t kSnapMagic[8] = {'R', 'I', 'T', 'M',
-                                          'S', 'N', 'A', 'P'};
-  if (data.size() < SnapshotFile::kHeaderSize ||
-      std::memcmp(data.data(), kSnapMagic, sizeof(kSnapMagic)) != 0) {
-    return std::nullopt;
+/// The manifest carried by a mapped manifest snapshot; nullopt when its
+/// section is missing or malformed.
+std::optional<Manifest> manifest_of(const SnapshotFile::Mapped& mapped) {
+  for (const SectionView& s : mapped.sections) {
+    if (s.tag == kTagManifest) return parse_manifest(s.data);
   }
-  ByteReader r{data.subspan(sizeof(kSnapMagic))};
-  if (r.u32() != 1 || r.u64() != seq) return std::nullopt;
-  const std::uint32_t crc = r.u32();
-  const std::uint64_t len = r.u64();
-  if (len != r.remaining()) return std::nullopt;
-  const ByteSpan payload = data.subspan(SnapshotFile::kHeaderSize);
-  if (crc32(payload) != crc) return std::nullopt;
-  return parse_manifest(payload);
+  return std::nullopt;
 }
 
 /// Deletes shard files referenced by neither of the two newest manifests.
 /// Best-effort: stale files are harmless, a missed deletion is retried at
 /// the next checkpoint.
 void prune_unreferenced(const std::string& dir) {
-  std::vector<std::uint64_t> manifest_seqs;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> shard_files;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (const auto s = parse_shard_name(name)) {
-      shard_files.push_back(*s);
-    } else if (name.size() == 26 && name.rfind("snap-", 0) == 0) {
-      // Manifest names mirror SnapshotFile's; re-derive the seq.
-      std::uint64_t seq = 0;
-      bool ok = true;
-      for (std::size_t i = 5; i < 21; ++i) {
-        const char c = name[i];
-        if (c >= '0' && c <= '9') seq = (seq << 4) | std::uint64_t(c - '0');
-        else if (c >= 'a' && c <= 'f')
-          seq = (seq << 4) | std::uint64_t(c - 'a' + 10);
-        else { ok = false; break; }
-      }
-      if (ok) manifest_seqs.push_back(seq);
-    }
-  }
-  std::sort(manifest_seqs.begin(), manifest_seqs.end(), std::greater<>());
   std::vector<std::pair<std::uint64_t, std::uint64_t>> referenced;
+  const auto manifest_seqs = SnapshotFile::seqs_newest_first(dir);
   for (std::size_t i = 0; i < manifest_seqs.size() && i < 2; ++i) {
-    if (const auto m = read_manifest(dir, manifest_seqs[i])) {
+    const auto mapped = SnapshotFile::map(dir, manifest_seqs[i]);
+    if (!mapped) continue;
+    if (const auto m = manifest_of(*mapped)) {
       for (const auto& e : m->entries) referenced.push_back({e.key, e.epoch});
     }
   }
-  for (const auto& f : shard_files) {
-    if (std::find(referenced.begin(), referenced.end(), f) ==
-        referenced.end()) {
-      std::error_code rm_ec;
-      std::filesystem::remove(dir + "/" + shard_name(f.first, f.second),
-                              rm_ec);
+  std::vector<std::filesystem::path> stale;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const auto f = parse_shard_name(entry.path().filename().string());
+    if (f && std::find(referenced.begin(), referenced.end(), *f) ==
+                 referenced.end()) {
+      stale.push_back(entry.path());
     }
+  }
+  for (const auto& path : stale) {
+    std::error_code rm_ec;
+    std::filesystem::remove(path, rm_ec);
   }
 }
 
@@ -302,11 +272,11 @@ ShardCheckpointer::Stats ShardCheckpointer::checkpoint(
     w.u64(key);
     w.u64(shard.epoch());
   }
-  SnapshotFile::write(dir_, sharded.epoch(), ByteSpan(payload));
+  stats.bytes_written = SnapshotFile::write_v2(
+      dir_, sharded.epoch(), {{kTagManifest, ByteSpan(payload)}});
 
   stats.shards_written = jobs.size();
   for (const Job& j : jobs) stats.bytes_written += j.bytes;
-  stats.bytes_written += SnapshotFile::kHeaderSize + payload.size();
 
   on_disk_epoch_.clear();
   for (const auto& [key, shard] : sharded.shards()) {
@@ -319,14 +289,14 @@ ShardCheckpointer::Stats ShardCheckpointer::checkpoint(
 ShardCheckpointer::RecoverResult ShardCheckpointer::recover(
     dict::ShardedDictionary& out) {
   RecoverResult res;
-  const auto loaded = SnapshotFile::load_newest(dir_);
-  if (!loaded) {
+  const auto mapped = SnapshotFile::map_newest(dir_);
+  if (!mapped) {
     // Nothing checkpointed yet: an empty directory is a clean cold start.
     res.ok = true;
     return res;
   }
   res.have_manifest = true;
-  const auto manifest = parse_manifest(ByteSpan(loaded->payload));
+  const auto manifest = manifest_of(*mapped);
   if (!manifest) {
     res.error = "malformed manifest";
     return res;

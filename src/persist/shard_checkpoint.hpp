@@ -1,20 +1,21 @@
 // Per-shard incremental checkpoints for sharded dictionaries (PR 9).
 //
-// A full ShardedDictionary snapshot rewrites every shard on every
-// checkpoint even though inserts dirty exactly one expiry bucket at a time.
-// The checkpointer instead keeps one section-container file per shard and a
-// small manifest unifying them:
+// This is the persisted form of a ShardedDictionary. Inserts dirty exactly
+// one expiry bucket at a time, so the checkpointer keeps one
+// section-container file per shard and a small manifest unifying them, and
+// rewrites only the shards that changed:
 //
 //   shard-<key hex16>-<epoch hex16>.shard
 //     "RITMSHRD" (8)  u32 version (=1)  u64 shard key  u64 dict epoch,
 //     zero-padded to 64 bytes, then a persist::sections container holding
 //     the shard's meta (tag 1: u8 ver, u64 epoch, u64 n, 20B root) and its
 //     raw arenas (tag 2 entry log, tag 3 sorted index, tag 4 digest arena)
-//     — the same mmap-adoptable layout as snapshot format v2.
+//     — the same mmap-adoptable layout as a store snapshot.
 //
-//   snap-<epoch hex16>.snap  (manifest, v1 SnapshotFile)
-//     u8 version (=1)  u64 bucket_width  u64 sharded epoch  u32 shard_count
-//     then per shard (ascending key): u64 key  u64 shard dict epoch.
+//   snap-<epoch hex16>.snap  (manifest, a persist::SnapshotFile)
+//     one section (tag 1): u8 version (=1)  u64 bucket_width
+//     u64 sharded epoch  u32 shard_count, then per shard (ascending key):
+//     u64 key  u64 shard dict epoch.
 //
 // checkpoint() writes only shards whose Dictionary::epoch() moved since the
 // last checkpoint (tracked per key), fsyncs them, then commits the manifest

@@ -14,7 +14,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/crc32.hpp"
 #include "common/io.hpp"
 
 namespace ritm::persist {
@@ -22,8 +21,7 @@ namespace ritm::persist {
 namespace {
 
 constexpr std::uint8_t kMagic[8] = {'R', 'I', 'T', 'M', 'S', 'N', 'A', 'P'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::uint32_t kVersion2 = 2;
+constexpr std::uint32_t kVersion = 2;
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("SnapshotFile: " + what + ": " +
@@ -64,25 +62,6 @@ void fsync_path(const std::string& path) {
   if (rc != 0) fail("fsync");
 }
 
-std::optional<Bytes> try_read_file(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return std::nullopt;
-  Bytes out;
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return std::nullopt;
-    }
-    if (n == 0) break;
-    out.insert(out.end(), buf, buf + n);
-  }
-  ::close(fd);
-  return out;
-}
-
 void write_fd_full(int fd, const std::uint8_t* data, std::size_t len,
                    const char* what) {
   while (len > 0) {
@@ -112,32 +91,11 @@ void commit_tmp(int fd, const std::string& dir, const std::string& tmp_path,
 /// Retention: drop everything older than the newest `keep` snapshots. The
 /// just-committed file is newest, so at least it always survives.
 void retain_newest(const std::string& dir, std::size_t keep) {
-  std::vector<std::uint64_t> seqs;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (const auto s = parse_snapshot_name(entry.path().filename().string())) {
-      seqs.push_back(*s);
-    }
-  }
-  std::sort(seqs.begin(), seqs.end());
-  if (keep == 0) keep = 1;
-  while (seqs.size() > keep) {
+  const auto seqs = SnapshotFile::seqs_newest_first(dir);
+  for (std::size_t i = std::max<std::size_t>(keep, 1); i < seqs.size(); ++i) {
     std::error_code ec;  // best-effort cleanup; stale files are harmless
-    std::filesystem::remove(dir + "/" + snapshot_name(seqs.front()), ec);
-    seqs.erase(seqs.begin());
+    std::filesystem::remove(dir + "/" + snapshot_name(seqs[i]), ec);
   }
-}
-
-std::vector<std::uint64_t> snapshot_seqs_newest_first(const std::string& dir) {
-  std::vector<std::uint64_t> seqs;
-  std::error_code ec;
-  if (!std::filesystem::is_directory(dir, ec)) return seqs;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (const auto s = parse_snapshot_name(entry.path().filename().string())) {
-      seqs.push_back(*s);
-    }
-  }
-  std::sort(seqs.begin(), seqs.end(), std::greater<>());
-  return seqs;
 }
 
 }  // namespace
@@ -167,29 +125,6 @@ MappedFile::~MappedFile() {
   if (base_ != nullptr) ::munmap(base_, len_);
 }
 
-void SnapshotFile::write(const std::string& dir, std::uint64_t seq,
-                         ByteSpan payload, std::size_t keep) {
-  std::filesystem::create_directories(dir);
-
-  ByteWriter w;
-  w.raw(ByteSpan(kMagic, sizeof(kMagic)));
-  w.u32(kVersion);
-  w.u64(seq);
-  w.u32(crc32(payload));
-  w.u64(payload.size());
-  w.raw(payload);
-
-  const std::string final_path = dir + "/" + snapshot_name(seq);
-  const std::string tmp_path = final_path + ".tmp";
-  const int fd =
-      ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) fail("open tmp");
-  const ByteSpan data{w.bytes()};
-  write_fd_full(fd, data.data(), data.size(), "write tmp");
-  commit_tmp(fd, dir, tmp_path, final_path);
-  retain_newest(dir, keep);
-}
-
 std::uint64_t SnapshotFile::write_v2(const std::string& dir, std::uint64_t seq,
                                      const std::vector<SectionSpec>& sections,
                                      std::size_t keep) {
@@ -198,7 +133,7 @@ std::uint64_t SnapshotFile::write_v2(const std::string& dir, std::uint64_t seq,
   std::uint8_t header[kV2HeaderSize] = {};
   std::memcpy(header, kMagic, sizeof(kMagic));
   ByteWriter w;
-  w.u32(kVersion2);
+  w.u32(kVersion);
   w.u64(seq);
   std::memcpy(header + sizeof(kMagic), w.bytes().data(), w.bytes().size());
 
@@ -220,69 +155,41 @@ std::uint64_t SnapshotFile::write_v2(const std::string& dir, std::uint64_t seq,
   return total;
 }
 
-std::optional<SnapshotFile::Loaded> SnapshotFile::load_newest(
-    const std::string& dir, std::uint64_t* skipped) {
-  if (skipped != nullptr) *skipped = 0;
-  for (const std::uint64_t seq : snapshot_seqs_newest_first(dir)) {
-    const auto data = try_read_file(dir + "/" + snapshot_name(seq));
-    if (data && data->size() >= kHeaderSize &&
-        std::memcmp(data->data(), kMagic, sizeof(kMagic)) == 0) {
-      ByteReader r{ByteSpan(*data).subspan(sizeof(kMagic))};
-      const std::uint32_t version = r.u32();
-      const std::uint64_t stamped_seq = r.u64();
-      const std::uint32_t crc = r.u32();
-      const std::uint64_t len = r.u64();
-      if (version == kVersion && stamped_seq == seq && len == r.remaining()) {
-        Loaded loaded;
-        loaded.seq = seq;
-        loaded.payload = r.raw(r.remaining());
-        if (crc32(ByteSpan(loaded.payload)) == crc) return loaded;
-      }
+std::vector<std::uint64_t> SnapshotFile::seqs_newest_first(
+    const std::string& dir) {
+  std::vector<std::uint64_t> seqs;
+  std::error_code ec;
+  if (!std::filesystem::is_directory(dir, ec)) return seqs;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (const auto s = parse_snapshot_name(entry.path().filename().string())) {
+      seqs.push_back(*s);
     }
-    if (skipped != nullptr) ++*skipped;
   }
-  return std::nullopt;
+  std::sort(seqs.begin(), seqs.end(), std::greater<>());
+  return seqs;
+}
+
+std::optional<SnapshotFile::Mapped> SnapshotFile::map(const std::string& dir,
+                                                      std::uint64_t seq) {
+  const auto file = MappedFile::map(dir + "/" + snapshot_name(seq));
+  if (!file) return std::nullopt;
+  const ByteSpan data = file->span();
+  if (data.size() < kV2HeaderSize ||
+      std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
+    return std::nullopt;
+  }
+  ByteReader r{data.subspan(sizeof(kMagic))};
+  if (r.u32() != kVersion || r.u64() != seq) return std::nullopt;
+  auto sections = parse_container(data.subspan(kV2HeaderSize));
+  if (!sections) return std::nullopt;
+  return Mapped{seq, file, std::move(*sections)};
 }
 
 std::optional<SnapshotFile::Mapped> SnapshotFile::map_newest(
     const std::string& dir, std::uint64_t* skipped) {
   if (skipped != nullptr) *skipped = 0;
-  for (const std::uint64_t seq : snapshot_seqs_newest_first(dir)) {
-    const auto file = MappedFile::map(dir + "/" + snapshot_name(seq));
-    if (file) {
-      const ByteSpan data = file->span();
-      if (data.size() >= kHeaderSize &&
-          std::memcmp(data.data(), kMagic, sizeof(kMagic)) == 0) {
-        ByteReader r{data.subspan(sizeof(kMagic))};
-        const std::uint32_t version = r.u32();
-        const std::uint64_t stamped_seq = r.u64();
-        if (version == kVersion2 && stamped_seq == seq &&
-            data.size() >= kV2HeaderSize) {
-          if (auto sections = parse_container(data.subspan(kV2HeaderSize))) {
-            Mapped mapped;
-            mapped.seq = seq;
-            mapped.version = version;
-            mapped.file = file;
-            mapped.sections = std::move(*sections);
-            return mapped;
-          }
-        } else if (version == kVersion && stamped_seq == seq) {
-          const std::uint32_t crc = r.u32();
-          const std::uint64_t len = r.u64();
-          if (len == r.remaining()) {
-            const ByteSpan payload = data.subspan(kHeaderSize);
-            if (crc32(payload) == crc) {
-              Mapped mapped;
-              mapped.seq = seq;
-              mapped.version = version;
-              mapped.file = file;
-              mapped.sections.push_back(SectionView{kLegacySection, payload});
-              return mapped;
-            }
-          }
-        }
-      }
-    }
+  for (const std::uint64_t seq : seqs_newest_first(dir)) {
+    if (auto mapped = map(dir, seq)) return mapped;
     if (skipped != nullptr) ++*skipped;
   }
   return std::nullopt;

@@ -78,41 +78,6 @@ void GossipPool::adopt_peer_evidence(
   }
 }
 
-std::optional<std::vector<MisbehaviourEvidence>> GossipPool::full_exchange(
-    svc::Transport& peer) {
-  svc::Request req;
-  req.method = svc::Method::gossip_roots;
-  req.body = encode_gossip_roots(roots());
-  const svc::CallResult result = peer.call(req);
-  stats_.bytes_sent += result.bytes_sent;
-  stats_.bytes_received += result.bytes_received;
-  if (!result.ok()) {
-    ++stats_.failed;
-    return std::nullopt;
-  }
-  const auto reply = decode_gossip_reply(ByteSpan(result.response.body));
-  if (!reply) {
-    ++stats_.failed;
-    return std::nullopt;
-  }
-
-  // Conflicts the peer found while observing our roots, plus conflicts we
-  // find observing theirs — the same union exchange() computes directly.
-  std::vector<MisbehaviourEvidence> evidence;
-  adopt_peer_evidence(reply->evidence, evidence);
-  for (const auto& root : reply->roots) {
-    if (auto e = observe(root)) evidence.push_back(std::move(*e));
-  }
-  ++stats_.full_exchanges;
-  return evidence;
-}
-
-std::optional<std::vector<MisbehaviourEvidence>> GossipPool::exchange_over(
-    svc::Transport& peer) {
-  ++stats_.attempted;
-  return full_exchange(peer);
-}
-
 crypto::Digest20 GossipPool::hash_run(const RootsByN& by_n, std::uint64_t lo,
                                       std::uint64_t hi) {
   crypto::Sha256 h;
@@ -256,14 +221,6 @@ std::optional<std::vector<MisbehaviourEvidence>> GossipPool::reconcile_over(
   stats_.bytes_sent += dres.bytes_sent;
   stats_.bytes_received += dres.bytes_received;
   if (!dres.ok()) {
-    // A peer that predates the reconciliation methods (or speaks another
-    // envelope version) still understands the full-list exchange.
-    if (dres.status == svc::Status::ok &&
-        (dres.response.status == svc::Status::unknown_method ||
-         dres.response.status == svc::Status::version_skew)) {
-      ++stats_.fallbacks;
-      return full_exchange(peer);
-    }
     ++stats_.failed;
     return std::nullopt;
   }
@@ -302,19 +259,6 @@ std::optional<std::vector<MisbehaviourEvidence>> GossipPool::reconcile_over(
   ++stats_.digest_exchanges;
   stats_.roots_pushed += push.size();
   stats_.roots_pulled += reply->roots.size();
-  // What the same contact would have cost as a gossip_roots full exchange:
-  // our whole list out, the peer's whole list back (sized off its digest),
-  // both framed. An estimate, not an invoice — surfaced for operators.
-  std::uint64_t full_cost = 2 * svc::kFrameOverheadBytes + 4 + 4 + 4;
-  for (const auto& root : roots()) full_cost += 2 + root.wire_size();
-  for (const auto& [ca, ca_runs] : peer_digest->runs) {
-    std::uint64_t count = 0;
-    for (const auto& run : ca_runs) count += run.hi - run.lo + 1;
-    full_cost += count * (2 + 121 + ca.size());
-  }
-  const std::uint64_t moved = dres.bytes_sent + dres.bytes_received +
-                              pres.bytes_sent + pres.bytes_received;
-  if (full_cost > moved) stats_.bytes_saved += full_cost - moved;
   return evidence;
 }
 

@@ -6,19 +6,19 @@
 // are non-repudiable proof of a split view, no matter which parties the
 // misbehaving CA tried to partition.
 //
-// Set reconciliation (PR 8): a full-list exchange ships every observation
-// on every contact, which caps anti-entropy at a handful of peers. Instead,
-// each pool can summarize its seen-set as a GossipDigest — per CA, runs of
-// contiguous root sizes (the idset idiom: one entry per run, not per root),
-// each run carrying a hash over the (n, root) pairs it covers — so two
-// peers swap digests, diff them, and move only what the other is missing
-// (reconcile_over: Method::gossip_digest then Method::gossip_pull).
-// Runs are split at kDigestSegment boundaries so two pools whose coverage
-// overlaps compare hashes segment-by-segment; a run that the local pool
-// covers completely with an equal hash is provably identical and never
-// moves. Conflicts surface exactly as in the full exchange: a covered run
-// whose hash differs is transferred in both directions and observe() turns
-// the divergent position into MisbehaviourEvidence on both sides.
+// Set reconciliation: shipping every observation on every contact caps
+// anti-entropy at a handful of peers. Instead, each pool summarizes its
+// seen-set as a GossipDigest — per CA, runs of contiguous root sizes
+// (the idset idiom: one entry per run, not per root), each run carrying a
+// hash over the (n, root) pairs it covers — so two peers swap digests,
+// diff them, and move only what the other is missing (reconcile_over:
+// Method::gossip_digest then Method::gossip_pull). Runs are split at
+// kDigestSegment boundaries so two pools whose coverage overlaps compare
+// hashes segment-by-segment; a run that the local pool covers completely
+// with an equal hash is provably identical and never moves. Conflicts
+// surface exactly as in exchange(): a covered run whose hash differs is
+// transferred in both directions and observe() turns the divergent
+// position into MisbehaviourEvidence on both sides.
 #pragma once
 
 #include <cstdint>
@@ -68,21 +68,16 @@ struct GossipWant {
   bool empty() const noexcept { return ranges.empty(); }
 };
 
-/// Reconciliation counters. exchange_over/reconcile_over previously failed
-/// without a trace; every attempt now lands here. Byte counts are whole
-/// frames as reported by the transport; bytes_saved is the (estimated)
-/// full-list cost of the same exchange minus what the digest path moved.
+/// Reconciliation counters: every reconcile_over call lands here. Byte
+/// counts are whole frames as reported by the transport.
 struct GossipStats {
-  std::uint64_t attempted = 0;         // exchange_over + reconcile_over calls
+  std::uint64_t attempted = 0;         // reconcile_over calls
   std::uint64_t failed = 0;            // returned nullopt
   std::uint64_t digest_exchanges = 0;  // completed via digest + pull
-  std::uint64_t full_exchanges = 0;    // completed via gossip_roots
-  std::uint64_t fallbacks = 0;         // digest refused -> full-list retry
   std::uint64_t roots_pushed = 0;
   std::uint64_t roots_pulled = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
-  std::uint64_t bytes_saved = 0;
 };
 
 class GossipPool {
@@ -102,28 +97,18 @@ class GossipPool {
   /// unknown-CA roots are ignored.
   std::optional<MisbehaviourEvidence> observe(const dict::SignedRoot& root);
 
-  /// Full bidirectional exchange with a peer: both pools end up with the
-  /// union of observations; all conflicts discovered either way are
-  /// returned.
+  /// Full bidirectional exchange with a peer held in memory: both pools end
+  /// up with the union of observations; all conflicts discovered either way
+  /// are returned. The oracle reconcile_over is pinned against.
   std::vector<MisbehaviourEvidence> exchange(GossipPool& peer);
 
-  /// The same bidirectional exchange over the envelope API
-  /// (Method::gossip_roots): ships every local observation to the peer RA
-  /// behind `peer`, observes the roots it returns, and merges the
-  /// conflicts found on either side — byte-level equivalent of exchange()
-  /// for a peer reached through a socket. Returns nullopt on transport or
-  /// protocol failure (local observations are unaffected).
-  std::optional<std::vector<MisbehaviourEvidence>> exchange_over(
-      svc::Transport& peer);
-
-  /// Set-reconciliation exchange (Method::gossip_digest + gossip_pull):
-  /// swaps digests with the peer, pulls only the runs the diff says are
-  /// missing or divergent, and pushes the peer's gaps symmetrically.
-  /// Converges to the same union and surfaces the same evidence as
-  /// exchange()/exchange_over, moving a fraction of the bytes. Falls back
-  /// to the gossip_roots full exchange when the peer answers
-  /// unknown_method or version_skew (a legacy full-list-only peer).
-  /// Returns nullopt on transport or protocol failure.
+  /// Set-reconciliation exchange over the envelope API (Method::gossip_digest
+  /// + gossip_pull): swaps digests with the peer, pulls only the runs the
+  /// diff says are missing or divergent, and pushes the peer's gaps
+  /// symmetrically. Converges to the same union and surfaces the same
+  /// evidence as exchange(). Returns nullopt, with local observations
+  /// unchanged, on any transport or protocol failure — including a peer
+  /// that answers unknown_method or version_skew.
   std::optional<std::vector<MisbehaviourEvidence>> reconcile_over(
       svc::Transport& peer);
 
@@ -148,9 +133,8 @@ class GossipPool {
   /// Re-checks peer-supplied evidence pairs against the exact rule
   /// observe() enforces (both roots signed by the CA's registered key,
   /// same n, different root hash) and appends the survivors to `out`;
-  /// fabrications count as forged. Shared by exchange_over and
-  /// reconcile_over so hostile peers cannot frame an honest CA through
-  /// either path.
+  /// fabrications count as forged, so a hostile peer cannot frame an
+  /// honest CA.
   void adopt_peer_evidence(const std::vector<MisbehaviourEvidence>& claimed,
                            std::vector<MisbehaviourEvidence>& out);
 
@@ -174,10 +158,6 @@ class GossipPool {
   /// True iff we hold every position of [lo, hi] and our hash over it
   /// equals `hash` — the run is provably identical on both sides.
   static bool run_in_sync(const RootsByN& by_n, const GossipRun& run);
-  /// gossip_roots exchange body + counters (shared by exchange_over and
-  /// the reconcile fallback; bumps everything except `attempted`).
-  std::optional<std::vector<MisbehaviourEvidence>> full_exchange(
-      svc::Transport& peer);
 
   const cert::TrustStore* keys_;
   std::map<cert::CaId, RootsByN> seen_;

@@ -62,6 +62,17 @@ Bytes encode_gossip_roots(const std::vector<dict::SignedRoot>& roots) {
   return body;
 }
 
+Bytes encode_gossip_reply(const GossipReply& reply) {
+  Bytes body = encode_gossip_roots(reply.roots);
+  ByteWriter w(body);
+  w.u32(static_cast<std::uint32_t>(reply.evidence.size()));
+  for (const auto& e : reply.evidence) {
+    w.var16(ByteSpan(e.ours.encode()));
+    w.var16(ByteSpan(e.theirs.encode()));
+  }
+  return body;
+}
+
 std::optional<GossipReply> decode_gossip_reply(ByteSpan body) {
   ByteReader r(body);
   GossipReply reply;
@@ -214,7 +225,6 @@ svc::ServeResult RaService::handle(const svc::Request& req) {
   switch (req.method) {
     case svc::Method::status_query: out.response = status_query(req); break;
     case svc::Method::status_batch: out.response = status_batch(req); break;
-    case svc::Method::gossip_roots: out.response = gossip_roots(req); break;
     case svc::Method::gossip_digest:
       out.response = gossip_digest(req);
       break;
@@ -234,8 +244,6 @@ RaService::Stats RaService::stats() const noexcept {
   s.single_queries = stats_.single_queries.load(std::memory_order_relaxed);
   s.batch_queries = stats_.batch_queries.load(std::memory_order_relaxed);
   s.serials_served = stats_.serials_served.load(std::memory_order_relaxed);
-  s.gossip_exchanges =
-      stats_.gossip_exchanges.load(std::memory_order_relaxed);
   s.gossip_digests = stats_.gossip_digests.load(std::memory_order_relaxed);
   s.gossip_pulls = stats_.gossip_pulls.load(std::memory_order_relaxed);
   s.rejected = stats_.rejected.load(std::memory_order_relaxed);
@@ -299,44 +307,6 @@ svc::Response RaService::status_batch(const svc::Request& req) {
   return resp;
 }
 
-svc::Response RaService::gossip_roots(const svc::Request& req) {
-  stats_.gossip_exchanges.fetch_add(1, std::memory_order_relaxed);
-  if (gossip_ == nullptr) return svc::reject(req, svc::Status::unavailable);
-  ByteReader r(ByteSpan(req.body));
-  const auto count = r.try_u32();
-  if (!count) return svc::reject(req, svc::Status::malformed);
-
-  // GossipPool is not thread-safe and gossip is off the hot path: one lock
-  // covers the snapshot and the observes so a concurrent exchange cannot
-  // interleave between them.
-  std::lock_guard<std::mutex> lock(gossip_mu_);
-
-  // Snapshot our observations *before* absorbing the peer's, mirroring the
-  // symmetric copy-snapshot semantics of GossipPool::exchange.
-  const std::vector<dict::SignedRoot> ours = gossip_->roots();
-
-  std::vector<MisbehaviourEvidence> found;
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    const auto bytes = r.try_var16();
-    if (!bytes) return svc::reject(req, svc::Status::malformed);
-    const auto root = dict::SignedRoot::decode(ByteSpan(*bytes));
-    if (!root) return svc::reject(req, svc::Status::malformed);
-    if (auto e = gossip_->observe(*root)) found.push_back(std::move(*e));
-  }
-  if (!r.done()) return svc::reject(req, svc::Status::malformed);
-
-  svc::Response resp;
-  resp.request_id = req.request_id;
-  resp.body = encode_gossip_roots(ours);  // same shape as the request side
-  ByteWriter w(resp.body);
-  w.u32(static_cast<std::uint32_t>(found.size()));
-  for (const auto& e : found) {
-    w.var16(ByteSpan(e.ours.encode()));
-    w.var16(ByteSpan(e.theirs.encode()));
-  }
-  return resp;
-}
-
 svc::Response RaService::gossip_digest(const svc::Request& req) {
   stats_.gossip_digests.fetch_add(1, std::memory_order_relaxed);
   if (gossip_ == nullptr) return svc::reject(req, svc::Status::unavailable);
@@ -360,25 +330,20 @@ svc::Response RaService::gossip_pull(const svc::Request& req) {
 
   std::lock_guard<std::mutex> lock(gossip_mu_);
 
-  // Snapshot the wanted roots *before* observing the pushes — the same
-  // symmetric-snapshot rule as gossip_roots, so a root the peer pushes is
-  // never echoed straight back in the same exchange.
-  const std::vector<dict::SignedRoot> wanted = gossip_->roots_in(pull->want);
-
-  std::vector<MisbehaviourEvidence> found;
+  // Snapshot the wanted roots *before* observing the pushes — the
+  // symmetric-snapshot rule of GossipPool::exchange — so a root the peer
+  // pushes is never echoed straight back in the same exchange.
+  GossipReply reply;
+  reply.roots = gossip_->roots_in(pull->want);
   for (const auto& root : pull->push) {
-    if (auto e = gossip_->observe(root)) found.push_back(std::move(*e));
+    if (auto e = gossip_->observe(root)) {
+      reply.evidence.push_back(std::move(*e));
+    }
   }
 
   svc::Response resp;
   resp.request_id = req.request_id;
-  resp.body = encode_gossip_roots(wanted);  // gossip_roots response shape
-  ByteWriter w(resp.body);
-  w.u32(static_cast<std::uint32_t>(found.size()));
-  for (const auto& e : found) {
-    w.var16(ByteSpan(e.ours.encode()));
-    w.var16(ByteSpan(e.theirs.encode()));
-  }
+  resp.body = encode_gossip_reply(reply);
   return resp;
 }
 

@@ -1,5 +1,5 @@
 // The RA's serving endpoint: per-flow status queries (single and batched)
-// and the gossip root exchange, as one envelope service over the
+// and gossip reconciliation, as one envelope service over the
 // epoch-versioned DictionaryStore. This is the surface an RA exposes to
 // clients and peer RAs — in-process for the simulated deployments,
 // svc::TcpServer for real sockets (tools/ritm_serve.cpp).
@@ -27,17 +27,15 @@ namespace ritm::ra {
 //                 response: dict::RevocationStatus encoding
 //   status_batch  request:  var8 ca | u32 count | count x var8 serial
 //                 response: u32 count | count x var24 status encoding
-//   gossip_roots  request:  u32 count | count x var16 SignedRoot
-//                 response: u32 count | count x var16 SignedRoot (ours),
-//                           u32 count | count x (var16, var16) evidence
 //   gossip_digest request:  u32 ca_count | ca_count x (var8 ca | u32 runs |
 //                           runs x (u64 lo | u64 hi | 20B run hash))
 //                 response: the server's digest in the same shape
 //   gossip_pull   request:  u32 ca_count | ca_count x (var8 ca | u32 ranges |
 //                           ranges x (u64 lo | u64 hi)) — the want set —
 //                           then u32 count | count x var16 SignedRoot pushed
-//                 response: gossip_roots response shape (wanted roots +
-//                           evidence found observing the pushes)
+//                 response: u32 count | count x var16 SignedRoot (wanted),
+//                           u32 count | count x (var16, var16) evidence
+//                           found observing the pushes
 /// Ceiling on serials per status_batch envelope: at the paper's 500-900 B
 /// per status, anything larger would push the *response* past the
 /// transport frame limit (svc::kMaxFrameBytes) and be rejected by the
@@ -50,11 +48,17 @@ Bytes encode_status_batch(const cert::CaId& ca,
                           const std::vector<cert::SerialNumber>& serials);
 std::optional<std::vector<Bytes>> decode_status_batch_reply(ByteSpan body);
 
+/// The root list that opens a gossip_pull response:
+/// u32 count | count x var16 SignedRoot.
 Bytes encode_gossip_roots(const std::vector<dict::SignedRoot>& roots);
+/// A whole gossip_pull response.
 struct GossipReply {
-  std::vector<dict::SignedRoot> roots;          // the peer's observations
+  std::vector<dict::SignedRoot> roots;          // the roots the caller wanted
   std::vector<MisbehaviourEvidence> evidence;   // conflicts the peer found
+
+  bool operator==(const GossipReply&) const = default;
 };
+Bytes encode_gossip_reply(const GossipReply& reply);
 std::optional<GossipReply> decode_gossip_reply(ByteSpan body);
 
 Bytes encode_gossip_digest(const GossipDigest& digest);
@@ -76,8 +80,8 @@ std::optional<GossipPullRequest> decode_gossip_pull(ByteSpan body);
 /// still requires external serialization against handle().
 class RaService final : public svc::Service {
  public:
-  /// `gossip` may be null: gossip_roots then answers `unavailable`. Both
-  /// pointers must outlive the service.
+  /// `gossip` may be null: gossip_digest and gossip_pull then answer
+  /// `unavailable`. Both pointers must outlive the service.
   explicit RaService(const DictionaryStore* store,
                      GossipPool* gossip = nullptr);
 
@@ -87,7 +91,6 @@ class RaService final : public svc::Service {
     std::uint64_t single_queries = 0;
     std::uint64_t batch_queries = 0;
     std::uint64_t serials_served = 0;
-    std::uint64_t gossip_exchanges = 0;
     std::uint64_t gossip_digests = 0;  // digest swaps answered
     std::uint64_t gossip_pulls = 0;    // pull requests answered
     std::uint64_t rejected = 0;  // non-ok responses
@@ -98,7 +101,6 @@ class RaService final : public svc::Service {
  private:
   svc::Response status_query(const svc::Request& req);
   svc::Response status_batch(const svc::Request& req);
-  svc::Response gossip_roots(const svc::Request& req);
   svc::Response gossip_digest(const svc::Request& req);
   svc::Response gossip_pull(const svc::Request& req);
 
@@ -108,7 +110,6 @@ class RaService final : public svc::Service {
     std::atomic<std::uint64_t> single_queries{0};
     std::atomic<std::uint64_t> batch_queries{0};
     std::atomic<std::uint64_t> serials_served{0};
-    std::atomic<std::uint64_t> gossip_exchanges{0};
     std::atomic<std::uint64_t> gossip_digests{0};
     std::atomic<std::uint64_t> gossip_pulls{0};
     std::atomic<std::uint64_t> rejected{0};

@@ -397,96 +397,16 @@ std::size_t DictionaryStore::memory_bytes() const {
 
 // ------------------------------------------------------------- durability
 
-// Store snapshot wire format v1: u8 version, u32 ca_count, then per CA (in
-// CaId order): var16 ca, u8 have_root, u8 desynchronized, [var16 signed
-// root when have_root], 20B freshness, u64 freshness_period,
-// u64 freshness_seq, nested Dictionary snapshot. Keys and ∆ are trust
-// configuration (register_ca), not replicated state, and are not persisted.
-namespace {
-constexpr std::uint8_t kStoreSnapshotVersion = 1;
-// Format v2 meta section (store.hpp kSectionMeta): u8 version, u32
+// Snapshot meta section (store.hpp kSectionMeta): u8 version, u32
 // ca_count, then per CA (in CaId order): var16 ca, u8 have_root, u8
 // desynchronized, [var16 signed root when have_root], 20B freshness,
 // u64 freshness_period, u64 freshness_seq, u64 dict_epoch, u64 dict_n,
 // 20B dict_root. The dictionaries' bulk data lives in the per-CA arena
-// sections, not in the meta.
+// sections, not in the meta. Keys and ∆ are trust configuration
+// (register_ca), not replicated state, and are not persisted.
+namespace {
 constexpr std::uint8_t kStoreSnapshotVersion2 = 2;
 }  // namespace
-
-void DictionaryStore::snapshot_into(ByteWriter& w) const {
-  w.u8(kStoreSnapshotVersion);
-  w.u32(static_cast<std::uint32_t>(cas_.size()));
-  for (const auto& [ca, state] : cas_) {
-    w.var16(ByteSpan(bytes_of(ca)));
-    w.u8(state.have_root ? 1 : 0);
-    w.u8(state.desynchronized ? 1 : 0);
-    if (state.have_root) w.var16(ByteSpan(state.root.encode()));
-    w.raw(ByteSpan(state.freshness));
-    w.u64(state.freshness_period);
-    w.u64(state.freshness_seq);
-    state.dict.snapshot_into(w);
-  }
-}
-
-void DictionaryStore::restore_from(ByteReader& r) {
-  const auto bad = [](const char* what) -> std::runtime_error {
-    return std::runtime_error(
-        std::string("DictionaryStore::restore_from: ") + what);
-  };
-  if (r.try_u8().value_or(0xFF) != kStoreSnapshotVersion) {
-    throw bad("unsupported snapshot version");
-  }
-  const auto count = r.try_u32();
-  if (!count) throw bad("truncated header");
-
-  // Stage into a copy so a failure at any CA leaves the store untouched.
-  // Staged caches start cold by construction (StatusCache's copy semantics
-  // drop the cache): a restore is a version change for every replica
-  // anyway, and the first post-restore lookup per shard starts clean.
-  std::map<cert::CaId, CaState> staged = cas_;
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    const auto ca_bytes = r.try_var16();
-    if (!ca_bytes) throw bad("truncated CA id");
-    const cert::CaId ca(ca_bytes->begin(), ca_bytes->end());
-    auto it = staged.find(ca);
-    if (it == staged.end()) throw bad("snapshot CA not registered");
-    CaState& state = it->second;
-
-    const auto have_root = r.try_u8();
-    const auto desync = r.try_u8();
-    if (!have_root || *have_root > 1 || !desync || *desync > 1) {
-      throw bad("bad flags");
-    }
-    state.have_root = *have_root == 1;
-    state.desynchronized = *desync == 1;
-    if (state.have_root) {
-      const auto root_bytes = r.try_var16();
-      if (!root_bytes) throw bad("truncated signed root");
-      auto root = dict::SignedRoot::decode(ByteSpan(*root_bytes));
-      if (!root || root->ca != ca) throw bad("bad signed root");
-      // Trust is re-established from the registered key, not the file.
-      if (!root->verify(state.key)) throw bad("signed root fails key check");
-      state.root = std::move(*root);
-    } else {
-      state.root = dict::SignedRoot{};
-    }
-    const auto freshness = r.try_raw(20);
-    const auto period = r.try_u64();
-    const auto seq = r.try_u64();
-    if (!freshness || !period || !seq) throw bad("truncated freshness state");
-    std::copy(freshness->begin(), freshness->end(), state.freshness.begin());
-    state.freshness_period = *period;
-    state.freshness_seq = *seq;
-    state.dict.restore_from(r);  // recomputes + checks the dictionary root
-    if (state.have_root && (state.dict.root() != state.root.root ||
-                            state.dict.size() != state.root.n)) {
-      throw bad("dictionary does not match signed root");
-    }
-    // Caches rebuild lazily: each (cold) shard restamps itself to the
-    // restored version on its first lookup.
-  }
-  cas_ = std::move(staged);
-}
 
 DictionaryStore::FrozenStore DictionaryStore::freeze() const {
   FrozenStore frozen;
@@ -569,8 +489,10 @@ void DictionaryStore::restore_v2(const persist::SnapshotFile::Mapped& mapped) {
   const auto count = r.try_u32();
   if (!count) throw bad("truncated header");
 
-  // Staged exactly like restore_from: a failure at any CA (including a
-  // section that fails adoption) leaves the store untouched.
+  // Stage into a copy so a failure at any CA (including a section that
+  // fails adoption) leaves the store untouched. Staged caches start cold by
+  // construction (StatusCache's copy semantics drop the cache): a restore
+  // is a version change for every replica anyway.
   std::map<cert::CaId, CaState> staged = cas_;
   for (std::uint32_t i = 0; i < *count; ++i) {
     const auto ca_bytes = r.try_var16();
@@ -649,14 +571,7 @@ DictionaryStore::RecoveryReport DictionaryStore::recover_from(
   std::uint64_t snapshot_seq = 0;
   if (rec.snapshot) {
     try {
-      if (rec.snapshot->version == 2) {
-        restore_v2(*rec.snapshot);
-      } else {
-        // v1 file: one kLegacySection payload, the streaming restore path.
-        ByteReader r{rec.snapshot->sections.front().data};
-        restore_from(r);
-        if (!r.done()) throw std::runtime_error("trailing snapshot bytes");
-      }
+      restore_v2(*rec.snapshot);
     } catch (const std::exception& e) {
       report.error = e.what();
       return report;

@@ -78,12 +78,14 @@ void RaUpdater::apply_message(const ca::FeedMessage& msg, UnixSeconds now) {
       return;
     }
   } else {
-    if (!store_->has_root(msg.freshness->ca) &&
-        store_->knows(msg.freshness->ca)) {
-      // Bootstrap: a freshness statement is useless without the signed
-      // root it chains to — fetch the full state via the sync protocol
-      // (§VIII bootstrapping).
-      run_sync(msg.freshness->ca, now);
+    const cert::CaId& ca = msg.freshness->ca;
+    if (store_->knows(ca) &&
+        (!store_->has_root(ca) || store_->needs_sync(ca))) {
+      // A freshness statement is useless without the signed root it chains
+      // to: a replica with no root (§VIII bootstrapping), or one whose gap
+      // sync has not yet succeeded, fetches the full state first. This is
+      // also what retries a failed gap sync at the next period.
+      run_sync(ca, now);
       return;
     }
     result = store_->apply_freshness(*msg.freshness, now);
@@ -95,7 +97,9 @@ void RaUpdater::apply_message(const ca::FeedMessage& msg, UnixSeconds now) {
   }
 }
 
-bool RaUpdater::run_delta_sync(const cert::CaId& ca, UnixSeconds now) {
+void RaUpdater::run_sync(const cert::CaId& ca, UnixSeconds now) {
+  if (sync_rpc_ == nullptr) return;
+  ++totals_.syncs;
   svc::Request req;
   req.method = svc::Method::feed_delta;
   req.body = ca::encode_delta_request({ca, store_->have_n(ca)}, now,
@@ -103,64 +107,15 @@ bool RaUpdater::run_delta_sync(const cert::CaId& ca, UnixSeconds now) {
   const svc::CallResult result = sync_rpc_->call(req);
   totals_.latency_ms += result.latency_ms;
   if (!result.ok()) {
-    if (result.status == svc::Status::ok &&
-        result.response.status == svc::Status::unknown_method) {
-      // A pre-delta sync server (or one without a period source): not a
-      // failure, a capability probe. Remember and retry over feed_sync.
-      delta_sync_supported_ = false;
-      return false;
-    }
-    count_rejected(result.error());
-    return true;
-  }
-  ByteReader r(ByteSpan(result.response.body));
-  const auto resume = r.try_u64();
-  if (!resume) {
-    count_rejected(svc::Status::malformed);
-    return true;
-  }
-  const auto resp =
-      dict::SyncResponse::decode(ByteSpan(result.response.body).subspan(8));
-  if (!resp) {
-    count_rejected(svc::Status::malformed);
-    return true;
-  }
-  totals_.sync_bytes += resp->wire_size();
-  const ApplyResult applied = store_->apply_sync(*resp, now);
-  if (applied != ApplyResult::ok) {
-    count_rejected(applied);
-    return true;
-  }
-  ++totals_.applied_ok;
-  ++totals_.delta_syncs;
-  // The response carries the CA's full dictionary state up to the server's
-  // current period: re-pulling the feed objects below `resume` would only
-  // replay what was just applied, so the cursor skips them (the same
-  // fast-forward contract as bootstrap()'s upto_period — and, as there, a
-  // skipped period touching another CA self-heals through that CA's own
-  // gap-triggered sync). Never rewind a fresher cursor.
-  if (*resume > next_period_) {
-    totals_.periods_skipped += *resume - next_period_;
-    next_period_ = *resume;
-    mark_period();
-  }
-  return true;
-}
-
-void RaUpdater::run_sync(const cert::CaId& ca, UnixSeconds now) {
-  if (sync_rpc_ == nullptr) return;
-  ++totals_.syncs;
-  if (delta_sync_supported_ && run_delta_sync(ca, now)) return;
-  svc::Request req;
-  req.method = svc::Method::feed_sync;
-  req.body = ca::encode_sync_request({ca, store_->have_n(ca)}, now);
-  const svc::CallResult result = sync_rpc_->call(req);
-  totals_.latency_ms += result.latency_ms;
-  if (!result.ok()) {
     count_rejected(result.error());
     return;
   }
-  const auto resp = dict::SyncResponse::decode(ByteSpan(result.response.body));
+  // Skip the leading resume_period: the cursor keeps pulling every period,
+  // since a period the sync subsumes for this CA can still carry another
+  // CA's messages.
+  const ByteSpan body(result.response.body);
+  std::optional<dict::SyncResponse> resp;
+  if (body.size() >= 8) resp = dict::SyncResponse::decode(body.subspan(8));
   if (!resp) {
     count_rejected(svc::Status::malformed);
     return;

@@ -1,9 +1,15 @@
 // The RA's dissemination client: every ∆ it pulls the per-period feed
 // object through the serving envelope (Method::cdn_get) and applies it to
 // the dictionary store; on a detected numbering gap it runs the sync
-// protocol over its sync transport (Method::feed_sync); and it can run the
+// protocol over its sync transport (Method::feed_delta); and it can run the
 // consistency-checking procedure of §III (fetch a random edge's copy of a
 // CA's signed root and compare against the local replica).
+//
+// Outside bootstrap() (below), the feed cursor advances one period at a
+// time and only past periods it fetched: a gap sync never moves it, because
+// the periods after it may carry other CAs' messages. A gap sync that fails
+// is retried at the CA's next feed message — its next issuance or
+// freshness statement.
 //
 // The updater speaks svc::Transport only (PR 5 replaced the raw cdn::Cdn*
 // pointer and the SyncFn hook; PR 6 deleted the deprecated compatibility
@@ -75,12 +81,8 @@ class RaUpdater {
     /// (bad_signature vs stale_root vs unknown_ca vs malformed ...), so a
     /// fleet operator can tell a hostile feed from a version skew.
     std::map<svc::Status, std::uint64_t> rejected_by;
-    std::uint64_t syncs = 0;
+    std::uint64_t syncs = 0;             // feed_delta calls made
     std::uint64_t sync_bytes = 0;
-    std::uint64_t delta_syncs = 0;       // syncs served via feed_delta
-    /// Feed period objects the cursor skipped because a delta sync (or a
-    /// bootstrap) already subsumed their content — pulls never made.
-    std::uint64_t periods_skipped = 0;
     std::uint64_t bootstraps = 0;        // cold-start objects installed
     std::uint64_t consistency_checks = 0;
     std::uint64_t misbehaviour_detected = 0;
@@ -95,7 +97,7 @@ class RaUpdater {
   };
 
   /// `cdn_rpc` serves Method::cdn_get (feed objects, signed roots,
-  /// cold-start objects); `sync_rpc` (optional) serves Method::feed_sync.
+  /// cold-start objects); `sync_rpc` (optional) serves Method::feed_delta.
   /// Both must outlive the updater.
   RaUpdater(Config config, DictionaryStore* store, svc::Transport* cdn_rpc,
             svc::Transport* sync_rpc = nullptr);
@@ -230,9 +232,6 @@ class RaUpdater {
   void checkpoint_once(bool sync_log_first);
   void checkpoint_loop(double interval_s);
   void run_sync(const cert::CaId& ca, UnixSeconds now);
-  /// feed_delta attempt; false means "server does not speak delta, retry
-  /// the same sync over feed_sync" (any other outcome is terminal).
-  bool run_delta_sync(const cert::CaId& ca, UnixSeconds now);
   void mark_period();
   void count_rejected(svc::Status code);
   void record_failure(svc::Status code, TimeMs now);
@@ -245,10 +244,6 @@ class RaUpdater {
   svc::Transport* cdn_rpc_ = nullptr;
   svc::Transport* sync_rpc_ = nullptr;
   std::uint64_t next_period_ = 0;
-  // Optimistic until the sync server answers unknown_method once; then the
-  // updater speaks feed_sync for the rest of its lifetime (one wasted RTT
-  // total, not one per sync).
-  bool delta_sync_supported_ = true;
   Totals totals_;
   Health health_;
   std::string persist_dir_;

@@ -1,7 +1,7 @@
 // The RITM service envelope (PR 5): the one versioned wire surface every
 // cross-component request/response in the system rides on — CDN object GETs,
-// the feed sync endpoint, RA<->RA gossip root exchange, and per-flow status
-// queries. Before this layer the components were wired together with raw
+// the feed sync endpoint, RA<->RA gossip reconciliation, and per-flow
+// status queries. Before this layer the components were wired together with raw
 // pointers and std::function hooks; now every boundary speaks the same
 // CRC-framed, length-prefixed protocol, over an in-process transport (the
 // simulated deployments) or a real TCP socket (svc/tcp.hpp).
@@ -58,14 +58,11 @@ enum class Method : std::uint16_t {
   /// u32 len + object bytes (owned by the response, never a view into the
   /// origin).
   cdn_get = 1,
-  /// Feed resynchronization (replaces RaUpdater::SyncFn). Body: u64 now_s +
-  /// dict::SyncRequest. Response: dict::SyncResponse.
-  feed_sync = 2,
-  /// RA<->RA gossip root exchange. Body: u32 count + count x var16
-  /// SignedRoot. Response: the peer's roots in the same shape, then u32
-  /// count + count x (var16 ours, var16 theirs) MisbehaviourEvidence pairs
-  /// the peer discovered while observing.
-  gossip_roots = 3,
+  // Ids 2 and 3 are retired: they carried the plain feed sync and the
+  // full-list gossip exchange, which feed_delta and gossip_digest +
+  // gossip_pull replaced. They answer unknown_method and must never be
+  // reassigned, so a stale peer's request is never misread as another
+  // method's body.
   /// Single status query. Body: var8 ca, var8 serial. Response:
   /// dict::RevocationStatus encoding (Eq. (3)).
   status_query = 4,
@@ -76,21 +73,18 @@ enum class Method : std::uint16_t {
   /// Set-reconciliation gossip, step 1 of 2 (digest swap): the caller's
   /// compact seen-set summary — per CA, segment-aligned runs of contiguous
   /// root sizes with a hash over each run — answered with the peer's own
-  /// digest in the same shape. Body layouts in ra/service.hpp. Peers that
-  /// predate this method answer unknown_method, which callers treat as
-  /// "fall back to the gossip_roots full exchange".
+  /// digest in the same shape. Body layouts in ra/service.hpp.
   gossip_digest = 6,
   /// Set-reconciliation gossip, step 2 of 2 (pull-only-missing): want-ranges
   /// diffed from the peer's digest plus the roots the peer was diffed to be
-  /// missing. Response: the requested roots + the evidence the peer found
-  /// observing the pushed ones (same tail shape as gossip_roots).
+  /// missing. Response: u32 count + count x var16 SignedRoot (the requested
+  /// roots), then u32 count + count x (var16 ours, var16 theirs)
+  /// MisbehaviourEvidence pairs the peer found observing the pushed ones.
   gossip_pull = 7,
-  /// Delta feed sync (replaces a feed_sync + per-period re-pulls): the RA
-  /// advertises its entry have-set *and* its feed cursor; the response is
-  /// the classic SyncResponse plus the first period the RA still needs, so
-  /// the cursor can skip period objects the sync already covers. Servers
-  /// without a period source answer unknown_method (callers fall back to
-  /// feed_sync).
+  /// Feed sync (paper §III): the RA advertises its entry have-set and its
+  /// feed cursor; the response is the CA's entries past that have-set, its
+  /// signed root and freshness, prefixed with the server's next feed
+  /// period. Body layouts in ca/sync_service.hpp.
   feed_delta = 8,
 };
 

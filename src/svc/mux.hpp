@@ -2,11 +2,11 @@
 //
 // MuxService routes requests to per-method backend services, so one port
 // (or one in-process dispatch) can expose the RA status endpoints, the CDN
-// object store, and the feed sync/delta endpoints together — the shape of a
-// real deployment where an edge node fronts several roles. Unrouted methods
-// answer unknown_method exactly like a server that never implemented them,
-// which is what keeps capability probing (feed_delta fallback, gossip
-// digest fallback) working through a mux unchanged.
+// object store, and the feed sync endpoint together — the shape of a real
+// deployment where an edge node fronts several roles. Unrouted methods go to
+// the default backend, or answer unknown_method exactly like a server that
+// never implemented them; every backend answers the retired ids 2 and 3
+// with unknown_method too.
 //
 // SharedLockService enforces the DictionaryStore concurrency contract at
 // the service boundary: reads (handle calls) take a caller-supplied

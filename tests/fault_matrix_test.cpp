@@ -258,8 +258,9 @@ TEST(ResilientTransport, BreakerOpensFastFailsThenProbes) {
 // ------------------------------------------------------------ the matrix
 
 /// A published world: one CA, three feed periods on the CDN, a sync
-/// endpoint for gap recovery. Read-only once built, so many fault
-/// schedules can share it.
+/// endpoint for gap recovery. Period 1's issuance is never submitted, so
+/// period 2's exposes a numbering gap and every RA runs a gap sync over
+/// feed_delta. Read-only once built, so many fault schedules can share it.
 struct FeedWorld {
   ca::CertificationAuthority ca;
   cdn::Cdn cdn = cdn::make_global_cdn(0);
@@ -279,8 +280,10 @@ struct FeedWorld {
         serial += 1 + rng.uniform(5);
         batch.push_back(SerialNumber::from_uint(serial, 4));
       }
-      EXPECT_EQ(dp.submit(ca::FeedMessage::of(ca.revoke(batch, t))),
-                svc::Status::ok);
+      const auto issuance = ca.revoke(batch, t);
+      if (period != 1) {
+        EXPECT_EQ(dp.submit(ca::FeedMessage::of(issuance)), svc::Status::ok);
+      }
       dp.publish(from_seconds(t));
       t += 10;
     }
@@ -327,6 +330,10 @@ TEST(FaultMatrix, FeedSyncConvergesUnderEveryScheduleToOracleState) {
                          &oracle_cdn.rpc, &oracle_sync);
     oracle.pull_up_to(2, from_seconds(2000));
     ASSERT_EQ(oracle.next_period(), 3u) << "world " << wi;
+    ASSERT_EQ(oracle.totals().syncs, 1u) << "world " << wi;
+    ASSERT_EQ(oracle_store.have_n(world.ca.id()),
+              world.ca.dictionary().size())
+        << "world " << wi;
     const Bytes want = fingerprint(oracle_store, world.ca.id());
 
     for (int si = 0; si < kSchedulesPerWorld; ++si) {
@@ -355,6 +362,7 @@ TEST(FaultMatrix, FeedSyncConvergesUnderEveryScheduleToOracleState) {
       }
       ASSERT_LE(guard, 50) << "seed " << seed << " did not converge";
       EXPECT_EQ(fingerprint(store, world.ca.id()), want) << "seed " << seed;
+      EXPECT_GE(up.totals().syncs, 1u) << "seed " << seed;
       EXPECT_FALSE(up.health().degraded) << "seed " << seed;
       EXPECT_GE(up.staleness_s(from_seconds(2000)), 0.0) << "seed " << seed;
 
@@ -431,12 +439,12 @@ TEST(FaultMatrix, GossipExchangeMatchesDirectExchangeUnderFaults) {
       VirtualTime vt;
       vt.install(&resilient);
 
-      // exchange_over returns nullopt only if the resilient call itself
+      // reconcile_over returns nullopt only if a resilient call itself
       // exhausts its budget — bounded retry, never a hang.
       std::optional<std::vector<ra::MisbehaviourEvidence>> wired;
       int guard = 0;
       while (!wired.has_value() && ++guard <= 50) {
-        wired = alice.exchange_over(resilient);
+        wired = alice.reconcile_over(resilient);
       }
       ASSERT_TRUE(wired.has_value()) << "seed " << seed;
       std::vector<std::string> got;

@@ -2,18 +2,18 @@
 // byte-identical — same final roots(), same MisbehaviourEvidence — to the
 // in-memory exchange() oracle across a 300-seed churn/partition matrix,
 // then exercised at mesh scale: 100 RAs with partitions, late joiners, and
-// one misbehaving peer injecting forged roots and fabricated evidence.
-// Legacy interop (a full-list-only peer answering unknown_method / an old
-// dispatcher answering version_skew) must still converge through the
-// gossip_roots fallback, and every attempt must leave a GossipStats trace.
+// one misbehaving peer injecting forged roots and fabricated evidence. A
+// peer that does not speak the digest methods (unknown_method or
+// version_skew) fails the contact and leaves both pools unchanged, and
+// every attempt leaves a GossipStats trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -256,7 +256,6 @@ TEST(GossipMesh, ReconcilePinnedToExchangeOracleAcross300Seeds) {
           << "evidence diverged: seed " << seed << " ra " << ra;
       conflicts_seen += oracle_ev[ra].size();
       EXPECT_EQ(wired[ra]->stats().failed, 0u);
-      EXPECT_EQ(wired[ra]->stats().fallbacks, 0u);
     }
   }
   // The matrix would prove little if the split views never collided.
@@ -282,7 +281,7 @@ class ForgingPeer final : public svc::Service {
       out.response.body = ra::encode_gossip_digest(d);
       return out;
     }
-    // gossip_pull and gossip_roots alike: forged roots + invented evidence.
+    // gossip_pull: forged roots + invented evidence.
     ByteWriter w(out.response.body);
     w.u32(1);
     w.var16(ByteSpan(forged_.encode()));
@@ -392,164 +391,124 @@ TEST(GossipMesh, HundredRasConvergeUnderChurnPartitionAndForgery) {
   EXPECT_GT(forged_drops, 0u);
 }
 
+/// What one contact would move as a full-list exchange: the caller's whole
+/// root list out and the peer's whole list back plus an empty evidence
+/// count, one frame each.
+std::uint64_t full_list_bytes(const ra::GossipPool& caller,
+                              const ra::GossipPool& peer) {
+  return 2 * svc::kFrameOverheadBytes +
+         ra::encode_gossip_roots(caller.roots()).size() +
+         ra::encode_gossip_roots(peer.roots()).size() + 4;
+}
+
 TEST(GossipMesh, DigestPathMovesFractionOfFullListBytes) {
   // The anti-entropy maintenance workload reconciliation exists for: every
   // RA holds the full history except a staggered recent tail (it is a few
-  // feed periods behind) and a couple of scattered holes. Same 32-RA
-  // scenario executed twice — reconcile_over vs exchange_over — byte
-  // totals from GossipStats. The bench pins the 100-RA ratio; this keeps
-  // the property under test on every ctest run.
+  // feed periods behind) and a couple of scattered holes. 32 RAs reconcile
+  // for 5 rounds; before each contact the full-list cost of the same
+  // contact is summed as the reference (a full-list exchange leaves the
+  // pair with the same union, so the pools evolve identically). The bench
+  // pins the 100-RA ratio; this keeps the property under test on every
+  // ctest run.
   constexpr int kRas = 32;
   constexpr int kRounds = 5;
   const auto u = make_universe(77, 256);
 
-  const auto run = [&](bool digest_path) {
-    ra::DictionaryStore store;
-    std::vector<std::unique_ptr<ra::GossipPool>> pools;
-    std::vector<std::unique_ptr<ra::RaService>> services;
-    std::vector<std::unique_ptr<svc::InProcessTransport>> rpcs;
-    Rng rng(99);  // same seeding + schedule for both paths
+  ra::DictionaryStore store;
+  std::vector<std::unique_ptr<ra::GossipPool>> pools;
+  std::vector<std::unique_ptr<ra::RaService>> services;
+  std::vector<std::unique_ptr<svc::InProcessTransport>> rpcs;
+  Rng rng(99);
+  for (int ra = 0; ra < kRas; ++ra) {
+    pools.push_back(std::make_unique<ra::GossipPool>(&u.keys));
+    services.push_back(
+        std::make_unique<ra::RaService>(&store, pools.back().get()));
+    rpcs.push_back(
+        std::make_unique<svc::InProcessTransport>(services.back().get()));
+    // Synced up to a recent cursor, minus two scattered holes.
+    const std::size_t cursor = u.honest.size() - 32 + rng.uniform(33);
+    const std::size_t hole1 = rng.uniform(u.honest.size());
+    const std::size_t hole2 = rng.uniform(u.honest.size());
+    for (std::size_t i = 0; i < cursor; ++i) {
+      if (i == hole1 || i == hole2) continue;
+      pools[ra]->observe(u.honest[i]);
+    }
+  }
+  std::uint64_t full_bytes = 0;
+  for (int round = 0; round < kRounds; ++round) {
     for (int ra = 0; ra < kRas; ++ra) {
-      pools.push_back(std::make_unique<ra::GossipPool>(&u.keys));
-      services.push_back(
-          std::make_unique<ra::RaService>(&store, pools.back().get()));
-      rpcs.push_back(
-          std::make_unique<svc::InProcessTransport>(services.back().get()));
-      // Synced up to a recent cursor, minus two scattered holes.
-      const std::size_t cursor =
-          u.honest.size() - 32 + rng.uniform(33);
-      const std::size_t hole1 = rng.uniform(u.honest.size());
-      const std::size_t hole2 = rng.uniform(u.honest.size());
-      for (std::size_t i = 0; i < cursor; ++i) {
-        if (i == hole1 || i == hole2) continue;
-        pools[ra]->observe(u.honest[i]);
-      }
+      int peer;
+      do {
+        peer = int(rng.uniform(std::uint64_t(kRas)));
+      } while (peer == ra);
+      full_bytes += full_list_bytes(*pools[ra], *pools[peer]);
+      // The counterfactual holds only while reconciliation leaves the pair
+      // with the union, as the full-list exchange would.
+      const auto mine = sorted_root_keys(*pools[ra]);
+      const auto theirs = sorted_root_keys(*pools[peer]);
+      std::vector<std::string> both;
+      std::set_union(mine.begin(), mine.end(), theirs.begin(), theirs.end(),
+                     std::back_inserter(both));
+      ASSERT_TRUE(pools[ra]->reconcile_over(*rpcs[peer]).has_value());
+      EXPECT_EQ(sorted_root_keys(*pools[ra]), both);
+      EXPECT_EQ(sorted_root_keys(*pools[peer]), both);
     }
-    for (int round = 0; round < kRounds; ++round) {
-      for (int ra = 0; ra < kRas; ++ra) {
-        int peer;
-        do {
-          peer = int(rng.uniform(std::uint64_t(kRas)));
-        } while (peer == ra);
-        const auto got = digest_path ? pools[ra]->reconcile_over(*rpcs[peer])
-                                     : pools[ra]->exchange_over(*rpcs[peer]);
-        EXPECT_TRUE(got.has_value());
-      }
-    }
-    std::uint64_t bytes = 0, saved = 0;
-    std::size_t held = 0;
-    for (int ra = 0; ra < kRas; ++ra) {
-      bytes += pools[ra]->stats().bytes_sent + pools[ra]->stats().bytes_received;
-      saved += pools[ra]->stats().bytes_saved;
-      held += pools[ra]->size();
-    }
-    return std::tuple(bytes, saved, held);
-  };
-
-  const auto [digest_bytes, digest_saved, digest_held] = run(true);
-  const auto [full_bytes, full_saved, full_held] = run(false);
-  EXPECT_EQ(digest_held, full_held);  // identical convergence
+  }
+  std::uint64_t digest_bytes = 0;
+  for (int ra = 0; ra < kRas; ++ra) {
+    digest_bytes +=
+        pools[ra]->stats().bytes_sent + pools[ra]->stats().bytes_received;
+  }
+  EXPECT_GT(digest_bytes, 0u);
   EXPECT_LT(digest_bytes * 5, full_bytes);  // <= 0.2x, the bench's gate
-  EXPECT_GT(digest_saved, 0u);
-  EXPECT_EQ(full_saved, 0u);  // the estimate never credits the full path
 }
 
-// ----------------------------------------------------- legacy interop
+// ------------------------------------------------- peers without digests
 
-/// A peer RA from before PR 8: same RaService dispatch, but the
-/// reconciliation method ids do not exist yet.
-class LegacyRaService final : public svc::Service {
+/// A peer RA whose dispatch does not implement the reconciliation methods.
+class NoDigestRaService final : public svc::Service {
  public:
-  explicit LegacyRaService(ra::RaService* inner) : inner_(inner) {}
+  NoDigestRaService(ra::RaService* inner, svc::Status answer)
+      : inner_(inner), answer_(answer) {}
   svc::ServeResult handle(const svc::Request& req) override {
     if (req.method == svc::Method::gossip_digest ||
         req.method == svc::Method::gossip_pull) {
       svc::ServeResult out;
-      out.response = svc::reject(req, svc::Status::unknown_method);
+      out.response = svc::reject(req, answer_);
       return out;
     }
     return inner_->handle(req);
   }
  private:
   ra::RaService* inner_;
+  svc::Status answer_;
 };
 
-/// An even older peer: a dispatcher that treats post-v1 method ids as a
-/// version problem rather than an unknown method.
-class SkewingRaService final : public svc::Service {
- public:
-  explicit SkewingRaService(ra::RaService* inner) : inner_(inner) {}
-  svc::ServeResult handle(const svc::Request& req) override {
-    if (static_cast<std::uint16_t>(req.method) > 5) {
-      svc::ServeResult out;
-      out.response = svc::reject(req, svc::Status::version_skew);
-      return out;
-    }
-    return inner_->handle(req);
-  }
- private:
-  ra::RaService* inner_;
-};
-
-TEST(GossipInterop, LegacyFullListPeerConvergesViaFallback) {
+TEST(GossipInterop, PeerWithoutDigestMethodsFailsTheContact) {
+  // There is no full-list fallback: unknown_method and version_skew fail
+  // the contact like any other refusal, and neither pool moves.
   const auto u = make_universe(5, 20);
-  const auto& evil_root = u.conflicting.back();
+  for (const svc::Status answer :
+       {svc::Status::unknown_method, svc::Status::version_skew}) {
+    ra::DictionaryStore store;
+    ra::GossipPool alice(&u.keys), bob(&u.keys);
+    alice.observe(u.honest[0]);
+    bob.observe(u.honest[1]);
+    bob.observe(u.conflicting.back());
+    const auto alice_before = sorted_root_keys(alice);
+    const auto bob_before = sorted_root_keys(bob);
+    ra::RaService bob_service(&store, &bob);
+    NoDigestRaService peer(&bob_service, answer);
+    svc::InProcessTransport peer_rpc(&peer);
 
-  // Oracle for the same pair of views.
-  ra::GossipPool alice_direct(&u.keys), bob_direct(&u.keys);
-  for (std::size_t i = 0; i + 1 < u.honest.size(); ++i) {
-    alice_direct.observe(u.honest[i]);
+    EXPECT_FALSE(alice.reconcile_over(peer_rpc).has_value())
+        << svc::to_string(answer);
+    EXPECT_EQ(alice.stats().attempted, 1u);
+    EXPECT_EQ(alice.stats().failed, 1u);
+    EXPECT_EQ(alice.stats().digest_exchanges, 0u);
+    EXPECT_EQ(sorted_root_keys(alice), alice_before);
+    EXPECT_EQ(sorted_root_keys(bob), bob_before);
   }
-  alice_direct.observe(u.honest.back());
-  bob_direct.observe(evil_root);
-  const auto direct = alice_direct.exchange(bob_direct);
-
-  ra::DictionaryStore store;
-  ra::GossipPool alice(&u.keys), bob(&u.keys);
-  for (std::size_t i = 0; i + 1 < u.honest.size(); ++i) {
-    alice.observe(u.honest[i]);
-  }
-  alice.observe(u.honest.back());
-  bob.observe(evil_root);
-  ra::RaService bob_service(&store, &bob);
-  LegacyRaService legacy(&bob_service);
-  svc::InProcessTransport legacy_rpc(&legacy);
-
-  const auto wired = alice.reconcile_over(legacy_rpc);
-  ASSERT_TRUE(wired.has_value());
-  // Same union, same evidence as the oracle exchange.
-  std::vector<std::string> direct_keys, wired_keys;
-  for (const auto& e : direct) direct_keys.push_back(evidence_key(e));
-  for (const auto& e : *wired) wired_keys.push_back(evidence_key(e));
-  std::sort(direct_keys.begin(), direct_keys.end());
-  std::sort(wired_keys.begin(), wired_keys.end());
-  EXPECT_EQ(wired_keys, direct_keys);
-  EXPECT_EQ(sorted_root_keys(alice), sorted_root_keys(alice_direct));
-  EXPECT_EQ(sorted_root_keys(bob), sorted_root_keys(bob_direct));
-  // The fallback left its trace.
-  EXPECT_EQ(alice.stats().attempted, 1u);
-  EXPECT_EQ(alice.stats().fallbacks, 1u);
-  EXPECT_EQ(alice.stats().full_exchanges, 1u);
-  EXPECT_EQ(alice.stats().digest_exchanges, 0u);
-  EXPECT_EQ(alice.stats().failed, 0u);
-}
-
-TEST(GossipInterop, VersionSkewTriggersSameFallback) {
-  const auto u = make_universe(6, 12);
-  ra::DictionaryStore store;
-  ra::GossipPool alice(&u.keys), bob(&u.keys);
-  alice.observe(u.honest[0]);
-  bob.observe(u.honest[1]);
-  ra::RaService bob_service(&store, &bob);
-  SkewingRaService skew(&bob_service);
-  svc::InProcessTransport skew_rpc(&skew);
-
-  const auto got = alice.reconcile_over(skew_rpc);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(alice.size(), 2u);
-  EXPECT_EQ(bob.size(), 2u);
-  EXPECT_EQ(alice.stats().fallbacks, 1u);
-  EXPECT_EQ(alice.stats().full_exchanges, 1u);
 }
 
 // ----------------------------------------------------------- statistics
@@ -589,7 +548,7 @@ TEST(GossipStats, EveryFailureLeavesATrace) {
   pool.observe(u.honest[0]);
 
   DeadTransport dead;
-  EXPECT_FALSE(pool.exchange_over(dead).has_value());
+  EXPECT_FALSE(pool.reconcile_over(dead).has_value());
   EXPECT_EQ(pool.stats().attempted, 1u);
   EXPECT_EQ(pool.stats().failed, 1u);
   EXPECT_EQ(pool.stats().bytes_sent, 42u);  // counted even on failure
@@ -597,6 +556,7 @@ TEST(GossipStats, EveryFailureLeavesATrace) {
   EXPECT_FALSE(pool.reconcile_over(dead).has_value());
   EXPECT_EQ(pool.stats().attempted, 2u);
   EXPECT_EQ(pool.stats().failed, 2u);
+  EXPECT_EQ(pool.stats().bytes_sent, 84u);
 
   // Digest leg succeeds, pull leg dies mid-exchange.
   ra::DictionaryStore store;
@@ -640,7 +600,7 @@ TEST(GossipStats, ConvergedPeersExchangeOnlyDigests) {
   // 80 identical roots: two digest frames instead of ~10 KB of root lists.
   const auto moved = a.stats().bytes_sent + a.stats().bytes_received;
   EXPECT_LT(moved, 500u);
-  EXPECT_GT(a.stats().bytes_saved, moved);
+  EXPECT_LT(moved * 20, full_list_bytes(a, b));
 }
 
 }  // namespace

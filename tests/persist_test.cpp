@@ -214,47 +214,62 @@ TEST(Wal, CorruptMiddleRecordEndsThePrefix) {
 
 // ------------------------------------------------------------ snapshots
 
+/// The single section of a mapped snapshot, as bytes.
+Bytes only_section(const SnapshotFile::Mapped& mapped) {
+  EXPECT_EQ(mapped.sections.size(), 1u);
+  const ByteSpan data = mapped.sections.front().data;
+  return Bytes(data.begin(), data.end());
+}
+
 TEST(Snapshot, AtomicCommitLoadAndFallback) {
   TempDir dir("snap");
   std::uint64_t skipped = 0;
-  EXPECT_FALSE(SnapshotFile::load_newest(dir.str(), &skipped).has_value());
+  EXPECT_FALSE(SnapshotFile::map_newest(dir.str(), &skipped).has_value());
 
   const Bytes a{1, 2, 3}, b(100000, 0x5C);
-  SnapshotFile::write(dir.str(), 3, ByteSpan(a));
-  SnapshotFile::write(dir.str(), 9, ByteSpan(b));
-  auto newest = SnapshotFile::load_newest(dir.str(), &skipped);
+  SnapshotFile::write_v2(dir.str(), 3, {{7, ByteSpan(a)}});
+  const std::uint64_t b_size =
+      SnapshotFile::write_v2(dir.str(), 9, {{7, ByteSpan(b)}});
+  auto newest = SnapshotFile::map_newest(dir.str(), &skipped);
   ASSERT_TRUE(newest.has_value());
   EXPECT_EQ(newest->seq, 9u);
-  EXPECT_EQ(newest->payload, b);
+  EXPECT_EQ(newest->sections.front().tag, 7u);
+  EXPECT_EQ(only_section(*newest), b);
   EXPECT_EQ(skipped, 0u);
 
-  // Corrupt the newest file: loading falls back to the previous snapshot.
+  // Corrupt a payload byte of the newest file: loading falls back to the
+  // previous snapshot.
   const std::string newest_path = dir.file("snap-0000000000000009.snap");
   Bytes image = read_all(newest_path);
-  image[SnapshotFile::kHeaderSize + 17] ^= 0x80;
+  ASSERT_EQ(image.size(), b_size);
+  image[image.size() - 64] ^= 0x80;  // inside b, past every header
   write_all(newest_path, ByteSpan(image));
-  auto fallback = SnapshotFile::load_newest(dir.str(), &skipped);
+  auto fallback = SnapshotFile::map_newest(dir.str(), &skipped);
   ASSERT_TRUE(fallback.has_value());
   EXPECT_EQ(fallback->seq, 3u);
-  EXPECT_EQ(fallback->payload, a);
+  EXPECT_EQ(only_section(*fallback), a);
   EXPECT_EQ(skipped, 1u);
 
   // A torn .tmp (crash before rename) is never considered.
   write_all(dir.file("snap-00000000000000ff.snap.tmp"), ByteSpan(a));
-  EXPECT_EQ(SnapshotFile::load_newest(dir.str())->seq, 3u);
+  EXPECT_EQ(SnapshotFile::map_newest(dir.str())->seq, 3u);
 }
 
 TEST(Snapshot, RetentionKeepsNewestTwo) {
   TempDir dir("snap-retention");
   for (std::uint64_t seq = 1; seq <= 5; ++seq) {
-    SnapshotFile::write(dir.str(), seq, ByteSpan(Bytes{std::uint8_t(seq)}));
+    const Bytes payload{std::uint8_t(seq)};
+    SnapshotFile::write_v2(dir.str(), seq, {{1, ByteSpan(payload)}});
   }
   std::size_t on_disk = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
     on_disk += entry.path().extension() == ".snap";
   }
   EXPECT_EQ(on_disk, 2u);
-  EXPECT_EQ(SnapshotFile::load_newest(dir.str())->seq, 5u);
+  const auto newest = SnapshotFile::map_newest(dir.str());
+  ASSERT_TRUE(newest.has_value());
+  EXPECT_EQ(newest->seq, 5u);
+  EXPECT_EQ(only_section(*newest), Bytes{5});
 }
 
 // ------------------------------------- dictionary backend snapshots
@@ -319,20 +334,24 @@ TEST(DictSnapshot, EmptyDictionaryRoundTrips) {
 }
 
 TEST(ShardedSnapshot, RoundTripAfterInsertsAndPrune) {
+  TempDir dir("sharded-roundtrip");
   dict::ShardedDictionary sharded(86'400);
   Rng rng(33);
   for (int i = 0; i < 500; ++i) {
     sharded.insert(SerialNumber::from_uint(rng.uniform(1 << 20), 4),
                    static_cast<UnixSeconds>(rng.uniform(40)) * 86'400 + 100);
   }
+  const std::size_t before_prune = sharded.shard_count();
   sharded.prune(15 * 86'400);  // drop the oldest expiry buckets
+  ASSERT_LT(sharded.shard_count(), before_prune);
 
-  ByteWriter w;
-  sharded.snapshot_into(w);
-  ByteReader r{ByteSpan(w.bytes())};
-  dict::ShardedDictionary restored(123);  // width overridden by the snapshot
-  restored.restore_from(r);
-  EXPECT_TRUE(r.done());
+  persist::ShardCheckpointer(dir.str()).checkpoint(sharded);
+  dict::ShardedDictionary restored(123);  // width overridden by the manifest
+  persist::ShardCheckpointer reader(dir.str());
+  const auto res = reader.recover(restored);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_TRUE(res.have_manifest);
+  EXPECT_EQ(restored.bucket_width(), sharded.bucket_width());
   EXPECT_EQ(restored.epoch(), sharded.epoch());
   EXPECT_EQ(restored.shard_count(), sharded.shard_count());
   EXPECT_EQ(restored.total_entries(), sharded.total_entries());
@@ -642,52 +661,6 @@ TEST(StorePersist, V2CorruptionAtEveryStructuralByteFallsBack) {
   ASSERT_TRUE(report.ok) << report.error;
   EXPECT_EQ(report.snapshots_skipped, 0u);
   EXPECT_EQ(recovered.have_n(ca.id()), live.have_n(ca.id()));
-}
-
-// Directories written before format v2 (a v1 streaming snapshot + WAL
-// tail) must keep recovering byte-identically through the new path.
-TEST(StorePersist, LegacyV1SnapshotStillRecovers) {
-  TempDir dir("store-v1-compat");
-  auto ca = make_ca(17);
-  Rng rng(18);
-  ra::DictionaryStore live;
-  live.register_ca(ca.id(), ca.public_key(), ca.delta());
-  persist::WriteAheadLog wal;
-  wal.open(Recovery::wal_path(dir.str()));
-  live.attach_wal(&wal);
-
-  UnixSeconds now = 1000;
-  const auto issue = [&](std::size_t count) {
-    std::vector<SerialNumber> serials;
-    for (std::size_t i = 0; i < count; ++i) {
-      serials.push_back(SerialNumber::from_uint(rng.uniform(1 << 20), 4));
-    }
-    now += 10;
-    ASSERT_EQ(live.apply_issuance(ca.revoke(serials, now), now),
-              ra::ApplyResult::ok);
-  };
-
-  for (int i = 0; i < 6; ++i) issue(4);
-  // Snapshot the pre-v2 way: one streamed payload behind a file CRC.
-  ByteWriter w;
-  live.snapshot_into(w);
-  SnapshotFile::write(dir.str(), live.mutation_seq(), ByteSpan(w.bytes()));
-  wal.reset(live.mutation_seq() + 1);
-  for (int i = 0; i < 3; ++i) issue(2);  // the tail
-  wal.sync();
-
-  ra::DictionaryStore recovered;
-  recovered.register_ca(ca.id(), ca.public_key(), ca.delta());
-  const auto report = recovered.recover_from(dir.str());
-  ASSERT_TRUE(report.ok) << report.error;
-  EXPECT_TRUE(report.have_snapshot);
-  EXPECT_EQ(report.replayed, 3u);
-  EXPECT_EQ(recovered.have_n(ca.id()), live.have_n(ca.id()));
-  EXPECT_EQ(recovered.root_of(ca.id())->encode(),
-            live.root_of(ca.id())->encode());
-  const auto probe = SerialNumber::from_uint(777, 4);
-  EXPECT_EQ(recovered.status_for(ca.id(), probe)->encode(),
-            live.status_for(ca.id(), probe)->encode());
 }
 
 // ------------------------------------- per-shard incremental checkpoints

@@ -706,6 +706,168 @@ TEST(Updater, GapTriggersSync) {
   EXPECT_FALSE(store.needs_sync("CA-1"));
 }
 
+/// Everything an RA needs to pull a feed and heal gaps, wired the way
+/// ritm_serve wires it: the sync endpoint knows the feed's period source.
+struct FeedRig {
+  cdn::Cdn cdn = cdn::make_global_cdn(0);
+  ca::DistributionPoint dp{&cdn, 10};
+  cdn::LocalCdn cdn_rpc{&cdn};
+  ca::SyncService sync_service;
+  DictionaryStore store;
+
+  FeedRig() { sync_service.set_period_source(&dp); }
+
+  void add(const ca::CertificationAuthority& ca) {
+    dp.register_ca(ca.id(), ca.public_key());
+    sync_service.add(&ca);
+    store.register_ca(ca.id(), ca.public_key(), ca.delta());
+  }
+};
+
+bool served_revoked(const DictionaryStore& store, const cert::CaId& ca,
+                    std::uint64_t serial) {
+  const auto status = store.status_for(ca, SerialNumber::from_uint(serial));
+  return status && status->proof.type == dict::Proof::Type::presence;
+}
+
+TEST(Updater, GapSyncKeepsPullingTheNextPeriod) {
+  // The RA heals a gap in period 0 before period 1 exists. Period 1 then
+  // revokes serial 3 and period 2 carries only freshness: the cursor must
+  // fetch both, whatever resume_period the sync answered with.
+  auto ca = make_ca(33);
+  FeedRig rig;
+  rig.add(ca);
+  svc::InProcessTransport sync_rpc(&rig.sync_service);
+  RaUpdater updater({sim::GeoPoint{47.4, 8.5}}, &rig.store, &rig.cdn_rpc.rpc,
+                    &sync_rpc);
+
+  ca.revoke({SerialNumber::from_uint(1)}, 1000);  // never published
+  rig.dp.submit(ca::FeedMessage::of(
+      ca.revoke({SerialNumber::from_uint(2)}, 1010)));
+  rig.dp.publish(from_seconds(1010));
+  updater.pull_up_to(0, from_seconds(1020));
+  ASSERT_EQ(updater.totals().syncs, 1u);
+  ASSERT_EQ(rig.store.have_n(ca.id()), 2u);
+  EXPECT_EQ(updater.next_period(), 1u);
+
+  rig.dp.submit(ca::FeedMessage::of(
+      ca.revoke({SerialNumber::from_uint(3)}, 1020)));
+  rig.dp.publish(from_seconds(1020));
+  rig.dp.submit(ca::FeedMessage::of(
+      dict::FreshnessStatement{ca.id(), ca.freshness_at(1030)}));
+  rig.dp.publish(from_seconds(1030));
+  updater.pull_up_to(2, from_seconds(1030));
+
+  EXPECT_EQ(updater.next_period(), 3u);
+  EXPECT_EQ(rig.store.have_n(ca.id()), 3u);
+  EXPECT_TRUE(served_revoked(rig.store, ca.id(), 3));
+  EXPECT_EQ(updater.totals().rejected, 0u);
+  EXPECT_EQ(updater.totals().syncs, 1u);
+}
+
+TEST(Updater, GapSyncOfOneCaKeepsOtherCasPeriods) {
+  // Four periods are out; the RA is three behind. CA-A's gap sync in
+  // period 0 covers CA-A's state, but CA-B revokes serial 9 in period 1,
+  // so the cursor must still walk periods 1..3.
+  auto ca_a = make_ca(34);
+  Rng rng(35);
+  ca::CertificationAuthority::Config cfg;
+  cfg.id = "CA-2";
+  cfg.delta = 10;
+  cfg.chain_length = 64;
+  ca::CertificationAuthority ca_b(cfg, rng, 1000);
+  FeedRig rig;
+  rig.add(ca_a);
+  rig.add(ca_b);
+  svc::InProcessTransport sync_rpc(&rig.sync_service);
+  RaUpdater updater({sim::GeoPoint{47.4, 8.5}}, &rig.store, &rig.cdn_rpc.rpc,
+                    &sync_rpc);
+
+  ca_a.revoke({SerialNumber::from_uint(1)}, 1000);  // never published
+  rig.dp.submit(ca::FeedMessage::of(
+      ca_a.revoke({SerialNumber::from_uint(2)}, 1010)));
+  rig.dp.submit(ca::FeedMessage::of(
+      ca_b.revoke({SerialNumber::from_uint(8)}, 1010)));
+  rig.dp.publish(from_seconds(1010));
+  rig.dp.submit(ca::FeedMessage::of(
+      ca_b.revoke({SerialNumber::from_uint(9)}, 1020)));
+  rig.dp.publish(from_seconds(1020));
+  rig.dp.publish(from_seconds(1030));
+  rig.dp.publish(from_seconds(1040));
+  ASSERT_EQ(rig.dp.next_period(), 4u);
+
+  updater.pull_up_to(3, from_seconds(1040));
+
+  EXPECT_EQ(updater.next_period(), 4u);
+  EXPECT_EQ(updater.totals().syncs, 1u);
+  EXPECT_EQ(rig.store.have_n(ca_a.id()), 2u);
+  EXPECT_EQ(rig.store.have_n(ca_b.id()), 2u);
+  EXPECT_TRUE(served_revoked(rig.store, ca_b.id(), 9));
+  EXPECT_EQ(updater.totals().rejected, 0u);
+}
+
+TEST(Updater, FailedGapSyncIsRetriedAtTheNextFreshnessStatement) {
+  // The sync endpoint is down for the period that exposes a gap, then up
+  // for three freshness-only periods. The first statement retries the
+  // sync; all three are accepted on the healed replica.
+  class SwitchableTransport final : public svc::Transport {
+   public:
+    explicit SwitchableTransport(svc::Transport* inner) : inner_(inner) {}
+    svc::CallResult call(const svc::Request& req) override {
+      if (!up) {
+        svc::CallResult r;
+        r.status = svc::Status::transport_error;
+        return r;
+      }
+      return inner_->call(req);
+    }
+    bool up = true;
+   private:
+    svc::Transport* inner_;
+  };
+
+  auto ca = make_ca(36);
+  FeedRig rig;
+  rig.add(ca);
+  svc::InProcessTransport sync_in(&rig.sync_service);
+  SwitchableTransport sync_rpc(&sync_in);
+  RaUpdater updater({sim::GeoPoint{47.4, 8.5}}, &rig.store, &rig.cdn_rpc.rpc,
+                    &sync_rpc);
+
+  rig.dp.submit(ca::FeedMessage::of(
+      ca.revoke({SerialNumber::from_uint(1)}, 1000)));
+  rig.dp.publish(from_seconds(1000));
+  updater.pull_up_to(0, from_seconds(1000));
+  ASSERT_EQ(rig.store.have_n(ca.id()), 1u);
+
+  ca.revoke({SerialNumber::from_uint(2)}, 1010);  // never published
+  rig.dp.submit(ca::FeedMessage::of(
+      ca.revoke({SerialNumber::from_uint(3)}, 1010)));
+  rig.dp.publish(from_seconds(1010));
+  sync_rpc.up = false;
+  updater.pull_up_to(1, from_seconds(1010));
+  ASSERT_EQ(rig.store.have_n(ca.id()), 1u);
+  ASSERT_TRUE(rig.store.needs_sync(ca.id()));
+  EXPECT_EQ(updater.totals().rejected_by.at(svc::Status::transport_error), 1u);
+
+  sync_rpc.up = true;
+  for (std::uint64_t period = 2; period <= 4; ++period) {
+    const UnixSeconds t = 1000 + 10 * UnixSeconds(period);
+    rig.dp.submit(ca::FeedMessage::of(
+        dict::FreshnessStatement{ca.id(), ca.freshness_at(t)}));
+    rig.dp.publish(from_seconds(t));
+    updater.pull_up_to(period, from_seconds(t));
+  }
+
+  EXPECT_EQ(rig.store.have_n(ca.id()), 3u);
+  EXPECT_FALSE(rig.store.needs_sync(ca.id()));
+  EXPECT_TRUE(served_revoked(rig.store, ca.id(), 3));
+  EXPECT_EQ(updater.totals().syncs, 2u);
+  EXPECT_FALSE(
+      updater.totals().rejected_by.contains(svc::Status::bad_freshness));
+  EXPECT_EQ(updater.totals().rejected, 1u);
+}
+
 TEST(Updater, ConsistencyCheckFindsSplitView) {
   auto ca = make_ca(32);
   cdn::Cdn cdn = cdn::make_global_cdn(0);

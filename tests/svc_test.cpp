@@ -26,10 +26,12 @@
 #include "client/client.hpp"
 #include "common/crc32.hpp"
 #include "common/io.hpp"
+#include "ra/gossip.hpp"
 #include "ra/service.hpp"
 #include "ra/store.hpp"
 #include "ra/updater.hpp"
 #include "svc/fault.hpp"
+#include "svc/mux.hpp"
 #include "svc/resilient.hpp"
 #include "svc/tcp.hpp"
 
@@ -119,7 +121,7 @@ TEST(Envelope, TruncationAtEveryFramingByte) {
   // Every strict prefix of a valid frame must come back `truncated` with
   // nothing consumed — the "wait for more bytes" signal, never an error,
   // never a partial decode.
-  const auto req = make_request(svc::Method::feed_sync, {9, 8, 7, 6, 5});
+  const auto req = make_request(svc::Method::feed_delta, {9, 8, 7, 6, 5});
   const Bytes frame = svc::encode_frame(req);
   for (std::size_t cut = 0; cut < frame.size(); ++cut) {
     const auto d = svc::decode_frame(ByteSpan(frame.data(), cut));
@@ -206,7 +208,7 @@ TEST(Dispatch, UnknownMethodEchoesRequestId) {
   // answered unknown_method with the request id echoed.
   cdn::Cdn cdn = cdn::make_global_cdn(0);
   cdn::CdnService service(&cdn);
-  const auto req = make_request(svc::Method::gossip_roots, {}, 1234);
+  const auto req = make_request(svc::Method::status_query, {}, 1234);
   const auto reply = svc::serve_bytes(service, ByteSpan(svc::encode_frame(req)));
   ASSERT_FALSE(reply.need_more);
   ASSERT_FALSE(reply.fatal);
@@ -214,6 +216,51 @@ TEST(Dispatch, UnknownMethodEchoesRequestId) {
   ASSERT_EQ(d.status, svc::Status::ok);
   EXPECT_EQ(d.response.status, svc::Status::unknown_method);
   EXPECT_EQ(d.response.request_id, 1234u);
+}
+
+TEST(Dispatch, RetiredMethodIdsAnswerUnknownMethod) {
+  // Ids 2 (feed_sync) and 3 (gossip_roots) are retired. A mux shaped like
+  // ritm_serve's — RA endpoint as default, the CDN, and the feed sync
+  // endpoint — answers both with unknown_method and echoes the request id.
+  auto ca = make_ca(40);
+  cdn::Cdn cdn = cdn::make_global_cdn(0);
+  ca::DistributionPoint dp(&cdn, 10);
+  dp.register_ca(ca.id(), ca.public_key());
+  cdn::LocalCdn local_cdn(&cdn);
+  ca::SyncService sync;
+  sync.add(&ca);
+  sync.set_period_source(&dp);
+  cert::TrustStore keys;
+  keys.add(ca.id(), ca.public_key());
+  ra::GossipPool gossip(&keys);
+  ra::DictionaryStore store;
+  ra::RaService ra_service(&store, &gossip);
+  svc::MuxService mux;
+  mux.set_default(&ra_service);
+  mux.route(svc::Method::cdn_get, &local_cdn.service);
+  mux.route(svc::Method::feed_delta, &sync);
+
+  for (const std::uint16_t id : {2, 3}) {
+    const auto req =
+        make_request(static_cast<svc::Method>(id), {1, 2}, 900 + id);
+    const auto reply = svc::serve_bytes(mux, ByteSpan(svc::encode_frame(req)));
+    ASSERT_FALSE(reply.fatal) << "id " << id;
+    const auto d = svc::decode_frame(ByteSpan(reply.frame));
+    ASSERT_EQ(d.status, svc::Status::ok) << "id " << id;
+    EXPECT_EQ(d.response.status, svc::Status::unknown_method) << "id " << id;
+    EXPECT_EQ(d.response.request_id, 900u + id) << "id " << id;
+  }
+  // The live neighbours still reach their backends (and reject the bogus
+  // body on its merits, not as an unknown method).
+  for (const auto method : {svc::Method::status_query, svc::Method::feed_delta,
+                            svc::Method::gossip_digest}) {
+    const auto req = make_request(method, {1, 2}, 5);
+    const auto reply = svc::serve_bytes(mux, ByteSpan(svc::encode_frame(req)));
+    const auto d = svc::decode_frame(ByteSpan(reply.frame));
+    ASSERT_EQ(d.status, svc::Status::ok);
+    EXPECT_EQ(d.response.status, svc::Status::malformed)
+        << static_cast<int>(method);
+  }
 }
 
 TEST(Dispatch, VersionSkewV1ClientV2Server) {
@@ -407,7 +454,7 @@ TEST(SyncEndpoint, GapRecoveryOverTransport) {
   EXPECT_EQ(updater.totals().rejected, 0u);
 }
 
-TEST(GossipEndpoint, ExchangeOverTransportMatchesDirectExchange) {
+TEST(GossipEndpoint, ReconcileOverTransportMatchesDirectExchange) {
   auto ca = make_ca(42);
   ca::MisbehavingCa evil(ca);
   const auto hide = SerialNumber::from_uint(13);
@@ -417,7 +464,7 @@ TEST(GossipEndpoint, ExchangeOverTransportMatchesDirectExchange) {
   cert::TrustStore keys;
   keys.add(ca.id(), ca.public_key());
 
-  // Direct in-memory exchange (the pre-PR5 path) as the oracle.
+  // Direct in-memory exchange as the oracle.
   ra::GossipPool alice_direct(&keys), bob_direct(&keys);
   alice_direct.observe(honest.signed_root);
   bob_direct.observe(fake.signed_root);
@@ -434,7 +481,7 @@ TEST(GossipEndpoint, ExchangeOverTransportMatchesDirectExchange) {
   ra::RaService bob_service(&bob_store, &bob);
   svc::InProcessTransport bob_rpc(&bob_service);
 
-  const auto wired = alice.exchange_over(bob_rpc);
+  const auto wired = alice.reconcile_over(bob_rpc);
   ASSERT_TRUE(wired.has_value());
   ASSERT_EQ(wired->size(), direct.size());
   // Same evidence set, independent of which side reported first.
@@ -455,11 +502,11 @@ TEST(GossipEndpoint, ExchangeOverTransportMatchesDirectExchange) {
   // A pool-less RA answers gossip with `unavailable`.
   ra::RaService no_gossip(&bob_store);
   svc::InProcessTransport no_gossip_rpc(&no_gossip);
-  EXPECT_FALSE(alice.exchange_over(no_gossip_rpc).has_value());
+  EXPECT_FALSE(alice.reconcile_over(no_gossip_rpc).has_value());
 }
 
 TEST(GossipEndpoint, FabricatedPeerEvidenceIsDropped) {
-  // A lying peer RA returns "evidence" it invented. exchange_over must
+  // A lying peer RA returns "evidence" it invented. reconcile_over must
   // re-check every pair against the observe() rule (both roots signed by
   // the CA's key, same n, different root) instead of believing the peer.
   auto ca = make_ca(46);
@@ -472,13 +519,10 @@ TEST(GossipEndpoint, FabricatedPeerEvidenceIsDropped) {
     svc::ServeResult handle(const svc::Request& req) override {
       svc::ServeResult out;
       out.response.request_id = req.request_id;
-      ByteWriter w(out.response.body);
-      w.u32(0);  // no roots of its own
-      w.u32(static_cast<std::uint32_t>(fabricated_.size()));
-      for (const auto& e : fabricated_) {
-        w.var16(ByteSpan(e.ours.encode()));
-        w.var16(ByteSpan(e.theirs.encode()));
-      }
+      // An empty digest, then a pull reply with no roots of its own.
+      out.response.body = req.method == svc::Method::gossip_digest
+                              ? ra::encode_gossip_digest({})
+                              : ra::encode_gossip_reply({{}, fabricated_});
       return out;
     }
    private:
@@ -498,7 +542,7 @@ TEST(GossipEndpoint, FabricatedPeerEvidenceIsDropped) {
 
   ra::GossipPool pool(&keys);
   pool.observe(honest.signed_root);
-  const auto evidence = pool.exchange_over(liar_rpc);
+  const auto evidence = pool.reconcile_over(liar_rpc);
   ASSERT_TRUE(evidence.has_value());
   EXPECT_TRUE(evidence->empty());       // nothing believed
   EXPECT_EQ(pool.forged_dropped(), 2u); // both fabrications counted

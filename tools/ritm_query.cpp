@@ -1,6 +1,6 @@
 // ritm_query: query a running ritm_serve (or any envelope RA endpoint)
-// over TCP — single status queries, batches, and a gossip probe — and
-// print the decoded verdicts.
+// over TCP — single status queries (optionally pipelined) and batches —
+// and print the decoded verdicts.
 //
 //   ./ritm_query --port 4717 --serial 00000007 --serial 0000002a
 //   ./ritm_query --port 4717 --batch 256

@@ -1,8 +1,9 @@
 // ritm_serve: stand up a real RA status server on a TCP port.
 //
 // Builds a demo CA with a revocation dictionary, boots an RA replica from
-// it, and serves Method::status_query / status_batch / gossip_roots over
-// the envelope protocol (svc::TcpServer). Pair with ritm_query:
+// it, and serves Method::status_query / status_batch / gossip_digest /
+// gossip_pull over the envelope protocol (svc::TcpServer), muxed with the
+// CDN object store and the feed sync endpoint. Pair with ritm_query:
 //
 //   ./ritm_serve --port 4717 --entries 100000 &
 //   ./ritm_query --port 4717 --serial 0000002a --batch 256
@@ -198,8 +199,8 @@ int main(int argc, char** argv) {
   gossip.observe(ca.signed_root());
 
   // One port, full deployment surface: RA status/gossip endpoints plus the
-  // CDN object store (cold-start bootstrap) and the CA feed sync/delta
-  // endpoints, muxed by method — what a fresh RA or a scenario driver needs
+  // CDN object store (cold-start bootstrap) and the CA feed sync endpoint,
+  // muxed by method — what a fresh RA or a scenario driver needs
   // to go from nothing to serving without a second address.
   ca::DistributionPoint dp(&global_cdn, delta);
   dp.register_ca(ca.id(), ca.public_key());
@@ -218,7 +219,6 @@ int main(int argc, char** argv) {
   svc::MuxService mux;
   mux.set_default(&service);
   mux.route(svc::Method::cdn_get, &local_cdn.service);
-  mux.route(svc::Method::feed_sync, &sync);
   mux.route(svc::Method::feed_delta, &sync);
   svc::TcpServerOptions opts;
   opts.port = port;
@@ -238,9 +238,9 @@ int main(int argc, char** argv) {
   std::printf("  trust       %s\n",
               to_hex(ByteSpan(key.data(), key.size())).c_str());
   std::printf("  revoked     serials 7, 14, 21, ... (hex width 4)\n");
-  std::printf("  protocol    v%u; methods: cdn_get(1) feed_sync(2) "
-              "gossip_roots(3) status_query(4) status_batch(5) "
-              "gossip_digest(6) gossip_pull(7) feed_delta(8)\n",
+  std::printf("  protocol    v%u; methods: cdn_get(1) status_query(4) "
+              "status_batch(5) gossip_digest(6) gossip_pull(7) "
+              "feed_delta(8)\n",
               svc::kProtocolVersion);
   std::printf("  reactors    %u (%s)\n", server.reactor_count(),
               server.using_reuseport() ? "SO_REUSEPORT listeners"
@@ -285,18 +285,14 @@ int main(int argc, char** argv) {
               (unsigned long long)stats.bytes_out);
   const auto gs = gossip.stats();
   std::printf("gossip: %llu digest + %llu pull requests served; pool-side "
-              "exchanges %llu attempted (%llu failed, %llu digest / %llu "
-              "full, %llu fallbacks), %llu B sent / %llu B received, "
-              "%llu B saved vs full-list\n",
+              "exchanges %llu attempted (%llu failed, %llu completed), "
+              "%llu B sent / %llu B received\n",
               (unsigned long long)svc_stats.gossip_digests,
               (unsigned long long)svc_stats.gossip_pulls,
               (unsigned long long)gs.attempted, (unsigned long long)gs.failed,
               (unsigned long long)gs.digest_exchanges,
-              (unsigned long long)gs.full_exchanges,
-              (unsigned long long)gs.fallbacks,
               (unsigned long long)gs.bytes_sent,
-              (unsigned long long)gs.bytes_received,
-              (unsigned long long)gs.bytes_saved);
+              (unsigned long long)gs.bytes_received);
   if (updater) {
     const auto cs = updater->checkpoint_stats();
     std::printf("persist: %llu checkpoints (%llu WAL resets, %llu skipped), "
