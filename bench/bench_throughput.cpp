@@ -31,11 +31,8 @@
 #include "cdn/service.hpp"
 #include "client/client.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "crypto/sha256_engine.hpp"
 #include "dict/dictionary.hpp"
-#include "dict/sharded.hpp"
-#include "persist/shard_checkpoint.hpp"
 #include "ra/agent.hpp"
 #include "ra/service.hpp"
 #include "ra/updater.hpp"
@@ -349,46 +346,6 @@ int main() {
                 (unsigned long long)cs.invalidations, multi_hit_rate);
   }
 
-  // --- parallel dirty-shard rebuild: every shard dirtied, then rebuilt
-  // serially vs fanned across the pool. Roots must agree byte for byte.
-  constexpr std::size_t kShards = 64;
-  constexpr std::uint64_t kPerShard = 2'000;
-  double rebuild_serial_ms = 0, rebuild_pool_ms = 0;
-  std::size_t pool_threads = 0;
-  {
-    dict::ShardedDictionary sharded(86'400);
-    for (std::size_t s = 0; s < kShards; ++s) {
-      for (std::uint64_t i = 0; i < kPerShard; ++i) {
-        sharded.insert(
-            cert::SerialNumber::from_uint(s * 1'000'000 + i * 5 + 1, 4),
-            static_cast<UnixSeconds>(s) * 86'400 + 1000);
-      }
-    }
-    dict::ShardedDictionary parallel = sharded;  // identical dirty state
-    // Pinned worker count: with the default (hardware_concurrency) a
-    // single-core host would fall into run_indexed's inline path and the
-    // "pool" row would silently measure serial code.
-    ThreadPool pool(4);
-    pool_threads = pool.thread_count();
-
-    auto start = std::chrono::steady_clock::now();
-    const std::size_t rebuilt_serial = sharded.rebuild_dirty(nullptr);
-    rebuild_serial_ms = ms_of(std::chrono::steady_clock::now() - start);
-
-    start = std::chrono::steady_clock::now();
-    const std::size_t rebuilt_pool = parallel.rebuild_dirty(&pool);
-    rebuild_pool_ms = ms_of(std::chrono::steady_clock::now() - start);
-
-    const bool roots_match = sharded.shard_roots() == parallel.shard_roots();
-    std::printf("\n== sharded rebuild (%zu shards x %llu entries) ==\n",
-                kShards, (unsigned long long)kPerShard);
-    std::printf("serial: %zu shards in %.2f ms; pool(%zu): %zu shards in "
-                "%.2f ms; roots %s\n",
-                rebuilt_serial, rebuild_serial_ms, pool_threads, rebuilt_pool,
-                rebuild_pool_ms, roots_match ? "identical" : "DIVERGED!");
-    if (!roots_match) return 1;
-  }
-
   // --- dictionary Δ-batch update throughput (100k-entry dictionary).
   constexpr std::uint64_t kDictBase = 100'000;
   constexpr std::size_t kDictBatches = 200;
@@ -497,19 +454,20 @@ int main() {
                 rebuild_speedup);
   }
 
-  // --- recovery: RA restart via snapshot + WAL tail vs a full feed replay
-  // of the issuance history, on a 1M-entry dictionary disseminated over 1k
-  // feed periods (1000 revocations each; RITM_BENCH_RECOVERY_ENTRIES
-  // overrides the size — the nightly job runs 10M). The durable RA
-  // checkpoints 20 periods before the "crash", so restart = mmap the v2
-  // snapshot and adopt its arenas (no per-entry re-hash, no per-issuance
-  // signature) + replay the log tail; the cold RA re-pulls, re-verifies,
-  // and re-applies every period. The tail is 1% of the corpus (the same
-  // dirt fraction the incremental-checkpoint gate uses): with background
-  // checkpoints every ~30s a restart sees at most a few periods of tail,
-  // and tail replay cost scales with dictionary size, not tail size alone.
-  // A second pass restores the same state from a v1 (streaming) and a v2
-  // (mmap) snapshot with no tail to isolate the format-v2 restart win.
+  // --- recovery: RA restart via checkpoint + WAL tail vs a full feed
+  // replay of the issuance history, on a 1M-entry dictionary disseminated
+  // over 1k feed periods (1000 revocations each;
+  // RITM_BENCH_RECOVERY_ENTRIES overrides the size — the nightly job runs
+  // 10M). The durable RA checkpoints 10 periods before the "crash", so
+  // restart = mmap the checkpoint's part and adopt its arenas (no
+  // per-entry re-hash, no per-issuance signature) + replay the log tail;
+  // the cold RA re-pulls, re-verifies, and re-applies every period. The
+  // tail is 1% of the corpus (the same dirt fraction the
+  // incremental-checkpoint gate uses): with background checkpoints every
+  // ~30s a restart sees at most a few periods of tail, and tail replay cost
+  // scales with dictionary size, not tail size alone. A second pass
+  // restores the same state from the CDN cold-start object (streaming) and
+  // from a checkpoint (mmap) with no tail to isolate the mmap restart win.
   std::uint64_t kRecEntries = 1'000'000;
   constexpr std::size_t kRecBatch = 1000;
   constexpr std::uint64_t kRecTailPeriods = 10;
@@ -559,7 +517,7 @@ int main() {
     cdn::LocalCdn rcdn_rpc(&rcdn);
 
     // Durable RA: pull everything published so far, checkpoint, then pull
-    // the 20-period tail that only reaches the WAL.
+    // the 10-period tail that only reaches the WAL.
     ra::DictionaryStore dur_store;
     dur_store.register_ca(rca.id(), rca.public_key(), kDelta);
     ra::RaUpdater dur({.location = here}, &dur_store, &rcdn_rpc.rpc);
@@ -571,7 +529,7 @@ int main() {
     dur.pull_up_to(recovery_periods - 1, from_seconds(now_s));
     dur_store.wal()->sync();  // the crash point
 
-    // Restart A: snapshot + WAL tail.
+    // Restart A: checkpoint + WAL tail.
     ra::DictionaryStore rec_store;
     rec_store.register_ca(rca.id(), rca.public_key(), kDelta);
     ra::RaUpdater rec({.location = here}, &rec_store, &rcdn_rpc.rpc);
@@ -651,7 +609,7 @@ int main() {
     // Background checkpointing stall: cycles run on the recovered replica
     // while feed pulls keep mutating it. The stall a cycle imposes on the
     // mutation path is its freeze window (the O(#CAs) arena-sharing copy),
-    // not the off-lock file write of the full snapshot.
+    // not the off-lock checkpoint write.
     rec.start_checkpoints(0.001);
     std::uint64_t extra = 0;
     while (rec.checkpoint_stats().checkpoints < 3 && extra < 300) {
@@ -671,7 +629,8 @@ int main() {
                 "during cycles) ==\n",
                 (unsigned long long)kRecEntries, (unsigned long long)extra);
     std::printf("%llu cycles, freeze stall mean %.0f us / max %.0f us, "
-                "snapshot %.1f MiB (WAL resets %llu, skipped %llu)\n",
+                "last cycle wrote %.1f MiB (WAL resets %llu, skipped "
+                "%llu)\n",
                 (unsigned long long)checkpoint_cycles, checkpoint_stall_us,
                 checkpoint_max_stall_us,
                 double(checkpoint_snapshot_bytes) / (1024.0 * 1024.0),
@@ -680,43 +639,64 @@ int main() {
     std::filesystem::remove_all(dir);
   }
 
-  // --- per-shard incremental checkpoints: byte cost of re-checkpointing a
-  // 64-shard dictionary after 1% new entries land in one expiry bucket,
-  // relative to the full checkpoint.
+  // --- incremental checkpoints: byte cost of re-checkpointing a 64-CA
+  // store after 1% new entries land in one CA, relative to the full
+  // checkpoint. Only that CA's part and the manifest are written again.
   double checkpoint_incr_ratio = 0;
   std::uint64_t checkpoint_full_bytes = 0, checkpoint_incr_bytes = 0;
-  constexpr std::size_t kCkptShards = 64;
+  constexpr std::size_t kCkptCas = 64;
   {
     const std::uint64_t n = std::min<std::uint64_t>(kRecEntries, 256'000);
-    dict::ShardedDictionary sharded(100);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      sharded.insert(cert::SerialNumber::from_uint(i * 11 + 3, 5),
-                     static_cast<UnixSeconds>(i % kCkptShards) * 100 + 50);
+    const std::uint64_t per_ca = n / kCkptCas;
+    Rng krng(11);
+    ra::DictionaryStore kstore;
+    std::vector<ca::CertificationAuthority> kcas;
+    kcas.reserve(kCkptCas);
+    for (std::size_t c = 0; c < kCkptCas; ++c) {
+      ca::CertificationAuthority::Config kcfg;
+      kcfg.id = "CA-K" + std::to_string(c);
+      kcfg.delta = kDelta;
+      kcas.emplace_back(kcfg, krng, 1000);
+      kstore.register_ca(kcas.back().id(), kcas.back().public_key(), kDelta);
+      std::vector<cert::SerialNumber> serials;
+      serials.reserve(per_ca);
+      for (std::uint64_t i = 0; i < per_ca; ++i) {
+        serials.push_back(
+            cert::SerialNumber::from_uint((c * per_ca + i) * 11 + 3, 5));
+      }
+      if (kstore.apply_issuance(kcas.back().revoke(std::move(serials), 1000),
+                                1000) != ra::ApplyResult::ok) {
+        return 1;
+      }
     }
-    ThreadPool pool;
-    const std::string sdir = "persist-bench-shards";
-    std::filesystem::remove_all(sdir);
-    persist::ShardCheckpointer ck(sdir);
-    const auto full_ck = ck.checkpoint(sharded, &pool);
+    const std::string kdir = "persist-bench-parts";
+    std::filesystem::remove_all(kdir);
+    const auto full_ck = kstore.persist_to(kdir);
+    std::vector<cert::SerialNumber> dirt;
+    dirt.reserve(n / 100);
     for (std::uint64_t i = 0; i < n / 100; ++i) {
-      sharded.insert(cert::SerialNumber::from_uint((n + i) * 11 + 3, 5),
-                     7 * 100 + 50);  // all the dirt in one bucket
+      dirt.push_back(cert::SerialNumber::from_uint((n + i) * 11 + 3, 5));
     }
-    const auto incr_ck = ck.checkpoint(sharded, &pool);
-    checkpoint_full_bytes = full_ck.bytes_written;
-    checkpoint_incr_bytes = incr_ck.bytes_written;
+    // All the dirt in one CA.
+    if (kstore.apply_issuance(kcas[7].revoke(std::move(dirt), 1010), 1010) !=
+        ra::ApplyResult::ok) {
+      return 1;
+    }
+    const auto incr_ck = kstore.persist_to(kdir);
+    checkpoint_full_bytes = full_ck.bytes;
+    checkpoint_incr_bytes = incr_ck.bytes;
     checkpoint_incr_ratio =
         double(checkpoint_incr_bytes) / double(checkpoint_full_bytes);
-    std::printf("\n== incremental shard checkpoint (%zu shards, n=%llu, "
-                "1%% dirt in one bucket) ==\n",
-                kCkptShards, (unsigned long long)n);
-    std::printf("full %.1f MiB -> incremental %.2f MiB (%.3fx; %zu of %zu "
-                "shards rewritten)\n",
+    std::printf("\n== incremental store checkpoint (%zu CAs, n=%llu, "
+                "1%% new entries in one CA) ==\n",
+                kCkptCas, (unsigned long long)n);
+    std::printf("full %.1f MiB -> incremental %.2f MiB (%.3fx; %zu parts "
+                "written, %zu reused)\n",
                 double(checkpoint_full_bytes) / (1024.0 * 1024.0),
                 double(checkpoint_incr_bytes) / (1024.0 * 1024.0),
-                checkpoint_incr_ratio, incr_ck.shards_written,
-                incr_ck.shards_written + incr_ck.shards_skipped);
-    std::filesystem::remove_all(sdir);
+                checkpoint_incr_ratio, incr_ck.parts_written,
+                incr_ck.parts_reused);
+    std::filesystem::remove_all(kdir);
   }
 
   // --- service envelope: single vs batched status RPS over loopback TCP
@@ -1178,13 +1158,6 @@ int main() {
                  "    \"cache_hit_rate\": %.4f,\n"
                  "    \"cache_invalidations\": %llu\n"
                  "  },\n"
-                 "  \"sharded_rebuild\": {\n"
-                 "    \"shards\": %zu,\n"
-                 "    \"entries_per_shard\": %llu,\n"
-                 "    \"serial_ms\": %.2f,\n"
-                 "    \"pool_ms\": %.2f,\n"
-                 "    \"pool_threads\": %zu\n"
-                 "  },\n"
                  "  \"dict_update\": {\n"
                  "    \"base_entries\": %llu,\n"
                  "    \"batches\": %zu,\n"
@@ -1263,9 +1236,7 @@ int main() {
                  status_cold_ns, status_warm_ns, status_speedup, kCas,
                  (unsigned long long)kEntriesPerCa, multi_cold_rate,
                  multi_warm_rate, multi_hit_rate,
-                 (unsigned long long)multi_invalidations, kShards,
-                 (unsigned long long)kPerShard, rebuild_serial_ms,
-                 rebuild_pool_ms, pool_threads,
+                 (unsigned long long)multi_invalidations,
                  (unsigned long long)kDictBase, kDictBatches, kDictBatchSize,
                  inc.entries_per_sec, inc.ns_per_entry,
                  (unsigned long long)inc.hashes, full.entries_per_sec,
@@ -1280,7 +1251,7 @@ int main() {
                  recovery_mmap_speedup,
                  (unsigned long long)checkpoint_cycles, checkpoint_stall_us,
                  checkpoint_max_stall_us,
-                 (unsigned long long)checkpoint_snapshot_bytes, kCkptShards,
+                 (unsigned long long)checkpoint_snapshot_bytes, kCkptCas,
                  (unsigned long long)checkpoint_full_bytes,
                  (unsigned long long)checkpoint_incr_bytes,
                  checkpoint_incr_ratio, kSvcBatch,
@@ -1350,7 +1321,7 @@ int main() {
                 checkpoint_stall_us);
   }
   if (checkpoint_incr_ratio > 0.2) {
-    std::printf("WARNING: incremental shard checkpoint wrote %.2fx the full "
+    std::printf("WARNING: incremental store checkpoint wrote %.2fx the full "
                 "checkpoint bytes at 1%% dirt (acceptance ceiling: 0.2x)\n",
                 checkpoint_incr_ratio);
   }

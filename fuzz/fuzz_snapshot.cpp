@@ -1,36 +1,56 @@
-// Fuzz harness for the RA's cold-start parser: a CDN cold-start object
-// (ca::ColdStartObject::decode) and the dictionary snapshot it carries
-// (dict::Dictionary::restore_from). Every input is fed to both, as a bare
-// snapshot and as a cold-start object, and each must either be rejected or
-// restore to a dictionary that
+// Fuzz harness for the RA's persisted-state parsers: the CDN cold-start
+// object (ca::ColdStartObject::decode) with the dictionary snapshot it
+// carries (dict::Dictionary::restore_from), and the checkpoint decoders
+// (persist::decode_part with Dictionary::restore_sections, and
+// persist::decode_part_list). The first byte mod 3 picks one of three input
+// shapes:
+//   * raw:        the rest of the input, verbatim, to the cold-start parser.
+//   * mutation:   one of a few valid cold-start encodings (bare snapshots
+//                 and cold-start objects of dictionaries with 0, 3 and 200
+//                 entries), picked by the second byte, with the remaining
+//                 bytes XORed over it (any excess appended). Random bytes
+//                 almost never get past the version byte and the entry
+//                 count; this shape keeps the fuzzer next to acceptance,
+//                 where the order check and the root comparison decide.
+//   * checkpoint: raw bytes, or one of the checkpoint files of those three
+//                 dictionaries (their parts, and a manifest's part list)
+//                 with the remaining bytes XORed over it, picked by the
+//                 second byte's low 7 bits; its high bit recomputes the
+//                 container CRCs after the XOR, as a structure-aware
+//                 mutator would, so mutations reach the meta and arena
+//                 checks behind them.
+// Every cold-start input goes to the snapshot parser both bare and as a
+// cold-start object, and must either be rejected or restore to a dictionary
+// that
 //   * re-encodes (snapshot_into) exactly the bytes restore_from consumed, and
 //   * reports the recorded root (the consumed bytes' last 20) as root().
-// A rejected restore must leave the target dictionary untouched. The low bit
-// of the first byte picks one of two input shapes:
-//   * raw:      the rest of the input, verbatim.
-//   * mutation: one of a few valid encodings (bare snapshots and cold-start
-//               objects of dictionaries with 0, 3 and 200 entries), picked
-//               by the second byte, with the remaining bytes XORed over it
-//               (any excess appended). Random bytes almost never get past
-//               the version byte and the entry count; this shape keeps the
-//               fuzzer next to acceptance, where the order check and the
-//               root comparison decide.
+// Every checkpoint input goes to both checkpoint decoders: a part must
+// either fail, or adopt into a dictionary whose root() and size equal the
+// recorded ones; a part list must either fail or re-encode to exactly its
+// bytes. A rejected restore must leave the target dictionary untouched.
 //
 // Built two ways (CMake), like fuzz_frame: with -DRITM_BUILD_FUZZERS=ON
 // (clang) this is a libFuzzer target; otherwise it compiles as a
 // self-driving smoke binary that replays a deterministic pseudo-random
-// corpus of both shapes, registered as a ctest (label `fault`).
+// corpus of all three shapes, registered as a ctest (label `fault`).
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "ca/authority.hpp"
+#include "common/crc32.hpp"
 #include "common/io.hpp"
 #include "common/rng.hpp"
 #include "dict/dictionary.hpp"
+#include "persist/shard_checkpoint.hpp"
 
 namespace {
 
@@ -48,17 +68,51 @@ struct Base {
 constexpr std::size_t kCountOffset = 1 + 8;  // version, epoch
 constexpr std::size_t kHeaderBytes = kCountOffset + 8;
 
-/// Bare snapshots, then cold-start objects, of three CAs' dictionaries.
-const std::vector<Base>& bases() {
-  static const std::vector<Base> out = [] {
+/// Valid encodings to mutate: bare snapshots, then cold-start objects, of
+/// three CAs' dictionaries; and those dictionaries' checkpoint files.
+struct Corpus {
+  std::vector<Base> cold;
+  std::vector<Bytes> checkpoint;  // three parts, then a part list
+};
+
+Bytes read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return Bytes(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+}
+
+/// The parts of a checkpoint holding `dicts`, read back from a temporary
+/// directory, then the part list its manifest carries.
+std::vector<Bytes> checkpoint_files(
+    const std::vector<dict::DictSections>& dicts) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("ritm-fuzz-snapshot-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  persist::write_checkpoint(dir.string(), 1, ByteSpan(), dicts);
+  std::vector<Bytes> out;
+  std::vector<persist::PartKey> keys;
+  for (const dict::DictSections& d : dicts) {
+    keys.push_back({d.root, d.n});
+    out.push_back(read_file(dir / persist::part_name(keys.back())));
+  }
+  out.push_back(persist::encode_part_list(keys));
+  std::filesystem::remove_all(dir);
+  return out;
+}
+
+const Corpus& corpus() {
+  static const Corpus out = [] {
     std::vector<Base> snapshots, objects;
+    std::vector<dict::DictSections> dicts;
+    std::vector<ca::CertificationAuthority> cas;
+    cas.reserve(3);
     Rng rng(0x5A4B);
     for (const std::size_t n : {0, 3, 200}) {
       ca::CertificationAuthority::Config cfg;
       cfg.id = "CA-FUZZ-" + std::to_string(n);
       cfg.delta = 10;
       cfg.chain_length = 8;
-      ca::CertificationAuthority ca(cfg, rng, 1000);
+      ca::CertificationAuthority& ca = cas.emplace_back(cfg, rng, 1000);
       std::vector<cert::SerialNumber> serials;
       for (std::size_t i = 0; i < n; ++i) {
         serials.push_back(
@@ -66,6 +120,7 @@ const std::vector<Base>& bases() {
       }
       ca.revoke(serials, 1000);
       const ca::ColdStartObject obj = ca.cold_start_object(0, 1000);
+      dicts.push_back(ca.dictionary().snapshot_sections());
 
       Base snap;
       snap.bytes = obj.dict_snapshot;
@@ -88,10 +143,12 @@ const std::vector<Base>& bases() {
       objects.push_back(std::move(wrapped));
     }
     snapshots.insert(snapshots.end(), objects.begin(), objects.end());
-    return snapshots;
+    return Corpus{std::move(snapshots), checkpoint_files(dicts)};
   }();
   return out;
 }
+
+const std::vector<Base>& bases() { return corpus().cold; }
 
 /// The dictionary each restore targets: non-empty, so "untouched" is a
 /// real check.
@@ -145,34 +202,126 @@ bool check(ByteSpan input) {
   return accepted;
 }
 
+/// Decodes `image` as a part and adopts it into a copy of victim();
+/// returns whether it was adopted. Traps on any broken invariant.
+bool check_part(ByteSpan image) {
+  const auto sec = persist::decode_part(image);
+  if (!sec) return false;
+  dict::Dictionary d = victim();
+  try {
+    d.restore_sections(*sec, nullptr);  // `image` outlives `d`
+  } catch (const std::runtime_error&) {
+    if (d.size() != victim().size() || d.epoch() != victim().epoch() ||
+        d.root() != victim().root()) {
+      __builtin_trap();
+    }
+    return false;
+  }
+  if (d.root() != sec->root || d.size() != sec->n) __builtin_trap();
+  return true;
+}
+
+/// Decodes `data` as a part list; an accepted list must re-encode to
+/// exactly `data`. Returns whether it was accepted.
+bool check_part_list(ByteSpan data) {
+  const auto keys = persist::decode_part_list(data);
+  if (!keys) return false;
+  const Bytes again = persist::encode_part_list(*keys);
+  if (again.size() != data.size() ||
+      !std::equal(again.begin(), again.end(), data.begin())) {
+    __builtin_trap();
+  }
+  return true;
+}
+
+std::uint64_t be_at(const std::uint8_t* p, std::size_t bytes) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < bytes; ++i) v = (v << 8) | p[i];
+  return v;
+}
+
+void put_be32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (24 - 8 * i));
+}
+
+/// Recomputes the section and directory CRCs of a container file image in
+/// place; entries whose section does not fit the image keep their CRC.
+void refresh_crcs(Bytes& image) {
+  if (image.size() < persist::kFileHeaderSize + persist::kSectionHeaderSize) {
+    return;
+  }
+  std::uint8_t* base = image.data() + persist::kFileHeaderSize;
+  const std::size_t avail = image.size() - persist::kFileHeaderSize;
+  const std::uint64_t count = be_at(base + 4, 4);
+  if (count > (avail - persist::kSectionHeaderSize) /
+                  persist::kSectionDirEntrySize) {
+    return;
+  }
+  std::uint8_t* dir = base + persist::kSectionHeaderSize;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::uint8_t* e = dir + i * persist::kSectionDirEntrySize;
+    const std::uint64_t off = be_at(e + 8, 8);
+    const std::uint64_t len = be_at(e + 16, 8);
+    if (off > avail || len > avail - off) continue;
+    put_be32(e + 4, crc32(ByteSpan(base + off, len)));
+  }
+  put_be32(base + 8,
+           crc32(ByteSpan(dir, count * persist::kSectionDirEntrySize)));
+}
+
+/// XORs `mask` over `base` (any excess appended).
+Bytes xor_over(const Bytes& base, const std::uint8_t* mask, std::size_t len) {
+  Bytes t = base;
+  for (std::size_t i = 0; i < len; ++i) {
+    if (i < t.size()) {
+      t[i] ^= mask[i];
+    } else {
+      t.push_back(mask[i]);
+    }
+  }
+  return t;
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size < 1) return 0;
-  if ((data[0] & 1) == 0) {
+  const std::uint8_t shape = data[0] % 3;
+  if (shape == 0) {
     check(ByteSpan(data + 1, size - 1));
     return 0;
   }
-  const std::size_t pick = size >= 2 ? data[1] % bases().size() : 0;
-  Bytes t = bases()[pick].bytes;
-  for (std::size_t i = 2; i < size; ++i) {
-    if (i - 2 < t.size()) {
-      t[i - 2] ^= data[i];
-    } else {
-      t.push_back(data[i]);
-    }
+  const std::uint8_t pick_byte = size >= 2 ? data[1] : 0;
+  const std::uint8_t* mask = data + std::min<std::size_t>(size, 2);
+  const std::size_t mask_len = size - std::min<std::size_t>(size, 2);
+  if (shape == 1) {
+    const Bytes t =
+        xor_over(bases()[pick_byte % bases().size()].bytes, mask, mask_len);
+    check(ByteSpan(t));
+    return 0;
   }
-  check(ByteSpan(t));
+  // Copied even when raw: the arenas need the buffer's alignment.
+  const auto& files = corpus().checkpoint;
+  const std::size_t pick = (pick_byte & 0x7F) % (files.size() + 1);
+  Bytes t = xor_over(pick < files.size() ? files[pick] : Bytes(), mask,
+                     mask_len);
+  if ((pick_byte & 0x80) != 0) refresh_crcs(t);
+  check_part(ByteSpan(t));
+  check_part_list(ByteSpan(t));
   return 0;
 }
 
 #ifndef RITM_LIBFUZZER
-// Self-driving smoke mode: raw noise, truncated valid encodings, and valid
+// Self-driving smoke mode, through the same entry point libFuzzer drives.
+// Cold-start shapes: raw noise, truncated valid encodings, and valid
 // encodings unchanged, with a few flipped bits, with one byte changed, with
 // trailing bytes, with a forged entry count, with two sorted-index words
-// swapped, or with a serial length of 0 or 21; all through the same entry
-// point libFuzzer drives.
+// swapped, or with a serial length of 0 or 21. Checkpoint shape: raw noise,
+// truncated files, and files with a few flipped bits or one byte changed,
+// with and without refreshed CRCs; and, checked directly, parts whose
+// sorted index has two words swapped under refreshed CRCs, which must be
+// rejected.
 int main() {
   // The corpus leans on the bases being valid; a broken one would leave
   // only rejections to compare.
@@ -250,6 +399,58 @@ int main() {
               rng.uniform(2) ? 0 : cert::kMaxSerialBytes + 1);
         }
         break;
+    }
+    LLVMFuzzerTestOneInput(buf.data(), buf.size());
+  }
+
+  const auto& files = corpus().checkpoint;
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    const bool ok = i + 1 < files.size() ? check_part(ByteSpan(files[i]))
+                                         : check_part_list(ByteSpan(files[i]));
+    if (!ok) return 1;
+  }
+  for (int iter = 0; iter < 1500; ++iter) {
+    const std::size_t pick = rng.uniform(files.size());
+    const Bytes& file = files[pick];
+    const std::uint64_t kind = rng.uniform(6);
+    if (kind == 5) {  // two adjacent sorted-index words swapped
+      const auto sec = persist::decode_part(ByteSpan(file));
+      if (!sec || sec->n < 2) continue;
+      Bytes t = file;
+      const std::size_t at =
+          static_cast<std::size_t>(sec->sorted.data() - file.data()) +
+          4 * rng.uniform(sec->n - 1);
+      std::swap_ranges(t.begin() + static_cast<std::ptrdiff_t>(at),
+                       t.begin() + static_cast<std::ptrdiff_t>(at + 4),
+                       t.begin() + static_cast<std::ptrdiff_t>(at + 4));
+      refresh_crcs(t);
+      if (check_part(ByteSpan(t))) return 1;
+      continue;
+    }
+    buf.assign(2, 2);
+    if (kind <= 1) {  // raw: noise, or a valid file cut short
+      buf[1] = static_cast<std::uint8_t>(files.size());
+      const Bytes body =
+          kind == 0 ? rng.bytes(rng.uniform(300))
+                    : Bytes(file.begin(),
+                            file.begin() + static_cast<std::ptrdiff_t>(
+                                               rng.uniform(file.size())));
+      buf.insert(buf.end(), body.begin(), body.end());
+      LLVMFuzzerTestOneInput(buf.data(), buf.size());
+      continue;
+    }
+    // An XOR mask over a valid file; kinds 3 and 4 refresh the CRCs after.
+    buf[1] = static_cast<std::uint8_t>(pick | (kind >= 3 ? 0x80 : 0));
+    buf.resize(2 + file.size(), 0);
+    if (kind == 4) {  // one byte changed
+      buf[2 + rng.uniform(file.size())] =
+          static_cast<std::uint8_t>(1 + rng.uniform(255));
+    } else {  // a few bit flips
+      const std::uint64_t flips = 1 + rng.uniform(3);
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        buf[2 + rng.uniform(file.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.uniform(8));
+      }
     }
     LLVMFuzzerTestOneInput(buf.data(), buf.size());
   }

@@ -48,6 +48,22 @@ struct BatchKey {
 // a cache miss behind the per-entry work, near enough to stay in L1.
 constexpr std::size_t kPrefetchAhead = 8;
 
+/// True when `sorted` (n in-range indices into `log`) lists serials in
+/// strictly increasing order. Strictness also rules out duplicate indices:
+/// a repeated index would repeat its serial and fail the comparison.
+bool strictly_increasing(const LogRecord* log, const std::uint32_t* sorted,
+                         std::size_t n) {
+  for (std::size_t i = 1; i < n; ++i) {
+    if (i + kPrefetchAhead < n) {
+      __builtin_prefetch(&log[sorted[i + kPrefetchAhead]]);
+    }
+    if (compare(log[sorted[i - 1]].serial(), log[sorted[i]].serial()) >= 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 const crypto::Digest20& Dictionary::root() const {
@@ -449,15 +465,8 @@ void Dictionary::restore_from(ByteReader& r) {
     if (!v || *v >= n) throw bad("bad sorted index");
     idx = *v;
   }
-  // Strictly increasing serials also rule out duplicate indices: a repeated
-  // index would repeat its serial and fail the comparison.
-  for (std::size_t i = 1; i < n; ++i) {
-    if (i + kPrefetchAhead < n) {
-      __builtin_prefetch(&log[sorted[i + kPrefetchAhead]]);
-    }
-    if (compare(log[sorted[i - 1]].serial(), log[sorted[i]].serial()) >= 0) {
-      throw bad("sorted index out of order");
-    }
+  if (!strictly_increasing(log.data(), sorted.data(), n)) {
+    throw bad("sorted index out of order");
   }
   const auto root_bytes = r.try_raw(20);
   if (!root_bytes) throw bad("truncated root");
@@ -519,8 +528,9 @@ void Dictionary::restore_sections(const DictSections& s,
   if (s.tree.size() != tree_nodes * sizeof(crypto::Digest20)) {
     throw bad("tree section size");
   }
-  // Memory-safety validation only (O(n), no hashing): record lengths and
-  // index bounds keep every later access in range.
+  // O(n) validation, no hashing: record lengths and index bounds keep every
+  // later access in range, and the order check keeps prove() answering from
+  // a sorted index.
   const auto* log = reinterpret_cast<const LogRecord*>(s.log.data());
   for (std::size_t i = 0; i < n; ++i) {
     if (log[i].len == 0 || log[i].len > cert::kMaxSerialBytes) {
@@ -530,6 +540,9 @@ void Dictionary::restore_sections(const DictSections& s,
   const auto* sorted = reinterpret_cast<const std::uint32_t*>(s.sorted.data());
   for (std::size_t i = 0; i < n; ++i) {
     if (sorted[i] >= n) throw bad("sorted index out of range");
+  }
+  if (!strictly_increasing(log, sorted, n)) {
+    throw bad("sorted index out of order");
   }
   const auto* tree = reinterpret_cast<const crypto::Digest20*>(s.tree.data());
   if (tree[fresh.level_off_[fresh.level_count_ - 1]] != s.root) {

@@ -84,11 +84,6 @@ class Dictionary {
   /// responses without re-proving (ra::DictionaryStore).
   std::uint64_t epoch() const noexcept { return epoch_; }
 
-  /// True when a mutation has outdated the Merkle tree and the next root()
-  /// (or prove()) will pay for a rebuild. ShardedDictionary::rebuild_dirty
-  /// uses this to fan only the dirty shards across a thread pool.
-  bool tree_stale() const noexcept { return !tree_valid_; }
-
   bool contains(const cert::SerialNumber& serial) const;
 
   /// Looks up the revocation number of a serial, if revoked.
@@ -150,14 +145,15 @@ class Dictionary {
   DictSections snapshot_sections() const;
 
   /// Adopts snapshot sections in place: validates record lengths, index
-  /// bounds, section sizes, and that the recorded root equals the tree
-  /// arena's top node, then aliases the spans directly (holding `keepalive`
-  /// — typically the mapped snapshot file — until the first mutation
-  /// detaches). No hashing, no copy. Unlike restore_from, the sorted
-  /// *order* is not re-verified here — section CRCs guard integrity, and
-  /// untrusted wire payloads (cold start) always take restore_from.
-  /// Throws std::runtime_error on malformed sections, leaving this
-  /// dictionary untouched.
+  /// bounds, section sizes, that the sorted index is strictly increasing
+  /// (the same check restore_from makes), and that the recorded root equals
+  /// the tree arena's top node, then aliases the spans directly (holding
+  /// `keepalive` — typically the mapped part file — until the first
+  /// mutation detaches). No hashing, no copy: the tree's leaves are not
+  /// re-checked against the log — section CRCs guard integrity, and
+  /// untrusted wire payloads (cold start) always take restore_from. Throws
+  /// std::runtime_error on malformed sections, leaving this dictionary
+  /// untouched.
   void restore_sections(const DictSections& s,
                         std::shared_ptr<const void> keepalive);
 

@@ -1,6 +1,5 @@
 #include "dict/sharded.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace ritm::dict {
@@ -22,7 +21,6 @@ std::optional<Entry> ShardedDictionary::insert(
   auto& shard = shards_[shard_of(not_after)];
   const auto added = shard.insert({serial});
   if (added.empty()) return std::nullopt;
-  ++epoch_;
   return added.front();
 }
 
@@ -63,7 +61,6 @@ std::size_t ShardedDictionary::prune(UnixSeconds now) {
     if (now > bucket_end + bucket_width_) {
       reclaimed += it->second.storage_bytes();
       it = shards_.erase(it);
-      ++epoch_;
     } else {
       ++it;
     }
@@ -81,64 +78,6 @@ std::size_t ShardedDictionary::storage_bytes() const {
   std::size_t total = 0;
   for (const auto& [k, shard] : shards_) total += shard.storage_bytes();
   return total;
-}
-
-std::uint64_t ShardedDictionary::total_hash_count() const {
-  std::uint64_t total = 0;
-  for (const auto& [k, shard] : shards_) total += shard.total_hash_count();
-  return total;
-}
-
-std::size_t ShardedDictionary::dirty_shard_count() const {
-  std::size_t dirty = 0;
-  for (const auto& [k, shard] : shards_) dirty += shard.tree_stale();
-  return dirty;
-}
-
-std::size_t ShardedDictionary::rebuild_dirty(ThreadPool* pool) {
-  // Collect first: rebuild order must not depend on map iteration racing
-  // with the pool, and each dirty shard appears exactly once, so no two
-  // tasks ever touch the same Dictionary (root() mutates its arena).
-  std::vector<Dictionary*> dirty;
-  for (auto& [k, shard] : shards_) {
-    if (shard.tree_stale()) dirty.push_back(&shard);
-  }
-  if (dirty.empty()) return 0;
-  if (pool == nullptr || dirty.size() == 1) {
-    for (Dictionary* d : dirty) (void)d->root();
-  } else {
-    // Largest shards first (LPT order): run_indexed hands out indices from
-    // a shared counter, so with a skewed shard-size distribution (one huge
-    // expiry bucket, many small ones) a worker that claims the big rebuild
-    // late extends the join long after the others drain the queue. Rebuild
-    // order cannot affect any root — shards share no state (pinned in
-    // concurrency_test.cpp).
-    std::sort(dirty.begin(), dirty.end(),
-              [](const Dictionary* a, const Dictionary* b) {
-                return a->size() > b->size();
-              });
-    pool->run_indexed(dirty.size(),
-                      [&dirty](std::size_t i) { (void)dirty[i]->root(); });
-  }
-  return dirty.size();
-}
-
-void ShardedDictionary::install(UnixSeconds bucket_width, std::uint64_t epoch,
-                                std::map<std::uint64_t, Dictionary> shards) {
-  if (bucket_width <= 0) {
-    throw std::invalid_argument("ShardedDictionary: bucket width must be > 0");
-  }
-  bucket_width_ = bucket_width;
-  epoch_ = epoch;
-  shards_ = std::move(shards);
-}
-
-std::vector<std::pair<std::uint64_t, crypto::Digest20>>
-ShardedDictionary::shard_roots() const {
-  std::vector<std::pair<std::uint64_t, crypto::Digest20>> out;
-  out.reserve(shards_.size());
-  for (const auto& [k, shard] : shards_) out.emplace_back(k, shard.root());
-  return out;
 }
 
 }  // namespace ritm::dict

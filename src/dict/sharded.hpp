@@ -5,15 +5,16 @@
 // and once a bucket's certificates have all expired, RAs delete the whole
 // shard, bounding storage despite the append-only discipline. The CA/B
 // Forum's 39-month maximum validity bounds the number of live shards.
+//
+// This is the routing the paper describes; the RA's store keeps one
+// dictionary per CA and persists it as one checkpoint part per CA
+// (persist/shard_checkpoint.hpp).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <utility>
-#include <vector>
 
-#include "common/thread_pool.hpp"
 #include "dict/dictionary.hpp"
 
 namespace ritm::dict {
@@ -52,54 +53,9 @@ class ShardedDictionary {
   std::uint64_t total_entries() const;
   std::size_t storage_bytes() const;
 
-  /// SHA-256 invocations across all shard rebuilds (lifetime). Sharding
-  /// multiplies the incremental-rebuild win: each insert dirties only one
-  /// shard's tree, so the other shards' arenas are never touched — and
-  /// rebuild_dirty() fans the dirty shards across cores.
-  std::uint64_t total_hash_count() const;
-
-  /// Monotonically increasing version counter spanning all shards: bumped
-  /// on every accepted insert and every prune that removes a shard. Two
-  /// calls observing the same epoch observe identical shard roots.
-  std::uint64_t epoch() const noexcept { return epoch_; }
-
-  /// Shards whose Merkle tree a mutation has outdated (each insert dirties
-  /// exactly one shard).
-  std::size_t dirty_shard_count() const;
-
-  /// Rebuilds every dirty shard's tree now instead of lazily at the next
-  /// proof. Dirty shards share no state, so with a pool their rebuilds run
-  /// in parallel — one task per shard — and the caller's thread joins before
-  /// returning. With `pool == nullptr` the rebuilds run serially on the
-  /// calling thread; both orders produce byte-identical roots (pinned by
-  /// test). Returns the number of shards rebuilt.
-  std::size_t rebuild_dirty(ThreadPool* pool = nullptr);
-
-  /// (shard index, root) for every live shard, in index order — the view a
-  /// determinism test compares across serial and parallel rebuilds.
-  std::vector<std::pair<std::uint64_t, crypto::Digest20>> shard_roots() const;
-
-  /// Live shards keyed by shard index — the read-only view incremental
-  /// checkpointing walks (persist::ShardCheckpointer compares each shard
-  /// Dictionary's epoch() against what is on disk and rewrites only the
-  /// dirty ones).
-  const std::map<std::uint64_t, Dictionary>& shards() const noexcept {
-    return shards_;
-  }
-  UnixSeconds bucket_width() const noexcept { return bucket_width_; }
-
-  /// Installs recovered state wholesale (the incremental-checkpoint restore
-  /// path): replaces every shard and adopts the given width and epoch. The
-  /// caller has already validated each shard (restore_sections checks the
-  /// recorded roots). Throws std::invalid_argument on a non-positive width,
-  /// leaving this instance untouched.
-  void install(UnixSeconds bucket_width, std::uint64_t epoch,
-               std::map<std::uint64_t, Dictionary> shards);
-
  private:
   UnixSeconds bucket_width_;
   std::map<std::uint64_t, Dictionary> shards_;
-  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace ritm::dict

@@ -1,38 +1,38 @@
-// Recovery driver: snapshot + WAL tail -> the state to restore (PR 4).
+// Recovery driver: checkpoint + WAL tail -> the state to restore (PR 4).
 //
-// A persistence directory holds one write-ahead log ("wal.log") and a small
-// set of snapshot files (snapshot.hpp). Recovery is the read side of the
-// contract between them: map the newest valid snapshot, then hand back the
-// WAL records with seq greater than the snapshot's stamp — the "tail" the
-// caller replays through its normal apply path. Torn final writes are
-// detected by the WAL scan and reported (open()ing the log for appending
-// afterwards truncates them in place).
+// A persistence directory holds one write-ahead log ("wal.log") and the
+// checkpoint files (shard_checkpoint.hpp). Recovery is the read side of the
+// contract between them: offer the checkpoints newest first to the restoring
+// layer until one installs, then hand back the WAL records with seq greater
+// than that checkpoint's stamp — the "tail" the caller replays through its
+// normal apply path. Torn final writes are detected by the WAL scan and
+// reported (open()ing the log for appending afterwards truncates them in
+// place).
 //
-// The driver itself is state-agnostic: it never decodes payloads. The
-// replaying layer (ra::DictionaryStore::recover_from) owns the record types
-// and the acceptance rules, so recovery literally *is* replay — the same
-// code path that applied a mutation live applies it again on restart, which
-// is what pins "recovered state == in-memory replay of the surviving
-// prefix" byte for byte.
+// The driver itself is state-agnostic: it never decodes the owner's meta or
+// a WAL payload. The replaying layer (ra::DictionaryStore::recover_from)
+// owns the record types and the acceptance rules, so recovery literally *is*
+// replay — the same code path that applied a mutation live applies it again
+// on restart, which is what pins "recovered state == in-memory replay of
+// the surviving prefix" byte for byte.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "persist/snapshot.hpp"
+#include "persist/shard_checkpoint.hpp"
 #include "persist/wal.hpp"
 
 namespace ritm::persist {
 
-/// Zero-copy recovery scan: the snapshot stays mapped instead of being
-/// read into a buffer, so the caller can adopt arena sections in place.
-struct MappedRecovery {
-  std::optional<SnapshotFile::Mapped> snapshot;
-  std::vector<WalRecord> tail;    // valid WAL records with seq > snapshot seq
+struct RecoveryScan {
+  std::optional<std::uint64_t> checkpoint_seq;  // the installed checkpoint
+  std::vector<WalRecord> tail;    // valid WAL records with seq > its stamp
   std::uint64_t wal_truncated_bytes = 0;  // torn/corrupt tail detected
-  std::uint64_t snapshots_skipped = 0;    // corrupt snapshot files passed over
+  std::uint64_t snapshots_skipped = 0;    // checkpoints passed over
 };
 
 class Recovery {
@@ -44,13 +44,17 @@ class Recovery {
     return dir + "/" + kWalName;
   }
 
-  /// Read-only recovery scan of `dir`: the newest valid snapshot, as a live
-  /// mapping (SnapshotFile::map_newest) whose sections the caller adopts
-  /// without copying, plus the WAL tail past it. The mapping must be kept
-  /// alive for as long as any adopted section is in use. Never modifies the
-  /// directory — callers that intend to keep appending open the WAL
-  /// afterwards, which truncates any torn tail reported here.
-  static MappedRecovery recover_mapped(const std::string& dir);
+  /// Offers each checkpoint in `dir`, newest first, to `install`: it returns
+  /// true once it has installed that one, or false to pass over it (its
+  /// state does not restore). A checkpoint whose manifest or parts fail to
+  /// load is passed over without an offer. Returns the installed stamp and
+  /// the WAL tail past it. Throws std::runtime_error when checkpoints exist
+  /// but none installs; an exception from `install` (a refusal) propagates.
+  /// Never modifies the directory — callers that intend to keep appending
+  /// open the WAL afterwards, which truncates any torn tail reported here.
+  static RecoveryScan recover(
+      const std::string& dir,
+      const std::function<bool(const Checkpoint&)>& install);
 };
 
 }  // namespace ritm::persist

@@ -1,84 +1,109 @@
-// Per-shard incremental checkpoints for sharded dictionaries (PR 9).
+// The RA store's one checkpoint format: a manifest plus one part per CA
+// dictionary (the store's shards).
 //
-// This is the persisted form of a ShardedDictionary. Inserts dirty exactly
-// one expiry bucket at a time, so the checkpointer keeps one
-// section-container file per shard and a small manifest unifying them, and
-// rewrites only the shards that changed:
+//   dict-<root 40 hex>-<n 16 hex>.part
+//     "RITMPART" (8)  u32 version (=1)  u64 n, zero-padded to 64 bytes,
+//     then a persist::sections container: the meta (tag 1: u64 n, 20B
+//     root) and the dictionary's raw arenas (tag 2 entry log, tag 3 sorted
+//     index, tag 4 digest arena), which Dictionary::restore_sections adopts
+//     in place.
 //
-//   shard-<key hex16>-<epoch hex16>.shard
-//     "RITMSHRD" (8)  u32 version (=1)  u64 shard key  u64 dict epoch,
-//     zero-padded to 64 bytes, then a persist::sections container holding
-//     the shard's meta (tag 1: u8 ver, u64 epoch, u64 n, 20B root) and its
-//     raw arenas (tag 2 entry log, tag 3 sorted index, tag 4 digest arena)
-//     — the same mmap-adoptable layout as a store snapshot.
+//   snap-<seq 16 hex>.snap  (the manifest, a persist::SnapshotFile stamped
+//     with the WAL seq it covers)
+//     tag 1: the owner's meta — the store's per-CA state, opaque here;
+//     tag 2: the part list — u32 count, then count x (20B root, u64 n),
+//            strictly ascending, which retention reads without knowing
+//            the owner's meta.
 //
-//   snap-<epoch hex16>.snap  (manifest, a persist::SnapshotFile)
-//     one section (tag 1): u8 version (=1)  u64 bucket_width
-//     u64 sharded epoch  u32 shard_count, then per shard (ascending key):
-//     u64 key  u64 shard dict epoch.
+// A part is named by what it holds: (n, root) fixes the entry log, the
+// sorted index and every tree node a reader uses, so one name never maps to
+// two dictionaries, and a checkpoint writes a part only when no file of that
+// name exists yet. A CA whose dictionary did not change since the last
+// checkpoint costs only its manifest entry.
 //
-// checkpoint() writes only shards whose Dictionary::epoch() moved since the
-// last checkpoint (tracked per key), fsyncs them, then commits the manifest
-// — so a crash mid-checkpoint leaves the previous manifest pointing at the
-// previous shard files, all still present. Retention keeps every shard file
-// referenced by the two newest manifests and deletes the rest.
+// write_checkpoint() commits the parts first (tmp, fsync, rename each), fsyncs
+// the directory once, then commits the manifest through SnapshotFile — a
+// crash at any point leaves the previous manifest and every part it lists in
+// place. Retention keeps the two newest manifests and every part either one
+// lists, and deletes the other part files.
 //
-// recover() maps the newest valid manifest's shard files and adopts their
-// arenas in place (Dictionary::restore_sections keeps each mapping alive).
-// A missing or corrupt shard file fails recovery — the sharded dictionary
-// is CA-side state the caller can rebuild from its feed, so there is no
-// partial-restore mode.
+// Trade-off: the two retained manifests share the part of every CA that did
+// not change between them. A part corrupted on disk breaks both, and
+// recovery refuses instead of falling back (the old single-file layout kept
+// two independent copies). A part only the newest manifest lists falls back
+// like any corrupt manifest.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
-#include "common/thread_pool.hpp"
-#include "dict/sharded.hpp"
+#include "dict/dictionary.hpp"
+#include "persist/snapshot.hpp"
 
 namespace ritm::persist {
 
-class ShardCheckpointer {
- public:
-  struct Stats {
-    std::size_t shards_written = 0;   // rewritten this checkpoint
-    std::size_t shards_skipped = 0;   // clean since the last checkpoint
-    std::uint64_t bytes_written = 0;  // shard files + manifest, this call
-  };
+/// A part's name: the size and root of the dictionary it holds.
+struct PartKey {
+  crypto::Digest20 root{};
+  std::uint64_t n = 0;
 
-  struct RecoverResult {
-    bool ok = false;
-    std::uint64_t epoch = 0;        // recovered sharded epoch
-    std::size_t shards = 0;         // shard files adopted
-    std::string error;              // set when ok == false and a manifest
-                                    // existed; empty-dir recovery is ok with
-                                    // have_manifest == false
-    bool have_manifest = false;
-  };
-
-  explicit ShardCheckpointer(std::string dir);
-
-  /// Incrementally checkpoints `sharded` into the directory: rewrites dirty
-  /// shards (in parallel across `pool` when given), commits the manifest,
-  /// then prunes unreferenced shard files. Throws std::runtime_error on I/O
-  /// failure. Serialise calls against mutations of `sharded` externally
-  /// (freeze semantics are the caller's: a CowArena-sharing copy works).
-  Stats checkpoint(const dict::ShardedDictionary& sharded,
-                   ThreadPool* pool = nullptr);
-
-  /// Restores the newest valid manifest into `out` and primes the dirty
-  /// tracking so the next checkpoint() rewrites nothing that is already on
-  /// disk. On failure `out` is untouched.
-  RecoverResult recover(dict::ShardedDictionary& out);
-
-  const std::string& dir() const noexcept { return dir_; }
-
- private:
-  std::string dir_;
-  /// shard key -> the Dictionary::epoch() of its newest on-disk file; a
-  /// shard whose live epoch still matches is skipped entirely.
-  std::map<std::uint64_t, std::uint64_t> on_disk_epoch_;
+  auto operator<=>(const PartKey&) const = default;
 };
+
+/// "dict-<root 40 hex>-<n 16 hex>.part".
+std::string part_name(const PartKey& key);
+
+/// Encodes a part list (manifest tag 2); `keys` may repeat and come in any
+/// order.
+Bytes encode_part_list(std::vector<PartKey> keys);
+
+/// Decodes a part list. nullopt unless `data` is exactly one canonical
+/// encoding — keys strictly ascending, no trailing bytes — so an accepted
+/// list re-encodes to `data` byte for byte.
+std::optional<std::vector<PartKey>> decode_part_list(ByteSpan data);
+
+/// Decodes a part file image (`data` aligned as an mmap or heap buffer is):
+/// stamp, container CRCs, and a meta that agrees with the stamp. The
+/// returned arena spans alias `data`, and epoch is 0 (the manifest records
+/// it). The arenas' contents are checked only by
+/// Dictionary::restore_sections. nullopt on any violation.
+std::optional<dict::DictSections> decode_part(ByteSpan data);
+
+/// What one checkpoint cycle wrote.
+struct CheckpointWrite {
+  std::uint64_t bytes = 0;         // part files + manifest
+  std::size_t parts_written = 0;
+  std::size_t parts_reused = 0;    // already on disk under their name
+};
+
+/// Commits one checkpoint into `dir` (created if needed): a part for each of
+/// `dicts` (Dictionary::snapshot_sections) unless its file exists, one
+/// directory fsync, the manifest stamped `seq` carrying `meta` and the part
+/// list, then retention. Throws std::runtime_error on I/O failure. Callers
+/// run one cycle per directory at a time: two would race on tmp names.
+CheckpointWrite write_checkpoint(const std::string& dir, std::uint64_t seq,
+                                 ByteSpan meta,
+                                 const std::vector<dict::DictSections>& dicts);
+
+/// One manifest with every part it lists mapped and validated.
+struct Checkpoint {
+  struct Part {
+    dict::DictSections sections;  // epoch 0: the owner's meta records it
+    std::shared_ptr<const MappedFile> file;  // keeps `sections` mapped
+  };
+  std::uint64_t seq = 0;
+  ByteSpan meta;  // the owner's section
+  std::shared_ptr<const MappedFile> manifest;  // keeps `meta` mapped
+  std::map<PartKey, Part> parts;
+};
+
+/// Maps manifest `seq` in `dir` and every part it lists; nullopt when any
+/// of them is missing or fails a check.
+std::optional<Checkpoint> load_checkpoint(const std::string& dir,
+                                          std::uint64_t seq);
 
 }  // namespace ritm::persist

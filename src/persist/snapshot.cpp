@@ -20,12 +20,11 @@ namespace ritm::persist {
 
 namespace {
 
-constexpr std::uint8_t kMagic[8] = {'R', 'I', 'T', 'M', 'S', 'N', 'A', 'P'};
+constexpr std::string_view kMagic = "RITMSNAP";
 constexpr std::uint32_t kVersion = 2;
 
 [[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error("SnapshotFile: " + what + ": " +
-                           std::strerror(errno));
+  throw std::runtime_error("persist: " + what + ": " + std::strerror(errno));
 }
 
 std::string snapshot_name(std::uint64_t seq) {
@@ -36,7 +35,7 @@ std::string snapshot_name(std::uint64_t seq) {
 }
 
 /// Parses "snap-<16 hex>.snap"; nullopt for anything else (.tmp leftovers,
-/// the WAL, foreign files).
+/// the WAL, part files, foreign files).
 std::optional<std::uint64_t> parse_snapshot_name(const std::string& name) {
   if (name.size() != 26 || name.rfind("snap-", 0) != 0 ||
       name.compare(21, 5, ".snap") != 0) {
@@ -54,38 +53,17 @@ std::optional<std::uint64_t> parse_snapshot_name(const std::string& name) {
   return seq;
 }
 
-void fsync_path(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) fail("open for fsync");
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) fail("fsync");
-}
-
-void write_fd_full(int fd, const std::uint8_t* data, std::size_t len,
-                   const char* what) {
+void write_fd_full(int fd, const std::uint8_t* data, std::size_t len) {
   while (len > 0) {
     const ssize_t n = ::write(fd, data, len);
     if (n < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
-      fail(what);
+      fail("write tmp");
     }
     data += static_cast<std::size_t>(n);
     len -= static_cast<std::size_t>(n);
   }
-}
-
-/// Steps 2-4 of the commit protocol: fsync tmp, rename, fsync dir.
-void commit_tmp(int fd, const std::string& dir, const std::string& tmp_path,
-                const std::string& final_path) {
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    fail("fsync tmp");
-  }
-  if (::close(fd) != 0) fail("close tmp");
-  if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) fail("rename");
-  fsync_path(dir);
 }
 
 /// Retention: drop everything older than the newest `keep` snapshots. The
@@ -125,24 +103,32 @@ MappedFile::~MappedFile() {
   if (base_ != nullptr) ::munmap(base_, len_);
 }
 
-std::uint64_t SnapshotFile::write_v2(const std::string& dir, std::uint64_t seq,
-                                     const std::vector<SectionSpec>& sections,
-                                     std::size_t keep) {
-  std::filesystem::create_directories(dir);
+void fsync_dir(const std::string& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) fail("open dir for fsync");
+  const int rc = ::fsync(fd);
+  ::close(fd);
+  if (rc != 0) fail("fsync dir");
+}
 
-  std::uint8_t header[kV2HeaderSize] = {};
-  std::memcpy(header, kMagic, sizeof(kMagic));
+std::uint64_t commit_file(const std::string& dir, const std::string& name,
+                          std::string_view magic, std::uint32_t version,
+                          std::uint64_t stamp,
+                          const std::vector<SectionSpec>& sections,
+                          bool sync_dir) {
+  std::uint8_t header[kFileHeaderSize] = {};
+  std::memcpy(header, magic.data(), 8);
   ByteWriter w;
-  w.u32(kVersion);
-  w.u64(seq);
-  std::memcpy(header + sizeof(kMagic), w.bytes().data(), w.bytes().size());
+  w.u32(version);
+  w.u64(stamp);
+  std::memcpy(header + 8, w.bytes().data(), w.bytes().size());
 
-  const std::string final_path = dir + "/" + snapshot_name(seq);
+  const std::string final_path = dir + "/" + name;
   const std::string tmp_path = final_path + ".tmp";
   const int fd =
       ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) fail("open tmp");
-  write_fd_full(fd, header, sizeof(header), "write tmp");
+  write_fd_full(fd, header, sizeof(header));
   std::uint64_t total = sizeof(header);
   try {
     total += write_container(fd, sections);
@@ -150,7 +136,39 @@ std::uint64_t SnapshotFile::write_v2(const std::string& dir, std::uint64_t seq,
     ::close(fd);
     fail("write container");
   }
-  commit_tmp(fd, dir, tmp_path, final_path);
+  if (::fsync(fd) != 0) {
+    ::close(fd);
+    fail("fsync tmp");
+  }
+  if (::close(fd) != 0) fail("close tmp");
+  if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) fail("rename");
+  if (sync_dir) fsync_dir(dir);
+  return total;
+}
+
+std::optional<StampedSections> parse_file(ByteSpan data,
+                                          std::string_view magic,
+                                          std::uint32_t version) {
+  if (data.size() < kFileHeaderSize ||
+      std::memcmp(data.data(), magic.data(), 8) != 0) {
+    return std::nullopt;
+  }
+  ByteReader r{data.subspan(8)};
+  if (r.u32() != version) return std::nullopt;
+  StampedSections out;
+  out.stamp = r.u64();
+  auto sections = parse_container(data.subspan(kFileHeaderSize));
+  if (!sections) return std::nullopt;
+  out.sections = std::move(*sections);
+  return out;
+}
+
+std::uint64_t SnapshotFile::write_v2(const std::string& dir, std::uint64_t seq,
+                                     const std::vector<SectionSpec>& sections,
+                                     std::size_t keep) {
+  std::filesystem::create_directories(dir);
+  const std::uint64_t total = commit_file(dir, snapshot_name(seq), kMagic,
+                                          kVersion, seq, sections, true);
   retain_newest(dir, keep);
   return total;
 }
@@ -173,26 +191,9 @@ std::optional<SnapshotFile::Mapped> SnapshotFile::map(const std::string& dir,
                                                       std::uint64_t seq) {
   const auto file = MappedFile::map(dir + "/" + snapshot_name(seq));
   if (!file) return std::nullopt;
-  const ByteSpan data = file->span();
-  if (data.size() < kV2HeaderSize ||
-      std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-    return std::nullopt;
-  }
-  ByteReader r{data.subspan(sizeof(kMagic))};
-  if (r.u32() != kVersion || r.u64() != seq) return std::nullopt;
-  auto sections = parse_container(data.subspan(kV2HeaderSize));
-  if (!sections) return std::nullopt;
-  return Mapped{seq, file, std::move(*sections)};
-}
-
-std::optional<SnapshotFile::Mapped> SnapshotFile::map_newest(
-    const std::string& dir, std::uint64_t* skipped) {
-  if (skipped != nullptr) *skipped = 0;
-  for (const std::uint64_t seq : seqs_newest_first(dir)) {
-    if (auto mapped = map(dir, seq)) return mapped;
-    if (skipped != nullptr) ++*skipped;
-  }
-  return std::nullopt;
+  auto parsed = parse_file(file->span(), kMagic, kVersion);
+  if (!parsed || parsed->stamp != seq) return std::nullopt;
+  return Mapped{seq, file, std::move(parsed->sections)};
 }
 
 }  // namespace ritm::persist

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "persist/snapshot.hpp"
-
 namespace ritm::ra {
 
 void DictionaryStore::register_ca(const cert::CaId& ca,
@@ -21,6 +19,13 @@ void DictionaryStore::register_ca(const cert::CaId& ca,
 
 bool DictionaryStore::knows(const cert::CaId& ca) const {
   return cas_.count(ca) != 0;
+}
+
+std::vector<cert::CaId> DictionaryStore::ca_ids() const {
+  std::vector<cert::CaId> ids;
+  ids.reserve(cas_.size());
+  for (const auto& [id, state] : cas_) ids.push_back(id);
+  return ids;
 }
 
 DictionaryStore::CaState* DictionaryStore::find(const cert::CaId& ca) {
@@ -397,15 +402,15 @@ std::size_t DictionaryStore::memory_bytes() const {
 
 // ------------------------------------------------------------- durability
 
-// Snapshot meta section (store.hpp kSectionMeta): u8 version, u32
+// Checkpoint meta (the manifest's owner section): u8 version, u32
 // ca_count, then per CA (in CaId order): var16 ca, u8 have_root, u8
 // desynchronized, [var16 signed root when have_root], 20B freshness,
 // u64 freshness_period, u64 freshness_seq, u64 dict_epoch, u64 dict_n,
-// 20B dict_root. The dictionaries' bulk data lives in the per-CA arena
-// sections, not in the meta. Keys and ∆ are trust configuration
+// 20B dict_root. (dict_n, dict_root) names the CA's part, which holds the
+// dictionary's bulk data. Keys and ∆ are trust configuration
 // (register_ca), not replicated state, and are not persisted.
 namespace {
-constexpr std::uint8_t kStoreSnapshotVersion2 = 2;
+constexpr std::uint8_t kStoreMetaVersion = 2;
 }  // namespace
 
 DictionaryStore::FrozenStore DictionaryStore::freeze() const {
@@ -427,11 +432,11 @@ DictionaryStore::FrozenStore DictionaryStore::freeze() const {
   return frozen;
 }
 
-std::uint64_t DictionaryStore::persist_frozen(const FrozenStore& frozen,
-                                              const std::string& dir) {
+persist::CheckpointWrite DictionaryStore::persist_frozen(
+    const FrozenStore& frozen, const std::string& dir) {
   Bytes meta;
   ByteWriter w(meta);
-  w.u8(kStoreSnapshotVersion2);
+  w.u8(kStoreMetaVersion);
   w.u32(static_cast<std::uint32_t>(frozen.cas.size()));
   // snapshot_sections() forces each dictionary's tree valid first; a dirty
   // frozen copy detaches and rebuilds here, off whatever lock guarded the
@@ -451,71 +456,54 @@ std::uint64_t DictionaryStore::persist_frozen(const FrozenStore& frozen,
     w.u64(secs[i].n);
     w.raw(ByteSpan(secs[i].root));
   }
-  std::vector<persist::SectionSpec> sections;
-  sections.reserve(1 + 3 * frozen.cas.size());
-  sections.push_back({kSectionMeta, ByteSpan(meta)});
-  for (std::size_t i = 0; i < frozen.cas.size(); ++i) {
-    const auto base = static_cast<std::uint32_t>((i + 1) << 8);
-    sections.push_back({base | kSectionKindLog, secs[i].log});
-    sections.push_back({base | kSectionKindSorted, secs[i].sorted});
-    sections.push_back({base | kSectionKindTree, secs[i].tree});
-  }
-  return persist::SnapshotFile::write_v2(dir, frozen.mutation_seq, sections);
+  return persist::write_checkpoint(dir, frozen.mutation_seq, ByteSpan(meta),
+                                   secs);
 }
 
-void DictionaryStore::persist_to(const std::string& dir) {
-  persist_frozen(freeze(), dir);
+persist::CheckpointWrite DictionaryStore::persist_to(const std::string& dir) {
+  const persist::CheckpointWrite written = persist_frozen(freeze(), dir);
   if (wal_ != nullptr) wal_->reset(mutation_seq_ + 1);
+  return written;
 }
 
-void DictionaryStore::restore_v2(const persist::SnapshotFile::Mapped& mapped) {
-  const auto bad = [](const char* what) -> std::runtime_error {
-    return std::runtime_error(
-        std::string("DictionaryStore::restore_v2: ") + what);
+bool DictionaryStore::restore_checkpoint(
+    const persist::Checkpoint& checkpoint) {
+  const auto refuse = [](const char* what) -> std::runtime_error {
+    return std::runtime_error(std::string("DictionaryStore::recover_from: ") +
+                              what);
   };
-  const auto find_section =
-      [&mapped](std::uint32_t tag) -> const persist::SectionView* {
-    for (const auto& s : mapped.sections) {
-      if (s.tag == tag) return &s;
-    }
-    return nullptr;
-  };
-  const persist::SectionView* meta = find_section(kSectionMeta);
-  if (meta == nullptr) throw bad("missing meta section");
-  ByteReader r{meta->data};
-  if (r.try_u8().value_or(0xFF) != kStoreSnapshotVersion2) {
-    throw bad("unsupported snapshot version");
-  }
+  ByteReader r{checkpoint.meta};
+  if (r.try_u8().value_or(0xFF) != kStoreMetaVersion) return false;
   const auto count = r.try_u32();
-  if (!count) throw bad("truncated header");
+  if (!count) return false;
 
-  // Stage into a copy so a failure at any CA (including a section that
-  // fails adoption) leaves the store untouched. Staged caches start cold by
+  // Stage into a copy so a failure at any CA (including a part that fails
+  // adoption) leaves the store untouched. Staged caches start cold by
   // construction (StatusCache's copy semantics drop the cache): a restore
   // is a version change for every replica anyway.
   std::map<cert::CaId, CaState> staged = cas_;
   for (std::uint32_t i = 0; i < *count; ++i) {
     const auto ca_bytes = r.try_var16();
-    if (!ca_bytes) throw bad("truncated CA id");
+    if (!ca_bytes) return false;
     const cert::CaId ca(ca_bytes->begin(), ca_bytes->end());
     auto it = staged.find(ca);
-    if (it == staged.end()) throw bad("snapshot CA not registered");
+    if (it == staged.end()) throw refuse("checkpoint CA not registered");
     CaState& state = it->second;
 
     const auto have_root = r.try_u8();
     const auto desync = r.try_u8();
-    if (!have_root || *have_root > 1 || !desync || *desync > 1) {
-      throw bad("bad flags");
-    }
+    if (!have_root || *have_root > 1 || !desync || *desync > 1) return false;
     state.have_root = *have_root == 1;
     state.desynchronized = *desync == 1;
     if (state.have_root) {
       const auto root_bytes = r.try_var16();
-      if (!root_bytes) throw bad("truncated signed root");
-      auto root = dict::SignedRoot::decode(ByteSpan(*root_bytes));
-      if (!root || root->ca != ca) throw bad("bad signed root");
+      auto root = root_bytes ? dict::SignedRoot::decode(ByteSpan(*root_bytes))
+                             : std::nullopt;
+      if (!root || root->ca != ca) return false;
       // Trust is re-established from the registered key, not the file.
-      if (!root->verify(state.key)) throw bad("signed root fails key check");
+      if (!root->verify(state.key)) {
+        throw refuse("signed root fails key check");
+      }
       state.root = std::move(*root);
     } else {
       state.root = dict::SignedRoot{};
@@ -523,64 +511,59 @@ void DictionaryStore::restore_v2(const persist::SnapshotFile::Mapped& mapped) {
     const auto freshness = r.try_raw(20);
     const auto period = r.try_u64();
     const auto seq = r.try_u64();
-    if (!freshness || !period || !seq) throw bad("truncated freshness state");
+    const auto dict_epoch = r.try_u64();
+    const auto dict_n = r.try_u64();
+    const auto dict_root = r.try_raw(20);
+    if (!freshness || !period || !seq || !dict_epoch || !dict_n ||
+        !dict_root) {
+      return false;
+    }
     std::copy(freshness->begin(), freshness->end(), state.freshness.begin());
     state.freshness_period = *period;
     state.freshness_seq = *seq;
 
-    const auto dict_epoch = r.try_u64();
-    const auto dict_n = r.try_u64();
-    const auto dict_root = r.try_raw(20);
-    if (!dict_epoch || !dict_n || !dict_root) {
-      throw bad("truncated dictionary meta");
-    }
-    dict::DictSections sec;
+    persist::PartKey key;
+    key.n = *dict_n;
+    std::copy(dict_root->begin(), dict_root->end(), key.root.begin());
+    const auto part = checkpoint.parts.find(key);
+    if (part == checkpoint.parts.end()) return false;
+    dict::DictSections sec = part->second.sections;
     sec.epoch = *dict_epoch;
-    sec.n = *dict_n;
-    std::copy(dict_root->begin(), dict_root->end(), sec.root.begin());
-    const auto base = static_cast<std::uint32_t>((i + 1) << 8);
-    const persist::SectionView* log = find_section(base | kSectionKindLog);
-    const persist::SectionView* sorted =
-        find_section(base | kSectionKindSorted);
-    const persist::SectionView* tree = find_section(base | kSectionKindTree);
-    if (log == nullptr || sorted == nullptr || tree == nullptr) {
-      throw bad("missing dictionary section");
+    try {
+      // Adopts the mapped arenas in place; the mapping stays alive through
+      // the keepalive for as long as any arena still aliases it.
+      state.dict.restore_sections(sec, part->second.file);
+    } catch (const std::runtime_error&) {
+      return false;
     }
-    sec.log = log->data;
-    sec.sorted = sorted->data;
-    sec.tree = tree->data;
-    // Adopts the mapped arenas in place; the mapping stays alive through
-    // the keepalive for as long as any arena still aliases it.
-    state.dict.restore_sections(sec, mapped.file);
     if (state.have_root && (state.dict.root() != state.root.root ||
                             state.dict.size() != state.root.n)) {
-      throw bad("dictionary does not match signed root");
+      throw refuse("dictionary does not match signed root");
     }
   }
-  if (!r.done()) throw bad("trailing meta bytes");
+  if (!r.done()) return false;
   cas_ = std::move(staged);
+  return true;
 }
 
 DictionaryStore::RecoveryReport DictionaryStore::recover_from(
     const std::string& dir) {
   RecoveryReport report;
-  persist::MappedRecovery rec = persist::Recovery::recover_mapped(dir);
+  persist::RecoveryScan rec;
+  try {
+    rec = persist::Recovery::recover(
+        dir, [this](const persist::Checkpoint& checkpoint) {
+          return restore_checkpoint(checkpoint);
+        });
+  } catch (const std::runtime_error& e) {
+    report.error = e.what();
+    return report;
+  }
   report.truncated_bytes = rec.wal_truncated_bytes;
   report.snapshots_skipped = rec.snapshots_skipped;
-
-  std::uint64_t snapshot_seq = 0;
-  if (rec.snapshot) {
-    try {
-      restore_v2(*rec.snapshot);
-    } catch (const std::exception& e) {
-      report.error = e.what();
-      return report;
-    }
-    report.have_snapshot = true;
-    report.snapshot_seq = rec.snapshot->seq;
-    snapshot_seq = rec.snapshot->seq;
-  }
-  mutation_seq_ = snapshot_seq;
+  report.have_snapshot = rec.checkpoint_seq.has_value();
+  report.snapshot_seq = rec.checkpoint_seq.value_or(0);
+  mutation_seq_ = report.snapshot_seq;
 
   // Replay the tail through the very apply paths that ran live; the WAL
   // only holds accepted mutations, so rejections here mean the log and

@@ -30,19 +30,21 @@
 //
 // Durability (PR 4): attach_wal() makes the store log every accepted
 // mutation to a persist::WriteAheadLog; persist_to()/recover_from() write
-// and reload atomic snapshots, replaying the WAL tail through the same
-// apply_* paths that ran live — recovery *is* replay, so the recovered
+// and reload checkpoints, replaying the WAL tail through the same apply_*
+// paths that ran live — recovery *is* replay, so the recovered
 // root/epoch/proofs are byte-identical to an in-memory replay of the
 // surviving prefix.
 //
-// Zero-copy persistence: persist_to() writes a section-container
-// snapshot — each dictionary's entry log, sorted index, and digest arena go
-// to disk as raw 64-byte-aligned sections, and recover_from() mmaps the
-// file and adopts them in place (copy-on-first-mutation) instead of
-// deserializing and re-hashing. freeze()/persist_frozen() split the write
-// into an O(#CAs) consistent copy under the mutation lock and an off-lock
-// file commit, which is what bounds the serving stall of background
-// checkpoints.
+// Zero-copy persistence: a checkpoint is the persist/shard_checkpoint.hpp
+// format — a manifest holding the store meta, plus one part per CA
+// dictionary with its entry log, sorted index, and digest arena as raw
+// 64-byte-aligned sections. A part is named by its dictionary's (n, root)
+// and written only when no file of that name exists, so a checkpoint
+// rewrites only the CAs that changed. recover_from() mmaps the parts and
+// adopts them in place (copy-on-first-mutation) instead of deserializing
+// and re-hashing. freeze()/persist_frozen() split the write into an
+// O(#CAs) consistent copy under the mutation lock and an off-lock commit,
+// which is what bounds the serving stall of background checkpoints.
 #pragma once
 
 #include <array>
@@ -90,6 +92,8 @@ class DictionaryStore {
 
   bool knows(const cert::CaId& ca) const;
   std::size_t ca_count() const noexcept { return cas_.size(); }
+  /// The registered CAs, in CaId order.
+  std::vector<cert::CaId> ca_ids() const;
 
   /// Applies a revocation issuance (serials + signed root).
   ApplyResult apply_issuance(const dict::RevocationIssuance& msg,
@@ -221,18 +225,8 @@ class DictionaryStore {
   persist::WriteAheadLog* wal() const noexcept { return wal_; }
 
   /// Sequence number of the last logged (or replayed) mutation — what
-  /// persist_to() stamps its snapshot with.
+  /// persist_to() stamps its checkpoint with.
   std::uint64_t mutation_seq() const noexcept { return mutation_seq_; }
-
-  /// Snapshot section tags (persist::SectionSpec::tag): tag 1
-  /// carries the store metadata (flags, signed roots, freshness state, and
-  /// per-dictionary epoch/n/root); the i-th CA's dictionary arenas (in meta
-  /// order) use ((i+1) << 8) | kind with kinds 1 = entry log, 2 = sorted
-  /// index, 3 = digest arena. Kind 4 is reserved for treap priorities.
-  static constexpr std::uint32_t kSectionMeta = 1;
-  static constexpr std::uint32_t kSectionKindLog = 1;
-  static constexpr std::uint32_t kSectionKindSorted = 2;
-  static constexpr std::uint32_t kSectionKindTree = 3;
 
   /// A consistent copy of every replica's durable state, cheap enough to
   /// take under the mutation lock: the Dictionary copies share their arenas
@@ -251,7 +245,7 @@ class DictionaryStore {
       std::uint64_t freshness_seq = 0;
       dict::Dictionary dict;  // arena-sharing copy
     };
-    std::vector<FrozenCa> cas;  // in CaId order (matches section tagging)
+    std::vector<FrozenCa> cas;  // in CaId order
     std::uint64_t mutation_seq = 0;
   };
 
@@ -260,18 +254,19 @@ class DictionaryStore {
   /// the result can then run concurrently with further mutations.
   FrozenStore freeze() const;
 
-  /// Commits `frozen` as an mmap-ready snapshot into `dir`,
-  /// stamped with frozen.mutation_seq. Never touches the WAL — the caller
-  /// decides whether the log may be reset (persist_to resets immediately;
-  /// the background checkpointer resets only if no mutation landed while it
-  /// wrote). Returns the committed file's size in bytes.
-  static std::uint64_t persist_frozen(const FrozenStore& frozen,
-                                      const std::string& dir);
+  /// Commits `frozen` as a checkpoint into `dir`, stamped with
+  /// frozen.mutation_seq: the one path persist_to() and RaUpdater's cycles
+  /// share. Never touches the WAL — the caller decides whether the log may
+  /// be reset (persist_to resets immediately; the background checkpointer
+  /// resets only if no mutation landed while it wrote). Returns what the
+  /// cycle wrote. Run one cycle per directory at a time.
+  static persist::CheckpointWrite persist_frozen(const FrozenStore& frozen,
+                                                 const std::string& dir);
 
-  /// Atomically writes the current state as a snapshot into `dir` (stamped
-  /// with mutation_seq()) and, when a WAL is attached, resets it — the
-  /// snapshot supersedes every logged record.
-  void persist_to(const std::string& dir);
+  /// Commits the current state as a checkpoint into `dir` (stamped with
+  /// mutation_seq()) and, when a WAL is attached, resets it — the
+  /// checkpoint supersedes every logged record.
+  persist::CheckpointWrite persist_to(const std::string& dir);
 
   struct RecoveryReport {
     bool ok = false;
@@ -280,18 +275,22 @@ class DictionaryStore {
     std::size_t replayed = 0;        // WAL records applied cleanly
     std::size_t rejected = 0;        // replayed records the rules refused
     std::uint64_t truncated_bytes = 0;   // torn WAL tail detected
-    std::uint64_t snapshots_skipped = 0; // corrupt snapshot files passed over
+    std::uint64_t snapshots_skipped = 0; // checkpoints passed over
     /// Records with types the store does not own (16+), in seq order — the
     /// updater reads its period markers back out of these.
     std::vector<persist::WalRecord> unhandled;
     std::string error;               // set when ok == false
   };
 
-  /// Crash recovery: loads the newest valid snapshot in `dir` and replays
-  /// the WAL tail past it through the normal apply_* paths (without
-  /// re-logging). Torn final records are detected and skipped; reopening
-  /// the WAL for appending afterwards truncates them in place. All CAs must
-  /// be registered before calling.
+  /// Crash recovery: restores the newest checkpoint in `dir` whose parts
+  /// all load and restore, and replays the WAL tail past it through the
+  /// normal apply_* paths (without re-logging). Torn final records are
+  /// detected and skipped; reopening the WAL for appending afterwards
+  /// truncates them in place. Refuses (ok == false, store untouched) when
+  /// checkpoints exist but none restores, or on a store-level failure: a CA
+  /// that is not registered, a signed root that fails the registered key,
+  /// or a dictionary that does not match its signed root. All CAs must be
+  /// registered before calling.
   RecoveryReport recover_from(const std::string& dir);
 
  private:
@@ -346,7 +345,7 @@ class DictionaryStore {
     struct StatusCache {
       std::array<CacheShard, kCacheShards> shards;
       StatusCache() = default;
-      // Replica copies (restore_v2 staging) never carry the cache: a
+      // Replica copies (restore staging) never carry the cache: a
       // restore is a version change for every CA anyway, and shard mutexes
       // are not copyable. Copies start cold and re-fill lazily.
       StatusCache(const StatusCache&) {}
@@ -384,12 +383,15 @@ class DictionaryStore {
   /// Appends an accepted mutation to the attached WAL (no-op while
   /// replaying or with no WAL attached).
   void log_mutation(std::uint8_t type, UnixSeconds now, ByteSpan message);
-  /// Restores a mapped snapshot: parses the meta section, adopts each CA's
-  /// arena sections in place (keeping the mapping alive), and checks every
-  /// signed root against its registered key and against the adopted
-  /// dictionary's root and size. Every CA in the snapshot must already be
-  /// registered. Throws on any mismatch, leaving the store untouched.
-  void restore_v2(const persist::SnapshotFile::Mapped& mapped);
+  /// Restores one checkpoint: parses the meta, adopts each CA's part in
+  /// place (keeping its mapping alive), and checks every signed root
+  /// against its registered key and against the adopted dictionary's root
+  /// and size. Returns false, leaving the store untouched, when the
+  /// checkpoint's own state does not restore (malformed meta, a part the
+  /// part list lacks, a part restore_sections rejects). Throws
+  /// std::runtime_error, leaving the store untouched, on a store-level
+  /// failure (see recover_from).
+  bool restore_checkpoint(const persist::Checkpoint& checkpoint);
 
   /// Relaxed atomics: serving threads bump these concurrently; cache_stats()
   /// snapshots them into the plain CacheStats struct.

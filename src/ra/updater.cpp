@@ -69,6 +69,13 @@ svc::CallResult RaUpdater::fetch_object(const std::string& path, TimeMs now) {
 }
 
 void RaUpdater::apply_message(const ca::FeedMessage& msg, UnixSeconds now) {
+  const cert::CaId& from = msg.type == ca::FeedMessage::Type::issuance
+                               ? msg.issuance->signed_root.ca
+                               : msg.freshness->ca;
+  const auto boot = boot_next_.find(from);
+  if (boot != boot_next_.end() && next_period_ < boot->second) {
+    return;  // the CA's bootstrapped snapshot already reflects this period
+  }
   ++totals_.messages;
   ApplyResult result;
   if (msg.type == ca::FeedMessage::Type::issuance) {
@@ -217,6 +224,7 @@ void RaUpdater::checkpoint() {
 
 void RaUpdater::checkpoint_once(bool sync_log_first) {
   using Clock = std::chrono::steady_clock;
+  std::lock_guard<std::mutex> cycle(cycle_mu_);
   DictionaryStore::FrozenStore frozen;
   std::uint64_t stall_us = 0;
   {
@@ -230,17 +238,17 @@ void RaUpdater::checkpoint_once(bool sync_log_first) {
                                                               t0)
             .count());
   }
-  // The expensive part — serialization and the fsync'd file commit — runs
+  // The expensive part — serialization and the fsync'd file commits — runs
   // off-lock against the frozen arenas while pulls keep landing.
-  const std::uint64_t bytes =
+  const persist::CheckpointWrite written =
       DictionaryStore::persist_frozen(frozen, persist_dir_);
   bool reset = false;
   {
     std::lock_guard<std::mutex> lock(freeze_mu_);
     if (store_->mutation_seq() == frozen.mutation_seq) {
-      // Nothing landed while writing: the snapshot covers the whole log.
+      // Nothing landed while writing: the checkpoint covers the whole log.
       wal_->reset(frozen.mutation_seq + 1);
-      // Re-mark the cursor right after the reset: the snapshot carries
+      // Re-mark the cursor right after the reset: the checkpoint carries
       // only store state, so the freshly emptied log must say where
       // pulling resumes. (A crash inside this window recovers with cursor
       // 0 and re-pulls old periods; the store rejects them as stale —
@@ -250,13 +258,16 @@ void RaUpdater::checkpoint_once(bool sync_log_first) {
       reset = true;
     }
     // Otherwise leave the log intact: recovery drops records at or below
-    // the snapshot's stamp anyway, and the next cycle retries the reset.
+    // the checkpoint's stamp anyway, and the next cycle retries the reset.
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++ckpt_stats_.checkpoints;
   if (reset) ++ckpt_stats_.wal_resets;
   else ++ckpt_stats_.wal_reset_skipped;
-  ckpt_stats_.last_bytes = bytes;
+  ckpt_stats_.last_bytes = written.bytes;
+  ckpt_stats_.bytes_written += written.bytes;
+  ckpt_stats_.parts_written += written.parts_written;
+  ckpt_stats_.parts_reused += written.parts_reused;
   ckpt_stats_.last_stall_us = stall_us;
   ckpt_stats_.max_stall_us = std::max(ckpt_stats_.max_stall_us, stall_us);
   ckpt_stats_.total_stall_us += stall_us;
@@ -344,10 +355,22 @@ svc::Status RaUpdater::bootstrap(const cert::CaId& ca, TimeMs now) {
   }
   ++totals_.bootstraps;
   ++totals_.applied_ok;
-  // The snapshot covers every feed period up to and including upto_period:
-  // resume pulling right after it (never rewind a fresher cursor).
-  if (obj->upto_period + 1 > next_period_) {
-    next_period_ = obj->upto_period + 1;
+  // The snapshot covers this CA through upto_period. The cursor may skip a
+  // period only if every other CA holding a root covers it too — through
+  // the pulls below the cursor or its own bootstrap — or that CA's messages
+  // in it would never be fetched. Never rewind a fresher cursor.
+  std::uint64_t& covered = boot_next_[ca];
+  covered = std::max(covered, obj->upto_period + 1);
+  std::uint64_t next = covered;
+  for (const cert::CaId& other : store_->ca_ids()) {
+    if (other == ca || !store_->has_root(other)) continue;
+    const auto it = boot_next_.find(other);
+    next = std::min(next, it == boot_next_.end()
+                              ? next_period_
+                              : std::max(next_period_, it->second));
+  }
+  if (next > next_period_) {
+    next_period_ = next;
     mark_period();
   }
   return svc::Status::ok;

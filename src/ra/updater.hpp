@@ -5,11 +5,12 @@
 // consistency-checking procedure of §III (fetch a random edge's copy of a
 // CA's signed root and compare against the local replica).
 //
-// Outside bootstrap() (below), the feed cursor advances one period at a
-// time and only past periods it fetched: a gap sync never moves it, because
-// the periods after it may carry other CAs' messages. A gap sync that fails
-// is retried at the CA's next feed message — its next issuance or
-// freshness statement.
+// The feed cursor advances one period at a time and only past periods it
+// fetched: a gap sync never moves it, because the periods after it may
+// carry other CAs' messages. A gap sync that fails is retried at the CA's
+// next feed message — its next issuance or freshness statement. bootstrap()
+// (below) moves it past a period without fetching only when every other CA
+// holding a root already covers that period.
 //
 // The updater speaks svc::Transport only (PR 5 replaced the raw cdn::Cdn*
 // pointer and the SyncFn hook; PR 6 deleted the deprecated compatibility
@@ -26,11 +27,12 @@
 // Durable mode (PR 4): enable_persistence() opens a write-ahead log shared
 // with the store — the store logs every accepted feed message, the updater
 // logs a period marker after each pulled feed period — and checkpoint()
-// snapshots both into the same directory. recover() then restores the
-// replicas from snapshot + WAL tail and resumes pulling from the first
-// period the log had not yet covered, instead of re-syncing the entire
-// issuance history. bootstrap() is the CDN cold-start path: one GET for the
-// snapshot+delta object replaces the full replay entirely.
+// commits a store checkpoint (DictionaryStore::persist_frozen) into the same
+// directory. recover() then restores the replicas from checkpoint + WAL
+// tail and resumes pulling from the first period the log had not yet
+// covered, instead of re-syncing the entire issuance history. bootstrap()
+// is the CDN cold-start path: one GET for the snapshot+delta object
+// replaces the full replay entirely.
 #pragma once
 
 #include <condition_variable>
@@ -167,12 +169,12 @@ class RaUpdater {
   /// True once enable_persistence()/recover() has been called.
   bool persistent() const noexcept { return wal_ != nullptr; }
 
-  /// Writes an atomic snapshot of the store (and the feed cursor) into the
+  /// Commits a checkpoint of the store (and the feed cursor) into the
   /// persistence directory and resets the WAL — the O(history) part of a
-  /// restart collapses into this file; only the log tail is replayed.
+  /// restart collapses into the checkpoint; only the log tail is replayed.
   /// Runs one full cycle on the calling thread (freeze → persist →
-  /// conditional WAL reset + cursor re-mark); safe against a concurrent
-  /// background checkpoint thread and concurrent pulls.
+  /// conditional WAL reset + cursor re-mark); waits for a background cycle
+  /// in flight, and is safe against concurrent pulls.
   void checkpoint();
 
   // ------------------------------------------- background checkpointing
@@ -183,9 +185,9 @@ class RaUpdater {
   /// thread holds it only for the O(#CAs) arena-sharing freeze() and,
   /// after the off-lock file write, briefly again for the WAL reset — the
   /// measured stall is that freeze window, not the write. The WAL is reset
-  /// only when no mutation landed while the snapshot was written;
-  /// otherwise the log stays intact (recovery filters records the snapshot
-  /// already covers) and the next cycle retries. Serving reads
+  /// only when no mutation landed while the checkpoint was written;
+  /// otherwise the log stays intact (recovery filters records the
+  /// checkpoint already covers) and the next cycle retries. Serving reads
   /// (status_bytes_for) never touch the freeze mutex at all. Requires
   /// persistence; throws std::logic_error otherwise or if already running.
   void start_checkpoints(double interval_s);
@@ -196,19 +198,22 @@ class RaUpdater {
   void stop_checkpoints();
 
   struct CheckpointStats {
-    std::uint64_t checkpoints = 0;       // completed snapshot commits
+    std::uint64_t checkpoints = 0;       // completed checkpoint commits
     std::uint64_t wal_resets = 0;        // cycles that emptied the log
     std::uint64_t wal_reset_skipped = 0; // mutations raced the file write
-    std::uint64_t last_bytes = 0;        // newest snapshot file size
+    std::uint64_t last_bytes = 0;        // bytes the newest cycle wrote
     std::uint64_t last_stall_us = 0;     // newest freeze window
     std::uint64_t max_stall_us = 0;
     std::uint64_t total_stall_us = 0;
+    std::uint64_t bytes_written = 0;     // every cycle: parts + manifests
+    std::uint64_t parts_written = 0;
+    std::uint64_t parts_reused = 0;      // unchanged since an earlier cycle
   };
   /// Thread-safe snapshot of the checkpoint counters (sync + background).
   CheckpointStats checkpoint_stats() const;
 
   /// Crash-consistent restart: recovers the store from the newest valid
-  /// snapshot plus the WAL tail, restores the feed cursor from the last
+  /// checkpoint plus the WAL tail, restores the feed cursor from the last
   /// period marker, and stays in durable mode (implies
   /// enable_persistence(dir)). The next pull_up_to() fetches only periods
   /// the log had not covered. CAs must be registered with the store first.
@@ -217,18 +222,21 @@ class RaUpdater {
 
   /// CDN cold start (§VIII): one GET for the CA's snapshot+delta object,
   /// installed via DictionaryStore::bootstrap_replica. On success the feed
-  /// cursor fast-forwards past the periods the snapshot covers, so the
-  /// following pull_up_to() fetches only the delta. Non-ok codes say why:
-  /// not_found (no object), malformed, or an acceptance-rule rejection.
+  /// cursor fast-forwards past the periods the snapshot covers, but only
+  /// past those every other CA holding a root covers too; later pulls skip
+  /// this CA's messages in periods its snapshot covers. Non-ok codes say
+  /// why: not_found (no object), malformed, or an acceptance-rule
+  /// rejection.
   svc::Status bootstrap(const cert::CaId& ca, TimeMs now);
 
  private:
   void apply_message(const ca::FeedMessage& msg, UnixSeconds now);
-  /// One checkpoint cycle: freeze under freeze_mu_, persist off-lock,
-  /// re-lock for the conditional WAL reset. `sync_log_first` additionally
-  /// fsyncs the WAL inside the freeze window (the synchronous checkpoint()
-  /// keeps its pre-PR-9 durability ordering; the background thread skips it
-  /// to keep the stall minimal — the snapshot supersedes those records).
+  /// One checkpoint cycle under cycle_mu_: freeze under freeze_mu_,
+  /// persist off-lock, re-lock for the conditional WAL reset.
+  /// `sync_log_first` additionally fsyncs the WAL inside the freeze window
+  /// (the synchronous checkpoint() keeps its pre-PR-9 durability ordering;
+  /// the background thread skips it to keep the stall minimal — the
+  /// checkpoint supersedes those records).
   void checkpoint_once(bool sync_log_first);
   void checkpoint_loop(double interval_s);
   void run_sync(const cert::CaId& ca, UnixSeconds now);
@@ -244,6 +252,8 @@ class RaUpdater {
   svc::Transport* cdn_rpc_ = nullptr;
   svc::Transport* sync_rpc_ = nullptr;
   std::uint64_t next_period_ = 0;
+  /// CA -> the first feed period its bootstrapped snapshot does not cover.
+  std::map<cert::CaId, std::uint64_t> boot_next_;
   Totals totals_;
   Health health_;
   std::string persist_dir_;
@@ -253,6 +263,9 @@ class RaUpdater {
   /// the file write, so a mutator stalls for microseconds; a mutator may
   /// hold it for a whole pull batch, which merely delays the checkpoint.
   std::mutex freeze_mu_;
+  /// Held for a whole checkpoint cycle: checkpoint() and the background
+  /// thread never write the same tmp names at once.
+  std::mutex cycle_mu_;
   std::thread ckpt_thread_;
   std::mutex ckpt_mu_;             // guards ckpt_stop_ with ckpt_cv_
   std::condition_variable ckpt_cv_;

@@ -3,6 +3,7 @@
 // append-only/consistency invariants from DESIGN.md §5.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -657,6 +658,37 @@ TEST(Restore, ForgedEntryCountIsRejectedBeforeAllocating) {
         << e.what();
   }
   EXPECT_EQ(victim.size(), 0u);
+}
+
+TEST(Restore, SectionsWithSwappedSortedIndexWordsAreRejected) {
+  // The sections adoption checks the sorted order as restore_from does: a
+  // CRC-valid part whose index is out of order would otherwise be served,
+  // and clients would reject its proofs.
+  Dictionary d;
+  d.insert(serial_range(1, 50));
+  DictSections sec = d.snapshot_sections();
+  std::vector<std::uint32_t> sorted(sec.n);
+  std::memcpy(sorted.data(), sec.sorted.data(), sec.sorted.size());
+  std::swap(sorted[10], sorted[11]);
+  sec.sorted = ByteSpan(reinterpret_cast<const std::uint8_t*>(sorted.data()),
+                        sec.sorted.size());
+
+  Dictionary victim;
+  victim.insert({sn(7)});
+  const crypto::Digest20 before = victim.root();
+  try {
+    victim.restore_sections(sec, nullptr);
+    FAIL() << "out-of-order sorted index adopted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("out of order"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(victim.size(), 1u);
+  EXPECT_EQ(victim.root(), before);
+
+  // The unswapped sections still adopt.
+  victim.restore_sections(d.snapshot_sections(), nullptr);
+  EXPECT_EQ(victim.root(), d.root());
 }
 
 TEST(Dictionary, AppendBatchesRehashOnlyTheSpine) {

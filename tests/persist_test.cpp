@@ -1,16 +1,18 @@
 // Persistence suite (PR 4): WAL framing + torn-write truncation at every
 // byte of the final record and every framing field, atomic snapshot commit
-// and fallback, snapshot round trips for all three dictionary backends, RA
-// store persist/recover with crash simulation, and the CDN cold-start
-// bootstrap. The crash-consistency property pinned throughout: recovery
-// from a prefix of the log always equals an in-memory replay of exactly
-// that prefix — root, epoch, and proof bytes identical.
+// and retention, snapshot round trips for both dictionary backends, the RA
+// store's checkpoint (a manifest plus one part per CA dictionary) with
+// incremental writes, retention, fallback and refusal, crash simulation,
+// and the CDN cold-start bootstrap. The crash-consistency property pinned
+// throughout: recovery from a prefix of the log always equals an in-memory
+// replay of exactly that prefix — root, epoch, and proof bytes identical.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -20,9 +22,7 @@
 #include "cdn/service.hpp"
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "dict/dictionary.hpp"
-#include "dict/sharded.hpp"
 #include "dict/treap.hpp"
 #include "persist/recovery.hpp"
 #include "persist/sections.hpp"
@@ -221,38 +221,38 @@ Bytes only_section(const SnapshotFile::Mapped& mapped) {
   return Bytes(data.begin(), data.end());
 }
 
-TEST(Snapshot, AtomicCommitLoadAndFallback) {
+TEST(Snapshot, AtomicCommitAndLoad) {
   TempDir dir("snap");
-  std::uint64_t skipped = 0;
-  EXPECT_FALSE(SnapshotFile::map_newest(dir.str(), &skipped).has_value());
+  EXPECT_TRUE(SnapshotFile::seqs_newest_first(dir.str()).empty());
 
   const Bytes a{1, 2, 3}, b(100000, 0x5C);
   SnapshotFile::write_v2(dir.str(), 3, {{7, ByteSpan(a)}});
   const std::uint64_t b_size =
       SnapshotFile::write_v2(dir.str(), 9, {{7, ByteSpan(b)}});
-  auto newest = SnapshotFile::map_newest(dir.str(), &skipped);
+  EXPECT_EQ(SnapshotFile::seqs_newest_first(dir.str()),
+            (std::vector<std::uint64_t>{9, 3}));
+  auto newest = SnapshotFile::map(dir.str(), 9);
   ASSERT_TRUE(newest.has_value());
   EXPECT_EQ(newest->seq, 9u);
   EXPECT_EQ(newest->sections.front().tag, 7u);
   EXPECT_EQ(only_section(*newest), b);
-  EXPECT_EQ(skipped, 0u);
 
-  // Corrupt a payload byte of the newest file: loading falls back to the
-  // previous snapshot.
+  // Corrupt a payload byte of the newest file: it no longer maps, and the
+  // previous snapshot still does (recovery's fallback, pinned at the store
+  // level below).
   const std::string newest_path = dir.file("snap-0000000000000009.snap");
   Bytes image = read_all(newest_path);
   ASSERT_EQ(image.size(), b_size);
   image[image.size() - 64] ^= 0x80;  // inside b, past every header
   write_all(newest_path, ByteSpan(image));
-  auto fallback = SnapshotFile::map_newest(dir.str(), &skipped);
+  EXPECT_FALSE(SnapshotFile::map(dir.str(), 9).has_value());
+  auto fallback = SnapshotFile::map(dir.str(), 3);
   ASSERT_TRUE(fallback.has_value());
-  EXPECT_EQ(fallback->seq, 3u);
   EXPECT_EQ(only_section(*fallback), a);
-  EXPECT_EQ(skipped, 1u);
 
   // A torn .tmp (crash before rename) is never considered.
   write_all(dir.file("snap-00000000000000ff.snap.tmp"), ByteSpan(a));
-  EXPECT_EQ(SnapshotFile::map_newest(dir.str())->seq, 3u);
+  EXPECT_EQ(SnapshotFile::seqs_newest_first(dir.str()).front(), 9u);
 }
 
 TEST(Snapshot, RetentionKeepsNewestTwo) {
@@ -261,14 +261,10 @@ TEST(Snapshot, RetentionKeepsNewestTwo) {
     const Bytes payload{std::uint8_t(seq)};
     SnapshotFile::write_v2(dir.str(), seq, {{1, ByteSpan(payload)}});
   }
-  std::size_t on_disk = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
-    on_disk += entry.path().extension() == ".snap";
-  }
-  EXPECT_EQ(on_disk, 2u);
-  const auto newest = SnapshotFile::map_newest(dir.str());
+  EXPECT_EQ(SnapshotFile::seqs_newest_first(dir.str()),
+            (std::vector<std::uint64_t>{5, 4}));
+  const auto newest = SnapshotFile::map(dir.str(), 5);
   ASSERT_TRUE(newest.has_value());
-  EXPECT_EQ(newest->seq, 5u);
   EXPECT_EQ(only_section(*newest), Bytes{5});
 }
 
@@ -331,36 +327,6 @@ TEST(DictSnapshot, EmptyDictionaryRoundTrips) {
   restored.restore_from(r);
   EXPECT_EQ(restored.size(), 0u);
   EXPECT_EQ(restored.root(), dict::empty_root());
-}
-
-TEST(ShardedSnapshot, RoundTripAfterInsertsAndPrune) {
-  TempDir dir("sharded-roundtrip");
-  dict::ShardedDictionary sharded(86'400);
-  Rng rng(33);
-  for (int i = 0; i < 500; ++i) {
-    sharded.insert(SerialNumber::from_uint(rng.uniform(1 << 20), 4),
-                   static_cast<UnixSeconds>(rng.uniform(40)) * 86'400 + 100);
-  }
-  const std::size_t before_prune = sharded.shard_count();
-  sharded.prune(15 * 86'400);  // drop the oldest expiry buckets
-  ASSERT_LT(sharded.shard_count(), before_prune);
-
-  persist::ShardCheckpointer(dir.str()).checkpoint(sharded);
-  dict::ShardedDictionary restored(123);  // width overridden by the manifest
-  persist::ShardCheckpointer reader(dir.str());
-  const auto res = reader.recover(restored);
-  ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_TRUE(res.have_manifest);
-  EXPECT_EQ(restored.bucket_width(), sharded.bucket_width());
-  EXPECT_EQ(restored.epoch(), sharded.epoch());
-  EXPECT_EQ(restored.shard_count(), sharded.shard_count());
-  EXPECT_EQ(restored.total_entries(), sharded.total_entries());
-  EXPECT_EQ(restored.shard_roots(), sharded.shard_roots());
-  // Per-shard proofs still verify identically.
-  const auto serial = SerialNumber::from_uint(424242, 4);
-  const UnixSeconds expiry = 30 * 86'400 + 100;
-  EXPECT_EQ(restored.prove(serial, expiry).encode(),
-            sharded.prove(serial, expiry).encode());
 }
 
 TEST(TreapSnapshot, RoundTripWithoutPerEntryHashing) {
@@ -507,15 +473,299 @@ TEST(StorePersist, BootstrapReplicaIsLoggedAndReplayed) {
             live.root_of(ca.id())->encode());
 }
 
-// Format v2 never re-hashes arena sections on restore: integrity is the
-// per-section CRCs, authenticity the CA-signed root cross-check. A tamperer
-// who refreshes the CRCs can alter raw bytes at will, but any change that
-// survives the structural checks still has to reproduce the signed root —
-// impossible without the CA key. Pinned here with full container surgery:
-// flip the recorded dictionary root in the store-meta section AND the
-// matching digest-arena byte (with one entry the arena *is* the 20-byte
-// root, so the restored dictionary is self-consistent), then fix both
-// section CRCs and the directory CRC.
+// ------------------------------------------------ store checkpoint files
+
+std::vector<std::string> files_ending(const TempDir& dir,
+                                      const std::string& suffix) {
+  std::vector<std::string> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
+    const std::string name = entry.path().filename().string();
+    if (name.ends_with(suffix)) out.push_back(name);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The newest manifest's file name.
+std::string newest_manifest(const TempDir& dir) {
+  const auto manifests = files_ending(dir, ".snap");
+  EXPECT_FALSE(manifests.empty());
+  return manifests.empty() ? std::string() : manifests.back();
+}
+
+/// The part that holds `ca`'s current dictionary in `store`.
+std::string part_of(const ra::DictionaryStore& store, const cert::CaId& ca) {
+  return persist::part_name({store.root_of(ca)->root, store.have_n(ca)});
+}
+
+/// (absolute offset, length) of the section tagged `tag` in a container
+/// file image.
+std::pair<std::size_t, std::size_t> section_at(const Bytes& image,
+                                               std::uint32_t tag) {
+  const std::uint8_t* base = image.data() + persist::kFileHeaderSize;
+  const std::uint32_t count = rd_be32(base + 4);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::uint8_t* e = base + persist::kSectionHeaderSize +
+                            std::size_t(i) * persist::kSectionDirEntrySize;
+    if (rd_be32(e) == tag) {
+      return {persist::kFileHeaderSize + rd_be64(e + 8),
+              static_cast<std::size_t>(rd_be64(e + 16))};
+    }
+  }
+  ADD_FAILURE() << "no section tagged " << tag;
+  return {0, 0};
+}
+
+/// Recomputes every section CRC and the directory CRC of a container file
+/// image, as a tamperer who knows the format would.
+void refresh_crcs(Bytes& image) {
+  std::uint8_t* base = image.data() + persist::kFileHeaderSize;
+  const std::uint32_t count = rd_be32(base + 4);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::uint8_t* e = base + persist::kSectionHeaderSize +
+                      std::size_t(i) * persist::kSectionDirEntrySize;
+    wr_be32(e + 4, crc32(ByteSpan(base + rd_be64(e + 8),
+                                  static_cast<std::size_t>(rd_be64(e + 16)))));
+  }
+  wr_be32(base + 8,
+          crc32(ByteSpan(base + persist::kSectionHeaderSize,
+                         std::size_t(count) * persist::kSectionDirEntrySize)));
+}
+
+/// Structural byte offsets of a container file image: the 20-byte stamp,
+/// the container header (minus the unvalidated reserved word), the whole
+/// directory, and each non-empty section's edge bytes.
+std::vector<std::size_t> structural_offsets(const Bytes& image) {
+  std::vector<std::size_t> offsets;
+  for (std::size_t i = 0; i < 20; ++i) offsets.push_back(i);
+  const std::size_t cbase = persist::kFileHeaderSize;
+  for (std::size_t i = 0; i < 12; ++i) offsets.push_back(cbase + i);
+  const std::uint32_t count = rd_be32(image.data() + cbase + 4);
+  for (std::size_t i = 0; i < std::size_t(count) *
+                                  persist::kSectionDirEntrySize;
+       ++i) {
+    offsets.push_back(cbase + persist::kSectionHeaderSize + i);
+  }
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::uint8_t* e = image.data() + cbase +
+                            persist::kSectionHeaderSize +
+                            std::size_t(i) * persist::kSectionDirEntrySize;
+    const std::uint64_t off = rd_be64(e + 8);
+    const std::uint64_t len = rd_be64(e + 16);
+    if (len == 0) continue;
+    offsets.push_back(cbase + off);
+    offsets.push_back(cbase + off + len - 1);
+  }
+  return offsets;
+}
+
+/// Issues `count` random serials for `ca` and applies them to `store`.
+void issue(ca::CertificationAuthority& ca, ra::DictionaryStore& store,
+           Rng& rng, std::size_t count, UnixSeconds& now) {
+  std::vector<SerialNumber> serials;
+  for (std::size_t i = 0; i < count; ++i) {
+    serials.push_back(SerialNumber::from_uint(rng.uniform(1 << 20), 4));
+  }
+  now += 10;
+  ASSERT_EQ(store.apply_issuance(ca.revoke(serials, now), now),
+            ra::ApplyResult::ok);
+}
+
+/// `n` CAs with distinct ids and keys, registered with every given store.
+std::vector<ca::CertificationAuthority> make_cas(
+    std::size_t n, std::initializer_list<ra::DictionaryStore*> stores) {
+  std::vector<ca::CertificationAuthority> cas;
+  for (std::size_t i = 0; i < n; ++i) {
+    Rng rng(900 + i);
+    ca::CertificationAuthority::Config cfg;
+    cfg.id = "CA-" + std::to_string(i);
+    cfg.delta = 10;
+    cfg.chain_length = 64;
+    cas.emplace_back(cfg, rng, 1000);
+    for (ra::DictionaryStore* store : stores) {
+      store->register_ca(cas.back().id(), cas.back().public_key(),
+                         cas.back().delta());
+    }
+  }
+  return cas;
+}
+
+/// Roots, sizes and proof bytes of every CA agree between two stores.
+void expect_same_replicas(const ra::DictionaryStore& a,
+                          const ra::DictionaryStore& b,
+                          const std::vector<ca::CertificationAuthority>& cas) {
+  for (const auto& ca : cas) {
+    ASSERT_EQ(a.have_n(ca.id()), b.have_n(ca.id())) << ca.id();
+    ASSERT_EQ(a.has_root(ca.id()), b.has_root(ca.id())) << ca.id();
+    if (!a.has_root(ca.id())) continue;
+    EXPECT_EQ(a.root_of(ca.id())->encode(), b.root_of(ca.id())->encode());
+    for (const std::uint64_t probe : {1ull, 4242ull, 777777ull}) {
+      const auto serial = SerialNumber::from_uint(probe, 4);
+      EXPECT_EQ(a.status_for(ca.id(), serial)->encode(),
+                b.status_for(ca.id(), serial)->encode());
+    }
+  }
+}
+
+// A checkpoint writes a part only for a dictionary whose (n, root) is not on
+// disk yet: after one CA's issuance exactly one part plus the manifest; with
+// no dictionary change only the manifest.
+TEST(StoreCheckpoint, WritesOnlyTheChangedCasParts) {
+  TempDir dir("store-incremental");
+  ra::DictionaryStore live;
+  auto cas = make_cas(8, {&live});
+  Rng rng(71);
+  UnixSeconds now = 1000;
+  for (auto& ca : cas) issue(ca, live, rng, 50, now);
+
+  const auto full = live.persist_to(dir.str());
+  EXPECT_EQ(full.parts_written, 8u);
+  EXPECT_EQ(full.parts_reused, 0u);
+  EXPECT_EQ(files_ending(dir, ".part").size(), 8u);
+
+  const auto clean = live.persist_to(dir.str());
+  EXPECT_EQ(clean.parts_written, 0u);
+  EXPECT_EQ(clean.parts_reused, 8u);
+  EXPECT_EQ(clean.bytes,
+            std::filesystem::file_size(dir.file(newest_manifest(dir))));
+
+  issue(cas[3], live, rng, 5, now);
+  const auto incr = live.persist_to(dir.str());
+  EXPECT_EQ(incr.parts_written, 1u);
+  EXPECT_EQ(incr.parts_reused, 7u);
+  EXPECT_EQ(incr.bytes,
+            std::filesystem::file_size(dir.file(newest_manifest(dir))) +
+                std::filesystem::file_size(dir.file(part_of(live, cas[3].id()))));
+  EXPECT_LT(incr.bytes, full.bytes / 4);
+
+  ra::DictionaryStore recovered;
+  for (const auto& ca : cas) {
+    recovered.register_ca(ca.id(), ca.public_key(), ca.delta());
+  }
+  const auto report = recovered.recover_from(dir.str());
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_TRUE(report.have_snapshot);
+  EXPECT_EQ(report.snapshots_skipped, 0u);
+  expect_same_replicas(recovered, live, cas);
+}
+
+// Retention keeps the two newest manifests and exactly the parts they list:
+// no part either references is ever deleted, and every other part goes.
+TEST(StoreCheckpoint, RetentionKeepsEveryPartTheTwoNewestManifestsList) {
+  TempDir dir("store-retention");
+  ra::DictionaryStore live;
+  auto cas = make_cas(4, {&live});
+  Rng rng(72);
+  UnixSeconds now = 1000;
+  for (int cycle = 0; cycle < 12; ++cycle) {
+    // Change a random subset of CAs (sometimes none) between checkpoints.
+    for (auto& ca : cas) {
+      if (rng.uniform(3) == 0) issue(ca, live, rng, 1 + rng.uniform(4), now);
+    }
+    live.persist_to(dir.str());
+
+    // A cycle with no mutation rewrites the same manifest.
+    const auto seqs = SnapshotFile::seqs_newest_first(dir.str());
+    ASSERT_FALSE(seqs.empty());
+    ASSERT_LE(seqs.size(), 2u);
+    std::set<std::string> listed;
+    for (const std::uint64_t seq : seqs) {
+      const auto checkpoint = persist::load_checkpoint(dir.str(), seq);
+      ASSERT_TRUE(checkpoint.has_value()) << "cycle " << cycle;
+      for (const auto& [key, part] : checkpoint->parts) {
+        listed.insert(persist::part_name(key));
+      }
+    }
+    const auto on_disk = files_ending(dir, ".part");
+    EXPECT_EQ(std::set<std::string>(on_disk.begin(), on_disk.end()), listed)
+        << "cycle " << cycle;
+  }
+}
+
+// A crash after a cycle's parts are committed but before its manifest is:
+// the previous manifest and its parts are all still there, and recovery
+// from it plus the WAL equals the live state.
+TEST(StoreCheckpoint, CrashBetweenPartAndManifestCommitsUsesThePrevious) {
+  TempDir dir("store-crash-commit");
+  ra::DictionaryStore live;
+  auto cas = make_cas(3, {&live});
+  persist::WriteAheadLog wal;
+  wal.open(Recovery::wal_path(dir.str()));
+  live.attach_wal(&wal);
+  Rng rng(73);
+  UnixSeconds now = 1000;
+  for (auto& ca : cas) issue(ca, live, rng, 20, now);
+  live.persist_to(dir.str());
+  const std::string previous = newest_manifest(dir);
+  const std::uint64_t previous_seq = live.mutation_seq();
+
+  issue(cas[0], live, rng, 3, now);
+  issue(cas[2], live, rng, 3, now);
+  wal.sync();
+  // The next cycle commits its parts and manifest, and the crash lands
+  // before the WAL reset; deleting the manifest models the crash landing
+  // before the manifest's rename.
+  ra::DictionaryStore::persist_frozen(live.freeze(), dir.str());
+  const std::string newest = newest_manifest(dir);
+  ASSERT_NE(newest, previous);
+  std::filesystem::remove(dir.file(newest));
+  wal.close();
+
+  ra::DictionaryStore recovered;
+  for (const auto& ca : cas) {
+    recovered.register_ca(ca.id(), ca.public_key(), ca.delta());
+  }
+  const auto report = recovered.recover_from(dir.str());
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.snapshot_seq, previous_seq);
+  EXPECT_EQ(report.replayed, 2u);
+  expect_same_replicas(recovered, live, cas);
+}
+
+// A part both retained manifests list (its CA did not change between them)
+// is one copy: corrupting it leaves no checkpoint to fall back to, and
+// recovery refuses with the store untouched instead of starting empty.
+TEST(StoreCheckpoint, CorruptSharedPartRefusesRecoveryUntouched) {
+  TempDir dir("store-shared-part");
+  ra::DictionaryStore live, target;
+  auto cas = make_cas(2, {&live, &target});
+  Rng rng(74);
+  UnixSeconds now = 1000;
+  for (auto& ca : cas) issue(ca, live, rng, 30, now);
+  live.persist_to(dir.str());
+  issue(cas[0], live, rng, 2, now);
+  live.persist_to(dir.str());  // CA-1's part is listed by both manifests
+
+  const std::string shared = dir.file(part_of(live, cas[1].id()));
+  Bytes image = read_all(shared);
+  const auto [off, len] = section_at(image, 2);  // the entry log
+  ASSERT_GT(len, 0u);
+  image[off] ^= 0x01;
+  write_all(shared, ByteSpan(image));
+
+  const auto obj = cas[0].cold_start_object(0, now);
+  ASSERT_EQ(target.bootstrap_replica(cas[0].id(), ByteSpan(obj.dict_snapshot),
+                                     obj.signed_root, obj.freshness, now),
+            ra::ApplyResult::ok);
+  const std::uint64_t target_n = target.have_n(cas[0].id());
+  const Bytes target_root = target.root_of(cas[0].id())->encode();
+  const auto report = target.recover_from(dir.str());
+  EXPECT_FALSE(report.ok);
+  EXPECT_FALSE(report.error.empty());
+  EXPECT_EQ(target.have_n(cas[0].id()), target_n);
+  EXPECT_EQ(target.root_of(cas[0].id())->encode(), target_root);
+  EXPECT_FALSE(target.has_root(cas[1].id()));
+}
+
+// Parts are never re-hashed on restore: integrity is the per-section CRCs,
+// authenticity the CA-signed root cross-check. A tamperer who refreshes the
+// CRCs can alter raw bytes at will, but any change that survives the
+// structural checks still has to reproduce the signed root — impossible
+// without the CA key. Pinned here with full surgery on both files: the
+// recorded dictionary root in the manifest's store meta and part list, and
+// in the part's meta and digest arena (with one entry the arena *is* the
+// 20-byte root, so the restored dictionary is self-consistent), every CRC
+// refreshed and the part renamed to match.
 TEST(StorePersist, TamperedSnapshotRootFailsRecovery) {
   TempDir dir("store-tamper");
   auto ca = make_ca(7);
@@ -526,40 +776,29 @@ TEST(StorePersist, TamperedSnapshotRootFailsRecovery) {
             ra::ApplyResult::ok);
   live.persist_to(dir.str());
 
-  std::string snap;
-  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
-    if (entry.path().extension() == ".snap") snap = entry.path().string();
-  }
-  ASSERT_FALSE(snap.empty());
-  Bytes image = read_all(snap);
-  ASSERT_GT(image.size(), SnapshotFile::kV2HeaderSize +
-                              persist::kSectionHeaderSize);
+  persist::PartKey key{live.root_of(ca.id())->root, 1};
+  const std::string part_path = dir.file(persist::part_name(key));
+  Bytes part = read_all(part_path);
+  ASSERT_FALSE(part.empty());
+  key.root[19] ^= 0x01;
+  const auto [meta_off, meta_len] = section_at(part, 1);  // u64 n, 20B root
+  const auto [tree_off, tree_len] = section_at(part, 4);
+  ASSERT_EQ(tree_len, 20u);
+  part[meta_off + meta_len - 1] ^= 0x01;
+  part[tree_off + tree_len - 1] ^= 0x01;
+  refresh_crcs(part);
+  std::filesystem::remove(part_path);
+  write_all(dir.file(persist::part_name(key)), ByteSpan(part));
 
-  std::uint8_t* base = image.data() + SnapshotFile::kV2HeaderSize;
-  const std::uint32_t count = rd_be32(base + 4);
-  constexpr std::uint32_t kTreeTag =
-      (1u << 8) | ra::DictionaryStore::kSectionKindTree;
-  bool flipped_meta = false, flipped_tree = false;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint8_t* e = base + persist::kSectionHeaderSize +
-                      std::size_t(i) * persist::kSectionDirEntrySize;
-    const std::uint32_t tag = rd_be32(e);
-    if (tag != ra::DictionaryStore::kSectionMeta && tag != kTreeTag) continue;
-    const std::uint64_t off = rd_be64(e + 8);
-    const std::uint64_t len = rd_be64(e + 16);
-    ASSERT_GT(len, 0u);
-    base[off + len - 1] ^= 0x01;  // meta ends with the dict root; the
-                                  // one-leaf arena *is* that root
-    wr_be32(e + 4, crc32(ByteSpan(base + off, len)));
-    (tag == ra::DictionaryStore::kSectionMeta ? flipped_meta : flipped_tree) =
-        true;
-  }
-  ASSERT_TRUE(flipped_meta);
-  ASSERT_TRUE(flipped_tree);
-  wr_be32(base + 8,
-          crc32(ByteSpan(base + persist::kSectionHeaderSize,
-                         std::size_t(count) * persist::kSectionDirEntrySize)));
-  write_all(snap, ByteSpan(image));
+  const std::string manifest_path = dir.file(newest_manifest(dir));
+  Bytes manifest = read_all(manifest_path);
+  const auto [store_off, store_len] = section_at(manifest, 1);
+  const auto [list_off, list_len] = section_at(manifest, 2);
+  ASSERT_EQ(list_len, 4u + 28u);  // one (root, n) entry
+  manifest[store_off + store_len - 1] ^= 0x01;  // ends with the dict root
+  manifest[list_off + 4 + 19] ^= 0x01;
+  refresh_crcs(manifest);
+  write_all(manifest_path, ByteSpan(manifest));
 
   ra::DictionaryStore recovered;
   recovered.register_ca(ca.id(), ca.public_key(), ca.delta());
@@ -572,12 +811,13 @@ TEST(StorePersist, TamperedSnapshotRootFailsRecovery) {
   EXPECT_FALSE(recovered.has_root(ca.id()));
 }
 
-// The v2 corruption matrix: flip every structural byte of the newest
-// snapshot — the 20-byte stamp, the container header, every directory
-// byte, and the edge bytes of every section — and recovery must fall back
-// to the previous snapshot each time, never crash or half-restore.
-TEST(StorePersist, V2CorruptionAtEveryStructuralByteFallsBack) {
-  TempDir dir("store-v2-matrix");
+// The corruption matrix: flip every structural byte of the newest manifest
+// — the 20-byte stamp, the container header, every directory byte, and the
+// edge bytes of every section — and of the part only it lists, and
+// recovery must fall back to the previous manifest each time, never crash
+// or half-restore.
+TEST(StorePersist, CorruptionAtEveryStructuralByteFallsBack) {
+  TempDir dir("store-matrix");
   auto ca = make_ca(15);
   Rng rng(16);
   ra::DictionaryStore live;
@@ -587,196 +827,45 @@ TEST(StorePersist, V2CorruptionAtEveryStructuralByteFallsBack) {
   live.attach_wal(&wal);
 
   UnixSeconds now = 1000;
-  const auto issue = [&](std::size_t count) {
-    std::vector<SerialNumber> serials;
-    for (std::size_t i = 0; i < count; ++i) {
-      serials.push_back(SerialNumber::from_uint(rng.uniform(1 << 20), 4));
-    }
-    now += 10;
-    ASSERT_EQ(live.apply_issuance(ca.revoke(serials, now), now),
-              ra::ApplyResult::ok);
-  };
-
-  for (int i = 0; i < 8; ++i) issue(4);
-  live.persist_to(dir.str());  // the fallback snapshot
+  for (int i = 0; i < 8; ++i) issue(ca, live, rng, 4, now);
+  live.persist_to(dir.str());  // the fallback checkpoint
   const std::uint64_t n_fallback = live.have_n(ca.id());
   const Bytes root_fallback = live.root_of(ca.id())->encode();
-  for (int i = 0; i < 4; ++i) issue(3);
-  live.persist_to(dir.str());  // the newest snapshot; WAL now empty
+  for (int i = 0; i < 4; ++i) issue(ca, live, rng, 3, now);
+  live.persist_to(dir.str());  // the newest checkpoint; WAL now empty
   wal.close();
 
-  std::string newest;
-  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
-    if (entry.path().extension() != ".snap") continue;
-    if (entry.path().string() > newest) newest = entry.path().string();
-  }
-  ASSERT_FALSE(newest.empty());
-  const Bytes pristine = read_all(newest);
+  for (const std::string& name :
+       {newest_manifest(dir), part_of(live, ca.id())}) {
+    const std::string path = dir.file(name);
+    const Bytes pristine = read_all(path);
+    for (const std::size_t off : structural_offsets(pristine)) {
+      ASSERT_LT(off, pristine.size());
+      Bytes image = pristine;
+      image[off] ^= 0x01;
+      write_all(path, ByteSpan(image));
 
-  // Structural offsets: stamp, container header (minus the unvalidated
-  // reserved word), the whole directory, and each section's edge bytes.
-  std::vector<std::size_t> offsets;
-  for (std::size_t i = 0; i < 20; ++i) offsets.push_back(i);
-  const std::size_t cbase = SnapshotFile::kV2HeaderSize;
-  for (std::size_t i = 0; i < 12; ++i) offsets.push_back(cbase + i);
-  const std::uint32_t count = rd_be32(pristine.data() + cbase + 4);
-  ASSERT_GE(count, 4u);  // meta + three arena sections
-  const std::size_t dir_len =
-      std::size_t(count) * persist::kSectionDirEntrySize;
-  for (std::size_t i = 0; i < dir_len; ++i) {
-    offsets.push_back(cbase + persist::kSectionHeaderSize + i);
-  }
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint8_t* e = pristine.data() + cbase +
-                            persist::kSectionHeaderSize +
-                            std::size_t(i) * persist::kSectionDirEntrySize;
-    const std::uint64_t off = rd_be64(e + 8);
-    const std::uint64_t len = rd_be64(e + 16);
-    if (len == 0) continue;
-    offsets.push_back(cbase + off);
-    offsets.push_back(cbase + off + len - 1);
+      ra::DictionaryStore recovered;
+      recovered.register_ca(ca.id(), ca.public_key(), ca.delta());
+      const auto report = recovered.recover_from(dir.str());
+      ASSERT_TRUE(report.ok)
+          << name << " flip at byte " << off << ": " << report.error;
+      ASSERT_EQ(report.snapshots_skipped, 1u) << name << " byte " << off;
+      ASSERT_EQ(recovered.have_n(ca.id()), n_fallback)
+          << name << " byte " << off;
+      ASSERT_EQ(recovered.root_of(ca.id())->encode(), root_fallback)
+          << name << " byte " << off;
+    }
+    write_all(path, ByteSpan(pristine));
   }
 
-  for (const std::size_t off : offsets) {
-    ASSERT_LT(off, pristine.size());
-    Bytes image = pristine;
-    image[off] ^= 0x01;
-    write_all(newest, ByteSpan(image));
-
-    ra::DictionaryStore recovered;
-    recovered.register_ca(ca.id(), ca.public_key(), ca.delta());
-    const auto report = recovered.recover_from(dir.str());
-    ASSERT_TRUE(report.ok) << "flip at byte " << off << ": " << report.error;
-    ASSERT_GE(report.snapshots_skipped, 1u) << "flip at byte " << off;
-    ASSERT_EQ(recovered.have_n(ca.id()), n_fallback) << "flip at byte " << off;
-    ASSERT_EQ(recovered.root_of(ca.id())->encode(), root_fallback)
-        << "flip at byte " << off;
-  }
-
-  // Sanity: the pristine image still recovers the newest state.
-  write_all(newest, ByteSpan(pristine));
+  // Sanity: the pristine files still recover the newest state.
   ra::DictionaryStore recovered;
   recovered.register_ca(ca.id(), ca.public_key(), ca.delta());
   const auto report = recovered.recover_from(dir.str());
   ASSERT_TRUE(report.ok) << report.error;
   EXPECT_EQ(report.snapshots_skipped, 0u);
   EXPECT_EQ(recovered.have_n(ca.id()), live.have_n(ca.id()));
-}
-
-// ------------------------------------- per-shard incremental checkpoints
-
-TEST(ShardCheckpoint, IncrementalRoundTripSkipsCleanShards) {
-  TempDir dir("shardckpt");
-  dict::ShardedDictionary sharded(86'400);
-  Rng rng(71);
-  for (int i = 0; i < 400; ++i) {
-    sharded.insert(SerialNumber::from_uint(rng.uniform(1 << 20), 4),
-                   static_cast<UnixSeconds>(rng.uniform(20)) * 86'400 + 100);
-  }
-
-  persist::ShardCheckpointer ck(dir.str());
-  ThreadPool pool(4);
-  const auto full = ck.checkpoint(sharded, &pool);
-  EXPECT_EQ(full.shards_written, sharded.shard_count());
-  EXPECT_EQ(full.shards_skipped, 0u);
-  EXPECT_GT(full.bytes_written, 0u);
-
-  // Nothing moved: the next checkpoint rewrites no shard at all.
-  const auto clean = ck.checkpoint(sharded);
-  EXPECT_EQ(clean.shards_written, 0u);
-  EXPECT_EQ(clean.shards_skipped, sharded.shard_count());
-
-  // Dirty exactly one expiry bucket: exactly one shard file is rewritten,
-  // and the incremental byte cost is a fraction of the full checkpoint.
-  sharded.insert(SerialNumber::from_uint(0xBEEF, 4), 5 * 86'400 + 100);
-  const auto incr = ck.checkpoint(sharded);
-  EXPECT_EQ(incr.shards_written, 1u);
-  EXPECT_EQ(incr.shards_skipped, sharded.shard_count() - 1);
-  EXPECT_LT(incr.bytes_written, full.bytes_written / 4);
-
-  // Recovery adopts the shard files in place and matches every root.
-  dict::ShardedDictionary restored(123);
-  persist::ShardCheckpointer ck2(dir.str());
-  const auto rec = ck2.recover(restored);
-  ASSERT_TRUE(rec.ok) << rec.error;
-  EXPECT_TRUE(rec.have_manifest);
-  EXPECT_EQ(rec.shards, sharded.shard_count());
-  EXPECT_EQ(restored.epoch(), sharded.epoch());
-  EXPECT_EQ(restored.bucket_width(), sharded.bucket_width());
-  EXPECT_EQ(restored.total_entries(), sharded.total_entries());
-  EXPECT_EQ(restored.shard_roots(), sharded.shard_roots());
-  const auto probe = SerialNumber::from_uint(0xBEEF, 4);
-  EXPECT_EQ(restored.prove(probe, 5 * 86'400 + 100).encode(),
-            sharded.prove(probe, 5 * 86'400 + 100).encode());
-
-  // The recovering checkpointer primed its dirty tracking off the
-  // manifest: a checkpoint of the just-restored state is a no-op.
-  const auto primed = ck2.checkpoint(restored);
-  EXPECT_EQ(primed.shards_written, 0u);
-}
-
-TEST(ShardCheckpoint, PruneAfterCheckpointDropsShardsOnDisk) {
-  TempDir dir("shardckpt-prune");
-  dict::ShardedDictionary sharded(100);
-  for (int i = 0; i < 10; ++i) {
-    sharded.insert(SerialNumber::from_uint(std::uint64_t(i) + 1, 4),
-                   static_cast<UnixSeconds>(i) * 100 + 50);
-  }
-  persist::ShardCheckpointer ck(dir.str());
-  ck.checkpoint(sharded);
-  ASSERT_GT(sharded.prune(500), 0u);  // drop the oldest buckets
-  ck.checkpoint(sharded);
-
-  dict::ShardedDictionary restored(100);
-  persist::ShardCheckpointer ck2(dir.str());
-  const auto rec = ck2.recover(restored);
-  ASSERT_TRUE(rec.ok) << rec.error;
-  EXPECT_EQ(restored.shard_count(), sharded.shard_count());
-  EXPECT_EQ(restored.shard_roots(), sharded.shard_roots());
-  EXPECT_EQ(restored.epoch(), sharded.epoch());
-}
-
-TEST(ShardCheckpoint, CorruptShardFileFailsRecoveryUntouched) {
-  TempDir dir("shardckpt-corrupt");
-  dict::ShardedDictionary sharded(86'400);
-  Rng rng(73);
-  for (int i = 0; i < 100; ++i) {
-    sharded.insert(SerialNumber::from_uint(rng.uniform(1 << 20), 4),
-                   static_cast<UnixSeconds>(rng.uniform(8)) * 86'400 + 100);
-  }
-  persist::ShardCheckpointer ck(dir.str());
-  ck.checkpoint(sharded);
-
-  // Flip one content byte of some shard file: its section CRC fails, and
-  // recovery refuses the whole manifest (shards are CA-side state the
-  // caller rebuilds from its feed — no partial restore).
-  std::string shard_file;
-  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
-    if (entry.path().extension() == ".shard") {
-      shard_file = entry.path().string();
-      break;
-    }
-  }
-  ASSERT_FALSE(shard_file.empty());
-  Bytes image = read_all(shard_file);
-  // The container starts after the 64-byte shard stamp; flip the first
-  // content byte of its first section (the trailing file bytes are
-  // alignment padding no CRC covers).
-  std::uint8_t* base = image.data() + 64;
-  const std::uint64_t off = rd_be64(base + persist::kSectionHeaderSize + 8);
-  base[off] ^= 0x01;
-  write_all(shard_file, ByteSpan(image));
-
-  dict::ShardedDictionary restored(555);
-  restored.insert(SerialNumber::from_uint(42, 4), 600);
-  persist::ShardCheckpointer ck2(dir.str());
-  const auto rec = ck2.recover(restored);
-  EXPECT_FALSE(rec.ok);
-  EXPECT_TRUE(rec.have_manifest);
-  EXPECT_FALSE(rec.error.empty());
-  // The target dictionary is untouched on failure.
-  EXPECT_EQ(restored.total_entries(), 1u);
-  EXPECT_EQ(restored.bucket_width(), 555);
 }
 
 // The acceptance property: 1k random mutation batches, a simulated crash at

@@ -806,6 +806,60 @@ TEST(Updater, GapSyncOfOneCaKeepsOtherCasPeriods) {
   EXPECT_EQ(updater.totals().rejected, 0u);
 }
 
+TEST(Updater, LateBootstrapOfOneCaKeepsOtherCasPeriods) {
+  // CA-A is pulled through period 0, then revokes serials 2 and 3 in
+  // periods 1 and 2. A late bootstrap of CA-B from an object covering
+  // periods 0..2 must not move the shared cursor past CA-A's periods, and
+  // the pulls that follow skip CA-B's messages its snapshot already holds.
+  auto ca_a = make_ca(37);
+  Rng rng(38);
+  ca::CertificationAuthority::Config cfg;
+  cfg.id = "CA-2";
+  cfg.delta = 10;
+  cfg.chain_length = 64;
+  ca::CertificationAuthority ca_b(cfg, rng, 1000);
+  FeedRig rig;
+  rig.add(ca_a);
+  rig.add(ca_b);
+  RaUpdater updater({sim::GeoPoint{47.4, 8.5}}, &rig.store, &rig.cdn_rpc.rpc);
+
+  rig.dp.submit(ca::FeedMessage::of(
+      ca_a.revoke({SerialNumber::from_uint(1)}, 1000)));
+  rig.dp.publish(from_seconds(1000));
+  updater.pull_up_to(0, from_seconds(1000));
+  ASSERT_EQ(updater.next_period(), 1u);
+
+  for (std::uint64_t period = 1; period <= 2; ++period) {
+    const UnixSeconds t = 1000 + 10 * UnixSeconds(period);
+    rig.dp.submit(ca::FeedMessage::of(
+        ca_a.revoke({SerialNumber::from_uint(1 + period)}, t)));
+    rig.dp.submit(ca::FeedMessage::of(
+        ca_b.revoke({SerialNumber::from_uint(10 + period)}, t)));
+    rig.dp.publish(from_seconds(t));
+  }
+  ASSERT_EQ(rig.dp.publish_cold_start(ca_b.cold_start_object(2, 1020),
+                                      from_seconds(1020)),
+            svc::Status::ok);
+  ASSERT_EQ(updater.bootstrap(ca_b.id(), from_seconds(1020)),
+            svc::Status::ok);
+  EXPECT_EQ(updater.next_period(), 1u);  // CA-A covers only period 0
+
+  rig.dp.submit(ca::FeedMessage::of(
+      dict::FreshnessStatement{ca_a.id(), ca_a.freshness_at(1030)}));
+  rig.dp.submit(ca::FeedMessage::of(
+      dict::FreshnessStatement{ca_b.id(), ca_b.freshness_at(1030)}));
+  rig.dp.publish(from_seconds(1030));
+  updater.pull_up_to(3, from_seconds(1030));
+
+  EXPECT_EQ(updater.next_period(), 4u);
+  EXPECT_EQ(rig.store.have_n(ca_a.id()), 3u);
+  EXPECT_TRUE(served_revoked(rig.store, ca_a.id(), 2));
+  EXPECT_TRUE(served_revoked(rig.store, ca_a.id(), 3));
+  EXPECT_EQ(rig.store.have_n(ca_b.id()), 2u);
+  EXPECT_EQ(updater.totals().rejected, 0u);
+  EXPECT_EQ(updater.totals().applied_ok, 1u + 2u + 1u + 2u);
+}
+
 TEST(Updater, FailedGapSyncIsRetriedAtTheNextFreshnessStatement) {
   // The sync endpoint is down for the period that exposes a gap, then up
   // for three freshness-only periods. The first statement retries the

@@ -67,7 +67,7 @@ void on_signal(int) { g_stop = 1; }
                "                       (default 0 = one per hardware "
                "thread)\n"
                "  --persist-dir DIR    durable mode: recover from DIR on "
-               "start, WAL + snapshot into it\n"
+               "start, WAL + checkpoints into it\n"
                "  --checkpoint-interval-s N\n"
                "                       background checkpoint period in "
                "seconds (default 30; 0 = only\n"
@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
   ra::DictionaryStore store;
   store.register_ca(ca.id(), ca.public_key(), delta);
 
-  // Durable mode: recover the replica from the snapshot + WAL tail before
+  // Durable mode: recover the replica from the checkpoint + WAL tail before
   // bootstrapping. The demo CA is deterministic, so a recovered replica
   // either matches it (nothing to sync) or trails it (--entries grew);
   // the sync below then only sends the missing suffix — WAL-logged.
@@ -251,7 +251,7 @@ int main(int argc, char** argv) {
                 quota_rps, quota_burst, idle_timeout_ms, retry_after_ms);
   }
   if (updater) {
-    std::printf("  persist     %s (recovered %llu entries: snapshot seq "
+    std::printf("  persist     %s (recovered %llu entries: checkpoint seq "
                 "%llu + %llu WAL records; checkpoint every %.1fs)\n",
                 persist_dir.c_str(), (unsigned long long)have,
                 (unsigned long long)recovery.snapshot_seq,
@@ -267,7 +267,7 @@ int main(int argc, char** argv) {
 
   if (updater) {
     updater->stop_checkpoints();
-    updater->checkpoint();  // shutdown snapshot: restart replays no WAL
+    updater->checkpoint();  // shutdown checkpoint: restart replays no WAL
   }
 
   const auto stats = server.stats();
@@ -296,12 +296,14 @@ int main(int argc, char** argv) {
   if (updater) {
     const auto cs = updater->checkpoint_stats();
     std::printf("persist: %llu checkpoints (%llu WAL resets, %llu skipped), "
-                "last snapshot %llu B, freeze stall last %llu us / max "
-                "%llu us\n",
+                "%llu B written (%llu parts written, %llu reused), freeze "
+                "stall last %llu us / max %llu us\n",
                 (unsigned long long)cs.checkpoints,
                 (unsigned long long)cs.wal_resets,
                 (unsigned long long)cs.wal_reset_skipped,
-                (unsigned long long)cs.last_bytes,
+                (unsigned long long)cs.bytes_written,
+                (unsigned long long)cs.parts_written,
+                (unsigned long long)cs.parts_reused,
                 (unsigned long long)cs.last_stall_us,
                 (unsigned long long)cs.max_stall_us);
   }
