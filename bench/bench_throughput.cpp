@@ -219,7 +219,7 @@ int main() {
               (unsigned long long)agent.stats().statuses_attached);
 
   // --- status serving: uncached (prove + encode per op) vs the warm
-  // epoch-validated cache (lookup + memcpy per op), over a working set of
+  // status cache (lookup + memcpy per op), over a working set of
   // serials against the 339k-entry dictionary.
   double status_cold_ns = 0, status_warm_ns = 0, status_speedup = 0;
   {

@@ -65,7 +65,7 @@ struct Base {
   std::size_t index_at = 0;            // first sorted-index word
 };
 
-constexpr std::size_t kCountOffset = 1 + 8;  // version, epoch
+constexpr std::size_t kCountOffset = 1;  // after the version byte
 constexpr std::size_t kHeaderBytes = kCountOffset + 8;
 
 /// Valid encodings to mutate: bare snapshots, then cold-start objects, of
@@ -170,8 +170,7 @@ bool check_restore(ByteSpan snapshot) {
   try {
     d.restore_from(r);
   } catch (const std::runtime_error&) {
-    if (d.size() != victim().size() || d.epoch() != victim().epoch() ||
-        d.root() != victim().root()) {
+    if (d.size() != victim().size() || d.root() != victim().root()) {
       __builtin_trap();
     }
     return false;
@@ -211,8 +210,7 @@ bool check_part(ByteSpan image) {
   try {
     d.restore_sections(*sec, nullptr);  // `image` outlives `d`
   } catch (const std::runtime_error&) {
-    if (d.size() != victim().size() || d.epoch() != victim().epoch() ||
-        d.root() != victim().root()) {
+    if (d.size() != victim().size() || d.root() != victim().root()) {
       __builtin_trap();
     }
     return false;

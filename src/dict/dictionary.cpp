@@ -168,8 +168,7 @@ std::vector<Entry> Dictionary::insert(
     keys[m++] = BatchKey{key.prefix, key.pos,
                          static_cast<std::uint32_t>(cursor)};
   }
-  // Nothing new: no arena detaches (a frozen or mapped copy stays shared)
-  // and the epoch stays.
+  // Nothing new: no arena detaches (a frozen or mapped copy stays shared).
   if (m == 0) return added;
 
   // Number the survivors in batch order: log_index maps a batch position
@@ -202,7 +201,6 @@ std::vector<Entry> Dictionary::insert(
     end = at;
   }
   mark_dirty(keys[0].at);
-  ++epoch_;
   return added;
 }
 
@@ -213,10 +211,10 @@ bool Dictionary::update(const std::vector<cert::SerialNumber>& serials,
   insert(serials);
   if (size() == expected_n && root() == expected_root) return true;
 
-  // Reject and roll back: drop every entry numbered above old_size, and
-  // drop the (partially rebuilt) tree wholesale — the incremental machinery
-  // only handles growth, so a shrink forces the next root() to rebuild from
-  // scratch, which reproduces the pre-update root byte for byte.
+  // Reject and roll back: drop every entry numbered above old_size and
+  // rebuild the tree from scratch (the incremental path only grows), which
+  // reproduces the pre-update root byte for byte — here, on the writer's
+  // thread, so the const reads that follow never write the tree.
   log_.mut().resize(old_size);
   auto& sorted = sorted_.mut();
   sorted.erase(std::remove_if(sorted.begin(), sorted.end(),
@@ -225,10 +223,7 @@ bool Dictionary::update(const std::vector<cert::SerialNumber>& serials,
                               }),
                sorted.end());
   invalidate_tree();
-  // The contents are back to the pre-update state, but the epoch advances
-  // once more: versions never repeat, so epoch-keyed caches stay sound even
-  // across a rollback.
-  ++epoch_;
+  rebuild();
   return false;
 }
 
@@ -411,20 +406,18 @@ std::vector<Entry> Dictionary::entries_from(std::uint64_t first_number) const {
   return out;
 }
 
-// Snapshot wire format v1 (big-endian, length-prefixed):
+// Snapshot wire format v2 (big-endian, length-prefixed):
 //   u8  version
-//   u64 epoch
 //   u64 n
 //   n x (u8 serial_len, serial)      -- the log in numbering order; entry
 //                                       numbers are the implied positions
 //                                       1..n (insert()'s invariant)
 //   n x u32                          -- the sorted-by-serial index
 //   20B root                         -- recorded root, checked on restore
-constexpr std::uint8_t kSnapshotVersion = 1;
+constexpr std::uint8_t kSnapshotVersion = 2;
 
 void Dictionary::snapshot_into(ByteWriter& w) const {
   w.u8(kSnapshotVersion);
-  w.u64(epoch_);
   w.u64(log_.size());
   for (std::size_t i = 0; i < log_.size(); ++i) w.var8(serial_at(i));
   for (const std::uint32_t idx : sorted_) w.u32(idx);
@@ -439,9 +432,8 @@ void Dictionary::restore_from(ByteReader& r) {
   if (r.try_u8().value_or(0xFF) != kSnapshotVersion) {
     throw bad("unsupported snapshot version");
   }
-  const auto epoch = r.try_u64();
   const auto n64 = r.try_u64();
-  if (!epoch || !n64) throw bad("truncated header");
+  if (!n64) throw bad("truncated header");
   // Each entry costs at least 6 bytes (length byte, one serial byte, 4
   // index bytes), so the remaining input bounds n — rejects forged counts
   // before allocating.
@@ -480,7 +472,7 @@ void Dictionary::restore_from(ByteReader& r) {
   Dictionary fresh;
   fresh.log_.mut() = std::move(log);
   fresh.sorted_.mut() = std::move(sorted);
-  fresh.epoch_ = *epoch;
+  fresh.invalidate_tree();
   if (fresh.root() != recorded) throw bad("recorded root mismatch");
   *this = std::move(fresh);
 }
@@ -488,7 +480,6 @@ void Dictionary::restore_from(ByteReader& r) {
 DictSections Dictionary::snapshot_sections() const {
   DictSections s;
   s.root = root();  // rebuilds first, so tree bytes match the contents
-  s.epoch = epoch_;
   s.n = log_.size();
   if (s.n == 0) return s;
   s.log = ByteSpan(reinterpret_cast<const std::uint8_t*>(log_.data()),
@@ -508,14 +499,11 @@ void Dictionary::restore_sections(const DictSections& s,
   };
   const std::size_t n = static_cast<std::size_t>(s.n);
   Dictionary fresh;
-  fresh.epoch_ = s.epoch;
   if (n == 0) {
     if (!s.log.empty() || !s.sorted.empty() || !s.tree.empty()) {
       throw bad("nonempty sections for empty dictionary");
     }
     if (s.root != empty_root()) throw bad("recorded root mismatch");
-    fresh.dirty_lo_ = kClean;
-    fresh.tree_valid_ = true;
     *this = std::move(fresh);
     return;
   }

@@ -26,6 +26,10 @@
 // mutation. Copying a Dictionary is O(1) and yields a stable frozen view,
 // which is what the background checkpointer snapshots while serving
 // continues.
+//
+// Thread contract: const calls may run concurrently while the tree is
+// built, which an empty dictionary, update() and both restores leave it;
+// insert() leaves it stale until root(). Mutations need exclusive access.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +62,6 @@ static_assert(cert::kMaxSerialBytes <= sizeof(LogRecord::bytes),
 /// carries an endianness tag so a foreign-endian file is rejected instead
 /// of being misread.
 struct DictSections {
-  std::uint64_t epoch = 0;
   std::uint64_t n = 0;
   crypto::Digest20 root{};
   ByteSpan log;     // n * sizeof(LogRecord)
@@ -76,14 +79,6 @@ class Dictionary {
   /// Current Merkle root (empty_root() when size()==0). Rebuilds if stale.
   const crypto::Digest20& root() const;
 
-  /// Monotonically increasing version counter: bumped on every accepted
-  /// mutation (insert that appends, update — including a rejected update's
-  /// rollback, which conservatively counts as two transitions). Two calls
-  /// observing the same epoch are guaranteed to observe the same contents
-  /// and root, which is what lets the RA's status cache serve encoded
-  /// responses without re-proving (ra::DictionaryStore).
-  std::uint64_t epoch() const noexcept { return epoch_; }
-
   bool contains(const cert::SerialNumber& serial) const;
 
   /// Looks up the revocation number of a serial, if revoked.
@@ -95,8 +90,7 @@ class Dictionary {
   /// occurrence wins), so numbering is idempotent regardless of batch size.
   /// Returns the entries actually appended, in numbering order. Throws
   /// (before any mutation) if a serial has an invalid length. A batch that
-  /// adds nothing mutates nothing: no shared arena detaches and the epoch
-  /// stays.
+  /// adds nothing mutates nothing: no shared arena detaches.
   ///
   /// One path for every batch size. For k serials into n entries it costs a
   /// batch sort in O(k log k) (on an 8-byte big-endian serial prefix, with
@@ -110,6 +104,8 @@ class Dictionary {
   /// RA-side update (Fig. 2): replays `serials` and accepts iff the rebuilt
   /// root equals `expected_root` and the new size equals `expected_n`.
   /// On mismatch the dictionary is rolled back and false is returned.
+  /// Either way the tree is rebuilt before returning, so the const reads
+  /// that follow never rebuild it.
   bool update(const std::vector<cert::SerialNumber>& serials,
               const crypto::Digest20& expected_root, std::uint64_t expected_n);
 
@@ -121,8 +117,8 @@ class Dictionary {
   /// (§III "synchronization protocol").
   std::vector<Entry> entries_from(std::uint64_t first_number) const;
 
-  /// Serializes the dictionary (versioned, length-prefixed: epoch, the
-  /// entry log, the sorted index, and the current root) into `w` — the
+  /// Serializes the dictionary (versioned, length-prefixed: the entry
+  /// log, the sorted index, and the current root) into `w` — the
   /// CDN cold-start payload (ca::ColdStartObject) and the WAL bootstrap
   /// record. The encoding streams straight out of the flat arenas;
   /// it rebuilds lazily first so the recorded root always matches the
@@ -228,7 +224,6 @@ class Dictionary {
 
   CowArena<LogRecord> log_;            // numbering order, append-only
   CowArena<std::uint32_t> sorted_;     // indices into log_, sorted by serial
-  std::uint64_t epoch_ = 0;            // version counter, see epoch()
 
   // Flat Merkle arena: level 0 (leaves) first, root level last. Offsets are
   // computed from leaf_cap_ (a power of two), so growing n within capacity
@@ -240,7 +235,7 @@ class Dictionary {
   mutable std::size_t leaf_cap_ = 0;
   mutable std::size_t built_leaves_ = 0;   // leaves in the built tree
   mutable std::size_t dirty_lo_ = kClean;  // lowest stale sorted position
-  mutable bool tree_valid_ = false;
+  mutable bool tree_valid_ = true;  // an empty tree needs no nodes
   mutable std::uint64_t last_rebuild_hashes_ = 0;
   mutable std::uint64_t total_hashes_ = 0;
 };

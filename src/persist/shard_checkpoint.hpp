@@ -68,9 +68,8 @@ std::optional<std::vector<PartKey>> decode_part_list(ByteSpan data);
 
 /// Decodes a part file image (`data` aligned as an mmap or heap buffer is):
 /// stamp, container CRCs, and a meta that agrees with the stamp. The
-/// returned arena spans alias `data`, and epoch is 0 (the manifest records
-/// it). The arenas' contents are checked only by
-/// Dictionary::restore_sections. nullopt on any violation.
+/// returned arena spans alias `data`. The arenas' contents are checked only
+/// by Dictionary::restore_sections. nullopt on any violation.
 std::optional<dict::DictSections> decode_part(ByteSpan data);
 
 /// What one checkpoint cycle wrote.
@@ -92,7 +91,7 @@ CheckpointWrite write_checkpoint(const std::string& dir, std::uint64_t seq,
 /// One manifest with every part it lists mapped and validated.
 struct Checkpoint {
   struct Part {
-    dict::DictSections sections;  // epoch 0: the owner's meta records it
+    dict::DictSections sections;
     std::shared_ptr<const MappedFile> file;  // keeps `sections` mapped
   };
   std::uint64_t seq = 0;

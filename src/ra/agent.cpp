@@ -135,9 +135,9 @@ RevocationAgent::Action RevocationAgent::deliver_status(sim::Packet& pkt,
                                                         const Inspection& in,
                                                         UnixSeconds now) {
   FlowState& fs = flow.state;
-  // Warm path: the store's epoch-validated cache hands back the encoded
-  // status bytes; attaching is a header write plus memcpy. The proof is
-  // assembled at most once per (serial, replica version).
+  // Warm path: the store's status cache hands back the encoded status
+  // bytes; attaching is a header write plus memcpy. The proof is assembled
+  // at most once per serial between root or freshness changes.
   auto status = store_->status_bytes_for(fs.ca, fs.serial);
   if (!status) {
     ++stats_.unknown_ca;

@@ -53,8 +53,8 @@ bool is_tls(ByteSpan payload) noexcept;
 /// piggybacking, §VIII option 1: dedicated content type).
 void attach_status(sim::Packet& pkt, const dict::RevocationStatus& status);
 
-/// Same record, from an already-encoded status (the store's epoch-validated
-/// cache): one header write plus a memcpy — the warm per-packet path, no
+/// Same record, from an already-encoded status (the store's status cache):
+/// one header write plus a memcpy — the warm per-packet path, no
 /// proof assembly or encoding.
 void attach_status_bytes(sim::Packet& pkt, ByteSpan encoded);
 

@@ -296,8 +296,8 @@ svc::Response RaService::status_batch(const svc::Request& req) {
       return svc::reject(req, svc::Status::malformed);
     }
     serial.value = *serial_bytes;
-    // Each serial fans out over the epoch-versioned status-byte cache —
-    // the same warm path the DPI pipeline uses, amortized N per envelope.
+    // Each serial fans out over the status-byte cache — the same warm path
+    // the DPI pipeline uses, amortized N per envelope.
     const auto cached = store_->status_bytes_for(ca, serial);
     if (!cached) return svc::reject(req, svc::Status::unavailable);
     w.var24(ByteSpan(*cached->bytes));

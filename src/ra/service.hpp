@@ -1,6 +1,6 @@
 // The RA's serving endpoint: per-flow status queries (single and batched)
 // and gossip reconciliation, as one envelope service over the
-// epoch-versioned DictionaryStore. This is the surface an RA exposes to
+// DictionaryStore. This is the surface an RA exposes to
 // clients and peer RAs — in-process for the simulated deployments,
 // svc::TcpServer for real sockets (tools/ritm_serve.cpp).
 //
@@ -73,11 +73,12 @@ struct GossipPullRequest {
 std::optional<GossipPullRequest> decode_gossip_pull(ByteSpan body);
 
 /// Thread safety: handle() may be called concurrently from the TCP
-/// server's reactors — the status paths ride the store's sharded cache
-/// (concurrent readers), counters are relaxed atomics, and the gossip
-/// exchange (GossipPool is not thread-safe, and it is off the hot path)
-/// is serialized behind its own mutex. Mutating the underlying store
-/// still requires external serialization against handle().
+/// server's reactors and while the store's mutators run: status reads lock
+/// the store themselves, counters are relaxed atomics, and the gossip
+/// exchange (GossipPool is not thread-safe, and it is off the hot path) is
+/// serialized behind its own mutex. A pull that lands mid-batch answers the
+/// batch's later serials from the newer root; each status carries its own
+/// signed root and freshness, so clients verify each one on its own.
 class RaService final : public svc::Service {
  public:
   /// `gossip` may be null: gossip_digest and gossip_pull then answer

@@ -39,12 +39,65 @@ const DictionaryStore::CaState* DictionaryStore::find(
   return it == cas_.end() ? nullptr : &it->second;
 }
 
+namespace {
+
+/// The period ~now (±1 period of skew, the paper's 2∆ window, §V) at which
+/// `statement` extends the chain of a root signed at `root_ts` from `last`,
+/// its statement at `last_period` (a root's anchor is its period 0).
+/// Walking from `last` keeps verification O(1) amortized per period.
+std::optional<std::uint64_t> chain_period(UnixSeconds root_ts,
+                                          UnixSeconds delta,
+                                          const crypto::Digest20& last,
+                                          std::uint64_t last_period,
+                                          const crypto::Digest20& statement,
+                                          UnixSeconds now) {
+  const std::uint64_t expected =
+      now <= root_ts ? 0
+                     : static_cast<std::uint64_t>((now - root_ts) / delta);
+  const std::uint64_t lo = expected == 0 ? 0 : expected - 1;
+  for (std::uint64_t p = std::max(lo, last_period); p <= expected + 1; ++p) {
+    if (crypto::HashChain::verify(statement, p - last_period, last)) return p;
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+DictionaryStore::CaWriteLock DictionaryStore::lock_all_shards(
+    const CaState& state) {
+  CaWriteLock locks;
+  for (std::size_t i = 0; i < kCacheShards; ++i) {
+    locks[i] = std::unique_lock<std::mutex>(state.cache.shards[i].mu);
+  }
+  return locks;
+}
+
+std::size_t DictionaryStore::shard_of(const Bytes& serial) noexcept {
+  // Mixes the serial's first and last bytes instead of hashing the whole
+  // key (map.find hashes it again anyway): serials are high-entropy by
+  // construction, so two bytes spread uniformly, and the warm hit path
+  // saves one full string hash.
+  return serial.empty() ? 0
+                        : (serial.front() * 31u ^ serial.back()) % kCacheShards;
+}
+
+void DictionaryStore::drop_cache(CaState& state) {
+  for (auto& shard : state.cache.shards) {
+    if (shard.map.empty()) continue;
+    shard.map.clear();
+    shard.ring.clear();
+    shard.hand = 0;
+    shard.bytes = 0;
+    cache_stats_.invalidations.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
 void DictionaryStore::append_wal(std::uint8_t type, ByteSpan payload) {
   // A log emptied by a snapshot commit and then reopened restarts its
   // numbering at 1; records at or below the snapshot's stamp would be
   // dropped by the next recovery, so floor the counter first.
-  wal_->fast_forward(mutation_seq_ + 1);
-  mutation_seq_ = wal_->append(type, payload);
+  wal_.load()->fast_forward(mutation_seq_ + 1);
+  mutation_seq_ = wal_.load()->append(type, payload);
 }
 
 void DictionaryStore::log_mutation(std::uint8_t type, UnixSeconds now,
@@ -58,40 +111,12 @@ void DictionaryStore::log_mutation(std::uint8_t type, UnixSeconds now,
   append_wal(type, ByteSpan(payload));
 }
 
-bool DictionaryStore::accept_freshness(CaState& state,
-                                       const crypto::Digest20& statement,
-                                       UnixSeconds now) {
-  if (!state.have_root) return false;
-  // Expected period from our clock; allow one period of skew either way
-  // (the paper's 2∆ acceptance window, §V).
-  const std::uint64_t expected =
-      now <= state.root.timestamp
-          ? 0
-          : static_cast<std::uint64_t>((now - state.root.timestamp) /
-                                       state.delta);
-  const std::uint64_t lo = expected == 0 ? 0 : expected - 1;
-  for (std::uint64_t p = lo; p <= expected + 1; ++p) {
-    // Verify incrementally against the last verified statement: walking
-    // (p - last) steps instead of p steps from the anchor keeps periodic
-    // verification O(1) amortized over a chain's lifetime. (The anchor is
-    // the period-0 statement, so a fresh root bootstraps this.)
-    if (p < state.freshness_period) continue;
-    if (crypto::HashChain::verify(statement, p - state.freshness_period,
-                                  state.freshness)) {
-      if (state.freshness != statement) ++state.freshness_seq;
-      state.freshness = statement;
-      state.freshness_period = p;
-      return true;
-    }
-  }
-  return false;
-}
-
 ApplyResult DictionaryStore::apply_issuance(
     const dict::RevocationIssuance& msg, UnixSeconds now) {
   CaState* state = find(msg.signed_root.ca);
   if (state == nullptr) return ApplyResult::unknown_ca;
   if (!msg.signed_root.verify(state->key)) return ApplyResult::bad_signature;
+  std::lock_guard<std::mutex> writer(write_mu_);
   if (state->have_root) {
     if (msg.signed_root.n < state->root.n ||
         msg.signed_root.timestamp < state->root.timestamp) {
@@ -101,20 +126,26 @@ ApplyResult DictionaryStore::apply_issuance(
   // Gap check via consecutive numbering: the issuance must extend our
   // replica exactly.
   if (msg.signed_root.n != state->dict.size() + msg.serials.size()) {
+    const CaWriteLock lock = lock_all_shards(*state);
     state->desynchronized = true;
     return ApplyResult::gap_detected;
   }
-  if (!state->dict.update(msg.serials, msg.signed_root.root,
-                          msg.signed_root.n)) {
-    return ApplyResult::root_mismatch;
+  {
+    const CaWriteLock lock = lock_all_shards(*state);
+    // A rejected update rolls back to the same entries and root, so the
+    // cached statuses stay valid.
+    if (!state->dict.update(msg.serials, msg.signed_root.root,
+                            msg.signed_root.n)) {
+      return ApplyResult::root_mismatch;
+    }
+    state->root = msg.signed_root;
+    state->have_root = true;
+    // A fresh signed root doubles as the period-0 freshness statement.
+    state->freshness = msg.signed_root.freshness_anchor;
+    state->freshness_period = 0;
+    state->desynchronized = false;
+    drop_cache(*state);
   }
-  state->root = msg.signed_root;
-  state->have_root = true;
-  // A fresh signed root doubles as the period-0 freshness statement.
-  state->freshness = msg.signed_root.freshness_anchor;
-  state->freshness_period = 0;
-  state->desynchronized = false;
-  ++state->freshness_seq;  // served material changed even if n did not
   log_mutation(kWalIssuance, now, ByteSpan(msg.encode()));
   return ApplyResult::ok;
 }
@@ -123,8 +154,17 @@ ApplyResult DictionaryStore::apply_freshness(
     const dict::FreshnessStatement& msg, UnixSeconds now) {
   CaState* state = find(msg.ca);
   if (state == nullptr) return ApplyResult::unknown_ca;
-  if (!accept_freshness(*state, msg.statement, now)) {
-    return ApplyResult::bad_freshness;
+  std::lock_guard<std::mutex> writer(write_mu_);
+  if (!state->have_root) return ApplyResult::bad_freshness;
+  const auto period =
+      chain_period(state->root.timestamp, state->delta, state->freshness,
+                   state->freshness_period, msg.statement, now);
+  if (!period) return ApplyResult::bad_freshness;
+  {
+    const CaWriteLock lock = lock_all_shards(*state);
+    if (state->freshness != msg.statement) drop_cache(*state);
+    state->freshness = msg.statement;
+    state->freshness_period = *period;
   }
   log_mutation(kWalFreshness, now, ByteSpan(msg.encode()));
   return ApplyResult::ok;
@@ -135,6 +175,7 @@ ApplyResult DictionaryStore::apply_sync(const dict::SyncResponse& msg,
   CaState* state = find(msg.ca);
   if (state == nullptr) return ApplyResult::unknown_ca;
   if (!msg.signed_root.verify(state->key)) return ApplyResult::bad_signature;
+  std::lock_guard<std::mutex> writer(write_mu_);
 
   // Entries must continue our numbering exactly.
   std::uint64_t expect = state->dict.size() + 1;
@@ -147,17 +188,23 @@ ApplyResult DictionaryStore::apply_sync(const dict::SyncResponse& msg,
   if (msg.signed_root.n != state->dict.size() + serials.size()) {
     return ApplyResult::gap_detected;
   }
-  if (!state->dict.update(serials, msg.signed_root.root, msg.signed_root.n)) {
-    return ApplyResult::root_mismatch;
-  }
-  state->root = msg.signed_root;
-  state->have_root = true;
-  state->desynchronized = false;
-  ++state->freshness_seq;
-  if (!accept_freshness(*state, msg.freshness, now)) {
-    // Root applied but statement stale: keep the anchor as freshness.
-    state->freshness = msg.signed_root.freshness_anchor;
-    state->freshness_period = 0;
+  // The carried statement is served if it chains into the new root's
+  // anchor; a stale one leaves the anchor itself (period 0) as freshness.
+  const auto period =
+      chain_period(msg.signed_root.timestamp, state->delta,
+                   msg.signed_root.freshness_anchor, 0, msg.freshness, now);
+  {
+    const CaWriteLock lock = lock_all_shards(*state);
+    if (!state->dict.update(serials, msg.signed_root.root,
+                            msg.signed_root.n)) {
+      return ApplyResult::root_mismatch;
+    }
+    state->root = msg.signed_root;
+    state->have_root = true;
+    state->desynchronized = false;
+    state->freshness = period ? msg.freshness : msg.signed_root.freshness_anchor;
+    state->freshness_period = period.value_or(0);
+    drop_cache(*state);
   }
   log_mutation(kWalSync, now, ByteSpan(msg.encode()));
   return ApplyResult::ok;
@@ -171,6 +218,7 @@ ApplyResult DictionaryStore::bootstrap_replica(const cert::CaId& ca,
   CaState* state = find(ca);
   if (state == nullptr || root.ca != ca) return ApplyResult::unknown_ca;
   if (!root.verify(state->key)) return ApplyResult::bad_signature;
+  std::lock_guard<std::mutex> writer(write_mu_);
   if (state->have_root &&
       (root.n < state->root.n || root.timestamp < state->root.timestamp)) {
     return ApplyResult::stale_root;
@@ -189,17 +237,20 @@ ApplyResult DictionaryStore::bootstrap_replica(const cert::CaId& ca,
   if (!r.done() || staged.root() != root.root || staged.size() != root.n) {
     return ApplyResult::root_mismatch;
   }
-
-  state->dict = std::move(staged);
-  state->root = root;
-  state->have_root = true;
-  state->freshness = root.freshness_anchor;
-  state->freshness_period = 0;
-  state->desynchronized = false;
-  ++state->freshness_seq;
   // Adopt the carried statement if it chains into the new anchor; on
   // failure the anchor itself (period 0) remains the served statement.
-  accept_freshness(*state, freshness, now);
+  const auto period = chain_period(root.timestamp, state->delta,
+                                   root.freshness_anchor, 0, freshness, now);
+  {
+    const CaWriteLock lock = lock_all_shards(*state);
+    state->dict = std::move(staged);
+    state->root = root;
+    state->have_root = true;
+    state->freshness = period ? freshness : root.freshness_anchor;
+    state->freshness_period = period.value_or(0);
+    state->desynchronized = false;
+    drop_cache(*state);
+  }
 
   if (wal_ != nullptr && !replaying_) {
     Bytes payload;
@@ -226,7 +277,10 @@ dict::RevocationStatus DictionaryStore::assemble_status(
 std::optional<dict::RevocationStatus> DictionaryStore::status_for(
     const cert::CaId& ca, const cert::SerialNumber& serial) const {
   const CaState* state = find(ca);
-  if (state == nullptr || !state->have_root) return std::nullopt;
+  if (state == nullptr) return std::nullopt;
+  std::lock_guard<std::mutex> lock(
+      state->cache.shards[shard_of(serial.value)].mu);
+  if (!state->have_root) return std::nullopt;
   return assemble_status(*state, serial);
 }
 
@@ -266,41 +320,14 @@ void DictionaryStore::evict_for(CaState::CacheShard& shard,
 std::optional<DictionaryStore::CachedStatus> DictionaryStore::status_bytes_for(
     const cert::CaId& ca, const cert::SerialNumber& serial) const {
   const CaState* state = find(ca);
-  if (state == nullptr || !state->have_root) return std::nullopt;
+  if (state == nullptr) return std::nullopt;
 
   const std::string_view key(
       reinterpret_cast<const char*>(serial.value.data()),
       serial.value.size());
-  // Shard selection mixes the serial's first and last bytes instead of
-  // hashing the whole key (map.find hashes it again anyway): serials are
-  // high-entropy by construction, so two bytes spread uniformly, and the
-  // warm hit path saves one full string hash.
-  const std::size_t shard_ix =
-      key.empty() ? 0
-                  : (std::uint8_t(key.front()) * 31u ^
-                     std::uint8_t(key.back())) %
-                        kCacheShards;
-  CaState::CacheShard& shard = state->cache.shards[shard_ix];
+  CaState::CacheShard& shard = state->cache.shards[shard_of(serial.value)];
   std::lock_guard<std::mutex> lock(shard.mu);
-
-  // Validate the shard against the replica version; any root or freshness
-  // transition since this shard's last lookup drops it wholesale. The
-  // epochs advance on every accepted mutation (including rollbacks), so a
-  // status proven against an old root can never survive into a new one —
-  // and since writers only bump the version counters, invalidation costs
-  // them no cache lock.
-  const std::uint64_t epoch = state->dict.epoch();
-  if (shard.epoch != epoch || shard.freshness_seq != state->freshness_seq) {
-    if (!shard.map.empty()) {
-      shard.map.clear();
-      shard.ring.clear();
-      shard.hand = 0;
-      shard.bytes = 0;
-      cache_stats_.invalidations.fetch_add(1, std::memory_order_relaxed);
-    }
-    shard.epoch = epoch;
-    shard.freshness_seq = state->freshness_seq;
-  }
+  if (!state->have_root) return std::nullopt;
 
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
@@ -328,11 +355,9 @@ std::optional<DictionaryStore::CachedStatus> DictionaryStore::status_bytes_for(
     if (!it->second.ref) it->second.ref = true;
   }
   CachedStatus out;
-  out.owned = it->second.bytes;  // pins the encoding past the shard lock
-  out.bytes = out.owned.get();
+  out.bytes = it->second.bytes;  // pins the encoding past the shard lock
   out.n = state->root.n;
   out.timestamp = state->root.timestamp;
-  out.epoch = epoch;
   return out;
 }
 
@@ -350,49 +375,65 @@ DictionaryStore::CacheStats DictionaryStore::cache_stats() const noexcept {
 
 std::uint64_t DictionaryStore::have_n(const cert::CaId& ca) const {
   const CaState* state = find(ca);
-  return state == nullptr ? 0 : state->dict.size();
+  if (state == nullptr) return 0;
+  std::lock_guard<std::mutex> lock(reader_mutex(*state));
+  return state->dict.size();
 }
 
 bool DictionaryStore::needs_sync(const cert::CaId& ca) const {
   const CaState* state = find(ca);
-  return state != nullptr && state->desynchronized;
+  if (state == nullptr) return false;
+  std::lock_guard<std::mutex> lock(reader_mutex(*state));
+  return state->desynchronized;
 }
 
 bool DictionaryStore::has_root(const cert::CaId& ca) const {
   const CaState* state = find(ca);
-  return state != nullptr && state->have_root;
+  if (state == nullptr) return false;
+  std::lock_guard<std::mutex> lock(reader_mutex(*state));
+  return state->have_root;
 }
 
 std::optional<MisbehaviourEvidence> DictionaryStore::cross_check(
     const dict::SignedRoot& theirs) const {
-  const CaState* state = find(theirs.ca);
-  if (state == nullptr || !state->have_root) return std::nullopt;
-  if (!theirs.verify(state->key)) return std::nullopt;  // forgery, not CA sig
-  if (theirs.n != state->root.n) return std::nullopt;   // different versions
-  if (theirs.root == state->root.root) return std::nullopt;  // consistent
-  return MisbehaviourEvidence{state->root, theirs};
+  const auto ours = root_of(theirs.ca);
+  if (!ours) return std::nullopt;
+  if (theirs.n != ours->n) return std::nullopt;         // different versions
+  if (theirs.root == ours->root) return std::nullopt;   // consistent
+  // A forgery is not a CA signature; the key is setup state.
+  if (!theirs.verify(find(theirs.ca)->key)) return std::nullopt;
+  return MisbehaviourEvidence{*ours, theirs};
 }
 
-const dict::SignedRoot* DictionaryStore::root_of(const cert::CaId& ca) const {
+std::optional<dict::SignedRoot> DictionaryStore::root_of(
+    const cert::CaId& ca) const {
   const CaState* state = find(ca);
-  return state != nullptr && state->have_root ? &state->root : nullptr;
+  if (state == nullptr) return std::nullopt;
+  std::lock_guard<std::mutex> lock(reader_mutex(*state));
+  if (!state->have_root) return std::nullopt;
+  return state->root;
 }
 
 std::size_t DictionaryStore::storage_bytes() const {
   std::size_t total = 0;
-  for (const auto& [id, state] : cas_) total += state.dict.storage_bytes();
+  for (const auto& [id, state] : cas_) {
+    std::lock_guard<std::mutex> lock(reader_mutex(state));
+    total += state.dict.storage_bytes();
+  }
   return total;
 }
 
 std::size_t DictionaryStore::memory_bytes() const {
   std::size_t total = 0;
   for (const auto& [id, state] : cas_) {
-    total += state.dict.memory_bytes();
-    // The warm status cache can dominate a serving RA's footprint; its
-    // budgeted accounting already covers keys, encoded statuses, and
-    // per-entry bookkeeping.
     for (auto& shard : state.cache.shards) {
       std::lock_guard<std::mutex> lock(shard.mu);
+      if (&shard.mu == &reader_mutex(state)) {
+        total += state.dict.memory_bytes();
+      }
+      // The warm status cache can dominate a serving RA's footprint; its
+      // budgeted accounting already covers keys, encoded statuses, and
+      // per-entry bookkeeping.
       total +=
           shard.bytes + shard.ring.capacity() * sizeof(const std::string*);
     }
@@ -405,15 +446,15 @@ std::size_t DictionaryStore::memory_bytes() const {
 // Checkpoint meta (the manifest's owner section): u8 version, u32
 // ca_count, then per CA (in CaId order): var16 ca, u8 have_root, u8
 // desynchronized, [var16 signed root when have_root], 20B freshness,
-// u64 freshness_period, u64 freshness_seq, u64 dict_epoch, u64 dict_n,
-// 20B dict_root. (dict_n, dict_root) names the CA's part, which holds the
-// dictionary's bulk data. Keys and ∆ are trust configuration
+// u64 freshness_period, u64 dict_n, 20B dict_root. (dict_n, dict_root)
+// names the CA's part, which holds the dictionary's bulk data. Keys and ∆ are trust configuration
 // (register_ca), not replicated state, and are not persisted.
 namespace {
-constexpr std::uint8_t kStoreMetaVersion = 2;
+constexpr std::uint8_t kStoreMetaVersion = 3;
 }  // namespace
 
 DictionaryStore::FrozenStore DictionaryStore::freeze() const {
+  std::lock_guard<std::mutex> writer(write_mu_);  // readers only read
   FrozenStore frozen;
   frozen.mutation_seq = mutation_seq_;
   frozen.cas.reserve(cas_.size());
@@ -425,7 +466,6 @@ DictionaryStore::FrozenStore DictionaryStore::freeze() const {
     f.root = state.root;
     f.freshness = state.freshness;
     f.freshness_period = state.freshness_period;
-    f.freshness_seq = state.freshness_seq;
     f.dict = state.dict;  // O(1): the arenas are shared copy-on-write
     frozen.cas.push_back(std::move(f));
   }
@@ -438,9 +478,8 @@ persist::CheckpointWrite DictionaryStore::persist_frozen(
   ByteWriter w(meta);
   w.u8(kStoreMetaVersion);
   w.u32(static_cast<std::uint32_t>(frozen.cas.size()));
-  // snapshot_sections() forces each dictionary's tree valid first; a dirty
-  // frozen copy detaches and rebuilds here, off whatever lock guarded the
-  // freeze, never on the serving path.
+  // Every mutator leaves its tree built, so snapshot_sections() only
+  // points at the frozen arenas.
   std::vector<dict::DictSections> secs(frozen.cas.size());
   for (std::size_t i = 0; i < frozen.cas.size(); ++i) {
     const FrozenStore::FrozenCa& ca = frozen.cas[i];
@@ -451,8 +490,6 @@ persist::CheckpointWrite DictionaryStore::persist_frozen(
     if (ca.have_root) w.var16(ByteSpan(ca.root.encode()));
     w.raw(ByteSpan(ca.freshness));
     w.u64(ca.freshness_period);
-    w.u64(ca.freshness_seq);
-    w.u64(secs[i].epoch);
     w.u64(secs[i].n);
     w.raw(ByteSpan(secs[i].root));
   }
@@ -461,8 +498,13 @@ persist::CheckpointWrite DictionaryStore::persist_frozen(
 }
 
 persist::CheckpointWrite DictionaryStore::persist_to(const std::string& dir) {
-  const persist::CheckpointWrite written = persist_frozen(freeze(), dir);
-  if (wal_ != nullptr) wal_->reset(mutation_seq_ + 1);
+  const FrozenStore frozen = freeze();
+  const persist::CheckpointWrite written = persist_frozen(frozen, dir);
+  std::lock_guard<std::mutex> writer(write_mu_);
+  // A mutation logged during the write lies past the checkpoint's stamp.
+  if (wal_ != nullptr && mutation_seq_ == frozen.mutation_seq) {
+    wal_.load()->reset(mutation_seq_ + 1);
+  }
   return written;
 }
 
@@ -480,7 +522,7 @@ bool DictionaryStore::restore_checkpoint(
   // Stage into a copy so a failure at any CA (including a part that fails
   // adoption) leaves the store untouched. Staged caches start cold by
   // construction (StatusCache's copy semantics drop the cache): a restore
-  // is a version change for every replica anyway.
+  // replaces every replica anyway.
   std::map<cert::CaId, CaState> staged = cas_;
   for (std::uint32_t i = 0; i < *count; ++i) {
     const auto ca_bytes = r.try_var16();
@@ -510,29 +552,21 @@ bool DictionaryStore::restore_checkpoint(
     }
     const auto freshness = r.try_raw(20);
     const auto period = r.try_u64();
-    const auto seq = r.try_u64();
-    const auto dict_epoch = r.try_u64();
     const auto dict_n = r.try_u64();
     const auto dict_root = r.try_raw(20);
-    if (!freshness || !period || !seq || !dict_epoch || !dict_n ||
-        !dict_root) {
-      return false;
-    }
+    if (!freshness || !period || !dict_n || !dict_root) return false;
     std::copy(freshness->begin(), freshness->end(), state.freshness.begin());
     state.freshness_period = *period;
-    state.freshness_seq = *seq;
 
     persist::PartKey key;
     key.n = *dict_n;
     std::copy(dict_root->begin(), dict_root->end(), key.root.begin());
     const auto part = checkpoint.parts.find(key);
     if (part == checkpoint.parts.end()) return false;
-    dict::DictSections sec = part->second.sections;
-    sec.epoch = *dict_epoch;
     try {
       // Adopts the mapped arenas in place; the mapping stays alive through
       // the keepalive for as long as any arena still aliases it.
-      state.dict.restore_sections(sec, part->second.file);
+      state.dict.restore_sections(part->second.sections, part->second.file);
     } catch (const std::runtime_error&) {
       return false;
     }

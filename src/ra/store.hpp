@@ -6,33 +6,32 @@
 //
 // Serving path: handshake throughput is bounded by how fast the RA can
 // assemble a RevocationStatus per packet, so each CA carries a status cache
-// mapping serial → encoded status bytes. The cache is keyed by the replica's
-// version — the dictionary epoch plus a freshness sequence — and is dropped
-// wholesale the moment either advances, so a warm serial costs one hash
-// lookup and a memcpy instead of prove + encode, and a stale status can
-// never be served across a root change. Within one version the cache is
-// bounded by a byte budget with CLOCK second-chance eviction: high-
-// cardinality (attacker-controlled) serials evict cold entries one at a
-// time while hot serials keep their ref bit and stay warm.
+// mapping serial → encoded status bytes. Every mutation that changes what
+// a status contains (a new signed root, a new freshness statement) drops
+// the CA's cache before readers can see the new replica, so a warm serial
+// costs one hash lookup and a memcpy instead of prove + encode, and a
+// stale status can never be served across a root change. Between changes
+// the cache is bounded by a byte budget with CLOCK second-chance eviction:
+// high-cardinality (attacker-controlled) serials evict cold entries one at
+// a time while hot serials keep their ref bit and stay warm.
 //
-// Concurrency (PR 7): the per-CA cache is split into kCacheShards
-// serial-hash shards, each with its own mutex, CLOCK ring, and
-// (epoch, freshness_seq) stamp, so the multi-reactor TCP server's serving
-// threads contend only when they race on the same shard of the same CA.
-// Invalidation is lazy — apply_* paths bump the version counters and never
-// touch a shard lock, so writers share no locks with readers; each shard
-// notices the stamp mismatch and clears itself on its next lookup. Cache
-// entries own their bytes through a shared_ptr which CachedStatus holds,
-// so returned bytes survive concurrent eviction. The contract is
-// concurrent *readers* (status_for / status_bytes_for) against each other;
-// mutations (apply_*, recover_from) still require external serialization
-// against readers, exactly like the dictionaries underneath.
+// Concurrency: the store enforces its own reader/writer contract, so any
+// number of threads may read while mutators run. Each CA's cache is split
+// into kCacheShards serial-hash shards, each behind its own mutex, and
+// those mutexes are the CA's reader lock: a reader holds one of them while
+// it reads the replica (the warm path takes exactly that one lock), and a
+// mutator holds all of them, in index order, while it changes the replica
+// and clears the cache. Mutators also serialize on a store-wide writer
+// mutex, which freeze() takes too; signature checks run before it, and
+// validation and staging under it alone, so readers wait only for the
+// in-place update. Readers of different CAs never contend. register_ca()
+// and recover_from() are setup calls: make them before serving starts.
 //
 // Durability (PR 4): attach_wal() makes the store log every accepted
 // mutation to a persist::WriteAheadLog; persist_to()/recover_from() write
 // and reload checkpoints, replaying the WAL tail through the same apply_*
 // paths that ran live — recovery *is* replay, so the recovered
-// root/epoch/proofs are byte-identical to an in-memory replay of the
+// roots and proofs are byte-identical to an in-memory replay of the
 // surviving prefix.
 //
 // Zero-copy persistence: a checkpoint is the persist/shard_checkpoint.hpp
@@ -43,8 +42,8 @@
 // rewrites only the CAs that changed. recover_from() mmaps the parts and
 // adopts them in place (copy-on-first-mutation) instead of deserializing
 // and re-hashing. freeze()/persist_frozen() split the write into an
-// O(#CAs) consistent copy under the mutation lock and an off-lock commit,
-// which is what bounds the serving stall of background checkpoints.
+// O(#CAs) consistent copy under the writer mutex and an off-lock commit,
+// which is what bounds the stall background checkpoints impose.
 #pragma once
 
 #include <array>
@@ -86,7 +85,8 @@ using ApplyResult = svc::Status;
 
 class DictionaryStore {
  public:
-  /// Registers a CA (trust anchor + its ∆). Replicas start empty.
+  /// Registers a CA (trust anchor + its ∆). Replicas start empty. A setup
+  /// call: register every CA before serving or mutating starts.
   void register_ca(const cert::CaId& ca, const crypto::PublicKey& key,
                    UnixSeconds delta);
 
@@ -127,20 +127,17 @@ class DictionaryStore {
   /// the agent needs for the multi-RA freshness comparison without decoding.
   struct CachedStatus {
     /// Wire encoding of the RevocationStatus (what attach_status_bytes
-    /// copies into the packet). Kept alive by `owned` below, so the view
-    /// stays valid even if a concurrent lookup evicts or invalidates the
-    /// entry after this returns.
-    const Bytes* bytes = nullptr;
+    /// copies into the packet). Shared with the cache entry, so it stays
+    /// valid after a later eviction or mutation drops that entry.
+    std::shared_ptr<const Bytes> bytes;
     std::uint64_t n = 0;          // signed_root.n
     UnixSeconds timestamp = 0;    // signed_root.timestamp
-    std::uint64_t epoch = 0;      // dictionary epoch the proof is against
-    std::shared_ptr<const Bytes> owned;  // lifetime anchor for `bytes`
   };
 
   struct CacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;          // lookups that had to prove + encode
-    std::uint64_t invalidations = 0;   // wholesale drops on version change
+    std::uint64_t invalidations = 0;   // non-empty shards a mutation dropped
     std::uint64_t evictions = 0;       // single entries evicted by CLOCK
     std::uint64_t evicted_bytes = 0;   // bytes reclaimed by those evictions
   };
@@ -152,7 +149,7 @@ class DictionaryStore {
   static constexpr std::size_t kStatusCacheDefaultBudget = 32u << 20;
 
   /// Serial-hash shards per CA cache: serving threads racing on one CA
-  /// contend only within a shard, and lazy invalidation is per shard.
+  /// contend only within a shard. A mutator holds all of them.
   static constexpr std::size_t kCacheShards = 8;
 
   /// Floor on each shard's slice of the budget: tiny budgets still leave
@@ -172,10 +169,11 @@ class DictionaryStore {
   }
 
   /// The warm serving path: returns the cached encoded status for
-  /// (ca, serial), proving and encoding only on the first lookup per replica
-  /// version. A root or freshness change invalidates the CA's whole cache
-  /// before the next lookup, so returned bytes always reflect the current
-  /// verified root. nullopt when the CA is unknown or has no root yet.
+  /// (ca, serial), proving and encoding only on the first lookup since the
+  /// CA's last root or freshness change. That change clears the CA's whole
+  /// cache before any reader sees it, so returned bytes always reflect the
+  /// verified root of the moment. nullopt when the CA is unknown or has no
+  /// root yet.
   std::optional<CachedStatus> status_bytes_for(
       const cert::CaId& ca, const cert::SerialNumber& serial) const;
 
@@ -200,8 +198,9 @@ class DictionaryStore {
   std::optional<MisbehaviourEvidence> cross_check(
       const dict::SignedRoot& theirs) const;
 
-  /// Latest verified signed root for a CA (for gossip / cross checks).
-  const dict::SignedRoot* root_of(const cert::CaId& ca) const;
+  /// Latest verified signed root for a CA (for gossip / cross checks), by
+  /// value: the replica may move on as soon as this returns.
+  std::optional<dict::SignedRoot> root_of(const cert::CaId& ca) const;
 
   /// Total memory footprint across replicas (§VII-D storage evaluation).
   std::size_t storage_bytes() const;
@@ -229,7 +228,7 @@ class DictionaryStore {
   std::uint64_t mutation_seq() const noexcept { return mutation_seq_; }
 
   /// A consistent copy of every replica's durable state, cheap enough to
-  /// take under the mutation lock: the Dictionary copies share their arenas
+  /// take under the writer mutex: the Dictionary copies share their arenas
   /// copy-on-write, so freeze() is O(#CAs) regardless of entry counts. The
   /// background checkpointer freezes briefly, then persists the frozen
   /// image while the live store keeps mutating (first mutation per arena
@@ -242,16 +241,14 @@ class DictionaryStore {
       dict::SignedRoot root;
       crypto::Digest20 freshness{};
       std::uint64_t freshness_period = 0;
-      std::uint64_t freshness_seq = 0;
       dict::Dictionary dict;  // arena-sharing copy
     };
     std::vector<FrozenCa> cas;  // in CaId order
     std::uint64_t mutation_seq = 0;
   };
 
-  /// Takes the O(#CAs) frozen copy. The caller must hold whatever
-  /// serializes mutations for the duration of this call only; persisting
-  /// the result can then run concurrently with further mutations.
+  /// Takes the O(#CAs) frozen copy under the writer mutex; persisting the
+  /// result can then run concurrently with further mutations.
   FrozenStore freeze() const;
 
   /// Commits `frozen` as a checkpoint into `dir`, stamped with
@@ -265,7 +262,8 @@ class DictionaryStore {
 
   /// Commits the current state as a checkpoint into `dir` (stamped with
   /// mutation_seq()) and, when a WAL is attached, resets it — the
-  /// checkpoint supersedes every logged record.
+  /// checkpoint supersedes every logged record. A mutation that lands
+  /// while the checkpoint is written keeps the log intact instead.
   persist::CheckpointWrite persist_to(const std::string& dir);
 
   struct RecoveryReport {
@@ -289,33 +287,29 @@ class DictionaryStore {
   /// truncates them in place. Refuses (ok == false, store untouched) when
   /// checkpoints exist but none restores, or on a store-level failure: a CA
   /// that is not registered, a signed root that fails the registered key,
-  /// or a dictionary that does not match its signed root. All CAs must be
-  /// registered before calling.
+  /// or a dictionary that does not match its signed root. A setup call:
+  /// register every CA first, and recover before serving starts.
   RecoveryReport recover_from(const std::string& dir);
 
  private:
   struct CaState {
+    // Set by register_ca; never written while serving.
     crypto::PublicKey key{};
     UnixSeconds delta = 10;
+    // The replica: read under one cache-shard mutex, written under all.
     dict::Dictionary dict;
     dict::SignedRoot root;
     bool have_root = false;
     crypto::Digest20 freshness{};     // latest verified statement
     std::uint64_t freshness_period = 0;
     bool desynchronized = false;
-    /// Bumped whenever the served material changes without the dictionary
-    /// necessarily growing: a new signed root (possibly with zero serials)
-    /// or an accepted freshness statement. Together with dict.epoch() this
-    /// versions everything a RevocationStatus contains.
-    std::uint64_t freshness_seq = 0;
-    // Serial → encoded RevocationStatus, valid for exactly one
-    // (dict epoch, freshness_seq) pair, bounded by the byte budget with
-    // CLOCK second-chance eviction. Split into serial-hash shards, each
-    // self-contained behind its own mutex: lookups under concurrency
-    // contend per shard, and each shard validates its own version stamp
-    // lazily (writers never take cache locks). Heterogeneous lookup keeps
-    // the warm path allocation-free (the serial bytes are viewed, not
-    // copied, until an insert). Mutable: serving is logically const.
+    // Serial → encoded RevocationStatus for the current root and freshness,
+    // bounded by the byte budget with CLOCK second-chance eviction. Split
+    // into serial-hash shards, each self-contained behind its own mutex;
+    // the shard mutexes double as the replica's reader lock (see the file
+    // comment). Heterogeneous lookup keeps the warm path allocation-free
+    // (the serial bytes are viewed, not copied, until an insert). Mutable:
+    // serving is logically const.
     struct TransparentHash {
       using is_transparent = void;
       std::size_t operator()(std::string_view s) const noexcept {
@@ -324,7 +318,7 @@ class DictionaryStore {
     };
     struct CacheEntry {
       /// shared_ptr-owned so a CachedStatus handed to a serving thread
-      /// outlives eviction/invalidation by a concurrent lookup.
+      /// outlives the entry's eviction or drop.
       std::shared_ptr<const Bytes> bytes;
       bool ref = false;  // CLOCK second-chance bit
     };
@@ -339,15 +333,13 @@ class DictionaryStore {
       std::vector<const std::string*> ring;
       std::size_t hand = 0;
       std::size_t bytes = 0;  // budgeted footprint of this shard
-      std::uint64_t epoch = 0;
-      std::uint64_t freshness_seq = 0;
     };
     struct StatusCache {
       std::array<CacheShard, kCacheShards> shards;
       StatusCache() = default;
-      // Replica copies (restore staging) never carry the cache: a
-      // restore is a version change for every CA anyway, and shard mutexes
-      // are not copyable. Copies start cold and re-fill lazily.
+      // Replica copies (restore staging) never carry the cache: a restore
+      // replaces every replica anyway, and shard mutexes are not copyable.
+      // Copies start cold and re-fill on lookup.
       StatusCache(const StatusCache&) {}
       StatusCache& operator=(const StatusCache&) { return *this; }
     };
@@ -358,16 +350,26 @@ class DictionaryStore {
   /// and ring-slot bookkeeping.
   static constexpr std::size_t kCacheEntryOverhead = 64;
 
+  /// A mutator's hold on one CA: every shard mutex, locked in index order
+  /// (a reader holds one at a time, so the fixed order cannot deadlock).
+  using CaWriteLock = std::array<std::unique_lock<std::mutex>, kCacheShards>;
+  static CaWriteLock lock_all_shards(const CaState& state);
+  /// The shard mutex a reader of `state` holds when no serial picks one.
+  static std::mutex& reader_mutex(const CaState& state) {
+    return state.cache.shards[0].mu;
+  }
+  /// The shard that caches `serial`.
+  static std::size_t shard_of(const Bytes& serial) noexcept;
+
   CaState* find(const cert::CaId& ca);
   const CaState* find(const cert::CaId& ca) const;
   /// The single assembly point for Eq. (3): both the cold status_for path
   /// and the cache's miss path build statuses here so they can never drift.
   static dict::RevocationStatus assemble_status(
       const CaState& state, const cert::SerialNumber& serial);
-  /// Verifies a statement against `state`'s anchor for period ~now; stores
-  /// it on success.
-  bool accept_freshness(CaState& state, const crypto::Digest20& statement,
-                        UnixSeconds now);
+  /// Empties every shard of `state`'s cache; the caller holds
+  /// lock_all_shards(state).
+  void drop_cache(CaState& state);
   /// Each shard's slice of the byte budget (floored at
   /// kCacheShardMinBudget so CLOCK keeps enough slots to be meaningful).
   std::size_t shard_budget() const noexcept;
@@ -378,10 +380,10 @@ class DictionaryStore {
   /// Raw WAL append with the sequence counter floored past mutation_seq()
   /// (a reopened post-checkpoint log restarts at 1, which would place new
   /// records below the snapshot's stamp and lose them at the next
-  /// recovery). Requires an attached WAL.
+  /// recovery). Requires an attached WAL and the writer mutex.
   void append_wal(std::uint8_t type, ByteSpan payload);
   /// Appends an accepted mutation to the attached WAL (no-op while
-  /// replaying or with no WAL attached).
+  /// replaying or with no WAL attached). The caller holds the writer mutex.
   void log_mutation(std::uint8_t type, UnixSeconds now, ByteSpan message);
   /// Restores one checkpoint: parses the meta, adopts each CA's part in
   /// place (keeping its mapping alive), and checks every signed root
@@ -406,8 +408,11 @@ class DictionaryStore {
   std::map<cert::CaId, CaState> cas_;
   mutable AtomicCacheStats cache_stats_;
   std::atomic<std::size_t> status_cache_budget_{kStatusCacheDefaultBudget};
-  persist::WriteAheadLog* wal_ = nullptr;
-  std::uint64_t mutation_seq_ = 0;
+  /// Serializes mutators against each other and against freeze(); the
+  /// fields below change only under it (the atomics are read without it).
+  mutable std::mutex write_mu_;
+  std::atomic<persist::WriteAheadLog*> wal_{nullptr};
+  std::atomic<std::uint64_t> mutation_seq_{0};
   bool replaying_ = false;  // recover_from() replay must not re-log
 };
 

@@ -138,8 +138,8 @@ void RaUpdater::run_sync(const cert::CaId& ca, UnixSeconds now) {
 
 RaUpdater::PullResult RaUpdater::pull_up_to(std::uint64_t upto_period,
                                             TimeMs now) {
-  // Mutation driver: exclude the checkpoint thread's freeze/reset windows
-  // for the whole batch (serving reads never take this lock).
+  // Exclude the checkpoint's freeze and WAL-reset windows for the whole
+  // batch, so its period marks land in order with its store records.
   std::lock_guard<std::mutex> freeze_lock(freeze_mu_);
   PullResult result;
   const UnixSeconds now_s = to_seconds(now);
@@ -229,8 +229,10 @@ void RaUpdater::checkpoint_once(bool sync_log_first) {
   std::uint64_t stall_us = 0;
   {
     // The freeze window — the only stall mutation drivers can observe.
-    const auto t0 = Clock::now();
+    // Timed from the moment the lock is held: waiting for a pull to finish
+    // stalls the checkpointer, not the pull.
     std::lock_guard<std::mutex> lock(freeze_mu_);
+    const auto t0 = Clock::now();
     if (sync_log_first) wal_->sync();
     frozen = store_->freeze();
     stall_us = static_cast<std::uint64_t>(

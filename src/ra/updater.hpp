@@ -183,13 +183,14 @@ class RaUpdater {
   /// RA keeps serving (PR 9). Mutation drivers (pull_up_to, bootstrap) and
   /// the checkpoint thread synchronize on an internal freeze mutex; the
   /// thread holds it only for the O(#CAs) arena-sharing freeze() and,
-  /// after the off-lock file write, briefly again for the WAL reset — the
-  /// measured stall is that freeze window, not the write. The WAL is reset
-  /// only when no mutation landed while the checkpoint was written;
-  /// otherwise the log stays intact (recovery filters records the
-  /// checkpoint already covers) and the next cycle retries. Serving reads
-  /// (status_bytes_for) never touch the freeze mutex at all. Requires
-  /// persistence; throws std::logic_error otherwise or if already running.
+  /// after the off-lock file write, briefly again for the WAL reset. The
+  /// measured stall is that freeze window, timed once the mutex is held:
+  /// neither the file write nor the wait for a pull in progress counts.
+  /// The WAL is reset only when no mutation landed while the checkpoint
+  /// was written; otherwise the log stays intact (recovery filters records
+  /// the checkpoint already covers) and the next cycle retries. Serving
+  /// reads never touch the freeze mutex. Requires persistence; throws
+  /// std::logic_error otherwise or if already running.
   void start_checkpoints(double interval_s);
 
   /// Stops and joins the background checkpoint thread (no-op when none is
@@ -258,10 +259,10 @@ class RaUpdater {
   Health health_;
   std::string persist_dir_;
   std::unique_ptr<persist::WriteAheadLog> wal_;
-  /// Serializes mutation drivers against the checkpoint thread's freeze
-  /// and WAL-reset windows. The checkpoint thread never holds it across
-  /// the file write, so a mutator stalls for microseconds; a mutator may
-  /// hold it for a whole pull batch, which merely delays the checkpoint.
+  /// Orders this updater's WAL against its pulls: a pull or bootstrap holds
+  /// it for its whole batch, and a checkpoint holds it to sync the log and
+  /// freeze, then to reset the log and re-mark the cursor if no mutation
+  /// landed in between. It is never held across the file write.
   std::mutex freeze_mu_;
   /// Held for a whole checkpoint cycle: checkpoint() and the background
   /// thread never write the same tmp names at once.

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <deque>
 #include <memory>
-#include <shared_mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -24,7 +23,6 @@
 #include "ra/service.hpp"
 #include "ra/store.hpp"
 #include "ra/updater.hpp"
-#include "svc/mux.hpp"
 #include "svc/tcp.hpp"
 #include "svc/transport.hpp"
 
@@ -323,21 +321,19 @@ ScenarioReport ScenarioEngine::run() {
   }
   const auto cache_before = store.cache_stats();
 
-  // Serving plane: RaService behind the store's reader/mutator contract.
-  std::shared_mutex store_mu;
+  // Serving plane: RaService straight over the store, which locks itself.
   ra::RaService ra_service(&store, nullptr);
-  svc::SharedLockService serving(&ra_service, &store_mu);
   std::unique_ptr<svc::TcpServer> server;
   if (spec.tcp) {
     svc::TcpServerOptions opts;
     opts.port = 0;
     opts.max_connections = drivers + 8;
     opts.reactors = spec.reactors;
-    server = std::make_unique<svc::TcpServer>(&serving, opts);
+    server = std::make_unique<svc::TcpServer>(&ra_service, opts);
   }
 
   // Publishes feed period p (CA revocations per the plan, freshness for
-  // idle CAs) and pulls it into the RA under the writer lock.
+  // idle CAs) and pulls it into the RA.
   auto publish_period = [&](std::uint64_t p) {
     const auto t = static_cast<UnixSeconds>(p) * spec.delta;
     for (std::size_t c = 0; c < cas_n; ++c) {
@@ -356,7 +352,6 @@ ScenarioReport ScenarioEngine::run() {
       }
     }
     dp.publish(from_seconds(t));
-    std::unique_lock lock(store_mu);
     updater.pull_up_to(p, from_seconds(t));
   };
 
@@ -372,7 +367,7 @@ ScenarioReport ScenarioEngine::run() {
           "127.0.0.1", server->port(), copts));
       inproc.push_back(nullptr);
     } else {
-      inproc.push_back(std::make_unique<svc::InProcessTransport>(&serving));
+      inproc.push_back(std::make_unique<svc::InProcessTransport>(&ra_service));
       tcp_clients.push_back(nullptr);
     }
   }

@@ -13,9 +13,9 @@
 //     and attack-window sample is a pure function of the spec — the report
 //     digest is byte-identical across runs and driver counts.
 //   * freerun (saturation / latency): a publisher thread advances periods
-//     on a real clock while drivers race it; RA mutations serialize
-//     against serving reads through a shared_mutex (the DictionaryStore
-//     contract), and lag shows up as staleness instead of being impossible.
+//     on a real clock while drivers race it; the store orders its pulls
+//     against serving reads itself, and lag shows up as staleness instead
+//     of being impossible.
 //
 // Transports: in-process envelope dispatch by default; spec.tcp = true
 // stands up a multi-reactor svc::TcpServer and gives every driver its own

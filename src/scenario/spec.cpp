@@ -81,21 +81,6 @@ Bytes ScenarioSpec::encode_workload() const {
   return w.take();
 }
 
-Bytes ScenarioSpec::encode() const {
-  Bytes out = encode_workload();
-  ByteWriter w(out);
-  w.var16(bytes_of(name));
-  w.u32(drivers);
-  w.u32(batch);
-  w.u8(lockstep ? 1 : 0);
-  w.u32(period_ms);
-  w.u8(tcp ? 1 : 0);
-  w.u32(reactors);
-  w.u8(background_checkpoints ? 1 : 0);
-  w.u8(verify_proofs ? 1 : 0);
-  return out;
-}
-
 double ScenarioSpec::crowd_multiplier(std::uint64_t period) const noexcept {
   double m = 1.0;
   for (const auto& fc : flash_crowds) {

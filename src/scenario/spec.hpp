@@ -115,8 +115,6 @@ struct ScenarioSpec {
   bool tcp = false;
   /// TCP reactors (0 = hardware concurrency).
   unsigned reactors = 2;
-  /// Background checkpointing + gossip while serving (freerun only).
-  bool background_checkpoints = false;
 
   /// CI-scale smoke: 100k flows, 4 CAs, in-process lockstep.
   static ScenarioSpec smoke();
@@ -131,10 +129,6 @@ struct ScenarioSpec {
   /// two runs agree on the schedule digest iff they replay the same flows —
   /// regardless of how many threads or which transport carried them.
   Bytes encode_workload() const;
-
-  /// Deterministic binary encoding of every field (encode_workload plus
-  /// name and execution fields).
-  Bytes encode() const;
 
   /// Flow-volume multiplier for period p (product of active flash crowds).
   double crowd_multiplier(std::uint64_t period) const noexcept;

@@ -67,8 +67,7 @@ enum class Method : std::uint16_t {
   /// dict::RevocationStatus encoding (Eq. (3)).
   status_query = 4,
   /// Batched status query — N serials, one envelope, fanned out over the
-  /// epoch-versioned status-byte cache. Body: var8 ca, u32 count, count x
-  /// var8 serial. Response: u32 count, count x var24 status encoding.
+  /// status-byte cache. Body: var8 ca, u32 count, count x var8 serial. Response: u32 count, count x var24 status encoding.
   status_batch = 5,
   /// Set-reconciliation gossip, step 1 of 2 (digest swap): the caller's
   /// compact seen-set summary — per CA, segment-aligned runs of contiguous

@@ -8,12 +8,11 @@
 // never implemented them; every backend answers the retired ids 2 and 3
 // with unknown_method too.
 //
-// SharedLockService enforces the DictionaryStore concurrency contract at
-// the service boundary: reads (handle calls) take a caller-supplied
-// std::shared_mutex shared; whoever mutates the store (feed pulls,
-// bootstraps) takes the same mutex exclusively. This is the
-// checkpoint-test idiom packaged as a decorator so the TCP reactors and
-// the scenario drivers can't forget it.
+// SharedLockService wraps a service's handle calls in a caller-supplied
+// std::shared_mutex taken shared, for callers that exclude those calls
+// from their own writers by taking the same mutex exclusively. The RA
+// serving path no longer needs it: ra::DictionaryStore locks itself, so a
+// lock around RaService is correct but redundant.
 #pragma once
 
 #include <array>

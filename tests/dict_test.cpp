@@ -487,38 +487,32 @@ TEST(Insert, LargeBatchAppendKeepsPrefixUntouched) {
   EXPECT_LE(incremental, 100 + 2 * 100 + 24);  // leaves + spine, not O(n)
 }
 
-TEST(Dictionary, EpochAdvancesOnlyOnAcceptedMutation) {
+TEST(Dictionary, RejectedUpdateRollsBackAndLeavesTheTreeBuilt) {
   Dictionary d;
-  EXPECT_EQ(d.epoch(), 0u);
-  d.insert({sn(1), sn(2)});
-  EXPECT_EQ(d.epoch(), 1u);
+  d.insert(serial_range(1, 300));
+  Dictionary ca = d;
+  ca.insert({sn(1000)});
+  ASSERT_TRUE(d.update({sn(1000)}, ca.root(), 301));
+  const crypto::Digest20 root_before = d.root();
+  const Proof proof_before = d.prove(sn(77));
 
-  // Reads never advance the version.
-  (void)d.root();
-  (void)d.prove(sn(1));
-  (void)d.contains(sn(2));
-  EXPECT_EQ(d.epoch(), 1u);
-
-  // A batch that adds nothing is not a mutation.
-  d.insert({sn(1)});
-  EXPECT_EQ(d.epoch(), 1u);
-
-  // Accepted update advances.
-  Dictionary ca;
-  ca.insert({sn(1), sn(2), sn(3)});
-  ASSERT_TRUE(d.update({sn(3)}, ca.root(), 3));
-  const auto after_update = d.epoch();
-  EXPECT_GT(after_update, 1u);
-
-  // Rejected update rolls content back but must NOT reuse an epoch: any
-  // cache keyed by (epoch) would otherwise serve bytes proven against the
-  // transient state.
-  crypto::Digest20 bogus = ca.root();
+  // Rejections by root and by size both roll the contents back. update()
+  // rebuilds the tree itself, so the const reads after it hash nothing:
+  // concurrent readers never race to rebuild it.
+  crypto::Digest20 bogus = root_before;
   bogus[0] ^= 1;
-  const auto root_before = d.root();
-  EXPECT_FALSE(d.update({sn(9)}, bogus, 4));
-  EXPECT_EQ(d.root(), root_before);
-  EXPECT_GT(d.epoch(), after_update);
+  for (const auto& [serials, n] :
+       {std::pair{std::vector<SerialNumber>{sn(2000)}, std::uint64_t{302}},
+        std::pair{std::vector<SerialNumber>{sn(5), sn(2001)},
+                  std::uint64_t{303}}}) {
+    EXPECT_FALSE(d.update(serials, bogus, n));
+    const std::uint64_t hashes = d.total_hash_count();
+    EXPECT_EQ(d.size(), 301u);
+    EXPECT_EQ(d.root(), root_before);
+    EXPECT_EQ(d.prove(sn(77)).encode(), proof_before.encode());
+    EXPECT_EQ(d.prove(sn(2000)).type, Proof::Type::absence);
+    EXPECT_EQ(d.total_hash_count(), hashes);
+  }
 }
 
 TEST(Insert, InvalidSerialAnywhereInBatchLeavesDictionaryUntouched) {
@@ -612,7 +606,7 @@ TEST(Insert, RandomBatchesMatchOrderedModel) {
 
 TEST(Insert, AllDuplicateBatchesLeaveFrozenArenasShared) {
   // A batch that adds nothing must not detach an arena a frozen copy (or a
-  // mapped snapshot) shares, and must not advance the epoch.
+  // mapped snapshot) shares.
   Dictionary d;
   d.insert(serial_range(1, 500));
   (void)d.root();               // build the tree before freezing
@@ -625,7 +619,6 @@ TEST(Insert, AllDuplicateBatchesLeaveFrozenArenasShared) {
       dups.push_back(sn(1 + (7 * i) % 500));  // repeated within the batch
     }
     EXPECT_TRUE(d.insert(dups).empty()) << k;
-    EXPECT_EQ(d.epoch(), frozen.epoch()) << k;
     const DictSections after = d.snapshot_sections();
     EXPECT_EQ(after.log.data(), shared.log.data()) << k;
     EXPECT_EQ(after.sorted.data(), shared.sorted.data()) << k;
@@ -641,7 +634,7 @@ TEST(Restore, ForgedEntryCountIsRejectedBeforeAllocating) {
   ByteWriter w;
   d.snapshot_into(w);
   Bytes image(w.bytes());
-  constexpr std::size_t kCountOffset = 1 + 8;  // version, epoch
+  constexpr std::size_t kCountOffset = 1;  // after the version byte
   constexpr std::size_t kHeader = kCountOffset + 8;
   const std::uint64_t forged = (image.size() - kHeader) / 3;
   for (std::size_t i = 0; i < 8; ++i) {

@@ -5,7 +5,7 @@
 // incremental writes, retention, fallback and refusal, crash simulation,
 // and the CDN cold-start bootstrap. The crash-consistency property pinned
 // throughout: recovery from a prefix of the log always equals an in-memory
-// replay of exactly that prefix — root, epoch, and proof bytes identical.
+// replay of exactly that prefix — root and proof bytes identical.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -270,7 +270,7 @@ TEST(Snapshot, RetentionKeepsNewestTwo) {
 
 // ------------------------------------- dictionary backend snapshots
 
-TEST(DictSnapshot, RoundTripPreservesRootEpochAndProofBytes) {
+TEST(DictSnapshot, RoundTripPreservesRootAndProofBytes) {
   dict::Dictionary d;
   Rng rng(21);
   for (int batch = 0; batch < 20; ++batch) {
@@ -280,8 +280,7 @@ TEST(DictSnapshot, RoundTripPreservesRootEpochAndProofBytes) {
     }
     d.insert(serials);
   }
-  // A rejected update advances the epoch via rollback; the snapshot must
-  // carry that version too.
+  // A rejected update rolls back; the snapshot sees the rolled-back state.
   crypto::Digest20 wrong{};
   d.update({SerialNumber::from_uint(999999, 4)}, wrong, d.size() + 1);
 
@@ -292,7 +291,6 @@ TEST(DictSnapshot, RoundTripPreservesRootEpochAndProofBytes) {
   restored.restore_from(r);
   EXPECT_TRUE(r.done());
   EXPECT_EQ(restored.size(), d.size());
-  EXPECT_EQ(restored.epoch(), d.epoch());
   EXPECT_EQ(restored.root(), d.root());
   for (const std::uint64_t probe : {0ull, 77ull, 4242ull, 999999ull}) {
     const auto serial = SerialNumber::from_uint(probe, 4);
@@ -420,7 +418,7 @@ TEST(StorePersist, SnapshotPlusWalTailRecoversExactState) {
   EXPECT_EQ(report.rejected, 0u);
 
   EXPECT_EQ(recovered.have_n(ca.id()), live.have_n(ca.id()));
-  ASSERT_NE(recovered.root_of(ca.id()), nullptr);
+  ASSERT_TRUE(recovered.root_of(ca.id()).has_value());
   EXPECT_EQ(recovered.root_of(ca.id())->encode(),
             live.root_of(ca.id())->encode());
   // Served statuses — proof, signed root, and freshness — byte-identical.
@@ -429,12 +427,12 @@ TEST(StorePersist, SnapshotPlusWalTailRecoversExactState) {
     EXPECT_EQ(recovered.status_for(ca.id(), serial)->encode(),
               live.status_for(ca.id(), serial)->encode());
   }
-  // The replica version (dict epoch) replayed to the same value.
+  // The cached path serves the same bytes too.
   const auto live_v = live.status_bytes_for(ca.id(), SerialNumber::from_uint(1));
   const auto rec_v =
       recovered.status_bytes_for(ca.id(), SerialNumber::from_uint(1));
   ASSERT_TRUE(live_v && rec_v);
-  EXPECT_EQ(rec_v->epoch, live_v->epoch);
+  EXPECT_EQ(*rec_v->bytes, *live_v->bytes);
 }
 
 TEST(StorePersist, BootstrapReplicaIsLoggedAndReplayed) {
@@ -871,7 +869,7 @@ TEST(StorePersist, CorruptionAtEveryStructuralByteFallsBack) {
 // The acceptance property: 1k random mutation batches, a simulated crash at
 // WAL byte offsets covering every byte of the final record, every framing
 // field, and a uniform sample of the whole file — recovery must equal an
-// in-memory replay of exactly the surviving prefix (root, epoch, proofs).
+// in-memory replay of exactly the surviving prefix (root, size, proofs).
 // Runs at the dict layer (record payloads are serial batches) so the sweep
 // stays cheap enough to run under sanitizers.
 TEST(CrashSim, RecoveryEqualsReplayOfSurvivingPrefixOver1kBatches) {
@@ -883,7 +881,6 @@ TEST(CrashSim, RecoveryEqualsReplayOfSurvivingPrefixOver1kBatches) {
   Rng rng(99);
   struct Oracle {
     crypto::Digest20 root{};
-    std::uint64_t epoch = 0;
     std::uint64_t size = 0;
   };
   std::vector<Oracle> oracle(kBatches + 1);
@@ -892,7 +889,7 @@ TEST(CrashSim, RecoveryEqualsReplayOfSurvivingPrefixOver1kBatches) {
 
   {
     dict::Dictionary d;
-    oracle[0] = {d.root(), d.epoch(), d.size()};
+    oracle[0] = {d.root(), d.size()};
     WriteAheadLog wal;
     wal.open(path, {.sync_every = 0});
     for (std::size_t b = 0; b < kBatches; ++b) {
@@ -908,7 +905,7 @@ TEST(CrashSim, RecoveryEqualsReplayOfSurvivingPrefixOver1kBatches) {
       wal.append(kBatchRecord, ByteSpan(batches[b]));
       ends.push_back(WriteAheadLog::kHeaderSize + wal.tail_bytes());
       d.insert(serials);
-      oracle[b + 1] = {d.root(), d.epoch(), d.size()};
+      oracle[b + 1] = {d.root(), d.size()};
     }
     wal.close();
   }
@@ -972,7 +969,6 @@ TEST(CrashSim, RecoveryEqualsReplayOfSurvivingPrefixOver1kBatches) {
       replay_batch(recovered, ByteSpan(rec.payload));
     }
     ASSERT_EQ(recovered.root(), oracle[expect].root) << "cut " << cut;
-    ASSERT_EQ(recovered.epoch(), oracle[expect].epoch) << "cut " << cut;
     ASSERT_EQ(recovered.size(), oracle[expect].size) << "cut " << cut;
   }
   EXPECT_GT(replays, 150u);
@@ -1080,7 +1076,7 @@ TEST(CrashSim, StoreRecoveryMatchesOracleAtFieldBoundaries) {
     const auto rv = recovered.status_bytes_for(ca.id(), probe);
     const auto ov = oracle.status_bytes_for(ca.id(), probe);
     ASSERT_TRUE(rv && ov);
-    ASSERT_EQ(rv->epoch, ov->epoch) << "cut " << cut;
+    ASSERT_EQ(*rv->bytes, *ov->bytes) << "cut " << cut;
   }
 }
 

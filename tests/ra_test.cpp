@@ -171,14 +171,16 @@ TEST(StatusCache, RootChangeInvalidatesAndServesNewRoot) {
   ASSERT_TRUE(old_status.has_value());
   EXPECT_EQ(old_status->proof.type, dict::Proof::Type::absence);
 
-  // Root change: the probed serial itself gets revoked.
-  store.apply_issuance(ca.revoke({serial}, 1010), 1010);
+  // Root change: the probed serial itself gets revoked. The apply drops
+  // the one shard the lookup filled.
   const auto invalidations = store.cache_stats().invalidations;
+  store.apply_issuance(ca.revoke({serial}, 1010), 1010);
+  EXPECT_EQ(store.cache_stats().invalidations, invalidations + 1);
 
   const auto after = store.status_bytes_for("CA-1", serial);
   ASSERT_TRUE(after.has_value());
-  EXPECT_EQ(store.cache_stats().invalidations, invalidations + 1);
-  EXPECT_GT(after->epoch, before->epoch);
+  EXPECT_EQ(before->n, 1u);
+  EXPECT_EQ(after->n, 2u);
   auto fresh = dict::RevocationStatus::decode(ByteSpan(*after->bytes));
   ASSERT_TRUE(fresh.has_value());
   // No stale bytes: the served status reflects the new root and proves the

@@ -299,5 +299,28 @@ TEST(Engine, TcpTransportServesIdenticalVerdicts) {
   EXPECT_GT(over_tcp.bytes_received, 0u);
 }
 
+TEST(Engine, FreerunOverTcpServesOnlyVerifiableStatuses) {
+  // Freerun: a publisher thread pulls each period while the drivers' flows
+  // race it over TCP, with no lock but the store's own. The RA may lag the
+  // publisher, so the engine checks only timeless verdicts, and every proof
+  // must verify against the signed root served with it.
+  auto spec = tiny_spec();
+  spec.flows = 2'000;
+  spec.mass_revocation->count = 200;
+  spec.lockstep = false;
+  spec.period_ms = 10;
+  spec.tcp = true;
+  spec.drivers = 2;
+  spec.reactors = 2;
+  spec.verify_proofs = true;
+  ScenarioEngine engine(spec);
+  const auto report = engine.run();
+  EXPECT_FALSE(report.lockstep);
+  EXPECT_EQ(report.flows, spec.flows);
+  EXPECT_EQ(report.wrong_verdict, 0u);
+  EXPECT_EQ(report.rpc_errors, 0u);
+  EXPECT_EQ(report.decode_errors, 0u);
+}
+
 }  // namespace
 }  // namespace ritm::scenario
