@@ -1,9 +1,10 @@
 // Fuzz harness for the RA's persisted-state parsers: the CDN cold-start
 // object (ca::ColdStartObject::decode) with the dictionary snapshot it
-// carries (dict::Dictionary::restore_from), and the checkpoint decoders
+// carries (dict::Dictionary::restore_from), the checkpoint decoders
 // (persist::decode_part with Dictionary::restore_sections, and
-// persist::decode_part_list). The first byte mod 3 picks one of three input
-// shapes:
+// persist::decode_part_list), and the WAL reader (persist::WriteAheadLog
+// ::scan, and ra::DictionaryStore::recover_from replaying what it reads).
+// The first byte mod 4 picks one of four input shapes:
 //   * raw:        the rest of the input, verbatim, to the cold-start parser.
 //   * mutation:   one of a few valid cold-start encodings (bare snapshots
 //                 and cold-start objects of dictionaries with 0, 3 and 200
@@ -19,6 +20,12 @@
 //                 container CRCs after the XOR, as a structure-aware
 //                 mutator would, so mutations reach the meta and arena
 //                 checks behind them.
+//   * wal:        raw bytes, or a valid wal.log holding every store record
+//                 type (bootstrap, issuance, freshness, sync and feed-cursor
+//                 records) with the remaining bytes XORed over it, picked
+//                 by the second byte's low bit; its high bit recomputes the
+//                 record CRCs after the XOR, so mutations reach the record
+//                 decoders and the acceptance rules.
 // Every cold-start input goes to the snapshot parser both bare and as a
 // cold-start object, and must either be rejected or restore to a dictionary
 // that
@@ -28,11 +35,16 @@
 // either fail, or adopt into a dictionary whose root() and size equal the
 // recorded ones; a part list must either fail or re-encode to exactly its
 // bytes. A rejected restore must leave the target dictionary untouched.
+// Every WAL input goes to WriteAheadLog::scan, whose valid prefix must
+// re-frame to exactly the input's first valid_bytes, with valid_bytes +
+// truncated_bytes equal to the input size; and, as the wal.log of an
+// otherwise empty directory, to DictionaryStore::recover_from, which must
+// return ok without throwing.
 //
 // Built two ways (CMake), like fuzz_frame: with -DRITM_BUILD_FUZZERS=ON
 // (clang) this is a libFuzzer target; otherwise it compiles as a
 // self-driving smoke binary that replays a deterministic pseudo-random
-// corpus of all three shapes, registered as a ctest (label `fault`).
+// corpus of all four shapes, registered as a ctest (label `fault`).
 #include <unistd.h>
 
 #include <algorithm>
@@ -50,7 +62,10 @@
 #include "common/io.hpp"
 #include "common/rng.hpp"
 #include "dict/dictionary.hpp"
+#include "persist/recovery.hpp"
 #include "persist/shard_checkpoint.hpp"
+#include "persist/wal.hpp"
+#include "ra/store.hpp"
 
 namespace {
 
@@ -68,11 +83,37 @@ struct Base {
 constexpr std::size_t kCountOffset = 1;  // after the version byte
 constexpr std::size_t kHeaderBytes = kCountOffset + 8;
 
+/// The CA a WAL image's records come from: what recovery registers.
+struct WalCa {
+  cert::CaId id;
+  crypto::PublicKey key{};
+  UnixSeconds delta = 0;
+};
+
 /// Valid encodings to mutate: bare snapshots, then cold-start objects, of
-/// three CAs' dictionaries; and those dictionaries' checkpoint files.
+/// three CAs' dictionaries; those dictionaries' checkpoint files; and a
+/// wal.log of another CA's records.
 struct Corpus {
   std::vector<Base> cold;
   std::vector<Bytes> checkpoint;  // three parts, then a part list
+  Bytes wal;
+  WalCa wal_ca;
+};
+
+/// A temporary directory named after this process, removed at exit.
+struct TempDir {
+  std::filesystem::path path;
+
+  explicit TempDir(const std::string& name)
+      : path(std::filesystem::temp_directory_path() /
+             ("ritm-fuzz-" + name + "-" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
 };
 
 Bytes read_file(const std::filesystem::path& path) {
@@ -85,19 +126,54 @@ Bytes read_file(const std::filesystem::path& path) {
 /// directory, then the part list its manifest carries.
 std::vector<Bytes> checkpoint_files(
     const std::vector<dict::DictSections>& dicts) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("ritm-fuzz-snapshot-" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  persist::write_checkpoint(dir.string(), 1, ByteSpan(), dicts);
+  const TempDir dir("snapshot");
+  persist::write_checkpoint(dir.path.string(), 1, ByteSpan(), dicts);
   std::vector<Bytes> out;
   std::vector<persist::PartKey> keys;
   for (const dict::DictSections& d : dicts) {
     keys.push_back({d.root, d.n});
-    out.push_back(read_file(dir / persist::part_name(keys.back())));
+    out.push_back(read_file(dir.path / persist::part_name(keys.back())));
   }
   out.push_back(persist::encode_part_list(keys));
-  std::filesystem::remove_all(dir);
   return out;
+}
+
+/// The wal.log a live store writes while it applies one record of every
+/// type from `ca`: a cold-start bootstrap, a feed-cursor advance, an
+/// issuance, a freshness statement, a sync response, and another advance.
+Bytes wal_file(ca::CertificationAuthority& ca, Rng& rng) {
+  const TempDir dir("wal-corpus");
+  persist::WriteAheadLog wal;
+  wal.open(persist::Recovery::wal_path(dir.path.string()));
+  ra::DictionaryStore store;
+  store.register_ca(ca.id(), ca.public_key(), ca.delta());
+  store.attach_wal(&wal);
+  const auto serial = [&] {
+    return cert::SerialNumber{
+        rng.bytes(1 + rng.uniform(cert::kMaxSerialBytes))};
+  };
+  bool ok = true;
+  ca.revoke({serial(), serial(), serial()}, 1000);
+  const ca::ColdStartObject obj = ca.cold_start_object(0, 1000);
+  ok &= store.bootstrap_replica(ca.id(), ByteSpan(obj.dict_snapshot),
+                                obj.signed_root, obj.freshness,
+                                1000) == ra::ApplyResult::ok;
+  store.advance_feed_cursor(1, 1000);
+  ok &= store.apply_issuance(ca.revoke({serial()}, 1010), 1010) ==
+        ra::ApplyResult::ok;
+  ok &= store.apply_freshness({ca.id(), ca.freshness_at(1030)}, 1030) ==
+        ra::ApplyResult::ok;
+  ca.revoke({serial(), serial()}, 1040);
+  dict::SyncResponse sync;
+  sync.ca = ca.id();
+  sync.entries = ca.dictionary().entries_from(store.have_n(ca.id()) + 1);
+  sync.signed_root = ca.signed_root();
+  sync.freshness = ca.freshness_at(1050);
+  ok &= store.apply_sync(sync, 1050) == ra::ApplyResult::ok;
+  store.advance_feed_cursor(5, 1050);
+  if (!ok) throw std::logic_error("fuzz_snapshot: WAL corpus rejected");
+  wal.close();
+  return read_file(persist::Recovery::wal_path(dir.path.string()));
 }
 
 const Corpus& corpus() {
@@ -105,7 +181,7 @@ const Corpus& corpus() {
     std::vector<Base> snapshots, objects;
     std::vector<dict::DictSections> dicts;
     std::vector<ca::CertificationAuthority> cas;
-    cas.reserve(3);
+    cas.reserve(4);
     Rng rng(0x5A4B);
     for (const std::size_t n : {0, 3, 200}) {
       ca::CertificationAuthority::Config cfg;
@@ -143,7 +219,16 @@ const Corpus& corpus() {
       objects.push_back(std::move(wrapped));
     }
     snapshots.insert(snapshots.end(), objects.begin(), objects.end());
-    return Corpus{std::move(snapshots), checkpoint_files(dicts)};
+
+    ca::CertificationAuthority::Config cfg;
+    cfg.id = "CA-FUZZ-WAL";
+    cfg.delta = 10;
+    cfg.chain_length = 8;
+    ca::CertificationAuthority& wal_ca = cas.emplace_back(cfg, rng, 1000);
+    Bytes wal = wal_file(wal_ca, rng);
+    return Corpus{std::move(snapshots), checkpoint_files(dicts),
+                  std::move(wal),
+                  WalCa{wal_ca.id(), wal_ca.public_key(), wal_ca.delta()}};
   }();
   return out;
 }
@@ -232,6 +317,60 @@ bool check_part_list(ByteSpan data) {
   return true;
 }
 
+/// What recovering a store from one WAL image gave.
+struct WalReplay {
+  std::size_t replayed = 0;
+  std::size_t rejected = 0;
+  std::uint64_t feed_cursor = 0;
+};
+
+/// Checks `image` as a wal.log: the scan's valid prefix must re-frame to
+/// exactly the image's first valid_bytes, the rest being the truncated
+/// tail, and a store must recover from a directory holding only the image
+/// without throwing. Traps on any broken invariant.
+WalReplay check_wal(ByteSpan image) {
+  const persist::WalScan scan = persist::WriteAheadLog::scan(image);
+  if (scan.valid_bytes + scan.truncated_bytes != image.size()) {
+    __builtin_trap();
+  }
+  Bytes framed;
+  if (scan.valid_bytes > 0) {
+    const Bytes& header = corpus().wal;
+    framed.assign(header.begin(),
+                  header.begin() + persist::WriteAheadLog::kHeaderSize);
+  }
+  for (const persist::WalRecord& rec : scan.records) {
+    ByteWriter frame;
+    frame.u64(rec.seq);
+    frame.u8(rec.type);
+    frame.raw(ByteSpan(rec.payload));
+    ByteWriter w(framed);
+    w.u32(static_cast<std::uint32_t>(frame.size()));
+    w.raw(ByteSpan(frame.bytes()));
+    w.u32(crc32(ByteSpan(frame.bytes())));
+  }
+  if (framed.size() != scan.valid_bytes ||
+      !std::equal(framed.begin(), framed.end(), image.begin())) {
+    __builtin_trap();
+  }
+
+  static const TempDir dir("wal");
+  {
+    std::ofstream out(persist::Recovery::wal_path(dir.path.string()),
+                      std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(image.data()),
+              static_cast<std::streamsize>(image.size()));
+  }
+  ra::DictionaryStore store;
+  const WalCa& ca = corpus().wal_ca;
+  store.register_ca(ca.id, ca.key, ca.delta);
+  const auto report = store.recover_from(dir.path.string());
+  if (!report.ok || report.replayed + report.rejected > scan.records.size()) {
+    __builtin_trap();
+  }
+  return {report.replayed, report.rejected, store.feed_cursor()};
+}
+
 std::uint64_t be_at(const std::uint8_t* p, std::size_t bytes) {
   std::uint64_t v = 0;
   for (std::size_t i = 0; i < bytes; ++i) v = (v << 8) | p[i];
@@ -267,6 +406,20 @@ void refresh_crcs(Bytes& image) {
            crc32(ByteSpan(dir, count * persist::kSectionDirEntrySize)));
 }
 
+/// Recomputes each record's CRC in a wal.log image in place, following the
+/// frame lengths from the header; stops at the first frame that does not
+/// fit.
+void refresh_wal_crcs(Bytes& image) {
+  std::size_t pos = persist::WriteAheadLog::kHeaderSize;
+  while (pos <= image.size() && image.size() - pos >= 8) {
+    const std::uint64_t len = be_at(image.data() + pos, 4);
+    if (len > image.size() - pos - 8) return;
+    put_be32(image.data() + pos + 4 + len,
+             crc32(ByteSpan(image.data() + pos + 4, len)));
+    pos += 8 + len;
+  }
+}
+
 /// XORs `mask` over `base` (any excess appended).
 Bytes xor_over(const Bytes& base, const std::uint8_t* mask, std::size_t len) {
   Bytes t = base;
@@ -285,7 +438,7 @@ Bytes xor_over(const Bytes& base, const std::uint8_t* mask, std::size_t len) {
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size < 1) return 0;
-  const std::uint8_t shape = data[0] % 3;
+  const std::uint8_t shape = data[0] % 4;
   if (shape == 0) {
     check(ByteSpan(data + 1, size - 1));
     return 0;
@@ -299,14 +452,21 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     check(ByteSpan(t));
     return 0;
   }
-  // Copied even when raw: the arenas need the buffer's alignment.
-  const auto& files = corpus().checkpoint;
-  const std::size_t pick = (pick_byte & 0x7F) % (files.size() + 1);
-  Bytes t = xor_over(pick < files.size() ? files[pick] : Bytes(), mask,
-                     mask_len);
-  if ((pick_byte & 0x80) != 0) refresh_crcs(t);
-  check_part(ByteSpan(t));
-  check_part_list(ByteSpan(t));
+  if (shape == 2) {
+    // Copied even when raw: the arenas need the buffer's alignment.
+    const auto& files = corpus().checkpoint;
+    const std::size_t pick = (pick_byte & 0x7F) % (files.size() + 1);
+    Bytes t = xor_over(pick < files.size() ? files[pick] : Bytes(), mask,
+                       mask_len);
+    if ((pick_byte & 0x80) != 0) refresh_crcs(t);
+    check_part(ByteSpan(t));
+    check_part_list(ByteSpan(t));
+    return 0;
+  }
+  const bool raw = (pick_byte & 1) != 0;
+  Bytes t = xor_over(raw ? Bytes() : corpus().wal, mask, mask_len);
+  if ((pick_byte & 0x80) != 0) refresh_wal_crcs(t);
+  check_wal(ByteSpan(t));
   return 0;
 }
 
@@ -319,7 +479,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 // truncated files, and files with a few flipped bits or one byte changed,
 // with and without refreshed CRCs; and, checked directly, parts whose
 // sorted index has two words swapped under refreshed CRCs, which must be
-// rejected.
+// rejected. WAL shape: raw noise, truncated logs, and logs with a few
+// flipped bits, one byte changed or trailing bytes, with and without
+// refreshed CRCs; the unchanged log must replay all four mutations and
+// end at feed cursor 5.
 int main() {
   // The corpus leans on the bases being valid; a broken one would leave
   // only rejections to compare.
@@ -447,6 +610,51 @@ int main() {
       const std::uint64_t flips = 1 + rng.uniform(3);
       for (std::uint64_t f = 0; f < flips; ++f) {
         buf[2 + rng.uniform(file.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.uniform(8));
+      }
+    }
+    LLVMFuzzerTestOneInput(buf.data(), buf.size());
+  }
+
+  const Bytes& log = corpus().wal;
+  const WalReplay base = check_wal(ByteSpan(log));
+  if (base.replayed != 4 || base.rejected != 0 || base.feed_cursor != 5) {
+    return 1;
+  }
+  // Refreshed CRCs keep a mutated record in the valid prefix: the last
+  // record is a cursor advance, and its period's low byte sits just before
+  // its CRC.
+  Bytes raised = log;
+  raised[raised.size() - 5] ^= 0x40;
+  refresh_wal_crcs(raised);
+  if (check_wal(ByteSpan(raised)).feed_cursor != (5 ^ 0x40)) return 1;
+  for (int iter = 0; iter < 600; ++iter) {
+    const std::uint64_t kind = rng.uniform(8);
+    buf.assign(2, 3);
+    if (kind <= 1) {  // raw: noise, or a valid log cut short
+      buf[1] = 1;
+      const Bytes body =
+          kind == 0 ? rng.bytes(rng.uniform(300))
+                    : Bytes(log.begin(),
+                            log.begin() + static_cast<std::ptrdiff_t>(
+                                              rng.uniform(log.size())));
+      buf.insert(buf.end(), body.begin(), body.end());
+      LLVMFuzzerTestOneInput(buf.data(), buf.size());
+      continue;
+    }
+    // An XOR mask over a valid log; kinds 5 to 7 refresh the CRCs after.
+    buf[1] = kind >= 5 ? 0x80 : 0;
+    buf.resize(2 + log.size(), 0);
+    if (kind % 3 == 0) {  // trailing bytes
+      const Bytes tail = rng.bytes(1 + rng.uniform(40));
+      buf.insert(buf.end(), tail.begin(), tail.end());
+    } else if (kind % 3 == 1) {  // one byte changed
+      buf[2 + rng.uniform(log.size())] =
+          static_cast<std::uint8_t>(1 + rng.uniform(255));
+    } else {  // a few bit flips
+      const std::uint64_t flips = 1 + rng.uniform(3);
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        buf[2 + rng.uniform(log.size())] ^=
             static_cast<std::uint8_t>(1u << rng.uniform(8));
       }
     }

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "ca/manifest.hpp"
 #include "common/io.hpp"
 
 namespace ritm::ca {
@@ -104,16 +105,8 @@ dict::RevocationStatus CertificationAuthority::status_for(
 }
 
 Bytes CertificationAuthority::manifest() const {
-  ByteWriter w;
-  w.raw(bytes_of("RITM-MANIFEST-v1"));
-  w.var8(bytes_of(config_.id));
-  w.u64(static_cast<std::uint64_t>(config_.delta));
-  w.u64(dict_.size());
-  Bytes body = w.take();
-  const crypto::Signature sig =
-      crypto::sign(ByteSpan(body), keypair_.seed, keypair_.public_key);
-  append(body, ByteSpan(sig.data(), sig.size()));
-  return body;
+  return Manifest::make(config_.id, config_.delta, dict_.size(), keypair_)
+      .encode();
 }
 
 ColdStartObject CertificationAuthority::cold_start_object(

@@ -1,8 +1,8 @@
 // Write-ahead log for the durable dictionary pipeline (PR 4).
 //
-// An append-only file of CRC-framed records. Writers append accepted
-// mutations (the RA store logs issuance/freshness/sync/bootstrap messages,
-// the updater logs feed-period markers); recovery replays the longest valid
+// An append-only file of CRC-framed records with one writer, the RA store:
+// it logs each accepted mutation (issuance/freshness/sync/bootstrap
+// message) and each feed-cursor advance; recovery replays the longest valid
 // prefix on top of the newest snapshot, so a process restart costs
 // O(log tail) instead of O(issuance history).
 //
@@ -32,10 +32,9 @@
 
 namespace ritm::persist {
 
-/// One durably logged mutation. `seq` is assigned by the log, strictly
+/// One durably logged record. `seq` is assigned by the log, strictly
 /// increasing across the file; `type` tells the replayer how to decode the
-/// payload (ra::DictionaryStore owns types 1..15; higher layers stacking
-/// state onto the same log — e.g. ra::RaUpdater's period markers — use 16+).
+/// payload (the types are ra::DictionaryStore's).
 struct WalRecord {
   std::uint64_t seq = 0;
   std::uint8_t type = 0;
@@ -98,7 +97,7 @@ class WriteAheadLog {
   /// would put new records at or below the snapshot's stamp and make the
   /// next recovery drop them — callers resuming after recovery floor the
   /// counter at mutation_seq + 1 (DictionaryStore does this on every
-  /// logged mutation).
+  /// logged record).
   void fast_forward(std::uint64_t next_seq) noexcept {
     if (next_seq > next_seq_) next_seq_ = next_seq;
   }

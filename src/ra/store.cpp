@@ -44,7 +44,8 @@ namespace {
 /// The period ~now (±1 period of skew, the paper's 2∆ window, §V) at which
 /// `statement` extends the chain of a root signed at `root_ts` from `last`,
 /// its statement at `last_period` (a root's anchor is its period 0).
-/// Walking from `last` keeps verification O(1) amortized per period.
+/// Walking from `last` keeps verification O(1) amortized per period, and
+/// no walk exceeds kMaxFreshnessWalk hashes.
 std::optional<std::uint64_t> chain_period(UnixSeconds root_ts,
                                           UnixSeconds delta,
                                           const crypto::Digest20& last,
@@ -55,10 +56,21 @@ std::optional<std::uint64_t> chain_period(UnixSeconds root_ts,
       now <= root_ts ? 0
                      : static_cast<std::uint64_t>((now - root_ts) / delta);
   const std::uint64_t lo = expected == 0 ? 0 : expected - 1;
-  for (std::uint64_t p = std::max(lo, last_period); p <= expected + 1; ++p) {
+  for (std::uint64_t p = std::max(lo, last_period);
+       p <= expected + 1 &&
+       p - last_period <= DictionaryStore::kMaxFreshnessWalk;
+       ++p) {
     if (crypto::HashChain::verify(statement, p - last_period, last)) return p;
   }
   return std::nullopt;
+}
+
+/// True when `incoming` would roll the replica back from `held`: it commits
+/// to fewer entries, or is an earlier signature (a CA re-signs the same
+/// dictionary when its hash chain runs out, so equal n orders nothing).
+bool older_root(const dict::SignedRoot& incoming,
+                const dict::SignedRoot& held) {
+  return incoming.n < held.n || incoming.timestamp < held.timestamp;
 }
 
 }  // namespace
@@ -92,23 +104,30 @@ void DictionaryStore::drop_cache(CaState& state) {
   }
 }
 
-void DictionaryStore::append_wal(std::uint8_t type, ByteSpan payload) {
-  // A log emptied by a snapshot commit and then reopened restarts its
-  // numbering at 1; records at or below the snapshot's stamp would be
-  // dropped by the next recovery, so floor the counter first.
-  wal_.load()->fast_forward(mutation_seq_ + 1);
-  mutation_seq_ = wal_.load()->append(type, payload);
-}
-
 void DictionaryStore::log_mutation(std::uint8_t type, UnixSeconds now,
                                    ByteSpan message) {
-  if (wal_ == nullptr || replaying_) return;
+  persist::WriteAheadLog* wal = wal_;
+  if (wal == nullptr || replaying_) return;
   Bytes payload;
   payload.reserve(8 + message.size());
   ByteWriter w(payload);
   w.u64(static_cast<std::uint64_t>(now));
   w.raw(message);
-  append_wal(type, ByteSpan(payload));
+  // A log emptied by a snapshot commit and then reopened restarts its
+  // numbering at 1; records at or below the snapshot's stamp would be
+  // dropped by the next recovery, so floor the counter first.
+  wal->fast_forward(mutation_seq_ + 1);
+  mutation_seq_ = wal->append(type, ByteSpan(payload));
+}
+
+void DictionaryStore::advance_feed_cursor(std::uint64_t period,
+                                          UnixSeconds now) {
+  std::lock_guard<std::mutex> writer(write_mu_);
+  if (period <= feed_cursor_) return;
+  feed_cursor_ = period;
+  ByteWriter w;
+  w.u64(period);
+  log_mutation(kWalFeedCursor, now, ByteSpan(w.bytes()));
 }
 
 ApplyResult DictionaryStore::apply_issuance(
@@ -117,11 +136,8 @@ ApplyResult DictionaryStore::apply_issuance(
   if (state == nullptr) return ApplyResult::unknown_ca;
   if (!msg.signed_root.verify(state->key)) return ApplyResult::bad_signature;
   std::lock_guard<std::mutex> writer(write_mu_);
-  if (state->have_root) {
-    if (msg.signed_root.n < state->root.n ||
-        msg.signed_root.timestamp < state->root.timestamp) {
-      return ApplyResult::stale_root;
-    }
+  if (state->have_root && older_root(msg.signed_root, state->root)) {
+    return ApplyResult::stale_root;
   }
   // Gap check via consecutive numbering: the issuance must extend our
   // replica exactly.
@@ -176,6 +192,11 @@ ApplyResult DictionaryStore::apply_sync(const dict::SyncResponse& msg,
   if (state == nullptr) return ApplyResult::unknown_ca;
   if (!msg.signed_root.verify(state->key)) return ApplyResult::bad_signature;
   std::lock_guard<std::mutex> writer(write_mu_);
+  // Sync answers come from untrusted edges: an old root must not replace
+  // a newer one, even over the same dictionary.
+  if (state->have_root && older_root(msg.signed_root, state->root)) {
+    return ApplyResult::stale_root;
+  }
 
   // Entries must continue our numbering exactly.
   std::uint64_t expect = state->dict.size() + 1;
@@ -219,8 +240,7 @@ ApplyResult DictionaryStore::bootstrap_replica(const cert::CaId& ca,
   if (state == nullptr || root.ca != ca) return ApplyResult::unknown_ca;
   if (!root.verify(state->key)) return ApplyResult::bad_signature;
   std::lock_guard<std::mutex> writer(write_mu_);
-  if (state->have_root &&
-      (root.n < state->root.n || root.timestamp < state->root.timestamp)) {
+  if (state->have_root && older_root(root, state->root)) {
     return ApplyResult::stale_root;
   }
 
@@ -253,14 +273,12 @@ ApplyResult DictionaryStore::bootstrap_replica(const cert::CaId& ca,
   }
 
   if (wal_ != nullptr && !replaying_) {
-    Bytes payload;
-    ByteWriter w(payload);
-    w.u64(static_cast<std::uint64_t>(now));
+    ByteWriter w;
     w.var16(ByteSpan(bytes_of(ca)));
     w.var16(ByteSpan(root.encode()));
     w.raw(ByteSpan(freshness));
     w.raw(dict_snapshot);
-    append_wal(kWalBootstrap, ByteSpan(payload));
+    log_mutation(kWalBootstrap, now, ByteSpan(w.bytes()));
   }
   return ApplyResult::ok;
 }
@@ -443,19 +461,21 @@ std::size_t DictionaryStore::memory_bytes() const {
 
 // ------------------------------------------------------------- durability
 
-// Checkpoint meta (the manifest's owner section): u8 version, u32
-// ca_count, then per CA (in CaId order): var16 ca, u8 have_root, u8
-// desynchronized, [var16 signed root when have_root], 20B freshness,
-// u64 freshness_period, u64 dict_n, 20B dict_root. (dict_n, dict_root)
-// names the CA's part, which holds the dictionary's bulk data. Keys and ∆ are trust configuration
-// (register_ca), not replicated state, and are not persisted.
+// Checkpoint meta (the manifest's owner section): u8 version, u64
+// feed_cursor, u32 ca_count, then per CA (in CaId order): var16 ca, u8
+// have_root, u8 desynchronized, [var16 signed root when have_root], 20B
+// freshness, u64 freshness_period, u64 dict_n, 20B dict_root. (dict_n,
+// dict_root) names the CA's part, which holds the dictionary's bulk data.
+// Keys and ∆ are trust configuration (register_ca), not replicated state,
+// and are not persisted.
 namespace {
-constexpr std::uint8_t kStoreMetaVersion = 3;
+constexpr std::uint8_t kStoreMetaVersion = 4;
 }  // namespace
 
 DictionaryStore::FrozenStore DictionaryStore::freeze() const {
   std::lock_guard<std::mutex> writer(write_mu_);  // readers only read
   FrozenStore frozen;
+  frozen.feed_cursor = feed_cursor_;
   frozen.mutation_seq = mutation_seq_;
   frozen.cas.reserve(cas_.size());
   for (const auto& [ca, state] : cas_) {
@@ -477,6 +497,7 @@ persist::CheckpointWrite DictionaryStore::persist_frozen(
   Bytes meta;
   ByteWriter w(meta);
   w.u8(kStoreMetaVersion);
+  w.u64(frozen.feed_cursor);
   w.u32(static_cast<std::uint32_t>(frozen.cas.size()));
   // Every mutator leaves its tree built, so snapshot_sections() only
   // points at the frozen arenas.
@@ -497,14 +518,18 @@ persist::CheckpointWrite DictionaryStore::persist_frozen(
                                    secs);
 }
 
+bool DictionaryStore::reset_wal_if_unchanged(const FrozenStore& frozen) {
+  std::lock_guard<std::mutex> writer(write_mu_);
+  persist::WriteAheadLog* wal = wal_;
+  if (wal == nullptr || mutation_seq_ != frozen.mutation_seq) return false;
+  wal->reset(mutation_seq_ + 1);
+  return true;
+}
+
 persist::CheckpointWrite DictionaryStore::persist_to(const std::string& dir) {
   const FrozenStore frozen = freeze();
   const persist::CheckpointWrite written = persist_frozen(frozen, dir);
-  std::lock_guard<std::mutex> writer(write_mu_);
-  // A mutation logged during the write lies past the checkpoint's stamp.
-  if (wal_ != nullptr && mutation_seq_ == frozen.mutation_seq) {
-    wal_.load()->reset(mutation_seq_ + 1);
-  }
+  reset_wal_if_unchanged(frozen);
   return written;
 }
 
@@ -516,8 +541,9 @@ bool DictionaryStore::restore_checkpoint(
   };
   ByteReader r{checkpoint.meta};
   if (r.try_u8().value_or(0xFF) != kStoreMetaVersion) return false;
+  const auto cursor = r.try_u64();
   const auto count = r.try_u32();
-  if (!count) return false;
+  if (!cursor || !count) return false;
 
   // Stage into a copy so a failure at any CA (including a part that fails
   // adoption) leaves the store untouched. Staged caches start cold by
@@ -577,6 +603,7 @@ bool DictionaryStore::restore_checkpoint(
   }
   if (!r.done()) return false;
   cas_ = std::move(staged);
+  feed_cursor_ = *cursor;
   return true;
 }
 
@@ -605,17 +632,23 @@ DictionaryStore::RecoveryReport DictionaryStore::recover_from(
   // simply converges to the longest consistent prefix).
   replaying_ = true;
   for (const persist::WalRecord& record : rec.tail) {
+    mutation_seq_ = record.seq;
     ByteReader r{ByteSpan(record.payload)};
     const auto now64 = r.try_u64();
-    if (record.type >= 16) {
-      report.unhandled.push_back(record);
-      continue;
-    }
     if (!now64) {
       ++report.rejected;
       continue;
     }
     const UnixSeconds now = static_cast<UnixSeconds>(*now64);
+    if (record.type == kWalFeedCursor) {
+      const auto period = r.try_u64();
+      if (period && r.done()) {
+        advance_feed_cursor(*period, now);
+      } else {
+        ++report.rejected;
+      }
+      continue;
+    }
     ApplyResult result = ApplyResult::root_mismatch;
     bool decoded = false;
     const Bytes body = r.raw(r.remaining());
@@ -657,15 +690,12 @@ DictionaryStore::RecoveryReport DictionaryStore::recover_from(
         }
         break;
       }
-      default:
-        break;  // reserved store-range type from a newer writer
     }
     if (decoded && result == ApplyResult::ok) {
       ++report.replayed;
     } else {
       ++report.rejected;
     }
-    mutation_seq_ = record.seq;
   }
   replaying_ = false;
   report.ok = true;

@@ -27,12 +27,14 @@
 // in-place update. Readers of different CAs never contend. register_ca()
 // and recover_from() are setup calls: make them before serving starts.
 //
-// Durability (PR 4): attach_wal() makes the store log every accepted
-// mutation to a persist::WriteAheadLog; persist_to()/recover_from() write
-// and reload checkpoints, replaying the WAL tail through the same apply_*
-// paths that ran live — recovery *is* replay, so the recovered
-// roots and proofs are byte-identical to an in-memory replay of the
-// surviving prefix.
+// Durability: the store owns the RA's durable state, the replicas and the
+// feed cursor (the first feed period, §VI, they do not yet reflect).
+// attach_wal() makes the store log every accepted mutation and cursor
+// advance to a persist::WriteAheadLog, of which it is the one writer;
+// persist_to()/recover_from() write and reload checkpoints holding both,
+// replaying the WAL tail through the same apply_* paths that ran live —
+// recovery *is* replay, so the recovered roots and proofs are
+// byte-identical to an in-memory replay of the surviving prefix.
 //
 // Zero-copy persistence: a checkpoint is the persist/shard_checkpoint.hpp
 // format — a manifest holding the store meta, plus one part per CA
@@ -103,6 +105,14 @@ class DictionaryStore {
   /// anchor for the current period (±1 period of clock tolerance).
   ApplyResult apply_freshness(const dict::FreshnessStatement& msg,
                               UnixSeconds now);
+
+  /// The longest hash-chain walk one freshness check makes: a statement
+  /// more than this many periods past the replica's last verified one (or,
+  /// carried by a sync or cold start, past its root's anchor) is refused,
+  /// so a check costs a bounded number of hashes whatever `now` reads — a
+  /// corrupt WAL record's included. CA chains (m periods per signed root)
+  /// longer than this are not supported.
+  static constexpr std::uint64_t kMaxFreshnessWalk = 1u << 16;
 
   /// Applies a sync response (recovery after gap_detected).
   ApplyResult apply_sync(const dict::SyncResponse& msg, UnixSeconds now);
@@ -208,24 +218,34 @@ class DictionaryStore {
 
   // ------------------------------------------------------------ durability
 
-  /// WAL record types owned by the store (persist::WalRecord::type). Types
-  /// 16+ are left to layers stacking their own records onto the same log
-  /// (ra::RaUpdater's feed-period markers).
+  /// WAL record types (persist::WalRecord::type): the store writes every
+  /// record of the log. Each payload is the u64 wall-clock `now`, then the
+  /// message (a cursor advance: the u64 new cursor).
   static constexpr std::uint8_t kWalIssuance = 1;
   static constexpr std::uint8_t kWalFreshness = 2;
   static constexpr std::uint8_t kWalSync = 3;
   static constexpr std::uint8_t kWalBootstrap = 4;
+  static constexpr std::uint8_t kWalFeedCursor = 5;
 
   /// Attaches an open write-ahead log: from now on every *accepted* mutation
-  /// (issuance / freshness / sync / bootstrap, with its wall-clock `now`) is
-  /// appended before the apply call returns. Detach with nullptr. The log
-  /// must outlive the store or the next attach.
+  /// (issuance / freshness / sync / bootstrap, with its wall-clock `now`)
+  /// and every feed-cursor advance is appended before the call returns.
+  /// Detach with nullptr. The log must outlive the store or the next
+  /// attach.
   void attach_wal(persist::WriteAheadLog* wal) noexcept { wal_ = wal; }
   persist::WriteAheadLog* wal() const noexcept { return wal_; }
 
-  /// Sequence number of the last logged (or replayed) mutation — what
+  /// Sequence number of the last logged (or replayed) record — what
   /// persist_to() stamps its checkpoint with.
   std::uint64_t mutation_seq() const noexcept { return mutation_seq_; }
+
+  /// The feed cursor: the first feed period whose messages the replicas do
+  /// not yet reflect, i.e. where pulling resumes. 0 for a fresh store.
+  std::uint64_t feed_cursor() const noexcept { return feed_cursor_; }
+
+  /// Raises the feed cursor to `period` and logs the advance (as of `now`)
+  /// when a WAL is attached. Never lowers it: an older period is a no-op.
+  void advance_feed_cursor(std::uint64_t period, UnixSeconds now);
 
   /// A consistent copy of every replica's durable state, cheap enough to
   /// take under the writer mutex: the Dictionary copies share their arenas
@@ -244,6 +264,7 @@ class DictionaryStore {
       dict::Dictionary dict;  // arena-sharing copy
     };
     std::vector<FrozenCa> cas;  // in CaId order
+    std::uint64_t feed_cursor = 0;
     std::uint64_t mutation_seq = 0;
   };
 
@@ -253,42 +274,46 @@ class DictionaryStore {
 
   /// Commits `frozen` as a checkpoint into `dir`, stamped with
   /// frozen.mutation_seq: the one path persist_to() and RaUpdater's cycles
-  /// share. Never touches the WAL — the caller decides whether the log may
-  /// be reset (persist_to resets immediately; the background checkpointer
-  /// resets only if no mutation landed while it wrote). Returns what the
-  /// cycle wrote. Run one cycle per directory at a time.
+  /// share. Never touches the WAL (reset_wal_if_unchanged() does). Returns
+  /// what the cycle wrote. Run one cycle per directory at a time.
   static persist::CheckpointWrite persist_frozen(const FrozenStore& frozen,
                                                  const std::string& dir);
 
+  /// Resets the attached WAL if no record was logged since `frozen` was
+  /// taken, so a checkpoint of `frozen` supersedes the whole log. A record
+  /// logged in between lies past the checkpoint's stamp: the log stays
+  /// intact (recovery drops the records the checkpoint covers) and the next
+  /// checkpoint retries. Returns whether the log was reset.
+  bool reset_wal_if_unchanged(const FrozenStore& frozen);
+
   /// Commits the current state as a checkpoint into `dir` (stamped with
-  /// mutation_seq()) and, when a WAL is attached, resets it — the
-  /// checkpoint supersedes every logged record. A mutation that lands
-  /// while the checkpoint is written keeps the log intact instead.
+  /// mutation_seq()), then reset_wal_if_unchanged().
   persist::CheckpointWrite persist_to(const std::string& dir);
 
   struct RecoveryReport {
     bool ok = false;
     bool have_snapshot = false;
     std::uint64_t snapshot_seq = 0;
-    std::size_t replayed = 0;        // WAL records applied cleanly
-    std::size_t rejected = 0;        // replayed records the rules refused
+    std::size_t replayed = 0;        // WAL mutations applied cleanly
+    /// Replayed records the rules refused, malformed records and records
+    /// of unknown type.
+    std::size_t rejected = 0;
     std::uint64_t truncated_bytes = 0;   // torn WAL tail detected
     std::uint64_t snapshots_skipped = 0; // checkpoints passed over
-    /// Records with types the store does not own (16+), in seq order — the
-    /// updater reads its period markers back out of these.
-    std::vector<persist::WalRecord> unhandled;
     std::string error;               // set when ok == false
   };
 
   /// Crash recovery: restores the newest checkpoint in `dir` whose parts
-  /// all load and restore, and replays the WAL tail past it through the
-  /// normal apply_* paths (without re-logging). Torn final records are
-  /// detected and skipped; reopening the WAL for appending afterwards
-  /// truncates them in place. Refuses (ok == false, store untouched) when
-  /// checkpoints exist but none restores, or on a store-level failure: a CA
-  /// that is not registered, a signed root that fails the registered key,
-  /// or a dictionary that does not match its signed root. A setup call:
-  /// register every CA first, and recover before serving starts.
+  /// all load and restore, with its feed cursor, and replays the WAL tail
+  /// past it through the normal apply_* paths (without re-logging); cursor
+  /// records raise the cursor (counted neither replayed nor rejected).
+  /// Torn final records are detected and skipped; reopening the WAL for
+  /// appending afterwards truncates them in place. Refuses (ok == false,
+  /// store untouched) when checkpoints exist but none restores, or on a
+  /// store-level failure: a CA that is not registered, a signed root that
+  /// fails the registered key, or a dictionary that does not match its
+  /// signed root. A setup call: register every CA first, and recover before
+  /// serving starts.
   RecoveryReport recover_from(const std::string& dir);
 
  private:
@@ -377,22 +402,20 @@ class DictionaryStore {
   /// caller holds) until `need` more bytes fit under the shard's budget
   /// slice (or the shard is empty).
   void evict_for(CaState::CacheShard& shard, std::size_t need) const;
-  /// Raw WAL append with the sequence counter floored past mutation_seq()
-  /// (a reopened post-checkpoint log restarts at 1, which would place new
-  /// records below the snapshot's stamp and lose them at the next
-  /// recovery). Requires an attached WAL and the writer mutex.
-  void append_wal(std::uint8_t type, ByteSpan payload);
-  /// Appends an accepted mutation to the attached WAL (no-op while
-  /// replaying or with no WAL attached). The caller holds the writer mutex.
+  /// Appends a record — `now`, then `message` — to the attached WAL (no-op
+  /// while replaying or with no WAL attached), with the sequence counter
+  /// floored past mutation_seq(): a reopened post-checkpoint log restarts
+  /// at 1, which would place new records below the snapshot's stamp and
+  /// lose them at the next recovery. The caller holds the writer mutex.
   void log_mutation(std::uint8_t type, UnixSeconds now, ByteSpan message);
-  /// Restores one checkpoint: parses the meta, adopts each CA's part in
-  /// place (keeping its mapping alive), and checks every signed root
-  /// against its registered key and against the adopted dictionary's root
-  /// and size. Returns false, leaving the store untouched, when the
-  /// checkpoint's own state does not restore (malformed meta, a part the
-  /// part list lacks, a part restore_sections rejects). Throws
-  /// std::runtime_error, leaving the store untouched, on a store-level
-  /// failure (see recover_from).
+  /// Restores one checkpoint: parses the meta (the feed cursor included),
+  /// adopts each CA's part in place (keeping its mapping alive), and checks
+  /// every signed root against its registered key and against the adopted
+  /// dictionary's root and size. Returns false, leaving the store
+  /// untouched, when the checkpoint's own state does not restore (malformed
+  /// meta, a part the part list lacks, a part restore_sections rejects).
+  /// Throws std::runtime_error, leaving the store untouched, on a
+  /// store-level failure (see recover_from).
   bool restore_checkpoint(const persist::Checkpoint& checkpoint);
 
   /// Relaxed atomics: serving threads bump these concurrently; cache_stats()
@@ -413,6 +436,7 @@ class DictionaryStore {
   mutable std::mutex write_mu_;
   std::atomic<persist::WriteAheadLog*> wal_{nullptr};
   std::atomic<std::uint64_t> mutation_seq_{0};
+  std::atomic<std::uint64_t> feed_cursor_{0};
   bool replaying_ = false;  // recover_from() replay must not re-log
 };
 

@@ -73,7 +73,7 @@ void RaUpdater::apply_message(const ca::FeedMessage& msg, UnixSeconds now) {
                                ? msg.issuance->signed_root.ca
                                : msg.freshness->ca;
   const auto boot = boot_next_.find(from);
-  if (boot != boot_next_.end() && next_period_ < boot->second) {
+  if (boot != boot_next_.end() && next_period() < boot->second) {
     return;  // the CA's bootstrapped snapshot already reflects this period
   }
   ++totals_.messages;
@@ -110,7 +110,7 @@ void RaUpdater::run_sync(const cert::CaId& ca, UnixSeconds now) {
   svc::Request req;
   req.method = svc::Method::feed_delta;
   req.body = ca::encode_delta_request({ca, store_->have_n(ca)}, now,
-                                      next_period_);
+                                      next_period());
   const svc::CallResult result = sync_rpc_->call(req);
   totals_.latency_ms += result.latency_ms;
   if (!result.ok()) {
@@ -138,13 +138,14 @@ void RaUpdater::run_sync(const cert::CaId& ca, UnixSeconds now) {
 
 RaUpdater::PullResult RaUpdater::pull_up_to(std::uint64_t upto_period,
                                             TimeMs now) {
-  // Exclude the checkpoint's freeze and WAL-reset windows for the whole
-  // batch, so its period marks land in order with its store records.
+  // Exclude the checkpoint's freeze for the whole batch, so it sees the
+  // replicas and the cursor between periods.
   std::lock_guard<std::mutex> freeze_lock(freeze_mu_);
   PullResult result;
   const UnixSeconds now_s = to_seconds(now);
-  while (next_period_ <= upto_period) {
-    const auto fetch = fetch_object(ca::feed_path(next_period_), now);
+  while (next_period() <= upto_period) {
+    const std::uint64_t period = next_period();
+    const auto fetch = fetch_object(ca::feed_path(period), now);
     ++totals_.pulls;
     result.latency_ms += fetch.latency_ms;
     if (fetch.ok()) {
@@ -173,16 +174,15 @@ RaUpdater::PullResult RaUpdater::pull_up_to(std::uint64_t upto_period,
       // A missing period object is normal (nothing published yet). Any
       // other failure — transport error, version skew, a served error, or
       // (above) a body that will not decode — must NOT advance the cursor:
-      // marking the period covered in the WAL would skip its feed forever.
-      // Count the failure, enter degraded mode (the replica keeps serving
-      // its last-verified state, visibly stale), and retry the same period
-      // on the next pull instead.
+      // marking the period covered would skip its feed forever. Count the
+      // failure, enter degraded mode (the replica keeps serving its
+      // last-verified state, visibly stale), and retry the same period on
+      // the next pull instead.
       count_rejected(fetch.error());
       record_failure(fetch.error(), now);
       break;
     }
-    ++next_period_;
-    mark_period();  // the log now covers everything below next_period_
+    store_->advance_feed_cursor(period + 1, now_s);
     record_success(now);
   }
   return result;
@@ -192,18 +192,6 @@ RaUpdater::~RaUpdater() {
   stop_checkpoints();
   // The store must never keep a pointer into the WAL this updater owns.
   if (wal_ && store_->wal() == wal_.get()) store_->attach_wal(nullptr);
-}
-
-void RaUpdater::mark_period() {
-  if (!wal_) return;
-  // Same seq flooring as the store's mutations: a marker numbered at or
-  // below the snapshot stamp would be dropped by the next recovery.
-  wal_->fast_forward(store_->mutation_seq() + 1);
-  std::uint8_t buf[8];
-  for (int s = 0; s < 8; ++s) {
-    buf[s] = static_cast<std::uint8_t>(next_period_ >> (56 - 8 * s));
-  }
-  wal_->append(kWalPeriodMark, ByteSpan(buf, 8));
 }
 
 void RaUpdater::enable_persistence(const std::string& dir,
@@ -244,24 +232,7 @@ void RaUpdater::checkpoint_once(bool sync_log_first) {
   // off-lock against the frozen arenas while pulls keep landing.
   const persist::CheckpointWrite written =
       DictionaryStore::persist_frozen(frozen, persist_dir_);
-  bool reset = false;
-  {
-    std::lock_guard<std::mutex> lock(freeze_mu_);
-    if (store_->mutation_seq() == frozen.mutation_seq) {
-      // Nothing landed while writing: the checkpoint covers the whole log.
-      wal_->reset(frozen.mutation_seq + 1);
-      // Re-mark the cursor right after the reset: the checkpoint carries
-      // only store state, so the freshly emptied log must say where
-      // pulling resumes. (A crash inside this window recovers with cursor
-      // 0 and re-pulls old periods; the store rejects them as stale —
-      // wasteful, never unsound.)
-      mark_period();
-      wal_->sync();
-      reset = true;
-    }
-    // Otherwise leave the log intact: recovery drops records at or below
-    // the checkpoint's stamp anyway, and the next cycle retries the reset.
-  }
+  const bool reset = store_->reset_wal_if_unchanged(frozen);
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++ckpt_stats_.checkpoints;
   if (reset) ++ckpt_stats_.wal_resets;
@@ -322,17 +293,6 @@ RaUpdater::CheckpointStats RaUpdater::checkpoint_stats() const {
 DictionaryStore::RecoveryReport RaUpdater::recover(const std::string& dir,
                                                    persist::WalOptions opts) {
   auto report = store_->recover_from(dir);
-  if (report.ok) {
-    // The newest period marker in the surviving tail is the feed cursor;
-    // markers are appended after each period, so replaying from there
-    // re-fetches at most the period that was mid-pull at the crash.
-    for (const auto& rec : report.unhandled) {
-      if (rec.type != kWalPeriodMark || rec.payload.size() != 8) continue;
-      std::uint64_t period = 0;
-      for (const std::uint8_t b : rec.payload) period = (period << 8) | b;
-      if (period > next_period_) next_period_ = period;
-    }
-  }
   // Stay durable: reopen the WAL for appending (this truncates the torn
   // tail recovery skipped) and resume logging.
   enable_persistence(dir, opts);
@@ -363,18 +323,16 @@ svc::Status RaUpdater::bootstrap(const cert::CaId& ca, TimeMs now) {
   // in it would never be fetched. Never rewind a fresher cursor.
   std::uint64_t& covered = boot_next_[ca];
   covered = std::max(covered, obj->upto_period + 1);
+  const std::uint64_t cursor = next_period();
   std::uint64_t next = covered;
   for (const cert::CaId& other : store_->ca_ids()) {
     if (other == ca || !store_->has_root(other)) continue;
     const auto it = boot_next_.find(other);
     next = std::min(next, it == boot_next_.end()
-                              ? next_period_
-                              : std::max(next_period_, it->second));
+                              ? cursor
+                              : std::max(cursor, it->second));
   }
-  if (next > next_period_) {
-    next_period_ = next;
-    mark_period();
-  }
+  store_->advance_feed_cursor(next, to_seconds(now));
   return svc::Status::ok;
 }
 

@@ -5,34 +5,33 @@
 // consistency-checking procedure of §III (fetch a random edge's copy of a
 // CA's signed root and compare against the local replica).
 //
-// The feed cursor advances one period at a time and only past periods it
+// The feed cursor is the store's (DictionaryStore::feed_cursor). The
+// updater advances it one period at a time and only past periods it
 // fetched: a gap sync never moves it, because the periods after it may
 // carry other CAs' messages. A gap sync that fails is retried at the CA's
 // next feed message — its next issuance or freshness statement. bootstrap()
 // (below) moves it past a period without fetching only when every other CA
 // holding a root already covers that period.
 //
-// The updater speaks svc::Transport only (PR 5 replaced the raw cdn::Cdn*
-// pointer and the SyncFn hook; PR 6 deleted the deprecated compatibility
-// constructor) — the same versioned wire protocol whether the endpoints
-// are in-process simulations or real TCP servers.
+// The updater speaks svc::Transport only — the same versioned wire
+// protocol whether the endpoints are in-process simulations or real TCP
+// servers.
 //
-// Resilience (PR 6): enable_resilience() wraps both transports in
+// Resilience: enable_resilience() wraps both transports in
 // svc::ResilientTransport (deadlines, capped backoff with jitter, circuit
 // breaker), and the updater tracks an explicit Health: a failed pull never
 // advances the cursor (the period would be skipped forever) — instead the
 // updater enters degraded mode, keeps serving the last-verified replica
 // through the store, and reports how stale it is via staleness_s().
 //
-// Durable mode (PR 4): enable_persistence() opens a write-ahead log shared
-// with the store — the store logs every accepted feed message, the updater
-// logs a period marker after each pulled feed period — and checkpoint()
-// commits a store checkpoint (DictionaryStore::persist_frozen) into the same
-// directory. recover() then restores the replicas from checkpoint + WAL
-// tail and resumes pulling from the first period the log had not yet
-// covered, instead of re-syncing the entire issuance history. bootstrap()
-// is the CDN cold-start path: one GET for the snapshot+delta object
-// replaces the full replay entirely.
+// Durable mode: enable_persistence() opens a write-ahead log and attaches
+// it to the store, which logs every accepted feed message and every cursor
+// advance; checkpoint() commits a store checkpoint — replicas and cursor —
+// into the same directory. recover() then restores the store from
+// checkpoint + WAL tail and resumes pulling at the recovered cursor,
+// instead of re-syncing the entire issuance history. bootstrap() is the
+// CDN cold-start path: one GET for the snapshot+delta object replaces the
+// full replay entirely.
 #pragma once
 
 #include <condition_variable>
@@ -122,7 +121,8 @@ class RaUpdater {
   std::optional<MisbehaviourEvidence> gossip_check(
       const dict::SignedRoot& peer_root);
 
-  std::uint64_t next_period() const noexcept { return next_period_; }
+  /// The store's feed cursor: the period the next pull fetches first.
+  std::uint64_t next_period() const noexcept { return store_->feed_cursor(); }
   const Totals& totals() const noexcept { return totals_; }
 
   // ------------------------------------------------------------ resilience
@@ -154,42 +154,36 @@ class RaUpdater {
 
   // ------------------------------------------------------------ durability
 
-  /// WAL record type for the updater's feed cursor: payload is the u64
-  /// period the next pull will fetch, appended after each applied period
-  /// (types < 16 belong to DictionaryStore).
-  static constexpr std::uint8_t kWalPeriodMark = 16;
-
   /// Switches to durable operation backed by `dir`: opens (or resumes)
   /// <dir>/wal.log — truncating any torn tail — and attaches it to the
-  /// store. From then on every accepted feed message and every completed
-  /// feed period is logged, fsync-batched every `opts.sync_every` records.
+  /// store. From then on the store logs every accepted feed message and
+  /// every cursor advance, fsync-batched every `opts.sync_every` records.
   void enable_persistence(const std::string& dir,
                           persist::WalOptions opts = {});
 
   /// True once enable_persistence()/recover() has been called.
   bool persistent() const noexcept { return wal_ != nullptr; }
 
-  /// Commits a checkpoint of the store (and the feed cursor) into the
+  /// Commits a checkpoint of the store (replicas and feed cursor) into the
   /// persistence directory and resets the WAL — the O(history) part of a
   /// restart collapses into the checkpoint; only the log tail is replayed.
   /// Runs one full cycle on the calling thread (freeze → persist →
-  /// conditional WAL reset + cursor re-mark); waits for a background cycle
+  /// DictionaryStore::reset_wal_if_unchanged); waits for a background cycle
   /// in flight, and is safe against concurrent pulls.
   void checkpoint();
 
   // ------------------------------------------- background checkpointing
 
   /// Spawns a thread that checkpoints every `interval_s` seconds while the
-  /// RA keeps serving (PR 9). Mutation drivers (pull_up_to, bootstrap) and
-  /// the checkpoint thread synchronize on an internal freeze mutex; the
-  /// thread holds it only for the O(#CAs) arena-sharing freeze() and,
-  /// after the off-lock file write, briefly again for the WAL reset. The
-  /// measured stall is that freeze window, timed once the mutex is held:
-  /// neither the file write nor the wait for a pull in progress counts.
-  /// The WAL is reset only when no mutation landed while the checkpoint
-  /// was written; otherwise the log stays intact (recovery filters records
-  /// the checkpoint already covers) and the next cycle retries. Serving
-  /// reads never touch the freeze mutex. Requires persistence; throws
+  /// RA keeps serving. The mutating calls (pull_up_to, bootstrap) and the
+  /// checkpoint thread synchronize on an internal freeze mutex; the thread
+  /// holds it only for the O(#CAs) arena-sharing freeze(). The measured
+  /// stall is that freeze window, timed once the mutex is held: neither the
+  /// file write nor the wait for a pull in progress counts. The WAL is
+  /// reset only when nothing was logged while the checkpoint was written;
+  /// otherwise the log stays intact (recovery filters records the
+  /// checkpoint already covers) and the next cycle retries. Serving reads
+  /// never touch the freeze mutex. Requires persistence; throws
   /// std::logic_error otherwise or if already running.
   void start_checkpoints(double interval_s);
 
@@ -213,11 +207,12 @@ class RaUpdater {
   /// Thread-safe snapshot of the checkpoint counters (sync + background).
   CheckpointStats checkpoint_stats() const;
 
-  /// Crash-consistent restart: recovers the store from the newest valid
-  /// checkpoint plus the WAL tail, restores the feed cursor from the last
-  /// period marker, and stays in durable mode (implies
+  /// Crash-consistent restart: recovers the store — replicas and feed
+  /// cursor — from the newest valid checkpoint plus the WAL tail
+  /// (DictionaryStore::recover_from), and stays in durable mode (implies
   /// enable_persistence(dir)). The next pull_up_to() fetches only periods
-  /// the log had not covered. CAs must be registered with the store first.
+  /// the recovered state does not cover. CAs must be registered with the
+  /// store first.
   DictionaryStore::RecoveryReport recover(const std::string& dir,
                                           persist::WalOptions opts = {});
 
@@ -233,15 +228,14 @@ class RaUpdater {
  private:
   void apply_message(const ca::FeedMessage& msg, UnixSeconds now);
   /// One checkpoint cycle under cycle_mu_: freeze under freeze_mu_,
-  /// persist off-lock, re-lock for the conditional WAL reset.
-  /// `sync_log_first` additionally fsyncs the WAL inside the freeze window
-  /// (the synchronous checkpoint() keeps its pre-PR-9 durability ordering;
-  /// the background thread skips it to keep the stall minimal — the
-  /// checkpoint supersedes those records).
+  /// persist off-lock, then the store's conditional WAL reset.
+  /// `sync_log_first` additionally fsyncs the WAL inside the freeze window,
+  /// so the synchronous checkpoint() makes the log durable before the
+  /// checkpoint; the background thread skips it to keep the stall minimal
+  /// (the checkpoint supersedes those records).
   void checkpoint_once(bool sync_log_first);
   void checkpoint_loop(double interval_s);
   void run_sync(const cert::CaId& ca, UnixSeconds now);
-  void mark_period();
   void count_rejected(svc::Status code);
   void record_failure(svc::Status code, TimeMs now);
   void record_success(TimeMs now);
@@ -252,17 +246,20 @@ class RaUpdater {
   DictionaryStore* store_;
   svc::Transport* cdn_rpc_ = nullptr;
   svc::Transport* sync_rpc_ = nullptr;
-  std::uint64_t next_period_ = 0;
   /// CA -> the first feed period its bootstrapped snapshot does not cover.
+  /// In memory only: after a restart those periods are re-applied, and the
+  /// store rejects them as stale.
   std::map<cert::CaId, std::uint64_t> boot_next_;
   Totals totals_;
   Health health_;
   std::string persist_dir_;
   std::unique_ptr<persist::WriteAheadLog> wal_;
-  /// Orders this updater's WAL against its pulls: a pull or bootstrap holds
-  /// it for its whole batch, and a checkpoint holds it to sync the log and
-  /// freeze, then to reset the log and re-mark the cursor if no mutation
-  /// landed in between. It is never held across the file write.
+  /// Makes a checkpoint freeze between feed periods: a pull or bootstrap
+  /// holds it for its whole batch, and a checkpoint holds it to sync the
+  /// log and freeze, never across the file write. A checkpoint taken
+  /// mid-period would hold some of the period's messages but not the
+  /// cursor past it, and re-applying an issuance the replica already holds
+  /// reports gap_detected and marks the replica desynchronized.
   std::mutex freeze_mu_;
   /// Held for a whole checkpoint cycle: checkpoint() and the background
   /// thread never write the same tmp names at once.

@@ -258,7 +258,6 @@ void TcpServer::adopt(Reactor& r, int fd) {
   set_nodelay(fd);
   Connection conn;
   conn.req_tokens = double(opts_.burst_requests);
-  conn.byte_tokens = double(opts_.burst_bytes);
   conn.last_refill_ms = conn.last_progress_ms = mono_ms();
   r.connections.emplace(fd, std::move(conn));
   epoll_event ev{};
@@ -306,7 +305,7 @@ void TcpServer::acceptor_loop() {
 }
 
 void TcpServer::reactor_loop(Reactor& r) {
-  if (opts_.pin_threads) pin_to_core(r.index);
+  pin_to_core(r.index);
   epoll_event events[64];
   while (running_.load(std::memory_order_acquire)) {
     const int timeout = sweep(r, mono_ms());
@@ -349,17 +348,10 @@ void TcpServer::reactor_loop(Reactor& r) {
 }
 
 void TcpServer::refill(Connection& c, std::uint64_t now_ms) {
-  if (opts_.requests_per_sec <= 0.0 && opts_.bytes_per_sec <= 0.0) return;
   const double dt = double(now_ms - c.last_refill_ms) / 1000.0;
   c.last_refill_ms = now_ms;
-  if (opts_.requests_per_sec > 0.0) {
-    c.req_tokens = std::min(c.req_tokens + dt * opts_.requests_per_sec,
-                            double(opts_.burst_requests));
-  }
-  if (opts_.bytes_per_sec > 0.0) {
-    c.byte_tokens = std::min(c.byte_tokens + dt * opts_.bytes_per_sec,
-                             double(opts_.burst_bytes));
-  }
+  c.req_tokens = std::min(c.req_tokens + dt * opts_.requests_per_sec,
+                          double(opts_.burst_requests));
 }
 
 int TcpServer::sweep(Reactor& r, std::uint64_t now_ms) {
@@ -419,14 +411,13 @@ bool TcpServer::read_ready(Reactor& r, int fd, Connection& c) {
   // Dispatch every complete frame buffered so far. Responses are queued
   // per frame and flushed together with writev below — a pipelined burst
   // costs one flush, not one write syscall per response.
-  const bool quotas =
-      opts_.requests_per_sec > 0.0 || opts_.bytes_per_sec > 0.0;
+  const bool quota = opts_.requests_per_sec > 0.0;
   std::size_t offset = 0;
   while (!c.close_after_flush) {
     const ByteSpan pending(c.in.data() + offset, c.in.size() - offset);
-    if (quotas) {
-      // Peek the next frame so quotas apply before the service runs. A
-      // well-formed request past quota gets an `overloaded` envelope with
+    if (quota) {
+      // Peek the next frame so the quota applies before the service runs.
+      // A well-formed request past quota gets an `overloaded` envelope with
       // a retry_after hint computed from the bucket deficit, and the
       // connection stops being read until the bucket refills; malformed
       // frames fall through to serve_bytes' normal error handling.
@@ -435,21 +426,8 @@ bool TcpServer::read_ready(Reactor& r, int fd, Connection& c) {
       const DecodedFrame d = decode_frame(pending, opts_.max_frame_bytes);
       if (d.status == Status::truncated) break;
       if (d.status == Status::ok && d.is_request) {
-        const double cost = double(d.consumed);
-        const bool over_req =
-            opts_.requests_per_sec > 0.0 && c.req_tokens < 1.0;
-        const bool over_bytes =
-            opts_.bytes_per_sec > 0.0 && c.byte_tokens < cost;
-        if (over_req || over_bytes) {
-          double wait_s = 0.0;
-          if (over_req) {
-            wait_s = std::max(
-                wait_s, (1.0 - c.req_tokens) / opts_.requests_per_sec);
-          }
-          if (over_bytes) {
-            wait_s = std::max(wait_s,
-                              (cost - c.byte_tokens) / opts_.bytes_per_sec);
-          }
+        if (c.req_tokens < 1.0) {
+          const double wait_s = (1.0 - c.req_tokens) / opts_.requests_per_sec;
           // Floor the pause at retry_after_ms: a pipelining flooder would
           // otherwise be re-read every bucket tick (~1ms at typical rates)
           // and the refusal churn alone could crowd out compliant
@@ -474,8 +452,7 @@ bool TcpServer::read_ready(Reactor& r, int fd, Connection& c) {
           r.counters.throttled.fetch_add(1, std::memory_order_release);
           continue;
         }
-        if (opts_.requests_per_sec > 0.0) c.req_tokens -= 1.0;
-        if (opts_.bytes_per_sec > 0.0) c.byte_tokens -= cost;
+        c.req_tokens -= 1.0;
       }
     }
     ServerReply reply = serve_bytes(*service_, pending, opts_.max_frame_bytes);
@@ -543,7 +520,7 @@ bool TcpServer::write_ready(Reactor& r, int fd, Connection& c) {
 void TcpServer::update_interest(Reactor& r, int fd, Connection& c) {
   // Backpressure: a connection whose responses aren't being drained stops
   // being read until the kernel accepts its pending output.
-  const bool want_pause = c.out_bytes > opts_.max_output_buffer;
+  const bool want_pause = c.out_bytes > kMaxOutputBuffer;
   if (want_pause && !c.paused) {
     r.counters.backpressure_pauses.fetch_add(1, std::memory_order_release);
   }

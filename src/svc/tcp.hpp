@@ -6,8 +6,9 @@
 //
 // Server design (PR 7 multi-reactor):
 //   * N reactors (default: one per hardware thread), each a dedicated
-//     thread pinned to a core running its own epoll loop over its own
-//     connection table — no shared mutable state on the request path
+//     thread pinned to a core (best effort) running its own epoll loop over
+//     its own connection table — no shared mutable state on the request
+//     path
 //   * listener: every reactor binds its own SO_REUSEPORT listener on the
 //     same port, so the kernel spreads accepted connections across
 //     reactors with zero cross-thread handoff. Where SO_REUSEPORT is
@@ -24,14 +25,14 @@
 //     live-connection count; accepts past `max_connections` are answered
 //     with an `overloaded` envelope and closed immediately
 //   * backpressure: while a connection's pending output exceeds
-//     `max_output_buffer`, the reactor stops *reading* from it (EPOLLIN
-//     off) until the client drains responses — a slow reader stalls only
-//     itself, never the server's memory
-//   * per-client quotas: each connection carries a request-rate and an
-//     inbound-byte token bucket (reactor-local — no quota state is shared
-//     across threads); a frame past quota is answered with an `overloaded`
-//     envelope carrying a retry_after hint, and the connection stops being
-//     read until its bucket refills
+//     kMaxOutputBuffer (4 MiB), the reactor stops *reading* from it
+//     (EPOLLIN off) until the client drains responses — a slow reader
+//     stalls only itself, never the server's memory
+//   * per-client quota: each connection carries a request-rate token
+//     bucket (reactor-local — no quota state is shared across threads); a
+//     request past quota is answered with an `overloaded` envelope
+//     carrying a retry_after hint, and the connection stops being read
+//     until its bucket refills
 //   * slow-loris guard: each reactor sweeps its own connections; one that
 //     goes `idle_timeout_ms` without completing a frame is closed
 //   * stats: per-reactor cache-line-aligned atomic counters, summed only
@@ -62,18 +63,11 @@ struct TcpServerOptions {
   std::size_t max_connections = 64;
   /// Ceiling on a single frame's frame_len.
   std::uint32_t max_frame_bytes = kMaxFrameBytes;
-  /// Pending-output ceiling per connection before reads pause.
-  std::size_t max_output_buffer = 4u << 20;
   /// Per-connection request-rate quota (token bucket, requests/second).
   /// 0 disables the quota.
   double requests_per_sec = 0.0;
   /// Bucket capacity for the request quota (burst allowance).
   std::uint32_t burst_requests = 32;
-  /// Per-connection inbound-byte quota (token bucket, bytes/second).
-  /// 0 disables the quota.
-  double bytes_per_sec = 0.0;
-  /// Bucket capacity for the byte quota.
-  std::uint32_t burst_bytes = 256u * 1024;
   /// Close a connection that completes no frame for this long (slow-loris
   /// guard). 0 = never.
   std::uint32_t idle_timeout_ms = 0;
@@ -82,9 +76,9 @@ struct TcpServerOptions {
   /// floored here so refusal churn stays cheap against pipelining floods.
   std::uint32_t retry_after_ms = 100;
   /// Number of reactor (epoll) threads. 0 = one per hardware thread.
+  /// Reactor i is pinned to core i % hardware_concurrency (failures
+  /// ignored).
   unsigned reactors = 0;
-  /// Pin reactor i to core i % hardware_concurrency (failures ignored).
-  bool pin_threads = true;
   /// Test hook: skip SO_REUSEPORT and exercise the acceptor-thread
   /// fd-handoff fallback even where REUSEPORT is available.
   bool force_fd_handoff = false;
@@ -103,6 +97,9 @@ class TcpServer {
     std::uint64_t bytes_in = 0;
     std::uint64_t bytes_out = 0;
   };
+
+  /// Pending-output ceiling per connection before reads pause.
+  static constexpr std::size_t kMaxOutputBuffer = 4u << 20;
 
   /// Binds and listens on 127.0.0.1:`opts.port` and starts the reactor
   /// threads. Throws std::runtime_error when the sockets cannot be set up.
@@ -148,7 +145,6 @@ class TcpServer {
     bool paused = false;     // EPOLLIN removed by backpressure
     bool throttled = false;  // EPOLLIN removed until the quota refills
     double req_tokens = 0.0;
-    double byte_tokens = 0.0;
     std::uint64_t last_refill_ms = 0;
     std::uint64_t last_progress_ms = 0;  // last completed frame (or accept)
     std::uint64_t throttled_until_ms = 0;
@@ -193,6 +189,7 @@ class TcpServer {
   bool write_ready(Reactor& r, int fd, Connection& c);  // false = closed
   void update_interest(Reactor& r, int fd, Connection& c);
   void close_connection(Reactor& r, int fd);
+  /// Tops up `c`'s request bucket; only called while the quota is on.
   void refill(Connection& c, std::uint64_t now_ms);
   /// Unthrottles refilled connections, closes slow-loris ones; returns the
   /// epoll timeout until the next due throttle expiry.

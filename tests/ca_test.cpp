@@ -5,6 +5,7 @@
 
 #include "ca/authority.hpp"
 #include "ca/distribution.hpp"
+#include "ca/manifest.hpp"
 #include "ra/store.hpp"
 
 namespace ritm::ca {
@@ -97,12 +98,23 @@ TEST(Authority, StatusForAbsentAndRevoked) {
 
 TEST(Authority, ManifestIsSigned) {
   auto ca = make_ca(9);
+  ca.revoke(
+      {cert::SerialNumber::from_uint(1), cert::SerialNumber::from_uint(2)},
+      1000);
   const Bytes m = ca.manifest();
   ASSERT_GT(m.size(), 64u);
   const ByteSpan body(m.data(), m.size() - 64);
   crypto::Signature sig{};
   std::copy(m.end() - 64, m.end(), sig.begin());
   EXPECT_TRUE(crypto::verify(body, sig, ca.public_key()));
+
+  const auto decoded = Manifest::decode(ByteSpan(m));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_TRUE(decoded->verify(ca.public_key()));
+  EXPECT_EQ(decoded->ca, ca.id());
+  EXPECT_EQ(decoded->delta, ca.delta());
+  EXPECT_EQ(decoded->dictionary_size, 2u);
+  EXPECT_EQ(decoded->encode(), m);
 }
 
 TEST(Feed, MessageRoundTrip) {

@@ -3,8 +3,8 @@
 // updater keeps applying feed periods. Runs under TSan in CI (label
 // "tsan") to pin the store's own reader/writer contract: the reactors call
 // RaService with no lock of the test's, the checkpointer freezes under the
-// store's writer mutex, and pulls order their WAL records against the
-// checkpoint on the updater's freeze mutex.
+// store's writer mutex, and the updater's freeze mutex keeps each freeze
+// between feed periods.
 #include <gtest/gtest.h>
 #include <unistd.h>
 

@@ -12,8 +12,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ca/authority.hpp"
@@ -1137,6 +1139,108 @@ TEST(UpdaterPersist, CheckpointAndRecoverResumeFeedCursor) {
   updater2.pull_up_to(10, from_seconds(now_s));
   EXPECT_EQ(store2.have_n(ca.id()), serial - 1);
   EXPECT_EQ(updater2.totals().syncs, 0u);
+}
+
+// A crash right after a checkpoint's WAL reset leaves the checkpoint and a
+// header-only log. The checkpoint carries the feed cursor, so recovery
+// resumes at the next period instead of re-pulling the periods the
+// replicas already reflect (re-applying one of their issuances would
+// report a gap and mark the replica for sync).
+TEST(UpdaterPersist, CrashAfterWalResetKeepsFeedCursor) {
+  TempDir dir("updater-reset");
+  auto cdn = cdn::make_global_cdn(0);
+  cdn::LocalCdn cdn_rpc(&cdn);
+  ca::DistributionPoint dp(&cdn, 10);
+  auto ca = make_ca(53);
+  dp.register_ca(ca.id(), ca.public_key());
+
+  UnixSeconds now_s = 1000;
+  std::uint64_t serial = 1;
+  const auto publish_period = [&](std::size_t revocations) {
+    if (revocations == 0) {
+      dp.submit(ca.refresh(now_s));
+    } else {
+      std::vector<SerialNumber> serials;
+      for (std::size_t i = 0; i < revocations; ++i) {
+        serials.push_back(SerialNumber::from_uint(serial++, 4));
+      }
+      dp.submit(ca::FeedMessage::of(ca.revoke(serials, now_s)));
+    }
+    dp.publish(from_seconds(now_s));
+    now_s += 10;
+  };
+
+  ra::DictionaryStore store;
+  store.register_ca(ca.id(), ca.public_key(), ca.delta());
+  {
+    ra::RaUpdater updater({.location = {0, 0}}, &store, &cdn_rpc.rpc);
+    updater.enable_persistence(dir.str());
+    for (int p = 0; p < 6; ++p) publish_period(p % 3 == 0 ? 5 : 0);
+    updater.pull_up_to(5, from_seconds(now_s));
+    updater.checkpoint();
+  }
+  // The crash: nothing logged after the reset survives.
+  std::filesystem::resize_file(dir.file(Recovery::kWalName),
+                               WriteAheadLog::kHeaderSize);
+
+  ra::DictionaryStore store2;
+  store2.register_ca(ca.id(), ca.public_key(), ca.delta());
+  ra::RaUpdater updater2({.location = {0, 0}}, &store2, &cdn_rpc.rpc);
+  const auto report = updater2.recover(dir.str());
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(updater2.next_period(), 6u);
+
+  publish_period(0);  // period 6: freshness only
+  updater2.pull_up_to(6, from_seconds(now_s));
+  EXPECT_EQ(updater2.totals().pulls, 1u);
+  EXPECT_FALSE(store2.needs_sync(ca.id()));
+  EXPECT_EQ(store2.root_of(ca.id())->encode(),
+            store.root_of(ca.id())->encode());
+}
+
+// The feed cursor is store state: each advance is a WAL record, a lower
+// period is a no-op, and recovery restores the cursor from the checkpoint
+// meta and raises it from the tail without counting a replayed mutation.
+// A record of a type the store does not define counts as rejected.
+TEST(StorePersist, FeedCursorIsCheckpointedAndLogged) {
+  TempDir dir("store-cursor");
+  auto ca = make_ca(83);
+  const auto recover = [&] {
+    auto store = std::make_unique<ra::DictionaryStore>();
+    store->register_ca(ca.id(), ca.public_key(), ca.delta());
+    auto report = store->recover_from(dir.str());
+    EXPECT_TRUE(report.ok) << report.error;
+    return std::make_pair(std::move(store), report);
+  };
+
+  ra::DictionaryStore live;
+  live.register_ca(ca.id(), ca.public_key(), ca.delta());
+  persist::WriteAheadLog wal;
+  wal.open(Recovery::wal_path(dir.str()));
+  live.attach_wal(&wal);
+  live.advance_feed_cursor(3, 1000);
+  live.persist_to(dir.str());  // the checkpoint carries cursor 3
+  EXPECT_EQ(wal.tail_bytes(), 0u);
+  live.advance_feed_cursor(2, 1000);
+  EXPECT_EQ(live.feed_cursor(), 3u);
+  EXPECT_EQ(wal.tail_bytes(), 0u);  // nothing to log
+  {
+    const auto [store, report] = recover();
+    EXPECT_EQ(store->feed_cursor(), 3u);
+    EXPECT_EQ(report.replayed + report.rejected, 0u);
+  }
+
+  ASSERT_EQ(live.apply_issuance(
+                ca.revoke({SerialNumber::from_uint(1, 4)}, 1010), 1010),
+            ra::ApplyResult::ok);
+  live.advance_feed_cursor(4, 1010);
+  wal.append(9, ByteSpan(Bytes(8, 0)));
+  wal.sync();
+  const auto [store, report] = recover();
+  EXPECT_EQ(store->feed_cursor(), 4u);
+  EXPECT_EQ(store->have_n(ca.id()), 1u);
+  EXPECT_EQ(report.replayed, 1u);
+  EXPECT_EQ(report.rejected, 1u);
 }
 
 TEST(StorePersist, ReopenedEmptyWalNumbersPastTheSnapshotStamp) {

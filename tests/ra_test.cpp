@@ -83,6 +83,38 @@ TEST(Store, SyncRecoversFromGap) {
   EXPECT_FALSE(store.needs_sync("CA-1"));
 }
 
+// A CA re-signs the same dictionary when its hash chain runs out, so two
+// signed roots can share n and root and differ only in timestamp. A sync
+// answer (edge servers are untrusted) carrying the older one must not roll
+// the replica back to a root whose chain has already expired.
+TEST(Store, SyncRejectsAnOlderSignatureOfTheSameDictionary) {
+  Rng rng(11);
+  ca::CertificationAuthority::Config cfg;
+  cfg.id = "CA-1";
+  cfg.delta = 10;
+  cfg.chain_length = 4;  // exhausted 40 s after each signature
+  ca::CertificationAuthority ca(cfg, rng, 1000);
+  DictionaryStore store;
+  store.register_ca(ca.id(), ca.public_key(), ca.delta());
+  const auto r1 = ca.revoke({SerialNumber::from_uint(1)}, 1000);
+  ASSERT_EQ(store.apply_issuance(r1, 1000), ApplyResult::ok);
+  const auto refresh = ca.refresh(1050);
+  ASSERT_EQ(refresh.type, ca::FeedMessage::Type::issuance);
+  const dict::SignedRoot& r2 = refresh.issuance->signed_root;
+  ASSERT_EQ(r2.n, r1.signed_root.n);
+  ASSERT_EQ(r2.root, r1.signed_root.root);
+  ASSERT_GT(r2.timestamp, r1.signed_root.timestamp);
+  ASSERT_EQ(store.apply_issuance(*refresh.issuance, 1050), ApplyResult::ok);
+
+  dict::SyncResponse old;
+  old.ca = ca.id();
+  old.signed_root = r1.signed_root;
+  old.freshness = r1.signed_root.freshness_anchor;
+  EXPECT_EQ(store.apply_sync(old, 1050), ApplyResult::stale_root);
+  EXPECT_EQ(store.apply_issuance(r1, 1050), ApplyResult::stale_root);
+  EXPECT_EQ(store.root_of(ca.id())->encode(), r2.encode());
+}
+
 TEST(Store, FreshnessAcceptedWithinTolerance) {
   auto ca = make_ca(6, /*delta=*/10);
   DictionaryStore store;
@@ -96,6 +128,20 @@ TEST(Store, FreshnessAcceptedWithinTolerance) {
   EXPECT_EQ(store.apply_freshness(msg, 1035), ApplyResult::ok);
   // Statement for period 2, RA clock at period 9 -> stale.
   EXPECT_EQ(store.apply_freshness(msg, 1095), ApplyResult::bad_freshness);
+}
+
+// The walk from the last verified statement is capped, so a clock (or a
+// corrupt WAL record's `now`) far past the root costs no more than
+// kMaxFreshnessWalk hashes instead of (now - t) / ∆.
+TEST(Store, FreshnessWalkIsBounded) {
+  auto ca = make_ca(12, /*delta=*/10);
+  DictionaryStore store;
+  store.register_ca(ca.id(), ca.public_key(), ca.delta());
+  store.apply_issuance(ca.revoke({SerialNumber::from_uint(1)}, 1000), 1000);
+  const dict::FreshnessStatement msg{ca.id(), ca.freshness_at(1010)};
+  const UnixSeconds far = UnixSeconds{1} << 62;
+  EXPECT_EQ(store.apply_freshness(msg, far), ApplyResult::bad_freshness);
+  EXPECT_EQ(store.apply_freshness(msg, 1010), ApplyResult::ok);
 }
 
 TEST(Store, FreshnessForgedRejected) {
