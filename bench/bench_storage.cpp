@@ -49,7 +49,6 @@ int main() {
     d.insert(batch);
     batch.clear();
     batch.shrink_to_fit();
-    (void)d.root();  // force the tree build
 
     t.add_row({Table::num(c.count), Table::num(mb(d.storage_bytes()), 2),
                Table::num(mb(d.memory_bytes()), 2), c.paper_storage,

@@ -83,15 +83,13 @@ DictUpdateResult bench_dict_updates(
     base.push_back(cert::SerialNumber::from_uint(i * 7 + 1, 4));
   }
   d.insert(base);
-  (void)d.root();
 
   const std::uint64_t hashes_before = d.total_hash_count();
   std::size_t entries = 0;
   const auto start = std::chrono::steady_clock::now();
   for (const auto& batch : batches) {
     d.insert(batch);
-    if (force_full) d.invalidate_tree();
-    (void)d.root();
+    if (force_full) d.rebuild_all();
     entries += batch.size();
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -432,13 +430,13 @@ int main() {
     }
     rd.insert(base);
     crypto::sha256_select_backend(crypto::Sha256Backend::scalar);
-    rd.invalidate_tree();
     auto start = std::chrono::steady_clock::now();
+    rd.rebuild_all();
     const auto scalar_root = rd.root();
     rebuild_scalar_ms = ms_of(std::chrono::steady_clock::now() - start);
     crypto::sha256_reset_backend();
-    rd.invalidate_tree();
     start = std::chrono::steady_clock::now();
+    rd.rebuild_all();
     const auto engine_root = rd.root();
     rebuild_engine_ms = ms_of(std::chrono::steady_clock::now() - start);
     rebuild_speedup = rebuild_scalar_ms / rebuild_engine_ms;

@@ -241,7 +241,6 @@ const dict::Dictionary& victim() {
   static const dict::Dictionary d = [] {
     dict::Dictionary v;
     v.insert({cert::SerialNumber::from_uint(7), cert::SerialNumber::from_uint(3)});
-    (void)v.root();
     return v;
   }();
   return d;

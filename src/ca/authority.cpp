@@ -124,13 +124,15 @@ ColdStartObject CertificationAuthority::cold_start_object(
 dict::RevocationIssuance MisbehavingCa::view_without(
     const cert::SerialNumber& hide, UnixSeconds now) const {
   // Rebuild an alternative history that omits `hide` but keeps n by
-  // appending a filler serial the CA never really revoked.
-  dict::Dictionary fake;
-  for (const auto& e : ca_.dict_.entries_from(1)) {
-    if (e.serial == hide) continue;
-    fake.insert({e.serial});
+  // appending a filler serial the CA never really revoked. One insert
+  // numbers the batch in order, keeping the first occurrence.
+  std::vector<cert::SerialNumber> history;
+  for (auto& e : ca_.dict_.entries_from(1)) {
+    if (e.serial != hide) history.push_back(std::move(e.serial));
   }
-  fake.insert({cert::SerialNumber::from_uint(0xFFFFFE, 3)});
+  history.push_back(cert::SerialNumber::from_uint(0xFFFFFE, 3));
+  dict::Dictionary fake;
+  fake.insert(history);
 
   dict::RevocationIssuance msg;
   for (const auto& e : fake.entries_from(1)) msg.serials.push_back(e.serial);
@@ -141,16 +143,17 @@ dict::RevocationIssuance MisbehavingCa::view_without(
 }
 
 dict::RevocationIssuance MisbehavingCa::reordered_view(UnixSeconds now) const {
-  auto entries = ca_.dict_.entries_from(1);
-  if (entries.size() >= 2) {
-    std::swap(entries[entries.size() - 1].serial,
-              entries[entries.size() - 2].serial);
+  dict::RevocationIssuance msg;
+  for (auto& e : ca_.dict_.entries_from(1)) {
+    msg.serials.push_back(std::move(e.serial));
+  }
+  if (msg.serials.size() >= 2) {
+    std::swap(msg.serials[msg.serials.size() - 1],
+              msg.serials[msg.serials.size() - 2]);
   }
   dict::Dictionary fake;
-  for (const auto& e : entries) fake.insert({e.serial});
+  fake.insert(msg.serials);
 
-  dict::RevocationIssuance msg;
-  for (const auto& e : entries) msg.serials.push_back(e.serial);
   msg.signed_root = dict::SignedRoot::make(
       ca_.config_.id, fake.root(), fake.size(), ca_.chain_.anchor(), now,
       ca_.keypair_.seed);

@@ -47,6 +47,7 @@ void DistributionPoint::publish(TimeMs now) {
   }
   pending_.clear();
   ++next_period_;
+  last_publish_ = now;
 }
 
 svc::Status DistributionPoint::publish_cold_start(const ColdStartObject& obj,

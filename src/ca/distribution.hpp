@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 
 #include "ca/feed.hpp"
 #include "cdn/cdn.hpp"
@@ -35,6 +36,10 @@ class DistributionPoint {
   /// Period index that the next publish() will write.
   std::uint64_t next_period() const noexcept { return next_period_; }
 
+  /// Time of the latest publish(), nullopt before the first: the newest
+  /// freshness statement the feed has disclosed is the one for this time.
+  std::optional<TimeMs> last_publish() const noexcept { return last_publish_; }
+
   /// CDN path of the latest signed root of `ca` ("roots/<ca>").
   static std::string root_path(const cert::CaId& ca);
 
@@ -53,6 +58,7 @@ class DistributionPoint {
   std::map<cert::CaId, crypto::PublicKey> keys_;
   std::map<cert::CaId, dict::SignedRoot> latest_roots_;
   std::uint64_t next_period_ = 0;
+  std::optional<TimeMs> last_publish_;
   std::uint64_t rejected_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "ca/sync_service.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "ca/distribution.hpp"
@@ -54,7 +55,14 @@ svc::ServeResult SyncService::handle(const svc::Request& req) {
   resp.ca = decoded->request.ca;
   resp.entries = ca.dictionary().entries_from(decoded->request.have_n + 1);
   resp.signed_root = ca.signed_root();
-  resp.freshness = ca.freshness_at(decoded->now);
+  // The requester's clock is untrusted: a far-future one would otherwise
+  // unlock statements down to the chain seed.
+  const auto published =
+      periods_ != nullptr ? periods_->last_publish() : std::nullopt;
+  resp.freshness =
+      published
+          ? ca.freshness_at(std::min(decoded->now, to_seconds(*published)))
+          : ca.signed_root().freshness_anchor;
   out.response.request_id = req.request_id;
   ByteWriter w(out.response.body);
   w.u64(periods_ != nullptr ? periods_->next_period() : 0);

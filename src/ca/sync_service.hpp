@@ -44,9 +44,13 @@ class SyncService final : public svc::Service {
   /// must outlive the service.
   void add(const CertificationAuthority* ca);
 
-  /// Sets the response's resume_period source: `dp` (which must outlive the
-  /// service) says which feed period the next publish() writes. Without a
-  /// period source resume_period is 0.
+  /// Sets the response's period source: `dp` (which must outlive the
+  /// service) says which feed period the next publish() writes
+  /// (resume_period) and when it last published. The response's freshness
+  /// statement is the CA's for the requester's clock capped at that last
+  /// publish, so an untrusted clock never unlocks a statement the feed has
+  /// not disclosed. Without a period source, or before its first publish,
+  /// resume_period is 0 and the statement is the root's anchor.
   void set_period_source(const DistributionPoint* dp) noexcept {
     periods_ = dp;
   }

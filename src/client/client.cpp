@@ -48,17 +48,13 @@ Verdict RitmClient::validate_status(const dict::RevocationStatus& status,
   //           tolerance for (an RA may deliver a statement fetched just
   //           before the CA published the next one).
   // A statement for period p is thus accepted until t + (p+2)∆ — it is
-  // never older than 2∆.
-  const UnixSeconds t = status.signed_root.timestamp;
-  const std::uint64_t p_prime =
-      now <= t ? 0 : static_cast<std::uint64_t>((now - t) / config_.delta);
-  bool fresh = false;
-  const std::uint64_t lo = p_prime == 0 ? 0 : p_prime - 1;
-  for (std::uint64_t p = lo; p <= p_prime + 1 && !fresh; ++p) {
-    fresh = crypto::HashChain::verify(status.freshness, p,
-                                      status.signed_root.freshness_anchor);
+  // never older than 2∆. The walk is capped at the longest chain a CA may
+  // sign, so an old root costs a bounded number of hashes.
+  if (!crypto::chain_period(status.signed_root.timestamp, config_.delta,
+                            status.signed_root.freshness_anchor, 0,
+                            status.freshness, now)) {
+    return Verdict::stale_freshness;
   }
-  if (!fresh) return Verdict::stale_freshness;
 
   // Step 5b: the proof must verify against the signed root...
   if (!dict::verify_proof(status.proof, leaf.serial, status.signed_root.root,

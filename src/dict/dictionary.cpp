@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <stdexcept>
 
@@ -68,7 +69,6 @@ bool strictly_increasing(const LogRecord* log, const std::uint32_t* sorted,
 
 const crypto::Digest20& Dictionary::root() const {
   if (log_.empty()) return empty_root();
-  rebuild();
   return node(level_count_ - 1, 0);
 }
 
@@ -200,7 +200,7 @@ std::vector<Entry> Dictionary::insert(
     s[at + j] = log_index[keys[j].pos];
     end = at;
   }
-  mark_dirty(keys[0].at);
+  rebuild(keys[0].at);
   return added;
 }
 
@@ -213,8 +213,7 @@ bool Dictionary::update(const std::vector<cert::SerialNumber>& serials,
 
   // Reject and roll back: drop every entry numbered above old_size and
   // rebuild the tree from scratch (the incremental path only grows), which
-  // reproduces the pre-update root byte for byte — here, on the writer's
-  // thread, so the const reads that follow never write the tree.
+  // reproduces the pre-update root byte for byte.
   log_.mut().resize(old_size);
   auto& sorted = sorted_.mut();
   sorted.erase(std::remove_if(sorted.begin(), sorted.end(),
@@ -222,23 +221,13 @@ bool Dictionary::update(const std::vector<cert::SerialNumber>& serials,
                                 return idx >= old_size;
                               }),
                sorted.end());
-  invalidate_tree();
-  rebuild();
+  rebuild_all();
   return false;
 }
 
-void Dictionary::mark_dirty(std::size_t pos) noexcept {
-  tree_valid_ = false;
-  if (pos < dirty_lo_) dirty_lo_ = pos;
-}
+void Dictionary::rebuild_all() { rebuild(0); }
 
-void Dictionary::invalidate_tree() const noexcept {
-  tree_valid_ = false;
-  dirty_lo_ = 0;
-  built_leaves_ = 0;
-}
-
-void Dictionary::compute_layout(std::size_t n) const {
+void Dictionary::compute_layout(std::size_t n) {
   std::size_t cap = 1;
   while (cap < n) cap <<= 1;
   leaf_cap_ = cap;
@@ -254,15 +243,8 @@ void Dictionary::compute_layout(std::size_t n) const {
   level_count_ = levels;
 }
 
-void Dictionary::layout(std::size_t n) const {
-  compute_layout(n);
-  tree_.mut().resize(2 * leaf_cap_ - 1);
-  built_leaves_ = 0;
-  dirty_lo_ = 0;
-}
-
 void Dictionary::hash_leaves(crypto::Digest20* arena, std::size_t lo,
-                             std::size_t n) const {
+                             std::size_t n) {
   constexpr std::size_t kChunk = 64;
   std::uint8_t enc[kChunk][kLeafPreimageMax];
   ByteSpan spans[kChunk];
@@ -284,7 +266,7 @@ void Dictionary::hash_leaves(crypto::Digest20* arena, std::size_t lo,
 
 void Dictionary::hash_inner(crypto::Digest20* arena, std::size_t level,
                             std::size_t lo, std::size_t next_size,
-                            std::size_t size) const {
+                            std::size_t size) {
   // Dirty parents [lo, next_size) at `level + 1` from children at `level`
   // (which holds `size` nodes), fed through the batch entry point in 64-node
   // chunks so the ancestor spine keeps the multi-lane engine saturated, not
@@ -315,31 +297,30 @@ void Dictionary::hash_inner(crypto::Digest20* arena, std::size_t level,
   }
 }
 
-void Dictionary::rebuild() const {
-  if (tree_valid_) return;
+void Dictionary::rebuild(std::size_t lo) {
   const std::size_t n = sorted_.size();
   last_rebuild_hashes_ = 0;
-  if (n == 0) {
+  if (n == 0) {  // an empty tree needs no nodes
     tree_.clear();
     level_off_.clear();
     level_size_.clear();
     level_count_ = 0;
     leaf_cap_ = 0;
-    built_leaves_ = 0;
-    dirty_lo_ = kClean;
-    tree_valid_ = true;
     return;
   }
 
   // Incremental is possible only while growing within the current arena;
   // otherwise lay out a fresh arena and rehash everything.
-  if (built_leaves_ == 0 || n < built_leaves_ || n > leaf_cap_) layout(n);
+  if (lo == 0 || n > leaf_cap_) {
+    compute_layout(n);
+    tree_.mut().resize(2 * leaf_cap_ - 1);
+    lo = 0;
+  }
 
   // One writable pointer for the whole rebuild: the first mutation after a
   // freeze or an mmap adoption pays for the arena clone here, once.
   crypto::Digest20* arena = tree_.mut().data();
 
-  std::size_t lo = std::min(dirty_lo_, n);
   hash_leaves(arena, lo, n);
   level_size_[0] = n;
 
@@ -355,14 +336,10 @@ void Dictionary::rebuild() const {
     ++level;
   }
   level_count_ = level + 1;
-  built_leaves_ = n;
-  dirty_lo_ = kClean;
-  tree_valid_ = true;
   total_hashes_ += last_rebuild_hashes_;
 }
 
 LeafProof Dictionary::make_leaf_proof(std::size_t sorted_pos) const {
-  rebuild();
   LeafProof p;
   p.entry = entry_at(sorted_[sorted_pos]);
   p.index = sorted_pos;
@@ -472,14 +449,14 @@ void Dictionary::restore_from(ByteReader& r) {
   Dictionary fresh;
   fresh.log_.mut() = std::move(log);
   fresh.sorted_.mut() = std::move(sorted);
-  fresh.invalidate_tree();
+  fresh.rebuild_all();
   if (fresh.root() != recorded) throw bad("recorded root mismatch");
   *this = std::move(fresh);
 }
 
 DictSections Dictionary::snapshot_sections() const {
   DictSections s;
-  s.root = root();  // rebuilds first, so tree bytes match the contents
+  s.root = root();
   s.n = log_.size();
   if (s.n == 0) return s;
   s.log = ByteSpan(reinterpret_cast<const std::uint8_t*>(log_.data()),
@@ -544,9 +521,6 @@ void Dictionary::restore_sections(const DictSections& s,
   fresh.log_.adopt(log, n, keepalive);
   fresh.sorted_.adopt(sorted, n, keepalive);
   fresh.tree_.adopt(tree, tree_nodes, std::move(keepalive));
-  fresh.built_leaves_ = n;
-  fresh.dirty_lo_ = kClean;
-  fresh.tree_valid_ = true;
   *this = std::move(fresh);
 }
 
@@ -558,7 +532,6 @@ std::size_t Dictionary::storage_bytes() const noexcept {
 }
 
 std::size_t Dictionary::memory_bytes() const noexcept {
-  rebuild();
   return log_.memory_bytes() + sorted_.memory_bytes() + tree_.memory_bytes() +
          (level_off_.capacity() + level_size_.capacity()) *
              sizeof(std::size_t);

@@ -11,12 +11,12 @@
 // serials already present, and splice the new ones into the index with block
 // moves (see insert()). The Merkle tree lives in one flat contiguous
 // digest arena with per-level offsets (leaf capacity rounded to a power of
-// two, so offsets stay stable as the dictionary grows) and is rebuilt lazily
-// and *incrementally*: mutations record the lowest dirtied sorted position,
-// and the rebuild rehashes only leaves [dirty_lo, n) plus their ancestor
-// spine. A Δ-batch of appends past the current maximum serial therefore
-// costs O(batch + log n) hashes instead of O(n). Proof generation is
-// O(log n).
+// two, so offsets stay stable as the dictionary grows). Every mutation
+// returns with the tree built, and insert() rebuilds it *incrementally*:
+// only leaves from the batch's first sorted insertion point onward, plus
+// their ancestor spine, are rehashed. A Δ-batch of appends past the current
+// maximum serial therefore costs O(batch + log n) hashes instead of O(n).
+// Proof generation is O(log n).
 //
 // All three arenas (log, sorted index, digest tree) are copy-on-write
 // (dict/arena.hpp): the log is fixed-width 24-byte records, so a snapshot
@@ -27,13 +27,11 @@
 // which is what the background checkpointer snapshots while serving
 // continues.
 //
-// Thread contract: const calls may run concurrently while the tree is
-// built, which an empty dictionary, update() and both restores leave it;
-// insert() leaves it stale until root(). Mutations need exclusive access.
+// Thread contract: const calls only read, so any number of them may run
+// concurrently. Mutations (the non-const calls) need exclusive access.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -76,7 +74,7 @@ class Dictionary {
   /// Number of revocations (leaves); the paper's `n`.
   std::uint64_t size() const noexcept { return log_.size(); }
 
-  /// Current Merkle root (empty_root() when size()==0). Rebuilds if stale.
+  /// Current Merkle root (empty_root() when size()==0).
   const crypto::Digest20& root() const;
 
   bool contains(const cert::SerialNumber& serial) const;
@@ -97,15 +95,14 @@ class Dictionary {
   /// the full bytes as tiebreak), a forward galloping search of the index
   /// in O(k log(n/k)) comparisons, and word moves for the index positions at
   /// or above the first insertion point; it allocates nothing per serial
-  /// beyond the returned entries. Rebuild cost is unchanged: leaves below
-  /// the first insertion point stay clean.
+  /// beyond the returned entries. It returns with the tree rebuilt from the
+  /// first insertion point: leaves below it are not rehashed.
   std::vector<Entry> insert(const std::vector<cert::SerialNumber>& serials);
 
   /// RA-side update (Fig. 2): replays `serials` and accepts iff the rebuilt
   /// root equals `expected_root` and the new size equals `expected_n`.
-  /// On mismatch the dictionary is rolled back and false is returned.
-  /// Either way the tree is rebuilt before returning, so the const reads
-  /// that follow never rebuild it.
+  /// On mismatch the dictionary is rolled back (and its tree rebuilt from
+  /// scratch) and false is returned.
   bool update(const std::vector<cert::SerialNumber>& serials,
               const crypto::Digest20& expected_root, std::uint64_t expected_n);
 
@@ -120,9 +117,7 @@ class Dictionary {
   /// Serializes the dictionary (versioned, length-prefixed: the entry
   /// log, the sorted index, and the current root) into `w` — the
   /// CDN cold-start payload (ca::ColdStartObject) and the WAL bootstrap
-  /// record. The encoding streams straight out of the flat arenas;
-  /// it rebuilds lazily first so the recorded root always matches the
-  /// recorded contents.
+  /// record. The encoding streams straight out of the flat arenas.
   void snapshot_into(ByteWriter& w) const;
 
   /// Restores a dictionary serialized by snapshot_into(). No per-entry
@@ -134,10 +129,9 @@ class Dictionary {
   /// mismatch, leaving the dictionary untouched.
   void restore_from(ByteReader& r);
 
-  /// The raw arena sections for an mmap-able snapshot. Forces a rebuild
-  /// first so the tree section and recorded root match the contents; the
-  /// spans alias this dictionary's arenas and stay valid until the next
-  /// mutation (freeze — copy — first when persisting off-thread).
+  /// The raw arena sections for an mmap-able snapshot. The spans alias this
+  /// dictionary's arenas and stay valid until the next mutation (freeze —
+  /// copy — first when persisting off-thread).
   DictSections snapshot_sections() const;
 
   /// Adopts snapshot sections in place: validates record lengths, index
@@ -169,31 +163,26 @@ class Dictionary {
   }
   std::uint64_t total_hash_count() const noexcept { return total_hashes_; }
 
-  /// Drops all incremental rebuild state so the next root() performs a full
-  /// O(n) rebuild — a bench/testing hook that reproduces the pre-incremental
-  /// cost model and lets tests pin incremental == full.
-  void invalidate_tree() const noexcept;
+  /// Rebuilds the tree from scratch in a fresh arena: the O(n) cost model
+  /// the incremental path avoids. update()'s rollback and restore_from use
+  /// it; tests and benches use it to pin incremental == full.
+  void rebuild_all();
 
  private:
-  static constexpr std::size_t kClean = std::numeric_limits<std::size_t>::max();
-
-  void rebuild() const;
-  /// Derives leaf_cap_, level_off_/level_size_ shapes, and level_count_ for
-  /// `n` leaves without touching the tree arena (shared by the mutation
-  /// path and mmap adoption).
-  void compute_layout(std::size_t n) const;
-  /// (Re)allocates the flat arena for `n` leaves: capacity is the next power
-  /// of two, offsets are derived from capacity so they survive growth.
-  void layout(std::size_t n) const;
+  /// Rehashes leaves [lo, n) and their ancestors. Lays out a fresh arena
+  /// first (and rehashes every leaf) when `lo` is 0 or n outgrows the leaf
+  /// capacity.
+  void rebuild(std::size_t lo);
+  /// Derives leaf_cap_ (the next power of two), the per-level offsets (from
+  /// the capacity, so they survive growth), and level_count_ for `n` leaves
+  /// without touching the tree arena (shared by rebuild and mmap adoption).
+  void compute_layout(std::size_t n);
   /// Hashes leaves [lo, n) into level 0 of `arena` via the batch entry point.
-  void hash_leaves(crypto::Digest20* arena, std::size_t lo,
-                   std::size_t n) const;
+  void hash_leaves(crypto::Digest20* arena, std::size_t lo, std::size_t n);
   /// Hashes dirty parents [lo, next_size) at `level + 1` from the `size`
   /// children at `level`, batched in 64-node chunks (multi-lane engine).
   void hash_inner(crypto::Digest20* arena, std::size_t level, std::size_t lo,
-                  std::size_t next_size, std::size_t size) const;
-  /// Records that sorted positions >= pos must be rehashed.
-  void mark_dirty(std::size_t pos) noexcept;
+                  std::size_t next_size, std::size_t size);
 
   const crypto::Digest20& node(std::size_t level, std::size_t i) const {
     return tree_.data()[level_off_[level] + i];
@@ -228,16 +217,13 @@ class Dictionary {
   // Flat Merkle arena: level 0 (leaves) first, root level last. Offsets are
   // computed from leaf_cap_ (a power of two), so growing n within capacity
   // never moves existing nodes.
-  mutable CowArena<crypto::Digest20> tree_;
-  mutable std::vector<std::size_t> level_off_;
-  mutable std::vector<std::size_t> level_size_;
-  mutable std::size_t level_count_ = 0;
-  mutable std::size_t leaf_cap_ = 0;
-  mutable std::size_t built_leaves_ = 0;   // leaves in the built tree
-  mutable std::size_t dirty_lo_ = kClean;  // lowest stale sorted position
-  mutable bool tree_valid_ = true;  // an empty tree needs no nodes
-  mutable std::uint64_t last_rebuild_hashes_ = 0;
-  mutable std::uint64_t total_hashes_ = 0;
+  CowArena<crypto::Digest20> tree_;
+  std::vector<std::size_t> level_off_;
+  std::vector<std::size_t> level_size_;
+  std::size_t level_count_ = 0;
+  std::size_t leaf_cap_ = 0;
+  std::uint64_t last_rebuild_hashes_ = 0;
+  std::uint64_t total_hashes_ = 0;
 };
 
 }  // namespace ritm::dict

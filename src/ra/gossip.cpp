@@ -25,6 +25,11 @@ std::optional<MisbehaviourEvidence> GossipPool::observe(
     const dict::SignedRoot& root) {
   const auto key = keys_->find(root.ca);
   if (!key) return std::nullopt;  // unknown CA: nothing to check against
+  // A byte-identical copy of a held root was verified when it was stored.
+  if (const auto ca = seen_.find(root.ca); ca != seen_.end()) {
+    const auto held = ca->second.find(root.n);
+    if (held != ca->second.end() && held->second == root) return std::nullopt;
+  }
   if (!root.verify(*key)) {
     ++forged_;
     return std::nullopt;  // not the CA's signature: not evidence of its lie
@@ -34,26 +39,6 @@ std::optional<MisbehaviourEvidence> GossipPool::observe(
   if (inserted) return std::nullopt;
   if (it->second.root == root.root) return std::nullopt;  // consistent
   return MisbehaviourEvidence{it->second, root};
-}
-
-std::vector<MisbehaviourEvidence> GossipPool::exchange(GossipPool& peer) {
-  std::vector<MisbehaviourEvidence> evidence;
-  // Copy-snapshot both sides first so the exchange is symmetric even as the
-  // pools absorb each other's roots.
-  std::vector<dict::SignedRoot> mine, theirs;
-  for (const auto& [ca, by_n] : seen_) {
-    for (const auto& [n, root] : by_n) mine.push_back(root);
-  }
-  for (const auto& [ca, by_n] : peer.seen_) {
-    for (const auto& [n, root] : by_n) theirs.push_back(root);
-  }
-  for (const auto& root : theirs) {
-    if (auto e = observe(root)) evidence.push_back(std::move(*e));
-  }
-  for (const auto& root : mine) {
-    if (auto e = peer.observe(root)) evidence.push_back(std::move(*e));
-  }
-  return evidence;
 }
 
 void GossipPool::adopt_peer_evidence(
@@ -144,7 +129,7 @@ GossipWant GossipPool::want_from(const GossipDigest& theirs) const {
     for (const auto& run : ca_runs) {
       if (run_in_sync(by_n, run)) continue;
       // Pull the whole run: it holds positions we are missing, or overlap
-      // that may diverge — exchange() would observe both, so must we.
+      // that may diverge — a full exchange would observe both, so must we.
       if (!ranges.empty() && ranges.back().second + 1 >= run.lo) {
         ranges.back().second = std::max(ranges.back().second, run.hi);
       } else {

@@ -16,9 +16,9 @@
 // kDigestSegment boundaries so two pools whose coverage overlaps compare
 // hashes segment-by-segment; a run that the local pool covers completely
 // with an equal hash is provably identical and never moves. Conflicts
-// surface exactly as in exchange(): a covered run whose hash differs is
-// transferred in both directions and observe() turns the divergent
-// position into MisbehaviourEvidence on both sides.
+// surface exactly as in a full exchange of both seen-sets: a covered run
+// whose hash differs is transferred in both directions and observe() turns
+// the divergent position into MisbehaviourEvidence on both sides.
 #pragma once
 
 #include <cstdint>
@@ -94,19 +94,16 @@ class GossipPool {
   /// Records a signed root seen in the wild (piggybacked status, edge
   /// download, peer exchange). Returns evidence if it conflicts with a
   /// previously recorded root of the same CA and size. Forged or
-  /// unknown-CA roots are ignored.
+  /// unknown-CA roots are ignored. A byte-identical copy of a held root
+  /// returns at once: its signature was verified when it was stored.
   std::optional<MisbehaviourEvidence> observe(const dict::SignedRoot& root);
-
-  /// Full bidirectional exchange with a peer held in memory: both pools end
-  /// up with the union of observations; all conflicts discovered either way
-  /// are returned. The oracle reconcile_over is pinned against.
-  std::vector<MisbehaviourEvidence> exchange(GossipPool& peer);
 
   /// Set-reconciliation exchange over the envelope API (Method::gossip_digest
   /// + gossip_pull): swaps digests with the peer, pulls only the runs the
   /// diff says are missing or divergent, and pushes the peer's gaps
   /// symmetrically. Converges to the same union and surfaces the same
-  /// evidence as exchange(). Returns nullopt, with local observations
+  /// evidence as a full exchange of both seen-sets (each pool observing
+  /// every root the other holds). Returns nullopt, with local observations
   /// unchanged, on any transport or protocol failure — including a peer
   /// that answers unknown_method or version_skew.
   std::optional<std::vector<MisbehaviourEvidence>> reconcile_over(

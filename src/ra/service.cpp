@@ -330,9 +330,9 @@ svc::Response RaService::gossip_pull(const svc::Request& req) {
 
   std::lock_guard<std::mutex> lock(gossip_mu_);
 
-  // Snapshot the wanted roots *before* observing the pushes — the
-  // symmetric-snapshot rule of GossipPool::exchange — so a root the peer
-  // pushes is never echoed straight back in the same exchange.
+  // Snapshot the wanted roots *before* observing the pushes — a full
+  // exchange copies both seen-sets first — so a root the peer pushes is
+  // never echoed straight back in the same exchange.
   GossipReply reply;
   reply.roots = gossip_->roots_in(pull->want);
   for (const auto& root : pull->push) {

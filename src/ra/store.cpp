@@ -41,30 +41,6 @@ const DictionaryStore::CaState* DictionaryStore::find(
 
 namespace {
 
-/// The period ~now (±1 period of skew, the paper's 2∆ window, §V) at which
-/// `statement` extends the chain of a root signed at `root_ts` from `last`,
-/// its statement at `last_period` (a root's anchor is its period 0).
-/// Walking from `last` keeps verification O(1) amortized per period, and
-/// no walk exceeds kMaxFreshnessWalk hashes.
-std::optional<std::uint64_t> chain_period(UnixSeconds root_ts,
-                                          UnixSeconds delta,
-                                          const crypto::Digest20& last,
-                                          std::uint64_t last_period,
-                                          const crypto::Digest20& statement,
-                                          UnixSeconds now) {
-  const std::uint64_t expected =
-      now <= root_ts ? 0
-                     : static_cast<std::uint64_t>((now - root_ts) / delta);
-  const std::uint64_t lo = expected == 0 ? 0 : expected - 1;
-  for (std::uint64_t p = std::max(lo, last_period);
-       p <= expected + 1 &&
-       p - last_period <= DictionaryStore::kMaxFreshnessWalk;
-       ++p) {
-    if (crypto::HashChain::verify(statement, p - last_period, last)) return p;
-  }
-  return std::nullopt;
-}
-
 /// True when `incoming` would roll the replica back from `held`: it commits
 /// to fewer entries, or is an earlier signature (a CA re-signs the same
 /// dictionary when its hash chain runs out, so equal n orders nothing).
@@ -172,9 +148,9 @@ ApplyResult DictionaryStore::apply_freshness(
   if (state == nullptr) return ApplyResult::unknown_ca;
   std::lock_guard<std::mutex> writer(write_mu_);
   if (!state->have_root) return ApplyResult::bad_freshness;
-  const auto period =
-      chain_period(state->root.timestamp, state->delta, state->freshness,
-                   state->freshness_period, msg.statement, now);
+  const auto period = crypto::chain_period(
+      state->root.timestamp, state->delta, state->freshness,
+      state->freshness_period, msg.statement, now);
   if (!period) return ApplyResult::bad_freshness;
   {
     const CaWriteLock lock = lock_all_shards(*state);
@@ -211,9 +187,9 @@ ApplyResult DictionaryStore::apply_sync(const dict::SyncResponse& msg,
   }
   // The carried statement is served if it chains into the new root's
   // anchor; a stale one leaves the anchor itself (period 0) as freshness.
-  const auto period =
-      chain_period(msg.signed_root.timestamp, state->delta,
-                   msg.signed_root.freshness_anchor, 0, msg.freshness, now);
+  const auto period = crypto::chain_period(
+      msg.signed_root.timestamp, state->delta,
+      msg.signed_root.freshness_anchor, 0, msg.freshness, now);
   {
     const CaWriteLock lock = lock_all_shards(*state);
     if (!state->dict.update(serials, msg.signed_root.root,
@@ -259,8 +235,8 @@ ApplyResult DictionaryStore::bootstrap_replica(const cert::CaId& ca,
   }
   // Adopt the carried statement if it chains into the new anchor; on
   // failure the anchor itself (period 0) remains the served statement.
-  const auto period = chain_period(root.timestamp, state->delta,
-                                   root.freshness_anchor, 0, freshness, now);
+  const auto period = crypto::chain_period(
+      root.timestamp, state->delta, root.freshness_anchor, 0, freshness, now);
   {
     const CaWriteLock lock = lock_all_shards(*state);
     state->dict = std::move(staged);
@@ -499,8 +475,6 @@ persist::CheckpointWrite DictionaryStore::persist_frozen(
   w.u8(kStoreMetaVersion);
   w.u64(frozen.feed_cursor);
   w.u32(static_cast<std::uint32_t>(frozen.cas.size()));
-  // Every mutator leaves its tree built, so snapshot_sections() only
-  // points at the frozen arenas.
   std::vector<dict::DictSections> secs(frozen.cas.size());
   for (std::size_t i = 0; i < frozen.cas.size(); ++i) {
     const FrozenStore::FrozenCa& ca = frozen.cas[i];

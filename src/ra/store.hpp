@@ -101,18 +101,12 @@ class DictionaryStore {
   ApplyResult apply_issuance(const dict::RevocationIssuance& msg,
                              UnixSeconds now);
 
-  /// Applies a freshness statement, verifying it against the committed
-  /// anchor for the current period (±1 period of clock tolerance).
+  /// Applies a freshness statement, verifying it with crypto::chain_period
+  /// from the replica's last verified statement: the current period ±1,
+  /// and a walk of at most HashChain::kMaxFreshnessWalk hashes whatever
+  /// `now` reads (a corrupt WAL record's included).
   ApplyResult apply_freshness(const dict::FreshnessStatement& msg,
                               UnixSeconds now);
-
-  /// The longest hash-chain walk one freshness check makes: a statement
-  /// more than this many periods past the replica's last verified one (or,
-  /// carried by a sync or cold start, past its root's anchor) is refused,
-  /// so a check costs a bounded number of hashes whatever `now` reads — a
-  /// corrupt WAL record's included. CA chains (m periods per signed root)
-  /// longer than this are not supported.
-  static constexpr std::uint64_t kMaxFreshnessWalk = 1u << 16;
 
   /// Applies a sync response (recovery after gap_detected).
   ApplyResult apply_sync(const dict::SyncResponse& msg, UnixSeconds now);

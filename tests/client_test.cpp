@@ -145,6 +145,13 @@ TEST_F(ClientTest, RejectsStaleFreshness) {
   const UnixSeconds far = status.signed_root.timestamp + 50 * kDelta;
   EXPECT_EQ(client.validate_status(status, leaf_, far),
             Verdict::stale_freshness);
+  // A genuine root 2^40 periods old: the walk is capped at the longest
+  // chain a CA may sign, so the verdict costs a bounded number of hashes
+  // instead of about 3 * 2^40.
+  const UnixSeconds ancient =
+      status.signed_root.timestamp + (UnixSeconds{1} << 40) * kDelta;
+  EXPECT_EQ(client.validate_status(status, leaf_, ancient),
+            Verdict::stale_freshness);
 }
 
 TEST_F(ClientTest, FreshnessAcceptanceWindow) {

@@ -1,6 +1,7 @@
 // Concurrency suite (ctest label: tsan): first use of the shared Ed25519
-// base-point table from several threads, and store readers racing each
-// other after a rejected issuance. Built with -DRITM_SANITIZE=thread these
+// base-point table from several threads, dictionary readers racing each
+// other straight after an insert, and store readers racing each other
+// after a rejected issuance. Built with -DRITM_SANITIZE=thread these
 // tests run under ThreadSanitizer, which is the point; the label's other
 // suite, checkpoint_test, serves over TCP while the updater pulls and the
 // background checkpointer runs.
@@ -15,6 +16,7 @@
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "crypto/ed25519.hpp"
+#include "dict/dictionary.hpp"
 #include "dict/messages.hpp"
 #include "ra/store.hpp"
 
@@ -58,6 +60,50 @@ TEST(Ed25519SharedTable, ConcurrentFirstUseAgrees) {
     EXPECT_EQ(keys[i], crypto::derive_public_key(seed_of(t)));
     EXPECT_EQ(sigs[i], crypto::sign(ByteSpan(msg), seed_of(t)));
     EXPECT_EQ(verified[i], 1);
+  }
+}
+
+// ---------------------------------------- dictionary readers after insert
+
+// insert() returns with the Merkle tree built, so const calls straight
+// after it only read and any number of threads may make them at once with
+// no writer-side warm-up.
+TEST(DictionaryReaders, ConstCallsAfterInsertOnlyRead) {
+  dict::Dictionary d;
+  std::vector<cert::SerialNumber> corpus;
+  for (std::uint64_t i = 0; i < 20'000; ++i) {
+    corpus.push_back(cert::SerialNumber::from_uint(2 * i + 1, 4));
+  }
+  d.insert(corpus);
+  d.insert({cert::SerialNumber::from_uint(2, 4),
+            cert::SerialNumber::from_uint(50'000, 4)});
+
+  constexpr int kReaders = 4;
+  constexpr int kLookups = 64;
+  std::atomic<int> ready{0};
+  std::vector<int> failures(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      Rng probes(200 + static_cast<std::uint64_t>(t));
+      ready.fetch_add(1);
+      while (ready.load() < kReaders) {
+      }
+      for (int i = 0; i < kLookups; ++i) {
+        const auto serial =
+            cert::SerialNumber::from_uint(probes.uniform(60'000), 4);
+        const dict::Proof proof = d.prove(serial);
+        const dict::DictSections sections = d.snapshot_sections();
+        if (!dict::verify_proof(proof, serial, d.root(), d.size()) ||
+            sections.root != d.root()) {
+          ++failures[static_cast<std::size_t>(t)];
+        }
+      }
+    });
+  }
+  for (auto& th : readers) th.join();
+  for (int t = 0; t < kReaders; ++t) {
+    EXPECT_EQ(failures[static_cast<std::size_t>(t)], 0) << "reader " << t;
   }
 }
 

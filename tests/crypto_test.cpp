@@ -1063,6 +1063,42 @@ TEST(HashChain, ForgedStatementFails) {
   EXPECT_FALSE(HashChain::verify(forged, 10, chain.anchor()));
 }
 
+TEST(HashChain, LengthIsBoundedByTheLongestFreshnessWalk) {
+  // A verifier walks at most kMaxFreshnessWalk hashes, so a longer chain
+  // would sign statements nobody accepts.
+  Digest20 v{};
+  EXPECT_THROW(HashChain(v, 0), std::invalid_argument);
+  EXPECT_THROW(HashChain(v, HashChain::kMaxFreshnessWalk + 1),
+               std::invalid_argument);
+  const HashChain longest(v, HashChain::kMaxFreshnessWalk);
+  EXPECT_EQ(longest.length(), HashChain::kMaxFreshnessWalk);
+}
+
+TEST(HashChain, ChainPeriodWindowAndWalkCap) {
+  Digest20 v{};
+  v.fill(0x5A);
+  const HashChain chain(v, 100);
+  const UnixSeconds t = 1000;
+  const UnixSeconds delta = 10;
+  const Digest20& anchor = chain.anchor();
+  // The period-5 statement is fresh while p' = floor((now - t) / ∆) is
+  // 4, 5 or 6.
+  for (const UnixSeconds now : {t + 40, t + 50, t + 69}) {
+    EXPECT_EQ(chain_period(t, delta, anchor, 0, chain.statement(5), now),
+              std::optional<std::uint64_t>{5})
+        << now;
+  }
+  EXPECT_FALSE(chain_period(t, delta, anchor, 0, chain.statement(5), t + 39));
+  EXPECT_FALSE(chain_period(t, delta, anchor, 0, chain.statement(5), t + 70));
+  // Walking from a later verified statement gives the same period.
+  EXPECT_EQ(chain_period(t, delta, chain.statement(3), 3, chain.statement(5),
+                         t + 50),
+            std::optional<std::uint64_t>{5});
+  // A clock 2^40 periods on asks for a walk past the cap: refused unwalked.
+  EXPECT_FALSE(chain_period(t, delta, anchor, 0, chain.statement(5),
+                            t + (UnixSeconds{1} << 40) * delta));
+}
+
 TEST(HashChain, StatementBeyondLengthThrows) {
   Digest20 v{};
   HashChain chain(v, 5);

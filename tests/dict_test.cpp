@@ -454,7 +454,6 @@ TEST(Insert, LargeBatchMergeMatchesElementWiseInsertion) {
   Dictionary merged, reference;
   merged.insert(base);
   reference.insert(base);
-  (void)merged.root();
   const auto added = merged.insert(batch);  // 140 items in one batch
   ASSERT_EQ(added.size(), 140u);
   for (const auto& s : batch) reference.insert({s});  // one by one
@@ -477,12 +476,10 @@ TEST(Insert, LargeBatchAppendKeepsPrefixUntouched) {
   std::vector<SerialNumber> base;
   for (std::uint64_t i = 0; i < 3000; ++i) base.push_back(sn(2 * i + 1));
   d.insert(base);
-  (void)d.root();
 
   std::vector<SerialNumber> delta;
   for (std::uint64_t i = 0; i < 100; ++i) delta.push_back(sn(100000 + i));
   d.insert(delta);
-  (void)d.root();
   const std::uint64_t incremental = d.last_rebuild_hash_count();
   EXPECT_LE(incremental, 100 + 2 * 100 + 24);  // leaves + spine, not O(n)
 }
@@ -496,9 +493,8 @@ TEST(Dictionary, RejectedUpdateRollsBackAndLeavesTheTreeBuilt) {
   const crypto::Digest20 root_before = d.root();
   const Proof proof_before = d.prove(sn(77));
 
-  // Rejections by root and by size both roll the contents back. update()
-  // rebuilds the tree itself, so the const reads after it hash nothing:
-  // concurrent readers never race to rebuild it.
+  // Rejections by root and by size both roll the contents back, and the
+  // rollback rebuilds the tree, so the const reads after it hash nothing.
   crypto::Digest20 bogus = root_before;
   bogus[0] ^= 1;
   for (const auto& [serials, n] :
@@ -511,6 +507,28 @@ TEST(Dictionary, RejectedUpdateRollsBackAndLeavesTheTreeBuilt) {
     EXPECT_EQ(d.root(), root_before);
     EXPECT_EQ(d.prove(sn(77)).encode(), proof_before.encode());
     EXPECT_EQ(d.prove(sn(2000)).type, Proof::Type::absence);
+    EXPECT_EQ(d.total_hash_count(), hashes);
+  }
+}
+
+TEST(Dictionary, ConstCallsNeverHash) {
+  // insert() returns with the tree built, so every const call straight
+  // after it only reads: concurrent readers need no writer-side warm-up.
+  Dictionary d;
+  d.insert(serial_range(1, 300));
+  for (const auto& batch :
+       {serial_range(1000, 1), serial_range(5000, 40),
+        std::vector<SerialNumber>{sn(0), sn(150), sn(9000)}}) {
+    d.insert(batch);
+    const std::uint64_t hashes = d.total_hash_count();
+    const crypto::Digest20 root = d.root();
+    for (const auto& probe : {sn(0), sn(150), sn(151), sn(1000), sn(99999)}) {
+      EXPECT_TRUE(verify_proof(d.prove(probe), probe, root, d.size()));
+    }
+    ByteWriter w;
+    d.snapshot_into(w);
+    EXPECT_EQ(d.snapshot_sections().root, root);
+    EXPECT_GT(d.memory_bytes(), 0u);
     EXPECT_EQ(d.total_hash_count(), hashes);
   }
 }
@@ -594,7 +612,7 @@ TEST(Insert, RandomBatchesMatchOrderedModel) {
     }
 
     Dictionary full = d;
-    full.invalidate_tree();
+    full.rebuild_all();
     ASSERT_EQ(full.root(), d.root()) << "round " << round;
   }
   std::vector<Entry> all;
@@ -609,7 +627,6 @@ TEST(Insert, AllDuplicateBatchesLeaveFrozenArenasShared) {
   // mapped snapshot) shares.
   Dictionary d;
   d.insert(serial_range(1, 500));
-  (void)d.root();               // build the tree before freezing
   const Dictionary frozen = d;  // O(1): shares all three arenas
   const DictSections shared = frozen.snapshot_sections();
   for (const std::uint64_t k : {1u, 200u}) {
@@ -691,7 +708,6 @@ TEST(Dictionary, AppendBatchesRehashOnlyTheSpine) {
   std::vector<SerialNumber> base;
   for (std::uint64_t i = 0; i < 4000; ++i) base.push_back(sn(2 * i + 1));
   d.insert(base);
-  (void)d.root();
   const std::uint64_t full = d.last_rebuild_hash_count();
   EXPECT_GE(full, 4000u);  // every leaf plus the interior
 
@@ -700,7 +716,6 @@ TEST(Dictionary, AppendBatchesRehashOnlyTheSpine) {
   std::vector<SerialNumber> delta;
   for (std::uint64_t i = 0; i < 16; ++i) delta.push_back(sn(100000 + i));
   d.insert(delta);
-  (void)d.root();
   const std::uint64_t incremental = d.last_rebuild_hash_count();
   EXPECT_LE(incremental, 16 + 2 * 16 + 32);
   EXPECT_LT(incremental * 20, full);
@@ -803,7 +818,7 @@ TEST(DictionaryProperty, IncrementalFullRebuildAndReplayAgree) {
     }
     incremental.insert(batch);
     control.insert(batch);
-    control.invalidate_tree();  // force the O(n) from-scratch rebuild
+    control.rebuild_all();  // the O(n) from-scratch rebuild
     const auto root = incremental.root();
     ASSERT_EQ(root, control.root()) << "round " << round;
     ASSERT_TRUE(replica.update(batch, root, incremental.size()))

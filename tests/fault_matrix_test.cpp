@@ -29,6 +29,7 @@
 #include "ra/updater.hpp"
 #include "svc/fault.hpp"
 #include "svc/resilient.hpp"
+#include "gossip_oracle.hpp"
 
 namespace ritm {
 namespace {
@@ -416,7 +417,7 @@ TEST(FaultMatrix, GossipExchangeMatchesDirectExchangeUnderFaults) {
     ra::GossipPool alice_direct(&keys), bob_direct(&keys);
     alice_direct.observe(honest.signed_root);
     bob_direct.observe(fake.signed_root);
-    const auto direct = alice_direct.exchange(bob_direct);
+    const auto direct = ra::oracle::exchange(alice_direct, bob_direct);
     ASSERT_EQ(direct.size(), 2u);
     const auto key = [](const ra::MisbehaviourEvidence& e) {
       return to_hex(ByteSpan(e.ours.encode())) +

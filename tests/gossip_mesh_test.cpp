@@ -1,11 +1,11 @@
-// Set-reconciliation gossip (PR 8): the digest/pull path is pinned
+// Set-reconciliation gossip: the digest/pull path is pinned
 // byte-identical — same final roots(), same MisbehaviourEvidence — to the
-// in-memory exchange() oracle across a 300-seed churn/partition matrix,
-// then exercised at mesh scale: 100 RAs with partitions, late joiners, and
-// one misbehaving peer injecting forged roots and fabricated evidence. A
-// peer that does not speak the digest methods (unknown_method or
-// version_skew) fails the contact and leaves both pools unchanged, and
-// every attempt leaves a GossipStats trace.
+// in-memory full-exchange oracle (gossip_oracle.hpp) across a 300-seed
+// churn/partition matrix, then exercised at mesh scale: 100 RAs with
+// partitions, late joiners, and one misbehaving peer injecting forged
+// roots and fabricated evidence. A peer that does not speak the digest
+// methods (unknown_method or version_skew) fails the contact and leaves
+// both pools unchanged, and every attempt leaves a GossipStats trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +24,7 @@
 #include "ra/service.hpp"
 #include "ra/store.hpp"
 #include "svc/transport.hpp"
+#include "gossip_oracle.hpp"
 
 namespace ritm {
 namespace {
@@ -146,7 +147,7 @@ TEST(GossipDigest, IdenticalPoolsWantAndPushNothing) {
 /// One deterministic scenario: initial per-RA subsets (some RAs seeded with
 /// a split view), a partitioned early phase, a late joiner (churn), and a
 /// random pairing schedule. Built once per seed, executed identically on
-/// the in-memory exchange() oracle and on reconcile_over across
+/// the in-memory oracle::exchange and on reconcile_over across
 /// transports, then compared RA by RA.
 struct MatrixScenario {
   static constexpr int kRas = 8;
@@ -207,7 +208,7 @@ TEST(GossipMesh, ReconcilePinnedToExchangeOracleAcross300Seeds) {
   for (std::uint64_t seed = 0; seed < 300; ++seed) {
     const auto s = make_scenario(u, seed);
 
-    // Oracle: direct in-memory pools, exchange().
+    // Oracle: direct in-memory pools, oracle::exchange.
     std::vector<std::unique_ptr<ra::GossipPool>> oracle;
     // Wired: the same pools behind RaService transports, reconcile_over().
     std::vector<std::unique_ptr<ra::GossipPool>> wired;
@@ -238,7 +239,7 @@ TEST(GossipMesh, ReconcilePinnedToExchangeOracleAcross300Seeds) {
         }
       }
       for (const auto& [a, b] : s.rounds[round]) {
-        for (const auto& e : oracle[a]->exchange(*oracle[b])) {
+        for (const auto& e : ra::oracle::exchange(*oracle[a], *oracle[b])) {
           oracle_ev[a].push_back(evidence_key(e));
         }
         const auto got = wired[a]->reconcile_over(*rpcs[b]);

@@ -933,20 +933,21 @@ TEST(CrashSim, RecoveryEqualsReplayOfSurvivingPrefixOver1kBatches) {
   std::sort(cuts.begin(), cuts.end());
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
-  const auto replay_batch = [&](dict::Dictionary& d, ByteSpan payload) {
+  const auto append_batch = [](std::vector<SerialNumber>& serials,
+                               ByteSpan payload) {
     ByteReader r{payload};
     const std::uint16_t count = r.u16();
-    std::vector<SerialNumber> serials;
-    serials.reserve(count);
     for (std::uint16_t i = 0; i < count; ++i) {
       serials.push_back(SerialNumber{r.var8()});
     }
-    d.insert(serials);
   };
 
   // Full from-scratch replays are sampled (every byte of the final record,
   // every ~37th cut elsewhere) to keep the sweep sanitizer-friendly; the
-  // prefix-exactness property is asserted at every cut.
+  // prefix-exactness property is asserted at every cut. A replay inserts
+  // the surviving batches' serials as one batch: insert numbers a batch in
+  // order and keeps the first occurrence, so that equals inserting them
+  // batch by batch, as the oracle did.
   std::size_t replays = 0;
   for (std::size_t ci = 0; ci < cuts.size(); ++ci) {
     const std::size_t cut = cuts[ci];
@@ -964,12 +965,14 @@ TEST(CrashSim, RecoveryEqualsReplayOfSurvivingPrefixOver1kBatches) {
 
     if (cut < ends[kBatches - 2] && ci % 37 != 0) continue;
     ++replays;
-    dict::Dictionary recovered;
+    std::vector<SerialNumber> surviving;
     for (const auto& rec : scan.records) {
       ASSERT_EQ(rec.type, kBatchRecord);
       ASSERT_EQ(rec.payload, batches[rec.seq - 1]);
-      replay_batch(recovered, ByteSpan(rec.payload));
+      append_batch(surviving, ByteSpan(rec.payload));
     }
+    dict::Dictionary recovered;
+    recovered.insert(surviving);
     ASSERT_EQ(recovered.root(), oracle[expect].root) << "cut " << cut;
     ASSERT_EQ(recovered.size(), oracle[expect].size) << "cut " << cut;
   }
@@ -978,11 +981,17 @@ TEST(CrashSim, RecoveryEqualsReplayOfSurvivingPrefixOver1kBatches) {
   // Proof-byte identity on the full surviving prefix (the most common
   // crash: nothing torn), probed across the serial space.
   dict::Dictionary full, replayed;
-  for (const auto& b : batches) replay_batch(full, ByteSpan(b));
-  const WalScan scan = WriteAheadLog::scan(ByteSpan(image));
-  for (const auto& rec : scan.records) {
-    replay_batch(replayed, ByteSpan(rec.payload));
+  for (const auto& b : batches) {
+    std::vector<SerialNumber> serials;
+    append_batch(serials, ByteSpan(b));
+    full.insert(serials);
   }
+  const WalScan scan = WriteAheadLog::scan(ByteSpan(image));
+  std::vector<SerialNumber> surviving;
+  for (const auto& rec : scan.records) {
+    append_batch(surviving, ByteSpan(rec.payload));
+  }
+  replayed.insert(surviving);
   Rng probe_rng(123);
   for (int i = 0; i < 64; ++i) {
     const auto probe =

@@ -132,7 +132,7 @@ TEST(Store, FreshnessAcceptedWithinTolerance) {
 
 // The walk from the last verified statement is capped, so a clock (or a
 // corrupt WAL record's `now`) far past the root costs no more than
-// kMaxFreshnessWalk hashes instead of (now - t) / ∆.
+// HashChain::kMaxFreshnessWalk hashes instead of (now - t) / ∆.
 TEST(Store, FreshnessWalkIsBounded) {
   auto ca = make_ca(12, /*delta=*/10);
   DictionaryStore store;

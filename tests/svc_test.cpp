@@ -34,6 +34,7 @@
 #include "svc/mux.hpp"
 #include "svc/resilient.hpp"
 #include "svc/tcp.hpp"
+#include "gossip_oracle.hpp"
 
 namespace ritm {
 namespace {
@@ -263,6 +264,48 @@ TEST(Dispatch, RetiredMethodIdsAnswerUnknownMethod) {
   }
 }
 
+TEST(FeedDelta, FreshnessNeverPassesTheLastPublish) {
+  // feed_delta answers on a public port, so the requester's clock is
+  // untrusted. Were it believed, a far-future clock would unlock the chain
+  // seed, and a pre-revocation root would then stay fresh for the chain's
+  // m periods instead of 2∆.
+  auto ca = make_ca(41);
+  cdn::Cdn cdn = cdn::make_global_cdn(0);
+  ca::DistributionPoint dp(&cdn, ca.delta());
+  dp.register_ca(ca.id(), ca.public_key());
+  ca::SyncService sync;
+  sync.add(&ca);
+  const auto freshness_for = [&](UnixSeconds now) {
+    const auto res = sync.handle(make_request(
+        svc::Method::feed_delta,
+        ca::encode_delta_request(dict::SyncRequest{ca.id(), 0}, now, 0)));
+    EXPECT_EQ(res.response.status, svc::Status::ok);
+    // Skip the leading resume_period.
+    const auto resp =
+        dict::SyncResponse::decode(ByteSpan(res.response.body).subspan(8));
+    EXPECT_TRUE(resp.has_value());
+    return resp ? resp->freshness : crypto::Digest20{};
+  };
+  const UnixSeconds t0 = ca.signed_root().timestamp;
+  const UnixSeconds far = t0 + 1'000'000;
+  const crypto::Digest20 anchor = ca.signed_root().freshness_anchor;
+
+  // Nothing past the anchor is published without a period source, or
+  // before its first publish.
+  EXPECT_EQ(freshness_for(far), anchor);
+  sync.set_period_source(&dp);
+  EXPECT_EQ(freshness_for(far), anchor);
+
+  dp.submit(ca::FeedMessage::of(
+      dict::FreshnessStatement{ca.id(), ca.freshness_at(t0 + 30)}));
+  dp.publish(from_seconds(t0 + 30));
+  const crypto::Digest20 got = freshness_for(far);
+  EXPECT_EQ(got, ca.freshness_at(t0 + 30));
+  EXPECT_FALSE(crypto::HashChain::verify(got, 64, anchor));  // not the seed
+  // A requester behind the feed still gets the statement for its clock.
+  EXPECT_EQ(freshness_for(t0 + 10), ca.freshness_at(t0 + 10));
+}
+
 TEST(Dispatch, VersionSkewV1ClientV2Server) {
   V2Service server;  // speaks protocol version 2
   const auto req = make_request(svc::Method::status_query, {}, 5);  // v1
@@ -470,7 +513,7 @@ TEST(GossipEndpoint, ReconcileOverTransportMatchesDirectExchange) {
   bob_direct.observe(fake.signed_root);
   // The conflict is discovered once per side (alice observing bob's root,
   // bob observing alice's).
-  const auto direct = alice_direct.exchange(bob_direct);
+  const auto direct = ra::oracle::exchange(alice_direct, bob_direct);
   ASSERT_EQ(direct.size(), 2u);
 
   // The same exchange with Bob behind a transport.
