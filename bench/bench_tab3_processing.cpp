@@ -140,18 +140,52 @@ void BM_Client_SigAndFreshnessValidation(benchmark::State& state) {
 }
 BENCHMARK(BM_Client_SigAndFreshnessValidation);
 
+constexpr client::RitmClient::Config kClientConfig{
+    .delta = kDelta, .expect_ritm = true,
+    .require_server_confirmation = false};
+
 void BM_Client_FullStatusValidation(benchmark::State& state) {
-  // End-to-end step 5: what the client runs per handshake.
-  client::RitmClient client({.delta = kDelta, .expect_ritm = true,
-                             .require_server_confirmation = false},
-                            env().roots);
+  // End-to-end step 5: what the client runs per handshake. Each iteration
+  // gets a fresh client, so its verified-root memo is cold and the row
+  // keeps the signature check (BM_Client_Construct times the construction).
   const auto& status = *env().status;
   const auto& leaf = env().chain.front();
+  std::uint64_t verifications = 0;
+  for (auto _ : state) {
+    const client::RitmClient client(kClientConfig, env().roots);
+    benchmark::DoNotOptimize(client.validate_status(status, leaf, 1000));
+    verifications += client.root_memo_stats().verifications;
+  }
+  state.counters["sig_verifications"] = benchmark::Counter(
+      static_cast<double>(verifications), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_Client_FullStatusValidation);
+
+void BM_Client_FullStatusValidationWarm(benchmark::State& state) {
+  // The same status through one client whose memo already holds its signed
+  // root: a repeat of a root skips only the Ed25519 verification.
+  const client::RitmClient client(kClientConfig, env().roots);
+  const auto& status = *env().status;
+  const auto& leaf = env().chain.front();
+  benchmark::DoNotOptimize(client.validate_status(status, leaf, 1000));
+  const auto before = client.root_memo_stats().verifications;
   for (auto _ : state) {
     benchmark::DoNotOptimize(client.validate_status(status, leaf, 1000));
   }
+  state.counters["sig_verifications"] = benchmark::Counter(
+      static_cast<double>(client.root_memo_stats().verifications - before),
+      benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_Client_FullStatusValidation);
+BENCHMARK(BM_Client_FullStatusValidationWarm);
+
+void BM_Client_Construct(benchmark::State& state) {
+  // What the cold row pays on top of a validation.
+  for (auto _ : state) {
+    const client::RitmClient client(kClientConfig, env().roots);
+    benchmark::DoNotOptimize(client.roots().size());
+  }
+}
+BENCHMARK(BM_Client_Construct);
 
 void BM_CA_Insert1000(benchmark::State& state) {
   // Fig. 2 insert: 1000 new revocations into an existing dictionary,

@@ -15,7 +15,10 @@
 //              check; raw Unix seconds when it is odd, so ancient and
 //              far-future clocks reach the walk's cap. The client must never
 //              get a wrong verdict: `accepted` only for a serial the CA has
-//              not revoked, `revoked` only for one it has.
+//              not revoked, `revoked` only for one it has. The client lives
+//              across inputs, so its verified-root memo is warm; a fresh
+//              client, which must verify the signature, must give the same
+//              verdict.
 //   * dpi:     a packet payload to ra::inspect and ra::strip_status: the rest
 //              of the input verbatim when byte 1 is even, or XORed over a TLS
 //              application-data record followed by a genuine status record
@@ -58,6 +61,7 @@ struct Genuine {
 /// and statuses for revoked and unrevoked serials at three periods.
 struct Target {
   ca::CertificationAuthority ca;
+  cert::TrustStore roots;
   client::RitmClient client;
   std::vector<Genuine> statuses;
   Bytes packet;  // application-data record + a genuine status record
@@ -85,7 +89,8 @@ struct Target {
 
   Target()
       : ca(build_ca()),
-        client(client::RitmClient::Config{.delta = kDelta}, trust(ca)) {
+        roots(trust(ca)),
+        client(client::RitmClient::Config{.delta = kDelta}, roots) {
     for (const std::uint64_t serial : {3u, 4u, 300u, 601u, 1u}) {
       for (const UnixSeconds period : {0, 5, 40}) {
         cert::Certificate leaf;
@@ -145,6 +150,11 @@ void check_verdict(const std::uint8_t* data, std::size_t size) {
   const bool revoked = t.ca.dictionary().contains(g.leaf.serial);
   if (v == client::Verdict::accepted && revoked) __builtin_trap();
   if (v == client::Verdict::revoked && !revoked) __builtin_trap();
+  const client::RitmClient fresh(client::RitmClient::Config{.delta = kDelta},
+                                 t.roots);
+  if (fresh.validate_status_bytes(ByteSpan(status), g.leaf, now) != v) {
+    __builtin_trap();
+  }
 }
 
 void check_dpi(const std::uint8_t* data, std::size_t size) {

@@ -1,5 +1,7 @@
 #include "client/client.hpp"
 
+#include <algorithm>
+
 namespace ritm::client {
 
 const char* to_string(Verdict v) noexcept {
@@ -22,6 +24,39 @@ const char* to_string(Verdict v) noexcept {
 RitmClient::RitmClient(Config config, cert::TrustStore roots)
     : config_(config), roots_(std::move(roots)) {}
 
+bool RitmClient::VerifiedRoots::holds(const dict::SignedRoot& root) const {
+  return std::find(slots.begin(), slots.end(), root) != slots.end();
+}
+
+void RitmClient::VerifiedRoots::add(const dict::SignedRoot& root) {
+  slots[older] = root;
+  older = (older + 1) % kRootsPerCa;
+}
+
+RitmClient::RootMemoStats RitmClient::root_memo_stats() const noexcept {
+  return {verifications_.load(), memo_hits_.load()};
+}
+
+bool RitmClient::root_verifies(const dict::SignedRoot& root,
+                               const crypto::PublicKey& ca_key) const {
+  {
+    const std::lock_guard lock(memo_mu_);
+    const auto it = memo_.find(root.ca);
+    if (it != memo_.end() && it->second.holds(root)) {
+      ++memo_hits_;
+      return true;
+    }
+  }
+  // Verify outside the lock; two threads that miss on the same root may both
+  // verify it, and the second one finds it stored.
+  ++verifications_;
+  if (!root.verify(ca_key)) return false;
+  const std::lock_guard lock(memo_mu_);
+  VerifiedRoots& verified = memo_[root.ca];
+  if (!verified.holds(root)) verified.add(root);
+  return true;
+}
+
 Verdict RitmClient::validate_status_bytes(ByteSpan status_bytes,
                                           const cert::Certificate& leaf,
                                           UnixSeconds now) const {
@@ -37,7 +72,9 @@ Verdict RitmClient::validate_status(const dict::RevocationStatus& status,
   if (status.signed_root.ca != leaf.issuer) return Verdict::issuer_mismatch;
   const auto ca_key = roots_.find(leaf.issuer);
   if (!ca_key) return Verdict::unknown_ca;
-  if (!status.signed_root.verify(*ca_key)) return Verdict::bad_signature;
+  if (!root_verifies(status.signed_root, *ca_key)) {
+    return Verdict::bad_signature;
+  }
 
   // Step 5c: freshness no older than 2∆. The statement for period p walks
   // to the committed anchor in exactly p hash steps; with

@@ -7,10 +7,21 @@
 // p' or p'+1 steps to the committed anchor). On established connections the
 // client expects a fresh status at least every ∆ and interrupts the
 // connection otherwise — this closes the mid-connection revocation race.
+//
+// Each status carries the CA's signed root, and the CA re-signs its root only
+// when its dictionary changes (freshness comes from the hash chain), so every
+// status served under one root carries the same signed-root bytes. The client
+// therefore runs the Ed25519 check once per signed root: a small memo holds,
+// per trusted CA, the last two roots that verified under that CA's key, and a
+// status whose signed root equals one of them, byte for byte, skips only the
+// signature check. Freshness and the proof are checked on every status.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <string>
 
@@ -63,9 +74,20 @@ class RitmClient {
     std::uint64_t interrupts = 0;  // established connections torn down
   };
 
+  /// Signature checks behind the verified-root memo: Ed25519 verifications
+  /// run, and statuses whose signed root the memo already held.
+  struct RootMemoStats {
+    std::uint64_t verifications = 0;
+    std::uint64_t hits = 0;
+  };
+
   RitmClient(Config config, cert::TrustStore roots);
 
   /// Validates one revocation status for `leaf` (step 5 checks b and c).
+  /// validate_status and validate_status_bytes may be called concurrently
+  /// from any number of threads: they touch only the memo, which locks
+  /// itself. The other non-const calls below track connections and stats
+  /// and must stay on one thread.
   Verdict validate_status(const dict::RevocationStatus& status,
                           const cert::Certificate& leaf,
                           UnixSeconds now) const;
@@ -99,8 +121,27 @@ class RitmClient {
 
   const Stats& stats() const noexcept { return stats_; }
   const cert::TrustStore& roots() const noexcept { return roots_; }
+  RootMemoStats root_memo_stats() const noexcept;
 
  private:
+  /// Two roots per CA: while a CA rolls over to a new root, statuses under
+  /// the old and the new root interleave for up to one ∆ (the p'-1 case in
+  /// validate_status). A third root replaces the older of the two.
+  static constexpr std::size_t kRootsPerCa = 2;
+
+  /// The roots of one CA that verified under its trust-store key.
+  struct VerifiedRoots {
+    std::array<std::optional<dict::SignedRoot>, kRootsPerCa> slots;
+    std::size_t older = 0;  // the slot the next root replaces
+
+    bool holds(const dict::SignedRoot& root) const;
+    void add(const dict::SignedRoot& root);
+  };
+
+  /// True if `root` verifies under `ca_key`, its CA's trust-store key.
+  bool root_verifies(const dict::SignedRoot& root,
+                     const crypto::PublicKey& ca_key) const;
+
   struct Connection {
     cert::Certificate leaf;
     UnixSeconds last_status = 0;
@@ -117,6 +158,16 @@ class RitmClient {
   cert::TrustStore roots_;
   Stats stats_;
   std::map<sim::FlowKey, Connection, FlowLess> connections_;
+
+  // The verified-root memo. The trust store is fixed at construction, so a
+  // root that verified under its CA's key stays verified and no entry ever
+  // needs invalidating. Entries are added only for CAs found in the trust
+  // store, after the signature verified: at most kRootsPerCa x roots_.size()
+  // roots, whatever a peer sends.
+  mutable std::mutex memo_mu_;
+  mutable std::map<cert::CaId, VerifiedRoots> memo_;
+  mutable std::atomic<std::uint64_t> verifications_{0};
+  mutable std::atomic<std::uint64_t> memo_hits_{0};
 };
 
 }  // namespace ritm::client

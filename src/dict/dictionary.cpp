@@ -209,7 +209,10 @@ bool Dictionary::update(const std::vector<cert::SerialNumber>& serials,
                         std::uint64_t expected_n) {
   const std::uint64_t old_size = size();
   insert(serials);
-  if (size() == expected_n && root() == expected_root) return true;
+  const bool matches = size() == expected_n && root() == expected_root;
+  // An insert that added nothing changed nothing: no rollback, and no arena
+  // that a frozen copy shares detaches.
+  if (matches || size() == old_size) return matches;
 
   // Reject and roll back: drop every entry numbered above old_size and
   // rebuild the tree from scratch (the incremental path only grows), which

@@ -1,10 +1,15 @@
 // RITM client tests: the step-5 validation policy (chain, absence proof,
 // freshness window), revoked-certificate rejection, downgrade detection,
-// and the 2∆ interrupt rule for established connections.
+// the 2∆ interrupt rule for established connections, and the verified-root
+// memo (one signature check per signed root, and never a different verdict).
 #include <gtest/gtest.h>
+
+#include <map>
+#include <memory>
 
 #include "ca/authority.hpp"
 #include "client/client.hpp"
+#include "ed25519_oracle.hpp"
 #include "ra/agent.hpp"
 #include "tls/session.hpp"
 
@@ -286,6 +291,265 @@ TEST_F(ClientTest, MidConnectionRevocationTearsDown) {
   EXPECT_EQ(client.process_established(data, 2012), Verdict::revoked);
   EXPECT_EQ(client.connection_count(), 0u);
   EXPECT_EQ(client.stats().interrupts, 1u);
+}
+
+// ------------------------------------------------ the verified-root memo
+
+/// `status` with `oracle::group_order()` added to its signature's S: the
+/// same equation with a non-canonical scalar.
+dict::RevocationStatus malleate(dict::RevocationStatus status) {
+  auto& sig = status.signed_root.signature;
+  unsigned carry = 0;
+  for (std::size_t j = 0; j < 32; ++j) {
+    const unsigned v = sig[32 + j] + crypto::oracle::group_order()[j] + carry;
+    sig[32 + j] = static_cast<std::uint8_t>(v);
+    carry = v >> 8;
+  }
+  return status;
+}
+
+TEST_F(ClientTest, RootMemoVerifiesEachSignedRootOnce) {
+  // Statuses for other serials and later freshness periods under one
+  // signed root carry the same signed-root bytes: one Ed25519 verification
+  // covers all of them.
+  auto client = make_client();
+  const auto first = *store_.status_for("CA-1", leaf_.serial);
+  const UnixSeconds t = first.signed_root.timestamp;
+  constexpr std::uint64_t kStatuses = 40;
+  for (std::uint64_t i = 0; i < kStatuses; ++i) {
+    const UnixSeconds now = t + static_cast<UnixSeconds>(i / 5) * kDelta;
+    refresh_store(now);
+    cert::Certificate leaf = leaf_;
+    leaf.serial = SerialNumber::from_uint(1000 + i, 3);
+    const auto status = *store_.status_for("CA-1", leaf.serial);
+    ASSERT_EQ(status.signed_root, first.signed_root);
+    EXPECT_EQ(client.validate_status(status, leaf, now), Verdict::accepted);
+  }
+  EXPECT_EQ(client.root_memo_stats().verifications, 1u);
+  EXPECT_EQ(client.root_memo_stats().hits, kStatuses - 1);
+}
+
+TEST_F(ClientTest, RootMemoMissesAnotherSignatureOverTheSameRoot) {
+  auto client = make_client();
+  const auto genuine = *store_.status_for("CA-1", leaf_.serial);
+  const UnixSeconds t = genuine.signed_root.timestamp;
+  ASSERT_EQ(client.validate_status(genuine, leaf_, t), Verdict::accepted);
+
+  // The memoized root's fields under another signature: a bit flip, and
+  // the malleated S + L. Each is a miss, verified and rejected, and a
+  // rejected root is never stored, so a repeat is verified again.
+  auto flipped = genuine;
+  flipped.signed_root.signature[17] ^= 0x04;
+  const auto malleated = malleate(genuine);
+  for (const auto& status : {flipped, malleated, flipped}) {
+    EXPECT_EQ(client.validate_status(status, leaf_, t),
+              Verdict::bad_signature);
+  }
+  EXPECT_EQ(client.root_memo_stats().verifications, 4u);
+  EXPECT_EQ(client.root_memo_stats().hits, 0u);
+  EXPECT_EQ(client.validate_status(genuine, leaf_, t), Verdict::accepted);
+  EXPECT_EQ(client.root_memo_stats().hits, 1u);
+}
+
+TEST_F(ClientTest, RootMemoIsPerCa) {
+  Rng rng(77);
+  ca::CertificationAuthority::Config cfg;
+  cfg.id = "CA-2";
+  cfg.delta = kDelta;
+  ca::CertificationAuthority ca2(cfg, rng, 1000);
+  ca2.revoke({SerialNumber::from_uint(999999, 3)}, 1000);
+  roots_.add(ca2.id(), ca2.public_key());
+  auto client = make_client();
+  cert::Certificate leaf2 = leaf_;
+  leaf2.issuer = ca2.id();
+
+  const auto x = *store_.status_for("CA-1", leaf_.serial);
+  const UnixSeconds t = x.signed_root.timestamp;
+  const auto y = ca2.status_for(leaf2.serial, t);
+  ASSERT_EQ(client.validate_status(x, leaf_, t), Verdict::accepted);
+  ASSERT_EQ(client.validate_status(y, leaf2, t), Verdict::accepted);
+
+  // CA-1's memoized root, in a status for a certificate CA-2 issued...
+  EXPECT_EQ(client.validate_status(x, leaf2, t), Verdict::issuer_mismatch);
+  // ...and with its `ca` rewritten to CA-2, whose key it does not verify
+  // under, though both CAs' memos are warm.
+  auto rewritten = x;
+  rewritten.signed_root.ca = ca2.id();
+  EXPECT_EQ(client.validate_status(rewritten, leaf2, t),
+            Verdict::bad_signature);
+  EXPECT_EQ(client.root_memo_stats().verifications, 3u);
+  EXPECT_EQ(client.root_memo_stats().hits, 0u);
+}
+
+TEST_F(ClientTest, RootMemoKeepsTheTwoNewestRootsPerCa) {
+  auto client = make_client();
+  std::vector<dict::RevocationStatus> statuses;
+  for (UnixSeconds r = 0; r < 3; ++r) {
+    if (r > 0) {
+      const UnixSeconds when = 1000 + r * kDelta;
+      const auto serial =
+          SerialNumber::from_uint(500 + static_cast<std::uint64_t>(r), 3);
+      store_.apply_issuance(ca_.revoke({serial}, when), when);
+    }
+    statuses.push_back(*store_.status_for("CA-1", leaf_.serial));
+  }
+  ASSERT_NE(statuses[0].signed_root, statuses[1].signed_root);
+  ASSERT_NE(statuses[1].signed_root, statuses[2].signed_root);
+  const auto validate = [&](std::size_t r) {
+    return client.validate_status(statuses[r], leaf_,
+                                  statuses[r].signed_root.timestamp);
+  };
+  const auto verifications = [&] {
+    return client.root_memo_stats().verifications;
+  };
+
+  for (const std::size_t r : {0, 1, 0, 1}) {
+    EXPECT_EQ(validate(r), Verdict::accepted);
+  }
+  EXPECT_EQ(verifications(), 2u);
+  // A third root replaces the older of the two...
+  EXPECT_EQ(validate(2), Verdict::accepted);
+  EXPECT_EQ(verifications(), 3u);
+  EXPECT_EQ(validate(1), Verdict::accepted);
+  EXPECT_EQ(validate(2), Verdict::accepted);
+  EXPECT_EQ(verifications(), 3u);
+  // ...which is verified again when it comes back.
+  EXPECT_EQ(validate(0), Verdict::accepted);
+  EXPECT_EQ(verifications(), 4u);
+}
+
+TEST_F(ClientTest, RootMemoAgreesWithTheOracleOnSignatureShapes) {
+  // Ed25519Differential's shapes (crypto_test) on a genuine signed root:
+  // its signature, its signed fields and the trust key mutated. Under each
+  // trust key one client stays warm across every shape, and it must agree
+  // with a fresh client; the verdict is bad_signature exactly when the
+  // reference verifier rejects the root's tbs().
+  namespace oracle = crypto::oracle;
+  using oracle::Bytes32;
+  Rng rng(20261019);
+  const auto genuine = *store_.status_for("CA-1", leaf_.serial);
+  const UnixSeconds t = genuine.signed_root.timestamp;
+  const crypto::PublicKey ca_key = ca_.public_key();
+  Bytes32 r_half, s_half;
+  std::copy_n(genuine.signed_root.signature.begin(), 32, r_half.begin());
+  std::copy_n(genuine.signed_root.signature.begin() + 32, 32, s_half.begin());
+
+  std::map<crypto::PublicKey, std::unique_ptr<RitmClient>> warm;
+  int cases = 0;
+  int verified = 0;
+  const auto check = [&](const dict::SignedRoot& root,
+                         const crypto::PublicKey& key) {
+    cert::TrustStore roots;
+    roots.add(root.ca, key);
+    const RitmClient::Config cfg{.delta = kDelta};
+    auto& client = warm[key];
+    if (!client) client = std::make_unique<RitmClient>(cfg, roots);
+    const RitmClient fresh(cfg, roots);
+    auto status = genuine;
+    status.signed_root = root;
+    const Verdict v = client->validate_status(status, leaf_, t);
+    EXPECT_EQ(v, fresh.validate_status(status, leaf_, t)) << to_string(v);
+    const Bytes tbs = root.tbs();
+    const bool ok = oracle::verify(ByteSpan(tbs), root.signature, key);
+    EXPECT_EQ(v == Verdict::bad_signature, !ok) << to_string(v);
+    ++cases;
+    verified += ok ? 1 : 0;
+  };
+  const auto signed_with = [&](const Bytes32& r, const Bytes32& s) {
+    dict::SignedRoot root = genuine.signed_root;
+    std::copy(r.begin(), r.end(), root.signature.begin());
+    std::copy(s.begin(), s.end(), root.signature.begin() + 32);
+    return root;
+  };
+  const auto random_reduced_scalar = [&] {
+    std::array<std::uint8_t, 64> x;
+    const Bytes b = rng.bytes(64);
+    std::copy(b.begin(), b.end(), x.begin());
+    return oracle::reduce64(x);
+  };
+  const auto flip = [&](auto buf) {
+    const std::size_t bit = rng.uniform(buf.size() * 8);
+    buf[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    return buf;
+  };
+
+  check(genuine.signed_root, ca_key);  // warms the CA key's memo
+
+  // Single bit flips in the signature, in a signed field and in the key.
+  for (int i = 0; i < 40; ++i) {
+    dict::SignedRoot root = genuine.signed_root;
+    root.signature = flip(root.signature);
+    check(root, ca_key);
+    root = genuine.signed_root;
+    if (i % 2 == 0) {
+      root.root = flip(root.root);
+    } else {
+      root.freshness_anchor = flip(root.freshness_anchor);
+    }
+    check(root, ca_key);
+    check(genuine.signed_root, flip(ca_key));
+  }
+
+  // Random 64-byte signatures: raw (S is mostly >= L), and with S below
+  // 2^252 so the whole equation runs.
+  for (int i = 0; i < 20; ++i) {
+    const Bytes raw = rng.bytes(64);
+    dict::SignedRoot root = genuine.signed_root;
+    std::copy(raw.begin(), raw.end(), root.signature.begin());
+    check(root, ca_key);
+    root.signature[63] &= 0x0F;
+    check(root, ca_key);
+  }
+
+  // S in {0, L - 1, L, 2^256 - 1} behind the genuine R, and the malleated
+  // S + L.
+  Bytes32 zero{}, l_minus_1 = oracle::group_order(), ones;
+  l_minus_1[0] -= 1;
+  ones.fill(0xFF);
+  for (const Bytes32& s : {zero, l_minus_1, oracle::group_order(), ones}) {
+    check(signed_with(r_half, s), ca_key);
+  }
+  check(malleate(genuine).signed_root, ca_key);
+
+  // R = identity, under the CA's key and small-order keys.
+  const auto small = oracle::small_order_encodings();
+  for (std::size_t i = 0; i < 16; ++i) {
+    const crypto::PublicKey key = i % 2 == 0 ? ca_key : small[(i / 2) % 8];
+    const Bytes32 s = i % 3 == 0 ? zero : random_reduced_scalar();
+    check(signed_with(small[0], s), key);
+  }
+
+  // The eight small-order keys: R = r*B and S = r verify exactly when k*A
+  // vanishes, which depends on k mod the key's order.
+  for (const auto& key : small) {
+    for (int j = 0; j < 4; ++j) {
+      const Bytes32 r = random_reduced_scalar();
+      check(signed_with(oracle::encode(oracle::scalarmult(oracle::base(), r)),
+                        r),
+            key);
+    }
+  }
+
+  // Random 32-byte keys: about half are not curve points.
+  for (int i = 0; i < 10; ++i) {
+    crypto::PublicKey key;
+    const Bytes b = rng.bytes(32);
+    std::copy(b.begin(), b.end(), key.begin());
+    check(genuine.signed_root, key);
+  }
+
+  // The encodings with y >= p, as the key and as R.
+  for (const auto& enc : oracle::non_canonical_encodings()) {
+    check(genuine.signed_root, enc);
+    check(signed_with(enc, s_half), ca_key);
+  }
+
+  // The CA key's memo still holds the genuine root after every rejection.
+  check(genuine.signed_root, ca_key);
+  EXPECT_EQ(warm.at(ca_key)->root_memo_stats().hits, 1u);
+  EXPECT_GE(cases, 250);
+  EXPECT_GE(verified, 5);  // both verdicts represented
+  EXPECT_GE(cases - verified, 200);
 }
 
 }  // namespace

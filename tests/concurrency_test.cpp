@@ -1,7 +1,8 @@
 // Concurrency suite (ctest label: tsan): first use of the shared Ed25519
 // base-point table from several threads, dictionary readers racing each
-// other straight after an insert, and store readers racing each other
-// after a rejected issuance. Built with -DRITM_SANITIZE=thread these
+// other straight after an insert, store readers racing each other after a
+// rejected issuance, and client validations racing through one client's
+// verified-root memo. Built with -DRITM_SANITIZE=thread these
 // tests run under ThreadSanitizer, which is the point; the label's other
 // suite, checkpoint_test, serves over TCP while the updater pulls and the
 // background checkpointer runs.
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "ca/authority.hpp"
+#include "client/client.hpp"
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "crypto/ed25519.hpp"
@@ -167,6 +169,88 @@ TEST(StoreReaders, ProofsVerifyAfterARejectedIssuance) {
   for (int t = 0; t < kReaders; ++t) {
     EXPECT_EQ(failures[static_cast<std::size_t>(t)], 0) << "reader " << t;
   }
+}
+
+// ------------------------------------------ the client's verified-root memo
+
+// Four threads validate statuses of one CA through one client while the
+// statuses rotate through three signed roots, so the memo's two slots are
+// filled and evicted concurrently. Every verdict must be the one a fresh
+// client gave beforehand, and every validation is either a verification or
+// a memo hit.
+TEST(ClientRootMemo, ConcurrentValidationsMatchAFreshClient) {
+  Rng rng(11);
+  ca::CertificationAuthority::Config cfg;
+  cfg.id = "CA-MEMO";
+  cfg.delta = 10;
+  cfg.chain_length = 8;
+  ca::CertificationAuthority ca(cfg, rng, 1000);
+  cert::TrustStore roots;
+  roots.add(ca.id(), ca.public_key());
+  const client::RitmClient::Config ccfg{.delta = cfg.delta};
+
+  struct Case {
+    dict::RevocationStatus status;
+    cert::Certificate leaf;
+    UnixSeconds now = 0;
+    client::Verdict want = client::Verdict::accepted;
+  };
+  constexpr std::size_t kRoots = 3;
+  constexpr std::size_t kPerRoot = 6;
+  std::vector<Case> cases;  // kPerRoot consecutive cases per root
+  for (std::size_t r = 0; r < kRoots; ++r) {
+    const UnixSeconds t = 1000 + 10 * static_cast<UnixSeconds>(r);
+    ca.revoke({cert::SerialNumber::from_uint(2 * r + 1, 4)}, t);
+    for (std::uint64_t serial = 1; serial < kPerRoot; ++serial) {
+      Case c;
+      c.leaf.issuer = ca.id();
+      c.leaf.serial = cert::SerialNumber::from_uint(serial, 4);
+      c.status = ca.status_for(c.leaf.serial, t);
+      c.now = t;
+      cases.push_back(c);
+    }
+    Case tampered = cases.back();
+    tampered.status.signed_root.signature[40] ^= 0x10;
+    cases.push_back(tampered);
+  }
+  for (Case& c : cases) {
+    const client::RitmClient fresh(ccfg, roots);
+    c.want = fresh.validate_status(c.status, c.leaf, c.now);
+  }
+  ASSERT_EQ(cases.front().want, client::Verdict::revoked);
+  ASSERT_EQ(cases[1].want, client::Verdict::accepted);
+  ASSERT_EQ(cases.back().want, client::Verdict::bad_signature);
+
+  const client::RitmClient shared(ccfg, roots);
+  constexpr int kThreads = 4;
+  constexpr std::size_t kRun = 4;  // statuses per root before moving on
+  constexpr std::size_t kValidations = 96;
+  std::atomic<int> ready{0};
+  std::vector<int> wrong(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (std::size_t i = 0; i < kValidations; ++i) {
+        const std::size_t root = (i / kRun + static_cast<std::size_t>(t)) %
+                                 kRoots;
+        const Case& c = cases[root * kPerRoot + (i + i / kRun) % kPerRoot];
+        if (shared.validate_status(c.status, c.leaf, c.now) != c.want) {
+          ++wrong[static_cast<std::size_t>(t)];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(wrong[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  }
+  const auto memo = shared.root_memo_stats();
+  EXPECT_EQ(memo.verifications + memo.hits, kThreads * kValidations);
+  EXPECT_GE(memo.verifications, kRoots);
+  EXPECT_GE(memo.hits, 1u);
 }
 
 }  // namespace

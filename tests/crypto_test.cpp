@@ -314,6 +314,8 @@ TEST(Sha512, MillionAs) {
 // ------------------------------------------------------------ field/group
 
 namespace oracle = ritm::crypto::oracle;
+using oracle::non_canonical_encodings;
+using oracle::small_order_encodings;
 using detail::Fe;
 using detail::Ge;
 using Bytes32 = std::array<std::uint8_t, 32>;
@@ -583,23 +585,6 @@ TEST(Ge25519, CompressDecompressRoundTrip) {
   }
 }
 
-// The eight points of order dividing 8, canonically encoded.
-std::vector<Bytes32> small_order_encodings() {
-  std::vector<Bytes32> out;
-  for (const char* hex :
-       {"0100000000000000000000000000000000000000000000000000000000000000",
-        "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
-        "0000000000000000000000000000000000000000000000000000000000000000",
-        "0000000000000000000000000000000000000000000000000000000000000080",
-        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
-        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
-        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
-        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa"}) {
-    out.push_back(bytes32(from_hex(hex)));
-  }
-  return out;
-}
-
 TEST(Ge25519, SmallOrderPointsDecodeAndVanishTimesEight) {
   for (const auto& enc : small_order_encodings()) {
     const auto p = detail::ge_from_bytes(enc);
@@ -607,21 +592,6 @@ TEST(Ge25519, SmallOrderPointsDecodeAndVanishTimesEight) {
     EXPECT_EQ(detail::ge_to_bytes(*p), enc);
     EXPECT_TRUE(same(dbl(dbl(dbl(*p))), detail::ge_identity())) << hex_of(enc);
   }
-}
-
-// The 38 encodings with y >= p: y = p + i for i < 19, either sign bit.
-std::vector<Bytes32> non_canonical_encodings() {
-  std::vector<Bytes32> out;
-  for (int i = 0; i < 19; ++i) {
-    for (const std::uint8_t sign : {0x00, 0x80}) {
-      Bytes32 e;
-      e.fill(0xFF);
-      e[0] = static_cast<std::uint8_t>(0xED + i);
-      e[31] = static_cast<std::uint8_t>(0x7F | sign);
-      out.push_back(e);
-    }
-  }
-  return out;
 }
 
 TEST(Ge25519, NonCanonicalYIsRejected) {

@@ -643,6 +643,36 @@ TEST(Insert, AllDuplicateBatchesLeaveFrozenArenasShared) {
   }
 }
 
+TEST(Update, RejectedUpdateThatAddsNothingTouchesNothing) {
+  // An untrusted edge can pair the genuine next root (size n + k) with k
+  // serials that are already present. The replay adds nothing, so the
+  // rejection has nothing to roll back: no hashing, and the arenas a frozen
+  // copy shares stay shared.
+  Dictionary d;
+  d.insert(serial_range(1, 1000));
+  Dictionary ca = d;
+  ca.insert({sn(5000), sn(5001)});
+  const Dictionary frozen = d;  // O(1): shares all three arenas
+  const DictSections shared = frozen.snapshot_sections();
+  const std::uint64_t hashes = d.total_hash_count();
+
+  EXPECT_FALSE(d.update({sn(7), sn(8)}, ca.root(), ca.size()));
+  EXPECT_EQ(d.total_hash_count(), hashes);
+  const DictSections after = d.snapshot_sections();
+  EXPECT_EQ(after.log.data(), shared.log.data());
+  EXPECT_EQ(after.sorted.data(), shared.sorted.data());
+  EXPECT_EQ(after.tree.data(), shared.tree.data());
+  EXPECT_EQ(d.size(), 1000u);
+  EXPECT_EQ(d.root(), frozen.root());
+
+  // A rejected batch that is partly new still rolls back to the old root,
+  // and the genuine batch is accepted afterwards.
+  EXPECT_FALSE(d.update({sn(7), sn(6000)}, ca.root(), ca.size()));
+  EXPECT_EQ(d.size(), 1000u);
+  EXPECT_EQ(d.root(), frozen.root());
+  EXPECT_TRUE(d.update({sn(5000), sn(5001)}, ca.root(), ca.size()));
+}
+
 TEST(Restore, ForgedEntryCountIsRejectedBeforeAllocating) {
   // Every entry costs at least 6 input bytes, so a count above a sixth of
   // the remaining input is refused outright rather than reserved for.

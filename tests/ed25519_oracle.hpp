@@ -1,19 +1,22 @@
 // Reference Ed25519 verification for the differential tests in
-// crypto_test.cpp and the fuzz_ed25519 target. It is the equation check the
-// library ran before verify() became one double-scalar multiplication, kept
-// as an oracle: canonical S, the canonical-decoding rule for both A and R
-// (y < p, a point on the curve, no negative zero), two independent 4-bit
-// fixed-window scalar multiplications, and the projective comparison
-// s*B == R + k*A. Reductions mod L use bit-serial long division and the
-// square roots a generic square-and-multiply ladder. Only the library's
-// fe_add/fe_sub/fe_mul/fe_to_bytes are shared (squarings here are plain
-// multiplications); they carry tests of their own. Slow on purpose.
+// crypto_test.cpp and client_test.cpp and the fuzz_ed25519 target. It is the
+// equation check the library ran before verify() became one double-scalar
+// multiplication, kept as an oracle: canonical S, the canonical-decoding
+// rule for both A and R (y < p, a point on the curve, no negative zero), two
+// independent 4-bit fixed-window scalar multiplications, and the projective
+// comparison s*B == R + k*A. Reductions mod L use bit-serial long division
+// and the square roots a generic square-and-multiply ladder. Only the
+// library's fe_add/fe_sub/fe_mul/fe_to_bytes are shared (squarings here are
+// plain multiplications); they carry tests of their own. Slow on purpose.
+// The small-order and non-canonical point encodings the differential tests
+// feed both sides live here too.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "crypto/ed25519.hpp"
@@ -307,6 +310,41 @@ inline bool verify(ByteSpan message, const Signature& sig,
   h.update(message);
   const Bytes32 k = reduce64(h.finish());
   return equal(scalarmult(base(), s), add(*r, scalarmult(*a, k)));
+}
+
+// The eight points of order dividing 8, canonically encoded.
+inline std::vector<Bytes32> small_order_encodings() {
+  std::vector<Bytes32> out;
+  for (const char* hex :
+       {"0100000000000000000000000000000000000000000000000000000000000000",
+        "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000080",
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa"}) {
+    const Bytes b = from_hex(hex);
+    Bytes32 enc;
+    std::memcpy(enc.data(), b.data(), enc.size());
+    out.push_back(enc);
+  }
+  return out;
+}
+
+// The 38 encodings with y >= p: y = p + i for i < 19, either sign bit.
+inline std::vector<Bytes32> non_canonical_encodings() {
+  std::vector<Bytes32> out;
+  for (int i = 0; i < 19; ++i) {
+    for (const std::uint8_t sign : {0x00, 0x80}) {
+      Bytes32 e;
+      e.fill(0xFF);
+      e[0] = static_cast<std::uint8_t>(0xED + i);
+      e[31] = static_cast<std::uint8_t>(0x7F | sign);
+      out.push_back(e);
+    }
+  }
+  return out;
 }
 
 }  // namespace ritm::crypto::oracle
