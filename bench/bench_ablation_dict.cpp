@@ -4,8 +4,11 @@
 //  2. Batch insert vs one-at-a-time insert (the rebuild amortization).
 //  3. Freshness chain length m: CA re-sign cost vs statement cost.
 //
-// Numbers (ops/sec, ns/op, rehash counts) are also written to BENCH_dict.json
-// so successive PRs have a machine-readable perf trajectory.
+// Each table's deterministic columns (sizes, depths, rebuild and rehash
+// counts) go to stdout, which tests/golden/bench_ablation_dict.txt pins byte
+// for byte; its timing columns go to stderr. Numbers (ops/sec, ns/op, rehash
+// counts) are also written to BENCH_dict.json so successive PRs have a
+// machine-readable perf trajectory.
 #include <chrono>
 #include <cstdio>
 
@@ -37,8 +40,9 @@ int main() {
   std::uint64_t tree_rehashes = 0, treap_rehashes = 0;
   std::size_t tree_proof_bytes = 0, treap_proof_bytes = 0;
 
-  std::printf("== ablation 1: proof size / latency vs dictionary size ==\n\n");
-  Table t1({"n", "proof bytes", "prove (us)", "verify (us)", "depth"});
+  std::printf("== ablation 1: proof size vs dictionary size ==\n\n");
+  Table t1({"n", "proof bytes", "depth"});
+  Table t1_time({"n", "prove (us)", "verify (us)"});
   for (std::uint64_t n : {1'000ull, 10'000ull, 100'000ull, 1'000'000ull}) {
     dict::Dictionary d;
     std::vector<cert::SerialNumber> serials;
@@ -81,10 +85,13 @@ int main() {
       proof_bytes_100k = size.mean();
     }
     t1.add_row({Table::num(n), Table::num(size.mean(), 0),
-                Table::num(prove_us, 1), Table::num(verify_us, 1),
                 Table::num(std::uint64_t(depth))});
+    t1_time.add_row({Table::num(n), Table::num(prove_us, 1),
+                     Table::num(verify_us, 1)});
   }
   std::printf("%s\n", t1.render().c_str());
+  std::fprintf(stderr, "== ablation 1: prove/verify latency ==\n\n%s\n",
+               t1_time.render().c_str());
 
   std::printf("== ablation 2: batch vs incremental insert (10k entries) ==\n\n");
   {
@@ -92,14 +99,16 @@ int main() {
     for (std::uint64_t i = 0; i < 10'000; ++i) {
       serials.push_back(cert::SerialNumber::from_uint(i * 3 + 1, 4));
     }
-    Table t2({"strategy", "total ms", "rebuilds"});
+    Table t2({"strategy", "rebuilds"});
+    Table t2_time({"strategy", "total ms"});
 
     auto start = std::chrono::steady_clock::now();
     dict::Dictionary batch;
     batch.insert(serials);
     const double batch_ms =
         us_per_op(std::chrono::steady_clock::now() - start, 1) / 1000.0;
-    t2.add_row({"one batch", Table::num(batch_ms, 1), "1"});
+    t2.add_row({"one batch", "1"});
+    t2_time.add_row({"one batch", Table::num(batch_ms, 1)});
 
     start = std::chrono::steady_clock::now();
     dict::Dictionary incremental;
@@ -111,7 +120,8 @@ int main() {
     }
     const double inc_ms =
         us_per_op(std::chrono::steady_clock::now() - start, 1) / 1000.0;
-    t2.add_row({"100-entry issuances", Table::num(inc_ms, 1), "100"});
+    t2.add_row({"100-entry issuances", "100"});
+    t2_time.add_row({"100-entry issuances", Table::num(inc_ms, 1)});
 
     if (batch.root() != incremental.root()) {
       std::printf("ROOT MISMATCH\n");
@@ -120,14 +130,18 @@ int main() {
     batch_ms_final = batch_ms;
     inc_ms_final = inc_ms;
     std::printf("%s\n", t2.render().c_str());
+    std::fprintf(stderr, "== ablation 2: insert time ==\n\n%s\n",
+                 t2_time.render().c_str());
   }
 
   std::printf("== ablation 2b: sorted Merkle tree vs Merkle treap ==\n\n");
   {
-    // The paper's structure rebuilds O(n) per issuance; the treap rehashes
-    // only the insertion spine, at the cost of ~2x larger proofs. Stream a
+    // The sorted tree rehashes every leaf from a batch's first insertion
+    // point on, plus their ancestors; the treap rehashes only each
+    // insertion's spine, at the cost of ~1.5x larger proofs. Stream a
     // Heartbleed-hour of issuances (120 batches of 50) into a 50k-entry
-    // dictionary and compare.
+    // dictionary and compare. These serials all sort after the base, so
+    // every tree batch is an append.
     constexpr std::uint64_t kBase = 50'000;
     std::vector<cert::SerialNumber> base;
     for (std::uint64_t i = 0; i < kBase; ++i) {
@@ -170,15 +184,17 @@ int main() {
     const auto tree_proof = tree.prove(probe).wire_size();
     const auto treap_proof = treap.prove(probe).wire_size();
 
-    Table t2b({"backend", "120 issuances (ms)", "rehashes",
-               "absence proof (B)"});
-    t2b.add_row({"sorted Merkle tree (paper)", Table::num(tree_ms, 1),
-                 Table::num(tree_rehashes),
+    Table t2b({"backend", "rehashes", "absence proof (B)"});
+    t2b.add_row({"sorted Merkle tree (paper)", Table::num(tree_rehashes),
                  Table::num(std::uint64_t(tree_proof))});
-    t2b.add_row({"Merkle treap", Table::num(treap_ms, 1),
-                 Table::num(treap_rehashes),
+    t2b.add_row({"Merkle treap", Table::num(treap_rehashes),
                  Table::num(std::uint64_t(treap_proof))});
     std::printf("%s\n", t2b.render().c_str());
+    Table t2b_time({"backend", "120 issuances (ms)"});
+    t2b_time.add_row({"sorted Merkle tree (paper)", Table::num(tree_ms, 1)});
+    t2b_time.add_row({"Merkle treap", Table::num(treap_ms, 1)});
+    std::fprintf(stderr, "== ablation 2b: issuance time ==\n\n%s\n",
+                 t2b_time.render().c_str());
     tree_ms_final = tree_ms;
     treap_ms_final = treap_ms;
     tree_proof_bytes = tree_proof;
@@ -191,7 +207,8 @@ int main() {
     // against nothing on the verifier side (statements are O(gap) to
     // check). Build cost scales linearly with m, up to the longest chain
     // a verifier walks.
-    Table t3({"m", "build (us)", "re-signs/day (d=10s)"});
+    Table t3({"m", "re-signs/day (d=10s)"});
+    Table t3_time({"m", "build (us)"});
     for (std::size_t m :
          {std::size_t{64}, std::size_t{1024}, std::size_t{8640},
           std::size_t{crypto::HashChain::kMaxFreshnessWalk}}) {
@@ -200,10 +217,13 @@ int main() {
       const auto start = std::chrono::steady_clock::now();
       crypto::HashChain chain(v, m);
       const double us = us_per_op(std::chrono::steady_clock::now() - start, 1);
-      t3.add_row({Table::num(std::uint64_t(m)), Table::num(us, 0),
+      t3.add_row({Table::num(std::uint64_t(m)),
                   Table::num(8640.0 / double(m), 2)});
+      t3_time.add_row({Table::num(std::uint64_t(m)), Table::num(us, 0)});
     }
     std::printf("%s", t3.render().c_str());
+    std::fprintf(stderr, "== ablation 3: chain build time ==\n\n%s",
+                 t3_time.render().c_str());
   }
 
   if (std::FILE* f = std::fopen("BENCH_dict.json", "w")) {

@@ -24,9 +24,10 @@ int main() {
   cfg.id = "CA-1";
   ca::CertificationAuthority ca(cfg, rng, 0);
 
+  // Message m carries kCounts[m] serials the CA has not revoked before.
   const std::size_t kCounts[] = {0, 15'000, 30'000, 45'000, 60'000};
   std::vector<Bytes> messages;
-  std::size_t issued = 0;
+  std::uint64_t next_serial = 1;
   for (std::size_t count : kCounts) {
     if (count == 0) {
       // Only a freshness statement.
@@ -35,11 +36,10 @@ int main() {
       continue;
     }
     std::vector<cert::SerialNumber> serials;
-    serials.reserve(count - issued);
-    for (std::size_t i = issued; i < count; ++i) {
-      serials.push_back(cert::SerialNumber::from_uint(i + 1, 3));
+    serials.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      serials.push_back(cert::SerialNumber::from_uint(next_serial++, 3));
     }
-    issued = count;
     messages.push_back(ca.revoke(std::move(serials), 0).encode());
   }
 

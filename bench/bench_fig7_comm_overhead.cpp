@@ -20,9 +20,11 @@ int main() {
                                 eval::PricingModel::cloudfront_2015());
   const auto sizes = eval::measured_message_sizes();
 
-  // The Heartbleed week: three days before the peak to four after.
-  const int peak = trace.config().heartbleed_peak_day;
-  const int from = peak - 2, to = peak + 5;
+  // The Heartbleed week: two days before 16 April to four after. The trace
+  // peaks on 16-17 April, and its busiest day is the 17th.
+  const int heartbleed = trace.config().heartbleed_peak_day;
+  const int from = heartbleed - 2, to = heartbleed + 5;
+  const int peak = trace.day_of_max();
 
   std::printf("== Fig. 7: per-pull download (KB) during the Heartbleed week "
               "==\n");

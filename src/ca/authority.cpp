@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "ca/manifest.hpp"
 #include "common/io.hpp"
 
 namespace ritm::ca {
@@ -102,11 +101,6 @@ dict::RevocationStatus CertificationAuthority::status_for(
   status.signed_root = root_;
   status.freshness = freshness_at(now);
   return status;
-}
-
-Bytes CertificationAuthority::manifest() const {
-  return Manifest::make(config_.id, config_.delta, dict_.size(), keypair_)
-      .encode();
 }
 
 ColdStartObject CertificationAuthority::cold_start_object(

@@ -5,7 +5,6 @@
 
 #include "ca/authority.hpp"
 #include "ca/distribution.hpp"
-#include "ca/manifest.hpp"
 #include "ra/store.hpp"
 
 namespace ritm::ca {
@@ -94,27 +93,6 @@ TEST(Authority, StatusForAbsentAndRevoked) {
   ca.revoke({bad}, 1000);
   EXPECT_EQ(ca.status_for(good, 1005).proof.type, dict::Proof::Type::absence);
   EXPECT_EQ(ca.status_for(bad, 1005).proof.type, dict::Proof::Type::presence);
-}
-
-TEST(Authority, ManifestIsSigned) {
-  auto ca = make_ca(9);
-  ca.revoke(
-      {cert::SerialNumber::from_uint(1), cert::SerialNumber::from_uint(2)},
-      1000);
-  const Bytes m = ca.manifest();
-  ASSERT_GT(m.size(), 64u);
-  const ByteSpan body(m.data(), m.size() - 64);
-  crypto::Signature sig{};
-  std::copy(m.end() - 64, m.end(), sig.begin());
-  EXPECT_TRUE(crypto::verify(body, sig, ca.public_key()));
-
-  const auto decoded = Manifest::decode(ByteSpan(m));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->verify(ca.public_key()));
-  EXPECT_EQ(decoded->ca, ca.id());
-  EXPECT_EQ(decoded->delta, ca.delta());
-  EXPECT_EQ(decoded->dictionary_size, 2u);
-  EXPECT_EQ(decoded->encode(), m);
 }
 
 TEST(Feed, MessageRoundTrip) {

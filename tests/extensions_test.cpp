@@ -1,12 +1,9 @@
-// Tests for the §VIII extension features: certificate-chain proofs,
-// bootstrap manifests, gossip-based consistency checking, and sharded
-// (expiry-bucketed) dictionaries.
+// Tests for the §VIII extension features: certificate-chain proofs and
+// gossip-based consistency checking.
 #include <gtest/gtest.h>
 
 #include "ca/authority.hpp"
-#include "ca/manifest.hpp"
 #include "client/client.hpp"
-#include "dict/sharded.hpp"
 #include "ra/agent.hpp"
 #include "ra/gossip.hpp"
 #include "tls/session.hpp"
@@ -130,53 +127,6 @@ TEST_F(ChainProofTest, RevokedIntermediateRejected) {
             client::Verdict::revoked);
 }
 
-// ----------------------------------------------------------- manifest
-
-TEST(Manifest, RoundTripAndVerify) {
-  Rng rng(9);
-  crypto::Seed s{};
-  const Bytes b = rng.bytes(32);
-  std::copy(b.begin(), b.end(), s.begin());
-  const auto kp = crypto::keypair_from_seed(s);
-
-  const auto m = ca::Manifest::make("CA-7", 30, 123456, kp);
-  const auto dec = ca::Manifest::decode(ByteSpan(m.encode()));
-  ASSERT_TRUE(dec.has_value());
-  EXPECT_EQ(dec->ca, "CA-7");
-  EXPECT_EQ(dec->delta, 30);
-  EXPECT_EQ(dec->dictionary_size, 123456u);
-  EXPECT_TRUE(dec->verify(kp.public_key));
-}
-
-TEST(Manifest, TamperedDeltaRejected) {
-  Rng rng(10);
-  crypto::Seed s{};
-  const Bytes b = rng.bytes(32);
-  std::copy(b.begin(), b.end(), s.begin());
-  const auto kp = crypto::keypair_from_seed(s);
-  auto m = ca::Manifest::make("CA-7", 30, 1, kp);
-  m.delta = 86400;  // attacker stretches the attack window
-  EXPECT_FALSE(m.verify(kp.public_key));
-}
-
-TEST(Manifest, AuthorityManifestDecodes) {
-  auto ca = make_ca("CA-M", 11);
-  ca.revoke({SerialNumber::from_uint(5)}, 1000);
-  const auto dec = ca::Manifest::decode(ByteSpan(ca.manifest()));
-  ASSERT_TRUE(dec.has_value());
-  EXPECT_EQ(dec->ca, "CA-M");
-  EXPECT_EQ(dec->delta, kDelta);
-  EXPECT_EQ(dec->dictionary_size, 1u);
-  EXPECT_TRUE(dec->verify(ca.public_key()));
-}
-
-TEST(Manifest, DecodeRejectsGarbage) {
-  EXPECT_FALSE(ca::Manifest::decode(ByteSpan(Bytes{1, 2, 3})));
-  Rng rng(12);
-  const Bytes noise = rng.bytes(120);
-  EXPECT_FALSE(ca::Manifest::decode(ByteSpan(noise)));
-}
-
 // ----------------------------------------------------------- gossip
 
 class GossipTest : public ::testing::Test {
@@ -247,105 +197,6 @@ TEST_F(GossipTest, TransitiveDetectionThroughMiddleman) {
   EXPECT_TRUE(ra::oracle::exchange(honest, relay).empty());
   const auto evidence = ra::oracle::exchange(relay, victim);
   EXPECT_FALSE(evidence.empty());
-}
-
-// ----------------------------------------------------------- sharding
-
-TEST(Sharded, RoutesByExpiry) {
-  dict::ShardedDictionary d(/*bucket=*/1000);
-  EXPECT_EQ(d.shard_of(0), 0u);
-  EXPECT_EQ(d.shard_of(999), 0u);
-  EXPECT_EQ(d.shard_of(1000), 1u);
-
-  const auto s1 = SerialNumber::from_uint(1);
-  ASSERT_TRUE(d.insert(s1, 500).has_value());
-  EXPECT_TRUE(d.contains(s1, 500));
-  EXPECT_TRUE(d.contains(s1, 999));    // same bucket
-  EXPECT_FALSE(d.contains(s1, 1500));  // different bucket
-  EXPECT_EQ(d.shard_count(), 1u);
-}
-
-TEST(Sharded, PerShardNumbering) {
-  dict::ShardedDictionary d(1000);
-  const auto e1 = d.insert(SerialNumber::from_uint(1), 500);
-  const auto e2 = d.insert(SerialNumber::from_uint(2), 1500);
-  const auto e3 = d.insert(SerialNumber::from_uint(3), 600);
-  ASSERT_TRUE(e1 && e2 && e3);
-  EXPECT_EQ(e1->number, 1u);
-  EXPECT_EQ(e2->number, 1u);  // its own shard's numbering
-  EXPECT_EQ(e3->number, 2u);
-}
-
-TEST(Sharded, ProofsVerifyAgainstShardRoot) {
-  dict::ShardedDictionary d(1000);
-  const auto revoked = SerialNumber::from_uint(7);
-  d.insert(revoked, 500);
-  d.insert(SerialNumber::from_uint(8), 1500);
-
-  const auto present = d.prove(revoked, 500);
-  EXPECT_EQ(present.type, dict::Proof::Type::presence);
-  EXPECT_TRUE(dict::verify_proof(present, revoked, d.shard_root(500),
-                                 d.shard_size(500)));
-
-  const auto absent = d.prove(revoked, 1500);  // other shard: absent there
-  EXPECT_EQ(absent.type, dict::Proof::Type::absence);
-  EXPECT_TRUE(dict::verify_proof(absent, revoked, d.shard_root(1500),
-                                 d.shard_size(1500)));
-}
-
-TEST(Sharded, EmptyShardProof) {
-  dict::ShardedDictionary d(1000);
-  const auto s = SerialNumber::from_uint(4);
-  const auto proof = d.prove(s, 42'000);
-  EXPECT_EQ(proof.type, dict::Proof::Type::absence);
-  EXPECT_TRUE(dict::verify_proof(proof, s, d.shard_root(42'000), 0));
-}
-
-TEST(Sharded, PruneReclaimsExpiredShards) {
-  dict::ShardedDictionary d(1000);
-  d.insert(SerialNumber::from_uint(1), 500);    // bucket 0, ends at 1000
-  d.insert(SerialNumber::from_uint(2), 1500);   // bucket 1, ends at 2000
-  d.insert(SerialNumber::from_uint(3), 9500);   // bucket 9
-  EXPECT_EQ(d.shard_count(), 3u);
-  EXPECT_GT(d.storage_bytes(), 0u);
-
-  // At t=2500: bucket 0 (end 1000 + grace 1000 = 2000) is reclaimable.
-  EXPECT_GT(d.prune(2500), 0u);
-  EXPECT_EQ(d.shard_count(), 2u);
-  EXPECT_FALSE(d.contains(SerialNumber::from_uint(1), 500));
-  EXPECT_TRUE(d.contains(SerialNumber::from_uint(2), 1500));
-
-  // Far future: everything except... everything goes.
-  d.prune(1'000'000);
-  EXPECT_EQ(d.shard_count(), 0u);
-  EXPECT_EQ(d.total_entries(), 0u);
-}
-
-TEST(Sharded, StorageBoundedUnderChurn) {
-  // Continuous issuance with bounded validity keeps live storage bounded —
-  // the §VIII motivation. 39-month max validity, quarterly buckets.
-  dict::ShardedDictionary d(90 * 86400);
-  Rng rng(31);
-  std::size_t peak_shards = 0;
-  UnixSeconds now = 0;
-  for (int quarter = 0; quarter < 40; ++quarter) {
-    now = UnixSeconds(quarter) * 90 * 86400;
-    for (int i = 0; i < 50; ++i) {
-      const auto serial =
-          SerialNumber::from_uint(rng.uniform(1'000'000'000), 5);
-      // Certificates expire 1..13 quarters out (<= 39 months).
-      const UnixSeconds expiry =
-          now + UnixSeconds(1 + rng.uniform(13)) * 90 * 86400;
-      d.insert(serial, expiry);
-    }
-    d.prune(now);
-    peak_shards = std::max(peak_shards, d.shard_count());
-  }
-  // Live shards never exceed the validity horizon (13 quarters + grace +
-  // the current quarter).
-  EXPECT_LE(peak_shards, 16u);
-  // And pruning actually dropped old entries.
-  EXPECT_LT(d.total_entries(), 40u * 50u);
 }
 
 }  // namespace

@@ -9,11 +9,8 @@
 
 #include <functional>
 
-#include "baseline/crl.hpp"
-#include "baseline/ocsp.hpp"
 #include "ca/authority.hpp"
 #include "ca/feed.hpp"
-#include "ca/manifest.hpp"
 #include "common/rng.hpp"
 #include "dict/dictionary.hpp"
 #include "dict/messages.hpp"
@@ -108,24 +105,6 @@ std::vector<Codec> make_codecs() {
                         ca::FeedMessage::of(dict::FreshnessStatement{
                             "CA-R", ca.freshness_at(1010)})}),
        [](ByteSpan d) { return ca::decode_feed(d).has_value(); }});
-  codecs.push_back({"Manifest", ca.manifest(), [](ByteSpan d) {
-                      return ca::Manifest::decode(d).has_value();
-                    }});
-  codecs.push_back(
-      {"Crl",
-       baseline::Crl::make("CA-R", 0, 100, {SerialNumber::from_uint(3)},
-                           kp.seed)
-           .encode(),
-       [](ByteSpan d) { return baseline::Crl::decode(d).has_value(); }});
-  {
-    baseline::OcspResponder responder("CA-R", kp.seed, 100);
-    codecs.push_back(
-        {"OcspResponse",
-         responder.respond(SerialNumber::from_uint(4), 10).encode(),
-         [](ByteSpan d) {
-           return baseline::OcspResponse::decode(d).has_value();
-         }});
-  }
   {
     tls::ClientHello ch;
     ch.extensions.push_back(tls::Extension{tls::kRitmExtension, {}});
