@@ -33,32 +33,27 @@ int main() {
   // Aggregate by calendar month (day 0 = 1 Jan 2014).
   const int month_days[] = {31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31,
                             31, 28, 31, 30, 31, 30};
-  Table monthly({"month", "revocations", "max day", ""});
   int day = 0;
   std::vector<std::pair<std::string, std::uint64_t>> rows;
   std::uint64_t month_max = 0;
   for (int m = 0; m < 18 && day < trace.config().days; ++m) {
-    std::uint64_t total = 0, max_day = 0;
+    std::uint64_t total = 0;
     for (int d = 0; d < month_days[m] && day < trace.config().days;
          ++d, ++day) {
-      const auto v = trace.daily()[static_cast<std::size_t>(day)];
-      total += v;
-      max_day = std::max(max_day, v);
+      total += trace.daily()[static_cast<std::size_t>(day)];
     }
     const std::string label =
         std::string(kMonths[m % 12]) + " " + (m < 12 ? "2014" : "2015");
     rows.emplace_back(label, total);
     month_max = std::max(month_max, total);
-    monthly.add_row({label, Table::num(total), Table::num(max_day),
-                     bar(double(total), 0)});
   }
-  // Re-render with bars scaled to the max month.
-  Table monthly2({"month", "revocations", ""});
+  // Bars scaled to the max month.
+  Table monthly({"month", "revocations", ""});
   for (const auto& [label, total] : rows) {
-    monthly2.add_row(
+    monthly.add_row(
         {label, Table::num(total), bar(double(total), double(month_max))});
   }
-  std::printf("%s\n", monthly2.render().c_str());
+  std::printf("%s\n", monthly.render().c_str());
 
   std::printf("== Fig. 4 (bottom): 6-hourly zoom, 16-17 April 2014 ==\n");
   const int peak = trace.config().heartbleed_peak_day;

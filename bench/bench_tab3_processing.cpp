@@ -65,6 +65,9 @@ struct Env {
     non_tls_payload[0] = 'G';  // definitely not a TLS content type
 
     status = ca->status_for(leaf.serial, 1000);
+    status_bytes = status->encode();
+    revoked_serial = cert::SerialNumber::from_uint(7 * 1000 + 1, 4);
+    presence_bytes = ca->status_for(revoked_serial, 1000).encode();
     roots.add(ca->id(), ca->public_key());
   }
 
@@ -74,7 +77,10 @@ struct Env {
   cert::Chain chain;
   sim::Packet server_flight;
   Bytes non_tls_payload;
-  std::optional<dict::RevocationStatus> status;
+  std::optional<dict::RevocationStatus> status;  // absence, two neighbours
+  Bytes status_bytes;                             // its encoding
+  cert::SerialNumber revoked_serial;
+  Bytes presence_bytes;  // a presence status for revoked_serial
   cert::TrustStore roots;
 };
 
@@ -128,6 +134,16 @@ void BM_Client_ProofValidation(benchmark::State& state) {
 }
 BENCHMARK(BM_Client_ProofValidation);
 
+void BM_Client_StatusDecode(benchmark::State& state) {
+  // The owning decode of the absence status (perfbench's checker runs it on
+  // every served status).
+  const auto& bytes = env().status_bytes;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dict::RevocationStatus::decode(ByteSpan(bytes)));
+  }
+}
+BENCHMARK(BM_Client_StatusDecode);
+
 void BM_Client_SigAndFreshnessValidation(benchmark::State& state) {
   const auto& status = *env().status;
   const auto key = *env().roots.find("CA-1");
@@ -161,22 +177,35 @@ void BM_Client_FullStatusValidation(benchmark::State& state) {
 }
 BENCHMARK(BM_Client_FullStatusValidation);
 
-void BM_Client_FullStatusValidationWarm(benchmark::State& state) {
-  // The same status through one client whose memo already holds its signed
-  // root: a repeat of a root skips only the Ed25519 verification.
+/// The served bytes of one status through one client whose memo already
+/// holds its signed root: a repeat of a root skips only the Ed25519
+/// verification, and the status is validated in place.
+void warm_status_bytes(benchmark::State& state, const Bytes& bytes,
+                       const cert::Certificate& leaf) {
   const client::RitmClient client(kClientConfig, env().roots);
-  const auto& status = *env().status;
-  const auto& leaf = env().chain.front();
-  benchmark::DoNotOptimize(client.validate_status(status, leaf, 1000));
+  benchmark::DoNotOptimize(
+      client.validate_status_bytes(ByteSpan(bytes), leaf, 1000));
   const auto before = client.root_memo_stats().verifications;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(client.validate_status(status, leaf, 1000));
+    benchmark::DoNotOptimize(
+        client.validate_status_bytes(ByteSpan(bytes), leaf, 1000));
   }
   state.counters["sig_verifications"] = benchmark::Counter(
       static_cast<double>(client.root_memo_stats().verifications - before),
       benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_Client_FullStatusValidationWarm);
+
+void BM_Client_FullStatusValidationWarmPresence(benchmark::State& state) {
+  cert::Certificate leaf = env().chain.front();
+  leaf.serial = env().revoked_serial;
+  warm_status_bytes(state, env().presence_bytes, leaf);
+}
+BENCHMARK(BM_Client_FullStatusValidationWarmPresence);
+
+void BM_Client_FullStatusValidationWarmAbsence(benchmark::State& state) {
+  warm_status_bytes(state, env().status_bytes, env().chain.front());
+}
+BENCHMARK(BM_Client_FullStatusValidationWarmAbsence);
 
 void BM_Client_Construct(benchmark::State& state) {
   // What the cold row pays on top of a validation.

@@ -191,10 +191,14 @@ int main() {
   // paper's row is a cold validation: a client's verified-root memo would
   // answer every repeat of this one root, so each validation gets a fresh
   // client (its construction, timed alone below, is part of the row). The
-  // warm row validates the same status through one client whose memo
-  // already holds the root, so it runs no Ed25519 verification at all.
+  // warm rows validate the served bytes, as a client receives them, through
+  // one client whose memo already holds the root, so they run no Ed25519
+  // verification at all: one row for a presence status (a revoked serial)
+  // and one for an absence status (two neighbours, whose shared upper path
+  // is hashed once).
   constexpr std::size_t kValidations = 20'000;
-  double validation_warm_rate = 0, client_construct_ns = 0;
+  double warm_presence_rate = 0, warm_absence_rate = 0;
+  double client_construct_ns = 0;
   unsigned long long cold_verifications = 0, warm_verifications = 0;
   {
     cert::TrustStore roots;
@@ -224,27 +228,42 @@ int main() {
     client_construct_ns =
         ns_per_op(kValidations, std::chrono::steady_clock::now() - start);
 
+    cert::Certificate revoked_leaf = leaf;
+    revoked_leaf.serial = cert::SerialNumber::from_uint(7 * 1000 + 1, 4);
+    const auto absence = store.status_bytes_for(ca.id(), leaf.serial);
+    const auto presence = store.status_bytes_for(ca.id(), revoked_leaf.serial);
     const client::RitmClient client(ccfg, roots);
-    accepted += client.validate_status(status, leaf, 1000) ==
+    accepted += client.validate_status_bytes(ByteSpan(*absence->bytes), leaf,
+                                             1000) ==
                 client::Verdict::accepted;  // fills the memo
     const auto warm_before = client.root_memo_stats().verifications;
-    start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < kValidations; ++i) {
-      accepted += client.validate_status(status, leaf, 1000) ==
-                  client::Verdict::accepted;
-    }
-    validation_warm_rate =
-        rate_per_sec(kValidations, std::chrono::steady_clock::now() - start);
+    const auto warm_rate = [&](const Bytes& bytes,
+                               const cert::Certificate& for_leaf,
+                               client::Verdict want) {
+      const auto begin = std::chrono::steady_clock::now();
+      for (std::size_t i = 0; i < kValidations; ++i) {
+        accepted += client.validate_status_bytes(ByteSpan(bytes), for_leaf,
+                                                 1000) == want;
+      }
+      return rate_per_sec(kValidations,
+                          std::chrono::steady_clock::now() - begin);
+    };
+    warm_presence_rate = warm_rate(*presence->bytes, revoked_leaf,
+                                   client::Verdict::revoked);
+    warm_absence_rate =
+        warm_rate(*absence->bytes, leaf, client::Verdict::accepted);
     warm_verifications =
         client.root_memo_stats().verifications - warm_before;
 
     t.add_row({"client: status validations (cold)",
                Table::num(validation_rate, 0), "~4,000/s"});
-    t.add_row({"client: status validations (warm memo)",
-               Table::num(validation_warm_rate, 0), "-"});
-    if (accepted != 2 * kValidations + 1 || constructed != kValidations) {
+    t.add_row({"client: warm memo, presence status bytes",
+               Table::num(warm_presence_rate, 0), "-"});
+    t.add_row({"client: warm memo, absence status bytes",
+               Table::num(warm_absence_rate, 0), "-"});
+    if (accepted != 3 * kValidations + 1 || constructed != kValidations) {
       std::printf("unexpected rejections! %zu/%zu\n", accepted,
-                  2 * kValidations + 1);
+                  3 * kValidations + 1);
       return 1;
     }
   }
@@ -1211,7 +1230,8 @@ int main() {
                  "    \"validations\": %zu,\n"
                  "    \"cold_sig_verifications\": %llu,\n"
                  "    \"construct_ns\": %.1f,\n"
-                 "    \"warm_per_sec\": %.0f,\n"
+                 "    \"warm_presence_per_sec\": %.0f,\n"
+                 "    \"warm_absence_per_sec\": %.0f,\n"
                  "    \"warm_sig_verifications\": %llu\n"
                  "  },\n"
                  "  \"status_cache\": {\n"
@@ -1306,7 +1326,7 @@ int main() {
                  "  },\n",
                  non_tls_rate, handshake_rate, validation_rate, kValidations,
                  cold_verifications, client_construct_ns,
-                 validation_warm_rate, warm_verifications,
+                 warm_presence_rate, warm_absence_rate, warm_verifications,
                  status_cold_ns, status_warm_ns, status_speedup, kCas,
                  (unsigned long long)kEntriesPerCa, multi_cold_rate,
                  multi_warm_rate, multi_hit_rate,

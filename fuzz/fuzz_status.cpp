@@ -18,7 +18,9 @@
 //              not revoked, `revoked` only for one it has. The client lives
 //              across inputs, so its verified-root memo is warm; a fresh
 //              client, which must verify the signature, must give the same
-//              verdict.
+//              verdict, and so must validate_status on the decoded status
+//              (missing_status when it does not decode): the in-place view
+//              and the owning decode are one parser and one verifier.
 //   * dpi:     a packet payload to ra::inspect and ra::strip_status: the rest
 //              of the input verbatim when byte 1 is even, or XORed over a TLS
 //              application-data record followed by a genuine status record
@@ -155,6 +157,11 @@ void check_verdict(const std::uint8_t* data, std::size_t size) {
   if (fresh.validate_status_bytes(ByteSpan(status), g.leaf, now) != v) {
     __builtin_trap();
   }
+  const auto decoded = dict::RevocationStatus::decode(ByteSpan(status));
+  const client::Verdict owning =
+      decoded ? t.client.validate_status(*decoded, g.leaf, now)
+              : client::Verdict::missing_status;
+  if (owning != v) __builtin_trap();
 }
 
 void check_dpi(const std::uint8_t* data, std::size_t size) {

@@ -85,6 +85,11 @@ class TrustStore {
   void add(const CaId& ca, const crypto::PublicKey& key);
   std::optional<crypto::PublicKey> find(const CaId& ca) const;
   std::size_t size() const noexcept { return keys_.size(); }
+  /// Every trusted CA once, with its key, in the order first added.
+  const std::vector<std::pair<CaId, crypto::PublicKey>>& entries()
+      const noexcept {
+    return keys_;
+  }
 
  private:
   std::vector<std::pair<CaId, crypto::PublicKey>> keys_;

@@ -1,6 +1,7 @@
 #include "client/client.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 namespace ritm::client {
 
@@ -22,14 +23,16 @@ const char* to_string(Verdict v) noexcept {
 }
 
 RitmClient::RitmClient(Config config, cert::TrustStore roots)
-    : config_(config), roots_(std::move(roots)) {}
+    : config_(config), roots_(std::move(roots)), memo_(roots_.size()) {}
 
-bool RitmClient::VerifiedRoots::holds(const dict::SignedRoot& root) const {
-  return std::find(slots.begin(), slots.end(), root) != slots.end();
+bool RitmClient::VerifiedRoots::holds(ByteSpan root) const {
+  return std::any_of(slots.begin(), slots.end(), [&](const Bytes& slot) {
+    return std::ranges::equal(slot, root);
+  });
 }
 
-void RitmClient::VerifiedRoots::add(const dict::SignedRoot& root) {
-  slots[older] = root;
+void RitmClient::VerifiedRoots::add(ByteSpan root) {
+  slots[older].assign(root.begin(), root.end());
   older = (older + 1) % kRootsPerCa;
 }
 
@@ -37,12 +40,12 @@ RitmClient::RootMemoStats RitmClient::root_memo_stats() const noexcept {
   return {verifications_.load(), memo_hits_.load()};
 }
 
-bool RitmClient::root_verifies(const dict::SignedRoot& root,
-                               const crypto::PublicKey& ca_key) const {
+bool RitmClient::root_verifies(const dict::SignedRootView& root,
+                               const crypto::PublicKey& ca_key,
+                               VerifiedRoots& verified) const {
   {
     const std::lock_guard lock(memo_mu_);
-    const auto it = memo_.find(root.ca);
-    if (it != memo_.end() && it->second.holds(root)) {
+    if (verified.holds(root.wire)) {
       ++memo_hits_;
       return true;
     }
@@ -50,29 +53,45 @@ bool RitmClient::root_verifies(const dict::SignedRoot& root,
   // Verify outside the lock; two threads that miss on the same root may both
   // verify it, and the second one finds it stored.
   ++verifications_;
-  if (!root.verify(ca_key)) return false;
+  if (!root.materialize().verify(ca_key)) return false;
   const std::lock_guard lock(memo_mu_);
-  VerifiedRoots& verified = memo_[root.ca];
-  if (!verified.holds(root)) verified.add(root);
+  if (!verified.holds(root.wire)) verified.add(root.wire);
   return true;
 }
 
 Verdict RitmClient::validate_status_bytes(ByteSpan status_bytes,
                                           const cert::Certificate& leaf,
                                           UnixSeconds now) const {
-  const auto status = dict::RevocationStatus::decode(status_bytes);
+  const auto status = dict::StatusView::parse(status_bytes);
   if (!status) return Verdict::missing_status;
-  return validate_status(*status, leaf, now);
+  return validate(*status, leaf, now);
 }
 
 Verdict RitmClient::validate_status(const dict::RevocationStatus& status,
                                     const cert::Certificate& leaf,
                                     UnixSeconds now) const {
+  // The memo matches signed roots by their wire bytes; a root's own
+  // encoding always parses.
+  const Bytes root = status.signed_root.encode();
+  return validate({dict::ProofView::of(status.proof),
+                   *dict::SignedRootView::parse(ByteSpan(root)),
+                   status.freshness},
+                  leaf, now);
+}
+
+Verdict RitmClient::validate(const dict::StatusView& status,
+                             const cert::Certificate& leaf,
+                             UnixSeconds now) const {
+  const dict::SignedRootView& root = status.signed_root;
   // The status must come from the CA that issued the certificate.
-  if (status.signed_root.ca != leaf.issuer) return Verdict::issuer_mismatch;
-  const auto ca_key = roots_.find(leaf.issuer);
-  if (!ca_key) return Verdict::unknown_ca;
-  if (!root_verifies(status.signed_root, *ca_key)) {
+  const std::string_view ca(reinterpret_cast<const char*>(root.ca.data()),
+                            root.ca.size());
+  if (ca != leaf.issuer) return Verdict::issuer_mismatch;
+  const auto& trusted = roots_.entries();
+  const auto it = std::find_if(trusted.begin(), trusted.end(),
+                               [&](const auto& e) { return e.first == ca; });
+  if (it == trusted.end()) return Verdict::unknown_ca;
+  if (!root_verifies(root, it->second, memo_[it - trusted.begin()])) {
     return Verdict::bad_signature;
   }
 
@@ -87,15 +106,15 @@ Verdict RitmClient::validate_status(const dict::RevocationStatus& status,
   // A statement for period p is thus accepted until t + (p+2)∆ — it is
   // never older than 2∆. The walk is capped at the longest chain a CA may
   // sign, so an old root costs a bounded number of hashes.
-  if (!crypto::chain_period(status.signed_root.timestamp, config_.delta,
-                            status.signed_root.freshness_anchor, 0,
-                            status.freshness, now)) {
+  if (!crypto::chain_period(root.timestamp, config_.delta,
+                            root.freshness_anchor, 0, status.freshness,
+                            now)) {
     return Verdict::stale_freshness;
   }
 
   // Step 5b: the proof must verify against the signed root...
-  if (!dict::verify_proof(status.proof, leaf.serial, status.signed_root.root,
-                          status.signed_root.n)) {
+  if (!dict::verify_proof(status.proof, ByteSpan(leaf.serial.value),
+                          root.root, root.n)) {
     return Verdict::bad_proof;
   }
   // ...and must be an *absence* proof: a valid presence proof means the

@@ -8,13 +8,21 @@
 // client expects a fresh status at least every ∆ and interrupts the
 // connection otherwise — this closes the mid-connection revocation race.
 //
+// A status is validated where it lies: validate_status_bytes parses it once
+// into a dict::StatusView (spans into the received bytes, no allocation) and
+// checks the view; validate_status on a decoded status runs the same checks
+// on a view of it. An absence proof's two neighbours share their path above
+// their lowest common ancestor, and dict::verify_proof hashes that part once.
+//
 // Each status carries the CA's signed root, and the CA re-signs its root only
 // when its dictionary changes (freshness comes from the hash chain), so every
 // status served under one root carries the same signed-root bytes. The client
-// therefore runs the Ed25519 check once per signed root: a small memo holds,
-// per trusted CA, the last two roots that verified under that CA's key, and a
-// status whose signed root equals one of them, byte for byte, skips only the
-// signature check. Freshness and the proof are checked on every status.
+// therefore runs the Ed25519 check once per signed root: a flat memo holds,
+// per trust-store CA, the wire bytes of the last two signed roots that
+// verified under that CA's key, and a status whose signed root equals one of
+// them, byte for byte, skips only the signature check. The signed-root
+// encoding is canonical, so equal bytes are an equal root. Freshness and the
+// proof are checked on every status. A memo hit allocates nothing.
 #pragma once
 
 #include <array>
@@ -22,8 +30,8 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "cert/certificate.hpp"
 #include "crypto/hash_chain.hpp"
@@ -92,9 +100,9 @@ class RitmClient {
                           const cert::Certificate& leaf,
                           UnixSeconds now) const;
 
-  /// Envelope-API convenience (PR 5): decodes a status_query /
-  /// status_batch response payload (a dict::RevocationStatus encoding, as
-  /// served by ra::RaService) and validates it. Undecodable bytes are
+  /// Validates a status_query / status_batch response payload (a
+  /// dict::RevocationStatus encoding, as served by ra::RaService) in place,
+  /// through a dict::StatusView. Bytes that do not parse are
   /// Verdict::missing_status — a served status that cannot be parsed
   /// protects nothing.
   Verdict validate_status_bytes(ByteSpan status_bytes,
@@ -129,18 +137,26 @@ class RitmClient {
   /// validate_status). A third root replaces the older of the two.
   static constexpr std::size_t kRootsPerCa = 2;
 
-  /// The roots of one CA that verified under its trust-store key.
+  /// The signed roots of one CA that verified under its trust-store key, as
+  /// wire bytes. An empty slot holds no root (no encoding is empty).
   struct VerifiedRoots {
-    std::array<std::optional<dict::SignedRoot>, kRootsPerCa> slots;
+    std::array<Bytes, kRootsPerCa> slots;
     std::size_t older = 0;  // the slot the next root replaces
 
-    bool holds(const dict::SignedRoot& root) const;
-    void add(const dict::SignedRoot& root);
+    bool holds(ByteSpan root) const;
+    void add(ByteSpan root);
   };
 
-  /// True if `root` verifies under `ca_key`, its CA's trust-store key.
-  bool root_verifies(const dict::SignedRoot& root,
-                     const crypto::PublicKey& ca_key) const;
+  /// Step 5 checks b and c on a status in place: the core both
+  /// validate_status forms run.
+  Verdict validate(const dict::StatusView& status,
+                   const cert::Certificate& leaf, UnixSeconds now) const;
+
+  /// True if `root` verifies under `ca_key`, its CA's trust-store key;
+  /// `verified` is that CA's memo entry.
+  bool root_verifies(const dict::SignedRootView& root,
+                     const crypto::PublicKey& ca_key,
+                     VerifiedRoots& verified) const;
 
   struct Connection {
     cert::Certificate leaf;
@@ -159,13 +175,13 @@ class RitmClient {
   Stats stats_;
   std::map<sim::FlowKey, Connection, FlowLess> connections_;
 
-  // The verified-root memo. The trust store is fixed at construction, so a
-  // root that verified under its CA's key stays verified and no entry ever
-  // needs invalidating. Entries are added only for CAs found in the trust
-  // store, after the signature verified: at most kRootsPerCa x roots_.size()
-  // roots, whatever a peer sends.
+  // The verified-root memo: memo_[i] belongs to roots_.entries()[i]. The
+  // trust store is fixed at construction, so the table never grows, a root
+  // that verified under its CA's key stays verified, and no entry ever needs
+  // invalidating. A slot is filled only after the signature verified: at
+  // most kRootsPerCa x roots_.size() roots, whatever a peer sends.
   mutable std::mutex memo_mu_;
-  mutable std::map<cert::CaId, VerifiedRoots> memo_;
+  mutable std::vector<VerifiedRoots> memo_;
   mutable std::atomic<std::uint64_t> verifications_{0};
   mutable std::atomic<std::uint64_t> memo_hits_{0};
 };

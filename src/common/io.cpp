@@ -93,11 +93,17 @@ std::optional<std::uint64_t> ByteReader::try_u64() {
   return v;
 }
 
-std::optional<Bytes> ByteReader::try_raw(std::size_t n) {
+std::optional<ByteSpan> ByteReader::try_span(std::size_t n) {
   if (remaining() < n) return std::nullopt;
-  Bytes out(data_.begin() + pos_, data_.begin() + pos_ + n);
+  const ByteSpan out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
+}
+
+std::optional<Bytes> ByteReader::try_raw(std::size_t n) {
+  const auto span = try_span(n);
+  if (!span) return std::nullopt;
+  return Bytes(span->begin(), span->end());
 }
 
 std::optional<Bytes> ByteReader::try_var8() {

@@ -67,7 +67,10 @@ class ByteReader {
   std::optional<std::uint32_t> try_u24();
   std::optional<std::uint32_t> try_u32();
   std::optional<std::uint64_t> try_u64();
-  /// Reads exactly n raw bytes.
+  /// Reads exactly n bytes as a view into the input: no copy, no
+  /// allocation. The span lives as long as the input does.
+  std::optional<ByteSpan> try_span(std::size_t n);
+  /// Reads exactly n raw bytes into a fresh buffer.
   std::optional<Bytes> try_raw(std::size_t n);
   std::optional<Bytes> try_var8();
   std::optional<Bytes> try_var16();

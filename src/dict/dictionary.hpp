@@ -101,8 +101,10 @@ class Dictionary {
 
   /// RA-side update (Fig. 2): replays `serials` and accepts iff the rebuilt
   /// root equals `expected_root` and the new size equals `expected_n`.
-  /// On mismatch the dictionary is rolled back (and its tree rebuilt from
-  /// scratch) and false is returned.
+  /// An insert that added nothing returns the comparison as it stands: no
+  /// rollback, no rehash, and no arena a frozen copy shares detaches. A
+  /// mismatch after an insert that added entries rolls them back, rebuilds
+  /// the tree from scratch and returns false.
   bool update(const std::vector<cert::SerialNumber>& serials,
               const crypto::Digest20& expected_root, std::uint64_t expected_n);
 

@@ -33,11 +33,17 @@ std::optional<std::vector<cert::SerialNumber>> decode_serials(ByteReader& r) {
 }
 
 std::optional<crypto::Digest20> decode_digest(ByteReader& r) {
-  auto raw = r.try_raw(20);
+  const auto raw = r.try_span(20);
   if (!raw) return std::nullopt;
   crypto::Digest20 d{};
   std::copy(raw->begin(), raw->end(), d.begin());
   return d;
+}
+
+/// A u16-length-prefixed field, in place.
+std::optional<ByteSpan> var16_span(ByteReader& r) {
+  const auto len = r.try_u16();
+  return len ? r.try_span(*len) : std::nullopt;
 }
 
 /// Computed length prefixes must keep the overflow guard the old
@@ -113,23 +119,26 @@ Bytes RevocationStatus::encode() const {
 }
 
 std::optional<RevocationStatus> RevocationStatus::decode(ByteSpan data) {
+  const auto view = StatusView::parse(data);
+  if (!view) return std::nullopt;
+  return view->materialize();
+}
+
+std::optional<StatusView> StatusView::parse(ByteSpan data) {
   ByteReader r{data};
-  RevocationStatus m;
-  auto proof_bytes = r.try_var16();
-  if (!proof_bytes) return std::nullopt;
-  auto proof = Proof::decode(ByteSpan(*proof_bytes));
-  if (!proof) return std::nullopt;
-  m.proof = std::move(*proof);
-  auto root_bytes = r.try_var16();
-  if (!root_bytes) return std::nullopt;
-  auto root = SignedRoot::decode(ByteSpan(*root_bytes));
-  if (!root) return std::nullopt;
-  m.signed_root = std::move(*root);
-  auto fresh = decode_digest(r);
-  if (!fresh) return std::nullopt;
-  m.freshness = *fresh;
-  if (!r.done()) return std::nullopt;
-  return m;
+  const auto proof_bytes = var16_span(r);
+  const auto proof =
+      proof_bytes ? ProofView::parse(*proof_bytes) : std::nullopt;
+  const auto root_bytes = proof ? var16_span(r) : std::nullopt;
+  const auto root =
+      root_bytes ? SignedRootView::parse(*root_bytes) : std::nullopt;
+  const auto fresh = root ? decode_digest(r) : std::nullopt;
+  if (!fresh || !r.done()) return std::nullopt;
+  return StatusView{*proof, *root, *fresh};
+}
+
+RevocationStatus StatusView::materialize() const {
+  return {proof.materialize(), signed_root.materialize(), freshness};
 }
 
 Bytes SyncRequest::encode() const {

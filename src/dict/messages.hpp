@@ -61,6 +61,19 @@ struct RevocationStatus {
   bool operator==(const RevocationStatus&) const = default;
 };
 
+/// A RevocationStatus in place: the proof's leaves and paths and the signed
+/// root as spans into the bytes it was parsed from, which must outlive it.
+/// parse() allocates nothing; it is what a client runs on every status it
+/// receives, and RevocationStatus::decode is parse() then materialize().
+struct StatusView {
+  ProofView proof;
+  SignedRootView signed_root;
+  crypto::Digest20 freshness{};
+
+  static std::optional<StatusView> parse(ByteSpan data);
+  RevocationStatus materialize() const;
+};
+
 /// RA → edge server: "I hold `have_n` consecutive revocations of `ca`".
 struct SyncRequest {
   cert::CaId ca;

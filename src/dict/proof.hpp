@@ -9,6 +9,17 @@
 // Path encoding: sibling sides are *not* stored — they are derived from the
 // leaf index and the tree's leaf count during verification, which also
 // forces the prover to use the canonical tree shape.
+//
+// A proof is parsed once, in place: ProofView holds spans for each leaf's
+// serial and sibling path into the encoded bytes, so parsing allocates
+// nothing. Proof::decode materializes an owning Proof from that view, and an
+// owning Proof verifies through a view of itself, so there is one parser and
+// one verifier. An absence proof's two neighbours are adjacent leaves, so
+// above their lowest common ancestor their paths are the same nodes: the
+// verifier walks each neighbour only up to that ancestor (where each side's
+// sibling must be the other side's node), requires the two remaining paths
+// to be byte-identical, and hashes them once — about 22 hashes instead of 40
+// at 339,557 leaves.
 #pragma once
 
 #include <cstdint>
@@ -80,10 +91,14 @@ struct LeafProof {
   bool operator==(const LeafProof&) const = default;
 };
 
-/// Recomputes the root a LeafProof commits to, given the tree's leaf count.
-/// Returns nullopt if the path length is inconsistent with (index, count).
-std::optional<crypto::Digest20> reconstruct_root(const LeafProof& proof,
-                                                 std::uint64_t leaf_count);
+/// A LeafProof in place: spans into the bytes it was parsed from (or into
+/// the owning LeafProof it views), valid only as long as those are.
+struct LeafView {
+  ByteSpan serial;
+  std::uint64_t number = 0;
+  std::uint64_t index = 0;
+  ByteSpan path;  // sibling hashes, leaf upward, 20 bytes each
+};
 
 struct Proof {
   enum class Type : std::uint8_t { presence = 0, absence = 1 };
@@ -105,9 +120,29 @@ struct Proof {
   bool operator==(const Proof&) const = default;
 };
 
+/// A Proof in place; see the file comment. parse() accepts type <= 1,
+/// absence flags <= 3, 1-20-byte serials and no trailing bytes;
+/// Proof::decode is parse() then materialize().
+struct ProofView {
+  Proof::Type type = Proof::Type::absence;
+  std::optional<LeafView> leaf;   // presence
+  std::optional<LeafView> left;   // absence: greatest leaf < serial
+  std::optional<LeafView> right;  // absence: smallest leaf > serial
+
+  static std::optional<ProofView> parse(ByteSpan data);
+  /// A view of an owning proof (which must outlive it).
+  static ProofView of(const Proof& proof) noexcept;
+  Proof materialize() const;
+};
+
 /// Full verification of a proof for `serial` against a dictionary root and
 /// leaf count n. Checks Merkle paths, ordering, adjacency, and numbering
 /// bounds. This is what a RITM client runs in step 5b of the protocol.
+/// Allocates nothing.
+bool verify_proof(const ProofView& proof, ByteSpan serial,
+                  const crypto::Digest20& root, std::uint64_t n);
+
+/// The same check on an owning proof, through a view of it.
 bool verify_proof(const Proof& proof, const cert::SerialNumber& serial,
                   const crypto::Digest20& root, std::uint64_t n);
 

@@ -1,5 +1,7 @@
 #include "dict/signed_root.hpp"
 
+#include <algorithm>
+
 #include "common/io.hpp"
 
 namespace ritm::dict {
@@ -33,27 +35,40 @@ Bytes SignedRoot::encode() const {
 }
 
 std::optional<SignedRoot> SignedRoot::decode(ByteSpan data) {
+  const auto view = SignedRootView::parse(data);
+  if (!view) return std::nullopt;
+  return view->materialize();
+}
+
+std::optional<SignedRootView> SignedRootView::parse(ByteSpan data) {
   ByteReader r{data};
+  SignedRootView v;
+  v.wire = data;
+  const auto ca_len = r.try_u8();
+  const auto ca = ca_len ? r.try_span(*ca_len) : std::nullopt;
+  const auto root = ca ? r.try_span(v.root.size()) : std::nullopt;
+  const auto n = root ? r.try_u64() : std::nullopt;
+  const auto anchor = n ? r.try_span(v.freshness_anchor.size()) : std::nullopt;
+  const auto t = anchor ? r.try_u64() : std::nullopt;
+  const auto sig = t ? r.try_span(crypto::Signature{}.size()) : std::nullopt;
+  if (!sig || !r.done()) return std::nullopt;
+  v.ca = *ca;
+  std::copy(root->begin(), root->end(), v.root.begin());
+  v.n = *n;
+  std::copy(anchor->begin(), anchor->end(), v.freshness_anchor.begin());
+  v.timestamp = static_cast<UnixSeconds>(*t);
+  v.signature = *sig;
+  return v;
+}
+
+SignedRoot SignedRootView::materialize() const {
   SignedRoot sr;
-  auto ca = r.try_var8();
-  if (!ca) return std::nullopt;
-  sr.ca.assign(ca->begin(), ca->end());
-  auto root = r.try_raw(sr.root.size());
-  if (!root) return std::nullopt;
-  std::copy(root->begin(), root->end(), sr.root.begin());
-  auto n = r.try_u64();
-  if (!n) return std::nullopt;
-  sr.n = *n;
-  auto anchor = r.try_raw(sr.freshness_anchor.size());
-  if (!anchor) return std::nullopt;
-  std::copy(anchor->begin(), anchor->end(), sr.freshness_anchor.begin());
-  auto t = r.try_u64();
-  if (!t) return std::nullopt;
-  sr.timestamp = static_cast<UnixSeconds>(*t);
-  auto sig = r.try_raw(sr.signature.size());
-  if (!sig) return std::nullopt;
-  std::copy(sig->begin(), sig->end(), sr.signature.begin());
-  if (!r.done()) return std::nullopt;
+  sr.ca.assign(ca.begin(), ca.end());
+  sr.root = root;
+  sr.n = n;
+  sr.freshness_anchor = freshness_anchor;
+  sr.timestamp = timestamp;
+  std::copy(signature.begin(), signature.end(), sr.signature.begin());
   return sr;
 }
 

@@ -50,4 +50,22 @@ struct SignedRoot {
   bool operator==(const SignedRoot&) const = default;
 };
 
+/// A SignedRoot in place: its fields parsed out of, and `wire` spanning, the
+/// bytes it was parsed from (valid only as long as those are). The encoding
+/// is canonical — one byte string per SignedRoot — so two views hold the
+/// same root exactly when their `wire` bytes are equal. SignedRoot::decode
+/// materializes from parse(), so the format has one parser.
+struct SignedRootView {
+  ByteSpan wire;
+  ByteSpan ca;
+  crypto::Digest20 root{};
+  std::uint64_t n = 0;
+  crypto::Digest20 freshness_anchor{};
+  UnixSeconds timestamp = 0;
+  ByteSpan signature;  // 64 bytes
+
+  static std::optional<SignedRootView> parse(ByteSpan data);
+  SignedRoot materialize() const;
+};
+
 }  // namespace ritm::dict

@@ -1,17 +1,40 @@
 // RITM client tests: the step-5 validation policy (chain, absence proof,
 // freshness window), revoked-certificate rejection, downgrade detection,
 // the 2∆ interrupt rule for established connections, and the verified-root
-// memo (one signature check per signed root, and never a different verdict).
+// memo (one signature check per signed root, and never a different verdict),
+// and the in-place path: validate_status_bytes allocates nothing on a memo
+// hit.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <new>
 
 #include "ca/authority.hpp"
 #include "client/client.hpp"
 #include "ed25519_oracle.hpp"
 #include "ra/agent.hpp"
 #include "tls/session.hpp"
+
+// Every global operator new in this binary is counted, so a test can pin
+// that a stretch of code allocates nothing. (new[] and delete[] forward to
+// these.) The deletes stay out of line so that, inlined into a caller, their
+// free() is not read as freeing memory from operator new.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ritm::client {
 namespace {
@@ -550,6 +573,62 @@ TEST_F(ClientTest, RootMemoAgreesWithTheOracleOnSignatureShapes) {
   EXPECT_GE(cases, 250);
   EXPECT_GE(verified, 5);  // both verdicts represented
   EXPECT_GE(cases - verified, 200);
+}
+
+TEST_F(ClientTest, ValidateStatusBytesAllocatesNothingOnAMemoHit) {
+  // A presence and an absence status (both neighbours) under one signed
+  // root, validated as the bytes a client receives. Once the memo holds the
+  // root, parsing, the memo lookup, the freshness walk and the proof check
+  // make no heap allocation. The first, cold validation does (it verifies
+  // the signature and stores the root), which shows the counter counts.
+  Rng rng(91);
+  ca::CertificationAuthority::Config cfg;
+  cfg.id = "CA-ALLOC";
+  cfg.delta = kDelta;
+  ca::CertificationAuthority ca(cfg, rng, 1000);
+  std::vector<SerialNumber> revoked;
+  for (std::uint64_t i = 1; i <= 300; ++i) {
+    revoked.push_back(SerialNumber::from_uint(10 * i, 3));
+  }
+  ca.revoke(revoked, 1000);
+  cert::TrustStore roots;
+  roots.add(ca.id(), ca.public_key());
+  const RitmClient client({.delta = kDelta}, roots);
+  const UnixSeconds t = 1000 + 3 * kDelta;
+  cert::Certificate present = leaf_;
+  present.issuer = ca.id();
+  present.serial = SerialNumber::from_uint(1230, 3);
+  cert::Certificate absent = present;
+  absent.serial = SerialNumber::from_uint(1235, 3);
+  const auto absence_status = ca.status_for(absent.serial, t);
+  ASSERT_TRUE(absence_status.proof.left && absence_status.proof.right);
+  const Bytes presence = ca.status_for(present.serial, t).encode();
+  const Bytes absence = absence_status.encode();
+
+  std::size_t before = g_allocations.load();
+  const Verdict cold = client.validate_status_bytes(ByteSpan(presence),
+                                                    present, t);
+  const std::size_t cold_allocations = g_allocations.load() - before;
+  EXPECT_EQ(cold, Verdict::revoked);
+  EXPECT_GT(cold_allocations, 0u);
+
+  constexpr int kRounds = 50;
+  int revoked_verdicts = 0, accepted_verdicts = 0;
+  before = g_allocations.load();
+  for (int i = 0; i < kRounds; ++i) {
+    revoked_verdicts += client.validate_status_bytes(ByteSpan(presence),
+                                                     present, t) ==
+                        Verdict::revoked;
+    accepted_verdicts += client.validate_status_bytes(ByteSpan(absence),
+                                                      absent, t) ==
+                         Verdict::accepted;
+  }
+  const std::size_t warm_allocations = g_allocations.load() - before;
+  EXPECT_EQ(warm_allocations, 0u);
+  EXPECT_EQ(revoked_verdicts, kRounds);
+  EXPECT_EQ(accepted_verdicts, kRounds);
+  EXPECT_EQ(client.root_memo_stats().verifications, 1u);
+  EXPECT_EQ(client.root_memo_stats().hits, 2u * kRounds);
 }
 
 }  // namespace

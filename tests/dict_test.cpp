@@ -3,6 +3,7 @@
 // append-only/consistency invariants from DESIGN.md §5.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <set>
@@ -15,6 +16,7 @@
 #include "dict/messages.hpp"
 #include "dict/signed_root.hpp"
 #include "dict/treap.hpp"
+#include "status_oracle.hpp"
 
 namespace ritm::dict {
 namespace {
@@ -1029,6 +1031,228 @@ TEST(Messages, DecodeRejectsTruncation) {
   for (std::size_t cut = 0; cut < enc.size(); cut += 3) {
     EXPECT_FALSE(RevocationIssuance::decode(ByteSpan(enc.data(), cut)));
   }
+}
+
+// ------------------------------------ the status view and the shared walk
+
+/// `proof` inside a status under the root of `d`. The signed-root fields the
+/// proof check does not read are fixed filler; nothing here verifies them.
+RevocationStatus status_of(Proof proof, const Dictionary& d) {
+  RevocationStatus s;
+  s.proof = std::move(proof);
+  s.signed_root.ca = "CA-V";
+  s.signed_root.root = d.root();
+  s.signed_root.n = d.size();
+  s.signed_root.freshness_anchor.fill(0xA5);
+  s.signed_root.timestamp = 1000;
+  s.signed_root.signature.fill(0x5A);
+  s.freshness.fill(0x3C);
+  return s;
+}
+
+/// Parses `bytes` with the view and with the oracle's owning decode, and
+/// checks the proof for `serial` against the status's own root and n with
+/// the shared-ancestor walk (on the view and on the decoded proof) and with
+/// the oracle's two walks. Returns a description of the first disagreement,
+/// or "" when all agree; `verdict` gets the oracle's verdict (false when
+/// nothing parsed).
+std::string disagreement(ByteSpan bytes, const SerialNumber& serial,
+                         bool& verdict) {
+  verdict = false;
+  const auto want = oracle::decode_status(bytes);
+  const auto view = StatusView::parse(bytes);
+  if (view.has_value() != want.has_value()) return "parse verdict";
+  if (RevocationStatus::decode(bytes) != want) return "decode";
+  if (!view) return "";
+  if (view->materialize() != *want) return "materialize";
+  if (!std::ranges::equal(view->signed_root.wire, want->signed_root.encode())) {
+    return "signed-root wire bytes";
+  }
+  const SignedRoot& root = want->signed_root;
+  verdict = oracle::verify_proof(want->proof, serial, root.root, root.n);
+  if (verify_proof(view->proof, ByteSpan(serial.value),
+                   view->signed_root.root, view->signed_root.n) != verdict) {
+    return "verify_proof on the view";
+  }
+  if (verify_proof(want->proof, serial, root.root, root.n) != verdict) {
+    return "verify_proof on the owning proof";
+  }
+  return "";
+}
+
+TEST(StatusView, AgreesWithTheOracleOnEveryStatusOfEveryTreeUpTo300) {
+  // One dictionary grows by one random serial at a time from empty, so
+  // sizes 0-300 all occur, odd ones with promoted nodes, and leaf order
+  // differs from numbering order. At each size every status is checked: each present
+  // serial, one serial in each gap, one before the first leaf (right-only
+  // absence) and one after the last (left-only). Each proof is also checked
+  // for the next serial up, and against a leaf count one off (n + 1 or
+  // n - 1, alternately).
+  Rng rng(2026'10'19);
+  std::vector<std::uint64_t> pool;
+  for (std::uint64_t k = 1; k <= 2000; ++k) pool.push_back(k);
+  Dictionary d;
+  std::set<std::uint64_t> present;
+  std::size_t honest = 0, absences_with_both = 0;
+  std::string first;
+  const auto check = [&](const RevocationStatus& status,
+                         const SerialNumber& serial, bool genuine) {
+    bool verdict = false;
+    const Bytes bytes = status.encode();
+    std::string why = disagreement(ByteSpan(bytes), serial, verdict);
+    if (why.empty() && genuine && !verdict) why = "genuine proof rejected";
+    if (!why.empty() && first.empty()) {
+      first = why + " (n = " + std::to_string(d.size()) + ", serial " +
+              serial.to_hex() + ")";
+    }
+    honest += genuine ? 1 : 0;
+  };
+  for (std::uint64_t n = 0; n <= 300; ++n) {
+    if (n > 0) {
+      const std::size_t pick = rng.uniform(pool.size());
+      const std::uint64_t k = pool[pick];
+      pool[pick] = pool.back();
+      pool.pop_back();
+      present.insert(k);
+      d.insert({sn(2 * k)});
+    }
+    std::vector<std::uint64_t> probes = {present.empty()
+                                             ? 1
+                                             : 2 * *present.rbegin() + 1};
+    for (const std::uint64_t k : present) {
+      probes.push_back(2 * k - 1);
+      probes.push_back(2 * k);
+    }
+    for (const std::uint64_t q : probes) {
+      const Proof proof = d.prove(sn(q));
+      absences_with_both += proof.left && proof.right ? 1 : 0;
+      RevocationStatus status = status_of(proof, d);
+      check(status, sn(q), true);
+      check(status, sn(q + 1), false);
+      status.signed_root.n = q % 2 == 0 || n == 0 ? n + 1 : n - 1;
+      check(status, sn(q), false);
+    }
+  }
+  EXPECT_EQ(first, "");
+  EXPECT_EQ(honest, 301u * 301u);  // sum of 2n + 1 for n = 0..300
+  EXPECT_GT(absences_with_both, 40'000u);
+}
+
+TEST(StatusView, AgreesWithTheOracleOnMutatedStatuses) {
+  // 10^5 seeded bit flips, truncations and insertions over statuses of a few
+  // tree sizes: the view parses exactly what the owning decode parses, to
+  // the same status, and the shared-ancestor walk gives every proof the two
+  // walks' verdict for the serial the status was built for.
+  struct Base {
+    Bytes bytes;
+    SerialNumber serial;
+  };
+  std::vector<Base> bases;
+  Rng rng(0x57A7);
+  for (const std::uint64_t n : {0, 1, 2, 3, 5, 17, 64, 300}) {
+    Dictionary d;
+    std::vector<SerialNumber> serials;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      serials.push_back(
+          SerialNumber::from_uint(rng.uniform(1u << 24), 1 + rng.uniform(4)));
+    }
+    d.insert(serials);
+    for (int k = 0; k < 6; ++k) {
+      const SerialNumber q =
+          k < 2 && n > 0 ? serials[rng.uniform(n)]
+                         : SerialNumber::from_uint(rng.uniform(1u << 24), 3);
+      bases.push_back({status_of(d.prove(q), d).encode(), q});
+    }
+  }
+  constexpr int kMutations = 100'000;
+  int parsed = 0, accepted = 0;
+  std::string first;
+  for (int i = 0; i < kMutations; ++i) {
+    const Base& base = bases[rng.uniform(bases.size())];
+    Bytes m = base.bytes;
+    switch (rng.uniform(3)) {
+      case 0:
+        for (std::uint64_t f = 1 + rng.uniform(4); f > 0; --f) {
+          m[rng.uniform(m.size())] ^=
+              static_cast<std::uint8_t>(1u << rng.uniform(8));
+        }
+        break;
+      case 1:
+        m.resize(rng.uniform(m.size()));
+        break;
+      default: {
+        const Bytes extra = rng.bytes(1 + rng.uniform(8));
+        m.insert(m.begin() + static_cast<std::ptrdiff_t>(
+                                 rng.uniform(m.size() + 1)),
+                 extra.begin(), extra.end());
+      }
+    }
+    bool verdict = false;
+    const std::string why = disagreement(ByteSpan(m), base.serial, verdict);
+    if (!why.empty() && first.empty()) {
+      first = why + " at mutation " + std::to_string(i);
+    }
+    parsed += StatusView::parse(ByteSpan(m)) ? 1 : 0;
+    accepted += verdict ? 1 : 0;
+  }
+  EXPECT_EQ(first, "");
+  // Flips in the fields the proof check does not read keep a status valid.
+  EXPECT_GT(parsed, kMutations / 10);
+  EXPECT_GT(accepted, kMutations / 20);
+}
+
+TEST(VerifyProof, AbsenceNeighboursMustMeetAndShareTheirUpperPath) {
+  // At the neighbours' lowest common ancestor each side's sibling is the
+  // other side's node; above it both paths are the same nodes. A proof that
+  // changes either is rejected, as the two separate walks reject it.
+  Dictionary d;
+  d.insert(serial_range(1, 300));
+  const SerialNumber q = SerialNumber::from_uint(1000, 4);  // sorts mid-tree
+  const Proof honest = d.prove(q);
+  ASSERT_TRUE(honest.left && honest.right);
+  ASSERT_TRUE(verify_proof(honest, q, d.root(), d.size()));
+  const std::size_t top = honest.left->path.size() - 1;
+  ASSERT_EQ(honest.left->path[top], honest.right->path[top]);
+
+  for (const auto side : {&Proof::left, &Proof::right}) {
+    for (std::size_t level = 0; level <= top; ++level) {
+      Proof p = honest;
+      (p.*side)->path[level][7] ^= 0x01;
+      EXPECT_FALSE(verify_proof(p, q, d.root(), d.size())) << level;
+      EXPECT_FALSE(oracle::verify_proof(p, q, d.root(), d.size())) << level;
+    }
+  }
+}
+
+TEST(VerifyProof, EveryPathIsAsLongAsTheTreeShapeSays) {
+  // The leaf index and the leaf count fix each path's length. A path one
+  // sibling short, or with one left over after the root, is rejected, in a
+  // presence proof, in both one-sided absence proofs and in either
+  // neighbour of a two-sided one.
+  Dictionary d;
+  d.insert(serial_range(1, 300));
+  std::vector<std::pair<Proof, SerialNumber>> proofs;
+  for (const SerialNumber& q : {sn(100), sn(0), sn(1000),
+                                SerialNumber::from_uint(1000, 4)}) {
+    proofs.emplace_back(d.prove(q), q);
+  }
+  int cases = 0;
+  for (const auto& [honest, q] : proofs) {
+    ASSERT_TRUE(verify_proof(honest, q, d.root(), d.size()));
+    for (const auto side : {&Proof::leaf, &Proof::left, &Proof::right}) {
+      if (!(honest.*side)) continue;
+      Proof shorter = honest;
+      (shorter.*side)->path.pop_back();
+      Proof longer = honest;
+      (longer.*side)->path.push_back((honest.*side)->path.back());
+      for (const Proof& p : {shorter, longer}) {
+        EXPECT_FALSE(verify_proof(p, q, d.root(), d.size())) << q.to_hex();
+        EXPECT_FALSE(oracle::verify_proof(p, q, d.root(), d.size()));
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 10);
 }
 
 }  // namespace
