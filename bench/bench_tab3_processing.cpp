@@ -164,12 +164,13 @@ void BM_Client_FullStatusValidation(benchmark::State& state) {
   // End-to-end step 5: what the client runs per handshake. Each iteration
   // gets a fresh client, so its verified-root memo is cold and the row
   // keeps the signature check (BM_Client_Construct times the construction).
-  const auto& status = *env().status;
+  const auto& bytes = env().status_bytes;
   const auto& leaf = env().chain.front();
   std::uint64_t verifications = 0;
   for (auto _ : state) {
     const client::RitmClient client(kClientConfig, env().roots);
-    benchmark::DoNotOptimize(client.validate_status(status, leaf, 1000));
+    benchmark::DoNotOptimize(
+        client.validate_status_bytes(ByteSpan(bytes), leaf, 1000));
     verifications += client.root_memo_stats().verifications;
   }
   state.counters["sig_verifications"] = benchmark::Counter(

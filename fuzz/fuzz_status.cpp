@@ -18,16 +18,14 @@
 //              not revoked, `revoked` only for one it has. The client lives
 //              across inputs, so its verified-root memo is warm; a fresh
 //              client, which must verify the signature, must give the same
-//              verdict, and so must validate_status on the decoded status
-//              (missing_status when it does not decode): the in-place view
-//              and the owning decode are one parser and one verifier.
+//              verdict.
 //   * dpi:     a packet payload to ra::inspect and ra::strip_status: the rest
 //              of the input verbatim when byte 1 is even, or XORed over a TLS
 //              application-data record followed by a genuine status record
 //              when it is odd. Stripping must leave no status record behind
 //              (a second strip finds none and changes nothing), and when the
-//              payload looks like TLS, inspect() must report the last status
-//              strip_status extracted.
+//              payload looks like TLS, inspect() must report exactly the
+//              statuses strip_status extracted, in order.
 //
 // Built two ways (CMake), like fuzz_frame: with -DRITM_BUILD_FUZZERS=ON
 // (clang) this is a libFuzzer target; otherwise it compiles as a
@@ -107,7 +105,7 @@ struct Target {
     tls::encode_record_into(
         {tls::ContentType::application_data, bytes_of("application data")},
         pkt.payload);
-    ra::attach_status_bytes(pkt, ByteSpan(statuses[1].bytes));
+    ra::attach_status(pkt, ByteSpan(statuses[1].bytes));
     packet = std::move(pkt.payload);
   }
 };
@@ -157,11 +155,6 @@ void check_verdict(const std::uint8_t* data, std::size_t size) {
   if (fresh.validate_status_bytes(ByteSpan(status), g.leaf, now) != v) {
     __builtin_trap();
   }
-  const auto decoded = dict::RevocationStatus::decode(ByteSpan(status));
-  const client::Verdict owning =
-      decoded ? t.client.validate_status(*decoded, g.leaf, now)
-              : client::Verdict::missing_status;
-  if (owning != v) __builtin_trap();
 }
 
 void check_dpi(const std::uint8_t* data, std::size_t size) {
@@ -173,14 +166,12 @@ void check_dpi(const std::uint8_t* data, std::size_t size) {
   const Bytes original = pkt.payload;
   const ra::Inspection seen = ra::inspect(ByteSpan(original));
   const auto stripped = ra::strip_status(pkt);
-  if (tls::looks_like_tls(ByteSpan(original)) && !stripped.empty() &&
-      seen.existing_status != stripped.back()) {
+  if (tls::looks_like_tls(ByteSpan(original)) && seen.statuses != stripped) {
     __builtin_trap();
   }
   const Bytes once = pkt.payload;
   if (!ra::strip_status(pkt).empty() || pkt.payload != once) __builtin_trap();
-  const ra::Inspection after = ra::inspect(ByteSpan(pkt.payload));
-  if (after.existing_status || after.malformed_status) __builtin_trap();
+  if (!ra::inspect(ByteSpan(pkt.payload)).statuses.empty()) __builtin_trap();
 }
 
 }  // namespace

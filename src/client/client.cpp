@@ -67,18 +67,6 @@ Verdict RitmClient::validate_status_bytes(ByteSpan status_bytes,
   return validate(*status, leaf, now);
 }
 
-Verdict RitmClient::validate_status(const dict::RevocationStatus& status,
-                                    const cert::Certificate& leaf,
-                                    UnixSeconds now) const {
-  // The memo matches signed roots by their wire bytes; a root's own
-  // encoding always parses.
-  const Bytes root = status.signed_root.encode();
-  return validate({dict::ProofView::of(status.proof),
-                   *dict::SignedRootView::parse(ByteSpan(root)),
-                   status.freshness},
-                  leaf, now);
-}
-
 Verdict RitmClient::validate(const dict::StatusView& status,
                              const cert::Certificate& leaf,
                              UnixSeconds now) const {
@@ -161,9 +149,9 @@ Verdict RitmClient::process_server_flight(sim::Packet& pkt, UnixSeconds now) {
   // With multiple RAs on the path the client may receive several statuses;
   // any one valid absence proof from the issuing CA suffices.
   Verdict last = Verdict::missing_status;
-  for (const auto& status : statuses) {
+  for (const Bytes& status : statuses) {
     ++stats_.statuses_validated;
-    last = validate_status(status, leaf, now);
+    last = validate_status_bytes(ByteSpan(status), leaf, now);
     if (last == Verdict::accepted) break;
     if (last == Verdict::revoked) break;  // definitive: do not keep looking
   }
@@ -174,9 +162,9 @@ Verdict RitmClient::process_server_flight(sim::Packet& pkt, UnixSeconds now) {
   if (config_.require_chain_proofs) {
     for (std::size_t i = 1; i < in.chain->size(); ++i) {
       Verdict link = Verdict::missing_status;
-      for (const auto& status : statuses) {
+      for (const Bytes& status : statuses) {
         ++stats_.statuses_validated;
-        link = validate_status(status, (*in.chain)[i], now);
+        link = validate_status_bytes(ByteSpan(status), (*in.chain)[i], now);
         if (link == Verdict::accepted || link == Verdict::revoked) break;
       }
       if (link != Verdict::accepted) {
@@ -200,9 +188,9 @@ Verdict RitmClient::process_established(sim::Packet& pkt, UnixSeconds now) {
   if (statuses.empty()) return Verdict::accepted;  // ordinary data packet
 
   Verdict last = Verdict::missing_status;
-  for (const auto& status : statuses) {
+  for (const Bytes& status : statuses) {
     ++stats_.statuses_validated;
-    last = validate_status(status, it->second.leaf, now);
+    last = validate_status_bytes(ByteSpan(status), it->second.leaf, now);
     if (last == Verdict::accepted) {
       it->second.last_status = now;
       return Verdict::accepted;

@@ -3,16 +3,20 @@
 // The client strips revocation-status records off incoming packets, runs
 // standard chain validation, then RITM validation: the proof must be a
 // valid *absence* proof against the CA's signed root, and the freshness
-// statement must be no older than 2∆ (verified by walking the hash chain
-// p' or p'+1 steps to the committed anchor). On established connections the
-// client expects a fresh status at least every ∆ and interrupts the
-// connection otherwise — this closes the mid-connection revocation race.
+// statement must be no older than 2∆ (verified by walking the hash chain to
+// the committed anchor: a statement for period p'-1, p' or p'+1 is accepted,
+// where p' is the client's period since the root was signed). On established
+// connections the client expects a fresh status at least every ∆ and
+// interrupts the connection otherwise — this closes the mid-connection
+// revocation race.
 //
-// A status is validated where it lies: validate_status_bytes parses it once
-// into a dict::StatusView (spans into the received bytes, no allocation) and
-// checks the view; validate_status on a decoded status runs the same checks
-// on a view of it. An absence proof's two neighbours share their path above
-// their lowest common ancestor, and dict::verify_proof hashes that part once.
+// A status is validated where it lies, as the bytes the RA attached or
+// served: validate_status_bytes parses it once into a dict::StatusView
+// (spans into the received bytes, no allocation) and checks the view. The
+// packet path (process_server_flight, process_established) validates the
+// records ra::strip_status hands back the same way. An absence proof's two
+// neighbours share their path above their lowest common ancestor, and
+// dict::verify_proof hashes that part once.
 //
 // Each status carries the CA's signed root, and the CA re-signs its root only
 // when its dictionary changes (freshness comes from the hash chain), so every
@@ -91,20 +95,14 @@ class RitmClient {
 
   RitmClient(Config config, cert::TrustStore roots);
 
-  /// Validates one revocation status for `leaf` (step 5 checks b and c).
-  /// validate_status and validate_status_bytes may be called concurrently
-  /// from any number of threads: they touch only the memo, which locks
-  /// itself. The other non-const calls below track connections and stats
-  /// and must stay on one thread.
-  Verdict validate_status(const dict::RevocationStatus& status,
-                          const cert::Certificate& leaf,
-                          UnixSeconds now) const;
-
-  /// Validates a status_query / status_batch response payload (a
-  /// dict::RevocationStatus encoding, as served by ra::RaService) in place,
-  /// through a dict::StatusView. Bytes that do not parse are
-  /// Verdict::missing_status — a served status that cannot be parsed
-  /// protects nothing.
+  /// Validates one encoded revocation status for `leaf` (step 5 checks b
+  /// and c) in place, through a dict::StatusView: a status record's payload,
+  /// or a status_query / status_batch response payload as served by
+  /// ra::RaService. Bytes that do not parse are Verdict::missing_status — a
+  /// status that cannot be parsed protects nothing. It may be called
+  /// concurrently from any number of threads: it touches only the memo,
+  /// which locks itself. The non-const calls below track connections and
+  /// stats and must stay on one thread.
   Verdict validate_status_bytes(ByteSpan status_bytes,
                                 const cert::Certificate& leaf,
                                 UnixSeconds now) const;
@@ -134,7 +132,7 @@ class RitmClient {
  private:
   /// Two roots per CA: while a CA rolls over to a new root, statuses under
   /// the old and the new root interleave for up to one ∆ (the p'-1 case in
-  /// validate_status). A third root replaces the older of the two.
+  /// validate). A third root replaces the older of the two.
   static constexpr std::size_t kRootsPerCa = 2;
 
   /// The signed roots of one CA that verified under its trust-store key, as
@@ -147,8 +145,7 @@ class RitmClient {
     void add(ByteSpan root);
   };
 
-  /// Step 5 checks b and c on a status in place: the core both
-  /// validate_status forms run.
+  /// Step 5 checks b and c on a status in place.
   Verdict validate(const dict::StatusView& status,
                    const cert::Certificate& leaf, UnixSeconds now) const;
 

@@ -1,5 +1,6 @@
 #include "ra/agent.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace ritm::ra {
@@ -7,6 +8,40 @@ namespace ritm::ra {
 namespace {
 std::string session_key(const Bytes& id) {
   return std::string(id.begin(), id.end());
+}
+
+enum class Delivery { attached, replaced, deferred };
+
+/// The multiple-RA rule (§VIII) for our status of `ca`, against every
+/// upstream status of that CA the packet carries: add only if missing;
+/// replace only if our dictionary view is more recent than each of theirs.
+Delivery deliver(sim::Packet& pkt, const Inspection& in, const cert::CaId& ca,
+                 const DictionaryStore::CachedStatus& ours) {
+  // The cached entry carries our (n, t), and the upstream roots are read in
+  // place, so the comparison allocates nothing.
+  const ByteSpan our_ca(reinterpret_cast<const std::uint8_t*>(ca.data()),
+                        ca.size());
+  bool upstream = false, ours_fresher = true;
+  for (const Bytes& record : in.statuses) {
+    const auto theirs = dict::StatusView::parse(ByteSpan(record));
+    if (!theirs || !std::ranges::equal(theirs->signed_root.ca, our_ca)) {
+      continue;
+    }
+    const auto& root = theirs->signed_root;
+    upstream = true;
+    ours_fresher = ours_fresher &&
+                   (ours.n > root.n ||
+                    (ours.n == root.n && ours.timestamp > root.timestamp));
+  }
+  if (!upstream) {
+    attach_status(pkt, ByteSpan(*ours.bytes));
+    return Delivery::attached;
+  }
+  // Deferring is an opportunity for consistency checking: compare the
+  // upstream RA's signed root against ours (§VIII "Multiple RAs").
+  if (!ours_fresher) return Delivery::deferred;
+  replace_status(pkt, ByteSpan(*ours.bytes));
+  return Delivery::replaced;
 }
 }  // namespace
 
@@ -143,42 +178,29 @@ RevocationAgent::Action RevocationAgent::deliver_status(sim::Packet& pkt,
     ++stats_.unknown_ca;
     return Action::passed;
   }
-
-  const bool refreshing = fs.stage == Stage::established;
-
-  if (in.existing_status && in.existing_status->signed_root.ca == fs.ca) {
-    // Multiple-RA rule (§VIII): add only if missing; replace only if our
-    // dictionary view is more recent. The cached entry carries (n, t) so
-    // this comparison needs no decode.
-    const auto& theirs = in.existing_status->signed_root;
-    const bool ours_fresher =
-        status->n > theirs.n ||
-        (status->n == theirs.n && status->timestamp > theirs.timestamp);
-    if (!ours_fresher) {
-      ++stats_.statuses_deferred;
-      // Opportunity for consistency checking: compare the upstream RA's
-      // signed root against ours (§VIII "Multiple RAs").
-      return Action::passed;
-    }
-    replace_status_bytes(pkt, ByteSpan(*status->bytes));
-    fs.last_status = now;
-    ++stats_.statuses_replaced;
-    return Action::status_replaced;
-  }
-
-  attach_status_bytes(pkt, ByteSpan(*status->bytes));
+  const Delivery leaf = deliver(pkt, in, fs.ca, *status);
   // Chain-proof mode (§VIII): one status per remaining chain certificate
-  // whose issuer we replicate. The overhead stays small because proofs are
-  // logarithmic and chains are short.
+  // whose issuer we replicate, under the same multi-RA rule. The overhead
+  // stays small because proofs are logarithmic and chains are short.
   if (config_.chain_proofs) {
     for (const auto& [ca, serial] : fs.intermediates) {
       if (auto extra = store_->status_bytes_for(ca, serial)) {
-        attach_status_bytes(pkt, ByteSpan(*extra->bytes));
+        deliver(pkt, in, ca, *extra);
       }
     }
   }
+
+  // The action and the counters follow the leaf's status.
+  if (leaf == Delivery::deferred) {
+    ++stats_.statuses_deferred;
+    return Action::passed;
+  }
   fs.last_status = now;
-  if (refreshing) {
+  if (leaf == Delivery::replaced) {
+    ++stats_.statuses_replaced;
+    return Action::status_replaced;
+  }
+  if (fs.stage == Stage::established) {
     ++stats_.statuses_refreshed;
     return Action::status_refreshed;
   }

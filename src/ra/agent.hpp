@@ -109,8 +109,8 @@ class RevocationAgent {
 
   Action handle_server_flight(sim::Packet& pkt, TimedFlow& flow,
                               const Inspection& in, UnixSeconds now);
-  /// Attaches/refreshes/replaces the status per the multi-RA rule; returns
-  /// the action taken.
+  /// Attaches/refreshes/replaces the flow's statuses per the multi-RA rule;
+  /// returns the action taken for the leaf's.
   Action deliver_status(sim::Packet& pkt, TimedFlow& flow,
                         const Inspection& in, UnixSeconds now);
 

@@ -1,6 +1,17 @@
 #include "ra/dpi.hpp"
 
+#include <algorithm>
+
+#include "dict/messages.hpp"
+
 namespace ritm::ra {
+
+namespace {
+/// The one acceptance rule for a ritm_status record's payload.
+bool is_status(ByteSpan record) {
+  return dict::StatusView::parse(record).has_value();
+}
+}  // namespace
 
 bool is_tls(ByteSpan payload) noexcept {
   if (!tls::looks_like_tls(payload)) return false;
@@ -14,17 +25,13 @@ Inspection inspect(ByteSpan payload) {
   if (!records) return out;
 
   out.kind = Inspection::Kind::tls_other;
-  for (const auto& rec : *records) {
+  for (auto& rec : *records) {
     switch (rec.type) {
-      case tls::ContentType::ritm_status: {
-        auto status = dict::RevocationStatus::decode(ByteSpan(rec.payload));
-        if (status) {
-          out.existing_status = std::move(*status);
-        } else {
-          out.malformed_status = true;
+      case tls::ContentType::ritm_status:
+        if (is_status(ByteSpan(rec.payload))) {
+          out.statuses.push_back(std::move(rec.payload));
         }
         break;
-      }
       case tls::ContentType::application_data:
         if (out.kind == Inspection::Kind::tls_other) {
           out.kind = Inspection::Kind::app_data;
@@ -75,55 +82,30 @@ Inspection inspect(ByteSpan payload) {
   return out;
 }
 
-void attach_status(sim::Packet& pkt, const dict::RevocationStatus& status) {
-  // Size the record up front and serialize straight into the packet body —
-  // this runs once per handshake/refresh, so no intermediate buffers. The
-  // packet is live: if encoding throws (malformed proof), restore it rather
-  // than leave a half-written record.
-  const std::size_t mark = pkt.payload.size();
-  try {
-    const std::size_t len = status.wire_size();
-    pkt.payload.reserve(mark + 5 + len);
-    tls::encode_record_header_into(tls::ContentType::ritm_status, len,
-                                   pkt.payload);
-    status.encode_into(pkt.payload);
-  } catch (...) {
-    pkt.payload.resize(mark);
-    throw;
-  }
+void attach_status(sim::Packet& pkt, ByteSpan status) {
+  pkt.payload.reserve(pkt.payload.size() + 5 + status.size());
+  tls::encode_record_header_into(tls::ContentType::ritm_status, status.size(),
+                                 pkt.payload);
+  append(pkt.payload, status);
 }
 
-void attach_status_bytes(sim::Packet& pkt, ByteSpan encoded) {
-  pkt.payload.reserve(pkt.payload.size() + 5 + encoded.size());
-  tls::encode_record_header_into(tls::ContentType::ritm_status,
-                                 encoded.size(), pkt.payload);
-  append(pkt.payload, encoded);
-}
-
-namespace {
-/// Drops every ritm_status record from the payload (shared by the
-/// replace_status variants).
-void remove_status_records(sim::Packet& pkt) {
+void replace_status(sim::Packet& pkt, ByteSpan status) {
+  const auto ours = dict::StatusView::parse(status);
   auto records = tls::decode_records(ByteSpan(pkt.payload));
-  if (!records) return;
-  Bytes rebuilt;
-  rebuilt.reserve(pkt.payload.size());
-  for (const auto& rec : *records) {
-    if (rec.type == tls::ContentType::ritm_status) continue;
-    tls::encode_record_into(rec, rebuilt);
+  if (ours && records) {
+    const ByteSpan ca = ours->signed_root.ca;
+    Bytes rebuilt;
+    rebuilt.reserve(pkt.payload.size());
+    for (const auto& rec : *records) {
+      if (rec.type == tls::ContentType::ritm_status) {
+        const auto theirs = dict::StatusView::parse(ByteSpan(rec.payload));
+        if (theirs && std::ranges::equal(theirs->signed_root.ca, ca)) continue;
+      }
+      tls::encode_record_into(rec, rebuilt);
+    }
+    pkt.payload = std::move(rebuilt);
   }
-  pkt.payload = std::move(rebuilt);
-}
-}  // namespace
-
-void replace_status(sim::Packet& pkt, const dict::RevocationStatus& status) {
-  remove_status_records(pkt);
   attach_status(pkt, status);
-}
-
-void replace_status_bytes(sim::Packet& pkt, ByteSpan encoded) {
-  remove_status_records(pkt);
-  attach_status_bytes(pkt, encoded);
 }
 
 bool confirm_ritm(sim::Packet& pkt) {
@@ -167,15 +149,16 @@ bool confirm_ritm(sim::Packet& pkt) {
   return changed;
 }
 
-std::vector<dict::RevocationStatus> strip_status(sim::Packet& pkt) {
-  std::vector<dict::RevocationStatus> out;
+std::vector<Bytes> strip_status(sim::Packet& pkt) {
+  std::vector<Bytes> out;
   auto records = tls::decode_records(ByteSpan(pkt.payload));
   if (!records) return out;
   Bytes rebuilt;
-  for (const auto& rec : *records) {
+  for (auto& rec : *records) {
     if (rec.type == tls::ContentType::ritm_status) {
-      auto status = dict::RevocationStatus::decode(ByteSpan(rec.payload));
-      if (status) out.push_back(std::move(*status));
+      if (is_status(ByteSpan(rec.payload))) {
+        out.push_back(std::move(rec.payload));
+      }
       continue;
     }
     tls::encode_record_into(rec, rebuilt);

@@ -4,13 +4,19 @@
 // upstream RA (the multiple-RA rule of §VIII).
 //
 // Table III of the paper times these two operations separately:
-// "TLS detection (DPI)" — classify() on arbitrary payloads — and
+// "TLS detection (DPI)" — is_tls() on arbitrary payloads — and
 // "Certificates parsing (DPI)" — extracting the chain from a server flight.
+//
+// A status stays in its wire encoding on this path: the RA attaches the
+// bytes its status cache holds, and inspect() and strip_status() hand on
+// record payloads. A ritm_status record is a status exactly when
+// dict::StatusView::parse accepts its payload; any other such record is
+// no status, and strip_status() still removes it.
 #pragma once
 
 #include <optional>
+#include <vector>
 
-#include "dict/messages.hpp"
 #include "sim/packet.hpp"
 #include "tls/handshake.hpp"
 #include "tls/record.hpp"
@@ -37,9 +43,9 @@ struct Inspection {
   std::optional<tls::ServerHello> server_hello;
   std::optional<cert::Chain> chain;
 
-  // Status a previous RA already attached (multi-RA handling).
-  std::optional<dict::RevocationStatus> existing_status;
-  bool malformed_status = false;
+  // Statuses previous RAs already attached (multi-RA handling), encoded,
+  // in packet order.
+  std::vector<Bytes> statuses;
 };
 
 /// Full inspection of one packet payload.
@@ -49,26 +55,21 @@ Inspection inspect(ByteSpan payload);
 /// payload parses as TLS records.
 bool is_tls(ByteSpan payload) noexcept;
 
-/// Appends a revocation-status record to a packet payload (RA -> client
-/// piggybacking, §VIII option 1: dedicated content type).
-void attach_status(sim::Packet& pkt, const dict::RevocationStatus& status);
+/// Appends an encoded revocation status (the store's status cache holds
+/// them) as a ritm_status record (RA -> client piggybacking, §VIII option
+/// 1: dedicated content type): one header write plus a memcpy.
+void attach_status(sim::Packet& pkt, ByteSpan status);
 
-/// Same record, from an already-encoded status (the store's status cache):
-/// one header write plus a memcpy — the warm per-packet path, no
-/// proof assembly or encoding.
-void attach_status_bytes(sim::Packet& pkt, ByteSpan encoded);
-
-/// Replaces an existing status record (multi-RA: "replaces a revocation
-/// status only if its own version of the dictionary is more recent").
-/// Removes every ritm_status record, then appends the new one.
-void replace_status(sim::Packet& pkt, const dict::RevocationStatus& status);
-
-/// replace_status from an already-encoded status (cached bytes).
-void replace_status_bytes(sim::Packet& pkt, ByteSpan encoded);
+/// Replaces the statuses of `status`'s CA (multi-RA: "replaces a revocation
+/// status only if its own version of the dictionary is more recent"):
+/// removes every status record of that CA, then appends `status`. Statuses
+/// of other CAs stay where they are.
+void replace_status(sim::Packet& pkt, ByteSpan status);
 
 /// Removes all ritm_status records (what a RITM client does before handing
-/// the packet to its TLS stack). Returns the extracted statuses.
-std::vector<dict::RevocationStatus> strip_status(sim::Packet& pkt);
+/// the packet to its TLS stack). Returns the statuses among them, encoded,
+/// in packet order.
+std::vector<Bytes> strip_status(sim::Packet& pkt);
 
 /// Adds the RITM extension to the ServerHello inside a server-flight packet
 /// (TLS-terminator deployment, §IV: the terminator confirms RITM support

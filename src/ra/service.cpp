@@ -255,7 +255,9 @@ svc::Response RaService::status_query(const svc::Request& req) {
   ByteReader r(ByteSpan(req.body));
   const auto ca_bytes = r.try_var8();
   const auto serial_bytes = r.try_var8();
-  if (!ca_bytes || !serial_bytes || serial_bytes->empty() || !r.done()) {
+  // A serial is 1 to cert::kMaxSerialBytes bytes, as every decoder has it.
+  if (!ca_bytes || !serial_bytes || serial_bytes->empty() ||
+      serial_bytes->size() > cert::kMaxSerialBytes || !r.done()) {
     return svc::reject(req, svc::Status::malformed);
   }
   const cert::CaId ca(ca_bytes->begin(), ca_bytes->end());
@@ -292,7 +294,8 @@ svc::Response RaService::status_batch(const svc::Request& req) {
   cert::SerialNumber serial;
   for (std::uint32_t i = 0; i < *count; ++i) {
     const auto serial_bytes = r.try_var8();
-    if (!serial_bytes || serial_bytes->empty()) {
+    if (!serial_bytes || serial_bytes->empty() ||
+        serial_bytes->size() > cert::kMaxSerialBytes) {
       return svc::reject(req, svc::Status::malformed);
     }
     serial.value = *serial_bytes;

@@ -27,6 +27,8 @@ namespace ritm::ra {
 //                 response: dict::RevocationStatus encoding
 //   status_batch  request:  var8 ca | u32 count | count x var8 serial
 //                 response: u32 count | count x var24 status encoding
+//                 (a serial of 0 or more than cert::kMaxSerialBytes bytes
+//                 answers malformed, in either method)
 //   gossip_digest request:  u32 ca_count | ca_count x (var8 ca | u32 runs |
 //                           runs x (u64 lo | u64 hi | 20B run hash))
 //                 response: the server's digest in the same shape

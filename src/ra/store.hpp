@@ -130,8 +130,8 @@ class DictionaryStore {
   /// A cached, fully encoded revocation status plus the signed-root fields
   /// the agent needs for the multi-RA freshness comparison without decoding.
   struct CachedStatus {
-    /// Wire encoding of the RevocationStatus (what attach_status_bytes
-    /// copies into the packet). Shared with the cache entry, so it stays
+    /// Wire encoding of the RevocationStatus (what attach_status copies
+    /// into the packet). Shared with the cache entry, so it stays
     /// valid after a later eviction or mutation drops that entry.
     std::shared_ptr<const Bytes> bytes;
     std::uint64_t n = 0;          // signed_root.n

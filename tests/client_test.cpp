@@ -41,6 +41,12 @@ namespace {
 
 using cert::SerialNumber;
 
+/// Validates `status` as a client receives it: encoded.
+Verdict validate(const RitmClient& client, const dict::RevocationStatus& status,
+                 const cert::Certificate& leaf, UnixSeconds now) {
+  return client.validate_status_bytes(ByteSpan(status.encode()), leaf, now);
+}
+
 class ClientTest : public ::testing::Test {
  protected:
   static constexpr UnixSeconds kDelta = 10;
@@ -99,7 +105,7 @@ class ClientTest : public ::testing::Test {
     auto c = leaf_;
     c.serial = SerialNumber::from_uint(124, 3);
     const Bytes tbs = c.tbs();
-    // Not CA-signed here; validate_status does not re-check the chain.
+    // Not CA-signed here; validate_status_bytes does not re-check the chain.
     return c;
   }
 
@@ -149,6 +155,34 @@ TEST_F(ClientTest, RejectsRevokedCertificate) {
   EXPECT_EQ(client.connection_count(), 0u);
 }
 
+TEST_F(ClientTest, StatusRecordThatDoesNotParseIsNoStatus) {
+  // A ritm_status record counts as a status exactly when dict::StatusView
+  // parses it. A flight whose only status record is a genuine status cut
+  // one byte short carries no status: the client falls back to plain TLS
+  // when it does not expect RITM and reports the status missing when it
+  // does. Either way the record is stripped before the TLS stack sees it.
+  Bytes cut = store_.status_for("CA-1", leaf_.serial)->encode();
+  cut.pop_back();
+  ASSERT_FALSE(dict::StatusView::parse(ByteSpan(cut)).has_value());
+  auto flight =
+      tls::make_server_flight(client_ep_, server_ep_, rng_, {leaf_}, false);
+  ra::attach_status(flight, ByteSpan(cut));
+
+  for (const bool expect_ritm : {false, true}) {
+    RitmClient::Config cfg;
+    cfg.expect_ritm = expect_ritm;
+    auto client = make_client(cfg);
+    auto received = flight;
+    EXPECT_EQ(client.process_server_flight(received, 2000),
+              expect_ritm ? Verdict::missing_status : Verdict::accepted);
+    const auto records = tls::decode_records(ByteSpan(received.payload));
+    ASSERT_TRUE(records.has_value());
+    for (const auto& record : *records) {
+      EXPECT_NE(record.type, tls::ContentType::ritm_status);
+    }
+  }
+}
+
 TEST_F(ClientTest, RejectsExpiredCertificate) {
   auto client = make_client();
   leaf_ = ca_.issue("expired.example", server_key_.public_key, 0, 1500);
@@ -171,14 +205,14 @@ TEST_F(ClientTest, RejectsStaleFreshness) {
   // far in the future: p' large -> statement stale.
   auto status = *store_.status_for("CA-1", leaf_.serial);
   const UnixSeconds far = status.signed_root.timestamp + 50 * kDelta;
-  EXPECT_EQ(client.validate_status(status, leaf_, far),
+  EXPECT_EQ(validate(client, status, leaf_, far),
             Verdict::stale_freshness);
   // A genuine root 2^40 periods old: the walk is capped at the longest
   // chain a CA may sign, so the verdict costs a bounded number of hashes
   // instead of about 3 * 2^40.
   const UnixSeconds ancient =
       status.signed_root.timestamp + (UnixSeconds{1} << 40) * kDelta;
-  EXPECT_EQ(client.validate_status(status, leaf_, ancient),
+  EXPECT_EQ(validate(client, status, leaf_, ancient),
             Verdict::stale_freshness);
 }
 
@@ -191,27 +225,27 @@ TEST_F(ClientTest, FreshnessAcceptanceWindow) {
   const UnixSeconds t = status.signed_root.timestamp;
 
   // Anchor (period-0 statement): accepted while p' <= 1, i.e. for 2∆.
-  EXPECT_EQ(client.validate_status(status, leaf_, t), Verdict::accepted);
-  EXPECT_EQ(client.validate_status(status, leaf_, t + kDelta - 1),
+  EXPECT_EQ(validate(client, status, leaf_, t), Verdict::accepted);
+  EXPECT_EQ(validate(client, status, leaf_, t + kDelta - 1),
             Verdict::accepted);
-  EXPECT_EQ(client.validate_status(status, leaf_, t + 2 * kDelta - 1),
+  EXPECT_EQ(validate(client, status, leaf_, t + 2 * kDelta - 1),
             Verdict::accepted);
-  EXPECT_EQ(client.validate_status(status, leaf_, t + 2 * kDelta),
+  EXPECT_EQ(validate(client, status, leaf_, t + 2 * kDelta),
             Verdict::stale_freshness);
 
   // Period-5 statement (issued at t+5∆): accepted for p' in {4,5,6} —
   // clock skew ahead, current, and the pull-race tolerance — i.e. until
   // t + 7∆, which is exactly 2∆ after issuance.
   status.freshness = ca_.freshness_at(t + 5 * kDelta);
-  EXPECT_EQ(client.validate_status(status, leaf_, t + 4 * kDelta),
+  EXPECT_EQ(validate(client, status, leaf_, t + 4 * kDelta),
             Verdict::accepted);
-  EXPECT_EQ(client.validate_status(status, leaf_, t + 5 * kDelta),
+  EXPECT_EQ(validate(client, status, leaf_, t + 5 * kDelta),
             Verdict::accepted);
-  EXPECT_EQ(client.validate_status(status, leaf_, t + 7 * kDelta - 1),
+  EXPECT_EQ(validate(client, status, leaf_, t + 7 * kDelta - 1),
             Verdict::accepted);
-  EXPECT_EQ(client.validate_status(status, leaf_, t + 7 * kDelta),
+  EXPECT_EQ(validate(client, status, leaf_, t + 7 * kDelta),
             Verdict::stale_freshness);
-  EXPECT_EQ(client.validate_status(status, leaf_, t + 9 * kDelta),
+  EXPECT_EQ(validate(client, status, leaf_, t + 9 * kDelta),
             Verdict::stale_freshness);
 }
 
@@ -219,7 +253,7 @@ TEST_F(ClientTest, RejectsWrongCaStatus) {
   auto client = make_client();
   auto status = *store_.status_for("CA-1", leaf_.serial);
   status.signed_root.ca = "CA-2";
-  EXPECT_EQ(client.validate_status(status, leaf_, 2000),
+  EXPECT_EQ(validate(client, status, leaf_, 2000),
             Verdict::issuer_mismatch);
 }
 
@@ -227,7 +261,7 @@ TEST_F(ClientTest, RejectsTamperedRoot) {
   auto client = make_client();
   auto status = *store_.status_for("CA-1", leaf_.serial);
   status.signed_root.root[0] ^= 1;
-  EXPECT_EQ(client.validate_status(status, leaf_, 2000),
+  EXPECT_EQ(validate(client, status, leaf_, 2000),
             Verdict::bad_signature);
 }
 
@@ -242,10 +276,10 @@ TEST_F(ClientTest, RejectsProofFromDifferentGap) {
   auto status = *store_.status_for("CA-1", SerialNumber::from_uint(123, 3));
   const UnixSeconds t = status.signed_root.timestamp;
   // Same gap: accepted (sound — the proof genuinely covers it).
-  EXPECT_EQ(client.validate_status(status, leaf_within_gap(), t),
+  EXPECT_EQ(validate(client, status, leaf_within_gap(), t),
             Verdict::accepted);
   // Different gap: rejected.
-  EXPECT_EQ(client.validate_status(status, leaf_, t), Verdict::bad_proof);
+  EXPECT_EQ(validate(client, status, leaf_, t), Verdict::bad_proof);
 }
 
 TEST_F(ClientTest, DowngradeDetectionWithTerminator) {
@@ -346,7 +380,7 @@ TEST_F(ClientTest, RootMemoVerifiesEachSignedRootOnce) {
     leaf.serial = SerialNumber::from_uint(1000 + i, 3);
     const auto status = *store_.status_for("CA-1", leaf.serial);
     ASSERT_EQ(status.signed_root, first.signed_root);
-    EXPECT_EQ(client.validate_status(status, leaf, now), Verdict::accepted);
+    EXPECT_EQ(validate(client, status, leaf, now), Verdict::accepted);
   }
   EXPECT_EQ(client.root_memo_stats().verifications, 1u);
   EXPECT_EQ(client.root_memo_stats().hits, kStatuses - 1);
@@ -356,7 +390,7 @@ TEST_F(ClientTest, RootMemoMissesAnotherSignatureOverTheSameRoot) {
   auto client = make_client();
   const auto genuine = *store_.status_for("CA-1", leaf_.serial);
   const UnixSeconds t = genuine.signed_root.timestamp;
-  ASSERT_EQ(client.validate_status(genuine, leaf_, t), Verdict::accepted);
+  ASSERT_EQ(validate(client, genuine, leaf_, t), Verdict::accepted);
 
   // The memoized root's fields under another signature: a bit flip, and
   // the malleated S + L. Each is a miss, verified and rejected, and a
@@ -365,12 +399,12 @@ TEST_F(ClientTest, RootMemoMissesAnotherSignatureOverTheSameRoot) {
   flipped.signed_root.signature[17] ^= 0x04;
   const auto malleated = malleate(genuine);
   for (const auto& status : {flipped, malleated, flipped}) {
-    EXPECT_EQ(client.validate_status(status, leaf_, t),
+    EXPECT_EQ(validate(client, status, leaf_, t),
               Verdict::bad_signature);
   }
   EXPECT_EQ(client.root_memo_stats().verifications, 4u);
   EXPECT_EQ(client.root_memo_stats().hits, 0u);
-  EXPECT_EQ(client.validate_status(genuine, leaf_, t), Verdict::accepted);
+  EXPECT_EQ(validate(client, genuine, leaf_, t), Verdict::accepted);
   EXPECT_EQ(client.root_memo_stats().hits, 1u);
 }
 
@@ -389,16 +423,16 @@ TEST_F(ClientTest, RootMemoIsPerCa) {
   const auto x = *store_.status_for("CA-1", leaf_.serial);
   const UnixSeconds t = x.signed_root.timestamp;
   const auto y = ca2.status_for(leaf2.serial, t);
-  ASSERT_EQ(client.validate_status(x, leaf_, t), Verdict::accepted);
-  ASSERT_EQ(client.validate_status(y, leaf2, t), Verdict::accepted);
+  ASSERT_EQ(validate(client, x, leaf_, t), Verdict::accepted);
+  ASSERT_EQ(validate(client, y, leaf2, t), Verdict::accepted);
 
   // CA-1's memoized root, in a status for a certificate CA-2 issued...
-  EXPECT_EQ(client.validate_status(x, leaf2, t), Verdict::issuer_mismatch);
+  EXPECT_EQ(validate(client, x, leaf2, t), Verdict::issuer_mismatch);
   // ...and with its `ca` rewritten to CA-2, whose key it does not verify
   // under, though both CAs' memos are warm.
   auto rewritten = x;
   rewritten.signed_root.ca = ca2.id();
-  EXPECT_EQ(client.validate_status(rewritten, leaf2, t),
+  EXPECT_EQ(validate(client, rewritten, leaf2, t),
             Verdict::bad_signature);
   EXPECT_EQ(client.root_memo_stats().verifications, 3u);
   EXPECT_EQ(client.root_memo_stats().hits, 0u);
@@ -418,26 +452,26 @@ TEST_F(ClientTest, RootMemoKeepsTheTwoNewestRootsPerCa) {
   }
   ASSERT_NE(statuses[0].signed_root, statuses[1].signed_root);
   ASSERT_NE(statuses[1].signed_root, statuses[2].signed_root);
-  const auto validate = [&](std::size_t r) {
-    return client.validate_status(statuses[r], leaf_,
-                                  statuses[r].signed_root.timestamp);
+  const auto validate_root = [&](std::size_t r) {
+    return validate(client, statuses[r], leaf_,
+                    statuses[r].signed_root.timestamp);
   };
   const auto verifications = [&] {
     return client.root_memo_stats().verifications;
   };
 
   for (const std::size_t r : {0, 1, 0, 1}) {
-    EXPECT_EQ(validate(r), Verdict::accepted);
+    EXPECT_EQ(validate_root(r), Verdict::accepted);
   }
   EXPECT_EQ(verifications(), 2u);
   // A third root replaces the older of the two...
-  EXPECT_EQ(validate(2), Verdict::accepted);
+  EXPECT_EQ(validate_root(2), Verdict::accepted);
   EXPECT_EQ(verifications(), 3u);
-  EXPECT_EQ(validate(1), Verdict::accepted);
-  EXPECT_EQ(validate(2), Verdict::accepted);
+  EXPECT_EQ(validate_root(1), Verdict::accepted);
+  EXPECT_EQ(validate_root(2), Verdict::accepted);
   EXPECT_EQ(verifications(), 3u);
   // ...which is verified again when it comes back.
-  EXPECT_EQ(validate(0), Verdict::accepted);
+  EXPECT_EQ(validate_root(0), Verdict::accepted);
   EXPECT_EQ(verifications(), 4u);
 }
 
@@ -470,8 +504,8 @@ TEST_F(ClientTest, RootMemoAgreesWithTheOracleOnSignatureShapes) {
     const RitmClient fresh(cfg, roots);
     auto status = genuine;
     status.signed_root = root;
-    const Verdict v = client->validate_status(status, leaf_, t);
-    EXPECT_EQ(v, fresh.validate_status(status, leaf_, t)) << to_string(v);
+    const Verdict v = validate(*client, status, leaf_, t);
+    EXPECT_EQ(v, validate(fresh, status, leaf_, t)) << to_string(v);
     const Bytes tbs = root.tbs();
     const bool ok = oracle::verify(ByteSpan(tbs), root.signature, key);
     EXPECT_EQ(v == Verdict::bad_signature, !ok) << to_string(v);

@@ -173,9 +173,9 @@ TEST(StoreReaders, ProofsVerifyAfterARejectedIssuance) {
 
 // ------------------------------------------ the client's verified-root memo
 
-// Four threads validate statuses of one CA through one client while the
-// statuses rotate through three signed roots, so the memo's two slots are
-// filled and evicted concurrently. Every verdict must be the one a fresh
+// Four threads validate encoded statuses of one CA through one client while
+// the statuses rotate through three signed roots, so the memo's two slots
+// are filled and evicted concurrently. Every verdict must be the one a fresh
 // client gave beforehand, and every validation is either a verification or
 // a memo hit.
 TEST(ClientRootMemo, ConcurrentValidationsMatchAFreshClient) {
@@ -190,7 +190,7 @@ TEST(ClientRootMemo, ConcurrentValidationsMatchAFreshClient) {
   const client::RitmClient::Config ccfg{.delta = cfg.delta};
 
   struct Case {
-    dict::RevocationStatus status;
+    Bytes status;  // encoded, as a client receives it
     cert::Certificate leaf;
     UnixSeconds now = 0;
     client::Verdict want = client::Verdict::accepted;
@@ -205,17 +205,19 @@ TEST(ClientRootMemo, ConcurrentValidationsMatchAFreshClient) {
       Case c;
       c.leaf.issuer = ca.id();
       c.leaf.serial = cert::SerialNumber::from_uint(serial, 4);
-      c.status = ca.status_for(c.leaf.serial, t);
+      c.status = ca.status_for(c.leaf.serial, t).encode();
       c.now = t;
       cases.push_back(c);
     }
     Case tampered = cases.back();
-    tampered.status.signed_root.signature[40] ^= 0x10;
+    auto status = ca.status_for(tampered.leaf.serial, t);
+    status.signed_root.signature[40] ^= 0x10;
+    tampered.status = status.encode();
     cases.push_back(tampered);
   }
   for (Case& c : cases) {
     const client::RitmClient fresh(ccfg, roots);
-    c.want = fresh.validate_status(c.status, c.leaf, c.now);
+    c.want = fresh.validate_status_bytes(ByteSpan(c.status), c.leaf, c.now);
   }
   ASSERT_EQ(cases.front().want, client::Verdict::revoked);
   ASSERT_EQ(cases[1].want, client::Verdict::accepted);
@@ -237,7 +239,8 @@ TEST(ClientRootMemo, ConcurrentValidationsMatchAFreshClient) {
         const std::size_t root = (i / kRun + static_cast<std::size_t>(t)) %
                                  kRoots;
         const Case& c = cases[root * kPerRoot + (i + i / kRun) % kPerRoot];
-        if (shared.validate_status(c.status, c.leaf, c.now) != c.want) {
+        if (shared.validate_status_bytes(ByteSpan(c.status), c.leaf, c.now) !=
+            c.want) {
           ++wrong[static_cast<std::size_t>(t)];
         }
       }

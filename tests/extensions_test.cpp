@@ -2,6 +2,8 @@
 // gossip-based consistency checking.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "ca/authority.hpp"
 #include "client/client.hpp"
 #include "ra/agent.hpp"
@@ -33,16 +35,20 @@ class ChainProofTest : public ::testing::Test {
   ChainProofTest()
       : root_ca_(make_ca("ROOT-CA", 1)),
         int_ca_(make_ca("INT-CA", 2)) {
-    store_.register_ca(root_ca_.id(), root_ca_.public_key(), kDelta);
-    store_.register_ca(int_ca_.id(), int_ca_.public_key(), kDelta);
     roots_.add(root_ca_.id(), root_ca_.public_key());
     roots_.add(int_ca_.id(), int_ca_.public_key());
 
-    // Non-empty dictionaries + current freshness.
-    store_.apply_issuance(
-        root_ca_.revoke({SerialNumber::from_uint(900001, 3)}, 1000), 1000);
-    store_.apply_issuance(
-        int_ca_.revoke({SerialNumber::from_uint(900002, 3)}, 1000), 1000);
+    // Non-empty dictionaries + current freshness, in both stores.
+    const auto root_issuance =
+        root_ca_.revoke({SerialNumber::from_uint(900001, 3)}, 1000);
+    const auto int_issuance =
+        int_ca_.revoke({SerialNumber::from_uint(900002, 3)}, 1000);
+    for (ra::DictionaryStore* store : {&store_, &behind_}) {
+      store->register_ca(root_ca_.id(), root_ca_.public_key(), kDelta);
+      store->register_ca(int_ca_.id(), int_ca_.public_key(), kDelta);
+      store->apply_issuance(root_issuance, 1000);
+      store->apply_issuance(int_issuance, 1000);
+    }
 
     crypto::Seed s{};
     s.fill(0x77);
@@ -53,20 +59,66 @@ class ChainProofTest : public ::testing::Test {
     leaf_ = int_ca_.issue("www.example.com", kp.public_key, 0, 10'000'000);
   }
 
-  sim::Packet run_handshake(ra::RevocationAgent& agent, UnixSeconds now) {
+  /// A handshake whose server flight crosses the agents of `path` in
+  /// order: path[0] sits nearest the server, so the statuses it attaches
+  /// are upstream of the next agent's. store_ gets the current freshness.
+  sim::Packet run_handshake(const std::vector<ra::RevocationAgent*>& path,
+                            UnixSeconds now) {
     store_.apply_freshness({root_ca_.id(), root_ca_.freshness_at(now)}, now);
     store_.apply_freshness({int_ca_.id(), int_ca_.freshness_at(now)}, now);
     auto ch = tls::make_client_hello(ce_, se_, rng_, true);
-    agent.process(ch, now);
+    for (ra::RevocationAgent* agent : path) agent->process(ch, now);
     auto flight = tls::make_server_flight(ce_, se_, rng_,
                                           {leaf_, intermediate_}, false);
-    agent.process(flight, now);
+    for (ra::RevocationAgent* agent : path) agent->process(flight, now);
     return flight;
+  }
+
+  /// Two RAs one INT-CA issuance apart on the path, at `now`: behind_ holds
+  /// both CAs' freshness statements for `now`, then INT-CA revokes once
+  /// more and only store_ applies it. Both stores serve valid statuses;
+  /// store_'s INT-CA status is the fresher (n = 2 against 1), and their
+  /// ROOT-CA statuses are equal.
+  void split_stores(UnixSeconds now) {
+    behind_.apply_freshness({root_ca_.id(), root_ca_.freshness_at(now)},
+                            now);
+    behind_.apply_freshness({int_ca_.id(), int_ca_.freshness_at(now)}, now);
+    ASSERT_EQ(store_.apply_issuance(
+                  int_ca_.revoke({SerialNumber::from_uint(900003, 3)}, now),
+                  now),
+              ra::ApplyResult::ok);
+  }
+
+  /// What a two-RA path must deliver in chain-proof mode: exactly one
+  /// status per chain CA, INT-CA's the fresher one, and a flight that a
+  /// client demanding chain proofs accepts.
+  void expect_one_fresh_status_per_ca(const sim::Packet& flight,
+                                      UnixSeconds now) {
+    auto stripped = flight;
+    std::map<cert::CaId, std::uint64_t> n_of;
+    const auto statuses = ra::strip_status(stripped);
+    for (const Bytes& bytes : statuses) {
+      const auto status = dict::RevocationStatus::decode(ByteSpan(bytes));
+      ASSERT_TRUE(status.has_value());
+      n_of[status->signed_root.ca] = status->signed_root.n;
+    }
+    EXPECT_EQ(statuses.size(), 2u);
+    EXPECT_EQ(n_of, (std::map<cert::CaId, std::uint64_t>{{"INT-CA", 2},
+                                                          {"ROOT-CA", 1}}));
+    client::RitmClient client({.delta = kDelta,
+                               .expect_ritm = true,
+                               .require_server_confirmation = false,
+                               .require_chain_proofs = true},
+                              roots_);
+    auto received = flight;
+    EXPECT_EQ(client.process_server_flight(received, now),
+              client::Verdict::accepted);
   }
 
   Rng rng_{3};
   ca::CertificationAuthority root_ca_, int_ca_;
   ra::DictionaryStore store_;
+  ra::DictionaryStore behind_;  // a second RA's replica (split_stores)
   cert::TrustStore roots_;
   cert::Certificate intermediate_, leaf_;
   sim::Endpoint ce_{sim::Endpoint::parse_ip("10.0.0.1"), 1234};
@@ -75,16 +127,19 @@ class ChainProofTest : public ::testing::Test {
 
 TEST_F(ChainProofTest, AgentAttachesOneStatusPerChainCert) {
   ra::RevocationAgent agent({.delta = kDelta, .chain_proofs = true}, &store_);
-  auto flight = run_handshake(agent, 2000);
+  auto flight = run_handshake({&agent}, 2000);
   auto statuses = ra::strip_status(flight);
   ASSERT_EQ(statuses.size(), 2u);
-  EXPECT_EQ(statuses[0].signed_root.ca, "INT-CA");   // leaf issuer first
-  EXPECT_EQ(statuses[1].signed_root.ca, "ROOT-CA");  // intermediate issuer
+  const auto ca_of = [](const Bytes& status) {
+    return dict::RevocationStatus::decode(ByteSpan(status))->signed_root.ca;
+  };
+  EXPECT_EQ(ca_of(statuses[0]), "INT-CA");   // leaf issuer first
+  EXPECT_EQ(ca_of(statuses[1]), "ROOT-CA");  // intermediate issuer
 }
 
 TEST_F(ChainProofTest, LeafOnlyModeAttachesOne) {
   ra::RevocationAgent agent({.delta = kDelta, .chain_proofs = false}, &store_);
-  auto flight = run_handshake(agent, 2000);
+  auto flight = run_handshake({&agent}, 2000);
   EXPECT_EQ(ra::strip_status(flight).size(), 1u);
 }
 
@@ -95,7 +150,7 @@ TEST_F(ChainProofTest, ClientAcceptsFullChainProofs) {
                              .require_server_confirmation = false,
                              .require_chain_proofs = true},
                             roots_);
-  auto flight = run_handshake(agent, 2000);
+  auto flight = run_handshake({&agent}, 2000);
   EXPECT_EQ(client.process_server_flight(flight, 2000),
             client::Verdict::accepted);
 }
@@ -108,7 +163,7 @@ TEST_F(ChainProofTest, ClientRejectsMissingIntermediateProof) {
                              .require_server_confirmation = false,
                              .require_chain_proofs = true},
                             roots_);
-  auto flight = run_handshake(agent, 2000);
+  auto flight = run_handshake({&agent}, 2000);
   EXPECT_EQ(client.process_server_flight(flight, 2000),
             client::Verdict::missing_status);
 }
@@ -122,9 +177,44 @@ TEST_F(ChainProofTest, RevokedIntermediateRejected) {
                              .require_server_confirmation = false,
                              .require_chain_proofs = true},
                             roots_);
-  auto flight = run_handshake(agent, 2010);
+  auto flight = run_handshake({&agent}, 2010);
   EXPECT_EQ(client.process_server_flight(flight, 2010),
             client::Verdict::revoked);
+}
+
+// Behind another RA (§VIII "Multiple RAs"), a chain-proof RA applies the
+// multi-RA rule to each status it would attach, matched by CA against every
+// upstream status: add if missing, replace only if its view is fresher.
+
+TEST_F(ChainProofTest, StaleLeafOnlyUpstreamThenFresherChainProofRa) {
+  split_stores(2000);
+  ra::RevocationAgent upstream({.delta = kDelta, .chain_proofs = false},
+                               &behind_);
+  ra::RevocationAgent agent({.delta = kDelta, .chain_proofs = true}, &store_);
+  const auto flight = run_handshake({&upstream, &agent}, 2000);
+  EXPECT_EQ(agent.stats().statuses_replaced, 1u);
+  expect_one_fresh_status_per_ca(flight, 2000);
+}
+
+TEST_F(ChainProofTest, FresherLeafOnlyUpstreamThenStalerChainProofRa) {
+  split_stores(2000);
+  ra::RevocationAgent upstream({.delta = kDelta, .chain_proofs = false},
+                               &store_);
+  ra::RevocationAgent agent({.delta = kDelta, .chain_proofs = true},
+                            &behind_);
+  const auto flight = run_handshake({&upstream, &agent}, 2000);
+  EXPECT_EQ(agent.stats().statuses_deferred, 1u);
+  expect_one_fresh_status_per_ca(flight, 2000);
+}
+
+TEST_F(ChainProofTest, StaleChainProofUpstreamThenFresherChainProofRa) {
+  split_stores(2000);
+  ra::RevocationAgent upstream({.delta = kDelta, .chain_proofs = true},
+                               &behind_);
+  ra::RevocationAgent agent({.delta = kDelta, .chain_proofs = true}, &store_);
+  const auto flight = run_handshake({&upstream, &agent}, 2000);
+  EXPECT_EQ(agent.stats().statuses_replaced, 1u);
+  expect_one_fresh_status_per_ca(flight, 2000);
 }
 
 // ----------------------------------------------------------- gossip

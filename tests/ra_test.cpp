@@ -28,6 +28,12 @@ ca::CertificationAuthority make_ca(std::uint64_t seed,
   return ca::CertificationAuthority(cfg, rng, 1000);
 }
 
+/// An encoded status (what the DPI attaches and strips), decoded to read
+/// its fields.
+dict::RevocationStatus decoded(const Bytes& status) {
+  return dict::RevocationStatus::decode(ByteSpan(status)).value();
+}
+
 // ------------------------------------------------------------- store
 
 TEST(Store, AppliesHonestIssuance) {
@@ -400,50 +406,19 @@ TEST_F(DpiTest, AttachAndStripStatus) {
   auto pkt = tls::make_app_data(server_, client_, {9, 9});
   dict::RevocationStatus status;
   status.signed_root.ca = "CA-1";
-  attach_status(pkt, status);
+  attach_status(pkt, ByteSpan(status.encode()));
 
   const auto in = inspect(ByteSpan(pkt.payload));
-  ASSERT_TRUE(in.existing_status.has_value());
-  EXPECT_EQ(in.existing_status->signed_root.ca, "CA-1");
+  ASSERT_EQ(in.statuses.size(), 1u);
+  EXPECT_EQ(decoded(in.statuses[0]).signed_root.ca, "CA-1");
 
   const auto stripped = strip_status(pkt);
   ASSERT_EQ(stripped.size(), 1u);
-  EXPECT_EQ(stripped[0].signed_root.ca, "CA-1");
+  EXPECT_EQ(decoded(stripped[0]).signed_root.ca, "CA-1");
   // Stripped payload is the original app-data record.
   const auto in2 = inspect(ByteSpan(pkt.payload));
-  EXPECT_FALSE(in2.existing_status.has_value());
+  EXPECT_TRUE(in2.statuses.empty());
   EXPECT_EQ(in2.kind, Inspection::Kind::app_data);
-}
-
-TEST_F(DpiTest, AttachStatusBytesMatchesStructPath) {
-  // The memcpy path must be wire-identical to encoding the struct.
-  dict::RevocationStatus status;
-  status.signed_root.ca = "CA-1";
-  status.signed_root.n = 3;
-
-  auto via_struct = tls::make_app_data(server_, client_, {9, 9});
-  auto via_bytes = via_struct;
-  attach_status(via_struct, status);
-  attach_status_bytes(via_bytes, ByteSpan(status.encode()));
-  EXPECT_EQ(via_struct.payload, via_bytes.payload);
-
-  auto stripped = strip_status(via_bytes);
-  ASSERT_EQ(stripped.size(), 1u);
-  EXPECT_EQ(stripped[0], status);
-}
-
-TEST_F(DpiTest, ReplaceStatusBytesKeepsOneCopy) {
-  auto pkt = tls::make_app_data(server_, client_, {1});
-  dict::RevocationStatus old_status, new_status;
-  old_status.signed_root.ca = "CA-1";
-  old_status.signed_root.n = 1;
-  new_status.signed_root.ca = "CA-1";
-  new_status.signed_root.n = 2;
-  attach_status(pkt, old_status);
-  replace_status_bytes(pkt, ByteSpan(new_status.encode()));
-  auto stripped = strip_status(pkt);
-  ASSERT_EQ(stripped.size(), 1u);
-  EXPECT_EQ(stripped[0].signed_root.n, 2u);
 }
 
 TEST_F(DpiTest, ReplaceStatusKeepsOneCopy) {
@@ -453,11 +428,39 @@ TEST_F(DpiTest, ReplaceStatusKeepsOneCopy) {
   old_status.signed_root.n = 1;
   new_status.signed_root.ca = "CA-1";
   new_status.signed_root.n = 2;
-  attach_status(pkt, old_status);
-  replace_status(pkt, new_status);
+  attach_status(pkt, ByteSpan(old_status.encode()));
+  replace_status(pkt, ByteSpan(new_status.encode()));
   auto stripped = strip_status(pkt);
   ASSERT_EQ(stripped.size(), 1u);
-  EXPECT_EQ(stripped[0].signed_root.n, 2u);
+  EXPECT_EQ(decoded(stripped[0]).signed_root.n, 2u);
+}
+
+TEST_F(DpiTest, ReplaceStatusLeavesOtherCasStatuses) {
+  // Chain proofs put statuses of several CAs on one packet: replacing one
+  // CA's status keeps every other CA's, and keeps the records that are no
+  // status at all (the client strips those).
+  auto pkt = tls::make_app_data(server_, client_, {1});
+  dict::RevocationStatus int_old, root, int_new;
+  int_old.signed_root.ca = "INT-CA";
+  int_old.signed_root.n = 1;
+  root.signed_root.ca = "ROOT-CA";
+  int_new.signed_root.ca = "INT-CA";
+  int_new.signed_root.n = 2;
+  const Bytes garbage{0xde, 0xad};
+  attach_status(pkt, ByteSpan(int_old.encode()));
+  attach_status(pkt, ByteSpan(garbage));
+  attach_status(pkt, ByteSpan(root.encode()));
+  attach_status(pkt, ByteSpan(int_old.encode()));
+  replace_status(pkt, ByteSpan(int_new.encode()));
+
+  const auto records = tls::decode_records(ByteSpan(pkt.payload));
+  ASSERT_TRUE(records.has_value());
+  ASSERT_EQ(records->size(), 4u);  // app data, garbage, ROOT-CA, INT-CA
+  EXPECT_EQ((*records)[1].payload, garbage);
+  const auto stripped = strip_status(pkt);
+  ASSERT_EQ(stripped.size(), 2u);
+  EXPECT_EQ(stripped[0], root.encode());
+  EXPECT_EQ(stripped[1], int_new.encode());
 }
 
 TEST_F(DpiTest, ConfirmRitmSetsExtension) {
@@ -515,7 +518,7 @@ TEST_F(AgentTest, FullHandshakeAttachesStatus) {
             RevocationAgent::Action::status_attached);
   const auto stripped = strip_status(flight);
   ASSERT_EQ(stripped.size(), 1u);
-  EXPECT_EQ(stripped[0].proof.type, dict::Proof::Type::absence);
+  EXPECT_EQ(decoded(stripped[0]).proof.type, dict::Proof::Type::absence);
 
   auto fin = tls::make_server_finished(client_, server_);
   EXPECT_EQ(agent_.process(fin, 2000), RevocationAgent::Action::established);
@@ -534,9 +537,10 @@ TEST_F(AgentTest, RepeatedHandshakesServeFromStatusCache) {
               RevocationAgent::Action::status_attached);
     auto stripped = strip_status(flight);
     ASSERT_EQ(stripped.size(), 1u);
-    EXPECT_TRUE(dict::verify_proof(stripped[0].proof, leaf_.serial,
-                                   stripped[0].signed_root.root,
-                                   stripped[0].signed_root.n));
+    const auto status = decoded(stripped[0]);
+    EXPECT_TRUE(dict::verify_proof(status.proof, leaf_.serial,
+                                   status.signed_root.root,
+                                   status.signed_root.n));
   }
   EXPECT_EQ(store_.cache_stats().misses, 1u);
   EXPECT_EQ(store_.cache_stats().hits, 2u);
@@ -552,7 +556,7 @@ TEST_F(AgentTest, RepeatedHandshakesServeFromStatusCache) {
   agent_.process(flight, 2100);
   auto stripped = strip_status(flight);
   ASSERT_EQ(stripped.size(), 1u);
-  EXPECT_EQ(stripped[0].signed_root.n, 2u);  // the post-change root
+  EXPECT_EQ(decoded(stripped[0]).signed_root.n, 2u);  // the post-change root
   EXPECT_EQ(store_.cache_stats().misses, 2u);
   EXPECT_EQ(store_.cache_stats().invalidations, 1u);
 }
@@ -616,7 +620,7 @@ TEST_F(AgentTest, MultiRaDefersToFresherStatus) {
   auto flight = server_flight();
   auto fresher = *store_.status_for("CA-1", leaf_.serial);
   fresher.signed_root.n = 100;  // pretend: newer view
-  attach_status(flight, fresher);
+  attach_status(flight, ByteSpan(fresher.encode()));
   EXPECT_EQ(agent_.process(flight, 2000), RevocationAgent::Action::passed);
   EXPECT_EQ(agent_.stats().statuses_deferred, 1u);
   auto copy = flight;
@@ -634,12 +638,12 @@ TEST_F(AgentTest, MultiRaReplacesStalerStatus) {
   dict::RevocationStatus stale;
   stale.signed_root.ca = "CA-1";
   stale.signed_root.n = 1;  // older view
-  attach_status(flight, stale);
+  attach_status(flight, ByteSpan(stale.encode()));
   EXPECT_EQ(agent_.process(flight, 2100),
             RevocationAgent::Action::status_replaced);
   auto stripped = strip_status(flight);
   ASSERT_EQ(stripped.size(), 1u);
-  EXPECT_EQ(stripped[0].signed_root.n, 2u);
+  EXPECT_EQ(decoded(stripped[0]).signed_root.n, 2u);
 }
 
 TEST_F(AgentTest, SessionResumptionUsesCache) {

@@ -226,18 +226,45 @@ TEST(RobustnessDpi, InspectSurvivesArbitraryPayloads) {
 TEST(RobustnessDpi, StripStatusSurvivesMutatedStatusRecords) {
   Rng rng(78);
   Rng packet_rng(79);
+  Rng flip_rng(80);
+  ca::CertificationAuthority::Config cfg;
+  cfg.id = "CA-R";
+  cfg.delta = 10;
+  Rng ca_rng(4242);
+  ca::CertificationAuthority ca(cfg, ca_rng, 1000);
+  ca.revoke({SerialNumber::from_uint(1), SerialNumber::from_uint(9)}, 1000);
+  const Bytes genuine = ca.status_for(SerialNumber::from_uint(5), 1000).encode();
+
   const sim::Endpoint a{1, 1}, b{2, 2};
+  std::size_t kept = 0, dropped = 0;
   for (int trial = 0; trial < 500; ++trial) {
     auto pkt = tls::make_app_data(a, b, packet_rng.bytes(32));
-    // Attach a garbage ritm_status record.
+    // Attach a garbage ritm_status record, then a genuine status with one
+    // bit flipped (which may or may not still parse).
     const tls::Record rec{tls::ContentType::ritm_status,
                           rng.bytes(rng.uniform(200))};
     append(pkt.payload, ByteSpan(tls::encode_record(rec)));
+    Bytes mutated = genuine;
+    mutated[flip_rng.uniform(mutated.size())] ^=
+        static_cast<std::uint8_t>(1u << flip_rng.uniform(8));
+    ra::attach_status(pkt, ByteSpan(mutated));
     const auto statuses = ra::strip_status(pkt);
-    // Garbage statuses are dropped, the packet survives intact.
-    EXPECT_TRUE(tls::decode_records(ByteSpan(pkt.payload)).has_value());
-    (void)statuses;
+    // Every status record is gone, and the packet survives intact.
+    const auto records = tls::decode_records(ByteSpan(pkt.payload));
+    ASSERT_TRUE(records.has_value());
+    EXPECT_EQ(records->size(), 1u);
+    // What strip_status returns is exactly the records StatusView parses.
+    std::vector<Bytes> want;
+    for (const Bytes& record : {rec.payload, mutated}) {
+      if (dict::StatusView::parse(ByteSpan(record))) want.push_back(record);
+    }
+    EXPECT_EQ(statuses, want);
+    kept += want.size();
+    dropped += 2 - want.size();
   }
+  // Both sides of the rule were exercised.
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(dropped, 0u);
 }
 
 }  // namespace

@@ -469,6 +469,45 @@ TEST(StatusEndpoint, SingleAndBatchAgreeAndValidate) {
   EXPECT_EQ(rpc.call(rootless).response.status, svc::Status::unavailable);
 }
 
+TEST(StatusEndpoint, SerialLengthIsBoundedAtTheWire) {
+  // Every serial decoder caps a serial at cert::kMaxSerialBytes; the status
+  // methods must too, before the store proves, encodes and caches anything.
+  auto ca = make_ca(42);
+  ra::DictionaryStore store;
+  store.register_ca(ca.id(), ca.public_key(), ca.delta());
+  ASSERT_EQ(store.apply_issuance(
+                ca.revoke({SerialNumber::from_uint(3, 4)}, 1000), 1000),
+            ra::ApplyResult::ok);
+  ra::RaService service(&store);
+  svc::InProcessTransport rpc(&service);
+  const auto query = [&](std::size_t length) {
+    svc::Request req;
+    req.method = svc::Method::status_query;
+    req.body = ra::encode_status_query(
+        ca.id(), SerialNumber{Bytes(length, 0x5A)});
+    return rpc.call(req).response.status;
+  };
+
+  EXPECT_EQ(query(cert::kMaxSerialBytes), svc::Status::ok);
+  const auto misses = store.cache_stats().misses;
+  for (const std::size_t length : {std::size_t{21}, std::size_t{255}}) {
+    EXPECT_EQ(query(length), svc::Status::malformed) << length;
+  }
+  EXPECT_EQ(store.cache_stats().misses, misses);
+
+  svc::Request batch;
+  batch.method = svc::Method::status_batch;
+  batch.body = ra::encode_status_batch(
+      ca.id(), {SerialNumber::from_uint(1, 4),
+                SerialNumber{Bytes(cert::kMaxSerialBytes + 1, 0x5A)},
+                SerialNumber::from_uint(2, 4)});
+  EXPECT_EQ(rpc.call(batch).response.status, svc::Status::malformed);
+  batch.body = ra::encode_status_batch(
+      ca.id(), {SerialNumber::from_uint(1, 4),
+                SerialNumber{Bytes(cert::kMaxSerialBytes, 0x5A)}});
+  EXPECT_EQ(rpc.call(batch).response.status, svc::Status::ok);
+}
+
 TEST(SyncEndpoint, GapRecoveryOverTransport) {
   auto ca = make_ca(41);
   cdn::Cdn cdn = cdn::make_global_cdn(0);

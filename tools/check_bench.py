@@ -3,8 +3,8 @@
 
 Compares a freshly produced BENCH_throughput.json against the baseline
 committed at the repo root and fails (exit 1) if any gated speedup dropped
-by more than the threshold (default 20%). Used by the `bench` CI job; run it
-locally the same way:
+by more than the threshold (default 20%), or if a same-run floor or ceiling
+does not hold. Used by the `bench` CI job; run it locally the same way:
 
     cmake -B build -S . && cmake --build build -j --target bench_throughput
     (cd build && ./bench_throughput)
@@ -12,15 +12,16 @@ locally the same way:
         --current build/BENCH_throughput.json
 
 Only ratio metrics (speedups) are gated against the baseline: absolute
-rates vary wildly across runner hardware, but "the warm status cache is N
-times faster than proving" and "snapshot+WAL restart is N times faster than
-full feed replay" should hold anywhere, so a big drop means a real
-regression, not a slow VM. A small
-FLOORS list additionally gates same-run ratios against absolute minimums
-(no baseline needed), and CEILINGS gates same-run ratios against absolute
-maximums (e.g. digest gossip must move <= 0.2x the bytes of full-list
-exchange, and the incremental dictionary rebuild must hash no more than its
-exact count). Guard-skipped entries print an explicit `SKIPPED (guard: ...)`
+rates vary wildly across runner hardware, but "batched status queries move
+N times the statuses of single ones" should hold anywhere. A claim whose
+quantity is a count is gated on that count instead, in CEILINGS: the warm
+status cache proves each working-set serial once, the snapshot+WAL restart
+replays only the log tail, and the incremental dictionary rebuild hashes
+only what a batch dirtied, each at its exact count. The time ratios of
+those claims divide two noisy timings, so they are reported (INFORMATIONAL)
+or held to a portable same-run floor (FLOORS, no baseline needed); CEILINGS
+also holds same-run ratios to absolute maximums (e.g. digest gossip must
+move <= 0.2x the bytes of full-list exchange). Guard-skipped entries print an explicit `SKIPPED (guard: ...)`
 line so bench logs are auditable.
 
 A gated metric missing from the *baseline* is reported as new and skipped
@@ -35,8 +36,6 @@ import sys
 
 # (dotted path, human label).
 GATED = [
-    ("status_cache.speedup", "warm status-cache speedup"),
-    ("recovery.speedup", "snapshot+WAL restart vs full feed replay"),
     ("svc_status.batch_speedup", "batched vs single status RPS over TCP"),
 ]
 
@@ -69,6 +68,14 @@ FLOORS = [
      ("svc_status.multicore_scaling.cores", 8)),
     ("recovery.mmap_speedup", 3.0,
      "snapshot mmap restore vs CDN cold-start install", None),
+    # The claims behind these two ratios are gated by exact counts in
+    # CEILINGS (status_cache.warm_misses, recovery.wal_replayed); the ratios
+    # read 6.5-10.7 on a shared 4-vCPU VM, so a floor of 3 only catches a
+    # path that stopped being faster at all.
+    ("status_cache.speedup", 3.0,
+     "warm status-cache lookup + memcpy vs prove + encode", None),
+    ("recovery.speedup", 3.0,
+     "snapshot+WAL restart vs full feed replay", None),
     # The paper-facing client row must stay cold: one Ed25519 verification
     # per validation (the bench runs 20,000), however the memo changes.
     ("client_validation.cold_sig_verifications", 20000,
@@ -92,6 +99,18 @@ CEILINGS = [
     # (26,798); a rebuild from leaf 0 costs about 42.6M.
     ("dict_update.incremental.sha256_ops", 26798,
      "SHA-256 ops of 200 incremental 64-serial batches into 100k entries",
+     None),
+    # The warm cache's claim: 100,000 lookups over a 512-serial working set
+    # prove and encode each serial once (its first touch) and memcpy the
+    # rest. A cache that stopped storing would miss on every lookup.
+    ("status_cache.warm_misses", 512,
+     "status-cache misses over the warm loop's 100k lookups (512 serials)",
+     None),
+    # The restart's claim: it adopts the checkpoint and replays only the
+    # log tail, the 10 issuances pulled after the checkpoint. A durable RA
+    # that never checkpointed would replay all 1,000 periods.
+    ("recovery.wal_replayed", 10,
+     "WAL records the checkpoint + WAL restart replays (10-period tail)",
      None),
     ("gossip_mesh.bytes_ratio", 0.20,
      "digest-gossip bytes vs full-list bytes at 100 RAs", None),
