@@ -2,6 +2,8 @@
 //
 //  1. Proof size and prove/verify latency vs dictionary size (log growth).
 //  2. Batch insert vs one-at-a-time insert (the rebuild amortization).
+//  2b. An issuance stream of appended vs random serials: the sorted tree's
+//      rehash cost per period.
 //  3. Freshness chain length m: CA re-sign cost vs statement cost.
 //
 // Each table's deterministic columns (sizes, depths, rebuild and rehash
@@ -17,7 +19,6 @@
 #include "common/table.hpp"
 #include "crypto/hash_chain.hpp"
 #include "dict/dictionary.hpp"
-#include "dict/treap.hpp"
 
 using namespace ritm;
 
@@ -28,6 +29,35 @@ double us_per_op(std::chrono::steady_clock::duration d, std::size_t ops) {
              .count() /
          double(ops);
 }
+
+/// A stream of issuances into a 50k-entry dictionary (ablation 2b).
+struct IssuanceStream {
+  std::vector<cert::SerialNumber> base;
+  std::vector<std::vector<cert::SerialNumber>> batches;
+};
+
+struct StreamResult {
+  std::uint64_t rehashes = 0;
+  double ms = 0;
+  std::size_t absence_proof_bytes = 0;
+};
+
+/// Inserts the stream's base, then times its batches one insert each, as an
+/// RA applies issuances; sizes an absence proof for `probe` afterwards
+/// (without serializing it).
+StreamResult run_stream(const IssuanceStream& stream,
+                        const cert::SerialNumber& probe) {
+  dict::Dictionary tree;
+  tree.insert(stream.base);
+  const std::uint64_t hashes_before = tree.total_hash_count();
+  const auto start = std::chrono::steady_clock::now();
+  for (const auto& batch : stream.batches) tree.insert(batch);
+  StreamResult out;
+  out.ms = us_per_op(std::chrono::steady_clock::now() - start, 1) / 1000.0;
+  out.rehashes = tree.total_hash_count() - hashes_before;
+  out.absence_proof_bytes = tree.prove(probe).wire_size();
+  return out;
+}
 }  // namespace
 
 int main() {
@@ -36,9 +66,7 @@ int main() {
   // Collected for BENCH_dict.json.
   double prove_us_100k = 0, verify_us_100k = 0, proof_bytes_100k = 0;
   double batch_ms_final = 0, inc_ms_final = 0;
-  double tree_ms_final = 0, treap_ms_final = 0;
-  std::uint64_t tree_rehashes = 0, treap_rehashes = 0;
-  std::size_t tree_proof_bytes = 0, treap_proof_bytes = 0;
+  StreamResult append_result, random_result;
 
   std::printf("== ablation 1: proof size vs dictionary size ==\n\n");
   Table t1({"n", "proof bytes", "depth"});
@@ -134,71 +162,53 @@ int main() {
                  t2_time.render().c_str());
   }
 
-  std::printf("== ablation 2b: sorted Merkle tree vs Merkle treap ==\n\n");
+  std::printf(
+      "== ablation 2b: sorted Merkle tree, appended vs random serials ==\n\n");
   {
     // The sorted tree rehashes every leaf from a batch's first insertion
-    // point on, plus their ancestors; the treap rehashes only each
-    // insertion's spine, at the cost of ~1.5x larger proofs. Stream a
-    // Heartbleed-hour of issuances (120 batches of 50) into a 50k-entry
-    // dictionary and compare. These serials all sort after the base, so
-    // every tree batch is an append.
-    constexpr std::uint64_t kBase = 50'000;
-    std::vector<cert::SerialNumber> base;
-    for (std::uint64_t i = 0; i < kBase; ++i) {
-      base.push_back(cert::SerialNumber::from_uint(i * 5 + 1, 4));
-    }
-
-    dict::Dictionary tree;
-    tree.insert(base);
-    dict::MerkleTreap treap;
-    treap.insert(base);
-
-    auto batch_at = [](std::uint64_t k) {
-      std::vector<cert::SerialNumber> b;
-      for (std::uint64_t i = 0; i < 50; ++i) {
-        b.push_back(cert::SerialNumber::from_uint(1'000'000 + k * 50 + i, 4));
-      }
-      return b;
+    // point on, plus their ancestors. Stream a Heartbleed-hour of issuances
+    // (120 batches of 50) into a 50k-entry dictionary twice. First with
+    // serials that all sort after the base, so every batch is an append;
+    // then with base and batches drawn uniformly below 2^32 from a seeded
+    // generator, as real serials are random (CA/Browser Forum Baseline
+    // Requirements §7.1), so a batch's first insertion point lands near the
+    // front and nearly the whole tree is rehashed.
+    constexpr std::uint64_t kBase = 50'000, kBatches = 120, kBatchSize = 50;
+    IssuanceStream append_stream, random_stream;
+    Rng serial_rng(2024);
+    const auto random_serial = [&] {
+      return cert::SerialNumber::from_uint(serial_rng.uniform(1ull << 32), 4);
     };
-
-    const std::uint64_t tree_hashes_before = tree.total_hash_count();
-    auto start = std::chrono::steady_clock::now();
-    for (std::uint64_t k = 0; k < 120; ++k) {
-      tree.insert(batch_at(k));
+    for (std::uint64_t i = 0; i < kBase; ++i) {
+      append_stream.base.push_back(cert::SerialNumber::from_uint(i * 5 + 1, 4));
+      random_stream.base.push_back(random_serial());
     }
-    const double tree_ms =
-        us_per_op(std::chrono::steady_clock::now() - start, 1) / 1000.0;
-    tree_rehashes = tree.total_hash_count() - tree_hashes_before;
-
-    start = std::chrono::steady_clock::now();
-    for (std::uint64_t k = 0; k < 120; ++k) {
-      treap.insert(batch_at(k));
-      treap_rehashes += treap.last_rehash_count();
-      (void)treap.root();
+    for (std::uint64_t k = 0; k < kBatches; ++k) {
+      auto& appended_batch = append_stream.batches.emplace_back();
+      auto& random_batch = random_stream.batches.emplace_back();
+      for (std::uint64_t i = 0; i < kBatchSize; ++i) {
+        appended_batch.push_back(cert::SerialNumber::from_uint(
+            1'000'000 + k * kBatchSize + i, 4));
+        random_batch.push_back(random_serial());
+      }
     }
-    const double treap_ms =
-        us_per_op(std::chrono::steady_clock::now() - start, 1) / 1000.0;
 
-    // Proof sizes for the same absent serial (sized without serializing).
     const auto probe = cert::SerialNumber::from_uint(123'456'789, 4);
-    const auto tree_proof = tree.prove(probe).wire_size();
-    const auto treap_proof = treap.prove(probe).wire_size();
+    append_result = run_stream(append_stream, probe);
+    random_result = run_stream(random_stream, probe);
 
     Table t2b({"backend", "rehashes", "absence proof (B)"});
-    t2b.add_row({"sorted Merkle tree (paper)", Table::num(tree_rehashes),
-                 Table::num(std::uint64_t(tree_proof))});
-    t2b.add_row({"Merkle treap", Table::num(treap_rehashes),
-                 Table::num(std::uint64_t(treap_proof))});
-    std::printf("%s\n", t2b.render().c_str());
     Table t2b_time({"backend", "120 issuances (ms)"});
-    t2b_time.add_row({"sorted Merkle tree (paper)", Table::num(tree_ms, 1)});
-    t2b_time.add_row({"Merkle treap", Table::num(treap_ms, 1)});
+    for (const auto& [name, r] :
+         {std::pair{"sorted Merkle tree (paper)", append_result},
+          std::pair{"random serials", random_result}}) {
+      t2b.add_row({name, Table::num(r.rehashes),
+                   Table::num(std::uint64_t(r.absence_proof_bytes))});
+      t2b_time.add_row({name, Table::num(r.ms, 1)});
+    }
+    std::printf("%s\n", t2b.render().c_str());
     std::fprintf(stderr, "== ablation 2b: issuance time ==\n\n%s\n",
                  t2b_time.render().c_str());
-    tree_ms_final = tree_ms;
-    treap_ms_final = treap_ms;
-    tree_proof_bytes = tree_proof;
-    treap_proof_bytes = treap_proof;
   }
 
   std::printf("== ablation 3: freshness chain length m ==\n\n");
@@ -238,16 +248,18 @@ int main() {
         "  \"issuance_stream_50k\": {\n"
         "    \"tree\": {\"ms\": %.2f, \"rehashes\": %llu, "
         "\"absence_proof_bytes\": %zu},\n"
-        "    \"treap\": {\"ms\": %.2f, \"rehashes\": %llu, "
+        "    \"tree_random\": {\"ms\": %.2f, \"rehashes\": %llu, "
         "\"absence_proof_bytes\": %zu}\n"
         "  }\n"
         "}\n",
         prove_us_100k * 1000.0, verify_us_100k * 1000.0, proof_bytes_100k,
         prove_us_100k > 0 ? 1e6 / prove_us_100k : 0,
         verify_us_100k > 0 ? 1e6 / verify_us_100k : 0, batch_ms_final,
-        inc_ms_final, tree_ms_final, (unsigned long long)tree_rehashes,
-        tree_proof_bytes, treap_ms_final, (unsigned long long)treap_rehashes,
-        treap_proof_bytes);
+        inc_ms_final, append_result.ms,
+        (unsigned long long)append_result.rehashes,
+        append_result.absence_proof_bytes, random_result.ms,
+        (unsigned long long)random_result.rehashes,
+        random_result.absence_proof_bytes);
     std::fclose(f);
     std::printf("\nwrote BENCH_dict.json\n");
   }

@@ -1,10 +1,12 @@
-// Fuzz harness for the RA's persisted-state parsers: the CDN cold-start
-// object (ca::ColdStartObject::decode) with the dictionary snapshot it
-// carries (dict::Dictionary::restore_from), the checkpoint decoders
-// (persist::decode_part with Dictionary::restore_sections, and
-// persist::decode_part_list), and the WAL reader (persist::WriteAheadLog
-// ::scan, and ra::DictionaryStore::recover_from replaying what it reads).
-// The first byte mod 4 picks one of four input shapes:
+// Fuzz harness for the RA's persisted-state parsers and the CDN objects it
+// pulls: the CDN cold-start object (ca::ColdStartObject::decode) with the
+// dictionary snapshot it carries (dict::Dictionary::restore_from), the
+// checkpoint decoders (persist::decode_part with
+// Dictionary::restore_sections, and persist::decode_part_list), the WAL
+// reader (persist::WriteAheadLog::scan, and ra::DictionaryStore::recover_from
+// replaying what it reads), and the per-period feed object (ca::decode_feed,
+// and ra::RaUpdater pulling it). The first byte mod 5 picks one of five
+// input shapes:
 //   * raw:        the rest of the input, verbatim, to the cold-start parser.
 //   * mutation:   one of a few valid cold-start encodings (bare snapshots
 //                 and cold-start objects of dictionaries with 0, 3 and 200
@@ -26,6 +28,9 @@
 //                 by the second byte's low bit; its high bit recomputes the
 //                 record CRCs after the XOR, so mutations reach the record
 //                 decoders and the acceptance rules.
+//   * feed:       raw bytes, or a valid feed object carrying issuances and
+//                 freshness statements of two CAs with the remaining bytes
+//                 XORed over it, picked by the second byte's low bit.
 // Every cold-start input goes to the snapshot parser both bare and as a
 // cold-start object, and must either be rejected or restore to a dictionary
 // that
@@ -39,17 +44,21 @@
 // re-frame to exactly the input's first valid_bytes, with valid_bytes +
 // truncated_bytes equal to the input size; and, as the wal.log of an
 // otherwise empty directory, to DictionaryStore::recover_from, which must
-// return ok without throwing.
+// return ok without throwing. Every feed input goes to ca::decode_feed,
+// whose accepted feeds must re-encode (ca::encode_feed) to exactly the
+// input; and, as period 0's object on an in-process CDN, to an RaUpdater
+// over a store that registers both CAs, whose pull must not throw.
 //
 // Built two ways (CMake), like fuzz_frame: with -DRITM_BUILD_FUZZERS=ON
 // (clang) this is a libFuzzer target; otherwise it compiles as a
 // self-driving smoke binary that replays a deterministic pseudo-random
-// corpus of all four shapes, registered as a ctest (label `fault`).
+// corpus of all five shapes, registered as a ctest (label `fault`).
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -58,6 +67,9 @@
 #include <vector>
 
 #include "ca/authority.hpp"
+#include "ca/feed.hpp"
+#include "cdn/cdn.hpp"
+#include "cdn/service.hpp"
 #include "common/crc32.hpp"
 #include "common/io.hpp"
 #include "common/rng.hpp"
@@ -66,6 +78,7 @@
 #include "persist/shard_checkpoint.hpp"
 #include "persist/wal.hpp"
 #include "ra/store.hpp"
+#include "ra/updater.hpp"
 
 namespace {
 
@@ -83,21 +96,24 @@ struct Base {
 constexpr std::size_t kCountOffset = 1;  // after the version byte
 constexpr std::size_t kHeaderBytes = kCountOffset + 8;
 
-/// The CA a WAL image's records come from: what recovery registers.
-struct WalCa {
+/// A CA whose messages an input carries: what the store under test
+/// registers.
+struct RegisteredCa {
   cert::CaId id;
   crypto::PublicKey key{};
   UnixSeconds delta = 0;
 };
 
 /// Valid encodings to mutate: bare snapshots, then cold-start objects, of
-/// three CAs' dictionaries; those dictionaries' checkpoint files; and a
-/// wal.log of another CA's records.
+/// three CAs' dictionaries; those dictionaries' checkpoint files; a wal.log
+/// of another CA's records; and a feed object of two more CAs' messages.
 struct Corpus {
   std::vector<Base> cold;
   std::vector<Bytes> checkpoint;  // three parts, then a part list
   Bytes wal;
-  WalCa wal_ca;
+  RegisteredCa wal_ca;
+  Bytes feed;
+  std::vector<RegisteredCa> feed_cas;
 };
 
 /// A temporary directory named after this process, removed at exit.
@@ -176,12 +192,31 @@ Bytes wal_file(ca::CertificationAuthority& ca, Rng& rng) {
   return read_file(persist::Recovery::wal_path(dir.path.string()));
 }
 
+/// A period's feed object from `cas`: each one's issuance at t = 1000, then
+/// each one's freshness statement for the next period.
+Bytes feed_object(const std::vector<ca::CertificationAuthority*>& cas,
+                  Rng& rng) {
+  const auto serial = [&] {
+    return cert::SerialNumber{
+        rng.bytes(1 + rng.uniform(cert::kMaxSerialBytes))};
+  };
+  ca::Feed feed;
+  for (ca::CertificationAuthority* ca : cas) {
+    feed.push_back(ca::FeedMessage::of(ca->revoke({serial(), serial()}, 1000)));
+  }
+  for (ca::CertificationAuthority* ca : cas) feed.push_back(ca->refresh(1010));
+  return ca::encode_feed(feed);
+}
+
+RegisteredCa registered(const ca::CertificationAuthority& ca) {
+  return {ca.id(), ca.public_key(), ca.delta()};
+}
+
 const Corpus& corpus() {
   static const Corpus out = [] {
     std::vector<Base> snapshots, objects;
     std::vector<dict::DictSections> dicts;
-    std::vector<ca::CertificationAuthority> cas;
-    cas.reserve(4);
+    std::deque<ca::CertificationAuthority> cas;  // references stay valid
     Rng rng(0x5A4B);
     for (const std::size_t n : {0, 3, 200}) {
       ca::CertificationAuthority::Config cfg;
@@ -226,9 +261,19 @@ const Corpus& corpus() {
     cfg.chain_length = 8;
     ca::CertificationAuthority& wal_ca = cas.emplace_back(cfg, rng, 1000);
     Bytes wal = wal_file(wal_ca, rng);
-    return Corpus{std::move(snapshots), checkpoint_files(dicts),
+
+    std::vector<ca::CertificationAuthority*> feed_cas;
+    for (const char* id : {"CA-FUZZ-FEED-A", "CA-FUZZ-FEED-B"}) {
+      cfg.id = id;
+      feed_cas.push_back(&cas.emplace_back(cfg, rng, 1000));
+    }
+    Bytes feed = feed_object(feed_cas, rng);
+    return Corpus{std::move(snapshots),
+                  checkpoint_files(dicts),
                   std::move(wal),
-                  WalCa{wal_ca.id(), wal_ca.public_key(), wal_ca.delta()}};
+                  registered(wal_ca),
+                  std::move(feed),
+                  {registered(*feed_cas[0]), registered(*feed_cas[1])}};
   }();
   return out;
 }
@@ -361,13 +406,37 @@ WalReplay check_wal(ByteSpan image) {
               static_cast<std::streamsize>(image.size()));
   }
   ra::DictionaryStore store;
-  const WalCa& ca = corpus().wal_ca;
+  const RegisteredCa& ca = corpus().wal_ca;
   store.register_ca(ca.id, ca.key, ca.delta);
   const auto report = store.recover_from(dir.path.string());
   if (!report.ok || report.replayed + report.rejected > scan.records.size()) {
     __builtin_trap();
   }
   return {report.replayed, report.rejected, store.feed_cursor()};
+}
+
+/// Checks `image` as a period's feed object: a feed decode_feed accepts
+/// must re-encode to exactly `image`, and an updater must pull `image` as
+/// period 0's object from an in-process CDN, into a store that registers
+/// the feed's two CAs, without throwing. Returns the updater's totals.
+ra::RaUpdater::Totals check_feed(ByteSpan image) {
+  if (const auto feed = ca::decode_feed(image)) {
+    const Bytes again = ca::encode_feed(*feed);
+    if (again.size() != image.size() ||
+        !std::equal(again.begin(), again.end(), image.begin())) {
+      __builtin_trap();
+    }
+  }
+  cdn::Cdn cdn = cdn::make_global_cdn(0);
+  cdn.origin().put(ca::feed_path(0), Bytes(image.begin(), image.end()), 0);
+  cdn::LocalCdn cdn_rpc(&cdn);
+  ra::DictionaryStore store;
+  for (const RegisteredCa& ca : corpus().feed_cas) {
+    store.register_ca(ca.id, ca.key, ca.delta);
+  }
+  ra::RaUpdater updater({}, &store, &cdn_rpc.rpc);
+  updater.pull_up_to(0, from_seconds(1010));
+  return updater.totals();
 }
 
 std::uint64_t be_at(const std::uint8_t* p, std::size_t bytes) {
@@ -437,7 +506,7 @@ Bytes xor_over(const Bytes& base, const std::uint8_t* mask, std::size_t len) {
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size < 1) return 0;
-  const std::uint8_t shape = data[0] % 4;
+  const std::uint8_t shape = data[0] % 5;
   if (shape == 0) {
     check(ByteSpan(data + 1, size - 1));
     return 0;
@@ -463,9 +532,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     return 0;
   }
   const bool raw = (pick_byte & 1) != 0;
-  Bytes t = xor_over(raw ? Bytes() : corpus().wal, mask, mask_len);
-  if ((pick_byte & 0x80) != 0) refresh_wal_crcs(t);
-  check_wal(ByteSpan(t));
+  if (shape == 3) {
+    Bytes t = xor_over(raw ? Bytes() : corpus().wal, mask, mask_len);
+    if ((pick_byte & 0x80) != 0) refresh_wal_crcs(t);
+    check_wal(ByteSpan(t));
+    return 0;
+  }
+  const Bytes t = xor_over(raw ? Bytes() : corpus().feed, mask, mask_len);
+  check_feed(ByteSpan(t));
   return 0;
 }
 
@@ -481,7 +555,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 // rejected. WAL shape: raw noise, truncated logs, and logs with a few
 // flipped bits, one byte changed or trailing bytes, with and without
 // refreshed CRCs; the unchanged log must replay all four mutations and
-// end at feed cursor 5.
+// end at feed cursor 5. Feed shape: raw noise, truncated objects, and
+// objects with a few flipped bits, one byte changed or trailing bytes; the
+// unchanged object must apply all four of its messages.
 int main() {
   // The corpus leans on the bases being valid; a broken one would leave
   // only rejections to compare.
@@ -654,6 +730,42 @@ int main() {
       const std::uint64_t flips = 1 + rng.uniform(3);
       for (std::uint64_t f = 0; f < flips; ++f) {
         buf[2 + rng.uniform(log.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.uniform(8));
+      }
+    }
+    LLVMFuzzerTestOneInput(buf.data(), buf.size());
+  }
+
+  const Bytes& feed = corpus().feed;
+  const auto pulled = check_feed(ByteSpan(feed));
+  if (pulled.applied_ok != 4 || pulled.rejected != 0) return 1;
+  for (int iter = 0; iter < 600; ++iter) {
+    const std::uint64_t kind = rng.uniform(6);
+    buf.assign(2, 4);
+    if (kind <= 1) {  // raw: noise, or a valid object cut short
+      buf[1] = 1;
+      const Bytes body =
+          kind == 0 ? rng.bytes(rng.uniform(300))
+                    : Bytes(feed.begin(),
+                            feed.begin() + static_cast<std::ptrdiff_t>(
+                                               rng.uniform(feed.size())));
+      buf.insert(buf.end(), body.begin(), body.end());
+      LLVMFuzzerTestOneInput(buf.data(), buf.size());
+      continue;
+    }
+    // An XOR mask over the valid object.
+    buf[1] = 0;
+    buf.resize(2 + feed.size(), 0);
+    if (kind == 2) {  // trailing bytes
+      const Bytes tail = rng.bytes(1 + rng.uniform(40));
+      buf.insert(buf.end(), tail.begin(), tail.end());
+    } else if (kind == 3) {  // one byte changed
+      buf[2 + rng.uniform(feed.size())] =
+          static_cast<std::uint8_t>(1 + rng.uniform(255));
+    } else {  // a few bit flips
+      const std::uint64_t flips = 1 + rng.uniform(3);
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        buf[2 + rng.uniform(feed.size())] ^=
             static_cast<std::uint8_t>(1u << rng.uniform(8));
       }
     }

@@ -91,31 +91,4 @@ std::vector<std::pair<double, double>> Summary::cdf_curve(
   return curve;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(lo < hi) || bins == 0) {
-    throw std::invalid_argument("Histogram: bad range or zero bins");
-  }
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const auto i = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) *
-                                          static_cast<double>(counts_.size()));
-  ++counts_[std::min(i, counts_.size() - 1)];
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-         static_cast<double>(counts_.size());
-}
-
 }  // namespace ritm

@@ -327,13 +327,6 @@ Digest20 hash20(ByteSpan data) noexcept {
   return out;
 }
 
-Digest20 hash20_pair(const Digest20& left, const Digest20& right) noexcept {
-  std::uint8_t buf[40];
-  std::memcpy(buf, left.data(), 20);
-  std::memcpy(buf + 20, right.data(), 20);
-  return hash20_short(buf, sizeof(buf));
-}
-
 Digest20 rehash20(const Digest20& d) noexcept {
   return hash20_short(d.data(), d.size());
 }

@@ -3,7 +3,7 @@
 // we truncated its output to the first 20 bytes").
 //
 // Every hash on the dictionary hot path (leaf hashes, Merkle inner nodes,
-// treap nodes, hash-chain links) is a short fixed-shape message, so hash20()
+// hash-chain links) is a short fixed-shape message, so hash20()
 // dispatches to a one-shot compression path for inputs that fit in one or
 // two blocks, skipping the incremental buffer/length machinery entirely.
 // hash20_batch() is the rebuild loop's entry point: it feeds the runtime-
@@ -56,9 +56,6 @@ Sha256Digest sha256_short(ByteSpan data) noexcept;
 using Digest20 = std::array<std::uint8_t, 20>;
 
 Digest20 hash20(ByteSpan data) noexcept;
-
-/// Hash of the concatenation of two 20-byte digests (Merkle inner node).
-Digest20 hash20_pair(const Digest20& left, const Digest20& right) noexcept;
 
 /// One hash-chain link: H(d) for a 20-byte digest. Single-block fast path,
 /// used by crypto::HashChain to build and walk chains.

@@ -158,8 +158,8 @@ class Dictionary {
   std::size_t memory_bytes() const noexcept;
 
   /// SHA-256 invocations performed by the most recent rebuild, and in total
-  /// over this dictionary's lifetime (ablation/bench metrics mirroring
-  /// MerkleTreap::last_rehash_count).
+  /// over this dictionary's lifetime (the rehash counts the ablation and the
+  /// benches report).
   std::uint64_t last_rebuild_hash_count() const noexcept {
     return last_rebuild_hashes_;
   }

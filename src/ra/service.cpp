@@ -287,25 +287,39 @@ svc::Response RaService::status_batch(const svc::Request& req) {
   const cert::CaId ca(ca_bytes->begin(), ca_bytes->end());
   if (!store_->knows(ca)) return svc::reject(req, svc::Status::unknown_ca);
 
+  // Read the whole body before serving any of it, so a malformed batch
+  // proves, encodes and caches nothing.
+  ByteReader serials = r;
+  std::uint32_t well_formed = 0;
+  for (; well_formed < *count; ++well_formed) {
+    const auto length = r.try_u8();
+    if (!length || *length == 0 || *length > cert::kMaxSerialBytes ||
+        !r.skip(*length)) {
+      break;
+    }
+  }
+  if (well_formed < *count || !r.done()) {
+    // The reply a batch served in order would get: a CA with no root yet
+    // fails its first well-formed serial as unavailable.
+    const bool unavailable = well_formed > 0 && !store_->has_root(ca);
+    return svc::reject(req, unavailable ? svc::Status::unavailable
+                                        : svc::Status::malformed);
+  }
+
   svc::Response resp;
   resp.request_id = req.request_id;
   ByteWriter w(resp.body);
   w.u32(*count);
   cert::SerialNumber serial;
   for (std::uint32_t i = 0; i < *count; ++i) {
-    const auto serial_bytes = r.try_var8();
-    if (!serial_bytes || serial_bytes->empty() ||
-        serial_bytes->size() > cert::kMaxSerialBytes) {
-      return svc::reject(req, svc::Status::malformed);
-    }
-    serial.value = *serial_bytes;
+    const ByteSpan bytes = *serials.try_span(*serials.try_u8());
+    serial.value.assign(bytes.begin(), bytes.end());
     // Each serial fans out over the status-byte cache — the same warm path
     // the DPI pipeline uses, amortized N per envelope.
     const auto cached = store_->status_bytes_for(ca, serial);
     if (!cached) return svc::reject(req, svc::Status::unavailable);
     w.var24(ByteSpan(*cached->bytes));
   }
-  if (!r.done()) return svc::reject(req, svc::Status::malformed);
   stats_.serials_served.fetch_add(*count, std::memory_order_relaxed);
   return resp;
 }

@@ -351,12 +351,4 @@ std::optional<MisbehaviourEvidence> RaUpdater::consistency_check(
   return evidence;
 }
 
-std::optional<MisbehaviourEvidence> RaUpdater::gossip_check(
-    const dict::SignedRoot& peer_root) {
-  ++totals_.consistency_checks;
-  auto evidence = store_->cross_check(peer_root);
-  if (evidence) ++totals_.misbehaviour_detected;
-  return evidence;
-}
-
 }  // namespace ritm::ra

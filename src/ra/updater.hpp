@@ -116,11 +116,6 @@ class RaUpdater {
   std::optional<MisbehaviourEvidence> consistency_check(
       const cert::CaId& ca, TimeMs now);
 
-  /// Direct RA<->RA gossip: cross-check a peer's signed root (§V "More
-  /// powerful adversaries", map-server / gossip deployment).
-  std::optional<MisbehaviourEvidence> gossip_check(
-      const dict::SignedRoot& peer_root);
-
   /// The store's feed cursor: the period the next pull fetches first.
   std::uint64_t next_period() const noexcept { return store_->feed_cursor(); }
   const Totals& totals() const noexcept { return totals_; }

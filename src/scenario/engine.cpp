@@ -19,7 +19,6 @@
 #include "cdn/service.hpp"
 #include "crypto/hash_chain.hpp"
 #include "dict/messages.hpp"
-#include "dict/proof.hpp"
 #include "ra/service.hpp"
 #include "ra/store.hpp"
 #include "ra/updater.hpp"
@@ -46,7 +45,7 @@ cert::CaId ca_name(int c) {
 /// signed root's anchor; statement H^(m-p)(v) means the CA was live at
 /// timestamp + p*delta. An unmatchable statement (never the case against
 /// an honest stack) dates as the root timestamp itself.
-UnixSeconds effective_time(const dict::RevocationStatus& st, UnixSeconds delta,
+UnixSeconds effective_time(const dict::StatusView& st, UnixSeconds delta,
                            std::size_t max_steps) {
   crypto::Digest20 h = st.freshness;
   for (std::size_t off = 0; off <= max_steps; ++off) {
@@ -66,16 +65,19 @@ struct BatchItem {
 };
 
 /// One client thread: slices each period's flows, groups them into per-CA
-/// status_batch envelopes, and records outcomes into its own accumulator.
+/// status_batch envelopes, judges each served status with its own client,
+/// and records outcomes into its own accumulator.
 class FlowDriver {
  public:
   FlowDriver(const WorkloadPlan& plan, DriverMetrics& metrics,
-             const std::vector<cert::CaId>& ca_ids, std::size_t serial_width,
+             const std::vector<cert::CaId>& ca_ids,
+             const cert::TrustStore& roots, std::size_t serial_width,
              svc::Transport* rpc, svc::TcpClient* tcp)
       : plan_(plan),
         spec_(plan.spec()),
         m_(metrics),
         ca_ids_(ca_ids),
+        client_({.delta = plan.spec().delta}, roots),
         width_(serial_width),
         rpc_(rpc),
         tcp_(tcp),
@@ -171,51 +173,52 @@ class FlowDriver {
       ++m_.decode_errors;
       return;
     }
+    const auto max_steps = static_cast<std::size_t>(spec_.periods) + 4;
+    leaf_.issuer = ca_ids_[static_cast<std::size_t>(ca)];
     bool dated = false;
     UnixSeconds served_time = 0;
     for (std::size_t i = 0; i < items.size(); ++i) {
-      const auto st = dict::RevocationStatus::decode((*statuses)[i]);
+      const ByteSpan bytes((*statuses)[i]);
+      const auto st = dict::StatusView::parse(bytes);
       if (!st) {
         ++m_.decode_errors;
         continue;
       }
       if (!dated) {
-        served_time =
-            effective_time(*st, spec_.delta,
-                           static_cast<std::size_t>(spec_.periods) + 4);
+        served_time = effective_time(*st, spec_.delta, max_steps);
         dated = true;
       }
-      const bool revoked = st->proof.type == dict::Proof::Type::presence;
       const std::uint64_t value = items[i].value;
       const TimeMs vtime = plan_.flow_vtime_ms(period, items[i].idx);
-      ++m_.flows;
-      revoked ? ++m_.revoked : ++m_.valid;
       TimeMs staleness = vtime - from_seconds(served_time);
       if (staleness < 0) staleness = 0;
       m_.staleness_ms.add(static_cast<std::uint64_t>(staleness));
 
-      bool wrong = false;
+      UnixSeconds now = to_seconds(vtime);
+      std::optional<bool> truth;
       if (spec_.lockstep) {
         // The RA has applied exactly feed period `period` here, so the
         // plan's frontier is the ground truth.
-        wrong = revoked != plan_.revoked_at(ca, value, period);
+        truth = plan_.revoked_at(ca, value, period);
       } else {
-        // Freerun: the RA may lag the publisher, so only timeless facts
-        // are checkable — evens are never revoked, the initial corpus
-        // always is.
-        const bool odd = (value & 1) != 0;
-        wrong = (revoked && !odd) ||
-                (!revoked && odd &&
-                 (value - 1) / 2 <
-                     plan_.initial_count(ca));
+        // Freerun: the RA may run ahead of the drivers, so the client
+        // judges at the later of the flow's time and the status's own, and
+        // only timeless facts are checkable — evens are never revoked, the
+        // initial corpus always is.
+        now = std::max(now, effective_time(*st, spec_.delta, max_steps));
+        if ((value & 1) == 0) {
+          truth = false;
+        } else if ((value - 1) / 2 < plan_.initial_count(ca)) {
+          truth = true;
+        }
       }
-      if (!wrong && spec_.verify_proofs &&
-          !dict::verify_proof(st->proof,
-                              cert::SerialNumber::from_uint(value, width_),
-                              st->signed_root.root, st->signed_root.n)) {
-        wrong = true;
-      }
-      if (wrong) ++m_.wrong_verdict;
+      leaf_.serial = cert::SerialNumber::from_uint(value, width_);
+      const Judgement judged = judge_status(client_, bytes, leaf_, now, truth);
+      const bool revoked = judged.verdict == client::Verdict::revoked;
+      ++m_.flows;
+      if (revoked) ++m_.revoked;
+      if (judged.verdict == client::Verdict::accepted) ++m_.valid;
+      if (judged.wrong) ++m_.wrong_verdict;
       // Attack-window evidence comes from canary probes only: they query
       // a serial revoked in the current period, so first observation -
       // request time measures dissemination, not how long Zipf sampling
@@ -233,6 +236,8 @@ class FlowDriver {
   const ScenarioSpec& spec_;
   DriverMetrics& m_;
   const std::vector<cert::CaId>& ca_ids_;
+  client::RitmClient client_;
+  cert::Certificate leaf_;  // the queried issuer and serial
   std::size_t width_;
   svc::Transport* rpc_;
   svc::TcpClient* tcp_;
@@ -250,6 +255,17 @@ std::int64_t sample_percentile(const std::vector<std::int64_t>& sorted,
 }
 
 }  // namespace
+
+Judgement judge_status(const client::RitmClient& client, ByteSpan status,
+                       const cert::Certificate& leaf, UnixSeconds now,
+                       std::optional<bool> revoked) {
+  Judgement out;
+  out.verdict = client.validate_status_bytes(status, leaf, now);
+  const bool judged_revoked = out.verdict == client::Verdict::revoked;
+  out.wrong = (out.verdict != client::Verdict::accepted && !judged_revoked) ||
+              (revoked && *revoked != judged_revoked);
+  return out;
+}
 
 ScenarioEngine::ScenarioEngine(ScenarioSpec spec)
     : plan_(WorkloadPlan::compile(spec)) {}
@@ -288,8 +304,10 @@ ScenarioReport ScenarioEngine::run() {
   svc::InProcessTransport sync_rpc(&sync_service);
 
   ra::DictionaryStore store;
+  cert::TrustStore roots;  // every driver's client trusts the run's CAs
   for (std::size_t c = 0; c < cas_n; ++c) {
     store.register_ca(ids[c], cas[c]->public_key(), spec.delta);
+    roots.add(ids[c], cas[c]->public_key());
   }
   ra::RaUpdater updater({}, &store, &cdn_rpc.rpc, &sync_rpc);
 
@@ -377,7 +395,7 @@ ScenarioReport ScenarioEngine::run() {
   const auto wall_start = std::chrono::steady_clock::now();
 
   auto driver_fn = [&](unsigned d) {
-    FlowDriver driver(plan_, metrics[d], ids, width, inproc[d].get(),
+    FlowDriver driver(plan_, metrics[d], ids, roots, width, inproc[d].get(),
                       tcp_clients[d].get());
     for (std::uint64_t p = 1; p <= spec.periods; ++p) {
       if (spec.lockstep) {

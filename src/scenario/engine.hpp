@@ -21,16 +21,37 @@
 // stands up a multi-reactor svc::TcpServer and gives every driver its own
 // pipelined svc::TcpClient — same frames, real sockets.
 //
-// Clients do real verification work per flow: decode the RevocationStatus,
-// read the verdict off the proof type, date the served root by walking the
-// freshness hash chain to its anchor, optionally verify the Merkle proof,
-// and cross-check the verdict against the plan's ground truth.
+// Each driver judges every served status with its own client::RitmClient
+// trusting the run's CA keys, the client every other path uses: signed
+// root, freshness statement and Merkle proof are all checked
+// (judge_status). The driver dates the served status by walking its
+// freshness statement to the root's anchor (for staleness) and
+// cross-checks the verdict against the plan's ground truth.
 #pragma once
 
+#include <optional>
+
+#include "client/client.hpp"
 #include "scenario/report.hpp"
 #include "scenario/workload.hpp"
 
 namespace ritm::scenario {
+
+/// How a flow's client judged one served status.
+struct Judgement {
+  client::Verdict verdict = client::Verdict::missing_status;
+  /// The verdict is neither accepted nor revoked, or the ground truth
+  /// contradicts it.
+  bool wrong = false;
+};
+
+/// Judges one served status the way every client does:
+/// client.validate_status_bytes(status, leaf, now), where `leaf` carries
+/// the queried issuer and serial. `revoked` is the ground truth where the
+/// harness knows it (nullopt where it does not).
+Judgement judge_status(const client::RitmClient& client, ByteSpan status,
+                       const cert::Certificate& leaf, UnixSeconds now,
+                       std::optional<bool> revoked);
 
 class ScenarioEngine {
  public:

@@ -66,9 +66,10 @@ constexpr std::uint64_t tracked_key(int ca, std::uint64_t value) noexcept {
 struct alignas(64) DriverMetrics {
   std::uint64_t flows = 0;           // serials whose verdict was recorded
   std::uint64_t batches = 0;         // envelopes sent
-  std::uint64_t revoked = 0;         // presence proofs seen
-  std::uint64_t valid = 0;           // absence proofs seen
-  std::uint64_t wrong_verdict = 0;   // verdict disagreed with ground truth
+  std::uint64_t revoked = 0;         // revoked verdicts
+  std::uint64_t valid = 0;           // accepted verdicts
+  std::uint64_t wrong_verdict = 0;   // any other verdict, or one the
+                                     // ground truth contradicts
   std::uint64_t rpc_errors = 0;      // non-ok envelope / transport failures
   std::uint64_t decode_errors = 0;   // undecodable RevocationStatus
   std::uint64_t bytes_sent = 0;

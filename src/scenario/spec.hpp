@@ -75,9 +75,6 @@ struct ScenarioSpec {
   /// attack-window estimator samples fresh revocations even when the Zipf
   /// tail would rarely hit them. 0 disables canaries.
   std::uint32_t canary_every = 64;
-  /// Clients Merkle-verify every proof against the served signed root
-  /// (real client work; adds ~log(n) hashes per flow).
-  bool verify_proofs = true;
   std::vector<FlashCrowd> flash_crowds;
 
   // ------------------------------------------------------- revocation feed

@@ -63,6 +63,10 @@ void pin_to_core(unsigned index) {
 
 constexpr std::size_t kMaxWritevIov = 64;
 
+/// Ceiling on the connect() portion of a client call's deadline: a dead
+/// host fails fast instead of eating the whole call budget.
+constexpr int kConnectTimeoutMs = 5'000;
+
 }  // namespace
 
 // ---------------------------------------------------------------- TcpServer
@@ -712,8 +716,7 @@ Status TcpClient::submit(const Request& req, std::uint64_t* id_out) {
   }
 
   if (fd_ < 0) {
-    const int budget =
-        std::min(opts_.connect_timeout_ms, std::max(remaining(), 0));
+    const int budget = std::min(kConnectTimeoutMs, std::max(remaining(), 0));
     const Status cs = connect_now(budget);
     if (cs != Status::ok) return cs;  // nothing inflight was harmed
   }

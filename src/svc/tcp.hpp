@@ -215,9 +215,6 @@ struct TcpClientOptions {
   /// collect() (covering the read) each complete within this budget or
   /// return Status::deadline_exceeded. call() == submit + collect.
   int timeout_ms = 10'000;
-  /// Ceiling on the connect() portion of the deadline (a dead host fails
-  /// fast instead of eating the whole call budget).
-  int connect_timeout_ms = 5'000;
   /// Outstanding-request ceiling for the pipelined API; submit() past it
   /// blocks (draining responses) until a slot frees.
   std::size_t max_inflight = 64;

@@ -227,19 +227,6 @@ TEST(Summary, EmptyThrows) {
   EXPECT_THROW(s.percentile(0.5), std::logic_error);
 }
 
-TEST(Histogram, Binning) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.99);
-  h.add(-1.0);
-  h.add(10.0);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
 TEST(Table, RendersAligned) {
   Table t({"name", "value"});
   t.add_row({"alpha", "1"});

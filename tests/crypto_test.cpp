@@ -104,16 +104,6 @@ TEST(Sha256, Hash20IsTruncation) {
   EXPECT_TRUE(std::equal(trunc.begin(), trunc.end(), full.begin()));
 }
 
-TEST(Sha256, PairHashMatchesConcat) {
-  Digest20 a{}, b{};
-  a.fill(0x11);
-  b.fill(0x22);
-  Bytes cat;
-  ritm::append(cat, ByteSpan(a.data(), a.size()));
-  ritm::append(cat, ByteSpan(b.data(), b.size()));
-  EXPECT_EQ(hash20_pair(a, b), hash20(span_of(cat)));
-}
-
 TEST(Sha256, ShortFastPathMatchesIncrementalEveryLength) {
   // The one-shot single/double-block path must agree with the streaming
   // implementation at every length it claims, both sides of every padding

@@ -1,6 +1,6 @@
 // Persistence suite (PR 4): WAL framing + torn-write truncation at every
 // byte of the final record and every framing field, atomic snapshot commit
-// and retention, snapshot round trips for both dictionary backends, the RA
+// and retention, dictionary snapshot round trips, the RA
 // store's checkpoint (a manifest plus one part per CA dictionary) with
 // incremental writes, retention, fallback and refusal, crash simulation,
 // and the CDN cold-start bootstrap. The crash-consistency property pinned
@@ -25,7 +25,6 @@
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "dict/dictionary.hpp"
-#include "dict/treap.hpp"
 #include "persist/recovery.hpp"
 #include "persist/sections.hpp"
 #include "persist/shard_checkpoint.hpp"
@@ -327,47 +326,6 @@ TEST(DictSnapshot, EmptyDictionaryRoundTrips) {
   restored.restore_from(r);
   EXPECT_EQ(restored.size(), 0u);
   EXPECT_EQ(restored.root(), dict::empty_root());
-}
-
-TEST(TreapSnapshot, RoundTripWithoutPerEntryHashing) {
-  dict::MerkleTreap treap;
-  Rng rng(44);
-  std::vector<SerialNumber> serials;
-  for (int i = 0; i < 400; ++i) {
-    serials.push_back(SerialNumber::from_uint(rng.uniform(1 << 24), 4));
-  }
-  treap.insert(serials);
-
-  ByteWriter w;
-  treap.snapshot_into(w);
-  ByteReader r{ByteSpan(w.bytes())};
-  dict::MerkleTreap restored;
-  restored.restore_from(r);
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(restored.size(), treap.size());
-  EXPECT_EQ(restored.root(), treap.root());
-  // Proof bytes identical, and inserting after restore stays canonical:
-  // the restored treap and the original converge to the same new root.
-  const auto probe = serials[17];
-  EXPECT_EQ(restored.prove(probe).encode(), treap.prove(probe).encode());
-  const auto fresh = SerialNumber::from_uint(0xABCDEF, 4);
-  treap.insert({fresh});
-  restored.insert({fresh});
-  EXPECT_EQ(restored.root(), treap.root());
-}
-
-TEST(TreapSnapshot, CorruptStructureIsRejected) {
-  dict::MerkleTreap treap;
-  treap.insert({SerialNumber::from_uint(5), SerialNumber::from_uint(9),
-                SerialNumber::from_uint(2)});
-  ByteWriter w;
-  treap.snapshot_into(w);
-  Bytes image(w.bytes());
-  image[image.size() - 5] ^= 0x01;  // damage the recorded root
-  ByteReader r{ByteSpan(image)};
-  dict::MerkleTreap restored;
-  EXPECT_THROW(restored.restore_from(r), std::runtime_error);
-  EXPECT_EQ(restored.size(), 0u);
 }
 
 // ------------------------------------------------- RA store durability

@@ -14,7 +14,6 @@
 #include "common/rng.hpp"
 #include "dict/dictionary.hpp"
 #include "dict/messages.hpp"
-#include "dict/treap.hpp"
 #include "ra/dpi.hpp"
 #include "tls/handshake.hpp"
 #include "tls/record.hpp"
@@ -58,15 +57,6 @@ std::vector<Codec> make_codecs() {
   codecs.push_back({"Proof", status.proof.encode(), [](ByteSpan d) {
                       return dict::Proof::decode(d).has_value();
                     }});
-  {
-    dict::MerkleTreap treap;
-    treap.insert({SerialNumber::from_uint(1), SerialNumber::from_uint(9)});
-    codecs.push_back({"TreapProof",
-                      treap.prove(SerialNumber::from_uint(5)).encode(),
-                      [](ByteSpan d) {
-                        return dict::TreapProof::decode(d).has_value();
-                      }});
-  }
   codecs.push_back({"SignedRoot", ca.signed_root().encode(), [](ByteSpan d) {
                       return dict::SignedRoot::decode(d).has_value();
                     }});

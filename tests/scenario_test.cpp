@@ -1,11 +1,13 @@
 // Scenario-harness tests: plan determinism (same seed => byte-identical
 // schedule and report, independent of driver count and transport), Zipf
 // sampler sanity, flash-crowd and mass-revocation schedule shape, hostile
-// spec rejection, and the envelope mux the engine serves through.
+// spec rejection, the per-status judgement, and the envelope mux the engine
+// serves through.
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "ca/authority.hpp"
 #include "common/rng.hpp"
 #include "ra/service.hpp"
 #include "scenario/engine.hpp"
@@ -43,7 +45,9 @@ TEST(Zipf, ProbabilitiesAreNormalizedAndMonotonic) {
   double sum = 0;
   for (std::uint64_t r = 0; r < 1000; ++r) {
     sum += z.probability(r);
-    if (r > 0) EXPECT_LE(z.probability(r), z.probability(r - 1)) << r;
+    if (r > 0) {
+      EXPECT_LE(z.probability(r), z.probability(r - 1)) << r;
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
   // s = 1.1 concentrates mass at the head: rank 0 beats rank 999 by ~10^3.
@@ -242,6 +246,71 @@ TEST(Mux, RoutesPerMethodAndRejectsUnrouted) {
 
 // ------------------------------------------------------------- engine
 
+// ------------------------------------------------------------- judging
+
+ca::CertificationAuthority judge_ca(std::uint64_t seed) {
+  Rng rng(seed);
+  ca::CertificationAuthority::Config cfg;
+  cfg.id = "CA-000";
+  cfg.delta = 10;
+  cfg.chain_length = 64;
+  return ca::CertificationAuthority(cfg, rng, 0);
+}
+
+TEST(Judge, OnlyAGenuineFreshStatusForTheServedSerialIsRight) {
+  // A flow's status is judged by the client every other path uses, so a
+  // status that fails any client check is a wrong verdict, even where its
+  // proof type agrees with the ground truth.
+  using client::Verdict;
+  auto ca = judge_ca(1);
+  auto forger = judge_ca(2);  // the same CA name under another key
+  const std::vector<cert::SerialNumber> revoked = {
+      cert::SerialNumber::from_uint(3), cert::SerialNumber::from_uint(5)};
+  ca.revoke(revoked, 0);
+  forger.revoke(revoked, 0);
+  cert::TrustStore roots;
+  roots.add(ca.id(), ca.public_key());
+  const client::RitmClient client({.delta = 10}, roots);
+
+  // Judges `issuer`'s status for serial `served`, queried for `queried`.
+  const auto judge = [&](const ca::CertificationAuthority& issuer,
+                         std::uint64_t served, std::uint64_t queried,
+                         UnixSeconds now, std::optional<bool> truth) {
+    const Bytes status =
+        issuer.status_for(cert::SerialNumber::from_uint(served), 5).encode();
+    cert::Certificate leaf;
+    leaf.issuer = ca.id();
+    leaf.serial = cert::SerialNumber::from_uint(queried);
+    return judge_status(client, ByteSpan(status), leaf, now, truth);
+  };
+
+  auto j = judge(ca, 3, 3, 5, true);
+  EXPECT_EQ(j.verdict, Verdict::revoked);
+  EXPECT_FALSE(j.wrong);
+  j = judge(ca, 4, 4, 5, false);
+  EXPECT_EQ(j.verdict, Verdict::accepted);
+  EXPECT_FALSE(j.wrong);
+  EXPECT_FALSE(judge(ca, 4, 4, 5, std::nullopt).wrong);
+  EXPECT_TRUE(judge(ca, 4, 4, 5, true).wrong);  // the truth disagrees
+
+  // A root signed under another key, with an honest proof of the right
+  // type: the client refuses the signature.
+  j = judge(forger, 4, 4, 5, false);
+  EXPECT_EQ(j.verdict, Verdict::bad_signature);
+  EXPECT_TRUE(j.wrong);
+  EXPECT_TRUE(judge(forger, 4, 4, 5, std::nullopt).wrong);
+
+  // The period-0 statement judged in period 3, outside the 2∆ window.
+  j = judge(ca, 4, 4, 35, false);
+  EXPECT_EQ(j.verdict, Verdict::stale_freshness);
+  EXPECT_TRUE(j.wrong);
+
+  // Serial 3's presence proof served for serial 7.
+  j = judge(ca, 3, 7, 5, false);
+  EXPECT_EQ(j.verdict, Verdict::bad_proof);
+  EXPECT_TRUE(j.wrong);
+}
+
 TEST(Engine, LockstepRunIsDeterministicAcrossDriverCounts) {
   auto spec = tiny_spec();
   ScenarioEngine one_driver([&] {
@@ -312,7 +381,6 @@ TEST(Engine, FreerunOverTcpServesOnlyVerifiableStatuses) {
   spec.tcp = true;
   spec.drivers = 2;
   spec.reactors = 2;
-  spec.verify_proofs = true;
   ScenarioEngine engine(spec);
   const auto report = engine.run();
   EXPECT_FALSE(report.lockstep);

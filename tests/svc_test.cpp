@@ -495,8 +495,21 @@ TEST(StatusEndpoint, SerialLengthIsBoundedAtTheWire) {
   }
   EXPECT_EQ(store.cache_stats().misses, misses);
 
+  // A batch is read whole before any of it is served: the valid, uncached
+  // serials ahead of a bad one or of trailing bytes are never proved.
   svc::Request batch;
   batch.method = svc::Method::status_batch;
+  batch.body = ra::encode_status_batch(
+      ca.id(), {SerialNumber::from_uint(4, 4), SerialNumber::from_uint(5, 4),
+                SerialNumber{Bytes(cert::kMaxSerialBytes + 1, 0x5A)}});
+  EXPECT_EQ(rpc.call(batch).response.status, svc::Status::malformed);
+  EXPECT_EQ(store.cache_stats().misses, misses);
+  batch.body = ra::encode_status_batch(
+      ca.id(), {SerialNumber::from_uint(6, 4), SerialNumber::from_uint(7, 4)});
+  batch.body.push_back(0x00);
+  EXPECT_EQ(rpc.call(batch).response.status, svc::Status::malformed);
+  EXPECT_EQ(store.cache_stats().misses, misses);
+
   batch.body = ra::encode_status_batch(
       ca.id(), {SerialNumber::from_uint(1, 4),
                 SerialNumber{Bytes(cert::kMaxSerialBytes + 1, 0x5A)},

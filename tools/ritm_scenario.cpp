@@ -42,7 +42,6 @@ namespace {
       "  --reactors N      server reactors in --tcp mode\n"
       "  --freerun         real-clock mode: publisher thread races drivers\n"
       "  --period-ms N     real milliseconds per period in --freerun\n"
-      "  --no-verify       skip client-side Merkle proof verification\n"
       "  --plan-only       compile the plan, print its digest, and exit\n");
   std::exit(2);
 }
@@ -109,8 +108,6 @@ int main(int argc, char** argv) {
       spec.lockstep = false;
     } else if (arg == "--period-ms") {
       spec.period_ms = static_cast<std::uint32_t>(arg_u64(argc, argv, i));
-    } else if (arg == "--no-verify") {
-      spec.verify_proofs = false;
     } else if (arg == "--plan-only") {
       plan_only = true;
     } else {
