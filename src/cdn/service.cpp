@@ -62,7 +62,6 @@ svc::ServeResult CdnService::handle(const svc::Request& req) {
 
   FetchResult fetch =
       cdn_->get(path, static_cast<TimeMs>(*now_bits), client_loc, rng_);
-  out.sim_latency_ms = fetch.latency_ms;
   out.response.request_id = req.request_id;
   if (!fetch.found) {
     out.response.status = svc::Status::not_found;

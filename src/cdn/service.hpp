@@ -1,6 +1,7 @@
-// The CDN's envelope endpoint: Method::cdn_get served off a cdn::Cdn,
-// preserving the geo/latency simulation (nearest-edge routing, TTL
-// caching, byte metering) underneath the versioned wire surface. Response
+// The CDN's envelope endpoint: Method::cdn_get served off a cdn::Cdn
+// (nearest-edge routing, TTL caching, byte metering) under the versioned
+// wire surface. The geo model's latency sample stays inside cdn::Cdn: a
+// call's latency is what its transport measures. Response
 // payloads are owned bytes copied out of the edge under the envelope — a
 // republish during a pull can never reach a caller's buffer.
 #pragma once
@@ -31,8 +32,8 @@ std::optional<GetResponse> decode_get_response(ByteSpan body);
 
 class CdnService final : public svc::Service {
  public:
-  /// `rng_seed` seeds the latency-sampling Rng — requests carry no
-  /// randomness, so the service owns the jitter stream (deterministic per
+  /// `rng_seed` seeds the Rng that cdn::Cdn::get samples with — requests
+  /// carry no randomness, so the service owns the stream (deterministic per
   /// seed, as everywhere in the simulator).
   explicit CdnService(Cdn* cdn, std::uint64_t rng_seed = 0x5eed);
 

@@ -63,9 +63,7 @@ svc::CallResult RaUpdater::fetch_object(const std::string& path, TimeMs now) {
   svc::Request req;
   req.method = svc::Method::cdn_get;
   req.body = cdn::encode_get_request(path, now, config_.location);
-  svc::CallResult result = cdn_rpc_->call(req);
-  totals_.latency_ms += result.latency_ms;
-  return result;
+  return cdn_rpc_->call(req);
 }
 
 void RaUpdater::apply_message(const ca::FeedMessage& msg, UnixSeconds now) {
@@ -112,7 +110,6 @@ void RaUpdater::run_sync(const cert::CaId& ca, UnixSeconds now) {
   req.body = ca::encode_delta_request({ca, store_->have_n(ca)}, now,
                                       next_period());
   const svc::CallResult result = sync_rpc_->call(req);
-  totals_.latency_ms += result.latency_ms;
   if (!result.ok()) {
     count_rejected(result.error());
     return;
@@ -147,7 +144,6 @@ RaUpdater::PullResult RaUpdater::pull_up_to(std::uint64_t upto_period,
     const std::uint64_t period = next_period();
     const auto fetch = fetch_object(ca::feed_path(period), now);
     ++totals_.pulls;
-    result.latency_ms += fetch.latency_ms;
     if (fetch.ok()) {
       const auto payload =
           cdn::decode_get_response(ByteSpan(fetch.response.body));

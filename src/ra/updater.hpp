@@ -87,13 +87,11 @@ class RaUpdater {
     std::uint64_t bootstraps = 0;        // cold-start objects installed
     std::uint64_t consistency_checks = 0;
     std::uint64_t misbehaviour_detected = 0;
-    double latency_ms = 0.0;             // summed fetch latencies
   };
 
   /// One pull's outcome (used by the dissemination benches).
   struct PullResult {
     std::uint64_t bytes = 0;
-    double latency_ms = 0.0;
     std::size_t messages = 0;
   };
 
@@ -234,7 +232,7 @@ class RaUpdater {
   void count_rejected(svc::Status code);
   void record_failure(svc::Status code, TimeMs now);
   void record_success(TimeMs now);
-  /// One envelope GET through cdn_rpc_; totals latency.
+  /// One envelope GET through cdn_rpc_.
   svc::CallResult fetch_object(const std::string& path, TimeMs now);
 
   Config config_;

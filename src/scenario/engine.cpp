@@ -138,15 +138,7 @@ class FlowDriver {
       items = {};
       if (inflight_.size() >= kPipelineWindow) retire_front();
     } else {
-      // InProcessTransport reports the *simulated* service latency (zero
-      // for the RA); the harness wants the real round trip.
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto result = rpc_->call(req);
-      const double real_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - t0)
-              .count();
-      process(result, ca, period, items, real_ms);
+      process(rpc_->call(req), ca, period, items);
       items.clear();
     }
   }
@@ -155,15 +147,15 @@ class FlowDriver {
     Inflight f = std::move(inflight_.front());
     inflight_.pop_front();
     const auto result = tcp_->collect(f.id);
-    process(result, f.ca, f.period, f.items, result.latency_ms);
+    process(result, f.ca, f.period, f.items);
   }
 
   void process(const svc::CallResult& result, int ca, std::uint64_t period,
-               const std::vector<BatchItem>& items, double latency_ms) {
+               const std::vector<BatchItem>& items) {
     ++m_.batches;
     m_.bytes_sent += result.bytes_sent;
     m_.bytes_received += result.bytes_received;
-    m_.latency_us.add(static_cast<std::uint64_t>(latency_ms * 1000.0));
+    m_.latency_us.add(static_cast<std::uint64_t>(result.latency_ms * 1000.0));
     if (!result.ok()) {
       ++m_.rpc_errors;
       return;

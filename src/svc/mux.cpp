@@ -12,7 +12,7 @@ ServeResult MuxService::handle(const Request& req) {
   Service* backend = idx < kMaxMethod ? routes_[idx] : nullptr;
   if (backend == nullptr) backend = default_;
   if (backend == nullptr) {
-    return {reject(req, Status::unknown_method), 0.0};
+    return {reject(req, Status::unknown_method)};
   }
   return backend->handle(req);
 }

@@ -2,10 +2,8 @@
 
 namespace ritm::svc {
 
-Response reject(const Request& req, Status status,
-                std::uint16_t server_version) {
+Response reject(const Request& req, Status status) {
   Response resp;
-  resp.version = server_version;
   resp.status = status;
   resp.request_id = req.request_id;
   return resp;
@@ -24,7 +22,6 @@ ServerReply serve_bytes(Service& service, ByteSpan stream,
     // length field itself is untrustworthy), so answer with request_id 0
     // and tell the transport to close.
     Response err;
-    err.version = service.version();
     err.status = d.status;
     encode_frame(err, reply.frame);
     reply.fatal = true;
@@ -34,23 +31,20 @@ ServerReply serve_bytes(Service& service, ByteSpan stream,
   if (!d.is_request) {
     // A response frame arriving at a server: protocol confusion, fatal.
     Response err;
-    err.version = service.version();
     err.status = Status::bad_frame;
     err.request_id = d.response.request_id;
     encode_frame(err, reply.frame);
     reply.fatal = true;
     return reply;
   }
-  if (d.request.version != service.version()) {
-    encode_frame(reject(d.request, Status::version_skew, service.version()),
-                 reply.frame);
+  if (d.request.version != kProtocolVersion) {
+    encode_frame(reject(d.request, Status::version_skew), reply.frame);
     return reply;
   }
   ServeResult served = service.handle(d.request);
   served.response.request_id = d.request.request_id;
-  served.response.version = service.version();
+  served.response.version = kProtocolVersion;
   encode_frame(served.response, reply.frame);
-  reply.sim_latency_ms = served.sim_latency_ms;
   return reply;
 }
 

@@ -12,13 +12,11 @@
 
 namespace ritm::svc {
 
-/// What a service hands back for one request. `sim_latency_ms` is the
-/// simulated service-side latency (the CDN's geo path model) — transport
-/// metadata, never serialized, ignored by real-network transports which
-/// measure instead of model.
+/// What a service hands back for one request. Latency is not the
+/// service's to report: each transport measures its own round trip
+/// (CallResult::latency_ms).
 struct ServeResult {
   Response response;
-  double sim_latency_ms = 0.0;
 };
 
 class Service {
@@ -29,15 +27,10 @@ class Service {
   /// non-ok status echoing the request id. Version skew and framing errors
   /// never reach this — serve_bytes() answers those itself.
   virtual ServeResult handle(const Request& req) = 0;
-
-  /// Protocol version this service speaks. Overridden only by tests
-  /// exercising the skew path (a "v2 server" refusing v1 requests).
-  virtual std::uint16_t version() const noexcept { return kProtocolVersion; }
 };
 
-/// Builds the error response for `req` with the server's version.
-Response reject(const Request& req, Status status,
-                std::uint16_t server_version = kProtocolVersion);
+/// Builds the error response for `req`.
+Response reject(const Request& req, Status status);
 
 /// One server dispatch step over the head of a receive stream.
 struct ServerReply {
@@ -49,13 +42,12 @@ struct ServerReply {
   bool need_more = false;
   /// Framing violation: flush `frame` (the error envelope), then close.
   bool fatal = false;
-  double sim_latency_ms = 0.0;
 };
 
-/// Decodes at most one frame from `stream` and answers it: framing errors
-/// yield a fatal error envelope, version mismatches a version_skew
-/// envelope, response-kind frames (a confused peer) a bad_frame envelope,
-/// and valid requests reach `service.handle`. Every transport MUST route
+/// Decodes at most one frame from `stream` and answers it with
+/// kProtocolVersion: framing errors yield a fatal error envelope, version
+/// mismatches a version_skew envelope, response-kind frames (a confused
+/// peer) a bad_frame envelope, and valid requests reach `service.handle`. Every transport MUST route
 /// server-side bytes through here — it is the single definition of the
 /// protocol's error behavior.
 ServerReply serve_bytes(Service& service, ByteSpan stream,

@@ -1,7 +1,6 @@
 #include "svc/tcp.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -24,14 +23,17 @@ namespace ritm::svc {
 
 namespace {
 
-void set_nonblocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
 void set_nodelay(int fd) {
   int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+/// Milliseconds left of `budget_ms` since `start`.
+int remaining_ms(std::chrono::steady_clock::time_point start, int budget_ms) {
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  return budget_ms - int(elapsed);
 }
 
 std::uint64_t mono_ms() {
@@ -80,99 +82,47 @@ TcpServer::TcpServer(Service* service, TcpServerOptions opts)
       opts_.reactors != 0
           ? opts_.reactors
           : std::max(1u, std::thread::hardware_concurrency());
-
-  // All fds created so far, closed on any constructor failure.
-  std::vector<int> cleanup;
-  const auto fail = [&](const std::string& what) -> std::runtime_error {
-    for (int fd : cleanup) ::close(fd);
-    return std::runtime_error("TcpServer: " + what);
-  };
-
-  const auto make_listener = [&](std::uint16_t port,
-                                 bool want_reuseport) -> int {
-    const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) return -1;
-    int one = 1;
-    setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (want_reuseport &&
-        setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-      ::close(fd);
-      return -1;
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        listen(fd, 128) != 0) {
-      ::close(fd);
-      return -1;
-    }
-    if (port_ == 0) {
-      socklen_t len = sizeof(addr);
-      getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-      port_ = ntohs(addr.sin_port);
-    }
-    set_nonblocking(fd);
-    return fd;
-  };
-
   reactors_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     reactors_.push_back(std::make_unique<Reactor>());
     reactors_.back()->index = i;
   }
 
-  // Listener topology: one SO_REUSEPORT listener per reactor when the
-  // kernel cooperates, otherwise a single listener owned by an acceptor
-  // thread that hands accepted fds to reactors round-robin.
-  reuseport_ = !opts_.force_fd_handoff;
-  if (reuseport_) {
-    for (auto& r : reactors_) {
-      r->listen_fd = make_listener(port_ != 0 ? port_ : opts_.port, true);
-      if (r->listen_fd < 0) {
-        reuseport_ = false;
-        break;
-      }
-      cleanup.push_back(r->listen_fd);
-    }
-    if (!reuseport_) {
-      // Partial REUSEPORT setup: unwind and fall back.
-      for (auto& r : reactors_) {
-        if (r->listen_fd >= 0) ::close(r->listen_fd);
-        r->listen_fd = -1;
-      }
-      cleanup.clear();
-      port_ = 0;
-    }
+  // No thread runs yet, so stop() only closes the fds made so far.
+  const auto fail = [&](const std::string& what) -> std::runtime_error {
+    stop();
+    return std::runtime_error("TcpServer: " + what);
+  };
+
+  listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
+  if (listen_fd_ < 0) throw fail("socket failed");
+  int one = 1;
+  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(opts_.port);
+  if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+          0 ||
+      listen(listen_fd_, 128) != 0) {
+    throw fail("bind/listen failed");
   }
-  if (!reuseport_) {
-    acceptor_listen_fd_ = make_listener(opts_.port, false);
-    if (acceptor_listen_fd_ < 0) throw fail("bind/listen failed");
-    cleanup.push_back(acceptor_listen_fd_);
-    acceptor_wake_fd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (acceptor_wake_fd_ < 0) throw fail("eventfd failed");
-    cleanup.push_back(acceptor_wake_fd_);
-  }
+  socklen_t len = sizeof(addr);
+  getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+  port_ = ntohs(addr.sin_port);
+  acceptor_wake_fd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (acceptor_wake_fd_ < 0) throw fail("eventfd failed");
 
   for (auto& r : reactors_) {
     r->epoll_fd = epoll_create1(EPOLL_CLOEXEC);
     r->wake_fd = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
     if (r->epoll_fd < 0 || r->wake_fd < 0) {
-      if (r->epoll_fd >= 0) cleanup.push_back(r->epoll_fd);
-      if (r->wake_fd >= 0) cleanup.push_back(r->wake_fd);
       throw fail("epoll/eventfd setup failed");
     }
-    cleanup.push_back(r->epoll_fd);
-    cleanup.push_back(r->wake_fd);
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = r->wake_fd;
     epoll_ctl(r->epoll_fd, EPOLL_CTL_ADD, r->wake_fd, &ev);
-    if (r->listen_fd >= 0) {
-      ev.data.fd = r->listen_fd;
-      epoll_ctl(r->epoll_fd, EPOLL_CTL_ADD, r->listen_fd, &ev);
-    }
   }
 
   running_.store(true, std::memory_order_release);
@@ -180,9 +130,7 @@ TcpServer::TcpServer(Service* service, TcpServerOptions opts)
     Reactor* rp = r.get();
     r->thread = std::thread([this, rp] { reactor_loop(*rp); });
   }
-  if (!reuseport_) {
-    acceptor_thread_ = std::thread([this] { acceptor_loop(); });
-  }
+  acceptor_thread_ = std::thread([this] { acceptor_loop(); });
 }
 
 TcpServer::~TcpServer() { stop(); }
@@ -207,14 +155,13 @@ void TcpServer::stop() {
     // Adopt-queued fds that never reached a reactor still need closing.
     for (int fd : r->handoff) ::close(fd);
     r->handoff.clear();
-    if (r->listen_fd >= 0) ::close(r->listen_fd);
     if (r->epoll_fd >= 0) ::close(r->epoll_fd);
     if (r->wake_fd >= 0) ::close(r->wake_fd);
-    r->listen_fd = r->epoll_fd = r->wake_fd = -1;
+    r->epoll_fd = r->wake_fd = -1;
   }
-  if (acceptor_listen_fd_ >= 0) ::close(acceptor_listen_fd_);
+  if (listen_fd_ >= 0) ::close(listen_fd_);
   if (acceptor_wake_fd_ >= 0) ::close(acceptor_wake_fd_);
-  acceptor_listen_fd_ = acceptor_wake_fd_ = -1;
+  listen_fd_ = acceptor_wake_fd_ = -1;
   live_connections_.store(0, std::memory_order_release);
 }
 
@@ -236,9 +183,9 @@ TcpServer::Stats TcpServer::stats() const {
   return s;
 }
 
-bool TcpServer::admit(int fd, Counters& ctrs) {
-  // Atomic admission: reserve a slot first; losing racers release it and
-  // shed. The cap is exact across reactors with no lock on the path.
+bool TcpServer::admit(int fd) {
+  // Reserve a slot first and release it on a shed: the reactors decrement
+  // the count as connections close, with no lock on either path.
   const std::size_t prev =
       live_connections_.fetch_add(1, std::memory_order_acq_rel);
   if (prev < opts_.max_connections) return true;
@@ -247,9 +194,9 @@ bool TcpServer::admit(int fd, Counters& ctrs) {
   // a clean protocol-level refusal instead of a RST. Counted before the
   // write so the stat is visible by the time a peer can observe the
   // refusal.
-  ctrs.shed_over_limit.fetch_add(1, std::memory_order_release);
+  reactors_.front()->counters.shed_over_limit.fetch_add(
+      1, std::memory_order_release);
   Response shed;
-  shed.version = service_->version();
   shed.status = Status::overloaded;
   shed.body = encode_retry_after(opts_.retry_after_ms);
   const Bytes frame = encode_frame(shed);
@@ -271,34 +218,22 @@ void TcpServer::adopt(Reactor& r, int fd) {
   r.counters.accepted.fetch_add(1, std::memory_order_release);
 }
 
-void TcpServer::accept_ready(Reactor& r) {
-  while (true) {
-    const int fd = accept4(r.listen_fd, nullptr, nullptr,
-                           SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN or transient error: done for this round
-    if (!admit(fd, r.counters)) continue;
-    adopt(r, fd);
-  }
-}
-
 void TcpServer::acceptor_loop() {
-  // fd-handoff fallback: this thread owns the only listener and spreads
-  // accepted fds across reactors round-robin; each handoff is one queue
-  // push and one eventfd write.
-  pollfd pfds[2] = {{acceptor_listen_fd_, POLLIN, 0},
-                    {acceptor_wake_fd_, POLLIN, 0}};
+  // This thread owns the only listener and spreads accepted fds across
+  // reactors round-robin; each handoff is one queue push and one eventfd
+  // write.
+  std::size_t next = 0;
+  pollfd pfds[2] = {{listen_fd_, POLLIN, 0}, {acceptor_wake_fd_, POLLIN, 0}};
   while (running_.load(std::memory_order_acquire)) {
     const int pr = poll(pfds, 2, 200);
     if (pr < 0 && errno != EINTR) break;
     if (pfds[1].revents & POLLIN) drain_eventfd(acceptor_wake_fd_);
     while (running_.load(std::memory_order_acquire)) {
-      const int fd = accept4(acceptor_listen_fd_, nullptr, nullptr,
+      const int fd = accept4(listen_fd_, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (fd < 0) break;
-      if (!admit(fd, reactors_.front()->counters)) continue;
-      Reactor& r = *reactors_[next_reactor_.fetch_add(
-                                  1, std::memory_order_relaxed) %
-                              reactors_.size()];
+      if (fd < 0) break;  // EAGAIN or transient error: done for this round
+      if (!admit(fd)) continue;
+      Reactor& r = *reactors_[next++ % reactors_.size()];
       {
         std::lock_guard<std::mutex> lock(r.handoff_mu);
         r.handoff.push_back(fd);
@@ -329,10 +264,6 @@ void TcpServer::reactor_loop(Reactor& r) {
           adopted.swap(r.handoff);
         }
         for (int afd : adopted) adopt(r, afd);
-        continue;
-      }
-      if (fd == r.listen_fd) {
-        accept_ready(r);
         continue;
       }
       auto it = r.connections.find(fd);
@@ -427,7 +358,7 @@ bool TcpServer::read_ready(Reactor& r, int fd, Connection& c) {
       // frames fall through to serve_bytes' normal error handling.
       const std::uint64_t now = mono_ms();
       refill(c, now);
-      const DecodedFrame d = decode_frame(pending, opts_.max_frame_bytes);
+      const DecodedFrame d = decode_frame(pending);
       if (d.status == Status::truncated) break;
       if (d.status == Status::ok && d.is_request) {
         if (c.req_tokens < 1.0) {
@@ -441,7 +372,6 @@ bool TcpServer::read_ready(Reactor& r, int fd, Connection& c) {
               std::max(wait_s * 1000.0 + 1.0, double(opts_.retry_after_ms)),
               60'000.0));
           Response resp;
-          resp.version = service_->version();
           resp.status = Status::overloaded;
           resp.request_id = d.request.request_id;
           resp.body = encode_retry_after(wait_ms);
@@ -459,7 +389,7 @@ bool TcpServer::read_ready(Reactor& r, int fd, Connection& c) {
         c.req_tokens -= 1.0;
       }
     }
-    ServerReply reply = serve_bytes(*service_, pending, opts_.max_frame_bytes);
+    ServerReply reply = serve_bytes(*service_, pending);
     if (reply.need_more) break;
     offset += reply.consumed;
     c.last_progress_ms = mono_ms();
@@ -616,31 +546,49 @@ Status TcpClient::connect_now(int budget_ms) {
   return Status::ok;
 }
 
+Status TcpClient::read_some(int budget_ms, short events) {
+  if (budget_ms <= 0) return Status::deadline_exceeded;
+  pollfd pfd{fd_, events, 0};
+  const int pr = poll(&pfd, 1, budget_ms);
+  if (pr == 0) return Status::deadline_exceeded;
+  if (pr < 0) return errno == EINTR ? Status::ok : Status::transport_error;
+  if ((pfd.revents & ~POLLOUT) == 0) return Status::ok;  // writable only
+  std::uint8_t buf[64 * 1024];
+  const ssize_t n = read(fd_, buf, sizeof(buf));
+  if (n == 0) return Status::transport_error;  // peer closed
+  if (n < 0) {
+    return errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK
+               ? Status::ok
+               : Status::transport_error;
+  }
+  rx_.insert(rx_.end(), buf, buf + n);
+  return drain_rx();
+}
+
 Status TcpClient::drain_rx() {
   while (true) {
     const DecodedFrame d = decode_frame(ByteSpan(rx_));
     if (d.status == Status::truncated) return Status::ok;  // need more bytes
     if (d.status != Status::ok) return d.status;  // unframeable garbage
     if (d.is_request) return Status::transport_error;  // servers don't ask
+    const auto retire = [&](std::uint64_t id, const Pending& p) {
+      CallResult r;
+      r.response = d.response;
+      r.bytes_sent = p.bytes_sent;
+      r.bytes_received = d.consumed;
+      r.latency_ms = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - p.start)
+                         .count();
+      done_.emplace(id, std::move(r));
+    };
+    rx_.erase(rx_.begin(), rx_.begin() + d.consumed);
     const std::uint64_t id = d.response.request_id;
     if (id == 0) {
       // request_id 0 is the server's fatal-framing notice: it addresses the
       // connection, not a call (serve_bytes cannot trust the length field,
       // so it cannot name one). Deliver it verbatim to every outstanding
       // call — the connection is about to die — and drop the link.
-      rx_.erase(rx_.begin(), rx_.begin() + d.consumed);
-      for (auto& [pid, p] : inflight_) {
-        CallResult r;
-        r.response = d.response;
-        r.bytes_sent = p.bytes_sent;
-        r.bytes_received = d.consumed;
-        r.latency_ms =
-            std::chrono::duration_cast<
-                std::chrono::duration<double, std::milli>>(
-                std::chrono::steady_clock::now() - p.start)
-                .count();
-        done_.emplace(pid, std::move(r));
-      }
+      for (const auto& [pid, p] : inflight_) retire(pid, p);
       inflight_.clear();
       close_fd();
       return Status::ok;
@@ -652,31 +600,15 @@ Status TcpClient::drain_rx() {
       // server) and is dropped, never delivered to the wrong caller.
       ++stale_dropped_;
     } else {
-      CallResult r;
-      r.response = d.response;
-      r.bytes_sent = it->second.bytes_sent;
-      r.bytes_received = d.consumed;
-      r.latency_ms =
-          std::chrono::duration_cast<
-              std::chrono::duration<double, std::milli>>(
-              std::chrono::steady_clock::now() - it->second.start)
-              .count();
+      retire(id, it->second);
       inflight_.erase(it);
-      done_.emplace(id, std::move(r));
     }
-    rx_.erase(rx_.begin(), rx_.begin() + d.consumed);
   }
 }
 
 Status TcpClient::submit(const Request& req, std::uint64_t* id_out) {
   const auto start = std::chrono::steady_clock::now();
-  const auto remaining = [&]() -> int {
-    const auto elapsed =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    return opts_.timeout_ms - int(elapsed);
-  };
+  const auto remaining = [&] { return remaining_ms(start, opts_.timeout_ms); };
   const auto fail = [&](Status s) {
     fail_inflight(s);
     return s;
@@ -694,25 +626,8 @@ Status TcpClient::submit(const Request& req, std::uint64_t* id_out) {
   // Admission: past max_inflight, block draining responses until a slot
   // frees (bounds both our tx memory and the parked-response map).
   while (inflight_.size() >= opts_.max_inflight) {
-    const int rem = remaining();
-    if (rem <= 0) return fail(Status::deadline_exceeded);
-    pollfd pfd{fd_, POLLIN, 0};
-    const int pr = poll(&pfd, 1, rem);
-    if (pr == 0) return fail(Status::deadline_exceeded);
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      return fail(Status::transport_error);
-    }
-    std::uint8_t buf[64 * 1024];
-    const ssize_t n = read(fd_, buf, sizeof(buf));
-    if (n == 0) return fail(Status::transport_error);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return fail(Status::transport_error);
-    }
-    rx_.insert(rx_.end(), buf, buf + n);
-    const Status ds = drain_rx();
-    if (ds != Status::ok) return fail(ds);
+    const Status rs = read_some(remaining(), POLLIN);
+    if (rs != Status::ok) return fail(rs);
   }
 
   if (fd_ < 0) {
@@ -731,26 +646,12 @@ Status TcpClient::submit(const Request& req, std::uint64_t* id_out) {
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      const int rem = remaining();
-      if (rem <= 0) return fail(Status::deadline_exceeded);
       // The kernel's tx buffer is full — likely because the server is
       // pushing responses while applying read backpressure. Drain our rx
       // side while waiting for tx space or the write side deadlocks
       // against a pipelined server.
-      pollfd pfd{fd_, POLLOUT | POLLIN, 0};
-      const int pr = poll(&pfd, 1, rem);
-      if (pr == 0) return fail(Status::deadline_exceeded);
-      if (pr < 0 && errno != EINTR) return fail(Status::transport_error);
-      if (pr > 0 && (pfd.revents & POLLIN)) {
-        std::uint8_t buf[64 * 1024];
-        const ssize_t rn = read(fd_, buf, sizeof(buf));
-        if (rn == 0) return fail(Status::transport_error);
-        if (rn > 0) {
-          rx_.insert(rx_.end(), buf, buf + rn);
-          const Status ds = drain_rx();
-          if (ds != Status::ok) return fail(ds);
-        }
-      }
+      const Status rs = read_some(remaining(), POLLOUT | POLLIN);
+      if (rs != Status::ok) return fail(rs);
       continue;
     }
     return fail(Status::transport_error);
@@ -780,45 +681,10 @@ CallResult TcpClient::collect(std::uint64_t request_id) {
   }
 
   const auto start = std::chrono::steady_clock::now();
-  const auto remaining = [&]() -> int {
-    const auto elapsed =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    return opts_.timeout_ms - int(elapsed);
-  };
   while (true) {
-    const int rem = remaining();
-    if (rem <= 0) {
-      fail_inflight(Status::deadline_exceeded);
-      return *take();
-    }
-    pollfd pfd{fd_, POLLIN, 0};
-    const int pr = poll(&pfd, 1, rem);
-    if (pr == 0) {
-      fail_inflight(Status::deadline_exceeded);
-      return *take();
-    }
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      fail_inflight(Status::transport_error);
-      return *take();
-    }
-    std::uint8_t buf[64 * 1024];
-    const ssize_t n = read(fd_, buf, sizeof(buf));
-    if (n == 0) {
-      fail_inflight(Status::transport_error);
-      return *take();
-    }
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      fail_inflight(Status::transport_error);
-      return *take();
-    }
-    rx_.insert(rx_.end(), buf, buf + n);
-    const Status ds = drain_rx();
-    if (ds != Status::ok) {
-      fail_inflight(ds);
+    const Status rs = read_some(remaining_ms(start, opts_.timeout_ms), POLLIN);
+    if (rs != Status::ok) {
+      fail_inflight(rs);
       return *take();
     }
     if (auto r = take()) return *r;

@@ -4,17 +4,16 @@
 // an RA serve status traffic over an actual socket (tools/ritm_serve.cpp)
 // instead of only inside the simulator.
 //
-// Server design (PR 7 multi-reactor):
+// Server design:
 //   * N reactors (default: one per hardware thread), each a dedicated
 //     thread pinned to a core (best effort) running its own epoll loop over
 //     its own connection table — no shared mutable state on the request
 //     path
-//   * listener: every reactor binds its own SO_REUSEPORT listener on the
-//     same port, so the kernel spreads accepted connections across
-//     reactors with zero cross-thread handoff. Where SO_REUSEPORT is
-//     unavailable (or force_fd_handoff is set), one acceptor thread owns a
-//     single listener and round-robins accepted fds to reactors through
-//     eventfd-signalled handoff queues
+//   * listener: one acceptor thread owns the only listening socket and
+//     hands accepted fds to reactors round-robin through eventfd-signalled
+//     handoff queues, so consecutive connections land on different
+//     reactors (a kernel hash over the 4-tuple would put two of them on
+//     one reactor 1/N of the time)
 //   * per-connection receive buffer fed to svc::serve_bytes — the shared
 //     dispatch, so responses are byte-identical to the in-process
 //     transport regardless of which reactor serves them
@@ -61,8 +60,6 @@ struct TcpServerOptions {
   std::uint16_t port = 0;
   /// Accepts beyond this are shed with Status::overloaded.
   std::size_t max_connections = 64;
-  /// Ceiling on a single frame's frame_len.
-  std::uint32_t max_frame_bytes = kMaxFrameBytes;
   /// Per-connection request-rate quota (token bucket, requests/second).
   /// 0 disables the quota.
   double requests_per_sec = 0.0;
@@ -79,8 +76,9 @@ struct TcpServerOptions {
   /// Reactor i is pinned to core i % hardware_concurrency (failures
   /// ignored).
   unsigned reactors = 0;
-  /// Test hook: skip SO_REUSEPORT and exercise the acceptor-thread
-  /// fd-handoff fallback even where REUSEPORT is available.
+  /// Has no effect: every server accepts through its acceptor thread.
+  /// Kept only because perfbench's World sets it; it goes when perfbench
+  /// stops doing so.
   bool force_fd_handoff = false;
 };
 
@@ -101,8 +99,9 @@ class TcpServer {
   /// Pending-output ceiling per connection before reads pause.
   static constexpr std::size_t kMaxOutputBuffer = 4u << 20;
 
-  /// Binds and listens on 127.0.0.1:`opts.port` and starts the reactor
-  /// threads. Throws std::runtime_error when the sockets cannot be set up.
+  /// Binds and listens on 127.0.0.1:`opts.port` and starts the acceptor
+  /// and reactor threads. Throws std::runtime_error when the sockets cannot
+  /// be set up.
   TcpServer(Service* service, TcpServerOptions opts = {});
   ~TcpServer();
   TcpServer(const TcpServer&) = delete;
@@ -122,14 +121,10 @@ class TcpServer {
     return static_cast<unsigned>(reactors_.size());
   }
 
-  /// True when each reactor owns a SO_REUSEPORT listener; false on the
-  /// acceptor-thread fd-handoff fallback.
-  bool using_reuseport() const noexcept { return reuseport_; }
-
   /// Sums the per-reactor counters; only this read crosses reactors.
   Stats stats() const;
 
-  /// Stops every reactor (and the acceptor, if any) and closes every fd.
+  /// Stops the acceptor and every reactor and closes every fd.
   /// Idempotent; the destructor calls it.
   void stop();
 
@@ -168,23 +163,22 @@ class TcpServer {
     unsigned index = 0;
     int epoll_fd = -1;
     int wake_fd = -1;
-    int listen_fd = -1;  // >= 0 only in SO_REUSEPORT mode
     std::thread thread;
     std::map<int, Connection> connections;  // reactor-thread private
     Counters counters;
-    // fd-handoff fallback: the acceptor pushes accepted fds here and
-    // signals wake_fd; the reactor adopts them on its next wakeup.
+    // The acceptor pushes accepted fds here and signals wake_fd; the
+    // reactor adopts them on its next wakeup.
     std::mutex handoff_mu;
     std::vector<int> handoff;
   };
 
   void reactor_loop(Reactor& r);
   void acceptor_loop();
-  /// Admission (atomic cap check + shed) for a just-accepted fd; returns
-  /// false when the connection was shed. `ctrs` takes the counts.
-  bool admit(int fd, Counters& ctrs);
+  /// Admission (atomic cap check + shed) for a just-accepted fd, on the
+  /// acceptor thread; returns false when the connection was shed. Sheds
+  /// are counted on reactor 0's counters.
+  bool admit(int fd);
   void adopt(Reactor& r, int fd);
-  void accept_ready(Reactor& r);
   bool read_ready(Reactor& r, int fd, Connection& c);   // false = closed
   bool write_ready(Reactor& r, int fd, Connection& c);  // false = closed
   void update_interest(Reactor& r, int fd, Connection& c);
@@ -198,12 +192,9 @@ class TcpServer {
   Service* service_;
   TcpServerOptions opts_;
   std::uint16_t port_ = 0;
-  bool reuseport_ = false;
-  // fd-handoff fallback only:
-  int acceptor_listen_fd_ = -1;
+  int listen_fd_ = -1;
   int acceptor_wake_fd_ = -1;
   std::thread acceptor_thread_;
-  std::atomic<unsigned> next_reactor_{0};  // round-robin handoff cursor
 
   std::vector<std::unique_ptr<Reactor>> reactors_;
   std::atomic<bool> running_{false};
@@ -272,6 +263,11 @@ class TcpClient final : public Transport {
   };
 
   Status connect_now(int budget_ms);
+  /// Waits up to `budget_ms` for `events` (POLLIN, plus POLLOUT while a
+  /// send is blocked), then reads what arrived into rx_ and drains it.
+  /// Returns ok when the caller should re-check its condition (a read, an
+  /// interrupted wait, or writability); any other status is fatal.
+  Status read_some(int budget_ms, short events);
   /// Decodes every complete frame in rx_, retiring matching inflight
   /// entries into done_. Returns ok (possibly with frames parked),
   /// truncated semantics folded in; any other status is fatal.

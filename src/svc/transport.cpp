@@ -1,5 +1,6 @@
 #include "svc/transport.hpp"
 
+#include <chrono>
 #include <stdexcept>
 
 namespace ritm::svc {
@@ -11,6 +12,7 @@ InProcessTransport::InProcessTransport(Service* service) : service_(service) {
 }
 
 CallResult InProcessTransport::call(const Request& req) {
+  const auto start = std::chrono::steady_clock::now();
   CallResult result;
   Request stamped = req;
   if (stamped.request_id == 0) stamped.request_id = next_id_++;
@@ -20,14 +22,16 @@ CallResult InProcessTransport::call(const Request& req) {
 
   const ServerReply reply = serve_bytes(*service_, ByteSpan(wire));
   result.bytes_received = reply.frame.size();
-  result.latency_ms = reply.sim_latency_ms;
 
   DecodedFrame d = decode_frame(ByteSpan(reply.frame));
   if (d.status != Status::ok || d.is_request) {
     result.status = Status::transport_error;
-    return result;
+  } else {
+    result.response = std::move(d.response);
   }
-  result.response = std::move(d.response);
+  result.latency_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
   return result;
 }
 

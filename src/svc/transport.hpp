@@ -1,15 +1,12 @@
 // The client half of the envelope API: a Transport carries one encoded
-// Request to a Service and brings the Response back, reporting per-call
-// latency and byte counts so the paper's cost/latency evaluations keep
-// working unchanged on top of the RPC layer.
+// Request to a Service and brings the Response back, reporting the
+// measured round-trip time and byte counts of each call.
 //
 // Two implementations ship:
 //   * InProcessTransport (here) — full encode -> serve_bytes -> decode
-//     round trip in memory, preserving the simulated-latency model the
-//     Fig./Tab. benches are built on (the service reports model latency,
-//     e.g. the CDN's geo path samples).
+//     round trip in memory, timed from encode to decode.
 //   * TcpClient (svc/tcp.hpp) — the same frames over a real nonblocking
-//     socket, latency measured instead of modeled.
+//     socket, timed from submit to the matching response.
 //
 // Both go through the byte-level framing — there is no "shortcut" path
 // that could let in-process behavior drift from the wire.
@@ -28,7 +25,7 @@ namespace ritm::svc {
 struct CallResult {
   Status status = Status::ok;
   Response response;
-  double latency_ms = 0.0;
+  double latency_ms = 0.0;  // measured wall-clock round trip
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
 

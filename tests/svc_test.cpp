@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,17 +64,6 @@ class EchoService final : public svc::Service {
     append(out.response.body, ByteSpan(req.body));
     return out;
   }
-};
-
-/// A "v2 server": same dispatch, higher protocol version.
-class V2Service final : public svc::Service {
- public:
-  svc::ServeResult handle(const svc::Request& req) override {
-    svc::ServeResult out;
-    out.response.request_id = req.request_id;
-    return out;
-  }
-  std::uint16_t version() const noexcept override { return 2; }
 };
 
 svc::Request make_request(svc::Method method, Bytes body,
@@ -306,30 +297,36 @@ TEST(FeedDelta, FreshnessNeverPassesTheLastPublish) {
   EXPECT_EQ(freshness_for(t0 + 10), ca.freshness_at(t0 + 10));
 }
 
-TEST(Dispatch, VersionSkewV1ClientV2Server) {
-  V2Service server;  // speaks protocol version 2
-  const auto req = make_request(svc::Method::status_query, {}, 5);  // v1
-  ASSERT_EQ(req.version, 1u);
-  const auto reply = svc::serve_bytes(server, ByteSpan(svc::encode_frame(req)));
+TEST(Dispatch, VersionSkewV2ClientV1Server) {
+  EchoService v1;
+  auto req = make_request(svc::Method::status_query, {}, 6);
+  req.version = 2;
+  const auto reply = svc::serve_bytes(v1, ByteSpan(svc::encode_frame(req)));
   ASSERT_FALSE(reply.fatal);
   const auto d = svc::decode_frame(ByteSpan(reply.frame));
   ASSERT_EQ(d.status, svc::Status::ok);
   EXPECT_EQ(d.response.status, svc::Status::version_skew);
-  EXPECT_EQ(d.response.request_id, 5u);
+  EXPECT_EQ(d.response.request_id, 6u);
   // The response advertises the server's version so the client can log
-  // what it must upgrade to.
-  EXPECT_EQ(d.response.version, 2u);
+  // what it speaks.
+  EXPECT_EQ(d.response.version, svc::kProtocolVersion);
+}
 
-  // And the v2 client is refused by a v1 server symmetrically.
-  EchoService v1;
-  auto req2 = make_request(svc::Method::status_query, {}, 6);
-  req2.version = 2;
-  const auto reply2 =
-      svc::serve_bytes(v1, ByteSpan(svc::encode_frame(req2)));
-  const auto d2 = svc::decode_frame(ByteSpan(reply2.frame));
-  ASSERT_EQ(d2.status, svc::Status::ok);
-  EXPECT_EQ(d2.response.status, svc::Status::version_skew);
-  EXPECT_EQ(d2.response.version, 1u);
+TEST(Dispatch, InProcessLatencyIsTheMeasuredRoundTrip) {
+  // A service that takes 5 ms: the in-process transport reports at least
+  // that, as TcpClient would — no service supplies its own latency.
+  class SlowService final : public svc::Service {
+   public:
+    svc::ServeResult handle(const svc::Request& req) override {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      return {svc::reject(req, svc::Status::not_found)};
+    }
+  } slow;
+  svc::InProcessTransport rpc(&slow);
+  const auto r = rpc.call(make_request(svc::Method::cdn_get, {}, 0));
+  ASSERT_EQ(r.status, svc::Status::ok);
+  EXPECT_EQ(r.response.status, svc::Status::not_found);
+  EXPECT_GE(r.latency_ms, 5.0);
 }
 
 TEST(Dispatch, FatalFramingAnswersThenCloses) {
@@ -356,7 +353,6 @@ TEST(CdnEndpoint, GetServesOwnedBytesAcrossRepublish) {
   req.body = cdn::encode_get_request("obj", 10, {47.4, 8.5});
   const auto r1 = rpc.rpc.call(req);
   ASSERT_TRUE(r1.ok());
-  EXPECT_GT(r1.latency_ms, 0.0);  // the geo model rides the transport
   const auto payload1 = cdn::decode_get_response(ByteSpan(r1.response.body));
   ASSERT_TRUE(payload1.has_value());
   EXPECT_EQ(payload1->data, Bytes(32, 0xC1));
@@ -738,6 +734,32 @@ struct RaFixture {
   bool apply_ok = false;
 };
 
+/// Raw loopback connect; returns the fd (>=0) or -1.
+int raw_connect(std::uint16_t port) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+Bytes read_to_eof(int fd) {
+  Bytes got;
+  std::uint8_t buf[4096];
+  while (true) {
+    const ssize_t n = read(fd, buf, sizeof(buf));
+    if (n <= 0) break;
+    got.insert(got.end(), buf, buf + n);
+  }
+  return got;
+}
+
 TEST(Tcp, StatusQueriesOverLoopback) {
   RaFixture f;
   ASSERT_TRUE(f.apply_ok);
@@ -857,17 +879,23 @@ TEST(Tcp, ConnectionLimitShedsWithOverloadedEnvelope) {
 }
 
 TEST(Tcp, OversizedFrameAnsweredAndConnectionClosed) {
+  // A length field past kMaxFrameBytes is refused before any body byte
+  // arrives: one frame_too_large envelope, then EOF.
   RaFixture f;
   ra::RaService service(&f.store);
-  svc::TcpServer server(&service, {.port = 0, .max_frame_bytes = 1024});
-  svc::TcpClient client("127.0.0.1", server.port());
-
-  svc::Request big;
-  big.method = svc::Method::status_query;
-  big.body.resize(2048, 0xEE);
-  const auto r = client.call(big);
-  ASSERT_EQ(r.status, svc::Status::ok);
-  EXPECT_EQ(r.response.status, svc::Status::frame_too_large);
+  svc::TcpServer server(&service, {.port = 0});
+  const int fd = raw_connect(server.port());
+  ASSERT_GE(fd, 0);
+  Bytes header;
+  ByteWriter w(header);
+  w.u32(svc::kMaxFrameBytes + 1);
+  ASSERT_EQ(write(fd, header.data(), header.size()), ssize_t(header.size()));
+  const Bytes got = read_to_eof(fd);
+  close(fd);
+  const auto d = svc::decode_frame(ByteSpan(got));
+  ASSERT_EQ(d.status, svc::Status::ok);
+  EXPECT_EQ(d.response.status, svc::Status::frame_too_large);
+  EXPECT_EQ(d.consumed, got.size());  // nothing after the error envelope
   EXPECT_GE(server.stats().fatal_frames, 1u);
 }
 
@@ -875,14 +903,8 @@ TEST(Tcp, GarbageBytesGetFatalEnvelopeThenEof) {
   RaFixture f;
   ra::RaService service(&f.store);
   svc::TcpServer server(&service, {.port = 0});
-
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = raw_connect(server.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
 
   // A frame whose CRC cannot match.
   const auto req = make_request(svc::Method::status_query, {1, 2, 3}, 3);
@@ -891,13 +913,7 @@ TEST(Tcp, GarbageBytesGetFatalEnvelopeThenEof) {
   ASSERT_EQ(write(fd, frame.data(), frame.size()), ssize_t(frame.size()));
 
   // Read everything until EOF: exactly one fatal error envelope.
-  Bytes got;
-  std::uint8_t buf[4096];
-  while (true) {
-    const ssize_t n = read(fd, buf, sizeof(buf));
-    if (n <= 0) break;
-    got.insert(got.end(), buf, buf + n);
-  }
+  const Bytes got = read_to_eof(fd);
   close(fd);
   const auto d = svc::decode_frame(ByteSpan(got));
   ASSERT_EQ(d.status, svc::Status::ok);
@@ -953,32 +969,6 @@ TEST(Tcp, PipelinedFramesAllAnswered) {
 }
 
 // --------------------------------------------------- resilience (PR 6)
-
-/// Raw loopback connect; returns the fd (>=0) or -1.
-int raw_connect(std::uint16_t port) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-Bytes read_to_eof(int fd) {
-  Bytes got;
-  std::uint8_t buf[4096];
-  while (true) {
-    const ssize_t n = read(fd, buf, sizeof(buf));
-    if (n <= 0) break;
-    got.insert(got.end(), buf, buf + n);
-  }
-  return got;
-}
 
 TEST(Tcp, ConcurrentShedsAllGetWellFormedOverloadedEnvelopes) {
   // Many clients racing past the connection limit at once: every shed
@@ -1355,38 +1345,45 @@ TEST(Tcp, QuotaEnforcedWithReactorLocalBuckets) {
   }
 }
 
-TEST(Tcp, FdHandoffFallbackServesAcrossReactors) {
-  // With SO_REUSEPORT disabled, one acceptor thread round-robins accepted
-  // sockets to the reactors over eventfd-signalled handoff queues. The
-  // serving contract is unchanged — only the accept path differs.
-  RaFixture f;
-  ra::RaService service(&f.store);
-  svc::TcpServer server(&service, {.port = 0,
-                                   .reactors = 2,
-                                   .force_fd_handoff = true});
-  ASSERT_FALSE(server.using_reuseport());
+TEST(Tcp, AcceptorSpreadsConnectionsAcrossReactors) {
+  // The acceptor hands consecutive connections to consecutive reactors.
+  // The first connection's request parks its reactor until the second
+  // connection's request has been served, which only another reactor can
+  // do (a hash over the 4-tuple put both on one reactor half the time).
+  class Rendezvous final : public svc::Service {
+   public:
+    svc::ServeResult handle(const svc::Request& req) override {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (req.request_id == 2) {
+        second_served_ = true;
+        cv_.notify_all();
+        return {svc::reject(req, svc::Status::not_found)};
+      }
+      const bool met = cv_.wait_for(lock, std::chrono::seconds(5),
+                                    [&] { return second_served_; });
+      return {svc::reject(req, met ? svc::Status::not_found
+                                   : svc::Status::unavailable)};
+    }
+
+   private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool second_served_ = false;
+  } service;
+  svc::TcpServer server(&service, {.port = 0, .reactors = 2});
   ASSERT_EQ(server.reactor_count(), 2u);
 
-  std::vector<std::unique_ptr<svc::TcpClient>> clients;
-  for (int c = 0; c < 4; ++c) {
-    clients.push_back(std::make_unique<svc::TcpClient>("127.0.0.1",
-                                                       server.port()));
-    for (std::uint64_t i = 0; i < 8; ++i) {
-      svc::Request req;
-      req.method = svc::Method::status_query;
-      req.body = ra::encode_status_query(
-          f.ca.id(), SerialNumber::from_uint(i * 7 + 7, 4));
-      const auto r = clients.back()->call(req);
-      ASSERT_EQ(r.status, svc::Status::ok) << c << ":" << i;
-      ASSERT_EQ(r.response.status, svc::Status::ok) << c << ":" << i;
-      const auto status =
-          dict::RevocationStatus::decode(ByteSpan(r.response.body));
-      ASSERT_TRUE(status.has_value());
-    }
-  }
-  EXPECT_EQ(server.stats().accepted, 4u);
-  EXPECT_EQ(server.stats().requests, 32u);
-  clients.clear();
+  svc::TcpClient first("127.0.0.1", server.port());
+  svc::TcpClient second("127.0.0.1", server.port());
+  std::uint64_t id = 0;
+  ASSERT_EQ(first.submit(make_request(svc::Method::status_query, {}, 1), &id),
+            svc::Status::ok);
+  const auto r2 = second.call(make_request(svc::Method::status_query, {}, 2));
+  ASSERT_EQ(r2.status, svc::Status::ok);
+  const auto r1 = first.collect(id);
+  ASSERT_EQ(r1.status, svc::Status::ok);
+  EXPECT_EQ(r1.response.status, svc::Status::not_found);  // not timed out
+  EXPECT_EQ(server.stats().accepted, 2u);
 }
 
 TEST(Tcp, ResilienceStackComposesOverPipelinedClientAndReactors) {

@@ -1,9 +1,12 @@
 // ritm_serve: stand up a real RA status server on a TCP port.
 //
-// Builds a demo CA with a revocation dictionary, boots an RA replica from
-// it, and serves Method::status_query / status_batch / gossip_digest /
-// gossip_pull over the envelope protocol (svc::TcpServer), muxed with the
-// CDN object store and the feed sync endpoint. Pair with ritm_query:
+// Builds a demo CA with a revocation dictionary, publishes its cold-start
+// object to the CDN object store, bootstraps an RA replica from that
+// object (RaUpdater::bootstrap, as every harness does), and serves
+// Method::status_query / status_batch / gossip_digest / gossip_pull over
+// the envelope protocol (svc::TcpServer: one acceptor thread handing
+// connections to the reactors round-robin), muxed with the CDN object
+// store and the feed sync endpoint. Pair with ritm_query:
 //
 //   ./ritm_serve --port 4717 --entries 100000 &
 //   ./ritm_query --port 4717 --serial 0000002a --batch 256
@@ -16,7 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,10 +64,10 @@ void on_signal(int) { g_stop = 1; }
                "(default 0 = never)\n"
                "  --retry-after-ms N   retry_after hint on sheds; floor of "
                "the quota pause (default 100)\n"
-               "  --reactors N         epoll reactor threads, each with its "
-               "own SO_REUSEPORT listener\n"
-               "                       (default 0 = one per hardware "
-               "thread)\n"
+               "  --reactors N         epoll reactor threads; one acceptor "
+               "hands them connections\n"
+               "                       round-robin (default 0 = one per "
+               "hardware thread)\n"
                "  --persist-dir DIR    durable mode: recover from DIR on "
                "start, WAL + checkpoints into it\n"
                "  --checkpoint-interval-s N\n"
@@ -148,18 +150,29 @@ int main(int argc, char** argv) {
   ra::DictionaryStore store;
   store.register_ca(ca.id(), ca.public_key(), delta);
 
-  // Durable mode: recover the replica from the checkpoint + WAL tail before
-  // bootstrapping. The demo CA is deterministic, so a recovered replica
-  // either matches it (nothing to sync) or trails it (--entries grew);
-  // the sync below then only sends the missing suffix — WAL-logged.
+  // The CA's distribution point publishes the (empty) period-0 feed object
+  // and the CA's cold-start object; the RA bootstraps from that object
+  // with one GET, as perfbench, the scenario engine and checkpoint_test do.
   auto global_cdn = cdn::make_global_cdn(60'000);
   cdn::LocalCdn local_cdn(&global_cdn);
-  std::unique_ptr<ra::RaUpdater> updater;
+  ca::DistributionPoint dp(&global_cdn, delta);
+  dp.register_ca(ca.id(), ca.public_key());
+  dp.publish(from_seconds(now));
+  if (dp.publish_cold_start(ca.cold_start_object(0, now),
+                            from_seconds(now)) != svc::Status::ok) {
+    std::fprintf(stderr, "ritm_serve: cold-start publish failed\n");
+    return 1;
+  }
+  ra::RaUpdater updater(ra::RaUpdater::Config{}, &store, &local_cdn.rpc);
+
+  // Durable mode: recover the replica from the checkpoint + WAL tail before
+  // bootstrapping. The demo CA is deterministic, so a recovered replica
+  // either matches it (nothing to fetch) or trails it (--entries grew) and
+  // is replaced by the cold-start object — WAL-logged.
+  const bool durable = !persist_dir.empty();
   ra::DictionaryStore::RecoveryReport recovery;
-  if (!persist_dir.empty()) {
-    updater = std::make_unique<ra::RaUpdater>(ra::RaUpdater::Config{}, &store,
-                                              &local_cdn.rpc);
-    recovery = updater->recover(persist_dir);
+  if (durable) {
+    recovery = updater.recover(persist_dir);
     if (!recovery.ok) {
       std::fprintf(stderr, "ritm_serve: recovery from %s failed: %s\n",
                    persist_dir.c_str(), recovery.error.c_str());
@@ -179,18 +192,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!store.has_root(ca.id()) || have < ca.dictionary().size()) {
-    dict::SyncResponse boot;
-    boot.ca = ca.id();
-    boot.entries = ca.dictionary().entries_from(have + 1);
-    boot.signed_root = ca.signed_root();
-    boot.freshness = ca.freshness_at(now);
-    if (store.apply_sync(boot, now) != ra::ApplyResult::ok) {
-      std::fprintf(stderr, "ritm_serve: RA bootstrap failed\n");
+    const svc::Status booted = updater.bootstrap(ca.id(), from_seconds(now));
+    if (booted != svc::Status::ok) {
+      std::fprintf(stderr, "ritm_serve: RA bootstrap failed: %s\n",
+                   svc::to_string(booted));
       return 1;
     }
   }
-  if (updater && checkpoint_interval_s > 0.0) {
-    updater->start_checkpoints(checkpoint_interval_s);
+  if (durable && checkpoint_interval_s > 0.0) {
+    updater.start_checkpoints(checkpoint_interval_s);
   }
 
   cert::TrustStore keys;
@@ -202,15 +212,6 @@ int main(int argc, char** argv) {
   // CDN object store (cold-start bootstrap) and the CA feed sync endpoint,
   // muxed by method — what a fresh RA or a scenario driver needs
   // to go from nothing to serving without a second address.
-  ca::DistributionPoint dp(&global_cdn, delta);
-  dp.register_ca(ca.id(), ca.public_key());
-  dp.publish(from_seconds(now));  // empty period-0 feed object
-  if (dp.publish_cold_start(ca.cold_start_object(0, now),
-                            from_seconds(now)) != svc::Status::ok) {
-    std::fprintf(stderr, "ritm_serve: cold-start publish failed\n");
-    return 1;
-  }
-
   ca::SyncService sync;
   sync.add(&ca);
   sync.set_period_source(&dp);
@@ -242,15 +243,14 @@ int main(int argc, char** argv) {
               "status_batch(5) gossip_digest(6) gossip_pull(7) "
               "feed_delta(8)\n",
               svc::kProtocolVersion);
-  std::printf("  reactors    %u (%s)\n", server.reactor_count(),
-              server.using_reuseport() ? "SO_REUSEPORT listeners"
-                                       : "acceptor + fd handoff");
+  std::printf("  reactors    %u (one acceptor, round-robin fd handoff)\n",
+              server.reactor_count());
   if (quota_rps > 0.0 || idle_timeout_ms != 0) {
     std::printf("  limits      quota %.0f req/s (burst %u), idle timeout "
                 "%u ms, retry_after %u ms\n",
                 quota_rps, quota_burst, idle_timeout_ms, retry_after_ms);
   }
-  if (updater) {
+  if (durable) {
     std::printf("  persist     %s (recovered %llu entries: checkpoint seq "
                 "%llu + %llu WAL records; checkpoint every %.1fs)\n",
                 persist_dir.c_str(), (unsigned long long)have,
@@ -265,9 +265,9 @@ int main(int argc, char** argv) {
     pause();  // the epoll loop runs on the server's own thread
   }
 
-  if (updater) {
-    updater->stop_checkpoints();
-    updater->checkpoint();  // shutdown checkpoint: restart replays no WAL
+  if (durable) {
+    updater.stop_checkpoints();
+    updater.checkpoint();  // shutdown checkpoint: restart replays no WAL
   }
 
   const auto stats = server.stats();
@@ -293,8 +293,8 @@ int main(int argc, char** argv) {
               (unsigned long long)gs.digest_exchanges,
               (unsigned long long)gs.bytes_sent,
               (unsigned long long)gs.bytes_received);
-  if (updater) {
-    const auto cs = updater->checkpoint_stats();
+  if (durable) {
+    const auto cs = updater.checkpoint_stats();
     std::printf("persist: %llu checkpoints (%llu WAL resets, %llu skipped), "
                 "%llu B written (%llu parts written, %llu reused), freeze "
                 "stall last %llu us / max %llu us\n",
