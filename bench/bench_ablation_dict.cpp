@@ -17,6 +17,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "context.hpp"
 #include "crypto/hash_chain.hpp"
 #include "dict/dictionary.hpp"
 
@@ -240,6 +241,7 @@ int main() {
     std::fprintf(
         f,
         "{\n"
+        "  %s,\n"
         "  \"proofs_100k\": {\"prove_ns\": %.0f, \"verify_ns\": %.0f, "
         "\"proof_bytes\": %.0f, \"prove_ops_per_sec\": %.0f, "
         "\"verify_ops_per_sec\": %.0f},\n"
@@ -252,7 +254,8 @@ int main() {
         "\"absence_proof_bytes\": %zu}\n"
         "  }\n"
         "}\n",
-        prove_us_100k * 1000.0, verify_us_100k * 1000.0, proof_bytes_100k,
+        bench::context_json().c_str(), prove_us_100k * 1000.0,
+        verify_us_100k * 1000.0, proof_bytes_100k,
         prove_us_100k > 0 ? 1e6 / prove_us_100k : 0,
         verify_us_100k > 0 ? 1e6 / verify_us_100k : 0, batch_ms_final,
         inc_ms_final, append_result.ms,

@@ -16,9 +16,7 @@ using namespace ritm;
 int main() {
   const eval::RevocationTrace trace;
   const eval::Population population;
-  const eval::CostSimulator sim(&trace, &population,
-                                eval::PricingModel::cloudfront_2015());
-  const auto sizes = eval::measured_message_sizes();
+  const eval::CostSimulator sim(&trace, &population);
 
   // The Heartbleed week: two days before 16 April to four after. The trace
   // peaks on 16-17 April, and its busiest day is the 17th.
@@ -40,9 +38,6 @@ int main() {
     eval::CostParams p;
     p.delta_seconds = deltas[i];
     p.dictionaries = trace.config().num_cas;
-    p.freshness_bytes = sizes.freshness_bytes;
-    p.per_revocation_bytes = sizes.per_revocation_bytes;
-    p.signed_root_bytes = sizes.signed_root_bytes;
     const auto pulls = sim.per_pull_bytes(p, from, to);
     Summary s;
     for (double b : pulls) s.add(b / 1024.0);

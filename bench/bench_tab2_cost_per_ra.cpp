@@ -16,9 +16,7 @@ using namespace ritm;
 int main() {
   const eval::RevocationTrace trace;
   const eval::Population population;
-  const eval::CostSimulator sim(&trace, &population,
-                                eval::PricingModel::cloudfront_2015());
-  const auto sizes = eval::measured_message_sizes();
+  const eval::CostSimulator sim(&trace, &population);
 
   std::printf("== Tab. II: average monthly cost (thousands of USD) ==\n\n");
 
@@ -32,11 +30,6 @@ int main() {
       eval::CostParams p;
       p.delta_seconds = delta;
       p.clients_per_ra = cpr;
-      p.dictionaries = 1;
-      p.ca_index = 0;
-      p.freshness_bytes = sizes.freshness_bytes;
-      p.per_revocation_bytes = sizes.per_revocation_bytes;
-      p.signed_root_bytes = sizes.signed_root_bytes;
       row.push_back(Table::num(sim.average_bill(p) / 1000.0, 3));
     }
     t.add_row(std::move(row));

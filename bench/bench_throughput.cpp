@@ -32,6 +32,7 @@
 #include "cdn/service.hpp"
 #include "client/client.hpp"
 #include "common/table.hpp"
+#include "context.hpp"
 #include "crypto/sha256_engine.hpp"
 #include "dict/dictionary.hpp"
 #include "ra/agent.hpp"
@@ -1239,6 +1240,7 @@ int main() {
   if (std::FILE* f = std::fopen("BENCH_throughput.json", "w")) {
     std::fprintf(f,
                  "{\n"
+                 "  %s,\n"
                  "  \"ra_non_tls_packets_per_sec\": %.0f,\n"
                  "  \"ra_handshakes_per_sec\": %.0f,\n"
                  "  \"client_validations_per_sec\": %.0f,\n"
@@ -1342,7 +1344,8 @@ int main() {
                  "    \"full_list_bytes\": %llu,\n"
                  "    \"bytes_ratio\": %.4f\n"
                  "  },\n",
-                 non_tls_rate, handshake_rate, validation_rate, kValidations,
+                 bench::context_json().c_str(), non_tls_rate, handshake_rate,
+                 validation_rate, kValidations,
                  cold_verifications, client_construct_ns,
                  warm_presence_rate, warm_absence_rate, warm_verifications,
                  status_cold_ns, status_warm_ns, status_speedup,

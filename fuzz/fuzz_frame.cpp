@@ -39,10 +39,10 @@ using namespace ritm;
 
 class EchoService final : public svc::Service {
  public:
-  svc::ServeResult handle(const svc::Request& req) override {
-    svc::ServeResult out;
-    out.response.request_id = req.request_id;
-    out.response.body = req.body;
+  svc::Response handle(const svc::Request& req) override {
+    svc::Response out;
+    out.request_id = req.request_id;
+    out.body = req.body;
     return out;
   }
 };
@@ -105,7 +105,7 @@ Bytes sync_response_body() {
   svc::Request req;
   req.method = svc::Method::feed_delta;
   req.body = ca::encode_delta_request({t.ca.id(), 250}, 1000, 0);
-  const auto r = t.service.handle(req).response;
+  const auto r = t.service.handle(req);
   if (r.status != svc::Status::ok) std::abort();
   return Bytes(r.body.begin() + 8, r.body.end());  // past resume_period
 }

@@ -34,22 +34,14 @@ void SyncService::add(const CertificationAuthority* ca) {
   cas_[ca->id()] = ca;
 }
 
-svc::ServeResult SyncService::handle(const svc::Request& req) {
-  svc::ServeResult out;
+svc::Response SyncService::handle(const svc::Request& req) {
   if (req.method != svc::Method::feed_delta) {
-    out.response = svc::reject(req, svc::Status::unknown_method);
-    return out;
+    return svc::reject(req, svc::Status::unknown_method);
   }
   const auto decoded = decode_delta_request(ByteSpan(req.body));
-  if (!decoded) {
-    out.response = svc::reject(req, svc::Status::malformed);
-    return out;
-  }
+  if (!decoded) return svc::reject(req, svc::Status::malformed);
   const auto it = cas_.find(decoded->request.ca);
-  if (it == cas_.end()) {
-    out.response = svc::reject(req, svc::Status::unknown_ca);
-    return out;
-  }
+  if (it == cas_.end()) return svc::reject(req, svc::Status::unknown_ca);
   const CertificationAuthority& ca = *it->second;
   dict::SyncResponse resp;
   resp.ca = decoded->request.ca;
@@ -63,10 +55,11 @@ svc::ServeResult SyncService::handle(const svc::Request& req) {
       published
           ? ca.freshness_at(std::min(decoded->now, to_seconds(*published)))
           : ca.signed_root().freshness_anchor;
-  out.response.request_id = req.request_id;
-  ByteWriter w(out.response.body);
+  svc::Response out;
+  out.request_id = req.request_id;
+  ByteWriter w(out.body);
   w.u64(periods_ != nullptr ? periods_->next_period() : 0);
-  resp.encode_into(out.response.body);
+  resp.encode_into(out.body);
   return out;
 }
 

@@ -55,7 +55,7 @@ class SyncService final : public svc::Service {
     periods_ = dp;
   }
 
-  svc::ServeResult handle(const svc::Request& req) override;
+  svc::Response handle(const svc::Request& req) override;
 
  private:
   std::map<cert::CaId, const CertificationAuthority*> cas_;

@@ -128,7 +128,7 @@ std::uint64_t Cdn::total_bytes_served() const noexcept {
 
 Cdn make_global_cdn(TimeMs cache_ttl_ms) {
   // Origin in N. Virginia (us-east-1-like), edges across the CloudFront
-  // pricing regions.
+  // regions.
   Cdn cdn(sim::GeoPoint{38.9, -77.4}, cache_ttl_ms);
   // North America
   cdn.add_edge("iad", "NA", {38.9, -77.4});

@@ -4,7 +4,7 @@
 // with TTL=0 to measure the worst case).
 //
 // Latency is sampled from the geo path model; every byte served is metered
-// per region so the cost evaluation (Fig. 6 / Tab. II) can price the traffic.
+// per edge (EdgeServer::stats).
 #pragma once
 
 #include <cstdint>
@@ -143,8 +143,8 @@ class Cdn {
   std::vector<EdgeServer> edges_;
 };
 
-/// A CloudFront-like default topology: 20 edge locations across 7 pricing
-/// regions. Used by benches and examples.
+/// A CloudFront-like default topology: 20 edge locations across 7 regions.
+/// Used by benches and examples.
 Cdn make_global_cdn(TimeMs cache_ttl_ms);
 
 }  // namespace ritm::cdn

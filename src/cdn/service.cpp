@@ -41,11 +41,9 @@ CdnService::CdnService(Cdn* cdn, std::uint64_t rng_seed)
   }
 }
 
-svc::ServeResult CdnService::handle(const svc::Request& req) {
-  svc::ServeResult out;
+svc::Response CdnService::handle(const svc::Request& req) {
   if (req.method != svc::Method::cdn_get) {
-    out.response = svc::reject(req, svc::Status::unknown_method);
-    return out;
+    return svc::reject(req, svc::Status::unknown_method);
   }
   ByteReader r(ByteSpan(req.body));
   const auto path_bytes = r.try_var16();
@@ -53,8 +51,7 @@ svc::ServeResult CdnService::handle(const svc::Request& req) {
   const auto lat_bits = r.try_u64();
   const auto lon_bits = r.try_u64();
   if (!path_bytes || !now_bits || !lat_bits || !lon_bits || !r.done()) {
-    out.response = svc::reject(req, svc::Status::malformed);
-    return out;
+    return svc::reject(req, svc::Status::malformed);
   }
   const std::string path(path_bytes->begin(), path_bytes->end());
   const sim::GeoPoint client_loc{std::bit_cast<double>(*lat_bits),
@@ -62,12 +59,13 @@ svc::ServeResult CdnService::handle(const svc::Request& req) {
 
   FetchResult fetch =
       cdn_->get(path, static_cast<TimeMs>(*now_bits), client_loc, rng_);
-  out.response.request_id = req.request_id;
+  svc::Response out;
+  out.request_id = req.request_id;
   if (!fetch.found) {
-    out.response.status = svc::Status::not_found;
+    out.status = svc::Status::not_found;
     return out;
   }
-  ByteWriter w(out.response.body);
+  ByteWriter w(out.body);
   w.u64(fetch.version);
   w.u64(static_cast<std::uint64_t>(fetch.published_at));
   w.u32(static_cast<std::uint32_t>(fetch.data.size()));

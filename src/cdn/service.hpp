@@ -37,7 +37,7 @@ class CdnService final : public svc::Service {
   /// seed, as everywhere in the simulator).
   explicit CdnService(Cdn* cdn, std::uint64_t rng_seed = 0x5eed);
 
-  svc::ServeResult handle(const svc::Request& req) override;
+  svc::Response handle(const svc::Request& req) override;
 
  private:
   Cdn* cdn_;

@@ -32,79 +32,69 @@ MessageSizes measured_message_sizes() {
   return MessageSizes{freshness, per_rev, root_bytes};
 }
 
+namespace {
+// Bytes every pull carries before its freshness statements (feed framing).
+constexpr double kFeedHeaderBytes = 6.0;
+constexpr double kBytesPerGb = 1024.0 * 1024.0 * 1024.0;
+}  // namespace
+
 CostSimulator::CostSimulator(const RevocationTrace* trace,
-                             const Population* population,
-                             PricingModel pricing)
-    : trace_(trace), population_(population), pricing_(std::move(pricing)) {
+                             const Population* population)
+    : trace_(trace),
+      population_(population),
+      sizes_(measured_message_sizes()) {
   if (trace_ == nullptr || population_ == nullptr) {
     throw std::invalid_argument("CostSimulator: null trace or population");
   }
 }
 
-std::uint64_t CostSimulator::ra_pulls(const CostParams& p, int day_from,
-                                      int day_to) const {
-  const double seconds = double(day_to - day_from) * 86400.0;
-  return static_cast<std::uint64_t>(seconds / p.delta_seconds);
-}
-
-double CostSimulator::revocations_in_window(const CostParams& p,
-                                            double day_fraction_from,
-                                            double day_fraction_to) const {
-  // Share of the trace total covered by the priced dictionaries.
+double CostSimulator::covered_share(const CostParams& p) const {
   double share = 0.0;
-  if (p.dictionaries == 1) {
-    share = trace_->ca_share(p.ca_index);
-  } else {
-    for (int d = 0; d < p.dictionaries; ++d) share += trace_->ca_share(d);
-  }
-  (void)day_fraction_from;
-  (void)day_fraction_to;
+  for (int d = 0; d < p.dictionaries; ++d) share += trace_->ca_share(d);
   return share;
 }
 
-double CostSimulator::ra_bytes(const CostParams& p, int day_from,
-                               int day_to) const {
+RaBytes CostSimulator::ra_bytes(const CostParams& p, int day_from,
+                                int day_to) const {
   if (p.delta_seconds <= 0 || p.dictionaries <= 0) {
     throw std::invalid_argument("CostSimulator: bad params");
   }
-  const double pulls = double(ra_pulls(p, day_from, day_to));
-  double bytes =
-      pulls * (p.feed_header_bytes + double(p.dictionaries) * p.freshness_bytes);
+  const double seconds = double(day_to - day_from) * 86400.0;
+  const double pulls = double(std::uint64_t(seconds / p.delta_seconds));
+  RaBytes bytes;
+  bytes.keep_alive =
+      pulls * (kFeedHeaderBytes +
+               double(p.dictionaries) * sizes_.freshness_bytes);
 
   const double periods_per_day = 86400.0 / p.delta_seconds;
   for (int day = day_from; day < day_to; ++day) {
-    for (int d = 0; d < p.dictionaries; ++d) {
-      const int ca = p.dictionaries == 1 ? p.ca_index : d;
+    for (int ca = 0; ca < p.dictionaries; ++ca) {
       const double revs = double(trace_->daily_for_ca(day, ca));
-      bytes += revs * p.per_revocation_bytes;
+      bytes.serials += revs * sizes_.per_revocation_bytes;
       // Expected number of ∆-periods that contain at least one revocation
       // of this CA — each such period carries one freshly signed root.
       const double occupied =
           periods_per_day * (1.0 - std::exp(-revs / periods_per_day));
-      bytes += occupied * p.signed_root_bytes;
+      bytes.roots += occupied * sizes_.signed_root_bytes;
     }
   }
   return bytes;
 }
 
-std::vector<double> CostSimulator::monthly_bills(const CostParams& p) const {
-  std::vector<double> bills;
+std::vector<RaBytes> CostSimulator::cycle_bytes(const CostParams& p) const {
+  std::vector<RaBytes> cycles;
   const int days = trace_->config().days;
-  const auto ras = population_->ras_per_region(p.clients_per_ra);
+  for (int start = 0; start + kDaysPerCycle <= days; start += kDaysPerCycle) {
+    cycles.push_back(ra_bytes(p, start, start + kDaysPerCycle));
+  }
+  return cycles;
+}
 
-  for (int start = 0; start + p.days_per_cycle <= days;
-       start += p.days_per_cycle) {
-    const double per_ra = ra_bytes(p, start, start + p.days_per_cycle);
-    const std::uint64_t pulls = ra_pulls(p, start, start + p.days_per_cycle);
-    double bill = 0.0;
-    for (const auto& [region, count] : ras) {
-      const double gb = per_ra * double(count) / (1024.0 * 1024.0 * 1024.0);
-      bill += pricing_.transfer_cost(region, gb);
-      if (p.include_request_fees) {
-        bill += pricing_.request_cost(region, pulls * count);
-      }
-    }
-    bills.push_back(bill);
+std::vector<double> CostSimulator::monthly_bills(const CostParams& p) const {
+  const double ras = double(population_->total_ras(p.clients_per_ra));
+  std::vector<double> bills;
+  for (const RaBytes& per_ra : cycle_bytes(p)) {
+    bills.push_back(per_ra.total() * ras / kBytesPerGb * kUsdPerGb);
   }
   return bills;
 }
@@ -124,20 +114,19 @@ std::vector<double> CostSimulator::per_pull_bytes(const CostParams& p,
 
   // Fraction of all trace revocations covered by the priced dictionaries,
   // and the per-CA conditional shares for the expected-issuer estimate.
-  const double covered = revocations_in_window(p, 0, 0);
+  const double covered = covered_share(p);
 
   auto bytes_for = [&](double revs_total_trace) {
     const double revs = revs_total_trace * covered;
-    double bytes = p.feed_header_bytes +
-                   double(p.dictionaries) * p.freshness_bytes +
-                   revs * p.per_revocation_bytes;
+    double bytes = kFeedHeaderBytes +
+                   double(p.dictionaries) * sizes_.freshness_bytes +
+                   revs * sizes_.per_revocation_bytes;
     double issuers = 0.0;
-    for (int d = 0; d < p.dictionaries; ++d) {
-      const int ca = p.dictionaries == 1 ? p.ca_index : d;
+    for (int ca = 0; ca < p.dictionaries; ++ca) {
       const double ca_revs = revs_total_trace * trace_->ca_share(ca);
       issuers += 1.0 - std::exp(-ca_revs);
     }
-    return bytes + issuers * p.signed_root_bytes;
+    return bytes + issuers * sizes_.signed_root_bytes;
   };
 
   std::vector<double> out;

@@ -7,21 +7,19 @@ namespace ritm::eval {
 
 namespace {
 struct Continent {
-  const char* region;
   double share;  // of world population
   double lat_lo, lat_hi, lon_lo, lon_hi;
 };
 
-// Rough continental population shares and bounding boxes. The pricing
-// regions match the CloudFront-like regions in cdn::make_global_cdn.
+// Rough continental population shares and bounding boxes.
 constexpr Continent kContinents[] = {
-    {"AS", 0.37, 20.0, 48.0, 95.0, 145.0},   // East/Southeast Asia
-    {"IN", 0.18, 8.0, 32.0, 68.0, 90.0},     // Indian subcontinent
-    {"EU", 0.12, 36.0, 60.0, -10.0, 40.0},
-    {"NA", 0.08, 25.0, 50.0, -125.0, -70.0},
-    {"SA", 0.06, -35.0, 10.0, -80.0, -35.0},
-    {"ME", 0.16, -35.0, 37.0, -17.0, 55.0},  // Africa + Middle East
-    {"OC", 0.03, -43.0, -10.0, 113.0, 178.0},
+    {0.37, 20.0, 48.0, 95.0, 145.0},     // East/Southeast Asia
+    {0.18, 8.0, 32.0, 68.0, 90.0},       // Indian subcontinent
+    {0.12, 36.0, 60.0, -10.0, 40.0},     // Europe
+    {0.08, 25.0, 50.0, -125.0, -70.0},   // North America
+    {0.06, -35.0, 10.0, -80.0, -35.0},   // South America
+    {0.16, -35.0, 37.0, -17.0, 55.0},    // Africa + Middle East
+    {0.03, -43.0, -10.0, 113.0, 178.0},  // Oceania
 };
 }  // namespace
 
@@ -61,33 +59,23 @@ Population::Population(PopulationConfig config) {
     std::size_t c = 0;
     while (c + 1 < std::size(kContinents) && draw > cum[c]) ++c;
     const Continent& cont = kContinents[c];
-    city.region = cont.region;
     city.location.lat_deg =
         cont.lat_lo + rng.uniform01() * (cont.lat_hi - cont.lat_lo);
     city.location.lon_deg =
         cont.lon_lo + rng.uniform01() * (cont.lon_hi - cont.lon_lo);
     total_ += city.population;
-    cities_.push_back(std::move(city));
+    cities_.push_back(city);
   }
-}
-
-std::map<std::string, std::uint64_t> Population::ras_per_region(
-    double clients_per_ra) const {
-  if (clients_per_ra <= 0) {
-    throw std::invalid_argument("Population: clients_per_ra must be > 0");
-  }
-  std::map<std::string, std::uint64_t> out;
-  for (const auto& city : cities_) {
-    out[city.region] += static_cast<std::uint64_t>(
-        std::ceil(double(city.population) / clients_per_ra));
-  }
-  return out;
 }
 
 std::uint64_t Population::total_ras(double clients_per_ra) const {
+  if (clients_per_ra <= 0) {
+    throw std::invalid_argument("Population: clients_per_ra must be > 0");
+  }
   std::uint64_t total = 0;
-  for (const auto& [region, count] : ras_per_region(clients_per_ra)) {
-    total += count;
+  for (const auto& city : cities_) {
+    total += static_cast<std::uint64_t>(
+        std::ceil(double(city.population) / clients_per_ra));
   }
   return total;
 }

@@ -2,13 +2,10 @@
 // the paper used to place RAs (§VII-C: "we estimate that the number of RAs
 // is proportional to the population size ... 2.3 billion people from
 // 47,980 cities"). City sizes are Zipf-distributed; coordinates are drawn
-// inside continent bounding boxes and tagged with the CDN pricing region
-// that serves them.
+// inside continent bounding boxes.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "sim/geo.hpp"
@@ -18,7 +15,6 @@ namespace ritm::eval {
 struct City {
   sim::GeoPoint location;
   std::uint64_t population = 0;
-  std::string region;  // CDN pricing region ("NA", "EU", "AS", ...)
 };
 
 struct PopulationConfig {
@@ -34,11 +30,9 @@ class Population {
   const std::vector<City>& cities() const noexcept { return cities_; }
   std::uint64_t total_population() const noexcept { return total_; }
 
-  /// Number of RAs per pricing region given `clients_per_ra` (each person
-  /// is one client, as in the paper's conservative estimate).
-  std::map<std::string, std::uint64_t> ras_per_region(
-      double clients_per_ra) const;
-
+  /// Number of RAs given `clients_per_ra`: each city needs
+  /// ceil(population / clients_per_ra) of them (each person is one client,
+  /// as in the paper's conservative estimate).
   std::uint64_t total_ras(double clients_per_ra) const;
 
   /// A sample of `n` city locations weighted by population — used as

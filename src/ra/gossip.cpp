@@ -36,8 +36,7 @@ std::optional<MisbehaviourEvidence> GossipPool::observe(
   }
   auto& by_n = seen_[root.ca];
   auto [it, inserted] = by_n.emplace(root.n, root);
-  if (inserted) return std::nullopt;
-  if (it->second.root == root.root) return std::nullopt;  // consistent
+  if (inserted || !is_split_view(it->second, root)) return std::nullopt;
   return MisbehaviourEvidence{it->second, root};
 }
 
@@ -45,12 +44,10 @@ void GossipPool::adopt_peer_evidence(
     const std::vector<MisbehaviourEvidence>& claimed,
     std::vector<MisbehaviourEvidence>& out) {
   // Peer-supplied evidence is hostile input: a lying peer must not be able
-  // to frame an honest CA, so each pair is re-checked against the exact
-  // rule observe() enforces — both roots signed by the CA's registered
-  // key, same size, different root hash — before it is believed.
+  // to frame an honest CA, so each pair must be a split view with both
+  // roots signed by the CA's registered key before it is believed.
   for (const auto& e : claimed) {
-    if (e.ours.ca != e.theirs.ca || e.ours.n != e.theirs.n ||
-        e.ours.root == e.theirs.root) {
+    if (!is_split_view(e.ours, e.theirs)) {
       ++forged_;
       continue;
     }

@@ -127,11 +127,10 @@ class GossipPool {
   /// gossip_pull). Cost is O(held roots in range), never O(range width).
   std::vector<dict::SignedRoot> roots_in(const GossipWant& want) const;
 
-  /// Re-checks peer-supplied evidence pairs against the exact rule
-  /// observe() enforces (both roots signed by the CA's registered key,
-  /// same n, different root hash) and appends the survivors to `out`;
-  /// fabrications count as forged, so a hostile peer cannot frame an
-  /// honest CA.
+  /// Re-checks peer-supplied evidence pairs against the rule observe()
+  /// applies (is_split_view, with both roots signed by the CA's registered
+  /// key) and appends the survivors to `out`; fabrications count as
+  /// forged, so a hostile peer cannot frame an honest CA.
   void adopt_peer_evidence(const std::vector<MisbehaviourEvidence>& claimed,
                            std::vector<MisbehaviourEvidence>& out);
 

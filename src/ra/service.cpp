@@ -220,20 +220,16 @@ RaService::RaService(const DictionaryStore* store, GossipPool* gossip)
   if (store_ == nullptr) throw std::invalid_argument("RaService: null store");
 }
 
-svc::ServeResult RaService::handle(const svc::Request& req) {
-  svc::ServeResult out;
+svc::Response RaService::handle(const svc::Request& req) {
+  svc::Response out;
   switch (req.method) {
-    case svc::Method::status_query: out.response = status_query(req); break;
-    case svc::Method::status_batch: out.response = status_batch(req); break;
-    case svc::Method::gossip_digest:
-      out.response = gossip_digest(req);
-      break;
-    case svc::Method::gossip_pull: out.response = gossip_pull(req); break;
-    default:
-      out.response = svc::reject(req, svc::Status::unknown_method);
-      break;
+    case svc::Method::status_query: out = status_query(req); break;
+    case svc::Method::status_batch: out = status_batch(req); break;
+    case svc::Method::gossip_digest: out = gossip_digest(req); break;
+    case svc::Method::gossip_pull: out = gossip_pull(req); break;
+    default: out = svc::reject(req, svc::Status::unknown_method); break;
   }
-  if (out.response.status != svc::Status::ok) {
+  if (out.status != svc::Status::ok) {
     stats_.rejected.fetch_add(1, std::memory_order_relaxed);
   }
   return out;

@@ -88,7 +88,7 @@ class RaService final : public svc::Service {
   explicit RaService(const DictionaryStore* store,
                      GossipPool* gossip = nullptr);
 
-  svc::ServeResult handle(const svc::Request& req) override;
+  svc::Response handle(const svc::Request& req) override;
 
   struct Stats {
     std::uint64_t single_queries = 0;

@@ -388,12 +388,14 @@ bool DictionaryStore::has_root(const cert::CaId& ca) const {
   return state->have_root;
 }
 
+bool is_split_view(const dict::SignedRoot& a, const dict::SignedRoot& b) {
+  return a.ca == b.ca && a.n == b.n && a.root != b.root;
+}
+
 std::optional<MisbehaviourEvidence> DictionaryStore::cross_check(
     const dict::SignedRoot& theirs) const {
   const auto ours = root_of(theirs.ca);
-  if (!ours) return std::nullopt;
-  if (theirs.n != ours->n) return std::nullopt;         // different versions
-  if (theirs.root == ours->root) return std::nullopt;   // consistent
+  if (!ours || !is_split_view(*ours, theirs)) return std::nullopt;
   // A forgery is not a CA signature; the key is setup state.
   if (!theirs.verify(find(theirs.ca)->key)) return std::nullopt;
   return MisbehaviourEvidence{*ours, theirs};

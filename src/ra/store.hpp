@@ -78,6 +78,12 @@ struct MisbehaviourEvidence {
   bool operator==(const MisbehaviourEvidence&) const = default;
 };
 
+/// The split-view rule, the one place it is decided: two signed roots of the
+/// same CA at the same size n with different root hashes. It checks no
+/// signature: every caller verifies the roots it did not already hold under
+/// the key it trusts before it believes the evidence.
+bool is_split_view(const dict::SignedRoot& a, const dict::SignedRoot& b);
+
 /// The apply/acceptance verdicts are the upper range of the service-wide
 /// svc::Status taxonomy (PR 5): unknown_ca / bad_signature / stale_root /
 /// root_mismatch / gap_detected / bad_freshness, with svc::Status::ok for
@@ -197,8 +203,8 @@ class DictionaryStore {
 
   /// Consistency checking (§III): compares a signed root obtained from an
   /// edge server / peer RA / piggybacked status against our replica.
-  /// Returns evidence if both roots verify, have equal n, but differ —
-  /// i.e. a provable split view. Updates nothing.
+  /// Returns evidence if the two roots are a split view (is_split_view)
+  /// and `theirs` carries the CA's signature. Updates nothing.
   std::optional<MisbehaviourEvidence> cross_check(
       const dict::SignedRoot& theirs) const;
 

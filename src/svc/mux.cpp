@@ -7,12 +7,12 @@ void MuxService::route(Method method, Service* backend) noexcept {
   if (idx < kMaxMethod) routes_[idx] = backend;
 }
 
-ServeResult MuxService::handle(const Request& req) {
+Response MuxService::handle(const Request& req) {
   const auto idx = static_cast<std::size_t>(req.method);
   Service* backend = idx < kMaxMethod ? routes_[idx] : nullptr;
   if (backend == nullptr) backend = default_;
   if (backend == nullptr) {
-    return {reject(req, Status::unknown_method)};
+    return reject(req, Status::unknown_method);
   }
   return backend->handle(req);
 }

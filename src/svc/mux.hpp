@@ -32,7 +32,7 @@ class MuxService final : public Service {
   /// unknown_method.
   void set_default(Service* backend) noexcept { default_ = backend; }
 
-  ServeResult handle(const Request& req) override;
+  Response handle(const Request& req) override;
 
  private:
   // Method ids are small and dense; a flat table keeps routing off the
@@ -49,7 +49,7 @@ class SharedLockService final : public Service {
   SharedLockService(Service* inner, std::shared_mutex* mu) noexcept
       : inner_(inner), mu_(mu) {}
 
-  ServeResult handle(const Request& req) override {
+  Response handle(const Request& req) override {
     std::shared_lock lock(*mu_);
     return inner_->handle(req);
   }

@@ -41,10 +41,10 @@ ServerReply serve_bytes(Service& service, ByteSpan stream,
     encode_frame(reject(d.request, Status::version_skew), reply.frame);
     return reply;
   }
-  ServeResult served = service.handle(d.request);
-  served.response.request_id = d.request.request_id;
-  served.response.version = kProtocolVersion;
-  encode_frame(served.response, reply.frame);
+  Response served = service.handle(d.request);
+  served.request_id = d.request.request_id;
+  served.version = kProtocolVersion;
+  encode_frame(served, reply.frame);
   return reply;
 }
 

@@ -12,12 +12,9 @@
 
 namespace ritm::svc {
 
-/// What a service hands back for one request. Latency is not the
-/// service's to report: each transport measures its own round trip
-/// (CallResult::latency_ms).
-struct ServeResult {
-  Response response;
-};
+/// Another name for Response, kept only because perfbench's
+/// TracedLockService spells it; new code writes Response.
+using ServeResult = Response;
 
 class Service {
  public:
@@ -25,8 +22,10 @@ class Service {
 
   /// Answers one request. Must not throw: failures become responses with a
   /// non-ok status echoing the request id. Version skew and framing errors
-  /// never reach this — serve_bytes() answers those itself.
-  virtual ServeResult handle(const Request& req) = 0;
+  /// never reach this — serve_bytes() answers those itself. Latency is not
+  /// the service's to report: each transport measures its own round trip
+  /// (CallResult::latency_ms).
+  virtual Response handle(const Request& req) = 0;
 };
 
 /// Builds the error response for `req`.

@@ -1,11 +1,10 @@
 // Evaluation-toolkit tests: trace calibration against the paper's dataset
-// statistics, population/RA placement, tiered pricing, and the cost model's
-// qualitative behaviour (cost grows as ∆ shrinks; Heartbleed is visible).
+// statistics, population/RA placement, and the cost model's behaviour (cost
+// grows as ∆ shrinks and scales with the RA fleet; Heartbleed is visible).
 #include <gtest/gtest.h>
 
 #include "eval/cost.hpp"
 #include "eval/population.hpp"
-#include "eval/pricing.hpp"
 #include "eval/trace.hpp"
 
 namespace ritm::eval {
@@ -114,43 +113,11 @@ TEST(Population, RasScaleInverselyWithClientsPerRa) {
   EXPECT_GT(ras10, ras1000 * 50);
 }
 
-TEST(Population, EveryRegionPresent) {
-  const Population pop;
-  const auto per_region = pop.ras_per_region(10);
-  for (const char* region : {"NA", "EU", "AS", "IN", "SA", "OC", "ME"}) {
-    ASSERT_TRUE(per_region.count(region) != 0) << region;
-    EXPECT_GT(per_region.at(region), 0u);
-  }
-}
-
 TEST(Population, VantagePointSampling) {
   const Population pop;
   Rng rng(3);
   const auto points = pop.sample_vantage_points(80, rng);
   EXPECT_EQ(points.size(), 80u);
-}
-
-TEST(Pricing, TieredRatesDecrease) {
-  const auto model = PricingModel::cloudfront_2015();
-  // 1 GB at the first-tier rate.
-  EXPECT_NEAR(model.transfer_cost("NA", 1.0), 0.085, 1e-9);
-  // Large volumes get cheaper per GB.
-  const double small_avg = model.transfer_cost("NA", 1000.0) / 1000.0;
-  const double huge_avg = model.transfer_cost("NA", 2e6) / 2e6;
-  EXPECT_LT(huge_avg, small_avg);
-  EXPECT_THROW(model.transfer_cost("XX", 1.0), std::invalid_argument);
-}
-
-TEST(Pricing, RegionalDifferences) {
-  const auto model = PricingModel::cloudfront_2015();
-  EXPECT_GT(model.transfer_cost("SA", 100.0), model.transfer_cost("NA", 100.0));
-  EXPECT_GT(model.transfer_cost("IN", 100.0), model.transfer_cost("EU", 100.0));
-}
-
-TEST(Pricing, RequestFees) {
-  const auto model = PricingModel::cloudfront_2015();
-  EXPECT_NEAR(model.request_cost("NA", 10'000), 0.0075, 1e-9);
-  EXPECT_NEAR(model.request_cost("NA", 1'000'000), 0.75, 1e-9);
 }
 
 TEST(Cost, MeasuredMessageSizesAreSane) {
@@ -163,12 +130,38 @@ TEST(Cost, MeasuredMessageSizesAreSane) {
   EXPECT_LT(sizes.per_revocation_bytes, 10.0);
 }
 
+TEST(Cost, BillIsProportionalToRaFleet) {
+  // The paper's Tab. II scales exactly with the RA fleet: one price per GB,
+  // and an RA's bytes do not depend on how many clients it serves.
+  const RevocationTrace trace;
+  const Population pop;
+  const CostSimulator sim(&trace, &pop);
+  const double clients_per_ra[] = {30, 250, 1000};
+  const std::uint64_t fleet[] = {76'689'093, 9'224'013, 2'323'748};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(pop.total_ras(clients_per_ra[i]), fleet[i]);
+  }
+  for (double delta : {10.0, 60.0, 3600.0, 86400.0}) {
+    CostParams p;
+    p.delta_seconds = delta;
+    p.clients_per_ra = clients_per_ra[0];
+    const double per_ra = sim.average_bill(p) / double(fleet[0]);
+    for (std::size_t i = 1; i < 3; ++i) {
+      p.clients_per_ra = clients_per_ra[i];
+      const double ratio = sim.average_bill(p) / double(fleet[i]) / per_ra;
+      EXPECT_NEAR(ratio, 1.0, 1e-9)
+          << "delta " << delta << " s, " << clients_per_ra[i]
+          << " clients/RA";
+    }
+  }
+}
+
 class CostTest : public ::testing::Test {
  protected:
   CostTest()
       : trace_(small_trace()),
         pop_(small_population()),
-        sim_(&trace_, &pop_, PricingModel::cloudfront_2015()) {}
+        sim_(&trace_, &pop_) {}
 
   static TraceConfig small_trace_cfg() {
     TraceConfig cfg;
@@ -206,9 +199,10 @@ TEST_F(CostTest, CostGrowsAsDeltaShrinks) {
   EXPECT_GT(c10, c60);
   EXPECT_GT(c60, c3600);
   EXPECT_GT(c3600, c86400);
-  // ∆=10 s makes 6x more pulls than ∆=1 m, but the tiered rate card
-  // compresses the cost ratio below 6 (larger volumes land in cheaper
-  // tiers) — far from the naive 360x vs ∆=1 h.
+  // The bill is linear in bytes. ∆=10 s makes 6x the keep-alives of
+  // ∆=1 m, but the same serials, and a signed root only for the periods
+  // that hold a revocation, so the cost ratio stays below 6 — far from the
+  // naive 360x vs ∆=1 h.
   EXPECT_GT(c10 / c60, 2.0);
   EXPECT_LT(c10 / c60, 6.5);
   EXPECT_LT(c10 / c3600, 100.0);
@@ -252,12 +246,6 @@ TEST_F(CostTest, PerPullBytesTrackRevocationRate) {
   EXPECT_GT(burst_avg, 2.0 * quiet_avg);
   // Keep-alive floor: at least 254 freshness statements per pull.
   EXPECT_GT(quiet_avg, 254.0 * 20.0);
-}
-
-TEST_F(CostTest, RequestFeesAreSeparatelyAccountable) {
-  CostParams without, with;
-  with.include_request_fees = true;
-  EXPECT_GT(sim_.average_bill(with), sim_.average_bill(without));
 }
 
 }  // namespace

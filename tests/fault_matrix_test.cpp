@@ -60,10 +60,10 @@ struct VirtualTime {
 
 class EchoService final : public svc::Service {
  public:
-  svc::ServeResult handle(const svc::Request& req) override {
-    svc::ServeResult out;
-    out.response.request_id = req.request_id;
-    out.response.body = req.body;
+  svc::Response handle(const svc::Request& req) override {
+    svc::Response out;
+    out.request_id = req.request_id;
+    out.body = req.body;
     return out;
   }
 };

@@ -273,17 +273,17 @@ class ForgingPeer final : public svc::Service {
   ForgingPeer(dict::SignedRoot forged, std::vector<ra::MisbehaviourEvidence> fab)
       : forged_(std::move(forged)), fabricated_(std::move(fab)) {}
 
-  svc::ServeResult handle(const svc::Request& req) override {
-    svc::ServeResult out;
-    out.response.request_id = req.request_id;
+  svc::Response handle(const svc::Request& req) override {
+    svc::Response out;
+    out.request_id = req.request_id;
     if (req.method == svc::Method::gossip_digest) {
       ra::GossipDigest d;
       d.runs[forged_.ca] = {{1, 5, {}}};  // garbage hash: everyone wants it
-      out.response.body = ra::encode_gossip_digest(d);
+      out.body = ra::encode_gossip_digest(d);
       return out;
     }
     // gossip_pull: forged roots + invented evidence.
-    ByteWriter w(out.response.body);
+    ByteWriter w(out.body);
     w.u32(1);
     w.var16(ByteSpan(forged_.encode()));
     w.u32(static_cast<std::uint32_t>(fabricated_.size()));
@@ -471,12 +471,10 @@ class NoDigestRaService final : public svc::Service {
  public:
   NoDigestRaService(ra::RaService* inner, svc::Status answer)
       : inner_(inner), answer_(answer) {}
-  svc::ServeResult handle(const svc::Request& req) override {
+  svc::Response handle(const svc::Request& req) override {
     if (req.method == svc::Method::gossip_digest ||
         req.method == svc::Method::gossip_pull) {
-      svc::ServeResult out;
-      out.response = svc::reject(req, answer_);
-      return out;
+      return svc::reject(req, answer_);
     }
     return inner_->handle(req);
   }

@@ -240,8 +240,7 @@ TEST(Mux, RoutesPerMethodAndRejectsUnrouted) {
   req.version = svc::kProtocolVersion;
   req.method = svc::Method::status_query;
   req.request_id = 1;
-  const auto r = mux.handle(req);
-  EXPECT_EQ(r.response.status, svc::Status::unknown_method);
+  EXPECT_EQ(mux.handle(req).status, svc::Status::unknown_method);
 }
 
 // ------------------------------------------------------------- engine

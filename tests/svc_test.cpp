@@ -57,11 +57,11 @@ ca::CertificationAuthority make_ca(std::uint64_t seed,
 /// byte — enough structure to notice any corruption.
 class EchoService final : public svc::Service {
  public:
-  svc::ServeResult handle(const svc::Request& req) override {
-    svc::ServeResult out;
-    out.response.request_id = req.request_id;
-    out.response.body.push_back(static_cast<std::uint8_t>(req.method));
-    append(out.response.body, ByteSpan(req.body));
+  svc::Response handle(const svc::Request& req) override {
+    svc::Response out;
+    out.request_id = req.request_id;
+    out.body.push_back(static_cast<std::uint8_t>(req.method));
+    append(out.body, ByteSpan(req.body));
     return out;
   }
 };
@@ -270,10 +270,10 @@ TEST(FeedDelta, FreshnessNeverPassesTheLastPublish) {
     const auto res = sync.handle(make_request(
         svc::Method::feed_delta,
         ca::encode_delta_request(dict::SyncRequest{ca.id(), 0}, now, 0)));
-    EXPECT_EQ(res.response.status, svc::Status::ok);
+    EXPECT_EQ(res.status, svc::Status::ok);
     // Skip the leading resume_period.
     const auto resp =
-        dict::SyncResponse::decode(ByteSpan(res.response.body).subspan(8));
+        dict::SyncResponse::decode(ByteSpan(res.body).subspan(8));
     EXPECT_TRUE(resp.has_value());
     return resp ? resp->freshness : crypto::Digest20{};
   };
@@ -317,9 +317,9 @@ TEST(Dispatch, InProcessLatencyIsTheMeasuredRoundTrip) {
   // that, as TcpClient would — no service supplies its own latency.
   class SlowService final : public svc::Service {
    public:
-    svc::ServeResult handle(const svc::Request& req) override {
+    svc::Response handle(const svc::Request& req) override {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      return {svc::reject(req, svc::Status::not_found)};
+      return svc::reject(req, svc::Status::not_found);
     }
   } slow;
   svc::InProcessTransport rpc(&slow);
@@ -607,13 +607,13 @@ TEST(GossipEndpoint, FabricatedPeerEvidenceIsDropped) {
    public:
     explicit LyingPeer(std::vector<ra::MisbehaviourEvidence> fabricated)
         : fabricated_(std::move(fabricated)) {}
-    svc::ServeResult handle(const svc::Request& req) override {
-      svc::ServeResult out;
-      out.response.request_id = req.request_id;
+    svc::Response handle(const svc::Request& req) override {
+      svc::Response out;
+      out.request_id = req.request_id;
       // An empty digest, then a pull reply with no roots of its own.
-      out.response.body = req.method == svc::Method::gossip_digest
-                              ? ra::encode_gossip_digest({})
-                              : ra::encode_gossip_reply({{}, fabricated_});
+      out.body = req.method == svc::Method::gossip_digest
+                     ? ra::encode_gossip_digest({})
+                     : ra::encode_gossip_reply({{}, fabricated_});
       return out;
     }
    private:
@@ -1352,17 +1352,17 @@ TEST(Tcp, AcceptorSpreadsConnectionsAcrossReactors) {
   // do (a hash over the 4-tuple put both on one reactor half the time).
   class Rendezvous final : public svc::Service {
    public:
-    svc::ServeResult handle(const svc::Request& req) override {
+    svc::Response handle(const svc::Request& req) override {
       std::unique_lock<std::mutex> lock(mu_);
       if (req.request_id == 2) {
         second_served_ = true;
         cv_.notify_all();
-        return {svc::reject(req, svc::Status::not_found)};
+        return svc::reject(req, svc::Status::not_found);
       }
       const bool met = cv_.wait_for(lock, std::chrono::seconds(5),
                                     [&] { return second_served_; });
-      return {svc::reject(req, met ? svc::Status::not_found
-                                   : svc::Status::unavailable)};
+      return svc::reject(req, met ? svc::Status::not_found
+                                  : svc::Status::unavailable);
     }
 
    private:

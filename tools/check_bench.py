@@ -24,6 +24,10 @@ also holds same-run ratios to absolute maximums (e.g. digest gossip must
 move <= 0.2x the bytes of full-list exchange). Guard-skipped entries print an explicit `SKIPPED (guard: ...)`
 line so bench logs are auditable.
 
+Before comparing, it prints the machine and build each file was measured
+on (the JSON's "context" object; "not recorded" for a file without one), so
+a log shows whether baseline-compared rows crossed hardware.
+
 A gated metric missing from the *baseline* is reported as new and skipped
 (the gate starts holding once the refreshed baseline is committed); a gated
 metric missing from the *current* run fails — the bench stopped emitting
@@ -149,6 +153,14 @@ def lookup(doc, path):
     return float(node)
 
 
+def describe_context(doc):
+    """One line naming the machine and build a bench JSON came from."""
+    ctx = doc.get("context")
+    if not isinstance(ctx, dict):
+        return "not recorded"
+    return ", ".join(f"{key}={value}" for key, value in ctx.items())
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", required=True,
@@ -164,6 +176,9 @@ def main():
         baseline = json.load(f)
     with open(args.current) as f:
         current = json.load(f)
+
+    print(f"baseline context: {describe_context(baseline)}")
+    print(f"current context:  {describe_context(current)}\n")
 
     failed = False
     print(f"{'metric':<45} {'baseline':>10} {'current':>10} {'change':>8}")

@@ -153,9 +153,13 @@ int main(int argc, char** argv) {
   // The CA's distribution point publishes the (empty) period-0 feed object
   // and the CA's cold-start object; the RA bootstraps from that object
   // with one GET, as perfbench, the scenario engine and checkpoint_test do.
-  auto global_cdn = cdn::make_global_cdn(60'000);
-  cdn::LocalCdn local_cdn(&global_cdn);
-  ca::DistributionPoint dp(&global_cdn, delta);
+  // The object store is one edge that caches nothing (TTL 0), as in
+  // perfbench, so every GET reads what the distribution point last
+  // published.
+  cdn::Cdn object_store({0.0, 0.0}, 0);
+  object_store.add_edge("edge", "local", {0.0, 0.0});
+  cdn::LocalCdn local_cdn(&object_store);
+  ca::DistributionPoint dp(&object_store, delta);
   dp.register_ca(ca.id(), ca.public_key());
   dp.publish(from_seconds(now));
   if (dp.publish_cold_start(ca.cold_start_object(0, now),
