@@ -103,6 +103,7 @@ int main() {
 
   auto verdict = client.process_server_flight(flight, now);
   std::printf("    client verdict: %s\n", client::to_string(verdict));
+  bool all_accepted = verdict == client::Verdict::accepted;
 
   auto fin = tls::make_server_finished(ce, se);
   agent.process(fin, now);
@@ -117,6 +118,7 @@ int main() {
     auto data = tls::make_app_data(se, ce, Bytes(64, 0xDA));
     const auto action = agent.process(data, now);
     verdict = client.process_established(data, now);
+    all_accepted &= verdict == client::Verdict::accepted;
     std::printf("[t=%lld] app data: RA %s, client %s\n", (long long)now,
                 action == ra::RevocationAgent::Action::status_refreshed
                     ? "refreshed status"
@@ -139,6 +141,8 @@ int main() {
               (long long)now, client::to_string(verdict));
   std::printf("    open connections at client: %zu (torn down)\n",
               client.connection_count());
+  const bool torn_down =
+      verdict == client::Verdict::revoked && client.connection_count() == 0;
 
   // A peer RA cross-checks our signed root through the same wire surface
   // (Method::gossip_digest + gossip_pull): consistent replicas reconcile
@@ -161,5 +165,8 @@ int main() {
               (unsigned long long)agent.stats().packets,
               (unsigned long long)agent.stats().statuses_attached,
               (unsigned long long)agent.stats().statuses_refreshed);
-  return 0;
+
+  // Exit status (the `example` ctest): the flight and every established
+  // packet accepted, and the presence proof tore the connection down.
+  return all_accepted && torn_down ? 0 : 1;
 }

@@ -92,25 +92,32 @@ int main() {
   };
 
   const auto good = query(leaf.serial);
+  const client::Verdict good_verdict =
+      client.validate_status_bytes(ByteSpan(good.response.body), leaf, now);
   std::printf("\nvalid certificate:   status %zu bytes -> %s\n",
-              good.response.body.size(),
-              client::to_string(client.validate_status_bytes(
-                  ByteSpan(good.response.body), leaf, now)));
+              good.response.body.size(), client::to_string(good_verdict));
 
   // --- 6. Revoke the server's certificate and watch the verdict flip.
   store.apply_issuance(ca.revoke({leaf.serial}, now + kDelta), now + kDelta);
   const auto bad = query(leaf.serial);
+  const client::Verdict bad_verdict = client.validate_status_bytes(
+      ByteSpan(bad.response.body), leaf, now + kDelta);
   std::printf("revoked certificate: status %zu bytes -> %s\n",
-              bad.response.body.size(),
-              client::to_string(client.validate_status_bytes(
-                  ByteSpan(bad.response.body), leaf, now + kDelta)));
+              bad.response.body.size(), client::to_string(bad_verdict));
 
   // --- 7. The error taxonomy travels the same wire: an unknown CA is a
   // typed status code, not a silent nullopt.
   svc::Request unknown;
   unknown.method = svc::Method::status_query;
   unknown.body = ra::encode_status_query("NotARealCA", leaf.serial);
+  const svc::Status unknown_status = rpc.call(unknown).response.status;
   std::printf("unknown CA query:    -> svc::Status::%s\n",
-              svc::to_string(rpc.call(unknown).response.status));
-  return 0;
+              svc::to_string(unknown_status));
+
+  // Exit status (the `example` ctest): the three answers above, in order.
+  return good_verdict == client::Verdict::accepted &&
+                 bad_verdict == client::Verdict::revoked &&
+                 unknown_status == svc::Status::unknown_ca
+             ? 0
+             : 1;
 }

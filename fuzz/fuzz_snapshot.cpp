@@ -4,9 +4,10 @@
 // checkpoint decoders (persist::decode_part with
 // Dictionary::restore_sections, and persist::decode_part_list), the WAL
 // reader (persist::WriteAheadLog::scan, and ra::DictionaryStore::recover_from
-// replaying what it reads), and the per-period feed object (ca::decode_feed,
-// and ra::RaUpdater pulling it). The first byte mod 5 picks one of five
-// input shapes:
+// replaying what it reads), the per-period feed object (ca::decode_feed,
+// and ra::RaUpdater pulling it), and the checkpoint's store meta
+// (ra::DictionaryStore::recover_from restoring it). The first byte mod 6
+// picks one of six input shapes:
 //   * raw:        the rest of the input, verbatim, to the cold-start parser.
 //   * mutation:   one of a few valid cold-start encodings (bare snapshots
 //                 and cold-start objects of dictionaries with 0, 3 and 200
@@ -31,6 +32,11 @@
 //   * feed:       raw bytes, or a valid feed object carrying issuances and
 //                 freshness statements of two CAs with the remaining bytes
 //                 XORed over it, picked by the second byte's low bit.
+//   * store meta: the checkpoint a two-CA store writes (persist_to), with
+//                 the remaining bytes XORed over its manifest's owner
+//                 section (the store meta; bytes past its end are
+//                 dropped); the second byte's high bit recomputes the
+//                 container CRCs after the XOR, as in the checkpoint shape.
 // Every cold-start input goes to the snapshot parser both bare and as a
 // cold-start object, and must either be rejected or restore to a dictionary
 // that
@@ -47,12 +53,17 @@
 // return ok without throwing. Every feed input goes to ca::decode_feed,
 // whose accepted feeds must re-encode (ca::encode_feed) to exactly the
 // input; and, as period 0's object on an in-process CDN, to an RaUpdater
-// over a store that registers both CAs, whose pull must not throw.
+// over a store that registers both CAs, whose pull must not throw. Every
+// store-meta input goes, with the checkpoint's unchanged parts, to
+// DictionaryStore::recover_from on a store that registers both CAs, which
+// must not throw; a refusal must leave no root installed, and every CA it
+// restores with a root must hold one that names that CA, verifies under
+// its key and commits to have_n entries.
 //
 // Built two ways (CMake), like fuzz_frame: with -DRITM_BUILD_FUZZERS=ON
 // (clang) this is a libFuzzer target; otherwise it compiles as a
 // self-driving smoke binary that replays a deterministic pseudo-random
-// corpus of all five shapes, registered as a ctest (label `fault`).
+// corpus of all six shapes, registered as a ctest (label `fault`).
 #include <unistd.h>
 
 #include <algorithm>
@@ -64,6 +75,7 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ca/authority.hpp"
@@ -104,9 +116,21 @@ struct RegisteredCa {
   UnixSeconds delta = 0;
 };
 
+/// A two-CA store's checkpoint directory, file by file, and where its
+/// manifest's owner section (the store meta) lies.
+struct StoreCheckpoint {
+  std::vector<std::pair<std::string, Bytes>> parts;  // (name, image)
+  std::string manifest_name;
+  Bytes manifest;
+  std::size_t meta_at = 0;
+  std::size_t meta_len = 0;
+  std::vector<RegisteredCa> cas;
+};
+
 /// Valid encodings to mutate: bare snapshots, then cold-start objects, of
 /// three CAs' dictionaries; those dictionaries' checkpoint files; a wal.log
-/// of another CA's records; and a feed object of two more CAs' messages.
+/// of another CA's records; a feed object of two more CAs' messages; and
+/// the checkpoint of a store holding two more CAs.
 struct Corpus {
   std::vector<Base> cold;
   std::vector<Bytes> checkpoint;  // three parts, then a part list
@@ -114,6 +138,7 @@ struct Corpus {
   RegisteredCa wal_ca;
   Bytes feed;
   std::vector<RegisteredCa> feed_cas;
+  StoreCheckpoint store;
 };
 
 /// A temporary directory named after this process, removed at exit.
@@ -136,6 +161,12 @@ Bytes read_file(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   return Bytes(std::istreambuf_iterator<char>(in),
                std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::filesystem::path& path, ByteSpan data) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(data.data()),
+            static_cast<std::streamsize>(data.size()));
 }
 
 /// The parts of a checkpoint holding `dicts`, read back from a temporary
@@ -212,6 +243,53 @@ RegisteredCa registered(const ca::CertificationAuthority& ca) {
   return {ca.id(), ca.public_key(), ca.delta()};
 }
 
+/// The checkpoint a store writes (persist_to) after applying `a`'s issuance
+/// and freshness statement, `b`'s issuance and a feed-cursor advance.
+StoreCheckpoint store_checkpoint(ca::CertificationAuthority& a,
+                                 ca::CertificationAuthority& b, Rng& rng) {
+  const TempDir dir("store-corpus");
+  const auto serial = [&] {
+    return cert::SerialNumber{
+        rng.bytes(1 + rng.uniform(cert::kMaxSerialBytes))};
+  };
+  ra::DictionaryStore store;
+  StoreCheckpoint out;
+  for (const ca::CertificationAuthority* ca : {&a, &b}) {
+    store.register_ca(ca->id(), ca->public_key(), ca->delta());
+    out.cas.push_back(registered(*ca));
+  }
+  bool ok = true;
+  ok &= store.apply_issuance(a.revoke({serial(), serial(), serial()}, 1000),
+                             1000) == ra::ApplyResult::ok;
+  ok &= store.apply_freshness({a.id(), a.freshness_at(1010)}, 1010) ==
+        ra::ApplyResult::ok;
+  ok &= store.apply_issuance(
+            b.revoke({serial(), serial(), serial(), serial(), serial()}, 1000),
+            1000) == ra::ApplyResult::ok;
+  if (!ok) throw std::logic_error("fuzz_snapshot: store corpus rejected");
+  store.advance_feed_cursor(2, 1010);
+  store.persist_to(dir.path.string());
+
+  const auto seqs = persist::SnapshotFile::seqs_newest_first(dir.path.string());
+  const auto checkpoint =
+      persist::load_checkpoint(dir.path.string(), seqs.at(0));
+  if (!checkpoint) throw std::logic_error("fuzz_snapshot: no checkpoint");
+  out.meta_at = static_cast<std::size_t>(checkpoint->meta.data() -
+                                         checkpoint->manifest->span().data());
+  out.meta_len = checkpoint->meta.size();
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
+    std::string name = entry.path().filename().string();
+    Bytes image = read_file(entry.path());
+    if (name.starts_with("snap-")) {
+      out.manifest_name = std::move(name);
+      out.manifest = std::move(image);
+    } else {
+      out.parts.emplace_back(std::move(name), std::move(image));
+    }
+  }
+  return out;
+}
+
 const Corpus& corpus() {
   static const Corpus out = [] {
     std::vector<Base> snapshots, objects;
@@ -268,12 +346,20 @@ const Corpus& corpus() {
       feed_cas.push_back(&cas.emplace_back(cfg, rng, 1000));
     }
     Bytes feed = feed_object(feed_cas, rng);
+
+    std::vector<ca::CertificationAuthority*> store_cas;
+    for (const char* id : {"CA-FUZZ-STORE-A", "CA-FUZZ-STORE-B"}) {
+      cfg.id = id;
+      store_cas.push_back(&cas.emplace_back(cfg, rng, 1000));
+    }
+    StoreCheckpoint store = store_checkpoint(*store_cas[0], *store_cas[1], rng);
     return Corpus{std::move(snapshots),
                   checkpoint_files(dicts),
                   std::move(wal),
                   registered(wal_ca),
                   std::move(feed),
-                  {registered(*feed_cas[0]), registered(*feed_cas[1])}};
+                  {registered(*feed_cas[0]), registered(*feed_cas[1])},
+                  std::move(store)};
   }();
   return out;
 }
@@ -399,12 +485,7 @@ WalReplay check_wal(ByteSpan image) {
   }
 
   static const TempDir dir("wal");
-  {
-    std::ofstream out(persist::Recovery::wal_path(dir.path.string()),
-                      std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(image.data()),
-              static_cast<std::streamsize>(image.size()));
-  }
+  write_file(persist::Recovery::wal_path(dir.path.string()), image);
   ra::DictionaryStore store;
   const RegisteredCa& ca = corpus().wal_ca;
   store.register_ca(ca.id, ca.key, ca.delta);
@@ -501,12 +582,51 @@ Bytes xor_over(const Bytes& base, const std::uint8_t* mask, std::size_t len) {
   return t;
 }
 
+/// Checks the store checkpoint with `mask` XORed over its manifest's owner
+/// section (bytes past the section are dropped), the manifest's container
+/// CRCs recomputed when `refresh`: a store that registers both CAs must
+/// recover from it without throwing; a refusal must leave no root, and
+/// every CA restored with a root must hold one that names it, verifies
+/// under its key and commits to have_n entries. Returns how many CAs were
+/// restored with a root. Traps on any broken invariant.
+std::size_t check_store_meta(const std::uint8_t* mask, std::size_t len,
+                             bool refresh) {
+  const StoreCheckpoint& base = corpus().store;
+  static const TempDir dir("store");
+  for (const auto& [name, image] : base.parts) {
+    write_file(dir.path / name, ByteSpan(image));
+  }
+  Bytes manifest = base.manifest;
+  for (std::size_t i = 0; i < std::min(len, base.meta_len); ++i) {
+    manifest[base.meta_at + i] ^= mask[i];
+  }
+  if (refresh) refresh_crcs(manifest);
+  write_file(dir.path / base.manifest_name, ByteSpan(manifest));
+
+  ra::DictionaryStore store;
+  for (const RegisteredCa& ca : base.cas) {
+    store.register_ca(ca.id, ca.key, ca.delta);
+  }
+  const auto report = store.recover_from(dir.path.string());
+  std::size_t restored = 0;
+  for (const RegisteredCa& ca : base.cas) {
+    const auto root = store.root_of(ca.id);
+    if (!root) continue;
+    if (!report.ok || root->ca != ca.id || !root->verify(ca.key) ||
+        store.have_n(ca.id) != root->n) {
+      __builtin_trap();
+    }
+    ++restored;
+  }
+  return restored;
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size < 1) return 0;
-  const std::uint8_t shape = data[0] % 5;
+  const std::uint8_t shape = data[0] % 6;
   if (shape == 0) {
     check(ByteSpan(data + 1, size - 1));
     return 0;
@@ -538,8 +658,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     check_wal(ByteSpan(t));
     return 0;
   }
-  const Bytes t = xor_over(raw ? Bytes() : corpus().feed, mask, mask_len);
-  check_feed(ByteSpan(t));
+  if (shape == 4) {
+    const Bytes t = xor_over(raw ? Bytes() : corpus().feed, mask, mask_len);
+    check_feed(ByteSpan(t));
+    return 0;
+  }
+  check_store_meta(mask, mask_len, (pick_byte & 0x80) != 0);
   return 0;
 }
 
@@ -557,7 +681,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 // refreshed CRCs; the unchanged log must replay all four mutations and
 // end at feed cursor 5. Feed shape: raw noise, truncated objects, and
 // objects with a few flipped bits, one byte changed or trailing bytes; the
-// unchanged object must apply all four of its messages.
+// unchanged object must apply all four of its messages. Store-meta shape:
+// metas with a few flipped bits or one byte changed, with and without
+// refreshed CRCs; the unchanged checkpoint must restore both CAs.
 int main() {
   // The corpus leans on the bases being valid; a broken one would leave
   // only rejections to compare.
@@ -766,6 +892,27 @@ int main() {
       const std::uint64_t flips = 1 + rng.uniform(3);
       for (std::uint64_t f = 0; f < flips; ++f) {
         buf[2 + rng.uniform(feed.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.uniform(8));
+      }
+    }
+    LLVMFuzzerTestOneInput(buf.data(), buf.size());
+  }
+
+  const StoreCheckpoint& store = corpus().store;
+  if (check_store_meta(nullptr, 0, false) != 2) return 1;
+  for (int iter = 0; iter < 600; ++iter) {
+    const std::uint64_t kind = rng.uniform(4);
+    // An XOR mask over the meta; kinds 2 and 3 refresh the CRCs after.
+    buf.assign(2 + store.meta_len, 0);
+    buf[0] = 5;
+    buf[1] = kind >= 2 ? 0x80 : 0;
+    if (kind % 2 == 0) {  // one byte changed
+      buf[2 + rng.uniform(store.meta_len)] =
+          static_cast<std::uint8_t>(1 + rng.uniform(255));
+    } else {  // a few bit flips
+      const std::uint64_t flips = 1 + rng.uniform(3);
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        buf[2 + rng.uniform(store.meta_len)] ^=
             static_cast<std::uint8_t>(1u << rng.uniform(8));
       }
     }

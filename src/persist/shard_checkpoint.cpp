@@ -170,7 +170,7 @@ CheckpointWrite write_checkpoint(const std::string& dir, std::uint64_t seq,
   // Every part the manifest lists must be durable before the manifest is.
   fsync_dir(dir);
   const Bytes list = encode_part_list(std::move(keys));
-  out.bytes += SnapshotFile::write_v2(
+  out.bytes += SnapshotFile::write(
       dir, seq, {{kManifestMeta, meta}, {kManifestParts, ByteSpan(list)}});
   retain_parts(dir);
   return out;

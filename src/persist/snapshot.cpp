@@ -66,11 +66,11 @@ void write_fd_full(int fd, const std::uint8_t* data, std::size_t len) {
   }
 }
 
-/// Retention: drop everything older than the newest `keep` snapshots. The
+/// Retention: drop everything older than the newest two snapshots. The
 /// just-committed file is newest, so at least it always survives.
-void retain_newest(const std::string& dir, std::size_t keep) {
+void retain_newest(const std::string& dir) {
   const auto seqs = SnapshotFile::seqs_newest_first(dir);
-  for (std::size_t i = std::max<std::size_t>(keep, 1); i < seqs.size(); ++i) {
+  for (std::size_t i = 2; i < seqs.size(); ++i) {
     std::error_code ec;  // best-effort cleanup; stale files are harmless
     std::filesystem::remove(dir + "/" + snapshot_name(seqs[i]), ec);
   }
@@ -163,13 +163,12 @@ std::optional<StampedSections> parse_file(ByteSpan data,
   return out;
 }
 
-std::uint64_t SnapshotFile::write_v2(const std::string& dir, std::uint64_t seq,
-                                     const std::vector<SectionSpec>& sections,
-                                     std::size_t keep) {
+std::uint64_t SnapshotFile::write(const std::string& dir, std::uint64_t seq,
+                                  const std::vector<SectionSpec>& sections) {
   std::filesystem::create_directories(dir);
   const std::uint64_t total = commit_file(dir, snapshot_name(seq), kMagic,
                                           kVersion, seq, sections, true);
-  retain_newest(dir, keep);
+  retain_newest(dir);
   return total;
 }
 

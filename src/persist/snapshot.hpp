@@ -103,12 +103,11 @@ class SnapshotFile {
 
   /// Atomically commits `sections` as the snapshot covering WAL records up
   /// to and including `seq`. Creates `dir` if needed. Older snapshots beyond
-  /// the most recent `keep` are deleted after the commit (the newest valid
-  /// one plus one fallback by default). Returns the committed file's size
-  /// in bytes. Throws std::runtime_error on I/O failure.
-  static std::uint64_t write_v2(const std::string& dir, std::uint64_t seq,
-                                const std::vector<SectionSpec>& sections,
-                                std::size_t keep = 2);
+  /// the most recent two (the newest valid one plus one fallback) are
+  /// deleted after the commit. Returns the committed file's size in bytes.
+  /// Throws std::runtime_error on I/O failure.
+  static std::uint64_t write(const std::string& dir, std::uint64_t seq,
+                             const std::vector<SectionSpec>& sections);
 
   /// Sequence numbers of the snapshot files in `dir`, newest first (.tmp
   /// leftovers and foreign files excluded). Empty when `dir` is missing.

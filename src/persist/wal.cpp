@@ -111,7 +111,7 @@ WriteAheadLog::~WriteAheadLog() {
   }
 }
 
-WalScan WriteAheadLog::open(const std::string& path, Options opts) {
+WalScan WriteAheadLog::open(const std::string& path, WalOptions opts) {
   if (fd_ >= 0) throw std::logic_error("WriteAheadLog: already open");
   path_ = path;
   opts_ = opts;

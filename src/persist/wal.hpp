@@ -59,8 +59,6 @@ struct WalOptions {
 
 class WriteAheadLog {
  public:
-  using Options = WalOptions;
-
   static constexpr std::size_t kHeaderSize = 12;
   /// Upper bound on frame_len accepted by the scanner — rejects garbage
   /// length fields before they turn into giant allocations.
@@ -75,7 +73,7 @@ class WriteAheadLog {
   /// scanned and any torn tail truncated in place, so appends always extend
   /// a valid prefix; the surviving records are returned for replay. Throws
   /// std::runtime_error on I/O failure.
-  WalScan open(const std::string& path, Options opts = {});
+  WalScan open(const std::string& path, WalOptions opts = {});
 
   bool is_open() const noexcept { return fd_ >= 0; }
   const std::string& path() const noexcept { return path_; }
@@ -119,7 +117,7 @@ class WriteAheadLog {
  private:
   int fd_ = -1;
   std::string path_;
-  Options opts_;
+  WalOptions opts_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t size_ = 0;  // current file size (header + valid records)
   std::size_t unsynced_ = 0;

@@ -39,18 +39,6 @@ const DictionaryStore::CaState* DictionaryStore::find(
   return it == cas_.end() ? nullptr : &it->second;
 }
 
-namespace {
-
-/// True when `incoming` would roll the replica back from `held`: it commits
-/// to fewer entries, or is an earlier signature (a CA re-signs the same
-/// dictionary when its hash chain runs out, so equal n orders nothing).
-bool older_root(const dict::SignedRoot& incoming,
-                const dict::SignedRoot& held) {
-  return incoming.n < held.n || incoming.timestamp < held.timestamp;
-}
-
-}  // namespace
-
 DictionaryStore::CaWriteLock DictionaryStore::lock_all_shards(
     const CaState& state) {
   CaWriteLock locks;
@@ -106,37 +94,73 @@ void DictionaryStore::advance_feed_cursor(std::uint64_t period,
   log_mutation(kWalFeedCursor, now, ByteSpan(w.bytes()));
 }
 
+ApplyResult DictionaryStore::check_identity(const cert::CaId& ca,
+                                            const CaState& state,
+                                            const dict::SignedRoot& root) {
+  if (root.ca != ca) return ApplyResult::unknown_ca;
+  if (!root.verify(state.key)) return ApplyResult::bad_signature;
+  return ApplyResult::ok;
+}
+
+DictionaryStore::Admission DictionaryStore::admit_root(
+    const cert::CaId& ca, const dict::SignedRoot& root) {
+  Admission a{ApplyResult::unknown_ca, find(ca), {}};
+  if (a.state == nullptr) return a;
+  a.verdict = check_identity(ca, *a.state, root);
+  if (a.verdict != ApplyResult::ok) return a;
+  a.writer = std::unique_lock<std::mutex>(write_mu_);
+  // Roots come from untrusted edges: never roll the replica back to fewer
+  // entries or to an earlier signature (a CA re-signs the same dictionary
+  // when its hash chain runs out, so equal n orders nothing).
+  const dict::SignedRoot& held = a.state->root;
+  const bool older = root.n < held.n || root.timestamp < held.timestamp;
+  if (a.state->have_root && older) a.verdict = ApplyResult::stale_root;
+  return a;
+}
+
+DictionaryStore::Freshness DictionaryStore::adopt_carried(
+    const dict::SignedRoot& root, UnixSeconds delta,
+    const crypto::Digest20& carried, UnixSeconds now) {
+  const auto period = crypto::chain_period(
+      root.timestamp, delta, root.freshness_anchor, 0, carried, now);
+  return period ? Freshness{carried, *period}
+                : Freshness{root.freshness_anchor, 0};
+}
+
+void DictionaryStore::commit(CaState& state, const CaWriteLock& /*held*/,
+                             const dict::SignedRoot& root,
+                             const Freshness& fresh) {
+  state.root = root;
+  state.have_root = true;
+  state.freshness = fresh.statement;
+  state.freshness_period = fresh.period;
+  state.desynchronized = false;
+  drop_cache(state);
+}
+
 ApplyResult DictionaryStore::apply_issuance(
     const dict::RevocationIssuance& msg, UnixSeconds now) {
-  CaState* state = find(msg.signed_root.ca);
-  if (state == nullptr) return ApplyResult::unknown_ca;
-  if (!msg.signed_root.verify(state->key)) return ApplyResult::bad_signature;
-  std::lock_guard<std::mutex> writer(write_mu_);
-  if (state->have_root && older_root(msg.signed_root, state->root)) {
-    return ApplyResult::stale_root;
-  }
+  const Admission admitted = admit_root(msg.signed_root.ca, msg.signed_root);
+  if (admitted.verdict != ApplyResult::ok) return admitted.verdict;
+  CaState& state = *admitted.state;
   // Gap check via consecutive numbering: the issuance must extend our
   // replica exactly.
-  if (msg.signed_root.n != state->dict.size() + msg.serials.size()) {
-    const CaWriteLock lock = lock_all_shards(*state);
-    state->desynchronized = true;
+  if (msg.signed_root.n != state.dict.size() + msg.serials.size()) {
+    const CaWriteLock lock = lock_all_shards(state);
+    state.desynchronized = true;
     return ApplyResult::gap_detected;
   }
   {
-    const CaWriteLock lock = lock_all_shards(*state);
+    const CaWriteLock lock = lock_all_shards(state);
     // A rejected update rolls back to the same entries and root, so the
     // cached statuses stay valid.
-    if (!state->dict.update(msg.serials, msg.signed_root.root,
-                            msg.signed_root.n)) {
+    if (!state.dict.update(msg.serials, msg.signed_root.root,
+                           msg.signed_root.n)) {
       return ApplyResult::root_mismatch;
     }
-    state->root = msg.signed_root;
-    state->have_root = true;
     // A fresh signed root doubles as the period-0 freshness statement.
-    state->freshness = msg.signed_root.freshness_anchor;
-    state->freshness_period = 0;
-    state->desynchronized = false;
-    drop_cache(*state);
+    commit(state, lock, msg.signed_root,
+           {msg.signed_root.freshness_anchor, 0});
   }
   log_mutation(kWalIssuance, now, ByteSpan(msg.encode()));
   return ApplyResult::ok;
@@ -164,44 +188,30 @@ ApplyResult DictionaryStore::apply_freshness(
 
 ApplyResult DictionaryStore::apply_sync(const dict::SyncResponse& msg,
                                         UnixSeconds now) {
-  CaState* state = find(msg.ca);
-  if (state == nullptr) return ApplyResult::unknown_ca;
-  if (!msg.signed_root.verify(state->key)) return ApplyResult::bad_signature;
-  std::lock_guard<std::mutex> writer(write_mu_);
-  // Sync answers come from untrusted edges: an old root must not replace
-  // a newer one, even over the same dictionary.
-  if (state->have_root && older_root(msg.signed_root, state->root)) {
-    return ApplyResult::stale_root;
-  }
+  const Admission admitted = admit_root(msg.ca, msg.signed_root);
+  if (admitted.verdict != ApplyResult::ok) return admitted.verdict;
+  CaState& state = *admitted.state;
 
   // Entries must continue our numbering exactly.
-  std::uint64_t expect = state->dict.size() + 1;
+  std::uint64_t expect = state.dict.size() + 1;
   std::vector<cert::SerialNumber> serials;
   serials.reserve(msg.entries.size());
   for (const auto& e : msg.entries) {
     if (e.number != expect++) return ApplyResult::gap_detected;
     serials.push_back(e.serial);
   }
-  if (msg.signed_root.n != state->dict.size() + serials.size()) {
+  if (msg.signed_root.n != state.dict.size() + serials.size()) {
     return ApplyResult::gap_detected;
   }
-  // The carried statement is served if it chains into the new root's
-  // anchor; a stale one leaves the anchor itself (period 0) as freshness.
-  const auto period = crypto::chain_period(
-      msg.signed_root.timestamp, state->delta,
-      msg.signed_root.freshness_anchor, 0, msg.freshness, now);
+  const Freshness fresh =
+      adopt_carried(msg.signed_root, state.delta, msg.freshness, now);
   {
-    const CaWriteLock lock = lock_all_shards(*state);
-    if (!state->dict.update(serials, msg.signed_root.root,
-                            msg.signed_root.n)) {
+    const CaWriteLock lock = lock_all_shards(state);
+    if (!state.dict.update(serials, msg.signed_root.root,
+                           msg.signed_root.n)) {
       return ApplyResult::root_mismatch;
     }
-    state->root = msg.signed_root;
-    state->have_root = true;
-    state->desynchronized = false;
-    state->freshness = period ? msg.freshness : msg.signed_root.freshness_anchor;
-    state->freshness_period = period.value_or(0);
-    drop_cache(*state);
+    commit(state, lock, msg.signed_root, fresh);
   }
   log_mutation(kWalSync, now, ByteSpan(msg.encode()));
   return ApplyResult::ok;
@@ -212,13 +222,9 @@ ApplyResult DictionaryStore::bootstrap_replica(const cert::CaId& ca,
                                                const dict::SignedRoot& root,
                                                const crypto::Digest20& freshness,
                                                UnixSeconds now) {
-  CaState* state = find(ca);
-  if (state == nullptr || root.ca != ca) return ApplyResult::unknown_ca;
-  if (!root.verify(state->key)) return ApplyResult::bad_signature;
-  std::lock_guard<std::mutex> writer(write_mu_);
-  if (state->have_root && older_root(root, state->root)) {
-    return ApplyResult::stale_root;
-  }
+  const Admission admitted = admit_root(ca, root);
+  if (admitted.verdict != ApplyResult::ok) return admitted.verdict;
+  CaState& state = *admitted.state;
 
   // Stage the dictionary first: restore_from recomputes the root once and
   // checks it against the snapshot's recorded root, and the signed root
@@ -233,19 +239,11 @@ ApplyResult DictionaryStore::bootstrap_replica(const cert::CaId& ca,
   if (!r.done() || staged.root() != root.root || staged.size() != root.n) {
     return ApplyResult::root_mismatch;
   }
-  // Adopt the carried statement if it chains into the new anchor; on
-  // failure the anchor itself (period 0) remains the served statement.
-  const auto period = crypto::chain_period(
-      root.timestamp, state->delta, root.freshness_anchor, 0, freshness, now);
+  const Freshness fresh = adopt_carried(root, state.delta, freshness, now);
   {
-    const CaWriteLock lock = lock_all_shards(*state);
-    state->dict = std::move(staged);
-    state->root = root;
-    state->have_root = true;
-    state->freshness = period ? freshness : root.freshness_anchor;
-    state->freshness_period = period.value_or(0);
-    state->desynchronized = false;
-    drop_cache(*state);
+    const CaWriteLock lock = lock_all_shards(state);
+    state.dict = std::move(staged);
+    commit(state, lock, root, fresh);
   }
 
   if (wal_ != nullptr && !replaying_) {
@@ -543,11 +541,14 @@ bool DictionaryStore::restore_checkpoint(
       const auto root_bytes = r.try_var16();
       auto root = root_bytes ? dict::SignedRoot::decode(ByteSpan(*root_bytes))
                              : std::nullopt;
-      if (!root || root->ca != ca) return false;
-      // Trust is re-established from the registered key, not the file.
-      if (!root->verify(state.key)) {
+      // Trust is re-established from the registered key, not the file. A
+      // root that names another CA passes over this checkpoint.
+      const ApplyResult identity =
+          root ? check_identity(ca, state, *root) : ApplyResult::malformed;
+      if (identity == ApplyResult::bad_signature) {
         throw refuse("signed root fails key check");
       }
+      if (identity != ApplyResult::ok) return false;
       state.root = std::move(*root);
     } else {
       state.root = dict::SignedRoot{};

@@ -2,7 +2,9 @@
 // current by replaying issuance messages (Fig. 2 `update`), freshness
 // statements, and sync responses. All acceptance rules of §III live here:
 // signature checks, root-replay comparison, hash-chain freshness walks, and
-// gap detection via the revocation numbering.
+// gap detection via the revocation numbering. One install rule decides
+// every new signed root (admit_root): it names CA X, verifies under X's
+// registered key, and is no older than the held root.
 //
 // Serving path: handshake throughput is bounded by how fast the RA can
 // assemble a RevocationStatus per packet, so each CA carries a status cache
@@ -114,7 +116,8 @@ class DictionaryStore {
   ApplyResult apply_freshness(const dict::FreshnessStatement& msg,
                               UnixSeconds now);
 
-  /// Applies a sync response (recovery after gap_detected).
+  /// Applies a sync response (recovery after gap_detected). Its signed
+  /// root must name msg.ca (unknown_ca otherwise).
   ApplyResult apply_sync(const dict::SyncResponse& msg, UnixSeconds now);
 
   /// Installs a CDN cold-start replica (§VIII bootstrapping): restores the
@@ -385,6 +388,35 @@ class DictionaryStore {
   }
   /// The shard that caches `serial`.
   static std::size_t shard_of(const Bytes& serial) noexcept;
+
+  /// The install rule's name-and-key part: `root` names `ca` (else
+  /// unknown_ca) and verifies under `state`'s key (else bad_signature).
+  static ApplyResult check_identity(const cert::CaId& ca, const CaState& state,
+                                    const dict::SignedRoot& root);
+  struct Admission {
+    ApplyResult verdict = ApplyResult::ok;
+    CaState* state = nullptr;
+    std::unique_lock<std::mutex> writer;  // held once check_identity passed
+  };
+  /// The install rule: `ca` is registered (else unknown_ca) and
+  /// check_identity passes, both before the writer mutex; then `root` is no
+  /// older than the held root (else stale_root).
+  Admission admit_root(const cert::CaId& ca, const dict::SignedRoot& root);
+  struct Freshness {  // a verified statement and the period it proves
+    crypto::Digest20 statement{};
+    std::uint64_t period = 0;
+  };
+  /// A sync's or cold start's statement: `carried` if it chains into
+  /// `root`'s anchor as of `now`, else the anchor itself (period 0).
+  static Freshness adopt_carried(const dict::SignedRoot& root,
+                                 UnixSeconds delta,
+                                 const crypto::Digest20& carried,
+                                 UnixSeconds now);
+  /// Installs an accepted `root` and `fresh`, clears desynchronized and the
+  /// cache; the caller holds `held` (all of state's shard locks) and has
+  /// brought state.dict to `root`.
+  void commit(CaState& state, const CaWriteLock& held,
+              const dict::SignedRoot& root, const Freshness& fresh);
 
   CaState* find(const cert::CaId& ca);
   const CaState* find(const cert::CaId& ca) const;

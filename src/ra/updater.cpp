@@ -13,28 +13,15 @@ namespace ritm::ra {
 
 RaUpdater::RaUpdater(Config config, DictionaryStore* store,
                      svc::Transport* cdn_rpc, svc::Transport* sync_rpc)
-    : config_(config),
-      store_(store),
-      cdn_rpc_(cdn_rpc),
-      sync_rpc_(sync_rpc) {
-  if (store_ == nullptr || cdn_rpc_ == nullptr) {
+    : config_(config), store_(store) {
+  if (store_ == nullptr || cdn_rpc == nullptr) {
     throw std::invalid_argument("RaUpdater: null store or cdn transport");
   }
-}
-
-void RaUpdater::enable_resilience(svc::RetryPolicy retry,
-                                  svc::BreakerPolicy breaker,
-                                  std::uint64_t jitter_seed) {
-  if (resilient_cdn_) {
-    throw std::logic_error("RaUpdater: resilience already enabled");
-  }
-  resilient_cdn_ = std::make_unique<svc::ResilientTransport>(
-      cdn_rpc_, retry, breaker, jitter_seed);
-  cdn_rpc_ = resilient_cdn_.get();
-  if (sync_rpc_ != nullptr) {
-    resilient_sync_ = std::make_unique<svc::ResilientTransport>(
-        sync_rpc_, retry, breaker, jitter_seed ^ 0x9e3779b97f4a7c15ull);
-    sync_rpc_ = resilient_sync_.get();
+  cdn_rpc_ = std::make_unique<svc::ResilientTransport>(cdn_rpc);
+  if (sync_rpc != nullptr) {  // its own jitter seed: backoffs do not align
+    sync_rpc_ = std::make_unique<svc::ResilientTransport>(
+        sync_rpc, svc::RetryPolicy{}, svc::BreakerPolicy{},
+        0x7e57 ^ 0x9e3779b97f4a7c15ull);
   }
 }
 
@@ -54,16 +41,27 @@ void RaUpdater::record_success(TimeMs now) {
   health_.last_success = now;
 }
 
-void RaUpdater::count_rejected(svc::Status code) {
+void RaUpdater::count(svc::Status code) {
+  if (code == svc::Status::ok) {
+    ++totals_.applied_ok;
+    return;
+  }
   ++totals_.rejected;
   ++totals_.rejected_by[code];
 }
 
-svc::CallResult RaUpdater::fetch_object(const std::string& path, TimeMs now) {
+svc::Status RaUpdater::get_object(const std::string& path, TimeMs now,
+                                  Bytes& data) {
   svc::Request req;
   req.method = svc::Method::cdn_get;
   req.body = cdn::encode_get_request(path, now, config_.location);
-  return cdn_rpc_->call(req);
+  const svc::CallResult result = cdn_rpc_->call(req);
+  if (!result.ok()) return result.error();
+  auto payload = cdn::decode_get_response(ByteSpan(result.response.body));
+  if (!payload) return svc::Status::malformed;  // envelope body corrupt
+  totals_.bytes += payload->data.size();
+  data = std::move(payload->data);
+  return svc::Status::ok;
 }
 
 void RaUpdater::apply_message(const ca::FeedMessage& msg, UnixSeconds now) {
@@ -95,11 +93,7 @@ void RaUpdater::apply_message(const ca::FeedMessage& msg, UnixSeconds now) {
     }
     result = store_->apply_freshness(*msg.freshness, now);
   }
-  if (result == ApplyResult::ok) {
-    ++totals_.applied_ok;
-  } else {
-    count_rejected(result);
-  }
+  count(result);
 }
 
 void RaUpdater::run_sync(const cert::CaId& ca, UnixSeconds now) {
@@ -111,7 +105,7 @@ void RaUpdater::run_sync(const cert::CaId& ca, UnixSeconds now) {
                                       next_period());
   const svc::CallResult result = sync_rpc_->call(req);
   if (!result.ok()) {
-    count_rejected(result.error());
+    count(result.error());
     return;
   }
   // Skip the leading resume_period: the cursor keeps pulling every period,
@@ -121,16 +115,11 @@ void RaUpdater::run_sync(const cert::CaId& ca, UnixSeconds now) {
   std::optional<dict::SyncResponse> resp;
   if (body.size() >= 8) resp = dict::SyncResponse::decode(body.subspan(8));
   if (!resp) {
-    count_rejected(svc::Status::malformed);
+    count(svc::Status::malformed);
     return;
   }
   totals_.sync_bytes += resp->wire_size();
-  const ApplyResult applied = store_->apply_sync(*resp, now);
-  if (applied == ApplyResult::ok) {
-    ++totals_.applied_ok;
-  } else {
-    count_rejected(applied);
-  }
+  count(store_->apply_sync(*resp, now));
 }
 
 RaUpdater::PullResult RaUpdater::pull_up_to(std::uint64_t upto_period,
@@ -142,40 +131,30 @@ RaUpdater::PullResult RaUpdater::pull_up_to(std::uint64_t upto_period,
   const UnixSeconds now_s = to_seconds(now);
   while (next_period() <= upto_period) {
     const std::uint64_t period = next_period();
-    const auto fetch = fetch_object(ca::feed_path(period), now);
+    Bytes data;
+    svc::Status got = get_object(ca::feed_path(period), now, data);
     ++totals_.pulls;
-    if (fetch.ok()) {
-      const auto payload =
-          cdn::decode_get_response(ByteSpan(fetch.response.body));
-      if (payload) {
-        result.bytes += payload->data.size();
-        totals_.bytes += payload->data.size();
-        const auto feed = ca::decode_feed(ByteSpan(payload->data));
-        if (feed) {
-          for (const auto& msg : *feed) {
-            apply_message(msg, now_s);
-            ++result.messages;
-          }
-        } else {
-          count_rejected(svc::Status::malformed);  // feed bytes corrupt
-          record_failure(svc::Status::malformed, now);
-          break;
+    if (got == svc::Status::ok) {
+      result.bytes += data.size();
+      const auto feed = ca::decode_feed(ByteSpan(data));
+      if (feed) {
+        for (const auto& msg : *feed) {
+          apply_message(msg, now_s);
+          ++result.messages;
         }
       } else {
-        count_rejected(svc::Status::malformed);  // envelope body corrupt
-        record_failure(svc::Status::malformed, now);
-        break;
+        got = svc::Status::malformed;  // feed bytes corrupt
       }
-    } else if (fetch.error() != svc::Status::not_found) {
-      // A missing period object is normal (nothing published yet). Any
-      // other failure — transport error, version skew, a served error, or
-      // (above) a body that will not decode — must NOT advance the cursor:
-      // marking the period covered would skip its feed forever. Count the
-      // failure, enter degraded mode (the replica keeps serving its
-      // last-verified state, visibly stale), and retry the same period on
-      // the next pull instead.
-      count_rejected(fetch.error());
-      record_failure(fetch.error(), now);
+    }
+    // A missing period object is normal (nothing published yet). Any other
+    // failure — transport error, version skew, a served error, or bytes
+    // that will not decode — must NOT advance the cursor: marking the
+    // period covered would skip its feed forever. Count the failure, enter
+    // degraded mode (the replica keeps serving its last-verified state,
+    // visibly stale), and retry the same period on the next pull instead.
+    if (got != svc::Status::ok && got != svc::Status::not_found) {
+      count(got);
+      record_failure(got, now);
       break;
     }
     store_->advance_feed_cursor(period + 1, now_s);
@@ -190,12 +169,11 @@ RaUpdater::~RaUpdater() {
   if (wal_ && store_->wal() == wal_.get()) store_->attach_wal(nullptr);
 }
 
-void RaUpdater::enable_persistence(const std::string& dir,
-                                   persist::WalOptions opts) {
+void RaUpdater::enable_persistence(const std::string& dir) {
   persist_dir_ = dir;
   std::filesystem::create_directories(dir);
   wal_ = std::make_unique<persist::WriteAheadLog>();
-  wal_->open(persist::Recovery::wal_path(dir), opts);
+  wal_->open(persist::Recovery::wal_path(dir));
   store_->attach_wal(wal_.get());
 }
 
@@ -286,33 +264,27 @@ RaUpdater::CheckpointStats RaUpdater::checkpoint_stats() const {
   return ckpt_stats_;
 }
 
-DictionaryStore::RecoveryReport RaUpdater::recover(const std::string& dir,
-                                                   persist::WalOptions opts) {
+DictionaryStore::RecoveryReport RaUpdater::recover(const std::string& dir) {
   auto report = store_->recover_from(dir);
   // Stay durable: reopen the WAL for appending (this truncates the torn
   // tail recovery skipped) and resume logging.
-  enable_persistence(dir, opts);
+  enable_persistence(dir);
   return report;
 }
 
 svc::Status RaUpdater::bootstrap(const cert::CaId& ca, TimeMs now) {
   std::lock_guard<std::mutex> freeze_lock(freeze_mu_);  // mutation driver
-  const auto fetch = fetch_object(ca::cold_start_path(ca), now);
-  if (!fetch.ok()) return fetch.error();
-  const auto payload = cdn::decode_get_response(ByteSpan(fetch.response.body));
-  if (!payload) return svc::Status::malformed;
-  totals_.bytes += payload->data.size();
-  const auto obj = ca::ColdStartObject::decode(ByteSpan(payload->data));
-  if (!obj || obj->ca != ca) return svc::Status::malformed;
+  Bytes data;
+  const svc::Status got = get_object(ca::cold_start_path(ca), now, data);
+  if (got != svc::Status::ok) return got;
+  const auto obj = ca::ColdStartObject::decode(ByteSpan(data));
+  if (!obj) return svc::Status::malformed;
   const ApplyResult applied = store_->bootstrap_replica(
       ca, ByteSpan(obj->dict_snapshot), obj->signed_root, obj->freshness,
       to_seconds(now));
-  if (applied != ApplyResult::ok) {
-    count_rejected(applied);
-    return applied;
-  }
+  count(applied);
+  if (applied != ApplyResult::ok) return applied;
   ++totals_.bootstraps;
-  ++totals_.applied_ok;
   // The snapshot covers this CA through upto_period. The cursor may skip a
   // period only if every other CA holding a root covers it too — through
   // the pulls below the cursor or its own bootstrap — or that CA's messages
@@ -335,12 +307,12 @@ svc::Status RaUpdater::bootstrap(const cert::CaId& ca, TimeMs now) {
 std::optional<MisbehaviourEvidence> RaUpdater::consistency_check(
     const cert::CaId& ca, TimeMs now) {
   ++totals_.consistency_checks;
-  const auto fetch = fetch_object(ca::DistributionPoint::root_path(ca), now);
-  if (!fetch.ok()) return std::nullopt;
-  const auto payload = cdn::decode_get_response(ByteSpan(fetch.response.body));
-  if (!payload) return std::nullopt;
-  totals_.bytes += payload->data.size();
-  const auto root = dict::SignedRoot::decode(ByteSpan(payload->data));
+  Bytes data;
+  if (get_object(ca::DistributionPoint::root_path(ca), now, data) !=
+      svc::Status::ok) {
+    return std::nullopt;
+  }
+  const auto root = dict::SignedRoot::decode(ByteSpan(data));
   if (!root) return std::nullopt;
   auto evidence = store_->cross_check(*root);
   if (evidence) ++totals_.misbehaviour_detected;

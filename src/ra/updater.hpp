@@ -15,14 +15,16 @@
 //
 // The updater speaks svc::Transport only — the same versioned wire
 // protocol whether the endpoints are in-process simulations or real TCP
-// servers.
+// servers. Pulls, cold starts and consistency checks share one GET path,
+// and the store's install rule decides every replica change.
 //
-// Resilience: enable_resilience() wraps both transports in
+// Resilience: the constructor wraps both transports in
 // svc::ResilientTransport (deadlines, capped backoff with jitter, circuit
-// breaker), and the updater tracks an explicit Health: a failed pull never
-// advances the cursor (the period would be skipped forever) — instead the
-// updater enters degraded mode, keeps serving the last-verified replica
-// through the store, and reports how stale it is via staleness_s().
+// breaker), so every RA pulls through the path the fault matrix proves. A
+// pull whose retries run out never advances the cursor (the period would
+// be skipped forever) — instead the updater's Health enters degraded mode,
+// the store keeps serving the last-verified replica, and staleness_s()
+// reports how stale it is.
 //
 // Durable mode: enable_persistence() opens a write-ahead log and attaches
 // it to the store, which logs every accepted feed message and every cursor
@@ -46,7 +48,6 @@
 
 #include "ca/distribution.hpp"
 #include "ca/feed.hpp"
-#include "common/rng.hpp"
 #include "persist/wal.hpp"
 #include "ra/store.hpp"
 #include "sim/geo.hpp"
@@ -74,7 +75,7 @@ class RaUpdater {
 
   struct Totals {
     std::uint64_t pulls = 0;
-    std::uint64_t bytes = 0;             // feed bytes downloaded
+    std::uint64_t bytes = 0;             // object bytes downloaded
     std::uint64_t messages = 0;          // feed messages applied
     std::uint64_t applied_ok = 0;
     std::uint64_t rejected = 0;          // total rejections (all causes)
@@ -97,7 +98,7 @@ class RaUpdater {
 
   /// `cdn_rpc` serves Method::cdn_get (feed objects, signed roots,
   /// cold-start objects); `sync_rpc` (optional) serves Method::feed_delta.
-  /// Both must outlive the updater.
+  /// Both get a svc::ResilientTransport and must outlive the updater.
   RaUpdater(Config config, DictionaryStore* store, svc::Transport* cdn_rpc,
             svc::Transport* sync_rpc = nullptr);
 
@@ -120,20 +121,12 @@ class RaUpdater {
 
   // ------------------------------------------------------------ resilience
 
-  /// Wraps both transports in svc::ResilientTransport (per-request
-  /// deadlines, capped backoff with jitter, circuit breaker). Call once,
-  /// before the first pull; throws std::logic_error on a second call.
-  void enable_resilience(svc::RetryPolicy retry = {},
-                         svc::BreakerPolicy breaker = {},
-                         std::uint64_t jitter_seed = 0x7e57);
-
-  /// The owned resilient wrappers (nullptr until enable_resilience);
-  /// exposed so tests can inject virtual time and read retry stats.
-  svc::ResilientTransport* resilient_cdn() noexcept {
-    return resilient_cdn_.get();
-  }
+  /// The resilient wrappers every request goes through (resilient_sync()
+  /// is nullptr without a sync transport); exposed so tests can inject
+  /// virtual time and read retry stats.
+  svc::ResilientTransport* resilient_cdn() noexcept { return cdn_rpc_.get(); }
   svc::ResilientTransport* resilient_sync() noexcept {
-    return resilient_sync_.get();
+    return sync_rpc_.get();
   }
 
   const Health& health() const noexcept { return health_; }
@@ -150,9 +143,9 @@ class RaUpdater {
   /// Switches to durable operation backed by `dir`: opens (or resumes)
   /// <dir>/wal.log — truncating any torn tail — and attaches it to the
   /// store. From then on the store logs every accepted feed message and
-  /// every cursor advance, fsync-batched every `opts.sync_every` records.
-  void enable_persistence(const std::string& dir,
-                          persist::WalOptions opts = {});
+  /// every cursor advance, fsync-batched at the log's default
+  /// (persist::WalOptions::sync_every records).
+  void enable_persistence(const std::string& dir);
 
   /// True once enable_persistence()/recover() has been called.
   bool persistent() const noexcept { return wal_ != nullptr; }
@@ -206,8 +199,7 @@ class RaUpdater {
   /// enable_persistence(dir)). The next pull_up_to() fetches only periods
   /// the recovered state does not cover. CAs must be registered with the
   /// store first.
-  DictionaryStore::RecoveryReport recover(const std::string& dir,
-                                          persist::WalOptions opts = {});
+  DictionaryStore::RecoveryReport recover(const std::string& dir);
 
   /// CDN cold start (§VIII): one GET for the CA's snapshot+delta object,
   /// installed via DictionaryStore::bootstrap_replica. On success the feed
@@ -215,7 +207,8 @@ class RaUpdater {
   /// past those every other CA holding a root covers too; later pulls skip
   /// this CA's messages in periods its snapshot covers. Non-ok codes say
   /// why: not_found (no object), malformed, or an acceptance-rule
-  /// rejection.
+  /// rejection (a signed root that names another CA is unknown_ca: the
+  /// object's own unsigned CA field decides nothing).
   svc::Status bootstrap(const cert::CaId& ca, TimeMs now);
 
  private:
@@ -229,16 +222,20 @@ class RaUpdater {
   void checkpoint_once(bool sync_log_first);
   void checkpoint_loop(double interval_s);
   void run_sync(const cert::CaId& ca, UnixSeconds now);
-  void count_rejected(svc::Status code);
+  /// Counts one outcome: applied_ok, or a rejection under its code.
+  void count(svc::Status code);
   void record_failure(svc::Status code, TimeMs now);
   void record_success(TimeMs now);
-  /// One envelope GET through cdn_rpc_.
-  svc::CallResult fetch_object(const std::string& path, TimeMs now);
+  /// The one GET path: calls cdn_get through cdn_rpc_, unwraps the body
+  /// (cdn::decode_get_response) into `data` and counts its bytes into
+  /// totals().bytes. Otherwise returns the transport or served status, or
+  /// malformed for a body that does not decode.
+  svc::Status get_object(const std::string& path, TimeMs now, Bytes& data);
 
   Config config_;
   DictionaryStore* store_;
-  svc::Transport* cdn_rpc_ = nullptr;
-  svc::Transport* sync_rpc_ = nullptr;
+  std::unique_ptr<svc::ResilientTransport> cdn_rpc_;
+  std::unique_ptr<svc::ResilientTransport> sync_rpc_;  // null: no sync
   /// CA -> the first feed period its bootstrapped snapshot does not cover.
   /// In memory only: after a restart those periods are re-applied, and the
   /// store rejects them as stale.
@@ -263,9 +260,6 @@ class RaUpdater {
   bool ckpt_stop_ = false;
   mutable std::mutex stats_mu_;
   CheckpointStats ckpt_stats_;
-  // Owned resilient wrappers installed by enable_resilience().
-  std::unique_ptr<svc::ResilientTransport> resilient_cdn_;
-  std::unique_ptr<svc::ResilientTransport> resilient_sync_;
 };
 
 }  // namespace ritm::ra

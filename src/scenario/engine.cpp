@@ -284,7 +284,9 @@ ScenarioReport ScenarioEngine::run() {
     ids.push_back(cas.back()->id());
   }
 
-  cdn::Cdn cdn = cdn::make_global_cdn(0);
+  // One edge that caches nothing (TTL 0), as ritm_serve and perfbench use.
+  cdn::Cdn cdn({0.0, 0.0}, 0);
+  cdn.add_edge("edge", "local", {0.0, 0.0});
   ca::DistributionPoint dp(&cdn, spec.delta);
   for (std::size_t c = 0; c < cas_n; ++c) {
     dp.register_ca(ids[c], cas[c]->public_key());

@@ -13,7 +13,7 @@
 //   * stale-response rejection — a response whose request_id is not the one
 //     in flight (a duplicate delivered late) is discarded and retried, never
 //     surfaced to the caller
-//   * a per-endpooint circuit breaker — after `failure_threshold`
+//   * a per-endpoint circuit breaker — after `failure_threshold`
 //     consecutive failures the breaker opens and calls fail fast with
 //     Status::circuit_open for `open_ms`, then one probe is let through
 //     (half-open); its outcome closes or re-opens the breaker
@@ -24,8 +24,10 @@
 // acceptance rules...) are answers, not failures — they return immediately
 // and count as breaker successes.
 //
-// Time is injectable (SleepFn/ClockFn) so the fault matrix runs thousands
-// of schedules on a virtual clock with zero real sleeping.
+// Every ra::RaUpdater wraps its CDN and sync transports in one, with the
+// default policies, and ritm_query calls through one. Time is injectable
+// (SleepFn/ClockFn) so the fault matrix runs those updaters through
+// thousands of schedules on a virtual clock with zero real sleeping.
 #pragma once
 
 #include <cstdint>

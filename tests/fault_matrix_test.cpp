@@ -349,7 +349,6 @@ TEST(FaultMatrix, FeedSyncConvergesUnderEveryScheduleToOracleState) {
                         world.ca.delta());
       ra::RaUpdater up({sim::GeoPoint{47.4, 8.5}}, &store, &cdn_fault,
                        &sync_fault);
-      up.enable_resilience({}, {}, seed);
       VirtualTime vt;
       vt.install(up.resilient_cdn());
       vt.install(up.resilient_sync());

@@ -227,9 +227,9 @@ TEST(Snapshot, AtomicCommitAndLoad) {
   EXPECT_TRUE(SnapshotFile::seqs_newest_first(dir.str()).empty());
 
   const Bytes a{1, 2, 3}, b(100000, 0x5C);
-  SnapshotFile::write_v2(dir.str(), 3, {{7, ByteSpan(a)}});
+  SnapshotFile::write(dir.str(), 3, {{7, ByteSpan(a)}});
   const std::uint64_t b_size =
-      SnapshotFile::write_v2(dir.str(), 9, {{7, ByteSpan(b)}});
+      SnapshotFile::write(dir.str(), 9, {{7, ByteSpan(b)}});
   EXPECT_EQ(SnapshotFile::seqs_newest_first(dir.str()),
             (std::vector<std::uint64_t>{9, 3}));
   auto newest = SnapshotFile::map(dir.str(), 9);
@@ -260,7 +260,7 @@ TEST(Snapshot, RetentionKeepsNewestTwo) {
   TempDir dir("snap-retention");
   for (std::uint64_t seq = 1; seq <= 5; ++seq) {
     const Bytes payload{std::uint8_t(seq)};
-    SnapshotFile::write_v2(dir.str(), seq, {{1, ByteSpan(payload)}});
+    SnapshotFile::write(dir.str(), seq, {{1, ByteSpan(payload)}});
   }
   EXPECT_EQ(SnapshotFile::seqs_newest_first(dir.str()),
             (std::vector<std::uint64_t>{5, 4}));

@@ -2,11 +2,16 @@
 // Fig. 3 flow state machine, periodic status refresh, multi-RA handling,
 // session resumption, and the CDN updater with gap recovery.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "ca/authority.hpp"
 #include "ca/distribution.hpp"
 #include "ca/sync_service.hpp"
 #include "cdn/service.hpp"
+#include "persist/wal.hpp"
 #include "ra/agent.hpp"
 #include "ra/dpi.hpp"
 #include "ra/store.hpp"
@@ -119,6 +124,54 @@ TEST(Store, SyncRejectsAnOlderSignatureOfTheSameDictionary) {
   EXPECT_EQ(store.apply_sync(old, 1050), ApplyResult::stale_root);
   EXPECT_EQ(store.apply_issuance(r1, 1050), ApplyResult::stale_root);
   EXPECT_EQ(store.root_of(ca.id())->encode(), r2.encode());
+}
+
+// A signed root commits to the CA it names. An operator that runs two CA
+// names on one key signs roots that verify under either name's registered
+// key, so a sync answer for CA-1 carrying CA-2's root (same key, same
+// serials) passes the signature check: the install rule must still refuse
+// to install it under CA-1, and log nothing.
+TEST(Store, SyncRejectsARootThatNamesAnotherCa) {
+  auto ca = make_ca(12);
+  Rng twin_rng(12);
+  ca::CertificationAuthority::Config cfg;
+  cfg.id = "CA-2";
+  cfg.delta = 10;
+  cfg.chain_length = 64;
+  ca::CertificationAuthority twin(cfg, twin_rng, 1000);
+  ASSERT_EQ(twin.public_key(), ca.public_key());
+
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("ritm-ra-test-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  persist::WriteAheadLog wal;
+  wal.open((dir / "wal.log").string());
+  DictionaryStore store;
+  store.register_ca(ca.id(), ca.public_key(), ca.delta());
+  store.attach_wal(&wal);
+  ASSERT_EQ(store.apply_issuance(ca.revoke({SerialNumber::from_uint(1)}, 1000),
+                                 1000),
+            ApplyResult::ok);
+  const Bytes held = store.root_of(ca.id())->encode();
+  const std::uint64_t logged = wal.next_seq();
+
+  twin.revoke({SerialNumber::from_uint(1), SerialNumber::from_uint(2)}, 1010);
+  dict::SyncResponse mislabeled;
+  mislabeled.ca = ca.id();
+  mislabeled.entries = twin.dictionary().entries_from(2);
+  mislabeled.signed_root = twin.signed_root();
+  mislabeled.freshness = twin.freshness_at(1010);
+  ASSERT_TRUE(mislabeled.signed_root.verify(ca.public_key()));
+
+  EXPECT_EQ(store.apply_sync(mislabeled, 1010), ApplyResult::unknown_ca);
+  EXPECT_EQ(store.root_of(ca.id())->encode(), held);
+  EXPECT_EQ(store.have_n(ca.id()), 1u);
+  EXPECT_FALSE(store.needs_sync(ca.id()));
+  EXPECT_EQ(wal.next_seq(), logged);
+  store.attach_wal(nullptr);
+  wal.close();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Store, FreshnessAcceptedWithinTolerance) {

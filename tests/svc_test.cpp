@@ -669,22 +669,23 @@ TEST(Updater, RejectionBreakdownByStatusCode) {
 }
 
 TEST(Updater, TransportFailureDoesNotAdvanceFeedCursor) {
-  // A transient transport failure must leave the cursor in place so the
-  // period is refetched on the next pull — advancing would WAL-mark the
-  // period as covered and skip its feed forever.
+  // A transport failure that outlasts every retry must leave the cursor in
+  // place so the period is refetched on the next pull — advancing would
+  // WAL-mark the period as covered and skip its feed forever.
   class FlakyTransport final : public svc::Transport {
    public:
     explicit FlakyTransport(svc::Transport* inner) : inner_(inner) {}
     svc::CallResult call(const svc::Request& req) override {
-      if (fail_next) {
-        fail_next = false;
+      if (down) {
+        ++failed;
         svc::CallResult r;
         r.status = svc::Status::transport_error;
         return r;
       }
       return inner_->call(req);
     }
-    bool fail_next = false;
+    bool down = false;
+    int failed = 0;
    private:
     svc::Transport* inner_;
   };
@@ -699,19 +700,25 @@ TEST(Updater, TransportFailureDoesNotAdvanceFeedCursor) {
   ra::DictionaryStore store;
   store.register_ca(ca.id(), ca.public_key(), ca.delta());
   ra::RaUpdater updater({sim::GeoPoint{47.4, 8.5}}, &store, &flaky);
+  // Virtual time: the retries' backoff advances a counter, not the clock.
+  std::uint64_t virtual_ms = 0;
+  updater.resilient_cdn()->set_time(
+      [&](std::uint32_t ms) { virtual_ms += ms; }, [&] { return virtual_ms; });
 
   dp.submit(ca::FeedMessage::of(ca.revoke({SerialNumber::from_uint(1)},
                                           1000)));
   dp.publish(0);
 
-  flaky.fail_next = true;
+  flaky.down = true;
   updater.pull_up_to(0, from_seconds(1010));
+  EXPECT_EQ(flaky.failed, int(svc::RetryPolicy{}.max_attempts));
   EXPECT_EQ(updater.next_period(), 0u);  // cursor held for retry
   EXPECT_EQ(store.have_n(ca.id()), 0u);
   EXPECT_EQ(updater.totals().rejected_by.at(svc::Status::transport_error),
             1u);
 
-  // The retry succeeds and applies the period normally.
+  // The next pull succeeds and applies the period normally.
+  flaky.down = false;
   updater.pull_up_to(0, from_seconds(1010));
   EXPECT_EQ(updater.next_period(), 1u);
   EXPECT_EQ(store.have_n(ca.id()), 1u);

@@ -106,10 +106,7 @@ int main(int argc, char** argv) {
   svc::RetryPolicy retry;
   retry.max_attempts = retries == 0 ? 1 : retries;
   retry.deadline_ms = std::uint64_t(timeout_ms) * retry.max_attempts;
-  svc::ResilientTransport resilient(&tcp, retry);
-  svc::Transport& rpc =
-      retries > 1 ? static_cast<svc::Transport&>(resilient)
-                  : static_cast<svc::Transport&>(tcp);
+  svc::ResilientTransport rpc(&tcp, retry);
 
   // Optional validation context.
   cert::TrustStore roots;
