@@ -86,8 +86,7 @@
 #include "common/io.hpp"
 #include "common/rng.hpp"
 #include "dict/dictionary.hpp"
-#include "persist/recovery.hpp"
-#include "persist/shard_checkpoint.hpp"
+#include "persist/checkpoint.hpp"
 #include "persist/wal.hpp"
 #include "ra/store.hpp"
 #include "ra/updater.hpp"
@@ -191,7 +190,7 @@ std::vector<Bytes> checkpoint_files(
 Bytes wal_file(ca::CertificationAuthority& ca, Rng& rng) {
   const TempDir dir("wal-corpus");
   persist::WriteAheadLog wal;
-  wal.open(persist::Recovery::wal_path(dir.path.string()));
+  wal.open(persist::wal_path(dir.path.string()));
   ra::DictionaryStore store;
   store.register_ca(ca.id(), ca.public_key(), ca.delta());
   store.attach_wal(&wal);
@@ -220,7 +219,7 @@ Bytes wal_file(ca::CertificationAuthority& ca, Rng& rng) {
   store.advance_feed_cursor(5, 1050);
   if (!ok) throw std::logic_error("fuzz_snapshot: WAL corpus rejected");
   wal.close();
-  return read_file(persist::Recovery::wal_path(dir.path.string()));
+  return read_file(persist::wal_path(dir.path.string()));
 }
 
 /// A period's feed object from `cas`: each one's issuance at t = 1000, then
@@ -270,7 +269,7 @@ StoreCheckpoint store_checkpoint(ca::CertificationAuthority& a,
   store.advance_feed_cursor(2, 1010);
   store.persist_to(dir.path.string());
 
-  const auto seqs = persist::SnapshotFile::seqs_newest_first(dir.path.string());
+  const auto seqs = persist::manifest_seqs(dir.path.string());
   const auto checkpoint =
       persist::load_checkpoint(dir.path.string(), seqs.at(0));
   if (!checkpoint) throw std::logic_error("fuzz_snapshot: no checkpoint");
@@ -485,7 +484,7 @@ WalReplay check_wal(ByteSpan image) {
   }
 
   static const TempDir dir("wal");
-  write_file(persist::Recovery::wal_path(dir.path.string()), image);
+  write_file(persist::wal_path(dir.path.string()), image);
   ra::DictionaryStore store;
   const RegisteredCa& ca = corpus().wal_ca;
   store.register_ca(ca.id, ca.key, ca.delta);

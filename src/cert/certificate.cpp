@@ -17,6 +17,12 @@ SerialNumber SerialNumber::from_uint(std::uint64_t v, std::size_t width) {
 
 std::string SerialNumber::to_hex() const { return ritm::to_hex(ByteSpan(value)); }
 
+std::optional<ByteSpan> read_serial(ByteReader& r) {
+  const auto len = r.try_u8();
+  if (!len || *len == 0 || *len > kMaxSerialBytes) return std::nullopt;
+  return r.try_span(*len);
+}
+
 Bytes Certificate::tbs() const {
   ByteWriter w;
   w.raw(bytes_of("RITM-CERT-v1"));
@@ -44,11 +50,9 @@ Bytes Certificate::encode() const {
 std::optional<Certificate> Certificate::decode(ByteSpan data) {
   ByteReader r{data};
   Certificate c;
-  auto serial = r.try_var8();
-  if (!serial || serial->empty() || serial->size() > kMaxSerialBytes) {
-    return std::nullopt;
-  }
-  c.serial.value = std::move(*serial);
+  const auto serial = read_serial(r);
+  if (!serial) return std::nullopt;
+  c.serial.value.assign(serial->begin(), serial->end());
   auto issuer = r.try_var8();
   if (!issuer) return std::nullopt;
   c.issuer.assign(issuer->begin(), issuer->end());

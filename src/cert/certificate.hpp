@@ -38,6 +38,11 @@ struct SerialNumber {
 
 constexpr std::size_t kMaxSerialBytes = 20;
 
+/// Reads one wire serial — a length byte, then 1 to kMaxSerialBytes bytes —
+/// as a span into `r`'s input. nullopt when it is truncated, empty or too
+/// long. The one serial rule of every decoder that reads serials.
+std::optional<ByteSpan> read_serial(ByteReader& r);
+
 struct Certificate {
   SerialNumber serial;
   CaId issuer;

@@ -422,14 +422,10 @@ void Dictionary::restore_from(ByteReader& r) {
 
   std::vector<LogRecord> log(n);
   for (LogRecord& rec : log) {
-    const auto len = r.try_u8();
-    const auto serial = len ? r.peek(*len) : std::nullopt;
-    if (!serial || serial->empty() || serial->size() > cert::kMaxSerialBytes) {
-      throw bad("bad serial");
-    }
+    const auto serial = cert::read_serial(r);
+    if (!serial) throw bad("bad serial");
     rec.len = static_cast<std::uint8_t>(serial->size());
     std::memcpy(rec.bytes, serial->data(), serial->size());
-    r.skip(serial->size());
   }
   std::vector<std::uint32_t> sorted(n);
   for (std::uint32_t& idx : sorted) {

@@ -23,11 +23,9 @@ std::optional<std::vector<cert::SerialNumber>> decode_serials(ByteReader& r) {
   // huge allocation before the truncation check fails.
   out.reserve(std::min<std::size_t>(*count, r.remaining() / 2));
   for (std::uint32_t i = 0; i < *count; ++i) {
-    auto v = r.try_var8();
-    if (!v || v->empty() || v->size() > cert::kMaxSerialBytes) {
-      return std::nullopt;
-    }
-    out.push_back(cert::SerialNumber{std::move(*v)});
+    const auto v = cert::read_serial(r);
+    if (!v) return std::nullopt;
+    out.push_back(cert::SerialNumber{Bytes(v->begin(), v->end())});
   }
   return out;
 }
@@ -198,13 +196,12 @@ std::optional<SyncResponse> SyncResponse::decode(ByteSpan data) {
   // Each entry costs at least 10 bytes on the wire; bound the reservation.
   m.entries.reserve(std::min<std::size_t>(*count, r.remaining() / 10));
   for (std::uint32_t i = 0; i < *count; ++i) {
-    auto serial = r.try_var8();
-    if (!serial || serial->empty() || serial->size() > cert::kMaxSerialBytes) {
-      return std::nullopt;
-    }
-    auto number = r.try_u64();
+    const auto serial = cert::read_serial(r);
+    const auto number = serial ? r.try_u64() : std::nullopt;
     if (!number) return std::nullopt;
-    m.entries.push_back(Entry{cert::SerialNumber{std::move(*serial)}, *number});
+    m.entries.push_back(
+        Entry{cert::SerialNumber{Bytes(serial->begin(), serial->end())},
+              *number});
   }
   auto root_bytes = r.try_var16();
   if (!root_bytes) return std::nullopt;

@@ -145,11 +145,8 @@ void encode_leaf_proof(ByteWriter& w, const LeafProof& p) {
 }
 
 std::optional<LeafView> parse_leaf(ByteReader& r) {
-  const auto len = r.try_u8();
-  const auto serial = len ? r.try_span(*len) : std::nullopt;
-  if (!serial || serial->empty() || serial->size() > cert::kMaxSerialBytes) {
-    return std::nullopt;
-  }
+  const auto serial = cert::read_serial(r);
+  if (!serial) return std::nullopt;
   const auto number = r.try_u64();
   const auto index = number ? r.try_u64() : std::nullopt;
   const auto steps = index ? r.try_u16() : std::nullopt;

@@ -1,5 +1,5 @@
 // Section container: the fixed-layout, mmap-ready payload of every
-// snapshot file (and of per-shard checkpoint files).
+// checkpoint file, manifest and part alike (persist/checkpoint.hpp).
 //
 // A container is a section directory followed by 64-byte-aligned sections,
 // each CRC-guarded independently so a reader can validate without copying:
@@ -17,7 +17,7 @@
 // Section *contents* are raw in-memory arenas (host-endian, fixed-width
 // records); everything structural is big-endian like the rest of the
 // persistence plane. Writing streams straight to the fd — no whole-file
-// staging buffer — so a 10M-entry snapshot never doubles in memory.
+// staging buffer — so a 10M-entry checkpoint never doubles in memory.
 #pragma once
 
 #include <cstdint>

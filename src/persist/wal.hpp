@@ -1,10 +1,11 @@
-// Write-ahead log for the durable dictionary pipeline (PR 4).
+// Write-ahead log for the durable dictionary pipeline.
 //
 // An append-only file of CRC-framed records with one writer, the RA store:
 // it logs each accepted mutation (issuance/freshness/sync/bootstrap
 // message) and each feed-cursor advance; recovery replays the longest valid
-// prefix on top of the newest snapshot, so a process restart costs
-// O(log tail) instead of O(issuance history).
+// prefix on top of the newest checkpoint (persist/checkpoint.hpp), so a
+// process restart costs O(log tail) instead of O(issuance history). The
+// log is not thread-safe: its writer serializes every call.
 //
 // On-disk layout (all integers big-endian, common::io):
 //
@@ -31,6 +32,13 @@
 #include "common/bytes.hpp"
 
 namespace ritm::persist {
+
+/// The WAL's fixed name inside a persistence directory.
+inline constexpr const char* kWalName = "wal.log";
+
+inline std::string wal_path(const std::string& dir) {
+  return dir + "/" + kWalName;
+}
 
 /// One durably logged record. `seq` is assigned by the log, strictly
 /// increasing across the file; `type` tells the replayer how to decode the
@@ -86,13 +94,13 @@ class WriteAheadLog {
   void sync();
 
   /// Truncates the log back to its bare header — called right after a
-  /// snapshot captured every logged record — and continues numbering from
-  /// `next_seq` so record seqs stay comparable with snapshot seqs.
+  /// checkpoint captured every logged record — and continues numbering from
+  /// `next_seq` so record seqs stay comparable with checkpoint stamps.
   void reset(std::uint64_t next_seq);
 
   /// Raises next_seq() to at least `next_seq` (never lowers it). Reopening
-  /// a log that a snapshot-commit emptied restarts numbering at 1, which
-  /// would put new records at or below the snapshot's stamp and make the
+  /// a log that a checkpoint emptied restarts numbering at 1, which
+  /// would put new records at or below the checkpoint's stamp and make the
   /// next recovery drop them — callers resuming after recovery floor the
   /// counter at mutation_seq + 1 (DictionaryStore does this on every
   /// logged record).
@@ -107,7 +115,7 @@ class WriteAheadLog {
 
   void close();
 
-  /// Read-only scan of a log file (no truncation) — what Recovery uses.
+  /// Read-only scan of a log file (no truncation) — what recover() uses.
   static WalScan scan_file(const std::string& path);
 
   /// Same scan over an in-memory image of a log file — what the torn-write

@@ -250,16 +250,12 @@ svc::Response RaService::status_query(const svc::Request& req) {
   stats_.single_queries.fetch_add(1, std::memory_order_relaxed);
   ByteReader r(ByteSpan(req.body));
   const auto ca_bytes = r.try_var8();
-  const auto serial_bytes = r.try_var8();
-  // A serial is 1 to cert::kMaxSerialBytes bytes, as every decoder has it.
-  if (!ca_bytes || !serial_bytes || serial_bytes->empty() ||
-      serial_bytes->size() > cert::kMaxSerialBytes || !r.done()) {
-    return svc::reject(req, svc::Status::malformed);
-  }
+  const auto serial = ca_bytes ? cert::read_serial(r) : std::nullopt;
+  if (!serial || !r.done()) return svc::reject(req, svc::Status::malformed);
   const cert::CaId ca(ca_bytes->begin(), ca_bytes->end());
   if (!store_->knows(ca)) return svc::reject(req, svc::Status::unknown_ca);
-  const auto cached =
-      store_->status_bytes_for(ca, cert::SerialNumber{*serial_bytes});
+  const auto cached = store_->status_bytes_for(
+      ca, cert::SerialNumber{Bytes(serial->begin(), serial->end())});
   if (!cached) return svc::reject(req, svc::Status::unavailable);
 
   svc::Response resp;
@@ -288,11 +284,7 @@ svc::Response RaService::status_batch(const svc::Request& req) {
   ByteReader serials = r;
   std::uint32_t well_formed = 0;
   for (; well_formed < *count; ++well_formed) {
-    const auto length = r.try_u8();
-    if (!length || *length == 0 || *length > cert::kMaxSerialBytes ||
-        !r.skip(*length)) {
-      break;
-    }
+    if (!cert::read_serial(r)) break;
   }
   if (well_formed < *count || !r.done()) {
     // The reply a batch served in order would get: a CA with no root yet
@@ -308,7 +300,7 @@ svc::Response RaService::status_batch(const svc::Request& req) {
   w.u32(*count);
   cert::SerialNumber serial;
   for (std::uint32_t i = 0; i < *count; ++i) {
-    const ByteSpan bytes = *serials.try_span(*serials.try_u8());
+    const ByteSpan bytes = *cert::read_serial(serials);
     serial.value.assign(bytes.begin(), bytes.end());
     // Each serial fans out over the status-byte cache — the same warm path
     // the DPI pipeline uses, amortized N per envelope.

@@ -1,6 +1,7 @@
 #include "ra/store.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -143,6 +144,10 @@ ApplyResult DictionaryStore::apply_issuance(
   const Admission admitted = admit_root(msg.signed_root.ca, msg.signed_root);
   if (admitted.verdict != ApplyResult::ok) return admitted.verdict;
   CaState& state = *admitted.state;
+  // A re-delivery (a period re-pulled after a restart) is already applied.
+  if (state.have_root && msg.signed_root == state.root) {
+    return ApplyResult::ok;
+  }
   // Gap check via consecutive numbering: the issuance must extend our
   // replica exactly.
   if (msg.signed_root.n != state.dict.size() + msg.serials.size()) {
@@ -448,63 +453,61 @@ namespace {
 constexpr std::uint8_t kStoreMetaVersion = 4;
 }  // namespace
 
-DictionaryStore::FrozenStore DictionaryStore::freeze() const {
-  std::lock_guard<std::mutex> writer(write_mu_);  // readers only read
-  FrozenStore frozen;
-  frozen.feed_cursor = feed_cursor_;
-  frozen.mutation_seq = mutation_seq_;
-  frozen.cas.reserve(cas_.size());
-  for (const auto& [ca, state] : cas_) {
-    FrozenStore::FrozenCa f;
-    f.ca = ca;
-    f.have_root = state.have_root;
-    f.desynchronized = state.desynchronized;
-    f.root = state.root;
-    f.freshness = state.freshness;
-    f.freshness_period = state.freshness_period;
-    f.dict = state.dict;  // O(1): the arenas are shared copy-on-write
-    frozen.cas.push_back(std::move(f));
-  }
-  return frozen;
-}
-
-persist::CheckpointWrite DictionaryStore::persist_frozen(
-    const FrozenStore& frozen, const std::string& dir) {
+persist::CheckpointWrite DictionaryStore::write_frozen(
+    const std::map<cert::CaId, CaState>& cas, std::uint64_t feed_cursor,
+    std::uint64_t seq, const std::string& dir) {
   Bytes meta;
   ByteWriter w(meta);
   w.u8(kStoreMetaVersion);
-  w.u64(frozen.feed_cursor);
-  w.u32(static_cast<std::uint32_t>(frozen.cas.size()));
-  std::vector<dict::DictSections> secs(frozen.cas.size());
-  for (std::size_t i = 0; i < frozen.cas.size(); ++i) {
-    const FrozenStore::FrozenCa& ca = frozen.cas[i];
-    secs[i] = ca.dict.snapshot_sections();
-    w.var16(ByteSpan(bytes_of(ca.ca)));
-    w.u8(ca.have_root ? 1 : 0);
-    w.u8(ca.desynchronized ? 1 : 0);
-    if (ca.have_root) w.var16(ByteSpan(ca.root.encode()));
-    w.raw(ByteSpan(ca.freshness));
-    w.u64(ca.freshness_period);
-    w.u64(secs[i].n);
-    w.raw(ByteSpan(secs[i].root));
+  w.u64(feed_cursor);
+  w.u32(static_cast<std::uint32_t>(cas.size()));
+  std::vector<dict::DictSections> secs;
+  secs.reserve(cas.size());
+  for (const auto& [ca, state] : cas) {
+    const dict::DictSections& sec =
+        secs.emplace_back(state.dict.snapshot_sections());
+    w.var16(ByteSpan(bytes_of(ca)));
+    w.u8(state.have_root ? 1 : 0);
+    w.u8(state.desynchronized ? 1 : 0);
+    if (state.have_root) w.var16(ByteSpan(state.root.encode()));
+    w.raw(ByteSpan(state.freshness));
+    w.u64(state.freshness_period);
+    w.u64(sec.n);
+    w.raw(ByteSpan(sec.root));
   }
-  return persist::write_checkpoint(dir, frozen.mutation_seq, ByteSpan(meta),
-                                   secs);
+  return persist::write_checkpoint(dir, seq, ByteSpan(meta), secs);
 }
 
-bool DictionaryStore::reset_wal_if_unchanged(const FrozenStore& frozen) {
+DictionaryStore::CheckpointCycle DictionaryStore::persist_to(
+    const std::string& dir, bool sync_wal_first) {
+  using Clock = std::chrono::steady_clock;
+  std::lock_guard<std::mutex> cycle(checkpoint_mu_);
+  std::map<cert::CaId, CaState> frozen;
+  std::uint64_t cursor = 0;
+  std::uint64_t seq = 0;
+  std::uint64_t stall_us = 0;
+  {
+    std::lock_guard<std::mutex> writer(write_mu_);  // readers only read
+    const auto t0 = Clock::now();
+    persist::WriteAheadLog* wal = wal_;
+    if (sync_wal_first && wal != nullptr) wal->sync();
+    // O(#CAs): the dictionaries share their arenas copy-on-write, and the
+    // copies' caches start cold.
+    frozen = cas_;
+    cursor = feed_cursor_;
+    seq = mutation_seq_;
+    stall_us = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                              t0)
+            .count());
+  }
+  const persist::CheckpointWrite written =
+      write_frozen(frozen, cursor, seq, dir);
   std::lock_guard<std::mutex> writer(write_mu_);
   persist::WriteAheadLog* wal = wal_;
-  if (wal == nullptr || mutation_seq_ != frozen.mutation_seq) return false;
-  wal->reset(mutation_seq_ + 1);
-  return true;
-}
-
-persist::CheckpointWrite DictionaryStore::persist_to(const std::string& dir) {
-  const FrozenStore frozen = freeze();
-  const persist::CheckpointWrite written = persist_frozen(frozen, dir);
-  reset_wal_if_unchanged(frozen);
-  return written;
+  const bool reset = wal != nullptr && mutation_seq_ == seq;
+  if (reset) wal->reset(seq + 1);
+  return {written, reset, stall_us};
 }
 
 bool DictionaryStore::restore_checkpoint(
@@ -587,12 +590,11 @@ bool DictionaryStore::restore_checkpoint(
 DictionaryStore::RecoveryReport DictionaryStore::recover_from(
     const std::string& dir) {
   RecoveryReport report;
-  persist::RecoveryScan rec;
+  persist::Recovered rec;
   try {
-    rec = persist::Recovery::recover(
-        dir, [this](const persist::Checkpoint& checkpoint) {
-          return restore_checkpoint(checkpoint);
-        });
+    rec = persist::recover(dir, [this](const persist::Checkpoint& checkpoint) {
+      return restore_checkpoint(checkpoint);
+    });
   } catch (const std::runtime_error& e) {
     report.error = e.what();
     return report;

@@ -24,10 +24,17 @@
 // it reads the replica (the warm path takes exactly that one lock), and a
 // mutator holds all of them, in index order, while it changes the replica
 // and clears the cache. Mutators also serialize on a store-wide writer
-// mutex, which freeze() takes too; signature checks run before it, and
-// validation and staging under it alone, so readers wait only for the
-// in-place update. Readers of different CAs never contend. register_ca()
-// and recover_from() are setup calls: make them before serving starts.
+// mutex, the one lock that orders mutations, the WAL and checkpoints;
+// signature checks run before it, and validation and staging under it
+// alone, so readers wait only for the in-place update. Readers of different
+// CAs never contend. register_ca() and recover_from() are setup calls: make
+// them before serving starts.
+//
+// Re-delivery: an issuance whose signed root equals the held one is already
+// applied, and apply_issuance() answers ok without touching the replica or
+// the WAL. A checkpoint may land between two messages of a feed period, and
+// a restart that lost the WAL tail past it re-pulls that period: its
+// messages the replica already holds cost nothing, and no sync.
 //
 // Durability: the store owns the RA's durable state, the replicas and the
 // feed cursor (the first feed period, §VI, they do not yet reflect).
@@ -38,16 +45,16 @@
 // recovery *is* replay, so the recovered roots and proofs are
 // byte-identical to an in-memory replay of the surviving prefix.
 //
-// Zero-copy persistence: a checkpoint is the persist/shard_checkpoint.hpp
-// format — a manifest holding the store meta, plus one part per CA
-// dictionary with its entry log, sorted index, and digest arena as raw
-// 64-byte-aligned sections. A part is named by its dictionary's (n, root)
-// and written only when no file of that name exists, so a checkpoint
-// rewrites only the CAs that changed. recover_from() mmaps the parts and
-// adopts them in place (copy-on-first-mutation) instead of deserializing
-// and re-hashing. freeze()/persist_frozen() split the write into an
-// O(#CAs) consistent copy under the writer mutex and an off-lock commit,
-// which is what bounds the stall background checkpoints impose.
+// Zero-copy persistence: a checkpoint is the persist/checkpoint.hpp format
+// — a manifest holding the store meta, plus one part per CA dictionary
+// with its entry log, sorted index, and digest arena as raw 64-byte-aligned
+// sections. A part is named by its dictionary's (n, root) and written only
+// when no file of that name exists, so a checkpoint rewrites only the CAs
+// that changed. recover_from() mmaps the parts and adopts them in place
+// (copy-on-first-mutation) instead of deserializing and re-hashing.
+// persist_to() is the one checkpoint cycle: an O(#CAs) consistent copy
+// under the writer mutex, which is all the stall it imposes on mutators,
+// then the file write off every lock but its own, then the WAL reset.
 #pragma once
 
 #include <array>
@@ -66,7 +73,8 @@
 #include "dict/dictionary.hpp"
 #include "dict/messages.hpp"
 #include "dict/signed_root.hpp"
-#include "persist/recovery.hpp"
+#include "persist/checkpoint.hpp"
+#include "persist/wal.hpp"
 #include "svc/envelope.hpp"
 
 namespace ritm::ra {
@@ -105,7 +113,9 @@ class DictionaryStore {
   /// The registered CAs, in CaId order.
   std::vector<cert::CaId> ca_ids() const;
 
-  /// Applies a revocation issuance (serials + signed root).
+  /// Applies a revocation issuance (serials + signed root). One whose
+  /// signed root the install rule admits and that equals the held root is
+  /// a re-delivery: ok, with the replica, the cache and the WAL untouched.
   ApplyResult apply_issuance(const dict::RevocationIssuance& msg,
                              UnixSeconds now);
 
@@ -250,48 +260,24 @@ class DictionaryStore {
   /// when a WAL is attached. Never lowers it: an older period is a no-op.
   void advance_feed_cursor(std::uint64_t period, UnixSeconds now);
 
-  /// A consistent copy of every replica's durable state, cheap enough to
-  /// take under the writer mutex: the Dictionary copies share their arenas
-  /// copy-on-write, so freeze() is O(#CAs) regardless of entry counts. The
-  /// background checkpointer freezes briefly, then persists the frozen
-  /// image while the live store keeps mutating (first mutation per arena
-  /// pays one detach-copy).
-  struct FrozenStore {
-    struct FrozenCa {
-      cert::CaId ca;
-      bool have_root = false;
-      bool desynchronized = false;
-      dict::SignedRoot root;
-      crypto::Digest20 freshness{};
-      std::uint64_t freshness_period = 0;
-      dict::Dictionary dict;  // arena-sharing copy
-    };
-    std::vector<FrozenCa> cas;  // in CaId order
-    std::uint64_t feed_cursor = 0;
-    std::uint64_t mutation_seq = 0;
+  /// What one checkpoint cycle did: what it wrote, whether it reset the
+  /// WAL, and its stall — how long it held the writer mutex, timed once
+  /// held, so waiting for a mutation in progress does not count.
+  struct CheckpointCycle : persist::CheckpointWrite {
+    bool wal_reset = false;
+    std::uint64_t stall_us = 0;
   };
 
-  /// Takes the O(#CAs) frozen copy under the writer mutex; persisting the
-  /// result can then run concurrently with further mutations.
-  FrozenStore freeze() const;
-
-  /// Commits `frozen` as a checkpoint into `dir`, stamped with
-  /// frozen.mutation_seq: the one path persist_to() and RaUpdater's cycles
-  /// share. Never touches the WAL (reset_wal_if_unchanged() does). Returns
-  /// what the cycle wrote. Run one cycle per directory at a time.
-  static persist::CheckpointWrite persist_frozen(const FrozenStore& frozen,
-                                                 const std::string& dir);
-
-  /// Resets the attached WAL if no record was logged since `frozen` was
-  /// taken, so a checkpoint of `frozen` supersedes the whole log. A record
-  /// logged in between lies past the checkpoint's stamp: the log stays
-  /// intact (recovery drops the records the checkpoint covers) and the next
-  /// checkpoint retries. Returns whether the log was reset.
-  bool reset_wal_if_unchanged(const FrozenStore& frozen);
-
-  /// Commits the current state as a checkpoint into `dir` (stamped with
-  /// mutation_seq()), then reset_wal_if_unchanged().
-  persist::CheckpointWrite persist_to(const std::string& dir);
+  /// The one checkpoint cycle: under the writer mutex, fsyncs the attached
+  /// WAL when `sync_wal_first` and takes an O(#CAs) consistent copy of the
+  /// replicas and the cursor (the Dictionary copies share their arenas
+  /// copy-on-write); off that mutex, commits the copy into `dir` stamped
+  /// with its mutation_seq(); then resets the WAL if nothing was logged
+  /// since the copy. A record logged in between lies past the stamp: the
+  /// log stays intact (recovery drops the records the checkpoint covers)
+  /// and the next cycle retries. Concurrent cycles run one at a time.
+  CheckpointCycle persist_to(const std::string& dir,
+                             bool sync_wal_first = false);
 
   struct RecoveryReport {
     bool ok = false;
@@ -449,6 +435,11 @@ class DictionaryStore {
   /// Throws std::runtime_error, leaving the store untouched, on a
   /// store-level failure (see recover_from).
   bool restore_checkpoint(const persist::Checkpoint& checkpoint);
+  /// Commits `cas` (a frozen copy) and `feed_cursor` into `dir` as the
+  /// checkpoint stamped `seq`.
+  static persist::CheckpointWrite write_frozen(
+      const std::map<cert::CaId, CaState>& cas, std::uint64_t feed_cursor,
+      std::uint64_t seq, const std::string& dir);
 
   /// Relaxed atomics: serving threads bump these concurrently; cache_stats()
   /// snapshots them into the plain CacheStats struct.
@@ -463,9 +454,12 @@ class DictionaryStore {
   std::map<cert::CaId, CaState> cas_;
   mutable AtomicCacheStats cache_stats_;
   std::atomic<std::size_t> status_cache_budget_{kStatusCacheDefaultBudget};
-  /// Serializes mutators against each other and against freeze(); the
-  /// fields below change only under it (the atomics are read without it).
-  mutable std::mutex write_mu_;
+  /// Serializes mutators, the WAL and checkpoint copies; the fields below
+  /// change only under it (the atomics are read without it).
+  std::mutex write_mu_;
+  /// Held for a whole persist_to() cycle: two never write the same tmp
+  /// names at once. Taken before write_mu_, never under it.
+  std::mutex checkpoint_mu_;
   std::atomic<persist::WriteAheadLog*> wal_{nullptr};
   std::atomic<std::uint64_t> mutation_seq_{0};
   std::atomic<std::uint64_t> feed_cursor_{0};

@@ -7,7 +7,6 @@
 
 #include "ca/sync_service.hpp"
 #include "cdn/service.hpp"
-#include "persist/recovery.hpp"
 
 namespace ritm::ra {
 
@@ -124,9 +123,6 @@ void RaUpdater::run_sync(const cert::CaId& ca, UnixSeconds now) {
 
 RaUpdater::PullResult RaUpdater::pull_up_to(std::uint64_t upto_period,
                                             TimeMs now) {
-  // Exclude the checkpoint's freeze for the whole batch, so it sees the
-  // replicas and the cursor between periods.
-  std::lock_guard<std::mutex> freeze_lock(freeze_mu_);
   PullResult result;
   const UnixSeconds now_s = to_seconds(now);
   while (next_period() <= upto_period) {
@@ -173,7 +169,7 @@ void RaUpdater::enable_persistence(const std::string& dir) {
   persist_dir_ = dir;
   std::filesystem::create_directories(dir);
   wal_ = std::make_unique<persist::WriteAheadLog>();
-  wal_->open(persist::Recovery::wal_path(dir));
+  wal_->open(persist::wal_path(dir));
   store_->attach_wal(wal_.get());
 }
 
@@ -185,39 +181,19 @@ void RaUpdater::checkpoint() {
 }
 
 void RaUpdater::checkpoint_once(bool sync_log_first) {
-  using Clock = std::chrono::steady_clock;
-  std::lock_guard<std::mutex> cycle(cycle_mu_);
-  DictionaryStore::FrozenStore frozen;
-  std::uint64_t stall_us = 0;
-  {
-    // The freeze window — the only stall mutation drivers can observe.
-    // Timed from the moment the lock is held: waiting for a pull to finish
-    // stalls the checkpointer, not the pull.
-    std::lock_guard<std::mutex> lock(freeze_mu_);
-    const auto t0 = Clock::now();
-    if (sync_log_first) wal_->sync();
-    frozen = store_->freeze();
-    stall_us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                              t0)
-            .count());
-  }
-  // The expensive part — serialization and the fsync'd file commits — runs
-  // off-lock against the frozen arenas while pulls keep landing.
-  const persist::CheckpointWrite written =
-      DictionaryStore::persist_frozen(frozen, persist_dir_);
-  const bool reset = store_->reset_wal_if_unchanged(frozen);
+  const DictionaryStore::CheckpointCycle cycle =
+      store_->persist_to(persist_dir_, sync_log_first);
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++ckpt_stats_.checkpoints;
-  if (reset) ++ckpt_stats_.wal_resets;
+  if (cycle.wal_reset) ++ckpt_stats_.wal_resets;
   else ++ckpt_stats_.wal_reset_skipped;
-  ckpt_stats_.last_bytes = written.bytes;
-  ckpt_stats_.bytes_written += written.bytes;
-  ckpt_stats_.parts_written += written.parts_written;
-  ckpt_stats_.parts_reused += written.parts_reused;
-  ckpt_stats_.last_stall_us = stall_us;
-  ckpt_stats_.max_stall_us = std::max(ckpt_stats_.max_stall_us, stall_us);
-  ckpt_stats_.total_stall_us += stall_us;
+  ckpt_stats_.last_bytes = cycle.bytes;
+  ckpt_stats_.bytes_written += cycle.bytes;
+  ckpt_stats_.parts_written += cycle.parts_written;
+  ckpt_stats_.parts_reused += cycle.parts_reused;
+  ckpt_stats_.last_stall_us = cycle.stall_us;
+  ckpt_stats_.max_stall_us = std::max(ckpt_stats_.max_stall_us, cycle.stall_us);
+  ckpt_stats_.total_stall_us += cycle.stall_us;
 }
 
 void RaUpdater::checkpoint_loop(double interval_s) {
@@ -273,7 +249,6 @@ DictionaryStore::RecoveryReport RaUpdater::recover(const std::string& dir) {
 }
 
 svc::Status RaUpdater::bootstrap(const cert::CaId& ca, TimeMs now) {
-  std::lock_guard<std::mutex> freeze_lock(freeze_mu_);  // mutation driver
   Bytes data;
   const svc::Status got = get_object(ca::cold_start_path(ca), now, data);
   if (got != svc::Status::ok) return got;

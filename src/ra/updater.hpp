@@ -28,12 +28,20 @@
 //
 // Durable mode: enable_persistence() opens a write-ahead log and attaches
 // it to the store, which logs every accepted feed message and every cursor
-// advance; checkpoint() commits a store checkpoint — replicas and cursor —
-// into the same directory. recover() then restores the store from
-// checkpoint + WAL tail and resumes pulling at the recovered cursor,
-// instead of re-syncing the entire issuance history. bootstrap() is the
-// CDN cold-start path: one GET for the snapshot+delta object replaces the
-// full replay entirely.
+// advance; checkpoint() and the background thread run the store's one
+// checkpoint cycle (DictionaryStore::persist_to) into the same directory.
+// recover() then restores the store from checkpoint + WAL tail and resumes
+// pulling at the recovered cursor, instead of re-syncing the entire
+// issuance history. bootstrap() is the CDN cold-start path: one GET for the
+// snapshot+delta object replaces the full replay entirely.
+//
+// Locking: the updater takes no lock around the store. The store's writer
+// mutex orders every mutation, cursor advance and checkpoint copy, so a
+// checkpoint may land between two messages of one feed period; a restart
+// that lost the WAL past it re-pulls the period, and the store answers the
+// issuances it already holds with ok (re-delivery). pull_up_to(),
+// bootstrap() and consistency_check() share the updater's own counters:
+// call them from one thread.
 #pragma once
 
 #include <condition_variable>
@@ -153,24 +161,24 @@ class RaUpdater {
   /// Commits a checkpoint of the store (replicas and feed cursor) into the
   /// persistence directory and resets the WAL — the O(history) part of a
   /// restart collapses into the checkpoint; only the log tail is replayed.
-  /// Runs one full cycle on the calling thread (freeze → persist →
-  /// DictionaryStore::reset_wal_if_unchanged); waits for a background cycle
-  /// in flight, and is safe against concurrent pulls.
+  /// Runs DictionaryStore::persist_to on the calling thread with the WAL
+  /// fsynced before the copy; waits for a background cycle in flight, and
+  /// is safe against concurrent pulls.
   void checkpoint();
 
   // ------------------------------------------- background checkpointing
 
-  /// Spawns a thread that checkpoints every `interval_s` seconds while the
-  /// RA keeps serving. The mutating calls (pull_up_to, bootstrap) and the
-  /// checkpoint thread synchronize on an internal freeze mutex; the thread
-  /// holds it only for the O(#CAs) arena-sharing freeze(). The measured
-  /// stall is that freeze window, timed once the mutex is held: neither the
-  /// file write nor the wait for a pull in progress counts. The WAL is
-  /// reset only when nothing was logged while the checkpoint was written;
-  /// otherwise the log stays intact (recovery filters records the
-  /// checkpoint already covers) and the next cycle retries. Serving reads
-  /// never touch the freeze mutex. Requires persistence; throws
-  /// std::logic_error otherwise or if already running.
+  /// Spawns a thread that runs DictionaryStore::persist_to every
+  /// `interval_s` seconds while the RA keeps serving and pulling (without
+  /// the WAL fsync checkpoint() adds: the checkpoint supersedes those
+  /// records). The measured stall is the cycle's hold of the store's writer
+  /// mutex, timed once held: neither the file write nor the wait for a
+  /// mutation in progress counts. The WAL is reset only when nothing was
+  /// logged while the checkpoint was written; otherwise the log stays
+  /// intact (recovery filters records the checkpoint already covers) and
+  /// the next cycle retries. Serving reads never wait for a checkpoint.
+  /// Requires persistence; throws std::logic_error otherwise or if already
+  /// running.
   void start_checkpoints(double interval_s);
 
   /// Stops and joins the background checkpoint thread (no-op when none is
@@ -183,7 +191,7 @@ class RaUpdater {
     std::uint64_t wal_resets = 0;        // cycles that emptied the log
     std::uint64_t wal_reset_skipped = 0; // mutations raced the file write
     std::uint64_t last_bytes = 0;        // bytes the newest cycle wrote
-    std::uint64_t last_stall_us = 0;     // newest freeze window
+    std::uint64_t last_stall_us = 0;     // newest writer-mutex hold
     std::uint64_t max_stall_us = 0;
     std::uint64_t total_stall_us = 0;
     std::uint64_t bytes_written = 0;     // every cycle: parts + manifests
@@ -213,12 +221,7 @@ class RaUpdater {
 
  private:
   void apply_message(const ca::FeedMessage& msg, UnixSeconds now);
-  /// One checkpoint cycle under cycle_mu_: freeze under freeze_mu_,
-  /// persist off-lock, then the store's conditional WAL reset.
-  /// `sync_log_first` additionally fsyncs the WAL inside the freeze window,
-  /// so the synchronous checkpoint() makes the log durable before the
-  /// checkpoint; the background thread skips it to keep the stall minimal
-  /// (the checkpoint supersedes those records).
+  /// One DictionaryStore::persist_to cycle, counted into checkpoint_stats().
   void checkpoint_once(bool sync_log_first);
   void checkpoint_loop(double interval_s);
   void run_sync(const cert::CaId& ca, UnixSeconds now);
@@ -238,22 +241,13 @@ class RaUpdater {
   std::unique_ptr<svc::ResilientTransport> sync_rpc_;  // null: no sync
   /// CA -> the first feed period its bootstrapped snapshot does not cover.
   /// In memory only: after a restart those periods are re-applied, and the
-  /// store rejects them as stale.
+  /// store rejects their older roots as stale and answers the snapshot's
+  /// own root as a re-delivery.
   std::map<cert::CaId, std::uint64_t> boot_next_;
   Totals totals_;
   Health health_;
   std::string persist_dir_;
   std::unique_ptr<persist::WriteAheadLog> wal_;
-  /// Makes a checkpoint freeze between feed periods: a pull or bootstrap
-  /// holds it for its whole batch, and a checkpoint holds it to sync the
-  /// log and freeze, never across the file write. A checkpoint taken
-  /// mid-period would hold some of the period's messages but not the
-  /// cursor past it, and re-applying an issuance the replica already holds
-  /// reports gap_detected and marks the replica desynchronized.
-  std::mutex freeze_mu_;
-  /// Held for a whole checkpoint cycle: checkpoint() and the background
-  /// thread never write the same tmp names at once.
-  std::mutex cycle_mu_;
   std::thread ckpt_thread_;
   std::mutex ckpt_mu_;             // guards ckpt_stop_ with ckpt_cv_
   std::condition_variable ckpt_cv_;

@@ -1,7 +1,7 @@
-// Deterministic discrete-event simulator. All network-scale evaluations in
-// this repo (dissemination CDFs, cost simulations, attack-window bounds) run
-// in simulated time on this loop; only the Table III microbenchmarks use
-// wall-clock time.
+// Deterministic discrete-event simulator: a clock and a queue of callbacks
+// in simulated time. integration_test's end-to-end worlds and the
+// heartbleed_replay example run on it (sim_test pins the loop itself); the
+// paper benches and the scenario engine keep their own time.
 //
 // Events at the same timestamp run in scheduling order (a stable tiebreaker),
 // so a given seed reproduces an entire experiment bit-for-bit.

@@ -1,15 +1,16 @@
-// Checkpoint-while-serving (PR 9): the background checkpoint thread
-// freezes and persists the store while TCP reactors serve statuses and the
-// updater keeps applying feed periods. Runs under TSan in CI (label
-// "tsan") to pin the store's own reader/writer contract: the reactors call
-// RaService with no lock of the test's, the checkpointer freezes under the
-// store's writer mutex, and the updater's freeze mutex keeps each freeze
-// between feed periods.
+// Checkpoint-while-serving: the background checkpoint thread copies and
+// persists the store while TCP reactors serve statuses and the updater
+// keeps applying feed periods. Runs under TSan in CI (label "tsan") to pin
+// the store's own reader/writer contract: the reactors call RaService with
+// no lock of the test's, and the checkpoint copies the store under its
+// writer mutex, the one lock that orders it against pulls — so a
+// checkpoint may land between two messages of one period.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -18,11 +19,13 @@
 
 #include "ca/authority.hpp"
 #include "ca/distribution.hpp"
+#include "ca/sync_service.hpp"
 #include "cdn/cdn.hpp"
 #include "cdn/service.hpp"
 #include "common/rng.hpp"
 #include "dict/dictionary.hpp"
 #include "dict/messages.hpp"
+#include "persist/wal.hpp"
 #include "ra/service.hpp"
 #include "ra/store.hpp"
 #include "ra/updater.hpp"
@@ -217,38 +220,15 @@ TEST(CheckpointWhileServing, ServedStatusesStayConsistentAcrossCheckpoints) {
   EXPECT_EQ(updater2.next_period(), kPeriods + 1);
 }
 
-/// A CDN transport that, once armed, holds each call for kHold: a pull
-/// through it holds the updater's freeze mutex at least that long.
-class SlowCdn final : public svc::Transport {
- public:
-  static constexpr std::chrono::milliseconds kHold{300};
-
-  explicit SlowCdn(svc::Transport* inner) : inner_(inner) {}
-
-  svc::CallResult call(const svc::Request& req) override {
-    if (armed.load()) {
-      entered.store(true);
-      std::this_thread::sleep_for(kHold);
-    }
-    return inner_->call(req);
-  }
-
-  std::atomic<bool> armed{false};
-  std::atomic<bool> entered{false};
-
- private:
-  svc::Transport* inner_;
-};
-
-// checkpoint.stall_us is the freeze window a cycle imposes on pulls. A
-// checkpoint that starts while a pull holds the freeze mutex waits for the
-// whole pull; that wait stalls the checkpointer, not the pull, and is not
-// part of the recorded stall.
+// checkpoint.stall_us is how long a cycle holds the store's writer mutex,
+// the one stall it imposes on pulls. A checkpoint that starts while a
+// mutator holds that mutex waits for it; that wait stalls the checkpointer,
+// not the mutator, and is not part of the recorded stall.
 TEST(CheckpointWhileServing, StallExcludesTheWaitForAPull) {
+  using Clock = std::chrono::steady_clock;
   TempDir dir("stall");
   auto cdn = cdn::make_global_cdn(0);
   cdn::LocalCdn cdn_rpc(&cdn);
-  SlowCdn slow(&cdn_rpc.rpc);
   ca::DistributionPoint dp(&cdn, 10);
   Rng ca_rng(93);
   ca::CertificationAuthority::Config cfg;
@@ -258,49 +238,156 @@ TEST(CheckpointWhileServing, StallExcludesTheWaitForAPull) {
   ca::CertificationAuthority ca(cfg, ca_rng, 1000);
   dp.register_ca(ca.id(), ca.public_key());
 
-  UnixSeconds now_s = 1000;
-  std::uint64_t serial = 1;
-  const auto publish_period = [&] {
-    std::vector<SerialNumber> serials;
-    for (int i = 0; i < 4; ++i) {
-      serials.push_back(SerialNumber::from_uint(serial++, 4));
-    }
-    dp.submit(ca::FeedMessage::of(ca.revoke(serials, now_s)));
-    dp.publish(from_seconds(now_s));
-    now_s += 10;
-  };
+  std::vector<SerialNumber> first;
+  for (std::uint64_t s = 1; s <= 4; ++s) {
+    first.push_back(SerialNumber::from_uint(s, 4));
+  }
+  dp.submit(ca::FeedMessage::of(ca.revoke(first, 1000)));
+  dp.publish(from_seconds(1000));
 
   ra::DictionaryStore store;
   store.register_ca(ca.id(), ca.public_key(), ca.delta());
-  ra::RaUpdater updater({.location = {0, 0}}, &store, &slow);
+  ra::RaUpdater updater({.location = {0, 0}}, &store, &cdn_rpc.rpc);
   updater.enable_persistence(dir.str());
-  publish_period();
-  updater.pull_up_to(0, from_seconds(now_s));
+  updater.pull_up_to(0, from_seconds(1000));
+  store.wal()->sync();
 
-  publish_period();
-  slow.armed.store(true);
-  std::int64_t pull_us = 0;
-  std::thread puller([&] {
-    const auto t0 = std::chrono::steady_clock::now();
-    updater.pull_up_to(1, from_seconds(now_s));
-    pull_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
+  // A mutator that holds the writer mutex for a while and logs nothing: an
+  // issuance of 2^17 random serials with one swapped, so the store inserts
+  // the batch, finds the signed root not reproduced, and rolls it back.
+  Rng rng(95);
+  std::vector<SerialNumber> serials;
+  for (int i = 0; i < (1 << 17); ++i) serials.push_back({rng.bytes(16)});
+  auto forged = ca.revoke(serials, 1010);
+  forged.serials.front() = SerialNumber{rng.bytes(16)};
+
+  std::atomic<bool> started{false};
+  ra::ApplyResult verdict = ra::ApplyResult::ok;
+  Clock::time_point mutation_end;
+  std::thread mutator([&] {
+    started.store(true);
+    verdict = store.apply_issuance(forged, 1010);
+    mutation_end = Clock::now();
   });
-  while (!slow.entered.load()) {
+  while (!started.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  updater.checkpoint();  // blocks until the pull releases the freeze mutex
-  puller.join();
+  // Past the mutator's signature check, inside its writer section.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto checkpoint_start = Clock::now();
+  updater.checkpoint();  // waits for the mutator's writer mutex
+  mutator.join();
 
+  ASSERT_EQ(verdict, ra::ApplyResult::root_mismatch);
   const auto cs = updater.checkpoint_stats();
   ASSERT_EQ(cs.checkpoints, 1u);
-  EXPECT_GE(pull_us, std::chrono::microseconds(SlowCdn::kHold).count());
-  // The freeze itself (a WAL sync and an O(#CAs) copy) takes well under
-  // half the pull; timing the wait for the pull as stall would not.
-  EXPECT_LT(2 * cs.last_stall_us, static_cast<std::uint64_t>(pull_us))
-      << "stall " << cs.last_stall_us << " us, pull " << pull_us << " us";
-  EXPECT_EQ(store.have_n(ca.id()), 8u);
+  const auto waited_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                             mutation_end - checkpoint_start)
+                             .count();
+  // The copy itself (a WAL sync and an O(#CAs) copy) takes well under half
+  // the wait; timing the wait as stall would not.
+  EXPECT_LT(2 * static_cast<std::int64_t>(cs.last_stall_us), waited_us)
+      << "stall " << cs.last_stall_us << " us, wait " << waited_us << " us";
+  EXPECT_EQ(store.have_n(ca.id()), 4u);
+}
+
+// Without a lock of the updater's, a checkpoint may land between two
+// messages of one feed period. Here it lands between two CAs' issuances of
+// period 1, and the WAL past it is lost: the restarted RA resumes at
+// period 1 with CA-A's issuance already applied. Re-pulling the period
+// re-delivers that issuance, which the store answers as applied, so no
+// sync runs and the replicas equal the live ones.
+TEST(CheckpointWhileServing,
+     CheckpointBetweenTwoIssuancesOfAPeriodNeedsNoSync) {
+  TempDir dir("mid-period");
+  TempDir crashed("mid-period-crash");
+  auto cdn = cdn::make_global_cdn(0);
+  cdn::LocalCdn cdn_rpc(&cdn);
+  ca::DistributionPoint dp(&cdn, 10);
+  ca::SyncService sync_service;
+  sync_service.set_period_source(&dp);
+  svc::InProcessTransport sync_rpc(&sync_service);
+  std::deque<ca::CertificationAuthority> cas;  // references stay valid
+  Rng rng(94);
+  for (const char* id : {"CA-A", "CA-B"}) {
+    ca::CertificationAuthority::Config cfg;
+    cfg.id = id;
+    cfg.delta = 10;
+    cfg.chain_length = 64;
+    cas.emplace_back(cfg, rng, 1000);
+    dp.register_ca(cas.back().id(), cas.back().public_key());
+    sync_service.add(&cas.back());
+  }
+  const auto registered = [&](ra::DictionaryStore& store) {
+    for (const auto& ca : cas) {
+      store.register_ca(ca.id(), ca.public_key(), ca.delta());
+    }
+  };
+
+  // Periods 0 and 1 each carry one issuance of each CA.
+  std::uint64_t serial = 1;
+  std::vector<dict::RevocationIssuance> period1;
+  for (const UnixSeconds t : {1000, 1010}) {
+    for (auto& ca : cas) {
+      auto msg = ca.revoke({SerialNumber::from_uint(serial, 4),
+                            SerialNumber::from_uint(serial + 1, 4)},
+                           t);
+      serial += 2;
+      if (t == 1010) period1.push_back(msg);
+      dp.submit(ca::FeedMessage::of(std::move(msg)));
+    }
+    dp.publish(from_seconds(t));
+  }
+
+  ra::DictionaryStore live;
+  registered(live);
+  ra::RaUpdater updater({.location = {0, 0}}, &live, &cdn_rpc.rpc, &sync_rpc);
+  updater.enable_persistence(dir.str());
+  updater.pull_up_to(0, from_seconds(1000));
+  // Period 1's first message lands as a pull applies it, and a checkpoint
+  // follows before the second; the pull then re-delivers the first.
+  ASSERT_EQ(live.apply_issuance(period1[0], 1010), ra::ApplyResult::ok);
+  updater.checkpoint();
+  const auto wal_at_checkpoint =
+      std::filesystem::file_size(persist::wal_path(dir.str()));
+  updater.pull_up_to(1, from_seconds(1010));
+  EXPECT_EQ(updater.totals().syncs, 0u);
+  EXPECT_EQ(updater.totals().rejected, 0u);
+  ASSERT_EQ(updater.next_period(), 2u);
+
+  // Crash: the WAL past the checkpoint is lost.
+  std::filesystem::copy(dir.path, crashed.path,
+                        std::filesystem::copy_options::recursive |
+                            std::filesystem::copy_options::overwrite_existing);
+  std::filesystem::resize_file(persist::wal_path(crashed.str()),
+                               wal_at_checkpoint);
+
+  ra::DictionaryStore restarted;
+  registered(restarted);
+  ra::RaUpdater updater2({.location = {0, 0}}, &restarted, &cdn_rpc.rpc,
+                         &sync_rpc);
+  const auto report = updater2.recover(crashed.str());
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.replayed, 0u);
+  ASSERT_EQ(updater2.next_period(), 1u);
+  ASSERT_EQ(restarted.have_n(cas[0].id()), 4u);
+  ASSERT_EQ(restarted.have_n(cas[1].id()), 2u);
+
+  updater2.pull_up_to(1, from_seconds(1010));
+  EXPECT_EQ(updater2.totals().syncs, 0u);
+  EXPECT_EQ(updater2.totals().rejected, 0u);
+  EXPECT_EQ(updater2.next_period(), 2u);
+  for (const auto& ca : cas) {
+    EXPECT_FALSE(restarted.needs_sync(ca.id()));
+    EXPECT_EQ(restarted.have_n(ca.id()), live.have_n(ca.id()));
+    EXPECT_EQ(restarted.root_of(ca.id())->encode(),
+              live.root_of(ca.id())->encode());
+    for (std::uint64_t s = 1; s < serial + 2; ++s) {
+      const auto probe = SerialNumber::from_uint(s, 4);
+      EXPECT_EQ(restarted.status_for(ca.id(), probe)->encode(),
+                live.status_for(ca.id(), probe)->encode());
+    }
+  }
 }
 
 // A WAL-reset race pinned deterministically: when a mutation lands while

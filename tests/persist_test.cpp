@@ -25,10 +25,8 @@
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "dict/dictionary.hpp"
-#include "persist/recovery.hpp"
+#include "persist/checkpoint.hpp"
 #include "persist/sections.hpp"
-#include "persist/shard_checkpoint.hpp"
-#include "persist/snapshot.hpp"
 #include "persist/wal.hpp"
 #include "ra/store.hpp"
 #include "ra/updater.hpp"
@@ -37,8 +35,6 @@ namespace ritm {
 namespace {
 
 using cert::SerialNumber;
-using persist::Recovery;
-using persist::SnapshotFile;
 using persist::WalScan;
 using persist::WriteAheadLog;
 
@@ -215,58 +211,55 @@ TEST(Wal, CorruptMiddleRecordEndsThePrefix) {
 
 // ------------------------------------------------------------ snapshots
 
-/// The single section of a mapped snapshot, as bytes.
-Bytes only_section(const SnapshotFile::Mapped& mapped) {
-  EXPECT_EQ(mapped.sections.size(), 1u);
-  const ByteSpan data = mapped.sections.front().data;
-  return Bytes(data.begin(), data.end());
+/// The owner's meta of a loaded checkpoint, as bytes.
+Bytes meta_of(const persist::Checkpoint& checkpoint) {
+  return Bytes(checkpoint.meta.begin(), checkpoint.meta.end());
 }
 
 TEST(Snapshot, AtomicCommitAndLoad) {
   TempDir dir("snap");
-  EXPECT_TRUE(SnapshotFile::seqs_newest_first(dir.str()).empty());
+  EXPECT_TRUE(persist::manifest_seqs(dir.str()).empty());
 
   const Bytes a{1, 2, 3}, b(100000, 0x5C);
-  SnapshotFile::write(dir.str(), 3, {{7, ByteSpan(a)}});
+  persist::write_checkpoint(dir.str(), 3, ByteSpan(a), {});
   const std::uint64_t b_size =
-      SnapshotFile::write(dir.str(), 9, {{7, ByteSpan(b)}});
-  EXPECT_EQ(SnapshotFile::seqs_newest_first(dir.str()),
+      persist::write_checkpoint(dir.str(), 9, ByteSpan(b), {}).bytes;
+  EXPECT_EQ(persist::manifest_seqs(dir.str()),
             (std::vector<std::uint64_t>{9, 3}));
-  auto newest = SnapshotFile::map(dir.str(), 9);
+  auto newest = persist::load_checkpoint(dir.str(), 9);
   ASSERT_TRUE(newest.has_value());
   EXPECT_EQ(newest->seq, 9u);
-  EXPECT_EQ(newest->sections.front().tag, 7u);
-  EXPECT_EQ(only_section(*newest), b);
+  EXPECT_EQ(meta_of(*newest), b);
 
-  // Corrupt a payload byte of the newest file: it no longer maps, and the
-  // previous snapshot still does (recovery's fallback, pinned at the store
-  // level below).
+  // Corrupt a payload byte of the newest file: it no longer loads, and the
+  // previous checkpoint still does (recovery's fallback, pinned at the
+  // store level below).
   const std::string newest_path = dir.file("snap-0000000000000009.snap");
   Bytes image = read_all(newest_path);
   ASSERT_EQ(image.size(), b_size);
-  image[image.size() - 64] ^= 0x80;  // inside b, past every header
+  image[image.size() / 2] ^= 0x80;  // inside b, past every header
   write_all(newest_path, ByteSpan(image));
-  EXPECT_FALSE(SnapshotFile::map(dir.str(), 9).has_value());
-  auto fallback = SnapshotFile::map(dir.str(), 3);
+  EXPECT_FALSE(persist::load_checkpoint(dir.str(), 9).has_value());
+  auto fallback = persist::load_checkpoint(dir.str(), 3);
   ASSERT_TRUE(fallback.has_value());
-  EXPECT_EQ(only_section(*fallback), a);
+  EXPECT_EQ(meta_of(*fallback), a);
 
   // A torn .tmp (crash before rename) is never considered.
   write_all(dir.file("snap-00000000000000ff.snap.tmp"), ByteSpan(a));
-  EXPECT_EQ(SnapshotFile::seqs_newest_first(dir.str()).front(), 9u);
+  EXPECT_EQ(persist::manifest_seqs(dir.str()).front(), 9u);
 }
 
 TEST(Snapshot, RetentionKeepsNewestTwo) {
   TempDir dir("snap-retention");
   for (std::uint64_t seq = 1; seq <= 5; ++seq) {
     const Bytes payload{std::uint8_t(seq)};
-    SnapshotFile::write(dir.str(), seq, {{1, ByteSpan(payload)}});
+    persist::write_checkpoint(dir.str(), seq, ByteSpan(payload), {});
   }
-  EXPECT_EQ(SnapshotFile::seqs_newest_first(dir.str()),
+  EXPECT_EQ(persist::manifest_seqs(dir.str()),
             (std::vector<std::uint64_t>{5, 4}));
-  const auto newest = SnapshotFile::map(dir.str(), 5);
+  const auto newest = persist::load_checkpoint(dir.str(), 5);
   ASSERT_TRUE(newest.has_value());
-  EXPECT_EQ(only_section(*newest), Bytes{5});
+  EXPECT_EQ(meta_of(*newest), Bytes{5});
 }
 
 // ------------------------------------- dictionary backend snapshots
@@ -347,7 +340,7 @@ TEST(StorePersist, SnapshotPlusWalTailRecoversExactState) {
   ra::DictionaryStore live;
   live.register_ca(ca.id(), ca.public_key(), ca.delta());
   persist::WriteAheadLog wal;
-  wal.open(Recovery::wal_path(dir.str()));
+  wal.open(persist::wal_path(dir.str()));
   live.attach_wal(&wal);
 
   UnixSeconds now = 1000;
@@ -409,7 +402,7 @@ TEST(StorePersist, BootstrapReplicaIsLoggedAndReplayed) {
   ra::DictionaryStore live;
   live.register_ca(ca.id(), ca.public_key(), ca.delta());
   persist::WriteAheadLog wal;
-  wal.open(Recovery::wal_path(dir.str()));
+  wal.open(persist::wal_path(dir.str()));
   live.attach_wal(&wal);
   ASSERT_EQ(live.bootstrap_replica(ca.id(), ByteSpan(obj.dict_snapshot),
                                    obj.signed_root, obj.freshness, 1000),
@@ -623,7 +616,7 @@ TEST(StoreCheckpoint, RetentionKeepsEveryPartTheTwoNewestManifestsList) {
     live.persist_to(dir.str());
 
     // A cycle with no mutation rewrites the same manifest.
-    const auto seqs = SnapshotFile::seqs_newest_first(dir.str());
+    const auto seqs = persist::manifest_seqs(dir.str());
     ASSERT_FALSE(seqs.empty());
     ASSERT_LE(seqs.size(), 2u);
     std::set<std::string> listed;
@@ -648,7 +641,7 @@ TEST(StoreCheckpoint, CrashBetweenPartAndManifestCommitsUsesThePrevious) {
   ra::DictionaryStore live;
   auto cas = make_cas(3, {&live});
   persist::WriteAheadLog wal;
-  wal.open(Recovery::wal_path(dir.str()));
+  wal.open(persist::wal_path(dir.str()));
   live.attach_wal(&wal);
   Rng rng(73);
   UnixSeconds now = 1000;
@@ -661,9 +654,10 @@ TEST(StoreCheckpoint, CrashBetweenPartAndManifestCommitsUsesThePrevious) {
   issue(cas[2], live, rng, 3, now);
   wal.sync();
   // The next cycle commits its parts and manifest, and the crash lands
-  // before the WAL reset; deleting the manifest models the crash landing
-  // before the manifest's rename.
-  ra::DictionaryStore::persist_frozen(live.freeze(), dir.str());
+  // before the WAL reset (the detached log is never reset); deleting the
+  // manifest models the crash landing before the manifest's rename.
+  live.attach_wal(nullptr);
+  live.persist_to(dir.str());
   const std::string newest = newest_manifest(dir);
   ASSERT_NE(newest, previous);
   std::filesystem::remove(dir.file(newest));
@@ -781,7 +775,7 @@ TEST(StorePersist, CorruptionAtEveryStructuralByteFallsBack) {
   ra::DictionaryStore live;
   live.register_ca(ca.id(), ca.public_key(), ca.delta());
   persist::WriteAheadLog wal;
-  wal.open(Recovery::wal_path(dir.str()));
+  wal.open(persist::wal_path(dir.str()));
   live.attach_wal(&wal);
 
   UnixSeconds now = 1000;
@@ -959,7 +953,7 @@ TEST(CrashSim, RecoveryEqualsReplayOfSurvivingPrefixOver1kBatches) {
 }
 
 // The same crash sweep through the full store stack — real signed
-// issuances, snapshot mid-history, recovery via persist::Recovery — with
+// issuances, snapshot mid-history, recovery via persist::recover — with
 // the oracle being an independent in-memory store replaying the same
 // surviving prefix.
 TEST(CrashSim, StoreRecoveryMatchesOracleAtFieldBoundaries) {
@@ -970,7 +964,7 @@ TEST(CrashSim, StoreRecoveryMatchesOracleAtFieldBoundaries) {
   ra::DictionaryStore live;
   live.register_ca(ca.id(), ca.public_key(), ca.delta());
   persist::WriteAheadLog wal;
-  wal.open(Recovery::wal_path(dir.str()), {.sync_every = 0});
+  wal.open(persist::wal_path(dir.str()), {.sync_every = 0});
   live.attach_wal(&wal);
 
   std::vector<dict::RevocationIssuance> msgs;
@@ -988,7 +982,7 @@ TEST(CrashSim, StoreRecoveryMatchesOracleAtFieldBoundaries) {
   wal.sync();
   wal.close();
 
-  const Bytes image = read_all(Recovery::wal_path(dir.str()));
+  const Bytes image = read_all(persist::wal_path(dir.str()));
   const WalScan full = WriteAheadLog::scan(ByteSpan(image));
   ASSERT_EQ(full.records.size(), 20u);  // the 20 post-snapshot issuances
 
@@ -1017,7 +1011,7 @@ TEST(CrashSim, StoreRecoveryMatchesOracleAtFieldBoundaries) {
   const auto probe = SerialNumber::from_uint(777, 4);
   for (const std::size_t cut : cuts) {
     // Simulated crash: the tail beyond `cut` never reached the disk.
-    write_all(Recovery::wal_path(dir.str()),
+    write_all(persist::wal_path(dir.str()),
               ByteSpan(image.data(), std::min(cut, image.size())));
 
     ra::DictionaryStore recovered;
@@ -1111,8 +1105,7 @@ TEST(UpdaterPersist, CheckpointAndRecoverResumeFeedCursor) {
 // A crash right after a checkpoint's WAL reset leaves the checkpoint and a
 // header-only log. The checkpoint carries the feed cursor, so recovery
 // resumes at the next period instead of re-pulling the periods the
-// replicas already reflect (re-applying one of their issuances would
-// report a gap and mark the replica for sync).
+// replicas already reflect.
 TEST(UpdaterPersist, CrashAfterWalResetKeepsFeedCursor) {
   TempDir dir("updater-reset");
   auto cdn = cdn::make_global_cdn(0);
@@ -1147,7 +1140,7 @@ TEST(UpdaterPersist, CrashAfterWalResetKeepsFeedCursor) {
     updater.checkpoint();
   }
   // The crash: nothing logged after the reset survives.
-  std::filesystem::resize_file(dir.file(Recovery::kWalName),
+  std::filesystem::resize_file(dir.file(persist::kWalName),
                                WriteAheadLog::kHeaderSize);
 
   ra::DictionaryStore store2;
@@ -1183,7 +1176,7 @@ TEST(StorePersist, FeedCursorIsCheckpointedAndLogged) {
   ra::DictionaryStore live;
   live.register_ca(ca.id(), ca.public_key(), ca.delta());
   persist::WriteAheadLog wal;
-  wal.open(Recovery::wal_path(dir.str()));
+  wal.open(persist::wal_path(dir.str()));
   live.attach_wal(&wal);
   live.advance_feed_cursor(3, 1000);
   live.persist_to(dir.str());  // the checkpoint carries cursor 3
@@ -1225,7 +1218,7 @@ TEST(StorePersist, ReopenedEmptyWalNumbersPastTheSnapshotStamp) {
     ra::DictionaryStore store;
     store.register_ca(ca.id(), ca.public_key(), ca.delta());
     persist::WriteAheadLog wal;
-    wal.open(Recovery::wal_path(dir.str()));
+    wal.open(persist::wal_path(dir.str()));
     store.attach_wal(&wal);
     for (std::uint64_t s = 1; s <= 3; ++s) {
       ASSERT_EQ(store.apply_issuance(issue(s, 1000 + 10 * s), 1000 + 10 * s),
@@ -1240,7 +1233,7 @@ TEST(StorePersist, ReopenedEmptyWalNumbersPastTheSnapshotStamp) {
     store.register_ca(ca.id(), ca.public_key(), ca.delta());
     ASSERT_TRUE(store.recover_from(dir.str()).ok);
     persist::WriteAheadLog wal;
-    wal.open(Recovery::wal_path(dir.str()));  // fresh log: next_seq == 1
+    wal.open(persist::wal_path(dir.str()));  // fresh log: next_seq == 1
     store.attach_wal(&wal);
     for (std::uint64_t s = 4; s <= 5; ++s) {
       ASSERT_EQ(store.apply_issuance(issue(s, 1000 + 10 * s), 1000 + 10 * s),

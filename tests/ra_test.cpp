@@ -39,6 +39,23 @@ dict::RevocationStatus decoded(const Bytes& status) {
   return dict::RevocationStatus::decode(ByteSpan(status)).value();
 }
 
+/// A per-test scratch directory, removed on destruction.
+struct TempDir {
+  std::filesystem::path path;
+
+  explicit TempDir(const std::string& name) {
+    path = std::filesystem::temp_directory_path() /
+           ("ritm-ra-" + name + "-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  std::string str() const { return path.string(); }
+};
+
 // ------------------------------------------------------------- store
 
 TEST(Store, AppliesHonestIssuance) {
@@ -92,6 +109,46 @@ TEST(Store, SyncRecoversFromGap) {
   EXPECT_EQ(store.apply_sync(resp, 1010), ApplyResult::ok);
   EXPECT_EQ(store.have_n("CA-1"), 2u);
   EXPECT_FALSE(store.needs_sync("CA-1"));
+}
+
+// A period re-pulled after a restart re-delivers issuances the replica
+// already holds. The held signed root is the proof that it is applied: the
+// store answers ok and changes nothing — no gap, no sync, no WAL record,
+// and the warm cache and the newer freshness statement stay.
+TEST(Store, RedeliveredIssuanceIsAlreadyApplied) {
+  auto ca = make_ca(6);
+  TempDir dir("redelivery");
+  persist::WriteAheadLog wal;
+  wal.open(persist::wal_path(dir.str()));
+  DictionaryStore store;
+  store.register_ca(ca.id(), ca.public_key(), ca.delta());
+  store.attach_wal(&wal);
+  const auto msg = ca.revoke(
+      {SerialNumber::from_uint(1), SerialNumber::from_uint(2)}, 1000);
+  ASSERT_EQ(store.apply_issuance(msg, 1000), ApplyResult::ok);
+  ASSERT_EQ(store.apply_freshness({ca.id(), ca.freshness_at(1010)}, 1010),
+            ApplyResult::ok);
+  const auto probe = SerialNumber::from_uint(2);
+  const auto warm = store.status_bytes_for(ca.id(), probe);
+  ASSERT_TRUE(warm.has_value());
+  const auto cache = store.cache_stats();
+  const std::uint64_t logged = wal.next_seq();
+  const std::uint64_t seq = store.mutation_seq();
+
+  EXPECT_EQ(store.apply_issuance(msg, 1010), ApplyResult::ok);
+  EXPECT_FALSE(store.needs_sync(ca.id()));
+  EXPECT_EQ(store.have_n(ca.id()), 2u);
+  EXPECT_EQ(store.root_of(ca.id())->encode(), msg.signed_root.encode());
+  EXPECT_EQ(wal.next_seq(), logged);
+  EXPECT_EQ(store.mutation_seq(), seq);
+  // The same cache entry still serves, under the period-1 statement.
+  const auto again = store.status_bytes_for(ca.id(), probe);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->bytes, warm->bytes);
+  EXPECT_EQ(decoded(*again->bytes).freshness, ca.freshness_at(1010));
+  EXPECT_EQ(store.cache_stats().invalidations, cache.invalidations);
+  EXPECT_EQ(store.cache_stats().misses, cache.misses);
+  store.attach_wal(nullptr);
 }
 
 // A CA re-signs the same dictionary when its hash chain runs out, so two
@@ -964,6 +1021,70 @@ TEST(Updater, LateBootstrapOfOneCaKeepsOtherCasPeriods) {
   EXPECT_EQ(updater.totals().applied_ok, 1u + 2u + 1u + 2u);
 }
 
+TEST(Updater, RestartAfterALateBootstrapRepullsItsPeriodsWithoutASync) {
+  // The cold start above, then a checkpoint and a restart. The bootstrap's
+  // period record is in memory only, so the restarted RA re-pulls CA-B's
+  // periods 1 and 2. Period 1 carries an older root (stale_root); period 2
+  // carries the very root the cold start installed, which is a
+  // re-delivery, not a gap.
+  auto ca_a = make_ca(37);
+  Rng rng(38);
+  ca::CertificationAuthority::Config cfg;
+  cfg.id = "CA-2";
+  cfg.delta = 10;
+  cfg.chain_length = 64;
+  ca::CertificationAuthority ca_b(cfg, rng, 1000);
+  FeedRig rig;
+  rig.add(ca_a);
+  rig.add(ca_b);
+  svc::InProcessTransport sync_rpc(&rig.sync_service);
+  TempDir dir("late-bootstrap-restart");
+  {
+    RaUpdater updater({sim::GeoPoint{47.4, 8.5}}, &rig.store,
+                      &rig.cdn_rpc.rpc, &sync_rpc);
+    updater.enable_persistence(dir.str());
+    rig.dp.submit(ca::FeedMessage::of(
+        ca_a.revoke({SerialNumber::from_uint(1)}, 1000)));
+    rig.dp.publish(from_seconds(1000));
+    updater.pull_up_to(0, from_seconds(1000));
+    for (std::uint64_t period = 1; period <= 2; ++period) {
+      const UnixSeconds t = 1000 + 10 * UnixSeconds(period);
+      rig.dp.submit(ca::FeedMessage::of(
+          ca_a.revoke({SerialNumber::from_uint(1 + period)}, t)));
+      rig.dp.submit(ca::FeedMessage::of(
+          ca_b.revoke({SerialNumber::from_uint(10 + period)}, t)));
+      rig.dp.publish(from_seconds(t));
+    }
+    ASSERT_EQ(rig.dp.publish_cold_start(ca_b.cold_start_object(2, 1020),
+                                        from_seconds(1020)),
+              svc::Status::ok);
+    ASSERT_EQ(updater.bootstrap(ca_b.id(), from_seconds(1020)),
+              svc::Status::ok);
+    ASSERT_EQ(updater.next_period(), 1u);
+    updater.checkpoint();
+  }
+
+  DictionaryStore restarted;
+  restarted.register_ca(ca_a.id(), ca_a.public_key(), ca_a.delta());
+  restarted.register_ca(ca_b.id(), ca_b.public_key(), ca_b.delta());
+  RaUpdater updater({sim::GeoPoint{47.4, 8.5}}, &restarted, &rig.cdn_rpc.rpc,
+                    &sync_rpc);
+  const auto report = updater.recover(dir.str());
+  ASSERT_TRUE(report.ok) << report.error;
+  ASSERT_EQ(updater.next_period(), 1u);
+  updater.pull_up_to(2, from_seconds(1030));
+
+  EXPECT_EQ(updater.next_period(), 3u);
+  EXPECT_EQ(updater.totals().syncs, 0u);
+  EXPECT_EQ(updater.totals().rejected, 1u);
+  EXPECT_EQ(updater.totals().rejected_by.at(svc::Status::stale_root), 1u);
+  EXPECT_EQ(restarted.have_n(ca_a.id()), 3u);
+  EXPECT_EQ(restarted.have_n(ca_b.id()), 2u);
+  EXPECT_FALSE(restarted.needs_sync(ca_b.id()));
+  EXPECT_EQ(restarted.root_of(ca_b.id())->encode(),
+            ca_b.signed_root().encode());
+}
+
 TEST(Updater, FailedGapSyncIsRetriedAtTheNextFreshnessStatement) {
   // The sync endpoint is down for the period that exposes a gap, then up
   // for three freshness-only periods. The first statement retries the
@@ -991,6 +1112,11 @@ TEST(Updater, FailedGapSyncIsRetriedAtTheNextFreshnessStatement) {
   SwitchableTransport sync_rpc(&sync_in);
   RaUpdater updater({sim::GeoPoint{47.4, 8.5}}, &rig.store, &rig.cdn_rpc.rpc,
                     &sync_rpc);
+  // Virtual time: the failed sync's backoffs advance a counter, not the
+  // clock.
+  std::uint64_t virtual_ms = 0;
+  updater.resilient_sync()->set_time(
+      [&](std::uint32_t ms) { virtual_ms += ms; }, [&] { return virtual_ms; });
 
   rig.dp.submit(ca::FeedMessage::of(
       ca.revoke({SerialNumber::from_uint(1)}, 1000)));

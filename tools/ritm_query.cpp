@@ -6,13 +6,16 @@
 //   ./ritm_query --port 4717 --batch 256
 //   ./ritm_query --port 4717 --serial 00000007 --trust <hex-from-serve>
 //
-// With --trust the signed root under each status is verified and the
-// proof checked through the validating client; without it the tool only
-// decodes and reports presence/absence.
+// With --trust every status, single or batched, is judged by the
+// validating client (signed root, freshness, proof); without it the tool
+// only decodes and reports presence/absence, labelled unverified. Calls
+// go through svc::ResilientTransport, except with --pipeline > 1, which
+// submits on the svc::TcpClient directly and retries nothing.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -54,6 +57,19 @@ const char* describe(const dict::RevocationStatus& status) {
   return status.proof.type == dict::Proof::Type::presence
              ? "REVOKED (presence proof)"
              : "valid (absence proof)";
+}
+
+/// The client's verdict on one served status for (ca, serial), judged as of
+/// the status's own signed-root time.
+client::Verdict judge(const client::RitmClient& client, const cert::CaId& ca,
+                      const cert::SerialNumber& serial, ByteSpan status) {
+  const auto view = dict::StatusView::parse(status);
+  const UnixSeconds now = view ? view->signed_root.timestamp : 0;
+  cert::Certificate leaf;
+  leaf.serial = serial;
+  leaf.issuer = ca;
+  leaf.not_after = now + 1'000'000;
+  return client.validate_status_bytes(status, leaf, now);
 }
 
 }  // namespace
@@ -121,6 +137,9 @@ int main(int argc, char** argv) {
     std::copy(key_bytes.begin(), key_bytes.end(), key.begin());
     roots.add(ca, key);
   }
+  const client::RitmClient client({.delta = 10, .expect_ritm = true,
+                                   .require_server_confirmation = false},
+                                  roots);
 
   // Pipelined mode: stream every serial query with up to `pipeline` in
   // flight (submit blocks once the window is full), then collect by
@@ -175,17 +194,9 @@ int main(int argc, char** argv) {
                 r.response.body.size(),
                 (unsigned long long)status->signed_root.n, r.latency_ms);
     if (!trust_hex.empty()) {
-      client::RitmClient client({.delta = 10, .expect_ritm = true,
-                                 .require_server_confirmation = false},
-                                roots);
-      cert::Certificate leaf;
-      leaf.serial = serial;
-      leaf.issuer = ca;
-      leaf.not_after = status->signed_root.timestamp + 1'000'000;
-      const auto verdict = client.validate_status_bytes(
-          ByteSpan(r.response.body), leaf, status->signed_root.timestamp);
       std::printf("%-16s    client verdict: %s\n", "",
-                  client::to_string(verdict));
+                  client::to_string(judge(client, ca, serial,
+                                          ByteSpan(r.response.body))));
     }
   }
 
@@ -231,16 +242,28 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "batch: malformed reply\n");
       return 1;
     }
-    std::size_t revoked = 0;
-    for (const auto& bytes : *statuses) {
-      const auto status = dict::RevocationStatus::decode(ByteSpan(bytes));
-      if (status && status->proof.type == dict::Proof::Type::presence) {
-        ++revoked;
+    // With --trust, a count per client verdict; without, presence and
+    // absence proofs as decoded, and statuses that do not decode.
+    std::map<std::string, std::size_t> counts;
+    for (std::size_t i = 0; i < batch; ++i) {
+      const ByteSpan bytes((*statuses)[i]);
+      if (!trust_hex.empty()) {
+        ++counts[client::to_string(judge(client, ca, probe[i], bytes))];
+        continue;
       }
+      const auto status = dict::StatusView::parse(bytes);
+      ++counts[!status ? "undecodable"
+               : status->proof.type == dict::Proof::Type::presence
+                   ? "presence"
+                   : "absence"];
     }
-    std::printf("batch x%zu       -> %zu revoked, %zu valid  "
+    std::string summary = trust_hex.empty() ? "unverified:" : "verdicts:";
+    for (const auto& [what, n] : counts) {
+      summary += " " + what + " " + std::to_string(n);
+    }
+    std::printf("batch x%zu       -> %s  "
                 "[%llu B total, %.2f ms, %.0f serials/s]\n",
-                batch, revoked, batch - revoked,
+                batch, summary.c_str(),
                 (unsigned long long)r.bytes_received, r.latency_ms,
                 double(batch) / (r.latency_ms / 1000.0));
   }

@@ -6,7 +6,9 @@ Usage: ritm_serve_smoke.py <ritm_serve> <ritm_query>
 Starts `ritm_serve --port 0 --entries 1000 --reactors 2 --persist-dir DIR`,
 reads the bound port and the trust anchor from its banner, and asks
 ritm_query for serials 7 (revoked by the demo CA) and 8 (not revoked),
-verifying the signed roots against the trust anchor. SIGTERM must stop the
+verifying the signed roots against the trust anchor, then for one batch of
+16 serials (1, 4, ..., 46), which the client must judge as 2 revoked (7 and
+28) and 14 accepted. SIGTERM must stop the
 server with exit code 0 after its shutdown checkpoint. A second server on
 the same DIR must recover the 1000 entries and give the same verdicts.
 
@@ -26,6 +28,8 @@ import time
 ENTRIES = 1000
 STEP_TIMEOUT_S = 60  # generous for sanitizer builds; a normal run takes ~1 s
 EXPECTED_VERDICTS = ["revoked", "accepted"]  # serials 00000007, 00000008
+BATCH = 16  # ritm_query probes serials 1, 4, 7, ..., 46
+EXPECTED_BATCH = {"accepted": 14, "revoked": 2}  # 7 and 28 are revoked
 
 
 class Failure(Exception):
@@ -96,6 +100,21 @@ def query_verdicts(binary, port, trust):
     return re.findall(r"client verdict: (\S+)", out.stdout)
 
 
+def query_batch(binary, port, trust):
+    """The client's verdict counts for one batch, as ritm_query prints them."""
+    out = subprocess.run(
+        [binary, "--port", port, "--batch", str(BATCH), "--trust", trust],
+        capture_output=True, text=True, timeout=STEP_TIMEOUT_S)
+    if out.returncode != 0:
+        raise Failure(f"ritm_query --batch exited {out.returncode}:\n{out.stdout}{out.stderr}")
+    match = re.search(rf"batch x{BATCH}\s+-> verdicts:((?: \S+ \d+)+)  \[",
+                      out.stdout)
+    if not match:
+        raise Failure(f"no batch verdicts in ritm_query output:\n{out.stdout}")
+    words = match.group(1).split()
+    return {words[i]: int(words[i + 1]) for i in range(0, len(words), 2)}
+
+
 def serve_and_check(serve_bin, query_bin, persist_dir, recovered):
     server = Server(serve_bin, persist_dir)
     try:
@@ -107,12 +126,16 @@ def serve_and_check(serve_bin, query_bin, persist_dir, recovered):
         verdicts = query_verdicts(query_bin, port, trust)
         if verdicts != EXPECTED_VERDICTS:
             raise Failure(f"verdicts {verdicts}, expected {EXPECTED_VERDICTS}")
+        batch = query_batch(query_bin, port, trust)
+        if batch != EXPECTED_BATCH:
+            raise Failure(f"batch verdicts {batch}, expected {EXPECTED_BATCH}")
         code, lines = server.terminate()
         if code != 0:
             raise Failure(f"ritm_serve exited {code} on SIGTERM")
         if not any(re.match(r"persist: [1-9]\d* checkpoints", l) for l in lines):
             raise Failure("no shutdown checkpoint in ritm_serve's exit banner")
-        print(f"ok: recovered {recovered}, verdicts {verdicts}, exit 0 after checkpoint")
+        print(f"ok: recovered {recovered}, verdicts {verdicts}, batch {batch}, "
+              "exit 0 after checkpoint")
     finally:
         server.kill()
 
